@@ -1,13 +1,13 @@
 //! Benchmarks of the greylist decision engine across store backends:
-//! the defer/pass hot path against the in-memory, partitioned and remote
-//! stores, and a purge sweep over an aged store. Baseline numbers are
+//! the defer/pass hot path against the in-memory and remote stores, and a
+//! purge sweep over an aged store. Baseline numbers are
 //! recorded in `crates/bench/BENCH_greylist.json`; re-run with
 //! `cargo bench -p spamward-bench --bench greylist` after touching
 //! `crates/greylist/src/{store,backend,policy}.rs`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // not protocol-path code
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use spamward_greylist::{Greylist, GreylistConfig, PartitionedStore, RemoteStore, StoreBackend};
+use spamward_greylist::{Greylist, GreylistConfig, RemoteStore, StoreBackend};
 use spamward_sim::{SimDuration, SimTime};
 use spamward_smtp::{EmailAddress, ReversePath};
 use std::net::Ipv4Addr;
@@ -18,7 +18,6 @@ const DELAY: SimDuration = SimDuration::from_secs(300);
 fn backends() -> Vec<(&'static str, StoreBackend)> {
     vec![
         ("in_memory", StoreBackend::default()),
-        ("partitioned4", StoreBackend::Partitioned(PartitionedStore::new(4))),
         ("remote_2ms", StoreBackend::Remote(RemoteStore::new(SimDuration::from_millis(2)))),
     ]
 }
@@ -51,7 +50,7 @@ fn defer_then_pass(backend: StoreBackend) -> u64 {
 }
 
 /// The decision hot path per backend — identical decisions by the store
-/// contract, so the widths differ only in lookup cost.
+/// contract, so the rows differ only in lookup cost.
 fn bench_decision_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("greylist");
     g.throughput(Throughput::Elements(CLIENTS * 2));
@@ -65,7 +64,7 @@ fn bench_decision_path(c: &mut Criterion) {
 }
 
 /// A maintenance sweep over a store whose pending entries have all aged
-/// out — the periodic `purge_expired` the worldsim maintenance actor runs.
+/// out — the periodic `purge_expired` the world's maintenance timer runs.
 fn bench_purge_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("greylist");
     g.throughput(Throughput::Elements(CLIENTS));

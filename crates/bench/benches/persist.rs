@@ -1,7 +1,7 @@
 //! Benchmarks of greylist durability: snapshot serialization and restore,
 //! and write-ahead-log append and replay, at 10k and 100k triplets — the
-//! costs a [`spamward_mta::CheckpointActor`] tick and a crash–restart
-//! recovery pay. Baseline numbers are recorded in
+//! costs a checkpoint tick of a `MailWorld::with_checkpointing` world and a
+//! crash–restart recovery pay. Baseline numbers are recorded in
 //! `crates/bench/BENCH_persist.json`; re-run with
 //! `cargo bench -p spamward-bench --bench persist` after touching
 //! `crates/greylist/src/persist.rs`.

@@ -6,25 +6,24 @@
 //! `(sender, recipient)` so any pool member's retry matches, sites shard or
 //! outsource the triplet database — and the choice changes how much pain a
 //! multi-IP webmail pool suffers and what a store outage does. This sweep
-//! runs every [`KeyPolicy`] against every [`StoreBackend`] flavour under
-//! two provider pool layouts (all addresses in one /24 vs one /24 each),
-//! with a pure greylist-store outage ([`FaultProfile::store_degraded`])
-//! and a periodic store-maintenance actor in every cell.
+//! runs every [`KeyPolicy`] against both [`StoreBackend`] flavours — the
+//! in-process store and a remote one — under two provider pool layouts
+//! (all addresses in one /24 vs one /24 each), with a pure greylist-store
+//! outage ([`FaultProfile::store_degraded`]) and a periodic
+//! store-maintenance timer in every cell.
 //!
 //! The store contract says decisions are backend-independent, so within a
 //! (policy, layout) group the delivery trajectory must be identical across
-//! the three backends — the backends differ only in the store-shape and
-//! remote-traffic columns. The *policy* axis is where Table III moves:
+//! the two backends — they differ only in the remote-traffic columns. The
+//! *policy* axis is where Table III moves:
 //! `sender_recipient` collapses the spread-pool retry cost back to the
 //! same-/24 number, `full_triplet` pays it in full.
 
 use crate::experiments::worlds::{self, VICTIM_DOMAIN, VICTIM_MX_IP};
 use crate::harness::{Experiment, HarnessConfig, HarnessError, Report, Scale};
 use spamward_analysis::{fmt_min_sec, Table};
-use spamward_greylist::{
-    Greylist, GreylistConfig, KeyPolicy, PartitionedStore, RemoteStore, StoreBackend,
-};
-use spamward_mta::{DegradationMode, OutboundStatus, SendingMta, WorldSim};
+use spamward_greylist::{Greylist, GreylistConfig, KeyPolicy, RemoteStore, StoreBackend};
+use spamward_mta::{DegradationMode, OutboundStatus, SenderActor, SendingMta, WorldSim};
 use spamward_net::{FaultPlan, FaultProfile};
 use spamward_obs::Registry;
 use spamward_sim::shard::run_partitioned;
@@ -32,9 +31,6 @@ use spamward_sim::{DetRng, SimDuration, SimTime};
 use spamward_webmail::WebmailProvider;
 use std::fmt;
 use std::net::Ipv4Addr;
-
-/// Partition count of the sharded in-process backend cells.
-pub const PARTITIONED_SHARDS: usize = 4;
 
 /// Virtual round-trip time to the remote store (qdgrey/redis-style).
 pub const REMOTE_RTT: SimDuration = SimDuration::from_millis(2);
@@ -51,22 +47,18 @@ pub const POLICIES: [KeyPolicy; 3] = [
 pub enum BackendKind {
     /// Today's in-process [`spamward_greylist::TripletStore`].
     InMemory,
-    /// [`PARTITIONED_SHARDS`] hash-routed in-process shards.
-    Partitioned,
     /// A request–reply store actor paying [`REMOTE_RTT`] per lookup.
     Remote,
 }
 
 impl BackendKind {
     /// All backends, sweep order.
-    pub const ALL: [BackendKind; 3] =
-        [BackendKind::InMemory, BackendKind::Partitioned, BackendKind::Remote];
+    pub const ALL: [BackendKind; 2] = [BackendKind::InMemory, BackendKind::Remote];
 
     /// Stable row label, matching [`StoreBackend`]'s names.
     pub fn label(&self) -> &'static str {
         match self {
             BackendKind::InMemory => "in_memory",
-            BackendKind::Partitioned => "partitioned",
             BackendKind::Remote => "remote",
         }
     }
@@ -75,9 +67,6 @@ impl BackendKind {
     pub fn build(&self) -> StoreBackend {
         match self {
             BackendKind::InMemory => StoreBackend::default(),
-            BackendKind::Partitioned => {
-                StoreBackend::Partitioned(PartitionedStore::new(PARTITIONED_SHARDS))
-            }
             BackendKind::Remote => StoreBackend::Remote(RemoteStore::new(REMOTE_RTT)),
         }
     }
@@ -300,13 +289,15 @@ fn run_cell(
                 .build(),
             SimTime::ZERO,
         );
-        let (sender, _outcome, _end) = WorldSim::drain_with_faults(
+        // The horizon bounds the world's maintenance sweep; the installed
+        // outage's edges fire in the same episode.
+        let (sender, _outcome, _end) = WorldSim::episode(
             &mut world,
-            sender,
-            &plan,
+            SenderActor::new(sender),
             SimTime::ZERO,
             Some(config.horizon),
         );
+        let sender = sender.into_inner();
         spamward_mta::metrics::collect_sender(&sender, &mut metrics);
         let records = sender.records();
         attempts += records.len() as u64;
@@ -500,17 +491,13 @@ mod tests {
                     let c = r.cell(policy.slug(), b.label(), layout.label()).unwrap();
                     (c.attempts, c.deferred, c.degraded, c.delivered, c.worst_delay, c.store_keys)
                 };
-                let reference = probe(BackendKind::InMemory);
-                for backend in [BackendKind::Partitioned, BackendKind::Remote] {
-                    assert_eq!(
-                        probe(backend),
-                        reference,
-                        "{} x {} diverges on {}",
-                        policy.slug(),
-                        layout.label(),
-                        backend.label()
-                    );
-                }
+                assert_eq!(
+                    probe(BackendKind::Remote),
+                    probe(BackendKind::InMemory),
+                    "{} x {} diverges on the remote backend",
+                    policy.slug(),
+                    layout.label()
+                );
             }
         }
     }

@@ -31,8 +31,8 @@ use spamward_analysis::Table;
 use spamward_dns::{DomainName, Zone};
 use spamward_greylist::{DurabilityMode, Greylist, GreylistConfig};
 use spamward_mta::{
-    ChaosActor, FaultActor, MailWorld, MtaProfile, OutboundStatus, ReceivingMta, RetryPolicy,
-    SenderActor, SendingMta, WorldSim,
+    MailWorld, MtaProfile, OutboundStatus, ReceivingMta, RetryPolicy, SenderActor, SendingMta,
+    WorldSim,
 };
 use spamward_net::{FaultPlan, FaultProfile};
 use spamward_obs::Registry;
@@ -434,27 +434,19 @@ fn run_cell(
         );
     }
 
-    // All three senders and the fault timeline share one event stream, so
-    // the crash edges are ordered against the attempts they disturb (and
-    // serial vs --jobs runs see the identical sequence).
-    let mut cast = Vec::new();
-    for mta in [regulars, edge, bot] {
-        let first = mta.next_due().unwrap_or(SimTime::ZERO);
-        cast.push((ChaosActor::Sender(Box::new(SenderActor::new(mta))), first));
-    }
-    let fault_actor = FaultActor::new(&plan);
-    if let Some(first) = fault_actor.first_wake() {
-        cast.push((ChaosActor::Faults(fault_actor), first));
-    }
-    let (actors, _outcome, _end) =
-        WorldSim::episode_with(&mut world, cast, Some(at_min(HORIZON_MINS)));
-    let mut senders: Vec<SendingMta> = actors
+    // All three senders and the world's fault timeline share one event
+    // stream, so the crash edges are ordered against the attempts they
+    // disturb (and serial vs --jobs runs see the identical sequence).
+    let cast = [regulars, edge, bot]
         .into_iter()
-        .filter_map(|a| match a {
-            ChaosActor::Sender(s) => Some(s.into_inner()),
-            ChaosActor::Faults(_) => None,
+        .map(|mta| {
+            let first = mta.next_due().unwrap_or(SimTime::ZERO);
+            (SenderActor::new(mta), first)
         })
         .collect();
+    let (actors, _outcome, _end) =
+        WorldSim::episode_with(&mut world, cast, Some(at_min(HORIZON_MINS)));
+    let mut senders: Vec<SendingMta> = actors.into_iter().map(SenderActor::into_inner).collect();
     let bot = senders.pop().expect("bot actor survives");
     let edge = senders.pop().expect("edge actor survives");
     let regulars = senders.pop().expect("regulars actor survives");

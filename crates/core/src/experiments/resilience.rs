@@ -16,7 +16,6 @@ use spamward_dns::{DomainName, Zone};
 use spamward_greylist::{Greylist, GreylistConfig};
 use spamward_mta::{
     DegradationMode, MailWorld, MtaProfile, OutboundStatus, ReceivingMta, RetryPolicy, SendingMta,
-    WorldSim,
 };
 use spamward_net::{FaultPlan, FaultProfile, FaultWindow};
 use spamward_obs::Registry;
@@ -264,8 +263,9 @@ pub fn run_with_obs(
                 );
             }
 
-            let (sender, _outcome, _end) =
-                WorldSim::drain_with_faults(&mut world, sender, &plan, SimTime::ZERO, None);
+            // The installed plan's window edges fire in the drain's own
+            // event stream.
+            sender.drain(SimTime::ZERO, &mut world);
 
             spamward_mta::metrics::collect_world(&world, reg);
             spamward_mta::metrics::collect_sender(&sender, reg);

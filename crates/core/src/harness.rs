@@ -55,7 +55,7 @@ pub const DEFAULT_SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(60);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetryConfig {
     /// Snapshot counters/gauges into [`Report::timeseries`] every this
-    /// much virtual time (`None` = no sampler actor joins any episode).
+    /// much virtual time (`None` = no sampler timer joins any episode).
     pub sample_interval: Option<SimDuration>,
     /// Record causally-linked per-message lifecycle events into
     /// [`Report::timeline`].

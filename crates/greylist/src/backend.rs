@@ -2,15 +2,12 @@
 //!
 //! The paper's deployment ran one store — an in-process Postgrey BTree —
 //! but real fleets differ: Postfix instances share a qdgrey/redis-style
-//! network store, and large MTAs shard the triplet database. The
-//! [`GreylistStore`] trait makes the storage substrate an experiment axis
-//! while keeping the decision engine in `policy.rs` byte-identical under
-//! the default [`StoreBackend::InMemory`] configuration:
+//! network store. The [`GreylistStore`] trait makes the storage substrate
+//! an experiment axis while keeping the decision engine in `policy.rs`
+//! byte-identical under the default [`StoreBackend::InMemory`]
+//! configuration:
 //!
 //! * [`StoreBackend::InMemory`] — today's [`TripletStore`], unchanged.
-//! * [`StoreBackend::Partitioned`] — per-shard [`TripletStore`]s routed by
-//!   the `spamward_sim::shard` stable hash; reads merge byte-stably
-//!   (sorted by key) so snapshots and gauges are order-independent.
 //! * [`StoreBackend::Remote`] — a network store spoken to over a
 //!   request–reply protocol with virtual-time lookup latency. Fault
 //!   windows make lookups fail, which surfaces as
@@ -21,7 +18,6 @@
 use crate::store::{EntryState, TripletEntry, TripletStore};
 use crate::triplet::TripletKey;
 use serde::{Deserialize, Serialize};
-use spamward_sim::shard::stable_hash;
 use spamward_sim::{SimDuration, SimTime};
 use std::fmt;
 
@@ -115,8 +111,8 @@ fn touch_store(
 ///
 /// The contract: for the same sequence of `touch` calls, every backend
 /// returns the same sequence of [`Touch`] outcomes (fault windows aside).
-/// A shared contract test in this module pins that property across all
-/// three backends.
+/// A shared contract test in this module pins that property across both
+/// backends.
 pub trait GreylistStore {
     /// Applies one check to `key` at `now`, advancing the entry's state
     /// machine under the configured `delay`.
@@ -158,13 +154,13 @@ pub trait GreylistStore {
     fn insert_raw(&mut self, key: TripletKey, entry: TripletEntry);
 
     /// Drops every entry, as a crash losing the database would. Shape
-    /// (shard layout, capacity bounds, lifetimes, remote latency/fault
-    /// windows) and cumulative counters survive — they model the
-    /// deployment, not its RAM.
+    /// (capacity bounds, lifetimes, remote latency/fault windows) and
+    /// cumulative counters survive — they model the deployment, not its
+    /// RAM.
     fn clear(&mut self);
 
-    /// All (possibly stale) entries, sorted by key — a byte-stable merged
-    /// view regardless of how the backend partitions them.
+    /// All (possibly stale) entries, sorted by key — a byte-stable view
+    /// regardless of backend.
     fn entries(&self) -> Vec<(TripletKey, TripletEntry)>;
 
     /// Stable backend slug for tables and metric labels.
@@ -215,101 +211,6 @@ impl GreylistStore for TripletStore {
 
     fn backend_name(&self) -> &'static str {
         "in_memory"
-    }
-}
-
-/// A store split into per-shard [`TripletStore`]s, routed by the stable
-/// shard hash over the key's routing label.
-///
-/// Mirrors a large MTA sharding its triplet database: each shard owns a
-/// disjoint key range, capacity bounds apply per shard, and aggregate
-/// views (`len`, `entries`, gauges) merge deterministically.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PartitionedStore {
-    shards: Vec<TripletStore>,
-}
-
-impl PartitionedStore {
-    /// A store with `shards` empty default shards (at least one).
-    pub fn new(shards: usize) -> Self {
-        Self::with_template(shards, TripletStore::new())
-    }
-
-    /// A store whose shards all share `template`'s lifetimes and capacity
-    /// bound (the bound applies *per shard*).
-    pub fn with_template(shards: usize, template: TripletStore) -> Self {
-        debug_assert!(template.is_empty(), "shard template must be empty");
-        PartitionedStore { shards: vec![template; shards.max(1)] }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Entry count per shard (occupancy skew diagnostics).
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(TripletStore::len).collect()
-    }
-
-    fn route(&self, key: &TripletKey) -> usize {
-        (stable_hash(&key.route_label()) % self.shards.len() as u64) as usize
-    }
-}
-
-impl GreylistStore for PartitionedStore {
-    fn touch(
-        &mut self,
-        key: TripletKey,
-        now: SimTime,
-        delay: SimDuration,
-    ) -> Result<Touch, StoreUnavailable> {
-        let shard = self.route(&key);
-        Ok(touch_store(&mut self.shards[shard], key, now, delay))
-    }
-
-    fn purge_expired(&mut self, now: SimTime) -> usize {
-        self.shards.iter_mut().map(|s| TripletStore::purge_expired(s, now)).sum()
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(TripletStore::len).sum()
-    }
-
-    fn count_state(&self, state: EntryState) -> usize {
-        self.shards.iter().map(|s| TripletStore::count_state(s, state)).sum()
-    }
-
-    fn evictions(&self) -> u64 {
-        self.shards.iter().map(TripletStore::evictions).sum()
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.shards.iter().map(TripletStore::approx_bytes).sum()
-    }
-
-    fn insert_raw(&mut self, key: TripletKey, entry: TripletEntry) {
-        let shard = self.route(&key);
-        TripletStore::insert_raw(&mut self.shards[shard], key, entry);
-    }
-
-    fn clear(&mut self) {
-        for shard in &mut self.shards {
-            TripletStore::clear(shard);
-        }
-    }
-
-    fn entries(&self) -> Vec<(TripletKey, TripletEntry)> {
-        let mut all: Vec<(TripletKey, TripletEntry)> =
-            self.shards.iter().flat_map(|s| s.iter().map(|(k, e)| (*k, e.clone()))).collect();
-        // Shards hold disjoint keys, so a sort is a full deterministic
-        // merge regardless of shard count.
-        all.sort_by_key(|&(k, _)| k);
-        all
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "partitioned"
     }
 }
 
@@ -528,8 +429,6 @@ impl GreylistStore for RemoteStore {
 pub enum StoreBackend {
     /// In-process BTree store (the paper's configuration; the default).
     InMemory(TripletStore),
-    /// Stable-hash partitioned shards.
-    Partitioned(PartitionedStore),
     /// Network store with lookup latency and fault windows.
     Remote(RemoteStore),
 }
@@ -544,7 +443,6 @@ macro_rules! each_backend {
     ($self:expr, $s:ident => $body:expr) => {
         match $self {
             StoreBackend::InMemory($s) => $body,
-            StoreBackend::Partitioned($s) => $body,
             StoreBackend::Remote($s) => $body,
         }
     };
@@ -594,14 +492,6 @@ impl StoreBackend {
         }
     }
 
-    /// Number of partitions (1 for unpartitioned backends).
-    pub fn shard_count(&self) -> usize {
-        match self {
-            StoreBackend::Partitioned(p) => p.shard_count(),
-            _ => 1,
-        }
-    }
-
     /// Touches `key` bypassing the remote exchange protocol (no fault
     /// windows, no latency/ops accounting). WAL replay reconstructs local
     /// durable state at restart and must not be subject to network
@@ -615,10 +505,6 @@ impl StoreBackend {
     ) -> Touch {
         match self {
             StoreBackend::InMemory(s) => touch_store(s, key, now, delay),
-            StoreBackend::Partitioned(p) => {
-                let shard = p.route(&key);
-                touch_store(&mut p.shards[shard], key, now, delay)
-            }
             StoreBackend::Remote(r) => touch_store(&mut r.inner, key, now, delay),
         }
     }
@@ -628,9 +514,6 @@ impl StoreBackend {
     pub(crate) fn purge_direct(&mut self, now: SimTime) -> usize {
         match self {
             StoreBackend::InMemory(s) => TripletStore::purge_expired(s, now),
-            StoreBackend::Partitioned(p) => {
-                p.shards.iter_mut().map(|s| TripletStore::purge_expired(s, now)).sum()
-            }
             StoreBackend::Remote(r) => TripletStore::purge_expired(&mut r.inner, now),
         }
     }
@@ -706,7 +589,6 @@ mod tests {
     fn backends() -> Vec<StoreBackend> {
         vec![
             StoreBackend::InMemory(TripletStore::new()),
-            StoreBackend::Partitioned(PartitionedStore::new(4)),
             StoreBackend::Remote(RemoteStore::new(SimDuration::from_millis(2))),
         ]
     }
@@ -742,10 +624,8 @@ mod tests {
                 backend.count_state(EntryState::Passed),
             ));
         }
-        assert_eq!(outcomes[0], outcomes[1], "partitioned diverged from in-memory");
-        assert_eq!(outcomes[0], outcomes[2], "remote diverged from in-memory");
+        assert_eq!(outcomes[0], outcomes[1], "remote diverged from in-memory");
         assert_eq!(summaries[0], summaries[1]);
-        assert_eq!(summaries[0], summaries[2]);
         assert_eq!(
             outcomes[0],
             vec![
@@ -777,8 +657,7 @@ mod tests {
             }
             views.push(backend.entries());
         }
-        assert_eq!(views[0], views[1], "partitioned merged view diverged");
-        assert_eq!(views[0], views[2], "remote view diverged");
+        assert_eq!(views[0], views[1], "remote view diverged");
         assert!(views[0].windows(2).all(|w| w[0].0 < w[1].0), "entries must be key-sorted");
     }
 
@@ -801,25 +680,7 @@ mod tests {
                 );
             }
             prop_assert_eq!(&all[0], &all[1]);
-            prop_assert_eq!(&all[0], &all[2]);
         }
-    }
-
-    #[test]
-    fn partitioned_routes_keys_across_shards() {
-        let mut p = PartitionedStore::new(4);
-        for k in 0..32u8 {
-            let _ = p.touch(key(k), t(0), SimDuration::from_secs(300));
-        }
-        assert_eq!(GreylistStore::len(&p), 32);
-        let populated = p.shard_lens().into_iter().filter(|&n| n > 0).count();
-        assert!(populated > 1, "32 keys should spread over >1 of 4 shards: {:?}", p.shard_lens());
-    }
-
-    #[test]
-    fn partitioned_zero_shards_clamps_to_one() {
-        let p = PartitionedStore::new(0);
-        assert_eq!(p.shard_count(), 1);
     }
 
     #[test]
@@ -872,10 +733,8 @@ mod tests {
                 let _ = backend.touch(key(k), t(0), delay);
             }
             assert_eq!(GreylistStore::len(&backend), 6, "{}", backend.name());
-            let shards_before = backend.shard_count();
             GreylistStore::clear(&mut backend);
             assert!(backend.is_empty(), "{}: clear must drop everything", backend.name());
-            assert_eq!(backend.shard_count(), shards_before, "shard layout must survive");
             // The cleared store works again from scratch.
             assert_eq!(backend.touch(key(1), t(500), delay), Ok(Touch::New { restarted: false }));
         }

@@ -38,8 +38,8 @@ mod triplet;
 mod whitelist;
 
 pub use backend::{
-    GreylistStore, PartitionedStore, RemoteStore, StoreBackend, StoreExchange, StoreReply,
-    StoreRequest, StoreUnavailable, Touch,
+    GreylistStore, RemoteStore, StoreBackend, StoreExchange, StoreReply, StoreRequest,
+    StoreUnavailable, Touch,
 };
 pub use keying::KeyPolicy;
 pub use persist::{DurabilityMode, GreylistWal, SnapshotError, WalReplay};

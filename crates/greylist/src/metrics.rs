@@ -39,8 +39,6 @@ pub const BACKEND_UNAVAILABLE: &str = "greylist.backend.unavailable";
 /// Total virtual-time lookup latency paid, in microseconds (remote
 /// backends).
 pub const BACKEND_LATENCY_US: &str = "greylist.backend.latency_us";
-/// Partition count of the active backend (1 when unpartitioned).
-pub const BACKEND_SHARDS: &str = "greylist.backend.shards";
 /// Distinct client networks among tracked keys — how coarse the active
 /// key policy's view of the world is.
 pub const POLICY_CLIENT_NETS: &str = "greylist.policy.client_nets";
@@ -66,15 +64,14 @@ pub fn collect(gl: &Greylist, reg: &mut Registry) {
     reg.record_gauge(STORE_SIZE, gl.store().len() as i64);
 }
 
-/// Exports the backend/key-policy view: store bytes, partition count,
-/// remote-store traffic and the key-policy network granularity.
+/// Exports the backend/key-policy view: store bytes, remote-store traffic
+/// and the key-policy network granularity.
 ///
 /// Deliberately separate from [`collect`]: only backend-aware experiments
 /// call this, so default worlds export byte-identical metric sets.
 pub fn collect_backend(gl: &Greylist, reg: &mut Registry) {
     let store = gl.store();
     reg.record_gauge(STORE_BYTES, store.approx_bytes() as i64);
-    reg.record_gauge(BACKEND_SHARDS, store.shard_count() as i64);
     let (ops, unavailable, latency_us) = match store.as_remote() {
         Some(r) => (r.ops(), r.unavailable(), r.latency_us()),
         None => (0, 0, 0),
@@ -135,7 +132,6 @@ mod tests {
         let mut reg = Registry::new();
         collect_backend(&gl, &mut reg);
         assert!(reg.gauge(STORE_BYTES).unwrap() > 0);
-        assert_eq!(reg.gauge(BACKEND_SHARDS), Some(1));
         assert_eq!(reg.counter(BACKEND_OPS), Some(2));
         assert_eq!(reg.counter(BACKEND_UNAVAILABLE), Some(0));
         assert_eq!(reg.counter(BACKEND_LATENCY_US), Some(4_000));
@@ -143,13 +139,12 @@ mod tests {
     }
 
     #[test]
-    fn collect_backend_counts_partitions() {
-        use crate::backend::{PartitionedStore, StoreBackend};
+    fn collect_backend_reports_an_empty_remote_store() {
+        use crate::backend::{RemoteStore, StoreBackend};
         let gl = Greylist::new(GreylistConfig::default())
-            .with_backend(StoreBackend::Partitioned(PartitionedStore::new(4)));
+            .with_backend(StoreBackend::Remote(RemoteStore::new(SimDuration::from_millis(2))));
         let mut reg = Registry::new();
         collect_backend(&gl, &mut reg);
-        assert_eq!(reg.gauge(BACKEND_SHARDS), Some(4));
         assert_eq!(reg.gauge(STORE_BYTES), Some(0));
     }
 }

@@ -516,16 +516,16 @@ mod tests {
 
     #[test]
     fn snapshot_restores_across_backends() {
-        use crate::backend::{PartitionedStore, StoreBackend};
+        use crate::backend::{RemoteStore, StoreBackend};
         let original = populated();
         let text = original.snapshot();
-        let mut sharded = Greylist::new(original.config().clone())
-            .with_backend(StoreBackend::Partitioned(PartitionedStore::new(4)));
-        sharded.restore(&text).unwrap();
-        assert_eq!(sharded.store().len(), original.store().len());
-        // The sharded engine re-emits the identical bytes: the merged
-        // entries() view is backend-independent.
-        assert_eq!(sharded.snapshot(), text);
+        let mut remote = Greylist::new(original.config().clone())
+            .with_backend(StoreBackend::Remote(RemoteStore::new(SimDuration::from_millis(2))));
+        remote.restore(&text).unwrap();
+        assert_eq!(remote.store().len(), original.store().len());
+        // The remote engine re-emits the identical bytes: the entries()
+        // view is backend-independent.
+        assert_eq!(remote.snapshot(), text);
     }
 
     #[test]
@@ -773,24 +773,24 @@ mod tests {
         /// The tentpole's correctness anchor: for arbitrary interaction
         /// histories, checkpoint instants and crash points, a
         /// `SnapshotPlusWal` recovery is decision-equivalent to an engine
-        /// that never crashed — across all three store backends.
+        /// that never crashed — across both store backends.
         #[test]
         fn prop_snapshot_plus_wal_recovery_is_decision_equivalent(
             ops in proptest::collection::vec((0u8..8, 0u64..100_000, proptest::bool::ANY), 1..30),
             cp_sel in 0usize..30,
             crash_sel in 0usize..30,
-            backend_sel in 0usize..3,
+            remote in proptest::bool::ANY,
             probe_ip in 0u8..8,
             probe_at in 100_000u64..200_000,
         ) {
-            use crate::backend::{PartitionedStore, RemoteStore, StoreBackend};
+            use crate::backend::{RemoteStore, StoreBackend};
             use crate::store::TripletStore;
             let mut cfg = GreylistConfig::with_delay(SimDuration::from_secs(300));
             cfg.auto_whitelist_after = Some(2);
-            let backend = match backend_sel {
-                0 => StoreBackend::InMemory(TripletStore::new()),
-                1 => StoreBackend::Partitioned(PartitionedStore::new(4)),
-                _ => StoreBackend::Remote(RemoteStore::new(SimDuration::from_millis(2))),
+            let backend = if remote {
+                StoreBackend::Remote(RemoteStore::new(SimDuration::from_millis(2)))
+            } else {
+                StoreBackend::InMemory(TripletStore::new())
             };
             let rcpt: spamward_smtp::EmailAddress = "u@foo.net".parse().unwrap();
             let mut times: Vec<u64> = ops.iter().map(|&(_, t, _)| t).collect();

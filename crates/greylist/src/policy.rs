@@ -583,10 +583,9 @@ mod tests {
 
     #[test]
     fn decisions_are_backend_independent() {
-        use crate::backend::{PartitionedStore, RemoteStore};
+        use crate::backend::RemoteStore;
         let backends = [
             StoreBackend::InMemory(TripletStore::new()),
-            StoreBackend::Partitioned(PartitionedStore::new(4)),
             StoreBackend::Remote(RemoteStore::new(SimDuration::from_millis(2))),
         ];
         let script = [
@@ -607,8 +606,7 @@ mod tests {
                     .collect(),
             );
         }
-        assert_eq!(runs[0], runs[1], "partitioned backend changed decisions");
-        assert_eq!(runs[0], runs[2], "remote backend changed decisions");
+        assert_eq!(runs[0], runs[1], "remote backend changed decisions");
     }
 
     #[test]

@@ -123,13 +123,6 @@ impl TripletKey {
     pub fn client_net_addr(&self) -> Ipv4Addr {
         Ipv4Addr::from(self.client_net)
     }
-
-    /// A stable routing label for shard partitioning: every field in fixed
-    /// hex, so the partition hash is a pure function of the key.
-    #[must_use]
-    pub fn route_label(&self) -> String {
-        format!("{:08x}/{}/{}", self.client_net, self.sender, self.recipient)
-    }
 }
 
 /// Masks `client` to `netmask` leading bits.
@@ -242,14 +235,6 @@ mod tests {
         assert_ne!(a, KeyAtom::of("rob@example.com"));
         assert_eq!(KeyAtom::from_raw(a.raw()), a);
         assert_eq!(KeyAtom::of(""), KeyAtom::EMPTY);
-    }
-
-    #[test]
-    fn route_label_distinguishes_fields() {
-        let a = TripletKey::new(Ipv4Addr::new(10, 1, 2, 3), &sender("a@b.cc"), &rcpt(), 24);
-        let b = TripletKey::new(Ipv4Addr::new(10, 1, 3, 3), &sender("a@b.cc"), &rcpt(), 24);
-        assert_ne!(a.route_label(), b.route_label());
-        assert_eq!(a.route_label(), a.route_label());
     }
 
     proptest! {

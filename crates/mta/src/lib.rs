@@ -19,7 +19,10 @@
 //! * **Execution** — [`WorldSim`] runs drivers (sending MTAs, botnet
 //!   chains, webmail tiers) as self-rescheduling actors on the
 //!   `spamward_sim` event engine, one episode at a time, accumulating
-//!   [`MailWorld::engine_stats`].
+//!   [`MailWorld::engine_stats`]. The world's own timers — the installed
+//!   fault plan's window edges and, in horizon-bounded episodes, the
+//!   telemetry sampler, the greylist-store sweep and the durability
+//!   checkpoint — join each episode, registered after the drivers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,6 +45,4 @@ pub use send::{
     RetryPolicy, SendingMta,
 };
 pub use world::{AttemptReport, MailWorld, MxAttempt, MxStrategy};
-pub use worldsim::{
-    ChaosActor, CheckpointActor, FaultActor, SenderActor, StoreMaintenanceActor, WorldSim,
-};
+pub use worldsim::{SenderActor, WorldSim};

@@ -322,8 +322,8 @@ impl ReceivingMta {
     /// servers without a greylist, and servers that are *down* at `now` —
     /// a dead machine takes no checkpoints, and snapshotting the
     /// crash-reset store would clobber the good pre-crash checkpoint. The
-    /// engine's [`crate::worldsim::CheckpointActor`] calls this on a
-    /// virtual-time schedule via [`crate::MailWorld::checkpoint_stores`].
+    /// world's checkpoint timer calls this on a virtual-time schedule via
+    /// [`crate::MailWorld::checkpoint_stores`].
     pub fn checkpoint(&mut self, now: SimTime) {
         if !self.durability.restores_checkpoint() || self.is_crashed_at(now) {
             return;

@@ -569,8 +569,9 @@ impl SendingMta {
     /// Drives the queue to completion against `world` as one engine
     /// episode ([`WorldSim::episode`]): the MTA becomes a
     /// [`SenderActor`] whose retry schedule is a self-rescheduling
-    /// timer. Returns the time of the last attempt (or `start` when the
-    /// queue was already idle).
+    /// timer, alongside the world's own timers (an installed fault plan's
+    /// window edges included). Returns the time of the last attempt (or
+    /// `start` when the queue was already idle).
     pub fn drain(&mut self, start: SimTime, world: &mut MailWorld) -> SimTime {
         let Some(due) = self.next_due() else { return start };
         let mta = std::mem::replace(self, SendingMta::parked());

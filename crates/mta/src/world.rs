@@ -169,6 +169,7 @@ pub struct MailWorld {
     pub timeline: Timeline,
     servers: BTreeMap<Ipv4Addr, ReceivingMta>,
     smtp_faults: Option<SmtpFaults>,
+    fault_edges: Vec<SimTime>,
     fault_boundaries: u64,
     sample_interval: Option<SimDuration>,
     maintenance_interval: Option<SimDuration>,
@@ -195,6 +196,7 @@ impl MailWorld {
             timeline: Timeline::disabled(),
             servers: BTreeMap::new(),
             smtp_faults: None,
+            fault_edges: Vec::new(),
             fault_boundaries: 0,
             sample_interval: None,
             maintenance_interval: None,
@@ -210,10 +212,15 @@ impl MailWorld {
     /// and slow-resolver windows), the SMTP exchange path (mid-session
     /// aborts) and every *already installed* receiving server (greylist
     /// store outages) — install servers before faults.
+    ///
+    /// The world also keeps the plan's window edges: every later engine
+    /// episode on it ([`crate::worldsim::WorldSim`]) fires them as
+    /// `net.fault` events beside its drivers.
     pub fn install_faults(&mut self, plan: &FaultPlan) {
         self.network.install_faults(plan.net.clone());
         self.resolver.install_faults(plan.dns.clone());
         self.smtp_faults = Some(plan.smtp.clone());
+        self.fault_edges = plan.boundaries();
         for server in self.servers.values_mut() {
             // Per-backend routing: remote greylist stores take the windows
             // as protocol-level faults; in-process stores keep the ambient
@@ -231,8 +238,13 @@ impl MailWorld {
         self.smtp_faults.as_ref()
     }
 
-    /// Records that a fault window opened or closed at `now`. The fault
-    /// actor ([`crate::worldsim::FaultActor`]) calls this from inside
+    /// The installed fault plan's window edges, sorted and deduplicated.
+    pub(crate) fn fault_edges(&self) -> &[SimTime] {
+        &self.fault_edges
+    }
+
+    /// Records that a fault window opened or closed at `now`. The world's
+    /// fault timer ([`crate::worldsim::WorldSim`]) calls this from inside
     /// engine events, so window edges are ordered through the engine queue
     /// like every other occurrence.
     pub fn note_fault_boundary(&mut self, now: SimTime) {
@@ -255,7 +267,7 @@ impl MailWorld {
 
     /// Advances one server's crash–restart lifecycle to `now` and records
     /// the fired transitions on the trace and timeline. Idempotent — the
-    /// delivery path and the fault actor both poll, and each edge fires
+    /// delivery path and the fault timer both poll, and each edge fires
     /// once.
     fn advance_crash_lifecycle(&mut self, ip: Ipv4Addr, now: SimTime) {
         let Some(server) = self.servers.get_mut(&ip) else { return };
@@ -311,10 +323,11 @@ impl MailWorld {
         self
     }
 
-    /// Enables virtual-time telemetry sampling: every engine episode run
-    /// against this world (see [`crate::worldsim::WorldSim`]) gets a
-    /// sampler actor that snapshots counters/gauges into
-    /// [`MailWorld::samples`] every `interval` of virtual time.
+    /// Enables virtual-time telemetry sampling: every horizon-bounded
+    /// engine episode run against this world (see
+    /// [`crate::worldsim::WorldSim`]) runs a sampler timer that snapshots
+    /// counters/gauges into [`MailWorld::samples`] every `interval` of
+    /// virtual time.
     pub fn with_sampling(mut self, interval: SimDuration) -> Self {
         self.sample_interval = Some(interval);
         self
@@ -343,7 +356,7 @@ impl MailWorld {
 
     /// Enables periodic greylist-store maintenance: every horizon-bounded
     /// engine episode run against this world (see
-    /// [`crate::worldsim::WorldSim`]) gets a maintenance actor that calls
+    /// [`crate::worldsim::WorldSim`]) runs a maintenance timer that calls
     /// [`MailWorld::maintain_stores`] every `interval` of virtual time, so
     /// expired triplets are swept on a schedule (as a Postgrey cron job
     /// would) instead of lazily on lookup.
@@ -359,7 +372,7 @@ impl MailWorld {
 
     /// Enables periodic durability checkpointing: every horizon-bounded
     /// engine episode run against this world (see
-    /// [`crate::worldsim::WorldSim`]) gets a checkpoint actor that calls
+    /// [`crate::worldsim::WorldSim`]) runs a checkpoint timer that calls
     /// [`MailWorld::checkpoint_stores`] every `interval` of virtual time —
     /// the in-simulation analogue of Postgrey's periodic on-disk database
     /// sync. Servers left at
@@ -376,7 +389,7 @@ impl MailWorld {
 
     /// Takes a durability checkpoint on every installed server
     /// ([`ReceivingMta::checkpoint`] — snapshot the store, truncate the
-    /// WAL). The engine's checkpoint actor calls this on every tick.
+    /// WAL). The world's checkpoint timer calls this on every tick.
     pub fn checkpoint_stores(&mut self, now: SimTime) {
         for server in self.servers.values_mut() {
             server.checkpoint(now);
@@ -385,29 +398,25 @@ impl MailWorld {
 
     /// Sweeps expired triplets from every server's greylist store and
     /// samples real store occupancy (`obs.sample.greylist.store_*`) at
-    /// `now`. The engine's maintenance actor calls this on every tick;
-    /// returns how many entries the sweep dropped.
-    pub fn maintain_stores(&mut self, now: SimTime) -> usize {
-        let mut purged = 0;
+    /// `now`. The world's maintenance timer calls this on every tick.
+    pub fn maintain_stores(&mut self, now: SimTime) {
         let mut size: i64 = 0;
         let mut bytes: i64 = 0;
         for server in self.servers.values_mut() {
             if let Some(gl) = server.greylist_mut() {
-                purged += gl.maintain(now);
+                gl.maintain(now);
                 size += i64::try_from(gl.store().len()).unwrap_or(i64::MAX);
                 bytes += i64::try_from(gl.store().approx_bytes()).unwrap_or(i64::MAX);
             }
         }
         self.samples.record_point(SAMPLE_STORE_SIZE, now, size);
         self.samples.record_point(SAMPLE_STORE_BYTES, now, bytes);
-        purged
     }
 
     /// Snapshots greylist, delivery and engine counters into
-    /// [`MailWorld::samples`] at virtual time `now`. The engine's sampler
-    /// actor ([`crate::worldsim::SamplerActor`]) calls this on every tick;
-    /// engine figures cover *completed* episodes (the running episode's
-    /// events merge at episode end).
+    /// [`MailWorld::samples`] at virtual time `now`. The world's sampler
+    /// timer calls this on every tick; engine figures cover *completed*
+    /// episodes (the running episode's events merge at episode end).
     pub fn sample_telemetry(&mut self, now: SimTime) {
         let mut greylisted: i64 = 0;
         let mut passed: i64 = 0;
@@ -541,7 +550,7 @@ impl MailWorld {
                 Ok(conn) => {
                     // Bring the destination's crash lifecycle up to date
                     // before deciding anything — a delivery landing between
-                    // fault-actor wake-ups must still see the right
+                    // fault-timer ticks must still see the right
                     // up/down state and the recovered store.
                     self.advance_crash_lifecycle(ip, now);
                     if self.servers.get(&ip).is_some_and(|s| s.is_crashed_at(now)) {

@@ -2,32 +2,47 @@
 //!
 //! [`WorldSim`] is the bridge between the mail world and the engine's
 //! actor layer: it moves the world into an [`ActorSim`] for the duration
-//! of one *episode* — a single driver (a sending MTA, a webmail outbound
-//! tier built by `spamward_webmail`, or a botnet delivery chain) running
-//! as a self-rescheduling timer that calls
+//! of one *episode* — the caller's drivers (a sending MTA, a webmail
+//! outbound tier built by `spamward_webmail`, or a botnet delivery chain)
+//! running as self-rescheduling timers that call
 //! [`MailWorld::attempt_delivery`] from inside engine events — and moves
 //! it back out afterwards, folding the episode's [`EngineStats`] into
 //! [`MailWorld::engine_stats`].
 //!
+//! Beside the drivers, every episode runs the timers the *world* was
+//! configured with, so no caller has to remember them: the window edges
+//! of the fault plan installed with [`MailWorld::install_faults`] and, in
+//! horizon-bounded episodes, the telemetry sampler
+//! ([`MailWorld::with_sampling`]), the greylist-store sweep
+//! ([`MailWorld::with_store_maintenance`]) and the durability checkpoint
+//! ([`MailWorld::with_checkpointing`]). They register after the drivers,
+//! in that order.
+//!
 //! Episodes are sequential by design: the world's shared latency RNG
 //! means results depend on the exact global order of delivery attempts,
-//! so one driver owns the world at a time and the experiment composes
-//! episodes in its own order. Within an episode, same-instant events run
-//! FIFO — the engine's determinism guarantee applies unchanged.
+//! so one set of drivers owns the world at a time and the experiment
+//! composes episodes in its own order. Within an episode, same-instant
+//! events run FIFO in the order they were scheduled — first wake-ups in
+//! registration order, so a driver's first wake-up runs before a world
+//! tick due at the same instant — and the engine's determinism guarantee
+//! applies unchanged.
 //!
 //! [`MailWorld::event_budget`] (when set) is a *cumulative* cap: each
 //! episode runs with whatever budget previous episodes left over, and a
 //! truncated episode surfaces as
 //! [`RunOutcome::BudgetExhausted`] in the returned outcome and the
 //! world's outcome tally.
+//!
+//! [`EngineStats`]: spamward_sim::EngineStats
 
-use crate::metrics::SAMPLE_BREAKER_TRIPS;
+use crate::metrics::{
+    ACTOR_CHECKPOINT, ACTOR_OBS_SAMPLE, ACTOR_STORE_MAINTAIN, SAMPLE_BREAKER_TRIPS, TRACE_FAULT,
+};
 use crate::send::SendingMta;
 use crate::world::MailWorld;
-use spamward_net::FaultPlan;
-use spamward_sim::{Actor, ActorSim, RunOutcome, SampleClock, SimTime, Wake};
+use spamward_sim::{Actor, ActorSim, RunOutcome, SampleClock, SimDuration, SimTime, Wake};
 
-/// Runs single-driver engine episodes against a [`MailWorld`].
+/// Runs engine episodes against a [`MailWorld`].
 pub struct WorldSim;
 
 impl WorldSim {
@@ -50,56 +65,27 @@ impl WorldSim {
         (actors.swap_remove(0), outcome, end)
     }
 
-    /// Runs several actors of one type as a single engine episode.
+    /// Runs several drivers of one type as a single engine episode.
     ///
     /// This is the multi-driver form of [`WorldSim::episode`]: every
-    /// `(actor, first_wake)` pair is registered before the engine starts,
-    /// so same-instant wake-ups across actors interleave in registration
-    /// order (the engine's FIFO guarantee). A fault timeline
-    /// ([`FaultActor`]) can thereby fire its window boundaries in the same
-    /// event stream as the delivery attempts it perturbs — which is what
-    /// makes serial and `--jobs N` runs see identical fault sequences.
+    /// `(driver, first_wake)` pair is registered before the engine starts,
+    /// then the world's own timers (see the [module docs](self)), so
+    /// same-instant wake-ups interleave in registration order (the
+    /// engine's FIFO guarantee). The fault timeline thereby fires its
+    /// window edges in the same event stream as the delivery attempts they
+    /// perturb — which is what makes serial and `--jobs N` runs see
+    /// identical fault sequences.
     ///
-    /// Returns the actors (in registration order), the episode outcome,
+    /// Returns the drivers (in registration order), the episode outcome,
     /// and the final virtual clock.
     pub fn episode_with<A: Actor<MailWorld> + 'static>(
         world: &mut MailWorld,
-        actors: Vec<(A, SimTime)>,
+        drivers: Vec<(A, SimTime)>,
         horizon: Option<SimTime>,
     ) -> (Vec<A>, RunOutcome, SimTime) {
         let owned = std::mem::replace(world, MailWorld::new(0));
         let remaining = owned.event_budget.map(|t| t.saturating_sub(owned.engine_stats.events));
-        // A sampler joins the cast only for horizon-bounded episodes of a
-        // sampling world: an unbounded episode has no last tick, and a
-        // world that never asked for telemetry must run the exact same
-        // event stream as before (golden bytes depend on it).
-        let first = actors.iter().map(|(_, at)| *at).min().unwrap_or(SimTime::ZERO);
-        let sampler = match (owned.sample_interval(), horizon) {
-            (Some(interval), Some(h)) => {
-                let clock = SampleClock::new(interval, h);
-                clock.next_after(first).map(|tick| (SamplerActor::new(clock), tick))
-            }
-            _ => None,
-        };
-        // Same opt-in rule for the store-maintenance sweeper: only
-        // horizon-bounded episodes of a world that asked for it, so default
-        // worlds run the exact prior event stream.
-        let maintenance = match (owned.maintenance_interval(), horizon) {
-            (Some(interval), Some(h)) => {
-                let clock = SampleClock::new(interval, h);
-                clock.next_after(first).map(|tick| (StoreMaintenanceActor::new(clock), tick))
-            }
-            _ => None,
-        };
-        // And for the durability checkpointer: horizon-bounded episodes of
-        // a world that opted in via `with_checkpointing`, only.
-        let checkpointer = match (owned.checkpoint_interval(), horizon) {
-            (Some(interval), Some(h)) => {
-                let clock = SampleClock::new(interval, h);
-                clock.next_after(first).map(|tick| (CheckpointActor::new(clock), tick))
-            }
-            _ => None,
-        };
+        let timers = WorldTimer::for_episode(&owned, &drivers, horizon);
         let mut sim = ActorSim::new(owned);
         if let Some(h) = horizon {
             sim = sim.with_horizon(h);
@@ -107,17 +93,11 @@ impl WorldSim {
         if let Some(budget) = remaining {
             sim = sim.with_event_budget(budget);
         }
-        for (actor, first_wake) in actors {
-            sim.add_actor(EpisodeActor::Main(actor), first_wake);
+        for (driver, first_wake) in drivers {
+            sim.add_actor(Cast::Driver(driver), first_wake);
         }
-        if let Some((sampler, first_tick)) = sampler {
-            sim.add_actor(EpisodeActor::Sampler(sampler), first_tick);
-        }
-        if let Some((sweeper, first_tick)) = maintenance {
-            sim.add_actor(EpisodeActor::Maintenance(sweeper), first_tick);
-        }
-        if let Some((checkpointer, first_tick)) = checkpointer {
-            sim.add_actor(EpisodeActor::Checkpoint(checkpointer), first_tick);
+        for (timer, first_wake) in timers {
+            sim.add_actor(Cast::Timer(timer), first_wake);
         }
         let outcome = sim.run();
         let end = sim.now();
@@ -125,140 +105,117 @@ impl WorldSim {
         let (mut episode_world, cast) = sim.into_parts();
         episode_world.engine_stats.merge(&stats);
         *world = episode_world;
-        let actors = cast
+        let drivers = cast
             .into_iter()
-            .filter_map(|wrapped| match wrapped {
-                EpisodeActor::Main(actor) => Some(actor),
-                EpisodeActor::Sampler(_)
-                | EpisodeActor::Maintenance(_)
-                | EpisodeActor::Checkpoint(_) => None,
+            .filter_map(|member| match member {
+                Cast::Driver(driver) => Some(driver),
+                Cast::Timer(_) => None,
             })
             .collect();
-        (actors, outcome, end)
+        (drivers, outcome, end)
     }
 }
 
-/// The telemetry sampler as an engine actor: every tick snapshots the
-/// world's counters into [`MailWorld::samples`]
-/// ([`MailWorld::sample_telemetry`]), then sleeps one interval. Ticks are
-/// ordinary engine events, so they are ordered (FIFO at equal instants)
-/// against the delivery attempts they observe and counted under the
-/// `obs.sample` actor category.
-pub struct SamplerActor {
-    clock: SampleClock,
+/// What a world timer does on each tick.
+type Tick = fn(&mut MailWorld, SimTime);
+
+/// When a world timer fires.
+enum Schedule {
+    /// At every window edge of the world's installed fault plan.
+    FaultEdges,
+    /// Every interval of the clock, up to the episode horizon.
+    Every(SampleClock),
 }
 
-impl SamplerActor {
-    /// A sampler ticking on `clock`.
-    pub fn new(clock: SampleClock) -> Self {
-        SamplerActor { clock }
-    }
+/// One of the world's own timers: a named tick on a schedule. Ticks are
+/// ordinary engine events, ordered (FIFO at equal instants) against the
+/// delivery attempts they observe or perturb and counted under `name`.
+struct WorldTimer {
+    name: &'static str,
+    tick: Tick,
+    schedule: Schedule,
 }
 
-impl Actor<MailWorld> for SamplerActor {
-    fn name(&self) -> &str {
-        crate::metrics::ACTOR_OBS_SAMPLE
+impl WorldTimer {
+    /// The world's timers for one episode with their first wake-ups, in
+    /// registration order: fault edges, sampler, store maintenance,
+    /// checkpoint.
+    ///
+    /// Fault edges run in every episode on a world with an installed plan.
+    /// The periodic timers join only horizon-bounded episodes of a world
+    /// that opted in: an unbounded episode has no last tick, and a world
+    /// that never asked for them must run the exact same event stream as
+    /// before (golden bytes depend on it). Their ticks land at
+    /// `first + k·interval`, `first` being the earliest first wake-up of
+    /// the drivers and the fault edges.
+    fn for_episode<A>(
+        world: &MailWorld,
+        drivers: &[(A, SimTime)],
+        horizon: Option<SimTime>,
+    ) -> Vec<(WorldTimer, SimTime)> {
+        let first_edge = world.fault_edges().first().copied();
+        let mut timers = Vec::new();
+        if let Some(at) = first_edge {
+            let faults = WorldTimer {
+                name: TRACE_FAULT,
+                tick: MailWorld::note_fault_boundary,
+                schedule: Schedule::FaultEdges,
+            };
+            timers.push((faults, at));
+        }
+        let Some(horizon) = horizon else { return timers };
+        let first =
+            drivers.iter().map(|(_, at)| *at).chain(first_edge).min().unwrap_or(SimTime::ZERO);
+        let periodic: [(&'static str, Option<SimDuration>, Tick); 3] = [
+            (ACTOR_OBS_SAMPLE, world.sample_interval(), MailWorld::sample_telemetry),
+            (ACTOR_STORE_MAINTAIN, world.maintenance_interval(), MailWorld::maintain_stores),
+            (ACTOR_CHECKPOINT, world.checkpoint_interval(), MailWorld::checkpoint_stores),
+        ];
+        for (name, interval, tick) in periodic {
+            let Some(interval) = interval else { continue };
+            let clock = SampleClock::new(interval, horizon);
+            if let Some(at) = clock.next_after(first) {
+                timers.push((WorldTimer { name, tick, schedule: Schedule::Every(clock) }, at));
+            }
+        }
+        timers
     }
 
     fn wake(&mut self, now: SimTime, world: &mut MailWorld) -> Wake {
-        world.sample_telemetry(now);
-        match self.clock.next_after(now) {
-            Some(at) => Wake::At(at),
-            None => Wake::Idle,
-        }
+        (self.tick)(world, now);
+        let next = match &self.schedule {
+            Schedule::FaultEdges => {
+                // Edges are sorted and deduplicated; the next wake-up is
+                // the first one strictly after this tick.
+                let edges = world.fault_edges();
+                edges.get(edges.partition_point(|&edge| edge <= now)).copied()
+            }
+            Schedule::Every(clock) => clock.next_after(now),
+        };
+        next.map_or(Wake::Idle, Wake::At)
     }
 }
 
-/// The greylist-store maintenance sweeper as an engine actor: every tick
-/// purges expired triplets from every server's store
-/// ([`MailWorld::maintain_stores`]) — the in-simulation analogue of
-/// Postgrey's cron-driven database cleanup — then sleeps one interval.
-/// Ticks are ordinary engine events under the `greylist.maintain` actor
-/// category, so serial and sharded runs sweep at identical virtual
-/// instants.
-pub struct StoreMaintenanceActor {
-    clock: SampleClock,
+/// An episode's cast: [`ActorSim`] runs actors of one type, so the
+/// caller's drivers and the world's timers share the episode through this
+/// enum.
+enum Cast<A> {
+    Driver(A),
+    Timer(WorldTimer),
 }
 
-impl StoreMaintenanceActor {
-    /// A sweeper ticking on `clock`.
-    pub fn new(clock: SampleClock) -> Self {
-        StoreMaintenanceActor { clock }
-    }
-}
-
-impl Actor<MailWorld> for StoreMaintenanceActor {
-    fn name(&self) -> &str {
-        crate::metrics::ACTOR_STORE_MAINTAIN
-    }
-
-    fn wake(&mut self, now: SimTime, world: &mut MailWorld) -> Wake {
-        world.maintain_stores(now);
-        match self.clock.next_after(now) {
-            Some(at) => Wake::At(at),
-            None => Wake::Idle,
-        }
-    }
-}
-
-/// The durability checkpointer as an engine actor: every tick snapshots
-/// each server's greylist store and truncates its WAL
-/// ([`MailWorld::checkpoint_stores`]) — the in-simulation analogue of
-/// Postgrey's periodic on-disk database sync — then sleeps one interval.
-/// Ticks are ordinary engine events under the `greylist.checkpoint` actor
-/// category, so serial and sharded runs checkpoint at identical virtual
-/// instants.
-pub struct CheckpointActor {
-    clock: SampleClock,
-}
-
-impl CheckpointActor {
-    /// A checkpointer ticking on `clock`.
-    pub fn new(clock: SampleClock) -> Self {
-        CheckpointActor { clock }
-    }
-}
-
-impl Actor<MailWorld> for CheckpointActor {
-    fn name(&self) -> &str {
-        crate::metrics::ACTOR_CHECKPOINT
-    }
-
-    fn wake(&mut self, now: SimTime, world: &mut MailWorld) -> Wake {
-        world.checkpoint_stores(now);
-        match self.clock.next_after(now) {
-            Some(at) => Wake::At(at),
-            None => Wake::Idle,
-        }
-    }
-}
-
-/// Internal cast wrapper: [`ActorSim`] runs actors of one type, so the
-/// caller's homogeneous cast and the optional sampler/sweeper/checkpointer
-/// share the episode through this enum.
-enum EpisodeActor<A> {
-    Main(A),
-    Sampler(SamplerActor),
-    Maintenance(StoreMaintenanceActor),
-    Checkpoint(CheckpointActor),
-}
-
-impl<A: Actor<MailWorld>> Actor<MailWorld> for EpisodeActor<A> {
+impl<A: Actor<MailWorld>> Actor<MailWorld> for Cast<A> {
     fn name(&self) -> &str {
         match self {
-            EpisodeActor::Main(actor) => actor.name(),
-            EpisodeActor::Sampler(actor) => actor.name(),
-            EpisodeActor::Maintenance(actor) => actor.name(),
-            EpisodeActor::Checkpoint(actor) => actor.name(),
+            Cast::Driver(driver) => driver.name(),
+            Cast::Timer(timer) => timer.name,
         }
     }
 
     fn wake(&mut self, now: SimTime, world: &mut MailWorld) -> Wake {
         match self {
-            EpisodeActor::Main(actor) => actor.wake(now, world),
-            EpisodeActor::Sampler(actor) => actor.wake(now, world),
-            EpisodeActor::Maintenance(actor) => actor.wake(now, world),
-            EpisodeActor::Checkpoint(actor) => actor.wake(now, world),
+            Cast::Driver(driver) => driver.wake(now, world),
+            Cast::Timer(timer) => timer.wake(now, world),
         }
     }
 }
@@ -312,120 +269,13 @@ impl Actor<MailWorld> for SenderActor {
     }
 }
 
-/// The fault timeline as an actor: wakes at every window boundary of the
-/// installed [`FaultPlan`] and stamps it on the world
-/// ([`MailWorld::note_fault_boundary`]).
-///
-/// Fault *decisions* are pure functions of identity and virtual time (see
-/// `spamward_net::faults`), so this actor carries no randomness — its job
-/// is to make window edges visible as engine events: they land in the
-/// trace, in the actor-event tally, and in `net.fault.boundary_events`,
-/// giving serial and parallel runs one auditable fault sequence.
-pub struct FaultActor {
-    boundaries: Vec<SimTime>,
-    cursor: usize,
-}
-
-impl FaultActor {
-    /// Builds the boundary timeline from a compiled plan.
-    pub fn new(plan: &FaultPlan) -> Self {
-        FaultActor { boundaries: plan.boundaries(), cursor: 0 }
-    }
-
-    /// The first boundary, if the plan has any windows at all.
-    pub fn first_wake(&self) -> Option<SimTime> {
-        self.boundaries.first().copied()
-    }
-}
-
-impl Actor<MailWorld> for FaultActor {
-    fn name(&self) -> &str {
-        crate::metrics::TRACE_FAULT
-    }
-
-    fn wake(&mut self, now: SimTime, world: &mut MailWorld) -> Wake {
-        // Consume every boundary at or before `now` (the first wake-up may
-        // be scheduled past several early edges).
-        while self.cursor < self.boundaries.len() && self.boundaries[self.cursor] <= now {
-            self.cursor += 1;
-        }
-        world.note_fault_boundary(now);
-        match self.boundaries.get(self.cursor) {
-            Some(&next) => Wake::At(next),
-            None => Wake::Idle,
-        }
-    }
-}
-
-/// A heterogeneous cast for fault-injection episodes: [`ActorSim`] runs
-/// actors of one type, so the sender and the fault timeline wrap into
-/// this enum to share a single event stream.
-pub enum ChaosActor {
-    /// A sending MTA's retry timer (boxed: it owns the whole queue).
-    Sender(Box<SenderActor>),
-    /// The fault plan's window-boundary timer.
-    Faults(FaultActor),
-}
-
-impl Actor<MailWorld> for ChaosActor {
-    fn name(&self) -> &str {
-        match self {
-            ChaosActor::Sender(a) => a.name(),
-            ChaosActor::Faults(a) => a.name(),
-        }
-    }
-
-    fn wake(&mut self, now: SimTime, world: &mut MailWorld) -> Wake {
-        match self {
-            ChaosActor::Sender(a) => a.wake(now, world),
-            ChaosActor::Faults(a) => a.wake(now, world),
-        }
-    }
-}
-
-impl WorldSim {
-    /// Drains `mta`'s queue with the world's fault timeline running in the
-    /// same episode: the [`FaultActor`] built from `plan` and the sender
-    /// share one event stream, so every window edge is an engine event
-    /// ordered against the delivery attempts it affects.
-    ///
-    /// Call [`MailWorld::install_faults`] with the same plan first — this
-    /// only drives the *timeline*; the installed fault state is what the
-    /// network, resolver and servers actually consult. Returns the
-    /// drained MTA, the episode outcome, and the final virtual clock.
-    pub fn drain_with_faults(
-        world: &mut MailWorld,
-        mta: SendingMta,
-        plan: &FaultPlan,
-        start: SimTime,
-        horizon: Option<SimTime>,
-    ) -> (SendingMta, RunOutcome, SimTime) {
-        let fault_actor = FaultActor::new(plan);
-        let first_fault = fault_actor.first_wake();
-        let first_send = mta.next_due().unwrap_or(start).max(start);
-        let mut cast = vec![(ChaosActor::Sender(Box::new(SenderActor::new(mta))), first_send)];
-        if let Some(at) = first_fault {
-            cast.push((ChaosActor::Faults(fault_actor), at));
-        }
-        let (actors, outcome, end) = WorldSim::episode_with(world, cast, horizon);
-        let mut mta = None;
-        for actor in actors {
-            if let ChaosActor::Sender(a) = actor {
-                mta = Some(a.into_inner());
-            }
-        }
-        // The sender was registered above; it always comes back.
-        (mta.expect("sender actor survives the episode"), outcome, end.max(start))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::receive::ReceivingMta;
     use crate::schedule::MtaProfile;
     use spamward_dns::Zone;
-    use spamward_net::FaultProfile;
+    use spamward_net::{FaultPlan, FaultProfile};
     use spamward_smtp::{Message, ReversePath};
     use std::net::Ipv4Addr;
 
@@ -437,7 +287,7 @@ mod tests {
         (world, mx)
     }
 
-    fn one_message_mta() -> SendingMta {
+    fn one_message_mta_at(at: SimTime) -> SendingMta {
         let mut mta = SendingMta::new(
             "relay.example",
             vec![Ipv4Addr::new(198, 51, 100, 1)],
@@ -448,19 +298,24 @@ mod tests {
             ReversePath::Address("a@relay.example".parse().unwrap()),
             vec!["u@foo.net".parse().unwrap()],
             Message::builder().body("x").build(),
-            SimTime::ZERO,
+            at,
         );
         mta
     }
 
+    fn one_message_mta() -> SendingMta {
+        one_message_mta_at(SimTime::ZERO)
+    }
+
     #[test]
-    fn fault_timeline_shares_the_event_stream_with_the_sender() {
+    fn drain_on_a_faulted_world_fires_every_plan_edge() {
         let (mut world, mx) = seeded_world();
         let plan = FaultPlan::compile(&FaultProfile::dns_degraded(), 7);
         world.install_faults(&plan);
         let n_boundaries = plan.boundaries().len() as u64;
-        let (mta, _outcome, _end) =
-            WorldSim::drain_with_faults(&mut world, one_message_mta(), &plan, SimTime::ZERO, None);
+        assert!(n_boundaries > 0);
+        let mut mta = one_message_mta();
+        mta.drain(SimTime::ZERO, &mut world);
         assert_eq!(mta.queue()[0].status, crate::send::OutboundStatus::Delivered);
         assert_eq!(world.server(mx).unwrap().mailbox().len(), 1);
         assert_eq!(
@@ -468,14 +323,40 @@ mod tests {
             n_boundaries,
             "every window edge must surface as an engine event"
         );
-        assert!(world.engine_stats.actor_events.contains_key("net.fault"));
+        assert_eq!(world.engine_stats.actor_events["net.fault"], vec![n_boundaries]);
         assert!(world.engine_stats.actor_events.contains_key("mta.send"));
     }
 
     #[test]
-    fn sampling_world_gets_a_sampler_in_every_bounded_episode() {
-        use spamward_sim::SimDuration;
+    fn same_instant_driver_wake_runs_before_the_fault_edge() {
+        // A crash window on a host the world does not serve: its edges are
+        // engine events, but no delivery is affected.
+        let edge = SimTime::from_secs(120);
+        let plan = FaultPlan::compile(
+            &FaultProfile::crash_restart("elsewhere.example", edge, SimDuration::from_secs(60)),
+            7,
+        );
+        assert_eq!(plan.boundaries()[0], edge);
+        let (world, _) = seeded_world();
+        let mut world = world.with_tracing();
+        world.install_faults(&plan);
+        let mut mta = one_message_mta_at(edge);
+        mta.drain(SimTime::ZERO, &mut world);
+        let lines: Vec<String> = world.trace.events().map(|e| e.to_string()).collect();
+        let at_edge = |needle: &str| {
+            lines
+                .iter()
+                .position(|l| l.starts_with(&format!("[{edge}]")) && l.contains(needle))
+                .unwrap_or_else(|| panic!("no {needle:?} line at the edge: {lines:?}"))
+        };
+        assert!(
+            at_edge("smtp.outcome") < at_edge("fault window boundary"),
+            "the driver registered first, so it runs first: {lines:?}"
+        );
+    }
 
+    #[test]
+    fn sampling_world_gets_a_sampler_in_every_bounded_episode() {
         let (mut world, _) = seeded_world();
         world = world.with_sampling(SimDuration::from_secs(60));
         let horizon = SimTime::from_secs(300);
@@ -508,7 +389,6 @@ mod tests {
     #[test]
     fn maintenance_world_sweeps_stores_on_schedule() {
         use spamward_greylist::{Greylist, GreylistConfig};
-        use spamward_sim::SimDuration;
 
         let mut world = MailWorld::new(31);
         let mx = Ipv4Addr::new(192, 0, 2, 10);
@@ -561,7 +441,6 @@ mod tests {
     #[test]
     fn crash_restart_fires_through_the_engine_and_recovers_per_durability() {
         use spamward_greylist::{DurabilityMode, Greylist, GreylistConfig};
-        use spamward_sim::SimDuration;
 
         let mut world = MailWorld::new(31);
         let mx = Ipv4Addr::new(192, 0, 2, 10);
@@ -576,7 +455,7 @@ mod tests {
         world.dns.publish(Zone::single_mx("foo.net".parse().unwrap(), mx));
         world = world.with_checkpointing(SimDuration::from_secs(60));
         let plan = FaultPlan::compile(
-            &spamward_net::FaultProfile::crash_restart(
+            &FaultProfile::crash_restart(
                 "mail.foo.net",
                 SimTime::from_secs(120),
                 SimDuration::from_secs(60),
@@ -585,13 +464,13 @@ mod tests {
         );
         world.install_faults(&plan);
 
-        let (mta, _outcome, _end) = WorldSim::drain_with_faults(
+        let (sender, _outcome, _end) = WorldSim::episode(
             &mut world,
-            one_message_mta(),
-            &plan,
+            SenderActor::new(one_message_mta()),
             SimTime::ZERO,
             Some(SimTime::from_secs(900)),
         );
+        let mta = sender.into_inner();
         // t0: greylisted first contact. 60 s: checkpoint (1 entry).
         // 120 s: crash. 180 s: restart, checkpoint restored. 300 s: the
         // postfix retry passes the 300 s delay against the *recovered*
@@ -604,7 +483,7 @@ mod tests {
         assert_eq!(crash.entries_lost, 0);
         assert!(crash.checkpoints >= 2, "periodic ticks plus the restart re-baseline");
         // Both crash edges fired as engine events, and the checkpointer
-        // ran as a real actor.
+        // ran as a world timer.
         assert_eq!(world.fault_boundaries(), plan.boundaries().len() as u64);
         assert!(world.engine_stats.actor_events.contains_key("greylist.checkpoint"));
         assert!(world.engine_stats.actor_events.contains_key("net.fault"));
@@ -620,11 +499,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_plan_adds_no_fault_actor() {
+    fn empty_plan_adds_no_fault_timer() {
         let (mut world, _) = seeded_world();
-        let plan = FaultPlan::compile(&FaultProfile::none(), 7);
-        let (mta, _outcome, _end) =
-            WorldSim::drain_with_faults(&mut world, one_message_mta(), &plan, SimTime::ZERO, None);
+        world.install_faults(&FaultPlan::compile(&FaultProfile::none(), 7));
+        let mut mta = one_message_mta();
+        mta.drain(SimTime::ZERO, &mut world);
         assert_eq!(mta.queue()[0].status, crate::send::OutboundStatus::Delivered);
         assert_eq!(world.fault_boundaries(), 0);
         assert!(!world.engine_stats.actor_events.contains_key("net.fault"));

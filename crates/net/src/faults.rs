@@ -504,7 +504,7 @@ impl FaultPlan {
     }
 
     /// Every window edge across every subsystem, sorted and deduplicated —
-    /// the instants a fault actor turns into engine events.
+    /// the instants a world's fault timer turns into engine events.
     pub fn boundaries(&self) -> Vec<SimTime> {
         let mut edges = Vec::new();
         let mut push = |w: &FaultWindow| {

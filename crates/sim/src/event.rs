@@ -111,34 +111,6 @@ impl<'a, S> Ctx<'a, S> {
     }
 }
 
-/// Schedules `tick` to run every `interval`, starting one interval from
-/// now, until it returns `false` (or the simulation stops it via horizon/
-/// budget). The periodic-maintenance pattern (greylist sweeps, log
-/// rotation) in one place.
-///
-/// # Panics
-///
-/// Panics if `interval` is zero (the event would loop at a single instant).
-pub fn repeat_every<S: 'static>(
-    ctx: &mut Ctx<'_, S>,
-    interval: crate::time::SimDuration,
-    tick: impl FnMut(&mut Ctx<'_, S>) -> bool + 'static,
-) {
-    assert!(!interval.is_zero(), "repeat_every needs a nonzero interval");
-    fn arm<S: 'static>(
-        ctx: &mut Ctx<'_, S>,
-        interval: crate::time::SimDuration,
-        mut tick: impl FnMut(&mut Ctx<'_, S>) -> bool + 'static,
-    ) {
-        ctx.schedule_in(interval, move |c| {
-            if tick(c) {
-                arm(c, interval, tick);
-            }
-        });
-    }
-    arm(ctx, interval, tick);
-}
-
 /// A deterministic discrete-event simulation over state `S`.
 ///
 /// See the [crate docs](crate) for a worked example.
@@ -290,41 +262,6 @@ impl<S> Simulation<S> {
             }
         }
     }
-
-    /// Runs until `pred(state)` holds (checked after every event) or the
-    /// queue drains. Returns the final outcome.
-    pub fn run_until(&mut self, mut pred: impl FnMut(&S) -> bool) -> RunOutcome {
-        loop {
-            if pred(&self.state) {
-                return RunOutcome::Stopped;
-            }
-            let Some(next_at) = self.queue.peek().map(|e| e.at) else {
-                return RunOutcome::Drained;
-            };
-            if let Some(h) = self.horizon {
-                if next_at > h {
-                    self.now = h;
-                    return RunOutcome::HorizonReached;
-                }
-            }
-            let ev = self.queue.pop().expect("peeked event vanished");
-            self.now = ev.at;
-            self.processed += 1;
-            let mut ctx =
-                Ctx { now: self.now, state: &mut self.state, pending: Vec::new(), stop: false };
-            (ev.run)(&mut ctx);
-            let Ctx { pending, stop, .. } = ctx;
-            for (at, run) in pending {
-                let seq = self.seq;
-                self.seq += 1;
-                self.queue.push(Scheduled { at, seq, run });
-            }
-            self.high_water = self.high_water.max(self.queue.len());
-            if stop {
-                return RunOutcome::Stopped;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -407,58 +344,11 @@ mod tests {
     }
 
     #[test]
-    fn run_until_predicate() {
-        let mut sim = Simulation::new(0u32);
-        for i in 1..=10u64 {
-            sim.schedule_at(SimTime::from_secs(i), |c| *c.state += 1);
-        }
-        assert_eq!(sim.run_until(|s| *s >= 4), RunOutcome::Stopped);
-        assert_eq!(*sim.state(), 4);
-        assert_eq!(sim.now(), SimTime::from_secs(4));
-    }
-
-    #[test]
     #[should_panic(expected = "past")]
     fn scheduling_into_past_panics() {
         let mut sim = Simulation::new(());
         sim.schedule_at(SimTime::from_secs(10), |c| {
             c.schedule_at(SimTime::from_secs(5), |_| {});
-        });
-        sim.run();
-    }
-
-    #[test]
-    fn repeat_every_ticks_until_told_to_stop() {
-        let mut sim = Simulation::new(Vec::<u64>::new());
-        sim.schedule_at(SimTime::ZERO, |c| {
-            repeat_every(c, SimDuration::from_secs(10), |c| {
-                c.state.push(c.now().as_secs());
-                c.state.len() < 4
-            });
-        });
-        sim.run();
-        assert_eq!(sim.state(), &vec![10, 20, 30, 40]);
-    }
-
-    #[test]
-    fn repeat_every_respects_horizon() {
-        let mut sim = Simulation::new(0u64).with_horizon(SimTime::from_secs(35));
-        sim.schedule_at(SimTime::ZERO, |c| {
-            repeat_every(c, SimDuration::from_secs(10), |c| {
-                *c.state += 1;
-                true
-            });
-        });
-        assert_eq!(sim.run(), RunOutcome::HorizonReached);
-        assert_eq!(*sim.state(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero interval")]
-    fn repeat_every_zero_interval_panics() {
-        let mut sim = Simulation::new(());
-        sim.schedule_at(SimTime::ZERO, |c| {
-            repeat_every(c, SimDuration::ZERO, |_| true);
         });
         sim.run();
     }

@@ -53,7 +53,7 @@ pub mod trace;
 pub mod wall;
 
 pub use actor::{Actor, ActorSim, EngineStats, OutcomeTally, SampleClock, Wake};
-pub use event::{repeat_every, Ctx, RunOutcome, Simulation};
+pub use event::{Ctx, RunOutcome, Simulation};
 pub use rng::DetRng;
 pub use shard::ShardPlan;
 pub use time::{SimDuration, SimTime};

@@ -48,4 +48,4 @@ pub use reply::{Reply, ReplyCategory};
 pub use server::{
     AcceptAll, PolicyDecision, ServerPolicy, ServerSession, SessionState, Transaction,
 };
-pub use wire::{dot_stuff, dot_unstuff, exchange, exchange_pipelined, Transcript, TranscriptEntry};
+pub use wire::{dot_stuff, dot_unstuff, exchange, Transcript, TranscriptEntry};

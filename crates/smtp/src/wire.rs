@@ -2,7 +2,6 @@
 
 use crate::client::{ClientAction, ClientSession, DeliveryOutcome};
 use crate::dialect::DialectFingerprint;
-use crate::extensions::Capabilities;
 use crate::server::{ServerPolicy, ServerSession};
 use spamward_sim::SimTime;
 use std::fmt;
@@ -185,130 +184,6 @@ impl fmt::Display for Transcript {
     }
 }
 
-/// Runs one delivery through the RFC 2920 PIPELINING fast path: the
-/// client batches `MAIL FROM`, every `RCPT TO` and `DATA` into a single
-/// send, then reads all the replies at once. Falls back to the lock-step
-/// [`exchange`] when the server does not advertise PIPELINING.
-///
-/// Returns the outcome plus the number of client→server *round trips* the
-/// conversation cost — the quantity pipelining exists to minimize (and a
-/// cost-accounting input: greylisting forces a second full conversation,
-/// pipelined or not).
-///
-/// # Panics
-///
-/// Panics on a conversation exceeding 10 000 steps, like [`exchange`].
-pub fn exchange_pipelined(
-    client: &mut ClientSession,
-    server: &mut ServerSession,
-    policy: &mut dyn ServerPolicy,
-    now: SimTime,
-) -> (DeliveryOutcome, usize) {
-    // Round trip 1: banner.
-    let mut round_trips = 1usize;
-    let banner = if client.dialect().waits_for_banner {
-        server.open(now, policy)
-    } else {
-        server.open_pregreeted(now, policy)
-    };
-
-    // Round trip 2: greeting (EHLO), which reveals whether the server
-    // pipelines.
-    let mut reply = banner;
-    let mut action = client.on_reply(&reply);
-    let ClientAction::Send(greeting) = action else {
-        // Banner was fatal; finish through the lock-step path.
-        loop {
-            match action {
-                ClientAction::Send(cmd) => {
-                    reply = if server.is_closed() {
-                        crate::reply::Reply::service_unavailable("closed")
-                    } else {
-                        server.handle(now, &cmd, policy)
-                    };
-                    round_trips += 1;
-                }
-                // The client state machine never emits a body before a
-                // 354, which cannot precede the greeting; if it somehow
-                // does, answer like a real server would.
-                ClientAction::SendBody(_) => {
-                    reply = crate::reply::Reply::bad_sequence();
-                    round_trips += 1;
-                }
-                ClientAction::Close(outcome) => return (outcome, round_trips),
-            }
-            action = client.on_reply(&reply);
-        }
-    };
-    reply = server.handle(now, &greeting, policy);
-    round_trips += 1;
-
-    if !client.dialect().uses_ehlo
-        || !Capabilities::from_ehlo_lines(reply.lines().iter().skip(1).map(String::as_str))
-            .pipelining
-    {
-        // No pipelining: drain the rest through the lock-step driver
-        // logic (replies one at a time).
-        loop {
-            match client.on_reply(&reply) {
-                ClientAction::Send(cmd) => {
-                    reply = if server.is_closed() {
-                        crate::reply::Reply::service_unavailable("closed")
-                    } else {
-                        server.handle(now, &cmd, policy)
-                    };
-                    round_trips += 1;
-                }
-                ClientAction::SendBody(body) => {
-                    let unstuffed = dot_roundtrip(&body);
-                    reply = server.handle_data_body(now, &unstuffed, policy);
-                    round_trips += 1;
-                }
-                ClientAction::Close(outcome) => return (outcome, round_trips),
-            }
-        }
-    }
-
-    // PIPELINED: the client state machine still produces commands one at a
-    // time, but the wire batches them. We emulate the batch by serving
-    // each queued command immediately (the server processes the batch in
-    // order) while charging only ONE round trip for the whole
-    // MAIL..RCPT..DATA group, and one more for the body.
-    let mut in_batch = true;
-    let mut batch_charged = false;
-    for _ in 0..10_000 {
-        match client.on_reply(&reply) {
-            ClientAction::Send(cmd) => {
-                let is_quit = matches!(cmd, crate::Command::Quit);
-                reply = if server.is_closed() {
-                    crate::reply::Reply::service_unavailable("closed")
-                } else {
-                    server.handle(now, &cmd, policy)
-                };
-                if in_batch {
-                    if !batch_charged {
-                        round_trips += 1; // the whole MAIL..DATA batch
-                        batch_charged = true;
-                    }
-                } else {
-                    round_trips += 1;
-                }
-                if is_quit {
-                    in_batch = false;
-                }
-            }
-            ClientAction::SendBody(body) => {
-                in_batch = false;
-                let unstuffed = dot_roundtrip(&body);
-                reply = server.handle_data_body(now, &unstuffed, policy);
-                round_trips += 1;
-            }
-            ClientAction::Close(outcome) => return (outcome, round_trips),
-        }
-    }
-    panic!("pipelined SMTP exchange did not terminate within 10000 steps");
-}
-
 /// Runs a [`ClientSession`] against a [`ServerSession`] to completion,
 /// returning the delivery outcome and the full conversation transcript.
 ///
@@ -476,61 +351,6 @@ mod tests {
         let mut policy = RejectBanner;
         let (outcome, _) = exchange(&mut client, &mut server, &mut policy, SimTime::ZERO);
         assert!(matches!(outcome, DeliveryOutcome::PermFailed { .. }));
-    }
-
-    #[test]
-    fn pipelined_exchange_same_outcome_fewer_round_trips() {
-        let make = || {
-            (
-                ClientSession::new(
-                    Dialect::compliant_mta("relay.example"),
-                    env(&["a@foo.net", "b@foo.net", "c@foo.net"]),
-                    msg(),
-                ),
-                ServerSession::new("mx.foo.net", Ipv4Addr::new(203, 0, 113, 9)),
-            )
-        };
-        let (mut c1, mut s1) = make();
-        let mut p1 = AcceptAll;
-        let (lockstep, transcript) = exchange(&mut c1, &mut s1, &mut p1, SimTime::ZERO);
-        let lockstep_round_trips = transcript.server_lines().count();
-
-        let (mut c2, mut s2) = make();
-        let mut p2 = AcceptAll;
-        let (pipelined, round_trips) = exchange_pipelined(&mut c2, &mut s2, &mut p2, SimTime::ZERO);
-        assert_eq!(lockstep, pipelined, "outcome must not depend on pipelining");
-        assert_eq!(s1.accepted(), s2.accepted(), "server sees the same mail");
-        assert!(
-            round_trips < lockstep_round_trips,
-            "pipelining must reduce round trips: {round_trips} vs {lockstep_round_trips}"
-        );
-        // banner + EHLO + MAIL..DATA batch + body + QUIT = 5.
-        assert_eq!(round_trips, 5);
-    }
-
-    #[test]
-    fn pipelined_exchange_against_greylist_still_defers() {
-        let mut client =
-            ClientSession::new(Dialect::compliant_mta("relay.example"), env(&["a@foo.net"]), msg());
-        let mut server = ServerSession::new("mx.foo.net", Ipv4Addr::new(203, 0, 113, 9));
-        let mut policy = GreylistFirstRcpt;
-        let (outcome, _) = exchange_pipelined(&mut client, &mut server, &mut policy, SimTime::ZERO);
-        assert!(outcome.is_retryable());
-        assert!(!outcome.is_delivered());
-    }
-
-    #[test]
-    fn helo_only_client_gets_no_pipelining() {
-        // A HELO client cannot negotiate PIPELINING; the fast path must
-        // fall back without changing the outcome.
-        let mut client =
-            ClientSession::new(Dialect::minimal_bot("bot"), env(&["a@foo.net"]), msg());
-        let mut server = ServerSession::new("mx.foo.net", Ipv4Addr::new(203, 0, 113, 9));
-        let mut policy = AcceptAll;
-        let (outcome, round_trips) =
-            exchange_pipelined(&mut client, &mut server, &mut policy, SimTime::ZERO);
-        assert!(outcome.is_delivered());
-        assert!(round_trips >= 6, "HELO path stays lock-step: {round_trips}");
     }
 
     #[test]

@@ -113,62 +113,6 @@ proptest! {
         prop_assert_eq!(run(worlds::nolisting_world(seed)), 1);
     }
 
-    /// Protocol equivalence: the pipelined exchange and the lock-step
-    /// exchange agree on every outcome, for any recipient multiset and
-    /// either sender personality.
-    #[test]
-    fn prop_pipelining_never_changes_outcomes(
-        n_rcpts in 1usize..5,
-        bot in proptest::bool::ANY,
-        greylisted in proptest::bool::ANY,
-    ) {
-        use spamward::smtp::{
-            exchange, exchange_pipelined, AcceptAll, ClientSession, EmailAddress, Envelope,
-            Message, PolicyDecision, Reply, ServerPolicy, ServerSession, Transaction,
-        };
-        struct GreylistAll;
-        impl ServerPolicy for GreylistAll {
-            fn on_rcpt(&mut self, _: SimTime, _: &Transaction, _: &EmailAddress) -> PolicyDecision {
-                PolicyDecision::TempFail(Reply::greylisted(300))
-            }
-        }
-        let dialect = if bot {
-            Dialect::minimal_bot("bot")
-        } else {
-            Dialect::compliant_mta("relay.example")
-        };
-        let mut b = Envelope::builder()
-            .client_ip(Ipv4Addr::new(203, 0, 113, 9))
-            .mail_from(ReversePath::Address("s@relay.example".parse().unwrap()));
-        for i in 0..n_rcpts {
-            b = b.rcpt(format!("u{i}@foo.net").parse().unwrap());
-        }
-        let env = b.build();
-        let msg = Message::builder().header("Subject", "p").body("x").build();
-
-        let run = |pipelined: bool| {
-            let mut client = ClientSession::new(dialect.clone(), env.clone(), msg.clone());
-            let mut server = ServerSession::new("mx.foo.net", Ipv4Addr::new(203, 0, 113, 9));
-            let outcome = if greylisted {
-                let mut p = GreylistAll;
-                if pipelined {
-                    exchange_pipelined(&mut client, &mut server, &mut p, SimTime::ZERO).0
-                } else {
-                    exchange(&mut client, &mut server, &mut p, SimTime::ZERO).0
-                }
-            } else {
-                let mut p = AcceptAll;
-                if pipelined {
-                    exchange_pipelined(&mut client, &mut server, &mut p, SimTime::ZERO).0
-                } else {
-                    exchange(&mut client, &mut server, &mut p, SimTime::ZERO).0
-                }
-            };
-            (outcome, server.accepted().len())
-        };
-        prop_assert_eq!(run(false), run(true));
-    }
-
     /// The metric registry never disagrees with the greylist's own stats:
     /// collecting any post-campaign world reproduces the decision counters
     /// exactly, and the deferred/passed split is internally consistent.
