@@ -267,16 +267,15 @@ pub fn run_with_obs(
     let plan = ShardPlan::new(config.seed, DEPLOYMENT_SHARDS);
     let domain: DomainName = DEPLOYMENT_DOMAIN.parse().expect("valid deployment domain");
     let providers = WebmailProvider::table_iii();
+    // Each message's shard, hashed once rather than once per shard pass.
+    let owners: Vec<u32> = (0..config.messages).map(|i| plan.shard_of(&relay_name(i))).collect();
     let shard_runs = run_sharded(&plan, config.workers, |shard| {
         let mut world = build_world(config);
         if trace {
             world = world.with_tracing();
         }
         let mut senders = Vec::new();
-        for i in 0..config.messages {
-            if !plan.owns(shard, &relay_name(i)) {
-                continue;
-            }
+        for (i, _) in owners.iter().enumerate().filter(|&(_, &owner)| owner == shard) {
             let (arrival, mut sender) = build_message(config, &providers, &domain, i);
             sender.drain(arrival, &mut world);
             senders.push(sender);

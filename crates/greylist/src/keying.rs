@@ -9,7 +9,7 @@
 //! pure client-network key is the IP-reputation ablation. [`KeyPolicy`]
 //! makes the choice an experiment axis.
 
-use crate::triplet::{mask_client, normalize_sender, KeyAtom, TripletKey};
+use crate::triplet::{mask_client, KeyAtom, TripletKey};
 use serde::{Deserialize, Serialize};
 use spamward_smtp::{EmailAddress, ReversePath};
 use std::net::Ipv4Addr;
@@ -59,8 +59,8 @@ impl KeyPolicy {
             }
             KeyPolicy::SenderRecipient => TripletKey {
                 client_net: 0,
-                sender: KeyAtom::of(&normalize_sender(sender)),
-                recipient: KeyAtom::of(&recipient.normalized()),
+                sender: KeyAtom::sender(sender),
+                recipient: KeyAtom::recipient(recipient),
             },
             KeyPolicy::ClientNet { netmask } => TripletKey {
                 client_net: mask_client(client, netmask),
@@ -84,6 +84,7 @@ impl KeyPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::triplet::normalize_sender;
     use proptest::prelude::*;
 
     fn rcpt(s: &str) -> EmailAddress {
@@ -132,7 +133,62 @@ mod tests {
         assert!(a.sender.is_empty());
     }
 
+    /// The key `policy` derives with its atoms digested from built text
+    /// (`normalize_sender`, [`EmailAddress::normalized`]): the oracle the
+    /// allocation-free digests must equal bit for bit, so snapshots, WAL
+    /// records and anonymized logs keep their bytes.
+    fn text_key(
+        policy: KeyPolicy,
+        client: Ipv4Addr,
+        sender: &ReversePath,
+        recipient: &EmailAddress,
+    ) -> TripletKey {
+        let (s, r) = (KeyAtom::of(&normalize_sender(sender)), KeyAtom::of(&recipient.normalized()));
+        match policy {
+            KeyPolicy::FullTriplet { netmask } => {
+                TripletKey { client_net: mask_client(client, netmask), sender: s, recipient: r }
+            }
+            KeyPolicy::SenderRecipient => TripletKey { client_net: 0, sender: s, recipient: r },
+            KeyPolicy::ClientNet { netmask } => TripletKey {
+                client_net: mask_client(client, netmask),
+                sender: KeyAtom::EMPTY,
+                recipient: KeyAtom::EMPTY,
+            },
+        }
+    }
+
+    #[test]
+    fn null_sender_digests_to_empty_under_each_policy() {
+        let ip = Ipv4Addr::new(198, 51, 100, 9);
+        let r = rcpt("User@foo.net");
+        for policy in POLICIES {
+            let key = policy.key_for(ip, &ReversePath::Null, &r);
+            assert_eq!(key.sender, KeyAtom::EMPTY, "policy {}", policy.slug());
+            assert_eq!(key, text_key(policy, ip, &ReversePath::Null, &r));
+        }
+    }
+
     proptest! {
+        /// The digests streamed from address parts equal [`KeyAtom::of`]
+        /// over the old normalized text under every policy, for mixed-case
+        /// local parts, `+tag` senders and the null sender.
+        #[test]
+        fn prop_streamed_digests_equal_text_digests(
+            local in "[a-zA-Z0-9][a-zA-Z0-9_-]{0,8}(\\+[a-zA-Z0-9+]{0,5})?",
+            domain in "[a-zA-Z][a-zA-Z0-9]{0,6}\\.[a-zA-Z]{2,4}",
+            rcpt_local in "[a-zA-Z0-9][a-zA-Z0-9+_-]{0,8}",
+            null in any::<bool>(),
+            ip in any::<u32>(),
+        ) {
+            let client = Ipv4Addr::from(ip);
+            let s = if null { ReversePath::Null } else { sender(&format!("{local}@{domain}")) };
+            let r = rcpt(&format!("{rcpt_local}@{domain}"));
+            for policy in POLICIES {
+                let (fast, oracle) = (policy.key_for(client, &s, &r), text_key(policy, client, &s, &r));
+                prop_assert!(fast == oracle, "policy {}: {fast:?} != {oracle:?}", policy.slug());
+            }
+        }
+
         /// VERP `+extension` stripping: under every envelope-sensitive
         /// policy, `local+ext@domain` keys identically to `local@domain`.
         #[test]

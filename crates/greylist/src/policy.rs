@@ -363,7 +363,10 @@ impl Greylist {
             self.stats.passed_client_whitelist += 1;
             return Ok(Decision::Pass(PassReason::ClientWhitelisted));
         }
-        if self.config.whitelist_recipients.matches_recipient(&recipient.normalized()) {
+        // An empty recipient whitelist matches nothing: skip building the
+        // normalized address it would compare.
+        let recipients = &self.config.whitelist_recipients;
+        if !recipients.is_empty() && recipients.matches_recipient(&recipient.normalized()) {
             self.stats.passed_recipient_whitelist += 1;
             return Ok(Decision::Pass(PassReason::RecipientWhitelisted));
         }

@@ -29,12 +29,37 @@ impl KeyAtom {
     /// Digests a normalized address string.
     #[must_use]
     pub fn of(text: &str) -> Self {
-        let mut h: u64 = FNV_OFFSET;
-        for b in text.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
+        KeyAtom(text.bytes().fold(FNV_OFFSET, fnv1a))
+    }
+
+    /// The digest of a sender's normalized text — its local part
+    /// lowercased and cut at the first `+` (VERP extensions), `@`, its
+    /// domain — computed from the address parts without building the
+    /// text. The null reverse path digests to [`KeyAtom::EMPTY`].
+    pub(crate) fn sender(sender: &ReversePath) -> Self {
+        match sender.address() {
+            None => KeyAtom::EMPTY,
+            Some(addr) => {
+                let local = addr.local_part();
+                let local = local.split_once('+').map_or(local, |(head, _)| head);
+                KeyAtom::address(local, addr.domain())
+            }
         }
-        KeyAtom(h)
+    }
+
+    /// The digest of [`EmailAddress::normalized`], computed without
+    /// building the text.
+    pub(crate) fn recipient(recipient: &EmailAddress) -> Self {
+        KeyAtom::address(recipient.local_part(), recipient.domain())
+    }
+
+    /// FNV-1a over `local` lowercased byte by byte, then `@`, then
+    /// `domain` — byte for byte the digest of `format!("{local}@{domain}")`
+    /// with the local part lowercased. Domains are lowercase from parsing.
+    fn address(local: &str, domain: &str) -> Self {
+        let local = local.bytes().map(|b| b.to_ascii_lowercase());
+        let bytes = local.chain(std::iter::once(b'@')).chain(domain.bytes());
+        KeyAtom(bytes.fold(FNV_OFFSET, fnv1a))
     }
 
     /// Whether this atom is the empty-string digest (the null sender).
@@ -58,6 +83,11 @@ impl KeyAtom {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
+
+/// One FNV-1a step: folds `byte` into the running digest `h`.
+fn fnv1a(h: u64, byte: u8) -> u64 {
+    (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+}
 
 impl fmt::Display for KeyAtom {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -114,8 +144,8 @@ impl TripletKey {
     ) -> Self {
         TripletKey {
             client_net: mask_client(client, netmask),
-            sender: KeyAtom::of(&normalize_sender(sender)),
-            recipient: KeyAtom::of(&recipient.normalized()),
+            sender: KeyAtom::sender(sender),
+            recipient: KeyAtom::recipient(recipient),
         }
     }
 
@@ -136,7 +166,10 @@ pub(crate) fn mask_client(client: Ipv4Addr, netmask: u8) -> u32 {
     u32::from(client) & mask
 }
 
-/// Lowercases and strips a `+extension` from the sender local part.
+/// The normalized sender text: the local part lowercased with any
+/// `+extension` stripped. Test oracle for [`KeyAtom::sender`], which
+/// digests the same bytes without building them.
+#[cfg(test)]
 pub(crate) fn normalize_sender(sender: &ReversePath) -> String {
     match sender.address() {
         None => String::new(),

@@ -17,7 +17,7 @@
 //! | D3   | no iteration over `HashMap`/`HashSet` in crates feeding the event loop or analysis output |
 //! | P1   | no `unwrap`/`expect`/`panic!` in protocol-path crates outside tests |
 //! | P2   | SMTP reply codes come from `spamward_smtp::reply::codes`, never inline literals |
-//! | O1   | metric/trace name literals live only in each crate's `metrics.rs`/`obs` module |
+//! | O1   | metric/trace name literals live only in each crate's `metrics.rs`/`obs` module; no eager `format!` trace details |
 //! | S1   | no hand-rolled virtual-time ordering (`BinaryHeap` + `SimTime`, timestamp-keyed sorts) outside `crates/sim` |
 //! | F1   | fault-plan string literals resolve to `spamward_sim::fault` constants |
 //! | C1   | concurrency primitives confined to the sanctioned fan-out modules (cross-file) |

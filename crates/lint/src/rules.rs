@@ -51,11 +51,15 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              and the type system see every use."
         }
         "O1" => {
-            "O1 — metric/trace name literals at recording sites. Registry names, trace \
-             categories, time-series names (`TimeSeries::record_point`) and timeline \
-             event names (`Timeline::record_event`) are the observability contract; \
-             each crate binds them as constants in its `metrics.rs`/`obs.rs` module so \
-             the namespace stays greppable and typo-proof."
+            "O1 — metric/trace name literals and eager trace details at recording sites. \
+             Registry names, trace categories, time-series names \
+             (`TimeSeries::record_point`) and timeline event names \
+             (`Timeline::record_event`) are the observability contract; each crate binds \
+             them as constants in its `metrics.rs`/`obs.rs` module so the namespace stays \
+             greppable and typo-proof. A `Tracer::record` detail (its third argument) is \
+             never an eager `format!(..)`: the tracer renders its detail only when \
+             tracing is on, so pass `format_args!(..)` or a `&str` and a delivery with \
+             tracing off formats nothing."
         }
         "S1" => {
             "S1 — hand-rolled virtual-time ordering. A `BinaryHeap` in a file handling \
@@ -404,7 +408,9 @@ fn o1_exempt(rel_path: &str) -> bool {
 /// observability contract; binding them as constants in one module per
 /// crate keeps the namespace greppable and typo-proof. Registry recorders
 /// take the name as the first argument, `Tracer::record` takes the dotted
-/// category as the second.
+/// category as the second. Its third argument, the detail, must not be an
+/// eager `format!`: the tracer renders the detail only when enabled, so an
+/// eager one is formatted for nothing whenever tracing is off.
 fn check_o1(rel_path: &str, source: &str, scanned: &ScannedFile, out: &mut Vec<Diagnostic>) {
     if o1_exempt(rel_path) {
         return;
@@ -446,23 +452,47 @@ fn check_o1(rel_path: &str, source: &str, scanned: &ScannedFile, out: &mut Vec<D
         }
         // Single-argument `.record(..)` calls (e.g. `SpanStats::record`)
         // carry no category and are not O1's business.
-        if let Some(second) = second_arg_offset(masked, offset + ".record(".len()) {
-            if next_nonspace_is_quote(source, second) {
-                push(
-                    out,
-                    scanned,
-                    source,
-                    rel_path,
-                    "O1",
-                    offset,
-                    "trace category literal in `record(..)` — bind the dotted category as a \
-                     constant in the crate's `metrics.rs`/`obs` module so the namespace stays \
-                     greppable"
-                        .to_string(),
-                );
-            }
+        let Some(second) = second_arg_offset(masked, offset + ".record(".len()) else {
+            continue;
+        };
+        if next_nonspace_is_quote(source, second) {
+            push(
+                out,
+                scanned,
+                source,
+                rel_path,
+                "O1",
+                offset,
+                "trace category literal in `record(..)` — bind the dotted category as a \
+                 constant in the crate's `metrics.rs`/`obs` module so the namespace stays \
+                 greppable"
+                    .to_string(),
+            );
+        }
+        if second_arg_offset(masked, second).is_some_and(|third| is_eager_format(masked, third)) {
+            push(
+                out,
+                scanned,
+                source,
+                rel_path,
+                "O1",
+                offset,
+                "eager `format!` detail in `record(..)` — the tracer renders its detail only \
+                 when tracing is on; pass `format_args!(..)` so a disabled tracer formats \
+                 nothing"
+                    .to_string(),
+            );
         }
     }
+}
+
+/// Whether the argument starting at `from` in `masked` is a `format!(..)`
+/// call (optionally borrowed): a string built before the callee decides
+/// whether it needs one.
+fn is_eager_format(masked: &str, from: usize) -> bool {
+    let arg = masked[from..].trim_start();
+    let arg = arg.strip_prefix('&').unwrap_or(arg).trim_start();
+    arg.starts_with("format!")
 }
 
 /// S1 — manual virtual-time ordering outside the engine crate. PR 4 made
@@ -835,6 +865,22 @@ mod tests {
         // Single-argument record() calls (span stats) carry no category.
         let span = "fn f(s: &mut SpanStats) { s.record(elapsed); }";
         assert!(rules_hit("crates/mta/src/world.rs", span).is_empty());
+    }
+
+    #[test]
+    fn o1_flags_eager_format_trace_details() {
+        let eager = "fn f(t: &mut Tracer) { t.record(now, TRACE_DNS_MX, format!(\"{d}: {n}\")); }";
+        assert_eq!(rules_hit("crates/mta/src/world.rs", eager), vec!["O1"]);
+        let borrowed = "fn f(t: &mut Tracer) { t.record(now, TRACE_DNS_MX, &format!(\"{d}\")); }";
+        assert_eq!(rules_hit("crates/mta/src/world.rs", borrowed), vec!["O1"]);
+        // Lazy details are the sanctioned form.
+        let lazy = "fn f(t: &mut Tracer) { t.record(now, TRACE_DNS_MX, format_args!(\"{d}\")); }";
+        assert!(rules_hit("crates/mta/src/world.rs", lazy).is_empty());
+        let plain = "fn f(t: &mut Tracer) { t.record(now, TRACE_FAULT, \"boundary\"); }";
+        assert!(rules_hit("crates/mta/src/world.rs", plain).is_empty());
+        // A `format!` inside another argument is not the detail.
+        let nested = "fn f(t: &mut Tracer) { t.record(at(format!(\"x\")), TRACE_FAULT, d); }";
+        assert!(rules_hit("crates/mta/src/world.rs", nested).is_empty());
     }
 
     #[test]

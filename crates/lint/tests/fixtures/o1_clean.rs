@@ -1,5 +1,6 @@
 //! O1 fixture (clean): names flow through constants from the crate's
-//! metrics module; single-argument record() calls carry no category.
+//! metrics module; single-argument record() calls carry no category; trace
+//! details are lazy.
 
 use crate::metrics::{RECV_COMMANDS, STORE_SIZE, TRACE_SMTP_REJECT};
 
@@ -11,6 +12,7 @@ pub fn export(reg: &mut Registry, stats: &Stats) {
 
 pub fn note(trace: &mut Tracer, now: SimTime, span: &mut SpanStats, d: SimDuration) {
     trace.record(now, TRACE_SMTP_REJECT, "550 no such user".to_string());
+    trace.record(now, TRACE_SMTP_REJECT, format_args!("550 no such user {}", d));
     span.record(d);
 }
 

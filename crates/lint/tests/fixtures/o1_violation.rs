@@ -1,5 +1,5 @@
 //! O1 fixture: metric and trace name literals bound outside the crate's
-//! `metrics.rs`/`obs` module.
+//! `metrics.rs`/`obs` module, and an eager `format!` trace detail.
 
 pub fn export(reg: &mut Registry, stats: &Stats) {
     reg.record_counter("smtp.server.commands", stats.commands);
@@ -8,8 +8,9 @@ pub fn export(reg: &mut Registry, stats: &Stats) {
     reg.record_span("smtp.wire.exchange", &stats.exchange);
 }
 
-pub fn note(trace: &mut Tracer, now: SimTime) {
+pub fn note(trace: &mut Tracer, now: SimTime, stats: &Stats) {
     trace.record(now, "smtp.reject", "550 no such user".to_string());
+    trace.record(now, TRACE_SMTP_REJECT, format!("550 no such user {}", stats.commands));
 }
 
 pub fn sample(samples: &mut TimeSeries, timeline: &mut Timeline, now: SimTime) {

@@ -78,8 +78,9 @@ fn o1_fixture_pair() {
     let hits = diags("crates/mta/src/fixture.rs", "o1_violation.rs");
     assert_eq!(
         hits.len(),
-        7,
-        "six recorders (registry, time-series, timeline) plus the trace category: {hits:?}"
+        8,
+        "six recorders (registry, time-series, timeline), the trace category and the eager \
+         trace detail: {hits:?}"
     );
     assert!(hits.iter().all(|d| d.rule == "O1"), "{hits:?}");
     assert!(diags("crates/mta/src/fixture.rs", "o1_clean.rs").is_empty());
@@ -123,7 +124,7 @@ justification = "fixture: suppress exactly the trace-category violation"
     let (suppressed, live): (Vec<_>, Vec<_>) =
         hits.into_iter().partition(|d| list.matches(d.rule, &d.path, &d.line_text).is_some());
     assert_eq!(suppressed.len(), 1, "{suppressed:?}");
-    assert_eq!(live.len(), 6, "{live:?}");
+    assert_eq!(live.len(), 7, "{live:?}");
 }
 
 #[test]

@@ -7,7 +7,8 @@ use spamward_net::FaultWindow;
 use spamward_sim::SimTime;
 use spamward_smtp::metrics::SessionMetrics;
 use spamward_smtp::{
-    reply::codes, EmailAddress, Envelope, Message, PolicyDecision, Reply, ServerPolicy, Transaction,
+    reply::codes, EmailAddress, Envelope, Message, PolicyDecision, Reply, ReversePath,
+    ServerPolicy, Transaction,
 };
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
@@ -33,7 +34,7 @@ impl RecipientPolicy {
     pub fn accepts(&self, rcpt: &EmailAddress) -> bool {
         match self {
             RecipientPolicy::AcceptAll => true,
-            RecipientPolicy::Domain(d) => rcpt.domain() == d.to_ascii_lowercase(),
+            RecipientPolicy::Domain(d) => rcpt.domain().eq_ignore_ascii_case(d),
             RecipientPolicy::List(set) => set.contains(&rcpt.normalized()),
         }
     }
@@ -567,17 +568,17 @@ impl ServerPolicy for ReceivingMta {
         if self.greylist_outage.iter().any(|w| w.contains(now)) {
             return self.degraded_rcpt();
         }
-        let sender = tx.mail_from.clone().unwrap_or(spamward_smtp::ReversePath::Null);
+        let sender = tx.mail_from.as_ref().unwrap_or(&ReversePath::Null);
         // 2b. The decision engine drives the store backend through the
         // `GreylistStore` trait; a remote backend inside a fault window
         // surfaces `StoreUnavailable`, which lands in the same
         // degradation path as an ambient outage.
-        let key = greylist.key_for(tx.client_ip, &sender, rcpt);
+        let key = greylist.key_for(tx.client_ip, sender, rcpt);
         let verdict = greylist.try_check_with_rdns(
             now,
             tx.client_ip,
             tx.client_rdns.as_deref(),
-            &sender,
+            sender,
             rcpt,
         );
         match verdict {

@@ -405,7 +405,7 @@ impl SendingMta {
                 self.rr_cursor += 1;
                 ip
             }
-            IpSelection::RandomPerAttempt => *self.rng.pick(&self.ip_pool.clone()),
+            IpSelection::RandomPerAttempt => *self.rng.pick(&self.ip_pool),
         }
     }
 

@@ -249,7 +249,7 @@ impl MailWorld {
     /// like every other occurrence.
     pub fn note_fault_boundary(&mut self, now: SimTime) {
         self.fault_boundaries += 1;
-        self.trace.record(now, TRACE_FAULT, "fault window boundary".to_owned());
+        self.trace.record(now, TRACE_FAULT, "fault window boundary");
         // Crash and restart edges are fault boundaries too: fire every
         // server's lifecycle transitions due at this instant, so restarts
         // (and their recovery) happen as engine events even on servers
@@ -280,7 +280,7 @@ impl MailWorld {
             match transition {
                 CrashTransition::Crashed { entries_in_memory } => {
                     let what = format!("crashed; {entries_in_memory} greylist entries in memory");
-                    self.trace.record(now, TRACE_FAULT, format!("{host}: {what}"));
+                    self.trace.record(now, TRACE_FAULT, format_args!("{host}: {what}"));
                     if self.timeline.is_enabled() {
                         let track = self.crash_track(&host);
                         self.timeline.record_event(TL_MTA_CRASH, now, &track, what);
@@ -291,7 +291,7 @@ impl MailWorld {
                         "restarted; restored {restored} from checkpoint, \
                          replayed {replayed} wal records ({torn} torn), lost {lost}"
                     );
-                    self.trace.record(now, TRACE_FAULT, format!("{host}: {what}"));
+                    self.trace.record(now, TRACE_FAULT, format_args!("{host}: {what}"));
                     if self.timeline.is_enabled() {
                         let track = self.crash_track(&host);
                         self.timeline.record_event(TL_MTA_RESTART, now, &track, what);
@@ -493,7 +493,7 @@ impl MailWorld {
         let mxs = match self.resolver.resolve_mx(&mut self.dns, domain, now) {
             Ok(mxs) => mxs,
             Err(e) => {
-                self.trace.record(now, TRACE_DNS_FAIL, format!("{domain}: {e}"));
+                self.trace.record(now, TRACE_DNS_FAIL, format_args!("{domain}: {e}"));
                 if let Some(track) = &timeline_track {
                     self.timeline.record_event(TL_DNS, now, track, format!("{domain}: {e}"));
                 }
@@ -502,7 +502,7 @@ impl MailWorld {
                 return report;
             }
         };
-        self.trace.record(now, TRACE_DNS_MX, format!("{domain}: {} exchanger(s)", mxs.len()));
+        self.trace.record(now, TRACE_DNS_MX, format_args!("{domain}: {} exchanger(s)", mxs.len()));
         if let Some(track) = &timeline_track {
             self.timeline.record_event(
                 TL_DNS,
@@ -536,7 +536,11 @@ impl MailWorld {
                 Err(err) => {
                     let rtt = SimDuration::from_millis(100);
                     time_spent += err.client_cost(rtt);
-                    self.trace.record(now, TRACE_NET_FAIL, format!("{} ({ip}): {err}", cand.name));
+                    self.trace.record(
+                        now,
+                        TRACE_NET_FAIL,
+                        format_args!("{} ({ip}): {err}", cand.name),
+                    );
                     trail.push(MxAttempt {
                         mx: cand.name.clone(),
                         preference_rank,
@@ -565,7 +569,7 @@ impl MailWorld {
                         self.trace.record(
                             now,
                             TRACE_FAULT,
-                            format!("{} ({ip}): connection refused (mta down)", cand.name),
+                            format_args!("{} ({ip}): connection refused (mta down)", cand.name),
                         );
                         trail.push(MxAttempt {
                             mx: cand.name.clone(),
@@ -612,7 +616,7 @@ impl MailWorld {
                             self.trace.record(
                                 now,
                                 TRACE_FAULT,
-                                format!("{} ({ip}): {label}", cand.name),
+                                format_args!("{} ({ip}): {label}", cand.name),
                             );
                             let outcome =
                                 DeliveryOutcome::connect_failed(envelope.recipients(), true);
@@ -638,7 +642,7 @@ impl MailWorld {
                         self.trace.record(
                             now,
                             TRACE_FAULT,
-                            format!("{} ({ip}): {what}", cand.name),
+                            format_args!("{} ({ip}): {what}", cand.name),
                         );
                         if let Some(track) = &timeline_track {
                             self.timeline.record_event(TL_MTA_CRASH, now, track, what);
@@ -652,21 +656,21 @@ impl MailWorld {
                         let outcome = DeliveryOutcome::connect_failed(envelope.recipients(), true);
                         return AttemptReport { outcome, mx_trail: trail, time_spent };
                     };
-                    let mut client =
-                        ClientSession::new(dialect.clone(), envelope.clone(), message.clone());
-                    let hostname = server_mta.hostname().to_owned();
-                    let rdns = client_rdns.clone();
+                    // This branch always returns, so the sessions take the
+                    // envelope, message and rDNS name by move.
                     let mut session =
-                        ServerSession::new(&hostname, envelope.client_ip()).with_client_rdns(rdns);
+                        ServerSession::new(server_mta.hostname(), envelope.client_ip())
+                            .with_client_rdns(client_rdns);
+                    let mut client = ClientSession::new(dialect.clone(), envelope, message);
                     let (outcome, transcript) =
                         exchange(&mut client, &mut session, server_mta, now + conn.rtt);
                     server_mta.absorb_smtp(session.metrics());
                     // Rough time accounting: one RTT per protocol exchange.
-                    time_spent += conn.rtt * (transcript.entries().len() as u64);
+                    time_spent += conn.rtt * (transcript.len() as u64);
                     self.trace.record(
                         now,
                         TRACE_SMTP_OUTCOME,
-                        format!("{} via {}: {}", envelope, cand.name, outcome),
+                        format_args!("{} via {}: {}", client.envelope(), cand.name, outcome),
                     );
                     if let Some(track) = &timeline_track {
                         self.note_timeline_outcome(now, track, &outcome);
@@ -857,6 +861,9 @@ mod tests {
         );
         assert!(!first.outcome.is_delivered());
         assert!(first.outcome.is_retryable());
+        // One RTT (170.885 ms to this MX) per transcript line: banner, EHLO,
+        // 250, MAIL, 250, RCPT, 450, QUIT, 221.
+        assert_eq!(first.time_spent, SimDuration::from_micros(170_885) * 9);
 
         let second = w.attempt_delivery(
             SimTime::from_secs(600),

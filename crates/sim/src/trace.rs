@@ -72,8 +72,12 @@ impl Tracer {
         Tracer { events: std::collections::VecDeque::new(), capacity, dropped: 0, enabled: true }
     }
 
-    /// Creates a tracer that records nothing (zero overhead beyond the
-    /// branch).
+    /// Creates a tracer that records nothing.
+    ///
+    /// Recording on it costs only the enabled check: [`Tracer::record`]
+    /// takes its detail as `impl Display` and renders it only when
+    /// recording is enabled, so a call site passing `format_args!(..)`
+    /// formats and allocates nothing here.
     pub fn disabled() -> Self {
         Tracer {
             events: std::collections::VecDeque::new(),
@@ -89,7 +93,11 @@ impl Tracer {
     }
 
     /// Records an event (no-op when disabled).
-    pub fn record(&mut self, at: SimTime, category: &str, detail: impl Into<String>) {
+    ///
+    /// `detail` is rendered to its line only when recording is enabled:
+    /// pass `format_args!(..)` (or a `&str`) rather than a built `String`,
+    /// so a disabled tracer does no formatting work.
+    pub fn record(&mut self, at: SimTime, category: &str, detail: impl fmt::Display) {
         if !self.enabled {
             return;
         }
@@ -104,7 +112,7 @@ impl Tracer {
         self.events.push_back(TraceEvent {
             at,
             category: category.to_owned(),
-            detail: detail.into(),
+            detail: detail.to_string(),
         });
     }
 
@@ -197,6 +205,29 @@ mod tests {
         assert_eq!(tr.events().len(), 0);
         assert_eq!(tr.dropped(), 0);
         assert!(!tr.is_enabled());
+    }
+
+    /// A detail that counts how often it is rendered.
+    struct CountingDetail<'a>(&'a std::cell::Cell<u32>);
+
+    impl fmt::Display for CountingDetail<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            self.0.set(self.0.get() + 1);
+            f.write_str("probe")
+        }
+    }
+
+    #[test]
+    fn detail_is_rendered_only_when_enabled() {
+        let renders = std::cell::Cell::new(0);
+        let mut off = Tracer::disabled();
+        off.record(t(1), "c", CountingDetail(&renders));
+        assert_eq!(renders.get(), 0, "a disabled tracer must not format its detail");
+
+        let mut on = Tracer::new();
+        on.record(t(1), "c", CountingDetail(&renders));
+        assert_eq!(renders.get(), 1, "an enabled tracer formats its detail once");
+        assert_eq!(on.events().next().map(|e| e.detail.as_str()), Some("probe"));
     }
 
     #[test]

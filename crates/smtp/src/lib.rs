@@ -16,10 +16,12 @@
 //!   [`Dialect`] so both compliant MTAs and sloppy bot senders can be
 //!   expressed.
 //! * [`exchange`] — a lock-step driver running a client against a server,
-//!   producing a [`DeliveryOutcome`] and a transcript.
+//!   producing a [`DeliveryOutcome`] and a [`Transcript`].
 //!
 //! The engine is transport-agnostic: the simulation couples sessions
-//! directly, and a transcript of either side is plain text.
+//! directly. A [`Transcript`] keeps the commands and replies a session
+//! exchanged as typed values and renders their wire text only when read,
+//! so a caller that only counts exchanges formats nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,9 @@
 //! Wire helpers: dot-stuffing and the lock-step client/server driver.
 
 use crate::client::{ClientAction, ClientSession, DeliveryOutcome};
+use crate::command::Command;
 use crate::dialect::DialectFingerprint;
+use crate::reply::Reply;
 use crate::server::{ServerPolicy, ServerSession};
 use spamward_sim::SimTime;
 use std::fmt;
@@ -62,13 +64,6 @@ pub fn dot_unstuff(wire: &str) -> Option<String> {
     Some(out)
 }
 
-/// Normalizes a body exactly the way a DATA round trip does: dot-stuffs
-/// and immediately unstuffs it. Infallible because [`dot_stuff`] always
-/// appends the terminator [`dot_unstuff`] requires.
-fn dot_roundtrip(body: &str) -> String {
-    dot_unstuff(&dot_stuff(body)).unwrap_or_default()
-}
-
 /// Which side of the connection produced a transcript line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TranscriptEntry {
@@ -78,36 +73,84 @@ pub enum TranscriptEntry {
     ServerToClient,
 }
 
+/// The pregreet marker line: the early talker's bytes, sent before the
+/// banner.
+const PREGREET_LINE: &str = "<talks before banner>";
+
+/// One recorded step of a conversation, kept as the typed value the
+/// session exchanged.
+#[derive(Debug, Clone)]
+enum Step {
+    /// The client talked before the banner.
+    Pregreet,
+    /// A client command.
+    Command(Command),
+    /// The DATA body, by its dot-stuffed length in bytes.
+    Body(usize),
+    /// A server reply.
+    Reply(Reply),
+}
+
+impl Step {
+    fn direction(&self) -> TranscriptEntry {
+        match self {
+            Step::Pregreet | Step::Command(_) | Step::Body(_) => TranscriptEntry::ClientToServer,
+            Step::Reply(_) => TranscriptEntry::ServerToClient,
+        }
+    }
+
+    /// The step's wire text without its final CRLF (a multi-line reply
+    /// keeps its inner CRLFs).
+    fn line(&self) -> String {
+        match self {
+            Step::Pregreet => PREGREET_LINE.to_owned(),
+            Step::Command(cmd) => cmd.to_wire().trim_end().to_owned(),
+            Step::Body(len) => format!("<{len} bytes of data>"),
+            Step::Reply(reply) => reply.to_wire().trim_end().to_owned(),
+        }
+    }
+}
+
 /// A recorded SMTP conversation, one line per exchange.
+///
+/// The transcript keeps the commands and replies the session exchanged as
+/// typed values and renders wire text only when it is read
+/// ([`Transcript::entries`], the line iterators, [`Transcript::fingerprint`]
+/// and `Display`), so a caller that only counts steps
+/// ([`Transcript::len`]) pays no formatting.
 #[derive(Debug, Clone, Default)]
 pub struct Transcript {
-    entries: Vec<(TranscriptEntry, String)>,
+    steps: Vec<Step>,
 }
 
 impl Transcript {
-    /// All entries in order.
-    pub fn entries(&self) -> &[(TranscriptEntry, String)] {
-        &self.entries
+    /// The number of lines, both directions.
+    pub fn len(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// Whether nothing was exchanged.
+    pub fn is_empty(&self) -> bool {
+        self.steps.is_empty()
+    }
+
+    /// All entries in order, rendered to wire text.
+    pub fn entries(&self) -> Vec<(TranscriptEntry, String)> {
+        self.steps.iter().map(|step| (step.direction(), step.line())).collect()
     }
 
     /// The client lines only.
-    pub fn client_lines(&self) -> impl Iterator<Item = &str> {
-        self.entries
-            .iter()
-            .filter(|(d, _)| *d == TranscriptEntry::ClientToServer)
-            .map(|(_, s)| s.as_str())
+    pub fn client_lines(&self) -> impl Iterator<Item = String> + '_ {
+        self.lines(TranscriptEntry::ClientToServer)
     }
 
     /// The server lines only.
-    pub fn server_lines(&self) -> impl Iterator<Item = &str> {
-        self.entries
-            .iter()
-            .filter(|(d, _)| *d == TranscriptEntry::ServerToClient)
-            .map(|(_, s)| s.as_str())
+    pub fn server_lines(&self) -> impl Iterator<Item = String> + '_ {
+        self.lines(TranscriptEntry::ServerToClient)
     }
 
-    fn push(&mut self, dir: TranscriptEntry, line: impl Into<String>) {
-        self.entries.push((dir, line.into()));
+    fn lines(&self, dir: TranscriptEntry) -> impl Iterator<Item = String> + '_ {
+        self.steps.iter().filter(move |step| step.direction() == dir).map(Step::line)
     }
 
     /// Infers the sender's behavioural fingerprint from the observed
@@ -128,10 +171,10 @@ impl Transcript {
         let mut greeting_seen = false;
         let mut last_client_verb: Option<String> = None;
 
-        for (dir, line) in &self.entries {
+        for (dir, line) in self.entries() {
             match dir {
                 TranscriptEntry::ClientToServer => {
-                    if line == "<talks before banner>" {
+                    if line == PREGREET_LINE {
                         early_talker = true;
                         continue;
                     }
@@ -173,24 +216,25 @@ impl Transcript {
 
 impl fmt::Display for Transcript {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (dir, line) in &self.entries {
-            let arrow = match dir {
+        for step in &self.steps {
+            let arrow = match step.direction() {
                 TranscriptEntry::ClientToServer => "C>",
                 TranscriptEntry::ServerToClient => "S<",
             };
-            writeln!(f, "{arrow} {line}")?;
+            writeln!(f, "{arrow} {}", step.line())?;
         }
         Ok(())
     }
 }
 
 /// Runs a [`ClientSession`] against a [`ServerSession`] to completion,
-/// returning the delivery outcome and the full conversation transcript.
+/// returning the delivery outcome and the conversation transcript.
 ///
 /// The driver is lock-step: every client command gets exactly one server
-/// reply. Transport-level failures (refused/timed-out connections) never
-/// reach this function — model those with
-/// [`DeliveryOutcome::connect_failed`].
+/// reply. The transcript takes each command and reply by move, as typed
+/// values, and renders no wire text here (see [`Transcript`]). Transport-level
+/// failures (refused/timed-out connections) never reach this function —
+/// model those with [`DeliveryOutcome::connect_failed`].
 ///
 /// # Panics
 ///
@@ -208,36 +252,36 @@ pub fn exchange(
     } else {
         // Early talker: the client's first bytes race the banner; the
         // server's pregreet hook gets to veto before anything else.
-        transcript.push(TranscriptEntry::ClientToServer, "<talks before banner>".to_owned());
+        transcript.steps.push(Step::Pregreet);
         server.open_pregreeted(now, policy)
     };
-    transcript.push(TranscriptEntry::ServerToClient, reply.to_wire().trim_end().to_owned());
 
     for _ in 0..10_000 {
-        match client.on_reply(&reply) {
+        let action = client.on_reply(&reply);
+        // Every reply is recorded right after the client read it, and every
+        // command right after the server answered it — the same
+        // server/client alternation the wire carries.
+        transcript.steps.push(Step::Reply(reply));
+        match action {
             ClientAction::Send(cmd) => {
-                transcript
-                    .push(TranscriptEntry::ClientToServer, cmd.to_wire().trim_end().to_owned());
-                if server.is_closed() {
+                reply = if server.is_closed() {
                     // Server hung up (e.g. rejected at connect); treat any
                     // further client talk as into-the-void and finish.
-                    reply = crate::reply::Reply::service_unavailable("closed");
+                    Reply::service_unavailable("closed")
                 } else {
-                    reply = server.handle(now, &cmd, policy);
-                }
-                transcript
-                    .push(TranscriptEntry::ServerToClient, reply.to_wire().trim_end().to_owned());
+                    server.handle(now, &cmd, policy)
+                };
+                transcript.steps.push(Step::Command(cmd));
             }
             ClientAction::SendBody(body) => {
+                // Stuff once: the stuffed length is the transcript line,
+                // and unstuffing it gives the body the server receives.
                 let stuffed = dot_stuff(&body);
-                transcript.push(
-                    TranscriptEntry::ClientToServer,
-                    format!("<{} bytes of data>", stuffed.len()),
-                );
-                let unstuffed = dot_roundtrip(&body);
+                transcript.steps.push(Step::Body(stuffed.len()));
+                // `dot_stuff` always appends the terminator `dot_unstuff`
+                // requires, so the default is never taken.
+                let unstuffed = dot_unstuff(&stuffed).unwrap_or_default();
                 reply = server.handle_data_body(now, &unstuffed, policy);
-                transcript
-                    .push(TranscriptEntry::ServerToClient, reply.to_wire().trim_end().to_owned());
             }
             ClientAction::Close(outcome) => return (outcome, transcript),
         }
@@ -334,6 +378,69 @@ mod tests {
         assert!(!outcome.is_delivered());
         // Fire-and-forget: no QUIT in the transcript.
         assert!(!transcript.client_lines().any(|l| l.starts_with("QUIT")));
+    }
+
+    /// Pinned `Display` bytes of three sessions: rendering on read must
+    /// reproduce the wire text byte for byte.
+    const MTA_GREYLISTED: &str = concat!(
+        "S< 220 mx.foo.net ESMTP spamward\n",
+        "C> EHLO relay.example\n",
+        "S< 250-mx.foo.net Hello relay.example\r\n250-PIPELINING\r\n250-SIZE 10485760\r\n",
+        "250-8BITMIME\r\n250 ENHANCEDSTATUSCODES\n",
+        "C> MAIL FROM:<s@relay.example> SIZE=29\n",
+        "S< 250 OK\n",
+        "C> RCPT TO:<u@foo.net>\n",
+        "S< 450 4.2.0 Greylisted, see http://postgrey.schweikert.ch/ (retry in 300s)\n",
+        "C> QUIT\n",
+        "S< 221 mx.foo.net Service closing transmission channel\n",
+    );
+    const BOT_GREYLISTED: &str = concat!(
+        "C> <talks before banner>\n",
+        "S< 220 mx.foo.net ESMTP spamward\n",
+        "C> HELO [203.0.113.9]\n",
+        "S< 250 mx.foo.net Hello [203.0.113.9], I am glad to meet you\n",
+        "C> MAIL FROM:<s@relay.example>\n",
+        "S< 250 OK\n",
+        "C> RCPT TO:<u@foo.net>\n",
+        "S< 450 4.2.0 Greylisted, see http://postgrey.schweikert.ch/ (retry in 300s)\n",
+    );
+    const MTA_DELIVERED: &str = concat!(
+        "S< 220 mx.foo.net ESMTP spamward\n",
+        "C> EHLO relay.example\n",
+        "S< 250-mx.foo.net Hello relay.example\r\n250-PIPELINING\r\n250-SIZE 10485760\r\n",
+        "250-8BITMIME\r\n250 ENHANCEDSTATUSCODES\n",
+        "C> MAIL FROM:<s@relay.example> SIZE=29\n",
+        "S< 250 OK\n",
+        "C> RCPT TO:<u@foo.net>\n",
+        "S< 250 OK\n",
+        "C> DATA\n",
+        "S< 354 End data with <CR><LF>.<CR><LF>\n",
+        "C> <33 bytes of data>\n",
+        "S< 250 2.0.0 OK: queued\n",
+        "C> QUIT\n",
+        "S< 221 mx.foo.net Service closing transmission channel\n",
+    );
+
+    #[test]
+    fn transcript_display_is_pinned() {
+        let run = |dialect: Dialect, policy: &mut dyn ServerPolicy| {
+            let mut client = ClientSession::new(dialect, env(&["u@foo.net"]), msg());
+            let mut server = ServerSession::new("mx.foo.net", Ipv4Addr::new(203, 0, 113, 9));
+            exchange(&mut client, &mut server, policy, SimTime::ZERO).1
+        };
+        let cases = [
+            (run(Dialect::compliant_mta("relay.example"), &mut GreylistFirstRcpt), MTA_GREYLISTED),
+            (run(Dialect::minimal_bot("bot"), &mut GreylistFirstRcpt), BOT_GREYLISTED),
+            (run(Dialect::compliant_mta("relay.example"), &mut AcceptAll), MTA_DELIVERED),
+        ];
+        for (transcript, pinned) in cases {
+            assert_eq!(transcript.to_string(), pinned);
+            // One entry per arrowed line, and `len` counts them unrendered.
+            let arrowed =
+                pinned.split('\n').filter(|l| l.starts_with("C> ") || l.starts_with("S< "));
+            assert_eq!(transcript.len(), arrowed.count());
+            assert_eq!(transcript.entries().len(), transcript.len());
+        }
     }
 
     struct RejectBanner;

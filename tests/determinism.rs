@@ -212,6 +212,25 @@ fn resilience_sweep_survives_all_faults_at_any_seed() {
     }
 }
 
+/// The seed-7 delivery story, byte for byte: a reworded, dropped or
+/// reordered trace line shows up as a diff here.
+const SEED_7_STORY: &str = "\
+[t+6s] dns.mx: foo.net: 2 exchanger(s)
+[t+6s] smtp.outcome: [203.0.113.9] <a@relay.example> -> u@foo.net via smtp1.foo.net: \
+deferred with 450 at rcpt-to
+[t+6m16s] dns.mx: foo.net: 2 exchanger(s)
+[t+6m16s] smtp.outcome: [203.0.113.9] <a@relay.example> -> u@foo.net via smtp1.foo.net: \
+delivered to 1 rcpt(s) (0 deferred, 0 rejected)
+[t+12m02s] dns.mx: foo.net: 2 exchanger(s)
+[t+12m02s] net.fail: smtp.foo.net (192.0.2.1): connection refused
+[t+12m02s] smtp.outcome: [203.0.113.9] <a@relay.example> -> u@foo.net via smtp1.foo.net: \
+delivered to 1 rcpt(s) (0 deferred, 0 rejected)
+[t+17m41s] dns.mx: foo.net: 2 exchanger(s)
+[t+17m41s] net.fail: smtp.foo.net (192.0.2.1): connection refused
+[t+17m41s] smtp.outcome: [203.0.113.9] <a@relay.example> -> u@foo.net via smtp1.foo.net: \
+delivered to 1 rcpt(s) (0 deferred, 0 rejected)
+";
+
 /// Re-running the same traced scenario with the same seed must replay the
 /// *exact* same event trace — not just the same aggregate numbers. This
 /// pins the rendered trace (timestamps, categories, details) byte for
@@ -223,6 +242,7 @@ fn event_trace_is_byte_identical_across_same_seed_runs() {
     let b = traced_delivery_story(7);
     assert!(!a.is_empty(), "the scenario must actually produce events");
     assert_eq!(a, b, "same seed must replay a byte-identical event trace");
+    assert_eq!(a, SEED_7_STORY, "the seed-7 trace drifted from its recorded bytes");
 
     let c = traced_delivery_story(8);
     assert_ne!(a, c, "seed change had no observable effect on the trace");
