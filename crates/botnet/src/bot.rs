@@ -185,7 +185,7 @@ impl BotSample {
     ///
     /// Each victim is attempted independently — one SMTP transaction per
     /// recipient, the fire-and-forget pattern — as its own engine episode
-    /// ([`WorldSim::episode`]): the chain is a [`ChainActor`] whose retry
+    /// ([`WorldSim::episode`]): the chain is a `ChainActor` whose retry
     /// ladder self-reschedules until delivery, give-up, or the horizon.
     pub fn run_campaign(
         &mut self,

@@ -47,7 +47,7 @@ pub const POLICIES: [KeyPolicy; 3] = [
 pub enum BackendKind {
     /// Today's in-process [`spamward_greylist::TripletStore`].
     InMemory,
-    /// A request–reply store actor paying [`REMOTE_RTT`] per lookup.
+    /// A remote store paying [`REMOTE_RTT`] per answered lookup.
     Remote,
 }
 
@@ -55,7 +55,7 @@ impl BackendKind {
     /// All backends, sweep order.
     pub const ALL: [BackendKind; 2] = [BackendKind::InMemory, BackendKind::Remote];
 
-    /// Stable row label, matching [`StoreBackend`]'s names.
+    /// Stable row label.
     pub fn label(&self) -> &'static str {
         match self {
             BackendKind::InMemory => "in_memory",

@@ -3,8 +3,8 @@
 //! Every paper artifact (Tables I–IV, Figs. 2–5, the §VI summary) and every
 //! extension experiment implements [`Experiment`] and is listed once in the
 //! static [`REGISTRY`]. Consumers — the `repro` CLI, the criterion benches,
-//! the [`variance`](crate::experiments::variance) and
-//! [`summary`](crate::experiments::summary) meta-experiments, and the
+//! the [`crate::experiments::variance`] and
+//! [`crate::experiments::summary`] meta-experiments, and the
 //! integration tests — iterate the registry instead of naming modules, so a
 //! new workload is a registry entry rather than a new dispatch arm.
 //!

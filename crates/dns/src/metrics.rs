@@ -2,7 +2,7 @@
 //!
 //! All `dns.*` registry names live here (the O1 lint rule); hot paths only
 //! bump the plain counter fields of
-//! [`ResolverStats`](crate::resolver::ResolverStats).
+//! [`crate::resolver::ResolverStats`].
 
 use crate::authority::Authority;
 use crate::resolver::ResolverStats;

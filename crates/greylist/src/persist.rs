@@ -271,8 +271,8 @@ impl Greylist {
     pub fn snapshot(&self) -> String {
         let mut out = String::from(HEADER);
         out.push('\n');
-        // `entries()` is already a key-sorted, backend-independent merged
-        // view, so snapshots diff cleanly whatever the backend.
+        // `iter()` is already a key-sorted, backend-independent view, so
+        // snapshots diff cleanly whatever the backend.
         for (key, entry) in self.store().iter() {
             let sender =
                 if key.sender.is_empty() { NULL_SENDER.to_owned() } else { key.sender.to_string() };
@@ -523,8 +523,8 @@ mod tests {
             .with_backend(StoreBackend::Remote(RemoteStore::new(SimDuration::from_millis(2))));
         remote.restore(&text).unwrap();
         assert_eq!(remote.store().len(), original.store().len());
-        // The remote engine re-emits the identical bytes: the entries()
-        // view is backend-independent.
+        // The remote engine re-emits the identical bytes: the store's
+        // iter() view is backend-independent.
         assert_eq!(remote.snapshot(), text);
     }
 
@@ -702,6 +702,41 @@ mod tests {
         assert_eq!(probe(&mut recovered), probe(&mut live.clone()));
     }
 
+    /// A sweep the remote store refused dropped nothing, so the WAL must
+    /// not hold it: replay reaches the store directly, past the outage,
+    /// and would drop what the live store still holds.
+    #[test]
+    fn refused_remote_sweep_is_not_logged() {
+        use crate::backend::{RemoteStore, StoreBackend};
+        let day = SimDuration::from_days(1);
+        let down_from = SimTime::ZERO + day * 3;
+        let mut remote = RemoteStore::new(SimDuration::from_millis(2));
+        remote.set_outages(vec![(down_from, down_from + day)]);
+        let cfg = GreylistConfig::with_delay(SimDuration::from_secs(300)).without_auto_whitelist();
+        let mut live = Greylist::new(cfg).with_backend(StoreBackend::Remote(remote)).with_wal();
+        let checkpoint = live.snapshot();
+        let rcpt = "u@foo.net".parse().unwrap();
+        let ip = Ipv4Addr::new(10, 0, 0, 1);
+        live.check(SimTime::ZERO, ip, &sender("a@b.cc"), &rcpt);
+        assert_eq!(live.maintain(down_from + SimDuration::from_secs(3_600)), 0, "sweep refused");
+        assert_eq!(live.store().len(), 1, "the stale entry is still held");
+        let wal_text = live.wal().unwrap().text().to_owned();
+        assert_eq!(live.wal().unwrap().records(), 1, "only the check is logged:\n{wal_text}");
+
+        let mut recovered = live.clone();
+        recovered.reset();
+        recovered.restore(&checkpoint).unwrap();
+        recovered.replay_wal(&wal_text).unwrap();
+        assert_eq!(recovered.snapshot(), live.snapshot());
+
+        // The next check of the key restarts the stale entry on both.
+        let probe =
+            |g: &mut Greylist| g.check(SimTime::ZERO + day * 5, ip, &sender("a@b.cc"), &rcpt);
+        assert_eq!(probe(&mut recovered), probe(&mut live));
+        assert_eq!(recovered.stats(), live.stats());
+        assert_eq!(live.stats().greylisted_restarted, 1);
+    }
+
     #[test]
     fn torn_final_wal_record_is_skipped_and_counted() {
         let live = populated_wal();
@@ -770,25 +805,35 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The tentpole's correctness anchor: for arbitrary interaction
-        /// histories, checkpoint instants and crash points, a
-        /// `SnapshotPlusWal` recovery is decision-equivalent to an engine
-        /// that never crashed — across both store backends.
+        // A telling interleaving (remote store, outage, a sweep inside it
+        // dropping a stale entry, crash after it) is rare: run 512 cases.
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+        /// The durability anchor: for arbitrary interaction histories,
+        /// checkpoint instants and crash points, a `SnapshotPlusWal`
+        /// recovery is decision-equivalent to an engine that never crashed
+        /// — across both store backends, with an optional remote outage
+        /// window. Op times run past the 2-day pending lifetime, so sweeps
+        /// drop entries.
         #[test]
         fn prop_snapshot_plus_wal_recovery_is_decision_equivalent(
-            ops in proptest::collection::vec((0u8..8, 0u64..100_000, proptest::bool::ANY), 1..30),
+            ops in proptest::collection::vec((0u8..8, 0u64..400_000, proptest::bool::ANY), 1..30),
             cp_sel in 0usize..30,
             crash_sel in 0usize..30,
             remote in proptest::bool::ANY,
+            outage in (proptest::bool::ANY, 0u64..400_000, 1u64..200_000),
             probe_ip in 0u8..8,
-            probe_at in 100_000u64..200_000,
+            probe_at in 400_000u64..600_000,
         ) {
             use crate::backend::{RemoteStore, StoreBackend};
             use crate::store::TripletStore;
             let mut cfg = GreylistConfig::with_delay(SimDuration::from_secs(300));
             cfg.auto_whitelist_after = Some(2);
             let backend = if remote {
-                StoreBackend::Remote(RemoteStore::new(SimDuration::from_millis(2)))
+                let mut r = RemoteStore::new(SimDuration::from_millis(2));
+                if let (true, from, len) = outage {
+                    r.set_outages(vec![(SimTime::from_secs(from), SimTime::from_secs(from + len))]);
+                }
+                StoreBackend::Remote(r)
             } else {
                 StoreBackend::InMemory(TripletStore::new())
             };
@@ -840,6 +885,7 @@ mod tests {
             let b = crashed.check(at, ip, &sender("a@b.cc"), &rcpt);
             proptest::prop_assert_eq!(a, b);
             proptest::prop_assert_eq!(uncrashed.snapshot(), crashed.snapshot());
+            proptest::prop_assert_eq!(uncrashed.stats(), crashed.stats());
         }
     }
 }

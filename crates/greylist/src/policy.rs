@@ -1,10 +1,10 @@
 //! The greylisting decision engine.
 
-use crate::backend::{GreylistStore, StoreBackend, StoreUnavailable, Touch};
+use crate::backend::{touch_store, StoreBackend, StoreUnavailable, Touch};
 use crate::keying::KeyPolicy;
 use crate::persist::GreylistWal;
 use crate::stats::GreylistStats;
-use crate::store::TripletStore;
+use crate::store::{TripletEntry, TripletStore};
 use crate::triplet::TripletKey;
 use crate::whitelist::Whitelist;
 use serde::{Deserialize, Serialize};
@@ -181,11 +181,6 @@ impl Greylist {
         &self.store
     }
 
-    /// Stable slug of the active backend.
-    pub fn backend_name(&self) -> &'static str {
-        self.store.name()
-    }
-
     /// Decision counters so far.
     pub fn stats(&self) -> GreylistStats {
         self.stats
@@ -203,8 +198,14 @@ impl Greylist {
     }
 
     /// Runs periodic maintenance (expiry sweep); returns entries dropped.
+    ///
+    /// A remote store inside an outage window refuses the sweep: nothing
+    /// is dropped and, as with a refused check, nothing is logged — replay
+    /// must not drop what the live store still holds.
     pub fn maintain(&mut self, now: SimTime) -> usize {
-        let dropped = self.store.purge_expired(now);
+        let Ok(dropped) = self.store.purge_expired(now) else {
+            return 0;
+        };
         if let Some(wal) = &mut self.wal {
             wal.append_maintain(now);
         }
@@ -240,28 +241,24 @@ impl Greylist {
 
     /// Drops all runtime state — triplets, auto-whitelist counters and any
     /// WAL tail — exactly as a crash losing RAM would. Configuration, the
-    /// store's shape (shards, capacity, fault windows) and the cumulative
-    /// decision counters survive: the counters model what an external
-    /// observer tallied, not what the server remembered.
+    /// store's shape (capacity, lifetimes, outage windows) and the
+    /// cumulative decision and lookup counters survive: the counters model
+    /// what an external observer tallied, not what the server remembered.
     pub fn reset(&mut self) {
-        self.store.clear();
+        self.store.triplets_mut().clear();
         self.awl_counts.clear();
         self.clear_wal();
     }
 
-    /// Routes fault windows into a [`StoreBackend::Remote`] backend:
-    /// `outages` make lookups fail ([`StoreUnavailable`]), `slowdowns` add
-    /// lookup latency. Returns `false` (and installs nothing) when the
-    /// active backend is not remote — in-process stores have no network
-    /// path to fault, so callers fall back to MTA-level outage windows.
-    pub fn install_remote_faults(
-        &mut self,
-        outages: Vec<(SimTime, SimTime)>,
-        slowdowns: Vec<(SimDuration, SimTime, SimTime)>,
-    ) -> bool {
+    /// Routes outage windows into a [`StoreBackend::Remote`] backend,
+    /// where they make lookups fail ([`StoreUnavailable`]). Returns `false`
+    /// (and installs nothing) when the active backend is not remote —
+    /// in-process stores have no network path to fault, so callers fall
+    /// back to MTA-level outage windows.
+    pub fn install_remote_faults(&mut self, outages: Vec<(SimTime, SimTime)>) -> bool {
         match &mut self.store {
             StoreBackend::Remote(r) => {
-                r.set_fault_windows(outages, slowdowns);
+                r.set_outages(outages);
                 true
             }
             _ => false,
@@ -280,28 +277,24 @@ impl Greylist {
     }
 
     /// Inserts a triplet entry verbatim (snapshot restore).
-    pub(crate) fn insert_restored(
-        &mut self,
-        key: crate::triplet::TripletKey,
-        entry: crate::store::TripletEntry,
-    ) {
-        self.store.insert_raw(key, entry);
+    pub(crate) fn insert_restored(&mut self, key: TripletKey, entry: TripletEntry) {
+        self.store.triplets_mut().insert_raw(key, entry);
     }
 
     /// Re-applies one logged touch (WAL replay). Runs the same state
     /// machine the live check did — including the auto-whitelist bump on
-    /// maturing — but bypasses remote-protocol weather and accounting,
-    /// and never re-logs.
+    /// maturing — but reaches the store directly, past remote outage
+    /// windows and lookup accounting, and never re-logs.
     pub(crate) fn apply_wal_touch(&mut self, now: SimTime, key: TripletKey, awl_net: u32) {
         let delay = self.config.delay;
-        if matches!(self.store.touch_direct(key, now, delay), Touch::Matured) {
+        if matches!(touch_store(self.store.triplets_mut(), key, now, delay), Touch::Matured) {
             *self.awl_counts.entry(awl_net).or_insert(0) += 1;
         }
     }
 
     /// Re-applies one logged maintenance sweep (WAL replay).
     pub(crate) fn apply_wal_maintain(&mut self, now: SimTime) {
-        let _ = self.store.purge_direct(now);
+        self.store.triplets_mut().purge_expired(now);
     }
 
     fn client_net(&self, ip: Ipv4Addr) -> u32 {
@@ -645,7 +638,7 @@ mod tests {
     fn unavailable_store_folds_to_deferral_in_check() {
         use crate::backend::RemoteStore;
         let mut remote = RemoteStore::new(SimDuration::from_millis(2));
-        remote.set_fault_windows(vec![(t(0), t(1_000))], Vec::new());
+        remote.set_outages(vec![(t(0), t(1_000))]);
         let mut g = gl(300).with_backend(StoreBackend::Remote(remote));
         let err = g.try_check_with_rdns(t(10), ip(1), None, &from("a@b.cc"), &rcpt("u@foo.net"));
         assert!(err.is_err(), "outage must surface through try_check");

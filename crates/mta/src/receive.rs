@@ -422,14 +422,13 @@ impl ReceivingMta {
 
     /// Routes greylist-store fault windows to the right layer for the
     /// active backend. A [`spamward_greylist::StoreBackend::Remote`]
-    /// backend takes them as protocol-level faults (lookups return
-    /// unavailable, which flows through the same degradation path); the
-    /// in-process backends have no network hop to fault, so the windows
-    /// stay ambient MTA state exactly as before.
+    /// backend takes them as its own outage windows (lookups fail with
+    /// `StoreUnavailable`, which flows through the same degradation path);
+    /// the in-process backend has no network hop to fault, so the windows
+    /// stay ambient MTA state.
     pub fn install_greylist_faults(&mut self, windows: Vec<FaultWindow>) {
         let outages: Vec<(SimTime, SimTime)> = windows.iter().map(|w| (w.from, w.until)).collect();
-        let routed =
-            self.greylist.as_mut().is_some_and(|g| g.install_remote_faults(outages, Vec::new()));
+        let routed = self.greylist.as_mut().is_some_and(|g| g.install_remote_faults(outages));
         if routed {
             self.remote_store_faulted = !windows.is_empty();
         } else {
@@ -569,10 +568,9 @@ impl ServerPolicy for ReceivingMta {
             return self.degraded_rcpt();
         }
         let sender = tx.mail_from.as_ref().unwrap_or(&ReversePath::Null);
-        // 2b. The decision engine drives the store backend through the
-        // `GreylistStore` trait; a remote backend inside a fault window
-        // surfaces `StoreUnavailable`, which lands in the same
-        // degradation path as an ambient outage.
+        // 2b. The decision engine touches the store backend; a remote
+        // backend inside an outage window surfaces `StoreUnavailable`,
+        // which lands in the same degradation path as an ambient outage.
         let key = greylist.key_for(tx.client_ip, sender, rcpt);
         let verdict = greylist.try_check_with_rdns(
             now,

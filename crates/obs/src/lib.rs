@@ -16,7 +16,7 @@
 //!   function of the recorded values — no hash-iteration order, no
 //!   timestamps.
 //! - **Virtual time only.** [`Span`]s are timed against the injected
-//!   [`SimTime`]/[`Clock`](spamward_sim::Clock) substrate, never
+//!   [`SimTime`](spamward_sim::SimTime)/[`Clock`](spamward_sim::Clock) substrate, never
 //!   `std::time::Instant` (the D1 lint rule), so span durations are part
 //!   of the reproducible output rather than noise.
 //! - **Time as data.** [`TimeSeries`] holds sampled counter/gauge points in

@@ -68,7 +68,7 @@ pub struct ShardScanStats {
     /// Detected-nolisting counts within the top-k popular domains.
     pub top_k: Vec<(u32, u64)>,
     /// Scan progress over virtual time: events and detections per
-    /// [`SCAN_BUCKET_SECS`] bucket (`obs.sample.scan.*` series).
+    /// 60-second bucket of virtual time (`obs.sample.scan.*` series).
     pub samples: TimeSeries,
 }
 
