@@ -8,7 +8,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // not protocol-path code
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use spamward_obs::{to_openmetrics, Histogram, Registry, Span, SpanStats, TimeSeries, Timeline};
+use spamward_dns::DomainName;
+use spamward_mta::{AtExchanger, EventLog, WorldEvent};
+use spamward_obs::{to_openmetrics, Histogram, Registry, Span, SpanStats, TimeSeries};
 use spamward_sim::{SimDuration, SimTime};
 use spamward_smtp::{
     exchange, AcceptAll, ClientSession, Dialect, Envelope, Message, ReversePath, ServerSession,
@@ -22,7 +24,6 @@ const BENCH_GAUGE: &str = "obs.bench.gauge";
 const BENCH_HISTOGRAM: &str = "obs.bench.histogram";
 const BENCH_SPAN: &str = "obs.bench.span";
 const BENCH_SERIES: &str = "obs.bench.series";
-const BENCH_TIMELINE_EVENT: &str = "obs.bench.timeline.event";
 
 fn bench_registry_primitives(c: &mut Criterion) {
     let mut g = c.benchmark_group("obs");
@@ -89,8 +90,9 @@ fn bench_registry_primitives(c: &mut Criterion) {
 }
 
 /// The virtual-time telemetry layer: sampling into a time-series, the
-/// timeline flight recorder, and the deterministic renderings the CLI
-/// exports (`--timeseries`, `--timeline`, `--export openmetrics`).
+/// mail world's event record (behind `--trace` and `--timeline`), and the
+/// deterministic renderings the CLI exports (`--timeseries`, `--export
+/// openmetrics`).
 fn bench_telemetry(c: &mut Criterion) {
     let mut g = c.benchmark_group("telemetry");
     g.throughput(Throughput::Elements(1));
@@ -104,17 +106,20 @@ fn bench_telemetry(c: &mut Criterion) {
         });
     });
 
+    // One per-exchanger fact into an enabled log; its capacity bound
+    // keeps memory flat however long the bench runs.
     g.bench_function("timeline_record_event", |b| {
-        let mut timeline = Timeline::with_capacity(4_096);
+        let mut log = EventLog::enabled();
+        let mx: DomainName = "mx.bench.example".parse().unwrap();
+        let ip = Ipv4Addr::new(192, 0, 2, 10);
         let mut tick = 0u64;
         b.iter(|| {
             tick += 1;
-            timeline.record_event(
-                BENCH_TIMELINE_EVENT,
-                SimTime::from_secs(tick % 86_400),
-                "bench-track",
-                String::new(),
-            );
+            log.record(SimTime::from_secs(tick % 86_400), || WorldEvent::Exchanger {
+                mx: mx.clone(),
+                ip,
+                what: AtExchanger::Connected,
+            });
         });
     });
 

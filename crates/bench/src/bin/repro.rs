@@ -21,13 +21,14 @@
 //!
 //! Telemetry exports (single artifact only, all deterministic): `--timeseries
 //! FILE` samples counters in virtual time and writes the series CSV,
-//! `--timeline FILE` writes per-message lifecycles as Chrome trace-event
-//! JSON (open in Perfetto), `--export openmetrics` prints the metric
-//! registry as an OpenMetrics exposition instead of a report, and
-//! `--profile` prints a per-shard / per-actor breakdown plus wall-clock
-//! to stderr.
+//! `--timeline FILE` turns event tracing on and writes per-message
+//! lifecycles as Chrome trace-event JSON (open in Perfetto), `--export
+//! openmetrics` prints the metric registry as an OpenMetrics exposition
+//! instead of a report, and `--profile` prints a per-shard / per-actor
+//! breakdown plus wall-clock to stderr. An export the artifact leaves
+//! empty is an error (exit 1), not an empty file.
 
-use spamward_core::harness::{self, HarnessConfig, Scale, TelemetryConfig};
+use spamward_core::harness::{self, HarnessConfig, Scale};
 use spamward_core::run_seeds;
 use spamward_obs::MetricValue;
 
@@ -67,10 +68,12 @@ fn usage_text() -> String {
          \x20               every category)\n\
          --timeseries FILE  sample telemetry once per virtual minute and\n\
          \x20               write the series CSV to FILE (single artifact;\n\
-         \x20               bytes are invariant under --jobs/--shards)\n\
-         --timeline FILE  record per-message lifecycle events and write\n\
-         \x20               Chrome trace-event JSON to FILE (single\n\
-         \x20               artifact; open in Perfetto)\n\
+         \x20               bytes are invariant under --jobs/--shards; fig2\n\
+         \x20               and table2 record series, others exit 1)\n\
+         --timeline FILE  run with event tracing and write the per-message\n\
+         \x20               lifecycle tracks as Chrome trace-event JSON to\n\
+         \x20               FILE (single artifact; open in Perfetto; table2\n\
+         \x20               records tracks, others exit 1)\n\
          --export openmetrics  print the metric registry as an OpenMetrics\n\
          \x20               exposition instead of a report (single artifact)\n\
          --profile       print a per-shard / per-actor virtual-time\n\
@@ -294,16 +297,15 @@ fn main() {
             "--timeseries / --timeline / --export / --profile need a single artifact, not \"all\"",
         );
     }
+    // --timeline renders the same event record --trace prints, so either
+    // one turns tracing on.
     let config = HarnessConfig {
         seed,
         scale: Scale::Paper,
-        trace: trace.is_some(),
+        trace: trace.is_some() || timeline.is_some(),
         event_budget: budget,
         shards: shards.unwrap_or(0),
-        telemetry: TelemetryConfig {
-            sample_interval: timeseries.is_some().then_some(harness::DEFAULT_SAMPLE_INTERVAL),
-            timeline: timeline.is_some(),
-        },
+        sample_interval: timeseries.is_some().then_some(harness::DEFAULT_SAMPLE_INTERVAL),
     };
 
     // Each worker returns (rendered report, filtered trace lines) or the
@@ -376,6 +378,16 @@ fn main() {
                 .collect(),
             None => Vec::new(),
         };
+        // An export this artifact left empty fails before anything is
+        // written or printed.
+        if timeseries.is_some() && report.timeseries().is_empty() {
+            eprintln!("error: {artifact} records no timeseries points");
+            std::process::exit(1);
+        }
+        if timeline.is_some() && report.timeline().is_empty() {
+            eprintln!("error: {artifact} records no timeline events");
+            std::process::exit(1);
+        }
         if let Some(path) = &timeseries {
             write_export(path, "timeseries CSV", &report.timeseries().to_csv());
         }

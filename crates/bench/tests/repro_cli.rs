@@ -163,6 +163,31 @@ fn timeseries_and_timeline_exports_are_shard_invariant_files() {
 }
 
 #[test]
+fn an_export_the_artifact_leaves_empty_is_an_error() {
+    let dir = std::env::temp_dir();
+    let stem = format!("repro-cli-empty-{}", std::process::id());
+    // fig5 samples no series; fig2 renders no timeline tracks.
+    for (artifact, flag, what) in
+        [("fig5", "--timeseries", "timeseries points"), ("fig2", "--timeline", "timeline events")]
+    {
+        let path = dir.join(format!("{stem}-{artifact}")).display().to_string();
+        let out = repro().args([artifact, flag, &path]).output().expect("repro runs");
+        assert_eq!(out.status.code(), Some(1), "{artifact} {flag}: an empty export fails");
+        assert!(out.stdout.is_empty(), "{artifact} {flag}: no report is printed");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert_eq!(stderr, format!("error: {artifact} records no {what}\n"));
+        assert!(!std::path::Path::new(&path).exists(), "{artifact} {flag}: no file is written");
+    }
+    // fig2 does sample a series, so its --timeseries export still writes.
+    let path = dir.join(format!("{stem}-fig2.csv")).display().to_string();
+    let out = repro().args(["fig2", "--timeseries", &path]).output().expect("repro runs");
+    assert_eq!(out.status.code(), Some(0));
+    let csv = std::fs::read_to_string(&path).expect("timeseries file written");
+    std::fs::remove_file(&path).ok();
+    assert!(csv.starts_with("series,t_us,value\nobs.sample."), "points follow the header");
+}
+
+#[test]
 fn profile_goes_to_stderr_and_leaves_stdout_canonical() {
     let plain = repro().args(["table2", "--json"]).output().expect("repro runs");
     let profiled = repro().args(["table2", "--json", "--profile"]).output().expect("repro runs");

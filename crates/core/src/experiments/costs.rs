@@ -120,7 +120,7 @@ fn run_setup(
         spamward_mta::metrics::collect_sender(&sender, reg);
     }
     spamward_mta::metrics::collect_world(&world, reg);
-    trace_lines.extend(world.trace.events().map(|e| e.to_string()));
+    trace_lines.extend(world.events.lines());
     let store_entries =
         world.server(VICTIM_MX_IP).and_then(|s| s.greylist()).map(|g| g.store().len()).unwrap_or(0);
     CostRow {
@@ -236,13 +236,9 @@ impl Experiment for CostsExperiment {
         };
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        let mut trace_lines = Vec::new();
-        let result =
-            run_with_obs(&module_config, config.trace, report.metrics_mut(), &mut trace_lines);
+        let (metrics, trace_lines) = report.obs_mut();
+        let result = run_with_obs(&module_config, config.trace, metrics, trace_lines);
         crate::harness::ensure_completed(self.id(), report.metrics())?;
-        for line in &trace_lines {
-            report.push_trace_line(line);
-        }
         report.push_table(result.table());
         for row in &result.rows {
             report.push_scalar(

@@ -289,7 +289,7 @@ pub fn run_with_obs(
             events: world.engine_stats.events,
             bounces: senders.iter().map(|s| s.bounces().len()).sum(),
             log_text: world.server(VICTIM_MX_IP).expect("deployment server").log_text(),
-            trace_lines: world.trace.events().map(|e| e.to_string()).collect(),
+            trace_lines: world.events.lines().collect(),
             metrics,
         }
     });
@@ -369,13 +369,9 @@ impl Experiment for DeploymentExperiment {
         let module_config = Self::config(config);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        let mut trace_lines = Vec::new();
-        let result =
-            run_with_obs(&module_config, config.trace, report.metrics_mut(), &mut trace_lines);
+        let (metrics, trace_lines) = report.obs_mut();
+        let result = run_with_obs(&module_config, config.trace, metrics, trace_lines);
         crate::harness::ensure_completed(self.id(), report.metrics())?;
-        for line in &trace_lines {
-            report.push_trace_line(line);
-        }
         report
             .push_text(&format!(
                 "benign delivery-delay CDF (x = seconds):\n{}",

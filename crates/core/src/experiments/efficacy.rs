@@ -48,8 +48,6 @@ pub struct EfficacyConfig {
     /// Sample telemetry counters into a time-series at this virtual-time
     /// interval (`None` = no sampler joins the per-sample episodes).
     pub sample_interval: Option<SimDuration>,
-    /// Record per-message lifecycle timelines in every per-sample world.
-    pub timeline: bool,
 }
 
 impl Default for EfficacyConfig {
@@ -62,7 +60,6 @@ impl Default for EfficacyConfig {
             event_budget: None,
             workers: 4,
             sample_interval: None,
-            timeline: false,
         }
     }
 }
@@ -139,15 +136,16 @@ pub fn run_with_obs(
         reg,
         trace_lines,
         &mut TimeSeries::new(),
-        &mut Timeline::disabled(),
+        &mut Timeline::new(),
     )
 }
 
 /// [`run_with_obs`] plus virtual-time telemetry capture: sampled series
-/// merge into `samples` and lifecycle events into `timeline`, both in
+/// merge into `samples` and (when `trace` is set) every world's lifecycle
+/// tracks, scoped `<defense>/<family>.s<n>`, into `timeline`, both in
 /// fixed shard order so the accumulated bytes are identical for every
-/// executor width. With telemetry off in the config both sinks stay
-/// untouched and the engine event stream matches a run without them.
+/// executor width. With both off the sinks stay untouched and the engine
+/// event stream matches a run without them.
 pub fn run_with_telemetry(
     config: &EfficacyConfig,
     trace: bool,
@@ -166,7 +164,7 @@ pub fn run_with_telemetry(
     let shard_runs = run_sharded(&plan, config.workers, |shard| {
         let mut metrics = Registry::new();
         let mut shard_samples = TimeSeries::new();
-        let mut shard_timeline = Timeline::disabled();
+        let mut shard_timeline = Timeline::new();
         let mut outputs: Vec<(usize, EfficacyRow, Vec<String>)> = Vec::new();
         for (idx, sample) in roster.iter().enumerate() {
             let key = format!("{}.sample{}", sample.family().name(), sample.sample_idx());
@@ -217,7 +215,6 @@ pub fn run_with_telemetry(
 /// Runs one roster sample against both defenses, folding the two worlds'
 /// metrics into `metrics` (and their telemetry into `samples` /
 /// `timeline`) and returning the Table II row plus any traces.
-#[allow(clippy::too_many_arguments)]
 fn run_sample(
     config: &EfficacyConfig,
     sample: &BotSample,
@@ -232,51 +229,37 @@ fn run_sample(
         .fork_idx("c", u64::from(sample.sample_idx()));
     let campaign = Campaign::synthetic(VICTIM_DOMAIN, config.recipients, &mut campaign_rng);
     let mut traces = Vec::new();
-    let sample_key = format!("{}.s{}", sample.family().name(), sample.sample_idx());
-    let telemetry = |mut world: spamward_mta::MailWorld, defense: &str| {
+    // (a) the nolisting victim, then (b) the greylisting one.
+    let [nolisting_blocked, greylisting_blocked] = [
+        ("nolisting", worlds::nolisting_world(config.seed)),
+        ("greylist", worlds::greylist_world(config.seed, config.greylist_delay)),
+    ]
+    .map(|(defense, mut world)| {
+        world.event_budget = config.event_budget;
         if let Some(interval) = config.sample_interval {
             world = world.with_sampling(interval);
         }
-        if config.timeline {
-            world = world.with_timeline_scope(&format!("{defense}/{sample_key}"));
+        if trace {
+            world = world.with_tracing();
         }
-        world
-    };
-
-    // (a) nolisting victim.
-    let mut world = telemetry(worlds::nolisting_world(config.seed), "nolisting");
-    world.event_budget = config.event_budget;
-    if trace {
-        world = world.with_tracing();
-    }
-    let mut bot = sample.clone();
-    let nolisting_report = bot.run_campaign(&mut world, &campaign, SimTime::ZERO, horizon);
-    spamward_mta::metrics::collect_world(&world, metrics);
-    spamward_botnet::metrics::collect_run(sample.family(), &nolisting_report, metrics);
-    traces.extend(world.trace.events().map(|e| e.to_string()));
-    samples.merge(&world.samples);
-    timeline.merge(&world.timeline);
-
-    // (b) greylisting victim.
-    let mut world =
-        telemetry(worlds::greylist_world(config.seed, config.greylist_delay), "greylist");
-    world.event_budget = config.event_budget;
-    if trace {
-        world = world.with_tracing();
-    }
-    let mut bot = sample.clone();
-    let greylist_report = bot.run_campaign(&mut world, &campaign, SimTime::ZERO, horizon);
-    spamward_mta::metrics::collect_world(&world, metrics);
-    spamward_botnet::metrics::collect_run(sample.family(), &greylist_report, metrics);
-    traces.extend(world.trace.events().map(|e| e.to_string()));
-    samples.merge(&world.samples);
-    timeline.merge(&world.timeline);
+        let mut bot = sample.clone();
+        let report = bot.run_campaign(&mut world, &campaign, SimTime::ZERO, horizon);
+        spamward_mta::metrics::collect_world(&world, metrics);
+        spamward_botnet::metrics::collect_run(sample.family(), &report, metrics);
+        samples.merge(&world.samples);
+        if trace {
+            traces.extend(world.events.lines());
+            let scope = format!("{defense}/{}.s{}", sample.family().name(), sample.sample_idx());
+            timeline.merge(&world.events.timeline(&scope));
+        }
+        !report.any_delivered()
+    });
 
     let row = EfficacyRow {
         family: sample.family(),
         sample_idx: sample.sample_idx(),
-        nolisting_blocked: !nolisting_report.any_delivered(),
-        greylisting_blocked: !greylist_report.any_delivered(),
+        nolisting_blocked,
+        greylisting_blocked,
     };
     (row, traces)
 }
@@ -334,8 +317,7 @@ impl EfficacyExperiment {
             } else {
                 EfficacyConfig::default().workers
             },
-            sample_interval: harness.telemetry.sample_interval,
-            timeline: harness.telemetry.timeline,
+            sample_interval: harness.sample_interval,
             ..Default::default()
         }
     }
@@ -358,23 +340,20 @@ impl Experiment for EfficacyExperiment {
         let module_config = Self::config(config);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        let mut trace_lines = Vec::new();
         let mut samples = TimeSeries::new();
-        let mut timeline = Timeline::disabled();
+        let mut timeline = Timeline::new();
+        let (metrics, trace_lines) = report.obs_mut();
         let result = run_with_telemetry(
             &module_config,
             config.trace,
-            report.metrics_mut(),
-            &mut trace_lines,
+            metrics,
+            trace_lines,
             &mut samples,
             &mut timeline,
         );
         crate::harness::ensure_completed(self.id(), report.metrics())?;
         *report.timeseries_mut() = samples;
         *report.timeline_mut() = timeline;
-        for line in &trace_lines {
-            report.push_trace_line(line);
-        }
         report
             .push_table(result.table())
             .push_scalar(

@@ -99,7 +99,7 @@ fn run_threshold(
         bot.run_campaign(&mut world, &campaign, SimTime::ZERO, SimTime::ZERO + config.horizon);
     spamward_mta::metrics::collect_world(&world, reg);
     spamward_botnet::metrics::collect_run(MalwareFamily::Kelihos, &report, reg);
-    trace_lines.extend(world.trace.events().map(|e| e.to_string()));
+    trace_lines.extend(world.events.lines());
 
     let delays: Vec<SimDuration> =
         report.attempts.iter().filter(|a| a.delivered).map(|a| a.since_first).collect();
@@ -267,13 +267,9 @@ impl Experiment for Fig3Experiment {
         let module_config = kelihos_config(config);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        let mut trace_lines = Vec::new();
-        let result =
-            run_with_obs(&module_config, config.trace, report.metrics_mut(), &mut trace_lines);
+        let (metrics, trace_lines) = report.obs_mut();
+        let result = run_with_obs(&module_config, config.trace, metrics, trace_lines);
         crate::harness::ensure_completed(self.id(), report.metrics())?;
-        for line in &trace_lines {
-            report.push_trace_line(line);
-        }
         let mut lines = String::new();
         for r in [&result.fast, &result.default] {
             lines.push_str(&format!(
@@ -322,13 +318,9 @@ impl Experiment for Fig4Experiment {
         let module_config = kelihos_config(config);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        let mut trace_lines = Vec::new();
-        let result =
-            run_with_obs(&module_config, config.trace, report.metrics_mut(), &mut trace_lines);
+        let (metrics, trace_lines) = report.obs_mut();
+        let result = run_with_obs(&module_config, config.trace, metrics, trace_lines);
         crate::harness::ensure_completed(self.id(), report.metrics())?;
-        for line in &trace_lines {
-            report.push_trace_line(line);
-        }
         let failed = result.extreme.attempts.iter().filter(|p| !p.delivered).count();
         let delivered = result.extreme.attempts.iter().filter(|p| p.delivered).count();
         let mut peaks = String::new();

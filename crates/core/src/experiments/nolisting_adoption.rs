@@ -236,7 +236,7 @@ impl Experiment for AdoptionExperiment {
         let module_config = Self::config(config);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        let result = if config.telemetry.sample_interval.is_some() {
+        let result = if config.sample_interval.is_some() {
             let mut samples = TimeSeries::new();
             let r = run_with_telemetry(&module_config, report.metrics_mut(), &mut samples);
             *report.timeseries_mut() = samples;

@@ -333,7 +333,7 @@ fn run_cell(
             remote_ops,
             remote_unavailable,
         },
-        trace_lines: world.trace.events().map(|e| e.to_string()).collect(),
+        trace_lines: world.events.lines().collect(),
         metrics,
     }
 }
@@ -417,13 +417,9 @@ impl Experiment for PolicyBackendExperiment {
         let module_config = Self::config(config);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        let mut trace_lines = Vec::new();
-        let result =
-            run_with_obs(&module_config, config.trace, report.metrics_mut(), &mut trace_lines);
+        let (metrics, trace_lines) = report.obs_mut();
+        let result = run_with_obs(&module_config, config.trace, metrics, trace_lines);
         crate::harness::ensure_completed(self.id(), report.metrics())?;
-        for line in &trace_lines {
-            report.push_trace_line(line);
-        }
         report
             .push_table(result.table())
             .push_scalar("cells", result.cells.len() as f64)

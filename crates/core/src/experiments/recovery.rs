@@ -455,7 +455,7 @@ fn run_cell(
     spamward_mta::metrics::collect_sender(&regulars, reg);
     spamward_mta::metrics::collect_sender(&edge, reg);
     spamward_mta::metrics::collect_sender(&bot, reg);
-    trace_lines.extend(world.trace.events().map(|e| e.to_string()));
+    trace_lines.extend(world.events.lines());
 
     let server = world.server(VICTIM_MX_IP).expect("victim server installed");
     let crash_stats = server.crash_stats();
@@ -565,13 +565,9 @@ impl Experiment for RecoveryExperiment {
         let module_config = Self::config(config);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        let mut trace_lines = Vec::new();
-        let result =
-            run_with_obs(&module_config, config.trace, report.metrics_mut(), &mut trace_lines);
+        let (metrics, trace_lines) = report.obs_mut();
+        let result = run_with_obs(&module_config, config.trace, metrics, trace_lines);
         crate::harness::ensure_completed(self.id(), report.metrics())?;
-        for line in &trace_lines {
-            report.push_trace_line(line);
-        }
         let extra = |mode: &str| -> f64 {
             result
                 .cells

@@ -269,7 +269,7 @@ pub fn run_with_obs(
 
             spamward_mta::metrics::collect_world(&world, reg);
             spamward_mta::metrics::collect_sender(&sender, reg);
-            trace_lines.extend(world.trace.events().map(|e| e.to_string()));
+            trace_lines.extend(world.events.lines());
 
             let server_stats = world.server(VICTIM_MX_IP).map(|s| s.stats()).unwrap_or_default();
             cells.push(ResilienceCell {
@@ -331,13 +331,9 @@ impl Experiment for ResilienceExperiment {
         let module_config = Self::config(config);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        let mut trace_lines = Vec::new();
-        let result =
-            run_with_obs(&module_config, config.trace, report.metrics_mut(), &mut trace_lines);
+        let (metrics, trace_lines) = report.obs_mut();
+        let result = run_with_obs(&module_config, config.trace, metrics, trace_lines);
         crate::harness::ensure_completed(self.id(), report.metrics())?;
-        for line in &trace_lines {
-            report.push_trace_line(line);
-        }
         let expected = (module_config.messages * result.cells.len()) as f64;
         report
             .push_table(result.table())

@@ -126,11 +126,8 @@ impl Experiment for SummaryExperiment {
     fn run(&self, config: &HarnessConfig) -> Result<Report, HarnessError> {
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(EfficacyExperiment::config(config).seed);
-        let mut trace_lines = Vec::new();
-        let result = run_with_obs(config, report.metrics_mut(), &mut trace_lines)?;
-        for line in &trace_lines {
-            report.push_trace_line(line);
-        }
+        let (metrics, trace_lines) = report.obs_mut();
+        let result = run_with_obs(config, metrics, trace_lines)?;
         crate::metrics::collect_summary(&result, report.metrics_mut());
         report
             .push_table(result.table())

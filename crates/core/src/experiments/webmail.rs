@@ -121,7 +121,7 @@ pub fn run_with_obs(
         sender.drain(SimTime::ZERO, &mut world);
         spamward_webmail::metrics::collect_provider(&provider, &sender, reg);
         spamward_mta::metrics::collect_world(&world, reg);
-        trace_lines.extend(world.trace.events().map(|e| e.to_string()));
+        trace_lines.extend(world.events.lines());
 
         let records = sender.records();
         let used_ips: HashSet<Ipv4Addr> = records.iter().map(|r| r.source_ip).collect();
@@ -213,13 +213,9 @@ impl Experiment for WebmailExperiment {
         };
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        let mut trace_lines = Vec::new();
-        let result =
-            run_with_obs(&module_config, config.trace, report.metrics_mut(), &mut trace_lines);
+        let (metrics, trace_lines) = report.obs_mut();
+        let result = run_with_obs(&module_config, config.trace, metrics, trace_lines);
         crate::harness::ensure_completed(self.id(), report.metrics())?;
-        for line in &trace_lines {
-            report.push_trace_line(line);
-        }
         report
             .push_table(result.table())
             .push_scalar("providers", result.rows.len() as f64)

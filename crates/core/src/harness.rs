@@ -49,26 +49,6 @@ pub enum Scale {
 /// retry granularities.
 pub const DEFAULT_SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(60);
 
-/// Virtual-time telemetry knobs, default-off so the canonical report
-/// bytes (and the engine event stream) are untouched unless a consumer
-/// opts in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TelemetryConfig {
-    /// Snapshot counters/gauges into [`Report::timeseries`] every this
-    /// much virtual time (`None` = no sampler timer joins any episode).
-    pub sample_interval: Option<SimDuration>,
-    /// Record causally-linked per-message lifecycle events into
-    /// [`Report::timeline`].
-    pub timeline: bool,
-}
-
-impl TelemetryConfig {
-    /// Whether any telemetry capture is on at all.
-    pub fn enabled(&self) -> bool {
-        self.sample_interval.is_some() || self.timeline
-    }
-}
-
 /// Uniform knobs applied to every experiment.
 ///
 /// `seed: None` means "the paper's default seed for this experiment"; a
@@ -81,11 +61,12 @@ pub struct HarnessConfig {
     pub seed: Option<u64>,
     /// Run size.
     pub scale: Scale,
-    /// Capture delivery traces: experiments that drive a
-    /// [`spamward_mta::MailWorld`] enable its tracer and attach the
-    /// rendered events to the report via [`Report::push_trace_line`].
-    /// Trace lines are diagnostics — they never enter the canonical
-    /// text/CSV/JSON bytes (`repro --trace` routes them to stderr).
+    /// Capture delivery traces (`repro --trace` / `--timeline`):
+    /// experiments that drive a [`spamward_mta::MailWorld`] enable its
+    /// event record and render it into the report's trace lines
+    /// ([`Report::obs_mut`]), and table2 into its [`Report::timeline`] as
+    /// well. Traces are diagnostics — they never enter the canonical
+    /// text/CSV/JSON bytes (`repro --trace` routes the lines to stderr).
     pub trace: bool,
     /// Optional cap on discrete-event engine events per driven world.
     /// `None` (the default) means unbounded. World-driving experiments
@@ -100,12 +81,12 @@ pub struct HarnessConfig {
     /// (the `Default`) means 1, via [`HarnessConfig::shard_workers`];
     /// experiments without a sharded path ignore it.
     pub shards: usize,
-    /// Virtual-time telemetry capture (`repro --timeseries` /
-    /// `--timeline`). Like `trace`, telemetry is diagnostics: it never
+    /// Snapshot counters/gauges into [`Report::timeseries`] every this
+    /// much virtual time (`repro --timeseries`; `None` = no sampler timer
+    /// joins any episode). Like `trace`, it is diagnostics: it never
     /// enters the canonical text/CSV/JSON bytes, and the default-off
-    /// state leaves the engine event stream byte-identical to a build
-    /// without this field.
-    pub telemetry: TelemetryConfig,
+    /// state leaves the engine event stream untouched.
+    pub sample_interval: Option<SimDuration>,
 }
 
 impl HarnessConfig {
@@ -203,8 +184,8 @@ pub struct Report {
     trace_lines: Vec<String>,
     /// Sampled virtual-time series (diagnostics; `--timeseries` exports).
     timeseries: TimeSeries,
-    /// Flight-recorder lifecycle events (diagnostics; `--timeline`
-    /// exports Chrome trace JSON).
+    /// Message-lifecycle events (diagnostics; `--timeline` exports
+    /// Chrome trace JSON).
     timeline: Timeline,
 }
 
@@ -223,7 +204,7 @@ impl Report {
             text: Vec::new(),
             trace_lines: Vec::new(),
             timeseries: TimeSeries::new(),
-            timeline: Timeline::disabled(),
+            timeline: Timeline::new(),
         }
     }
 
@@ -263,17 +244,17 @@ impl Report {
         &mut self.metrics
     }
 
+    /// Write access to the registry and the trace lines together, for an
+    /// experiment's `run_with_obs` to fill in one pass. Trace lines are
+    /// diagnostics, excluded from the canonical text/CSV/JSON bytes
+    /// (`repro --trace` prints them to stderr).
+    pub fn obs_mut(&mut self) -> (&mut Registry, &mut Vec<String>) {
+        (&mut self.metrics, &mut self.trace_lines)
+    }
+
     /// The metric snapshot the run produced.
     pub fn metrics(&self) -> &Registry {
         &self.metrics
-    }
-
-    /// Appends one rendered trace event (diagnostics; excluded from the
-    /// canonical text/CSV/JSON bytes — `repro --trace` prints these to
-    /// stderr).
-    pub fn push_trace_line(&mut self, line: &str) -> &mut Self {
-        self.trace_lines.push(line.to_owned());
-        self
     }
 
     /// The captured trace lines, in event order.
@@ -282,7 +263,7 @@ impl Report {
     }
 
     /// The sampled virtual-time series (empty unless
-    /// [`TelemetryConfig::sample_interval`] was set). Diagnostics like
+    /// [`HarnessConfig::sample_interval`] was set). Diagnostics like
     /// trace lines: excluded from every canonical rendering.
     pub fn timeseries(&self) -> &TimeSeries {
         &self.timeseries
@@ -293,9 +274,10 @@ impl Report {
         &mut self.timeseries
     }
 
-    /// The flight-recorder timeline (disabled and empty unless
-    /// [`TelemetryConfig::timeline`] was set). Diagnostics like trace
-    /// lines: excluded from every canonical rendering.
+    /// The message-lifecycle timeline (empty unless
+    /// [`HarnessConfig::trace`] was set and the experiment renders one).
+    /// Diagnostics like trace lines: excluded from every canonical
+    /// rendering.
     pub fn timeline(&self) -> &Timeline {
         &self.timeline
     }
@@ -568,7 +550,7 @@ mod tests {
             .push_scalar("rate (%)", 56.69)
             .push_text("a plot\n");
         r.metrics_mut().record_counter("demo.events", 3);
-        r.push_trace_line("0.000000 [demo] hello");
+        r.obs_mut().1.push("0.000000 [demo] hello".to_owned());
 
         let text = r.to_text();
         assert!(text.starts_with("[demo] Demo experiment (Fig. 0) [seed 7]\n"));
@@ -606,7 +588,6 @@ mod tests {
         // Telemetry carriage is diagnostics too: attachable, readable,
         // absent from every canonical rendering.
         r.timeseries_mut().record_point("obs.sample.demo", spamward_sim::SimTime::from_secs(60), 4);
-        r.timeline_mut().merge(&spamward_obs::Timeline::new());
         r.timeline_mut().record_event(
             "timeline.emit",
             spamward_sim::SimTime::ZERO,
@@ -644,14 +625,8 @@ mod tests {
         assert_eq!(default.scale, Scale::Paper);
         assert_eq!(default.event_budget, None);
         assert_eq!(default.shards, 0);
-        assert_eq!(default.telemetry, TelemetryConfig::default());
-        assert!(!default.telemetry.enabled(), "telemetry is opt-in");
-        assert!(TelemetryConfig { timeline: true, ..Default::default() }.enabled());
-        assert!(TelemetryConfig {
-            sample_interval: Some(DEFAULT_SAMPLE_INTERVAL),
-            timeline: false
-        }
-        .enabled());
+        assert!(!default.trace, "tracing is opt-in");
+        assert_eq!(default.sample_interval, None, "sampling is opt-in");
         assert_eq!(default.shard_workers(), 1, "unset shards mean serial execution");
         assert_eq!(HarnessConfig { shards: 4, ..Default::default() }.shard_workers(), 4);
         let forced = HarnessConfig { seed: Some(9), scale: Scale::Quick, ..Default::default() };

@@ -27,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod events;
 mod log;
 pub mod metrics;
 mod receive;
@@ -35,14 +36,16 @@ mod send;
 mod world;
 pub mod worldsim;
 
+pub use events::{AtExchanger, EventLog, WorldEvent};
 pub use log::{LogEvent, MtaLogEntry};
 pub use receive::{
-    CrashStats, DegradationMode, ReceiveStats, ReceivingMta, RecipientPolicy, StoredMessage,
+    CrashStats, CrashTransition, DegradationMode, ReceiveStats, ReceivingMta, RecipientPolicy,
+    StoredMessage,
 };
 pub use schedule::{MtaProfile, RetrySchedule};
 pub use send::{
     AttemptRecord, BounceReason, BounceReport, IpSelection, OutboundStatus, QueuedMessage,
     RetryPolicy, SendingMta,
 };
-pub use world::{AttemptReport, MailWorld, MxAttempt, MxStrategy};
+pub use world::{AttemptReport, ConnectFailure, MailWorld, MxAttempt, MxStrategy};
 pub use worldsim::{SenderActor, WorldSim};

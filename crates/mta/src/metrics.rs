@@ -54,7 +54,7 @@ pub const SEND_QUEUE_DEPTH: &str = "mta.send.queue_depth";
 pub const SEND_RETRY_SCHEDULE_SLOT: &str = "mta.send.retry.schedule_slot";
 /// Distribution of delivery delays (seconds from enqueue to delivery).
 pub const SEND_DELIVERY_DELAY_S: &str = "mta.send.delivery_delay_s";
-/// Trace events evicted (or discarded at capacity 0) by the world tracer.
+/// Events the world's event record dropped to its capacity bound.
 pub const WORLD_TRACE_DROPPED: &str = "mta.world.trace_dropped";
 
 /// Sessions an injected fault dropped after DATA.
@@ -257,7 +257,7 @@ pub fn collect_sender(mta: &SendingMta, reg: &mut Registry) {
 }
 
 /// Exports a whole [`MailWorld`]: every installed server, the network, the
-/// DNS authority and resolver, and tracer overflow.
+/// DNS authority and resolver, and event-record overflow.
 pub fn collect_world(world: &MailWorld, reg: &mut Registry) {
     for server in world.servers() {
         collect_receiver(server, reg);
@@ -274,7 +274,7 @@ pub fn collect_world(world: &MailWorld, reg: &mut Registry) {
         reg.record_counter(FAULT_SMTP_TARPIT, faults.stats.tarpitted);
         reg.record_counter(FAULT_BOUNDARY_EVENTS, world.fault_boundaries());
     }
-    reg.record_counter(WORLD_TRACE_DROPPED, world.trace.dropped());
+    reg.record_counter(WORLD_TRACE_DROPPED, world.events.dropped());
     collect_engine(world, reg);
 }
 

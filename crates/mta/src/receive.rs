@@ -88,10 +88,10 @@ pub struct CrashStats {
     pub entries_lost: u64,
 }
 
-/// One crash-lifecycle edge fired by [`ReceivingMta::poll_crash`] — the
-/// world records these on its trace and timeline.
+/// One crash-lifecycle edge a receiving MTA fired; the world records each
+/// in its event record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CrashTransition {
+pub enum CrashTransition {
     /// The server process died, losing its in-memory greylist database.
     Crashed {
         /// Live triplet entries in memory at the crash instant.

@@ -903,13 +903,12 @@ mod tests {
         assert_eq!(w.server(mx).unwrap().mailbox().len(), 1);
     }
 
-    #[test]
-    fn mid_session_crash_drop_treated_like_drop_after_data() {
+    /// A greylisting MX whose MTA crashes 300 ms in and restarts 60 s
+    /// later, with the RTT pinned so the crash instant lands inside the
+    /// first session's span (6 round trips = 600 ms).
+    fn crash_world(mut w: MailWorld) -> (MailWorld, Ipv4Addr) {
         use spamward_net::{FaultPlan, FaultProfile, LatencyModel, Network};
 
-        // Pin the RTT so the crash instant lands deterministically inside
-        // the first session's span (6 round trips = 600 ms).
-        let mut w = MailWorld::new(9);
         w.network =
             Network::new(9).with_latency(LatencyModel::Constant(SimDuration::from_millis(100)));
         let mx = Ipv4Addr::new(192, 0, 2, 10);
@@ -926,7 +925,12 @@ mod tests {
             9,
         );
         w.install_faults(&plan);
+        (w, mx)
+    }
 
+    #[test]
+    fn mid_session_crash_drop_treated_like_drop_after_data() {
+        let (mut w, mx) = crash_world(MailWorld::new(9));
         let policy = RetryPolicy { breaker_threshold: 1, ..RetryPolicy::resilient() };
         let mut s = sender(MtaProfile::postfix()).with_retry_policy(policy);
         submit_one(&mut s, SimTime::ZERO);
@@ -948,6 +952,55 @@ mod tests {
         assert_eq!((crash.crashes, crash.restarts), (1, 1));
         // t0 (cut mid-DATA), 300 s (greylisted first contact), 600 s (pass).
         assert_eq!(s.records().len(), 3);
+    }
+
+    #[test]
+    fn crash_lifecycle_renders_pinned_trace_and_timeline() {
+        let (mut w, _) = crash_world(MailWorld::new(9).with_tracing());
+        let policy = RetryPolicy { breaker_threshold: 1, ..RetryPolicy::resilient() };
+        let mut s = sender(MtaProfile::postfix()).with_retry_policy(policy);
+        submit_one(&mut s, SimTime::ZERO);
+        s.drain(SimTime::ZERO, &mut w);
+
+        // Cut by the crash at 300 ms, the MTA back at 60.3 s, the retry
+        // deferred at 300 s and passed at 600 s.
+        let lines: Vec<String> = w.events.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "[t+0us] dns.mx: foo.net: 1 exchanger(s)",
+                "[t+0us] net.fault: mail.foo.net (192.0.2.10): session dropped by crash at t+300000us",
+                "[t+300000us] net.fault: fault window boundary",
+                "[t+300000us] net.fault: mail.foo.net: crashed; 0 greylist entries in memory",
+                "[t+1m00s] net.fault: fault window boundary",
+                "[t+1m00s] net.fault: mail.foo.net: restarted; restored 0 from checkpoint, replayed 0 wal records (0 torn), lost 0",
+                "[t+5m00s] dns.mx: foo.net: 1 exchanger(s)",
+                "[t+5m00s] smtp.outcome: [198.51.100.1] <a@relay.example> -> u@foo.net via mail.foo.net: deferred with 450 at rcpt-to",
+                "[t+10m00s] dns.mx: foo.net: 1 exchanger(s)",
+                "[t+10m00s] smtp.outcome: [198.51.100.1] <a@relay.example> -> u@foo.net via mail.foo.net: delivered to 1 rcpt(s) (0 deferred, 0 rejected)",
+            ]
+        );
+        assert_eq!(
+            w.events.timeline("").to_chrome_trace(),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\
+            {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"[198.51.100.1] <a@relay.example> -> u@foo.net\"}},\
+            {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":2,\"args\":{\"name\":\"mail.foo.net\"}},\
+            {\"name\":\"timeline.connect\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":0,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"mail.foo.net (192.0.2.10)\"}},\
+            {\"name\":\"timeline.dns\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":0,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"foo.net: 1 exchanger(s)\"}},\
+            {\"name\":\"timeline.emit\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":0,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"first attempt\"}},\
+            {\"name\":\"timeline.mta.crash\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":0,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"session dropped by crash at t+300000us\"}},\
+            {\"name\":\"timeline.mta.crash\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":300000,\"pid\":1,\"tid\":2,\"s\":\"t\",\"args\":{\"detail\":\"crashed; 0 greylist entries in memory\"}},\
+            {\"name\":\"timeline.mta.restart\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":60300000,\"pid\":1,\"tid\":2,\"s\":\"t\",\"args\":{\"detail\":\"restarted; restored 0 from checkpoint, replayed 0 wal records (0 torn), lost 0\"}},\
+            {\"name\":\"timeline.connect\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":300000000,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"mail.foo.net (192.0.2.10)\"}},\
+            {\"name\":\"timeline.dns\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":300000000,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"foo.net: 1 exchanger(s)\"}},\
+            {\"name\":\"timeline.greylist.defer\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":300000000,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"deferred with 450 at rcpt-to\"}},\
+            {\"name\":\"timeline.retry\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":300000000,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"attempt 2\"}},\
+            {\"name\":\"timeline.connect\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":600000000,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"mail.foo.net (192.0.2.10)\"}},\
+            {\"name\":\"timeline.deliver\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":600000000,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"delivered to 1 rcpt(s) (0 deferred, 0 rejected)\"}},\
+            {\"name\":\"timeline.dns\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":600000000,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"foo.net: 1 exchanger(s)\"}},\
+            {\"name\":\"timeline.greylist.pass\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":600000000,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"accepted after defer\"}},\
+            {\"name\":\"timeline.retry\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":600000000,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"attempt 3\"}}]}"
+        );
     }
 
     #[test]

@@ -1,23 +1,22 @@
 //! The glue tying DNS, the network and receiving servers into one world.
 
+use crate::events::{AtExchanger, EventLog, WorldEvent};
 use crate::metrics::{
     SAMPLE_ENGINE_EVENTS, SAMPLE_ENGINE_QUEUE_HIGH_WATER, SAMPLE_GREYLIST_DEFERRED,
     SAMPLE_GREYLIST_PASSED, SAMPLE_RECV_ACCEPTED, SAMPLE_RECV_MAILBOX, SAMPLE_STORE_BYTES,
-    SAMPLE_STORE_SIZE, TL_CONNECT, TL_DELIVER, TL_DNS, TL_EMIT, TL_GREYLIST_DEFER,
-    TL_GREYLIST_PASS, TL_MTA_CRASH, TL_MTA_RESTART, TL_REJECT, TL_RETRY, TRACE_DNS_FAIL,
-    TRACE_DNS_MX, TRACE_FAULT, TRACE_NET_FAIL, TRACE_SMTP_OUTCOME,
+    SAMPLE_STORE_SIZE,
 };
-use crate::receive::{CrashTransition, ReceivingMta};
+use crate::receive::ReceivingMta;
 use spamward_dns::{Authority, DomainName, MxHost, ResolveError, Resolver};
 use spamward_net::faults::TARPIT_HOLD;
-use spamward_net::{FaultPlan, Network, SmtpAbortKind, SmtpFaults, SMTP_PORT};
-use spamward_obs::{TimeSeries, Timeline};
-use spamward_sim::trace::Tracer;
+use spamward_net::{ConnectError, FaultPlan, Network, SmtpAbortKind, SmtpFaults, SMTP_PORT};
+use spamward_obs::TimeSeries;
 use spamward_sim::{DetRng, EngineStats, SimDuration, SimTime};
 use spamward_smtp::{
     exchange, ClientSession, DeliveryOutcome, Dialect, Envelope, Message, ServerSession,
 };
 use std::collections::BTreeMap;
+use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Which MX records a sender targets — the paper's four-way bot taxonomy
@@ -66,8 +65,29 @@ pub struct MxAttempt {
     pub preference_rank: usize,
     /// Its resolved address (None = dangling MX, skipped).
     pub ip: Option<Ipv4Addr>,
-    /// The connection error, or `None` if the SMTP session ran.
-    pub connect_error: Option<String>,
+    /// Why no SMTP session ran, or `None` if one did.
+    pub connect_error: Option<ConnectFailure>,
+}
+
+/// Why an exchanger yielded no SMTP session.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConnectFailure {
+    /// The MX name has no address (a dangling MX, skipped).
+    NoARecord,
+    /// The network refused, dropped or could not route the connection.
+    Network(ConnectError),
+    /// The host answered TCP but its MTA was down (crashed).
+    MtaDown,
+}
+
+impl fmt::Display for ConnectFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConnectFailure::NoARecord => f.write_str("no A record"),
+            ConnectFailure::Network(err) => write!(f, "{err}"),
+            ConnectFailure::MtaDown => f.write_str("connection refused (mta down)"),
+        }
+    }
 }
 
 /// The full report of one delivery attempt.
@@ -149,10 +169,10 @@ pub struct MailWorld {
     pub resolver: Resolver,
     /// Scan/availability epoch (bump to re-roll flaky hosts).
     pub epoch: u64,
-    /// Structured trace of delivery activity (disabled by default; enable
-    /// with [`MailWorld::with_tracing`] to explain *why* a run produced
-    /// its numbers).
-    pub trace: Tracer,
+    /// Typed record of delivery activity, read as trace lines or timeline
+    /// tracks to explain *why* a run produced its numbers (off unless
+    /// [`MailWorld::with_tracing`] enabled it).
+    pub events: EventLog,
     /// Accounting for every engine episode run against this world (see
     /// [`crate::worldsim::WorldSim`]).
     pub engine_stats: EngineStats,
@@ -164,9 +184,6 @@ pub struct MailWorld {
     /// actor on every tick (empty unless [`MailWorld::with_sampling`]
     /// enabled sampling).
     pub samples: TimeSeries,
-    /// Flight-recorder timeline of message lifecycles (disabled by
-    /// default; enable with [`MailWorld::with_timeline`]).
-    pub timeline: Timeline,
     servers: BTreeMap<Ipv4Addr, ReceivingMta>,
     smtp_faults: Option<SmtpFaults>,
     fault_edges: Vec<SimTime>,
@@ -174,10 +191,6 @@ pub struct MailWorld {
     sample_interval: Option<SimDuration>,
     maintenance_interval: Option<SimDuration>,
     checkpoint_interval: Option<SimDuration>,
-    timeline_scope: String,
-    /// Per-track (attempts so far, saw a defer) lifecycle state backing
-    /// the timeline's emit/retry and defer/pass distinction.
-    timeline_state: BTreeMap<String, (u32, bool)>,
     rng: DetRng,
 }
 
@@ -189,11 +202,10 @@ impl MailWorld {
             dns: Authority::new(),
             resolver: Resolver::new(),
             epoch: 0,
-            trace: Tracer::disabled(),
+            events: EventLog::default(),
             engine_stats: EngineStats::default(),
             event_budget: None,
             samples: TimeSeries::new(),
-            timeline: Timeline::disabled(),
             servers: BTreeMap::new(),
             smtp_faults: None,
             fault_edges: Vec::new(),
@@ -201,8 +213,6 @@ impl MailWorld {
             sample_interval: None,
             maintenance_interval: None,
             checkpoint_interval: None,
-            timeline_scope: String::new(),
-            timeline_state: BTreeMap::new(),
             rng: DetRng::seed(seed).fork("mailworld"),
         }
     }
@@ -249,7 +259,7 @@ impl MailWorld {
     /// like every other occurrence.
     pub fn note_fault_boundary(&mut self, now: SimTime) {
         self.fault_boundaries += 1;
-        self.trace.record(now, TRACE_FAULT, "fault window boundary");
+        self.events.record(now, || WorldEvent::FaultEdge);
         // Crash and restart edges are fault boundaries too: fire every
         // server's lifecycle transitions due at this instant, so restarts
         // (and their recovery) happen as engine events even on servers
@@ -266,48 +276,16 @@ impl MailWorld {
     }
 
     /// Advances one server's crash–restart lifecycle to `now` and records
-    /// the fired transitions on the trace and timeline. Idempotent — the
-    /// delivery path and the fault timer both poll, and each edge fires
-    /// once.
+    /// the fired transitions. Idempotent — the delivery path and the fault
+    /// timer both poll, and each edge fires once.
     fn advance_crash_lifecycle(&mut self, ip: Ipv4Addr, now: SimTime) {
         let Some(server) = self.servers.get_mut(&ip) else { return };
         if !server.has_crash_schedule() {
             return;
         }
-        let host = server.hostname().to_owned();
-        let fired = server.poll_crash(now);
-        for transition in fired {
-            match transition {
-                CrashTransition::Crashed { entries_in_memory } => {
-                    let what = format!("crashed; {entries_in_memory} greylist entries in memory");
-                    self.trace.record(now, TRACE_FAULT, format_args!("{host}: {what}"));
-                    if self.timeline.is_enabled() {
-                        let track = self.crash_track(&host);
-                        self.timeline.record_event(TL_MTA_CRASH, now, &track, what);
-                    }
-                }
-                CrashTransition::Restarted { restored, replayed, torn, lost } => {
-                    let what = format!(
-                        "restarted; restored {restored} from checkpoint, \
-                         replayed {replayed} wal records ({torn} torn), lost {lost}"
-                    );
-                    self.trace.record(now, TRACE_FAULT, format_args!("{host}: {what}"));
-                    if self.timeline.is_enabled() {
-                        let track = self.crash_track(&host);
-                        self.timeline.record_event(TL_MTA_RESTART, now, &track, what);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The timeline track crash-lifecycle events land on: the hostname,
-    /// under the world's scope when one is set.
-    fn crash_track(&self, host: &str) -> String {
-        if self.timeline_scope.is_empty() {
-            host.to_owned()
-        } else {
-            format!("{}/{host}", self.timeline_scope)
+        for transition in server.poll_crash(now) {
+            let host = server.hostname();
+            self.events.record(now, || WorldEvent::Crash { host: host.to_owned(), transition });
         }
     }
 
@@ -316,10 +294,10 @@ impl MailWorld {
         self.fault_boundaries
     }
 
-    /// Enables delivery tracing (bounded recorder; see
-    /// [`spamward_sim::trace`]).
+    /// Enables the world's event record (bounded; see [`EventLog`]),
+    /// behind both trace lines and timeline tracks.
     pub fn with_tracing(mut self) -> Self {
-        self.trace = Tracer::new();
+        self.events = EventLog::enabled();
         self
     }
 
@@ -330,22 +308,6 @@ impl MailWorld {
     /// virtual time.
     pub fn with_sampling(mut self, interval: SimDuration) -> Self {
         self.sample_interval = Some(interval);
-        self
-    }
-
-    /// Enables the message-lifecycle timeline (bounded flight recorder;
-    /// see [`spamward_obs::Timeline`]).
-    pub fn with_timeline(mut self) -> Self {
-        self.timeline = Timeline::new();
-        self
-    }
-
-    /// Enables the timeline with every track name prefixed `scope/` —
-    /// used by experiments that merge several worlds into one trace and
-    /// need their lifecycles kept apart.
-    pub fn with_timeline_scope(mut self, scope: &str) -> Self {
-        self.timeline = Timeline::new();
-        self.timeline_scope = scope.to_owned();
         self
     }
 
@@ -485,32 +447,23 @@ impl MailWorld {
         envelope: Envelope,
         message: Message,
     ) -> AttemptReport {
-        let timeline_track =
-            self.timeline.is_enabled().then(|| self.note_timeline_attempt(now, &envelope));
+        self.events.record(now, || WorldEvent::Attempt(envelope.clone()));
         // A slow-resolver fault charges its surcharge whether or not the
         // lookup succeeds; the sender pays it before anything else happens.
         let dns_extra = self.resolver.fault_extra_latency(now);
-        let mxs = match self.resolver.resolve_mx(&mut self.dns, domain, now) {
+        let lookup = self.resolver.resolve_mx(&mut self.dns, domain, now);
+        self.events.record(now, || WorldEvent::MxLookup {
+            domain: domain.clone(),
+            result: lookup.as_ref().map(Vec::len).map_err(|e| *e),
+        });
+        let mxs = match lookup {
             Ok(mxs) => mxs,
             Err(e) => {
-                self.trace.record(now, TRACE_DNS_FAIL, format_args!("{domain}: {e}"));
-                if let Some(track) = &timeline_track {
-                    self.timeline.record_event(TL_DNS, now, track, format!("{domain}: {e}"));
-                }
                 let mut report = AttemptReport::resolve_failed(e, envelope.recipients());
                 report.time_spent = dns_extra;
                 return report;
             }
         };
-        self.trace.record(now, TRACE_DNS_MX, format_args!("{domain}: {} exchanger(s)", mxs.len()));
-        if let Some(track) = &timeline_track {
-            self.timeline.record_event(
-                TL_DNS,
-                now,
-                track,
-                format!("{domain}: {} exchanger(s)", mxs.len()),
-            );
-        }
         // Receiving servers reverse-resolve the connecting client once per
         // session; name-based whitelists depend on it.
         let client_rdns: Option<String> =
@@ -528,24 +481,24 @@ impl MailWorld {
                     mx: cand.name.clone(),
                     preference_rank,
                     ip: None,
-                    connect_error: Some("no A record".into()),
+                    connect_error: Some(ConnectFailure::NoARecord),
                 });
                 continue;
+            };
+            let note = |events: &mut EventLog, what: AtExchanger| {
+                events.record(now, || WorldEvent::Exchanger { mx: cand.name.clone(), ip, what });
             };
             match self.network.connect_at(ip, SMTP_PORT, self.epoch, now) {
                 Err(err) => {
                     let rtt = SimDuration::from_millis(100);
                     time_spent += err.client_cost(rtt);
-                    self.trace.record(
-                        now,
-                        TRACE_NET_FAIL,
-                        format_args!("{} ({ip}): {err}", cand.name),
-                    );
+                    let failure = ConnectFailure::Network(err);
+                    note(&mut self.events, AtExchanger::ConnectFailed(failure));
                     trail.push(MxAttempt {
                         mx: cand.name.clone(),
                         preference_rank,
                         ip: Some(ip),
-                        connect_error: Some(err.to_string()),
+                        connect_error: Some(failure),
                     });
                     // Fail fast on RST, slow on filtered — either way, an
                     // RFC-compliant sender moves to the next exchanger.
@@ -566,16 +519,12 @@ impl MailWorld {
                         if let Some(server) = self.servers.get_mut(&ip) {
                             server.note_refused_connection();
                         }
-                        self.trace.record(
-                            now,
-                            TRACE_FAULT,
-                            format_args!("{} ({ip}): connection refused (mta down)", cand.name),
-                        );
+                        note(&mut self.events, AtExchanger::ConnectFailed(ConnectFailure::MtaDown));
                         trail.push(MxAttempt {
                             mx: cand.name.clone(),
                             preference_rank,
                             ip: Some(ip),
-                            connect_error: Some("connection refused (mta down)".into()),
+                            connect_error: Some(ConnectFailure::MtaDown),
                         });
                         continue;
                     }
@@ -585,39 +534,23 @@ impl MailWorld {
                         ip: Some(ip),
                         connect_error: None,
                     });
-                    if let Some(track) = &timeline_track {
-                        self.timeline.record_event(
-                            TL_CONNECT,
-                            now,
-                            track,
-                            format!("{} ({ip})", cand.name),
-                        );
-                    }
+                    note(&mut self.events, AtExchanger::Connected);
                     // An injected mid-session abort kills the session after
                     // the handshake: the client pays the flavour's cost and
                     // sees a transient failure; nothing is stored.
                     if let Some(faults) = &mut self.smtp_faults {
                         if let Some(kind) = faults.abort(ip, now) {
-                            let (label, cost) = match kind {
+                            time_spent += match kind {
                                 // One round trip: greeting, 421, close.
-                                SmtpAbortKind::Shutdown421 => {
-                                    ("421 service shutting down", conn.rtt)
-                                }
+                                SmtpAbortKind::Shutdown421 => conn.rtt,
                                 // The dialogue ran up through DATA before
                                 // the carpet was pulled: about six exchanges.
-                                SmtpAbortKind::DropAfterData => {
-                                    ("connection dropped after DATA", conn.rtt * 6)
-                                }
+                                SmtpAbortKind::DropAfterData => conn.rtt * 6,
                                 // The client hangs on a silent server until
                                 // its own patience runs out.
-                                SmtpAbortKind::Tarpit => ("tarpitted", TARPIT_HOLD + conn.rtt),
+                                SmtpAbortKind::Tarpit => TARPIT_HOLD + conn.rtt,
                             };
-                            time_spent += cost;
-                            self.trace.record(
-                                now,
-                                TRACE_FAULT,
-                                format_args!("{} ({ip}): {label}", cand.name),
-                            );
+                            note(&mut self.events, AtExchanger::Aborted(kind));
                             let outcome =
                                 DeliveryOutcome::connect_failed(envelope.recipients(), true);
                             return AttemptReport { outcome, mx_trail: trail, time_spent };
@@ -638,15 +571,7 @@ impl MailWorld {
                         if let Some(server) = self.servers.get_mut(&ip) {
                             server.note_session_dropped();
                         }
-                        let what = format!("session dropped by crash at {crash_at}");
-                        self.trace.record(
-                            now,
-                            TRACE_FAULT,
-                            format_args!("{} ({ip}): {what}", cand.name),
-                        );
-                        if let Some(track) = &timeline_track {
-                            self.timeline.record_event(TL_MTA_CRASH, now, track, what);
-                        }
+                        note(&mut self.events, AtExchanger::CrashCut(crash_at));
                         let outcome = DeliveryOutcome::connect_failed(envelope.recipients(), true);
                         return AttemptReport { outcome, mx_trail: trail, time_spent };
                     }
@@ -667,14 +592,11 @@ impl MailWorld {
                     server_mta.absorb_smtp(session.metrics());
                     // Rough time accounting: one RTT per protocol exchange.
                     time_spent += conn.rtt * (transcript.len() as u64);
-                    self.trace.record(
-                        now,
-                        TRACE_SMTP_OUTCOME,
-                        format_args!("{} via {}: {}", client.envelope(), cand.name, outcome),
-                    );
-                    if let Some(track) = &timeline_track {
-                        self.note_timeline_outcome(now, track, &outcome);
-                    }
+                    self.events.record(now, || WorldEvent::Session {
+                        envelope: client.envelope().clone(),
+                        mx: cand.name.clone(),
+                        outcome: outcome.clone(),
+                    });
                     return AttemptReport { outcome, mx_trail: trail, time_spent };
                 }
             }
@@ -685,51 +607,6 @@ impl MailWorld {
             outcome: DeliveryOutcome::connect_failed(envelope.recipients(), true),
             mx_trail: trail,
             time_spent,
-        }
-    }
-
-    /// Opens (or extends) the lifecycle track for `envelope`: the first
-    /// attempt is the campaign *emit*, every later one a *retry*. Returns
-    /// the track name for this attempt's remaining events.
-    fn note_timeline_attempt(&mut self, now: SimTime, envelope: &Envelope) -> String {
-        let track = if self.timeline_scope.is_empty() {
-            envelope.to_string()
-        } else {
-            format!("{}/{envelope}", self.timeline_scope)
-        };
-        let state = self.timeline_state.entry(track.clone()).or_insert((0, false));
-        state.0 += 1;
-        let attempt = state.0;
-        if attempt == 1 {
-            self.timeline.record_event(TL_EMIT, now, &track, "first attempt".to_owned());
-        } else {
-            self.timeline.record_event(TL_RETRY, now, &track, format!("attempt {attempt}"));
-        }
-        track
-    }
-
-    /// Records the SMTP outcome of an attempt on its track: a session-level
-    /// tempfail is the greylist *defer* decision, a delivery after an
-    /// earlier defer is the *pass*, anything else permanent a reject.
-    fn note_timeline_outcome(&mut self, now: SimTime, track: &str, outcome: &DeliveryOutcome) {
-        if outcome.is_delivered() {
-            let deferred = self.timeline_state.get(track).is_some_and(|s| s.1);
-            if deferred {
-                self.timeline.record_event(
-                    TL_GREYLIST_PASS,
-                    now,
-                    track,
-                    "accepted after defer".to_owned(),
-                );
-            }
-            self.timeline.record_event(TL_DELIVER, now, track, outcome.to_string());
-        } else if outcome.is_retryable() {
-            self.timeline.record_event(TL_GREYLIST_DEFER, now, track, outcome.to_string());
-            if let Some(state) = self.timeline_state.get_mut(track) {
-                state.1 = true;
-            }
-        } else {
-            self.timeline.record_event(TL_REJECT, now, track, outcome.to_string());
         }
     }
 }
@@ -911,7 +788,8 @@ mod tests {
             msg(),
         );
         assert!(report.outcome.is_delivered());
-        assert_eq!(report.mx_trail[0].connect_error.as_deref(), Some("no A record"));
+        assert_eq!(report.mx_trail[0].connect_error, Some(ConnectFailure::NoARecord));
+        assert_eq!(ConnectFailure::NoARecord.to_string(), "no A record");
     }
 
     #[test]
@@ -967,10 +845,11 @@ mod tests {
             env("u@foo.net"),
             msg(),
         );
-        assert_eq!(w.trace.count("dns.mx"), 1);
-        assert_eq!(w.trace.count("net.fail"), 1, "the dead primary must be traced");
-        assert_eq!(w.trace.count("smtp.outcome"), 1);
-        let story: Vec<String> = w.trace.events().map(|e| e.to_string()).collect();
+        let story: Vec<String> = w.events.lines().collect();
+        let count = |category: &str| story.iter().filter(|l| l.contains(category)).count();
+        assert_eq!(count("] dns.mx: "), 1);
+        assert_eq!(count("] net.fail: "), 1, "the dead primary must be traced");
+        assert_eq!(count("] smtp.outcome: "), 1);
         assert!(story[1].contains("connection refused"), "{story:?}");
 
         // Untraced worlds stay silent and cost nothing.
@@ -985,7 +864,7 @@ mod tests {
             env("u@bar.org"),
             msg(),
         );
-        assert_eq!(quiet.trace.events().len(), 0);
+        assert_eq!(quiet.events.lines().count(), 0);
     }
 
     #[test]
@@ -1033,7 +912,7 @@ mod tests {
 
     #[test]
     fn timeline_records_the_greylist_lifecycle() {
-        let mut w = MailWorld::new(2).with_timeline_scope("greylist");
+        let mut w = MailWorld::new(2).with_tracing();
         let ip = Ipv4Addr::new(192, 0, 2, 9);
         w.install_server(
             ReceivingMta::new("mail.bar.org", ip).with_greylist(Greylist::new(
@@ -1054,7 +933,8 @@ mod tests {
             );
         }
 
-        let names: Vec<&str> = w.timeline.events().map(|e| e.name.as_str()).collect();
+        let timeline = w.events.timeline("greylist");
+        let names: Vec<&str> = timeline.events().map(|e| e.name.as_str()).collect();
         assert_eq!(
             names,
             [
@@ -1070,10 +950,24 @@ mod tests {
             ],
             "full lifecycle of a greylist-deferred message"
         );
-        let tracks: Vec<&str> = w.timeline.events().map(|e| e.track.as_str()).collect();
+        let tracks: Vec<&str> = timeline.events().map(|e| e.track.as_str()).collect();
         assert!(tracks.iter().all(|t| t.starts_with("greylist/")), "{tracks:?}");
+        assert_eq!(
+            timeline.to_chrome_trace(),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\
+            {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"greylist/[203.0.113.9] <a@relay.example> -> u@bar.org\"}},\
+            {\"name\":\"timeline.connect\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":0,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"mail.bar.org (192.0.2.9)\"}},\
+            {\"name\":\"timeline.dns\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":0,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"bar.org: 1 exchanger(s)\"}},\
+            {\"name\":\"timeline.emit\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":0,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"first attempt\"}},\
+            {\"name\":\"timeline.greylist.defer\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":0,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"deferred with 450 at rcpt-to\"}},\
+            {\"name\":\"timeline.connect\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":600000000,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"mail.bar.org (192.0.2.9)\"}},\
+            {\"name\":\"timeline.deliver\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":600000000,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"delivered to 1 rcpt(s) (0 deferred, 0 rejected)\"}},\
+            {\"name\":\"timeline.dns\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":600000000,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"bar.org: 1 exchanger(s)\"}},\
+            {\"name\":\"timeline.greylist.pass\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":600000000,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"accepted after defer\"}},\
+            {\"name\":\"timeline.retry\",\"cat\":\"spamward\",\"ph\":\"i\",\"ts\":600000000,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"attempt 2\"}}]}"
+        );
 
-        // A world without the timeline records nothing and costs nothing.
+        // A world without tracing records nothing and costs nothing.
         let mut quiet = MailWorld::new(2);
         quiet.install_server(ReceivingMta::new("m.bar.org", Ipv4Addr::new(192, 0, 2, 9)));
         quiet.dns.publish(Zone::single_mx(domain("bar.org"), Ipv4Addr::new(192, 0, 2, 9)));
@@ -1085,7 +979,7 @@ mod tests {
             env("u@bar.org"),
             msg(),
         );
-        assert!(quiet.timeline.is_empty());
+        assert_eq!(quiet.events.lines().count(), 0);
         assert!(quiet.samples.is_empty());
     }
 

@@ -342,7 +342,7 @@ mod tests {
         world.install_faults(&plan);
         let mut mta = one_message_mta_at(edge);
         mta.drain(SimTime::ZERO, &mut world);
-        let lines: Vec<String> = world.trace.events().map(|e| e.to_string()).collect();
+        let lines: Vec<String> = world.events.lines().collect();
         let at_edge = |needle: &str| {
             lines
                 .iter()

@@ -21,8 +21,8 @@
 //!   of the reproducible output rather than noise.
 //! - **Time as data.** [`TimeSeries`] holds sampled counter/gauge points in
 //!   virtual time with an additive, order-insensitive merge (shard-width
-//!   invariant byte renderings), and [`Timeline`] is a bounded flight
-//!   recorder of message-lifecycle events exporting Chrome trace-event
+//!   invariant byte renderings), and [`Timeline`] lists
+//!   message-lifecycle events and exports them as Chrome trace-event
 //!   JSON. [`to_openmetrics`] renders any [`Registry`] in the OpenMetrics
 //!   exposition format for standard tooling.
 //!
@@ -65,5 +65,5 @@ pub use export::to_openmetrics;
 pub use metric::{Counter, Gauge, Histogram};
 pub use registry::{MetricValue, Registry};
 pub use span::{Span, SpanStats};
-pub use timeline::{Timeline, TimelineEvent, DEFAULT_TIMELINE_CAPACITY};
+pub use timeline::{Timeline, TimelineEvent};
 pub use timeseries::TimeSeries;

@@ -1,11 +1,10 @@
-//! Bounded flight-recorder timeline of causally-linked span events.
+//! Timeline of causally-linked span events, and its Chrome-trace renderer.
 //!
-//! A [`Timeline`] records the lifecycle of individual messages — campaign
+//! A [`Timeline`] holds the lifecycle of individual messages — campaign
 //! emit → DNS → connect → greylist decision → retry → delivery — as named
-//! instant events on per-message *tracks*, in virtual time. Like the
-//! trace recorder in `spamward_sim::trace` it is a bounded ring buffer
-//! (oldest events drop first, with a drop counter), so enabling it on a
-//! long campaign cannot grow without bound.
+//! instant events on per-message *tracks*, in virtual time. It is a plain
+//! list: whoever fills it bounds it (the mail world renders one from its
+//! bounded event record at export time).
 //!
 //! The export format is Chrome trace-event JSON (`to_chrome_trace`), the
 //! schema read by `chrome://tracing` and Perfetto: each track becomes a
@@ -17,11 +16,7 @@
 use crate::registry::json_str;
 use spamward_sim::SimTime;
 use std::collections::BTreeSet;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
-
-/// Default ring-buffer capacity of an enabled timeline.
-pub const DEFAULT_TIMELINE_CAPACITY: usize = 65_536;
 
 /// One recorded instant event on a timeline track.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,45 +32,21 @@ pub struct TimelineEvent {
     pub detail: String,
 }
 
-/// A bounded, deterministic ring buffer of [`TimelineEvent`]s.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A deterministic list of [`TimelineEvent`]s.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Timeline {
-    capacity: usize,
-    events: VecDeque<TimelineEvent>,
-    dropped: u64,
+    events: Vec<TimelineEvent>,
 }
 
 impl Timeline {
-    /// An enabled timeline with the default capacity.
+    /// An empty timeline.
     pub fn new() -> Self {
-        Timeline::with_capacity(DEFAULT_TIMELINE_CAPACITY)
+        Timeline::default()
     }
 
-    /// An enabled timeline holding at most `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Timeline { capacity, events: VecDeque::new(), dropped: 0 }
-    }
-
-    /// A disabled timeline: recording is a no-op and nothing allocates.
-    pub fn disabled() -> Self {
-        Timeline::with_capacity(0)
-    }
-
-    /// Whether this timeline records anything at all.
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// Records an instant event; the oldest event drops once full.
+    /// Appends an instant event.
     pub fn record_event(&mut self, name: &str, at: SimTime, track: &str, detail: String) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(TimelineEvent {
+        self.events.push(TimelineEvent {
             at,
             name: name.to_owned(),
             track: track.to_owned(),
@@ -83,25 +54,9 @@ impl Timeline {
         });
     }
 
-    /// Appends every event of `other` (oldest dropping as needed) and sums
-    /// drop counts. The capacity (and enabled state) of `self` is adopted
-    /// from `other` if `self` is disabled, so merging shard timelines into
-    /// a fresh accumulator keeps them.
+    /// Appends every event of `other`.
     pub fn merge(&mut self, other: &Timeline) {
-        if self.capacity < other.capacity {
-            self.capacity = other.capacity;
-        }
-        self.dropped += other.dropped;
-        for event in &other.events {
-            if self.capacity == 0 {
-                return;
-            }
-            if self.events.len() == self.capacity {
-                self.events.pop_front();
-                self.dropped += 1;
-            }
-            self.events.push_back(event.clone());
-        }
+        self.events.extend_from_slice(&other.events);
     }
 
     /// Recorded events, oldest first.
@@ -109,19 +64,14 @@ impl Timeline {
         self.events.iter()
     }
 
-    /// Number of buffered events.
+    /// Number of recorded events.
     pub fn len(&self) -> usize {
         self.events.len()
     }
 
-    /// Whether nothing is buffered.
+    /// Whether nothing is recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Events evicted by the ring bound since creation.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Renders Chrome trace-event JSON (the Perfetto / `chrome://tracing`
@@ -174,12 +124,6 @@ impl Timeline {
     }
 }
 
-impl Default for Timeline {
-    fn default() -> Self {
-        Timeline::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,26 +131,6 @@ mod tests {
 
     fn t(secs: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(secs)
-    }
-
-    #[test]
-    fn disabled_timeline_records_nothing() {
-        let mut tl = Timeline::disabled();
-        tl.record_event("timeline.emit", t(1), "msg-1", String::new());
-        assert!(!tl.is_enabled());
-        assert!(tl.is_empty());
-        assert_eq!(tl.dropped(), 0);
-    }
-
-    #[test]
-    fn ring_bound_drops_oldest() {
-        let mut tl = Timeline::with_capacity(2);
-        tl.record_event("timeline.emit", t(1), "msg-1", String::new());
-        tl.record_event("timeline.retry", t(2), "msg-1", String::new());
-        tl.record_event("timeline.deliver", t(3), "msg-1", String::new());
-        assert_eq!(tl.len(), 2);
-        assert_eq!(tl.dropped(), 1);
-        assert_eq!(tl.events().next().map(|e| e.name.as_str()), Some("timeline.retry"));
     }
 
     #[test]
@@ -239,7 +163,7 @@ mod tests {
              \"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\"first attempt\"}}]}"
         );
         assert_eq!(
-            Timeline::disabled().to_chrome_trace(),
+            Timeline::new().to_chrome_trace(),
             "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}"
         );
     }

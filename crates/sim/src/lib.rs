@@ -19,8 +19,6 @@
 //!   output is stable across platforms and `rand` versions; experiments fork
 //!   one named substream per concern so adding a new consumer never perturbs
 //!   existing draws.
-//! * [`trace`] — an optional bounded event recorder used by tests and by the
-//!   `repro` harness to explain *why* a run produced its numbers.
 //! * [`shard`] — a fixed, stable-hash partition of one seeded world into
 //!   independent shards ([`ShardPlan`]) plus the ordered worker-pool
 //!   executor ([`shard::run_partitioned`] / [`shard::run_sharded`]) that
@@ -49,7 +47,6 @@ mod event;
 mod rng;
 pub mod shard;
 mod time;
-pub mod trace;
 pub mod wall;
 
 pub use actor::{Actor, ActorSim, EngineStats, OutcomeTally, SampleClock, Wake};

@@ -109,14 +109,18 @@ pub fn serve_connection(
     }
 }
 
-/// Accepts and serves `connections` sessions on `listener`, sequentially.
+/// Accepts and serves `connections` sessions on `listener`, sequentially,
+/// and returns the sessions that finished without an I/O error.
 ///
 /// A tiny single-threaded driver for tests and demos; production servers
-/// would thread per connection around [`serve_connection`].
+/// would thread per connection around [`serve_connection`]. One client's
+/// I/O error (e.g. a command line that is not UTF-8) ends only its own
+/// session: it counts toward `connections`, is left out of the result,
+/// and the next client is served.
 ///
 /// # Errors
 ///
-/// Propagates accept/IO errors.
+/// Propagates accept errors.
 pub fn serve_count(
     listener: &TcpListener,
     hostname: &str,
@@ -127,7 +131,9 @@ pub fn serve_count(
     let mut sessions = Vec::with_capacity(connections);
     for _ in 0..connections {
         let (stream, _) = listener.accept()?;
-        sessions.push(serve_connection(stream, hostname, policy, clock)?);
+        if let Ok(session) = serve_connection(stream, hostname, policy, clock) {
+            sessions.push(session);
+        }
     }
     Ok(sessions)
 }
@@ -294,6 +300,39 @@ mod tests {
         assert!(!outcome.is_delivered());
         let sessions = server.join().expect("server must survive the rude client");
         assert!(sessions[0].accepted().is_empty());
+    }
+
+    #[test]
+    fn a_non_utf8_client_does_not_stop_the_server() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().unwrap();
+        let server = thread::spawn(move || {
+            let mut policy = AcceptAll;
+            let clock = WallClock::new();
+            serve_count(&listener, "mx.tcp.test", &mut policy, &clock, 2).expect("serve")
+        });
+
+        // The first client's MAIL FROM is not UTF-8, so the server's line
+        // read fails with InvalidData and that session ends.
+        let mut bad = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(bad.try_clone().expect("clone"));
+        read_reply(&mut reader).expect("banner");
+        bad.write_all(b"EHLO bad.example\r\n").expect("send EHLO");
+        read_reply(&mut reader).expect("EHLO reply");
+        bad.write_all(b"MAIL FROM:<a@\xff\xfe.example>\r\n").expect("send MAIL");
+        drop((bad, reader));
+
+        // The server keeps accepting: the next, compliant client delivers.
+        let client = ClientSession::new(
+            Dialect::compliant_mta("relay.example"),
+            envelope("user@tcp.test"),
+            message(),
+        );
+        let outcome = deliver_tcp(addr, client).expect("client io");
+        assert!(outcome.is_delivered(), "{outcome:?}");
+        let sessions = server.join().expect("server survives the bad client");
+        assert_eq!(sessions.len(), 1, "only the clean session is returned");
+        assert_eq!(sessions[0].accepted().len(), 1);
     }
 
     #[test]

@@ -295,8 +295,8 @@ fn traced_delivery_story(seed: u64) -> String {
     }
 
     let mut story = String::new();
-    for event in world.trace.events() {
-        story.push_str(&event.to_string());
+    for line in world.events.lines() {
+        story.push_str(&line);
         story.push('\n');
     }
     story

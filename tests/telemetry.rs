@@ -8,20 +8,16 @@
 //! lifecycle (emit → defer → retry → pass → deliver) is visible on one
 //! track.
 
-use spamward::core::harness::{
-    self, HarnessConfig, Scale, TelemetryConfig, DEFAULT_SAMPLE_INTERVAL,
-};
+use spamward::core::harness::{self, HarnessConfig, Scale, DEFAULT_SAMPLE_INTERVAL};
 
-/// A quick-scale run with both telemetry captures on.
+/// A quick-scale run with sampling and tracing (behind the timeline) on.
 fn run_telemetry(id: &str, shards: usize) -> harness::Report {
     let exp = harness::find(id).expect("experiment is registered");
     let config = HarnessConfig {
         scale: Scale::Quick,
         shards,
-        telemetry: TelemetryConfig {
-            sample_interval: Some(DEFAULT_SAMPLE_INTERVAL),
-            timeline: true,
-        },
+        trace: true,
+        sample_interval: Some(DEFAULT_SAMPLE_INTERVAL),
         ..Default::default()
     };
     exp.run(&config).expect("quick-scale run completes")
