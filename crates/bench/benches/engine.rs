@@ -1,60 +1,13 @@
-//! Micro-benchmarks of the discrete-event engine — the single execution
-//! substrate every world-driven experiment now runs on. Baseline numbers
-//! are recorded in `crates/bench/BENCH_engine.json`; re-run with
+//! Micro-benchmark of the discrete-event engine, `ActorSim`'s wake-up
+//! queue — the single execution substrate every world-driven experiment
+//! runs on. Baseline numbers are recorded in
+//! `crates/bench/BENCH_engine.json`; re-run with
 //! `cargo bench -p spamward-bench --bench engine` after touching
-//! `crates/sim/src/event.rs` or `actor.rs`.
+//! `crates/sim/src/actor.rs`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // not protocol-path code
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use spamward_sim::{Actor, ActorSim, SimDuration, SimTime, Simulation, Wake};
-
-/// Drain throughput: how many scheduled events per second the engine
-/// executes once the queue is primed (the dominant cost of every
-/// world-driven experiment).
-fn bench_drain_throughput(c: &mut Criterion) {
-    const EVENTS: u64 = 10_000;
-    let mut g = c.benchmark_group("engine");
-    g.sample_size(20);
-    g.throughput(Throughput::Elements(EVENTS));
-    g.bench_function("drain_10k_events", |b| {
-        b.iter_batched(
-            || {
-                let mut sim = Simulation::new(0u64);
-                for i in 0..EVENTS {
-                    sim.schedule_at(SimTime::from_secs(i), |ctx| *ctx.state += 1);
-                }
-                sim
-            },
-            |mut sim| {
-                sim.run();
-                assert_eq!(*sim.state(), EVENTS);
-                sim
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-}
-
-/// Cost of one schedule + pop round-trip through the heap, including the
-/// FIFO tie-break bookkeeping — the per-event overhead an actor pays on
-/// top of its own work.
-fn bench_schedule_pop(c: &mut Criterion) {
-    let mut g = c.benchmark_group("engine");
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("schedule_pop_single", |b| {
-        b.iter_batched(
-            || Simulation::new(0u64),
-            |mut sim| {
-                sim.schedule_at(SimTime::ZERO, |ctx| *ctx.state += 1);
-                sim.run();
-                sim
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-}
+use spamward_sim::{Actor, ActorSim, SimDuration, SimTime, Wake};
 
 struct Countdown {
     remaining: u64,
@@ -75,8 +28,8 @@ impl Actor<u64> for Countdown {
     }
 }
 
-/// Actor wake-up overhead: the closure-trampoline + per-actor accounting
-/// the actor layer adds over raw scheduled events.
+/// Per-wake-up engine overhead: one heap pop and push plus the per-actor
+/// accounting, around an actor that does almost nothing.
 fn bench_actor_wakeups(c: &mut Criterion) {
     const WAKEUPS: u64 = 10_000;
     let mut g = c.benchmark_group("engine");
@@ -100,5 +53,5 @@ fn bench_actor_wakeups(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(engine, bench_drain_throughput, bench_schedule_pop, bench_actor_wakeups);
+criterion_group!(engine, bench_actor_wakeups);
 criterion_main!(engine);

@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the observability layer: the registry recorders,
-//! histogram observation, span enter/exit, registry merging, and — the
-//! budget the layer is held to — a fully instrumented SMTP exchange next
-//! to the bare protocol work it wraps. The instrumentation contract is
+//! histogram observation, registry merging, and — the budget the layer is
+//! held to — a fully instrumented SMTP exchange next to the bare protocol
+//! work it wraps. The instrumentation contract is
 //! that collecting a session into a registry costs well under 5% of the
 //! wire exchange it measures; compare `smtp_obs/bare_exchange` with
 //! `smtp_obs/exchange_plus_collect` in the Criterion output to check it.
@@ -10,8 +10,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use spamward_dns::DomainName;
 use spamward_mta::{AtExchanger, EventLog, WorldEvent};
-use spamward_obs::{to_openmetrics, Histogram, Registry, Span, SpanStats, TimeSeries};
-use spamward_sim::{SimDuration, SimTime};
+use spamward_obs::{to_openmetrics, Histogram, Registry, TimeSeries};
+use spamward_sim::SimTime;
 use spamward_smtp::{
     exchange, AcceptAll, ClientSession, Dialect, Envelope, Message, ReversePath, ServerSession,
 };
@@ -22,7 +22,6 @@ use std::net::Ipv4Addr;
 const BENCH_COUNTER: &str = "obs.bench.counter";
 const BENCH_GAUGE: &str = "obs.bench.gauge";
 const BENCH_HISTOGRAM: &str = "obs.bench.histogram";
-const BENCH_SPAN: &str = "obs.bench.span";
 const BENCH_SERIES: &str = "obs.bench.series";
 
 fn bench_registry_primitives(c: &mut Criterion) {
@@ -55,25 +54,6 @@ fn bench_registry_primitives(c: &mut Criterion) {
         }
         let mut reg = Registry::new();
         b.iter(|| reg.record_histogram(BENCH_HISTOGRAM, &h));
-    });
-
-    g.bench_function("span_enter_exit", |b| {
-        let mut stats = SpanStats::default();
-        let mut now = SimTime::ZERO;
-        b.iter(|| {
-            let span = Span::enter(now);
-            now += SimDuration::from_micros(3);
-            stats.exit(span, now);
-        });
-    });
-
-    g.bench_function("span_stats_record", |b| {
-        let mut stats = SpanStats::default();
-        for i in 0..64 {
-            stats.record(SimDuration::from_micros(i));
-        }
-        let mut reg = Registry::new();
-        b.iter(|| reg.record_span(BENCH_SPAN, &stats));
     });
 
     g.bench_function("registry_merge_32_entries", |b| {

@@ -112,7 +112,7 @@ impl AdaptiveBot {
                     continue;
                 }
             };
-            let chain = ChainActor {
+            let mut chain = ChainActor {
                 name: crate::metrics::ACTOR_BOTNET_ADAPTIVE,
                 hosts: self.hosts.clone(),
                 host_cursor,
@@ -131,7 +131,7 @@ impl AdaptiveBot {
                 mx_rank_attempts: Vec::new(),
                 delivered: false,
             };
-            let (chain, _outcome, _end) = WorldSim::episode(world, chain, start, Some(horizon));
+            WorldSim::episode(world, &mut chain, start, Some(horizon));
             host_cursor = chain.host_cursor;
             report.attempts.extend(chain.attempts);
             if chain.delivered {

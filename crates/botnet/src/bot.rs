@@ -207,7 +207,7 @@ impl BotSample {
                     continue;
                 }
             };
-            let chain = ChainActor {
+            let mut chain = ChainActor {
                 name: crate::metrics::ACTOR_BOTNET_CHAIN,
                 hosts: vec![self.ip],
                 host_cursor: 0,
@@ -226,7 +226,7 @@ impl BotSample {
                 mx_rank_attempts: Vec::new(),
                 delivered: false,
             };
-            let (chain, _outcome, _end) = WorldSim::episode(world, chain, start, Some(horizon));
+            WorldSim::episode(world, &mut chain, start, Some(horizon));
             for (rank, n) in chain.mx_rank_attempts.iter().enumerate() {
                 if report.mx_rank_attempts.len() <= rank {
                     report.mx_rank_attempts.resize(rank + 1, 0);

@@ -284,8 +284,7 @@ pub fn store_cap_ablation(seed: u64, capacity: usize, spam_triplets: usize) -> S
     }
 
     // Benign retry at its scheduled 5-minute mark.
-    let end = sender.drain(SimTime::ZERO, &mut world);
-    let _ = end;
+    sender.drain(SimTime::ZERO, &mut world);
     let benign_delivered = sender.queue()[0].status == OutboundStatus::Delivered;
     let evictions = world
         .server(VICTIM_MX_IP)

@@ -23,7 +23,7 @@ use crate::experiments::worlds::{self, VICTIM_DOMAIN, VICTIM_MX_IP};
 use crate::harness::{Experiment, HarnessConfig, HarnessError, Report, Scale};
 use spamward_analysis::{fmt_min_sec, Table};
 use spamward_greylist::{Greylist, GreylistConfig, KeyPolicy, RemoteStore, StoreBackend};
-use spamward_mta::{DegradationMode, OutboundStatus, SenderActor, SendingMta, WorldSim};
+use spamward_mta::{DegradationMode, OutboundStatus, SendingMta, WorldSim};
 use spamward_net::{FaultPlan, FaultProfile};
 use spamward_obs::Registry;
 use spamward_sim::shard::run_partitioned;
@@ -291,13 +291,7 @@ fn run_cell(
         );
         // The horizon bounds the world's maintenance sweep; the installed
         // outage's edges fire in the same episode.
-        let (sender, _outcome, _end) = WorldSim::episode(
-            &mut world,
-            SenderActor::new(sender),
-            SimTime::ZERO,
-            Some(config.horizon),
-        );
-        let sender = sender.into_inner();
+        WorldSim::episode(&mut world, &mut sender, SimTime::ZERO, Some(config.horizon));
         spamward_mta::metrics::collect_sender(&sender, &mut metrics);
         let records = sender.records();
         attempts += records.len() as u64;

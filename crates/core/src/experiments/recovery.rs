@@ -31,8 +31,7 @@ use spamward_analysis::Table;
 use spamward_dns::{DomainName, Zone};
 use spamward_greylist::{DurabilityMode, Greylist, GreylistConfig};
 use spamward_mta::{
-    MailWorld, MtaProfile, OutboundStatus, ReceivingMta, RetryPolicy, SenderActor, SendingMta,
-    WorldSim,
+    MailWorld, MtaProfile, OutboundStatus, ReceivingMta, RetryPolicy, SendingMta, WorldSim,
 };
 use spamward_net::{FaultPlan, FaultProfile};
 use spamward_obs::Registry;
@@ -437,19 +436,11 @@ fn run_cell(
     // All three senders and the world's fault timeline share one event
     // stream, so the crash edges are ordered against the attempts they
     // disturb (and serial vs --jobs runs see the identical sequence).
-    let cast = [regulars, edge, bot]
-        .into_iter()
-        .map(|mta| {
-            let first = mta.next_due().unwrap_or(SimTime::ZERO);
-            (SenderActor::new(mta), first)
-        })
-        .collect();
-    let (actors, _outcome, _end) =
-        WorldSim::episode_with(&mut world, cast, Some(at_min(HORIZON_MINS)));
-    let mut senders: Vec<SendingMta> = actors.into_iter().map(SenderActor::into_inner).collect();
-    let bot = senders.pop().expect("bot actor survives");
-    let edge = senders.pop().expect("edge actor survives");
-    let regulars = senders.pop().expect("regulars actor survives");
+    let cast = [&mut regulars, &mut edge, &mut bot].map(|mta| {
+        let first = mta.next_due().unwrap_or(SimTime::ZERO);
+        (mta, first)
+    });
+    WorldSim::episode_with(&mut world, cast, Some(at_min(HORIZON_MINS)));
 
     spamward_mta::metrics::collect_world(&world, reg);
     spamward_mta::metrics::collect_sender(&regulars, reg);

@@ -56,16 +56,17 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              (`TimeSeries::record_point`) and timeline event names \
              (`Timeline::record_event`) are the observability contract; each crate binds \
              them as constants in its `metrics.rs`/`obs.rs` module so the namespace stays \
-             greppable and typo-proof. A `Tracer::record` detail (its third argument) is \
-             never an eager `format!(..)`: the tracer renders its detail only when \
-             tracing is on, so pass `format_args!(..)` or a `&str` and a delivery with \
-             tracing off formats nothing."
+             greppable and typo-proof. Telemetry that is off costs nothing: the world's \
+             event record is `EventLog::record(at, || event)`, whose closure builds nothing \
+             while the log is off, and a `record(..)` detail (its third argument) is never \
+             an eager `format!(..)` — pass `format_args!(..)` or a `&str`, so a delivery \
+             with tracing off formats nothing."
         }
         "S1" => {
             "S1 — hand-rolled virtual-time ordering. A `BinaryHeap` in a file handling \
              `SimTime`, or a sort keyed on attempt/arrival/due timestamps, is a duplicate \
-             event queue; schedule through `spamward_sim::Simulation` (or an actor on top \
-             of it). Only crates/sim owns a time-ordered queue."
+             event queue; schedule through `spamward_sim::ActorSim` (an actor that \
+             returns its next wake-up). Only crates/sim owns a time-ordered queue."
         }
         "F1" => {
             "F1 — fault-injection literals outside the chaos catalog. Hard-coded fault \
@@ -150,7 +151,7 @@ const P1_SCOPE: &[&str] =
 const REPLY_MODULE: &str = "crates/smtp/src/reply.rs";
 
 /// Crates exempt from rule S1: the engine crate owns the one sanctioned
-/// time-ordered queue (`Simulation<S>`), and the lint crate's own sources
+/// time-ordered queue (`ActorSim`'s wake-ups), and the lint crate's own sources
 /// name the patterns it searches for.
 const S1_EXEMPT: &[&str] = &["crates/sim/", "crates/lint/"];
 
@@ -407,10 +408,12 @@ fn o1_exempt(rel_path: &str) -> bool {
 /// `metrics.rs`/`obs` module. Registry names and trace categories are the
 /// observability contract; binding them as constants in one module per
 /// crate keeps the namespace greppable and typo-proof. Registry recorders
-/// take the name as the first argument, `Tracer::record` takes the dotted
-/// category as the second. Its third argument, the detail, must not be an
-/// eager `format!`: the tracer renders the detail only when enabled, so an
-/// eager one is formatted for nothing whenever tracing is off.
+/// take the name as the first argument; a `record(..)` call that takes a
+/// dotted category takes it as the second. Telemetry that is off must
+/// cost nothing: the world's event record is `EventLog::record(at, ||
+/// event)`, whose closure builds nothing while the log is off, and a
+/// `record(..)` detail (its third argument) must not be an eager
+/// `format!`, which would be formatted for nothing whenever tracing is off.
 fn check_o1(rel_path: &str, source: &str, scanned: &ScannedFile, out: &mut Vec<Diagnostic>) {
     if o1_exempt(rel_path) {
         return;
@@ -495,13 +498,13 @@ fn is_eager_format(masked: &str, from: usize) -> bool {
     arg.starts_with("format!")
 }
 
-/// S1 — manual virtual-time ordering outside the engine crate. PR 4 made
-/// `Simulation<S>` the single execution substrate: anything that needs
-/// events in time order schedules them through the engine (or the actor
-/// layer on top of it). A `BinaryHeap` in a file that also handles
-/// [`SimTime`] is a hand-rolled event queue; a sort keyed on an
-/// attempt/arrival/due timestamp is a hand-rolled scheduler pass. Both
-/// reintroduce the duplicate delivery loops the engine migration deleted.
+/// S1 — manual virtual-time ordering outside the engine crate. `ActorSim`
+/// is the single execution substrate: anything that needs events in time
+/// order schedules them through the engine, as an actor that returns its
+/// next wake-up. A `BinaryHeap` in a file that also handles [`SimTime`] is
+/// a hand-rolled event queue; a sort keyed on an attempt/arrival/due
+/// timestamp is a hand-rolled scheduler pass. Both reintroduce the
+/// duplicate delivery loops the engine migration deleted.
 fn check_s1(rel_path: &str, source: &str, scanned: &ScannedFile, out: &mut Vec<Diagnostic>) {
     if S1_EXEMPT.iter().any(|p| rel_path.starts_with(p)) {
         return;
@@ -522,7 +525,7 @@ fn check_s1(rel_path: &str, source: &str, scanned: &ScannedFile, out: &mut Vec<D
                 "S1",
                 offset,
                 "`BinaryHeap` in a file handling `SimTime` — a hand-rolled event queue; \
-                 schedule through `spamward_sim::Simulation` (or an actor) instead"
+                 schedule through `spamward_sim::ActorSim` (an actor) instead"
                     .to_string(),
             );
         }
@@ -546,7 +549,7 @@ fn check_s1(rel_path: &str, source: &str, scanned: &ScannedFile, out: &mut Vec<D
                     offset,
                     format!(
                         "`{}..)` keyed on a virtual-time field — sorting attempts by timestamp \
-                         is scheduling by hand; drive them through `spamward_sim::Simulation`",
+                         is scheduling by hand; drive them through `spamward_sim::ActorSim`",
                         pat.trim_start_matches('.').trim_end_matches('(')
                     ),
                 );

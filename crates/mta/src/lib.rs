@@ -48,4 +48,4 @@ pub use send::{
     RetryPolicy, SendingMta,
 };
 pub use world::{AttemptReport, ConnectFailure, MailWorld, MxAttempt, MxStrategy};
-pub use worldsim::{SenderActor, WorldSim};
+pub use worldsim::WorldSim;

@@ -118,7 +118,8 @@ pub const ENGINE_OUTCOME_DRAINED: &str = "sim.engine.outcome.drained";
 pub const ENGINE_OUTCOME_HORIZON: &str = "sim.engine.outcome.horizon_reached";
 /// Episodes cut short by an event budget — nonzero means truncated runs.
 pub const ENGINE_OUTCOME_BUDGET_EXHAUSTED: &str = "sim.engine.outcome.budget_exhausted";
-/// Episodes stopped early from inside an event.
+/// Episodes stopped early from inside an event: always zero, since the
+/// engine has no such stop.
 pub const ENGINE_OUTCOME_STOPPED: &str = "sim.engine.outcome.stopped";
 /// Per-shard engine event counts of sharded runs: `sim.engine.shard.`
 /// followed by the shard index and `.events`. Sharded experiments record
@@ -299,7 +300,8 @@ fn collect_engine(world: &MailWorld, reg: &mut Registry) {
     reg.record_counter(ENGINE_OUTCOME_DRAINED, stats.outcomes.drained);
     reg.record_counter(ENGINE_OUTCOME_HORIZON, stats.outcomes.horizon_reached);
     reg.record_counter(ENGINE_OUTCOME_BUDGET_EXHAUSTED, stats.outcomes.budget_exhausted);
-    reg.record_counter(ENGINE_OUTCOME_STOPPED, stats.outcomes.stopped);
+    // Always 0, as the engine has no early stop: repro-all.json pins the name.
+    reg.record_counter(ENGINE_OUTCOME_STOPPED, 0);
 }
 
 /// Exports one shard's engine event count under its

@@ -1,10 +1,11 @@
 //! The sending MTA: queue, retry schedule, IP-pool selection.
 
+use crate::metrics::{ACTOR_MTA_SEND, SAMPLE_BREAKER_TRIPS};
 use crate::schedule::MtaProfile;
 use crate::world::{MailWorld, MxStrategy};
-use crate::worldsim::{SenderActor, WorldSim};
+use crate::worldsim::WorldSim;
 use spamward_dns::DomainName;
-use spamward_sim::{DetRng, SimDuration, SimTime};
+use spamward_sim::{Actor, DetRng, SimDuration, SimTime, Wake};
 use spamward_smtp::{Dialect, EmailAddress, Envelope, Message, ReversePath};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -218,6 +219,8 @@ pub struct SendingMta {
     retry_policy: Option<RetryPolicy>,
     breakers: BTreeMap<String, Breaker>,
     breaker_trips: u64,
+    /// Breaker trips already recorded as a time-series point.
+    breaker_trips_sampled: u64,
     breaker_skipped: u64,
     backoffs_applied: u64,
     rng: DetRng,
@@ -245,6 +248,7 @@ impl SendingMta {
             retry_policy: None,
             breakers: BTreeMap::new(),
             breaker_trips: 0,
+            breaker_trips_sampled: 0,
             breaker_skipped: 0,
             backoffs_applied: 0,
             rng: DetRng::seed(0xB0B).fork("sending-mta"),
@@ -541,44 +545,44 @@ impl SendingMta {
         produced
     }
 
-    /// An inert placeholder that stands in for the MTA while [`drain`]
-    /// moves the real one into an engine episode; never sends.
-    ///
-    /// [`drain`]: SendingMta::drain
-    fn parked() -> Self {
-        SendingMta {
-            fqdn: String::new(),
-            dialect: Dialect::compliant_mta(""),
-            ip_pool: Vec::new(),
-            ip_selection: IpSelection::Fixed,
-            profile: MtaProfile::postfix(),
-            queue: Vec::new(),
-            records: Vec::new(),
-            bounces: Vec::new(),
-            next_id: 0,
-            rr_cursor: 0,
-            retry_policy: None,
-            breakers: BTreeMap::new(),
-            breaker_trips: 0,
-            breaker_skipped: 0,
-            backoffs_applied: 0,
-            rng: DetRng::seed(0).fork("parked"),
-        }
-    }
-
     /// Drives the queue to completion against `world` as one engine
-    /// episode ([`WorldSim::episode`]): the MTA becomes a
-    /// [`SenderActor`] whose retry schedule is a self-rescheduling
-    /// timer, alongside the world's own timers (an installed fault plan's
-    /// window edges included). Returns the time of the last attempt (or
-    /// `start` when the queue was already idle).
+    /// episode ([`WorldSim::episode`]): the MTA's retry schedule is a
+    /// self-rescheduling timer, alongside the world's own timers (an
+    /// installed fault plan's window edges included). Returns the time of
+    /// the last attempt this call made (or `start` when it made none).
     pub fn drain(&mut self, start: SimTime, world: &mut MailWorld) -> SimTime {
         let Some(due) = self.next_due() else { return start };
-        let mta = std::mem::replace(self, SendingMta::parked());
-        let (actor, _outcome, end) =
-            WorldSim::episode(world, SenderActor::new(mta), due.max(start), None);
-        *self = actor.into_inner();
-        end.max(start)
+        let made = self.records.len();
+        WorldSim::episode(world, self, due.max(start), None);
+        self.records[made..].last().map_or(start, |record| record.at)
+    }
+}
+
+/// The sending-MTA process: each wake-up runs every due delivery attempt,
+/// then sleeps until the queue's next retry — the MTA's retransmission
+/// schedule as a self-rescheduling timer.
+impl Actor<MailWorld> for SendingMta {
+    fn name(&self) -> &str {
+        ACTOR_MTA_SEND
+    }
+
+    fn wake(&mut self, now: SimTime, world: &mut MailWorld) -> Wake {
+        self.run_due(now, world);
+        // Breaker state lives in the sending MTA, out of the world
+        // sampler's reach — so a sampling world gets trip *increments*
+        // recorded here, at the virtual instant the wake-up tripped them.
+        if world.sample_interval().is_some() && self.retry_policy.is_some() {
+            let delta = self.breaker_trips - self.breaker_trips_sampled;
+            if delta > 0 {
+                world.samples.record_point(
+                    SAMPLE_BREAKER_TRIPS,
+                    now,
+                    i64::try_from(delta).unwrap_or(i64::MAX),
+                );
+            }
+            self.breaker_trips_sampled = self.breaker_trips;
+        }
+        self.next_due().map_or(Wake::Idle, Wake::At)
     }
 }
 
@@ -630,6 +634,30 @@ mod tests {
         assert_eq!(s.records()[1].since_enqueue, SimDuration::from_mins(5));
         assert_eq!(w.server(mx).unwrap().mailbox().len(), 1);
         assert_eq!(end, SimTime::ZERO + SimDuration::from_mins(5));
+    }
+
+    #[test]
+    fn drain_returns_the_last_attempt_not_the_last_fault_edge() {
+        use spamward_net::{FaultPlan, FaultProfile};
+
+        let mut w = MailWorld::new(9);
+        let mx = Ipv4Addr::new(192, 0, 2, 10);
+        w.install_server(ReceivingMta::new("mail.foo.net", mx));
+        w.dns.publish(Zone::single_mx(domain(), mx));
+        // A crash window on a host the world does not serve: its edges at
+        // 7 200 s and 7 260 s run in the episode but touch no delivery.
+        let crash = FaultProfile::crash_restart(
+            "elsewhere.example",
+            SimTime::from_secs(7_200),
+            SimDuration::from_secs(60),
+        );
+        w.install_faults(&FaultPlan::compile(&crash, 7));
+        let mut s = sender(MtaProfile::postfix());
+        submit_one(&mut s, SimTime::ZERO);
+        let end = s.drain(SimTime::ZERO, &mut w);
+        assert_eq!(w.server(mx).unwrap().mailbox().len(), 1);
+        assert_eq!(w.fault_boundaries(), 2);
+        assert_eq!(end, SimTime::ZERO, "delivered on the first attempt");
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Event-driven episodes over a [`MailWorld`].
 //!
-//! [`WorldSim`] is the bridge between the mail world and the engine's
-//! actor layer: it moves the world into an [`ActorSim`] for the duration
-//! of one *episode* — the caller's drivers (a sending MTA, a webmail
-//! outbound tier built by `spamward_webmail`, or a botnet delivery chain)
-//! running as self-rescheduling timers that call
-//! [`MailWorld::attempt_delivery`] from inside engine events — and moves
-//! it back out afterwards, folding the episode's [`EngineStats`] into
-//! [`MailWorld::engine_stats`].
+//! [`WorldSim`] is the bridge between the mail world and the engine: it
+//! runs one *episode* of an [`ActorSim`] over the caller's world, borrowed
+//! — the caller's drivers (a sending MTA, a webmail outbound tier built by
+//! `spamward_webmail`, or a botnet delivery chain), also borrowed, run as
+//! self-rescheduling timers that call [`MailWorld::attempt_delivery`] from
+//! inside engine events — and folds the episode's [`EngineStats`] into
+//! [`MailWorld::engine_stats`] afterwards.
 //!
 //! Beside the drivers, every episode runs the timers the *world* was
 //! configured with, so no caller has to remember them: the window edges
@@ -35,10 +34,7 @@
 //!
 //! [`EngineStats`]: spamward_sim::EngineStats
 
-use crate::metrics::{
-    ACTOR_CHECKPOINT, ACTOR_OBS_SAMPLE, ACTOR_STORE_MAINTAIN, SAMPLE_BREAKER_TRIPS, TRACE_FAULT,
-};
-use crate::send::SendingMta;
+use crate::metrics::{ACTOR_CHECKPOINT, ACTOR_OBS_SAMPLE, ACTOR_STORE_MAINTAIN, TRACE_FAULT};
 use crate::world::MailWorld;
 use spamward_sim::{Actor, ActorSim, RunOutcome, SampleClock, SimDuration, SimTime, Wake};
 
@@ -46,23 +42,20 @@ use spamward_sim::{Actor, ActorSim, RunOutcome, SampleClock, SimDuration, SimTim
 pub struct WorldSim;
 
 impl WorldSim {
-    /// Runs `actor` to completion (queue drained, `horizon` passed, or
+    /// Runs `driver` to completion (queue drained, `horizon` passed, or
     /// event budget exhausted) as one engine episode over `world`.
     ///
-    /// The actor's first wake-up fires at `first_wake`; every subsequent
-    /// one is whatever [`Wake`] the actor returns. Returns the actor (with
-    /// whatever results it accumulated), the episode's [`RunOutcome`], and
-    /// the final virtual clock.
-    pub fn episode<A: Actor<MailWorld> + 'static>(
+    /// The driver's first wake-up fires at `first_wake`; every subsequent
+    /// one is whatever [`Wake`] the driver returns. The driver keeps
+    /// whatever results it accumulated. Returns the episode's
+    /// [`RunOutcome`] and the final virtual clock.
+    pub fn episode<D: Actor<MailWorld>>(
         world: &mut MailWorld,
-        actor: A,
+        driver: &mut D,
         first_wake: SimTime,
         horizon: Option<SimTime>,
-    ) -> (A, RunOutcome, SimTime) {
-        let (mut actors, outcome, end) =
-            WorldSim::episode_with(world, vec![(actor, first_wake)], horizon);
-        // Exactly one actor was registered above.
-        (actors.swap_remove(0), outcome, end)
+    ) -> (RunOutcome, SimTime) {
+        WorldSim::episode_with(world, [(driver, first_wake)], horizon)
     }
 
     /// Runs several drivers of one type as a single engine episode.
@@ -76,43 +69,37 @@ impl WorldSim {
     /// perturb — which is what makes serial and `--jobs N` runs see
     /// identical fault sequences.
     ///
-    /// Returns the drivers (in registration order), the episode outcome,
-    /// and the final virtual clock.
-    pub fn episode_with<A: Actor<MailWorld> + 'static>(
+    /// Each episode gets a fresh engine whose clock starts at zero: a
+    /// clock kept across episodes would clamp a later episode's first
+    /// wake-ups to the earlier episode's end (botnet chains restart at the
+    /// campaign start). Returns the episode outcome and the final virtual
+    /// clock.
+    pub fn episode_with<'d, D: Actor<MailWorld> + 'd>(
         world: &mut MailWorld,
-        drivers: Vec<(A, SimTime)>,
+        drivers: impl IntoIterator<Item = (&'d mut D, SimTime)>,
         horizon: Option<SimTime>,
-    ) -> (Vec<A>, RunOutcome, SimTime) {
-        let owned = std::mem::replace(world, MailWorld::new(0));
-        let remaining = owned.event_budget.map(|t| t.saturating_sub(owned.engine_stats.events));
-        let timers = WorldTimer::for_episode(&owned, &drivers, horizon);
-        let mut sim = ActorSim::new(owned);
+    ) -> (RunOutcome, SimTime) {
+        let remaining = world.event_budget.map(|t| t.saturating_sub(world.engine_stats.events));
+        let mut sim = ActorSim::new(&mut *world);
         if let Some(h) = horizon {
             sim = sim.with_horizon(h);
         }
         if let Some(budget) = remaining {
             sim = sim.with_event_budget(budget);
         }
+        let mut first_driver: Option<SimTime> = None;
         for (driver, first_wake) in drivers {
+            first_driver = Some(first_driver.map_or(first_wake, |at| at.min(first_wake)));
             sim.add_actor(Cast::Driver(driver), first_wake);
         }
-        for (timer, first_wake) in timers {
+        for (timer, first_wake) in WorldTimer::for_episode(sim.state(), first_driver, horizon) {
             sim.add_actor(Cast::Timer(timer), first_wake);
         }
         let outcome = sim.run();
         let end = sim.now();
         let stats = sim.stats();
-        let (mut episode_world, cast) = sim.into_parts();
-        episode_world.engine_stats.merge(&stats);
-        *world = episode_world;
-        let drivers = cast
-            .into_iter()
-            .filter_map(|member| match member {
-                Cast::Driver(driver) => Some(driver),
-                Cast::Timer(_) => None,
-            })
-            .collect();
-        (drivers, outcome, end)
+        world.engine_stats.merge(&stats);
+        (outcome, end)
     }
 }
 
@@ -146,11 +133,11 @@ impl WorldTimer {
     /// that opted in: an unbounded episode has no last tick, and a world
     /// that never asked for them must run the exact same event stream as
     /// before (golden bytes depend on it). Their ticks land at
-    /// `first + k·interval`, `first` being the earliest first wake-up of
-    /// the drivers and the fault edges.
-    fn for_episode<A>(
+    /// `first + k·interval`, `first` being the earliest of the drivers'
+    /// first wake-up (`first_driver`) and the first fault edge.
+    fn for_episode(
         world: &MailWorld,
-        drivers: &[(A, SimTime)],
+        first_driver: Option<SimTime>,
         horizon: Option<SimTime>,
     ) -> Vec<(WorldTimer, SimTime)> {
         let first_edge = world.fault_edges().first().copied();
@@ -164,8 +151,7 @@ impl WorldTimer {
             timers.push((faults, at));
         }
         let Some(horizon) = horizon else { return timers };
-        let first =
-            drivers.iter().map(|(_, at)| *at).chain(first_edge).min().unwrap_or(SimTime::ZERO);
+        let first = first_driver.into_iter().chain(first_edge).min().unwrap_or(SimTime::ZERO);
         let periodic: [(&'static str, Option<SimDuration>, Tick); 3] = [
             (ACTOR_OBS_SAMPLE, world.sample_interval(), MailWorld::sample_telemetry),
             (ACTOR_STORE_MAINTAIN, world.maintenance_interval(), MailWorld::maintain_stores),
@@ -197,14 +183,14 @@ impl WorldTimer {
 }
 
 /// An episode's cast: [`ActorSim`] runs actors of one type, so the
-/// caller's drivers and the world's timers share the episode through this
-/// enum.
-enum Cast<A> {
-    Driver(A),
+/// caller's borrowed drivers and the world's timers share the episode
+/// through this enum.
+enum Cast<'d, D> {
+    Driver(&'d mut D),
     Timer(WorldTimer),
 }
 
-impl<A: Actor<MailWorld>> Actor<MailWorld> for Cast<A> {
+impl<D: Actor<MailWorld>> Actor<&mut MailWorld> for Cast<'_, D> {
     fn name(&self) -> &str {
         match self {
             Cast::Driver(driver) => driver.name(),
@@ -212,59 +198,10 @@ impl<A: Actor<MailWorld>> Actor<MailWorld> for Cast<A> {
         }
     }
 
-    fn wake(&mut self, now: SimTime, world: &mut MailWorld) -> Wake {
+    fn wake(&mut self, now: SimTime, world: &mut &mut MailWorld) -> Wake {
         match self {
             Cast::Driver(driver) => driver.wake(now, world),
             Cast::Timer(timer) => timer.wake(now, world),
-        }
-    }
-}
-
-/// The sending-MTA process: each wake-up runs every due delivery attempt,
-/// then sleeps until the queue's next retry — the MTA's retransmission
-/// schedule as a self-rescheduling timer.
-pub struct SenderActor {
-    mta: SendingMta,
-    breaker_trips_reported: u64,
-}
-
-impl SenderActor {
-    /// Wraps a sending MTA for an engine episode.
-    pub fn new(mta: SendingMta) -> Self {
-        SenderActor { mta, breaker_trips_reported: 0 }
-    }
-
-    /// Unwraps the MTA after the episode.
-    pub fn into_inner(self) -> SendingMta {
-        self.mta
-    }
-}
-
-impl Actor<MailWorld> for SenderActor {
-    fn name(&self) -> &str {
-        crate::metrics::ACTOR_MTA_SEND
-    }
-
-    fn wake(&mut self, now: SimTime, world: &mut MailWorld) -> Wake {
-        self.mta.run_due(now, world);
-        // Breaker state lives in the sending MTA, out of the world
-        // sampler's reach — so a sampling world gets trip *increments*
-        // recorded here, at the virtual instant the wake-up tripped them.
-        if world.sample_interval().is_some() && self.mta.retry_policy().is_some() {
-            let trips = self.mta.breaker_trips();
-            let delta = trips - self.breaker_trips_reported;
-            if delta > 0 {
-                world.samples.record_point(
-                    SAMPLE_BREAKER_TRIPS,
-                    now,
-                    i64::try_from(delta).unwrap_or(i64::MAX),
-                );
-            }
-            self.breaker_trips_reported = trips;
-        }
-        match self.mta.next_due() {
-            Some(due) => Wake::At(due),
-            None => Wake::Idle,
         }
     }
 }
@@ -274,6 +211,7 @@ mod tests {
     use super::*;
     use crate::receive::ReceivingMta;
     use crate::schedule::MtaProfile;
+    use crate::send::SendingMta;
     use spamward_dns::Zone;
     use spamward_net::{FaultPlan, FaultProfile};
     use spamward_smtp::{Message, ReversePath};
@@ -360,12 +298,7 @@ mod tests {
         let (mut world, _) = seeded_world();
         world = world.with_sampling(SimDuration::from_secs(60));
         let horizon = SimTime::from_secs(300);
-        let (_, _outcome, _end) = WorldSim::episode(
-            &mut world,
-            SenderActor::new(one_message_mta()),
-            SimTime::ZERO,
-            Some(horizon),
-        );
+        WorldSim::episode(&mut world, &mut one_message_mta(), SimTime::ZERO, Some(horizon));
         // Ticks land at 60, 120, ..., 300 s of virtual time.
         assert!(world.engine_stats.actor_events.contains_key("obs.sample"));
         assert_eq!(
@@ -379,8 +312,8 @@ mod tests {
         // the episode still drains normally.
         let (mut quiet, _) = seeded_world();
         quiet = quiet.with_sampling(SimDuration::from_secs(60));
-        let (_, outcome, _) =
-            WorldSim::episode(&mut quiet, SenderActor::new(one_message_mta()), SimTime::ZERO, None);
+        let (outcome, _) =
+            WorldSim::episode(&mut quiet, &mut one_message_mta(), SimTime::ZERO, None);
         assert_eq!(outcome, RunOutcome::Drained);
         assert!(quiet.samples.is_empty());
         assert!(!quiet.engine_stats.actor_events.contains_key("obs.sample"));
@@ -398,12 +331,7 @@ mod tests {
         world.dns.publish(Zone::single_mx("foo.net".parse().unwrap(), mx));
         world = world.with_store_maintenance(SimDuration::from_secs(120));
         let horizon = SimTime::from_secs(600);
-        let (_, _outcome, _end) = WorldSim::episode(
-            &mut world,
-            SenderActor::new(one_message_mta()),
-            SimTime::ZERO,
-            Some(horizon),
-        );
+        WorldSim::episode(&mut world, &mut one_message_mta(), SimTime::ZERO, Some(horizon));
         assert!(world.engine_stats.actor_events.contains_key("greylist.maintain"));
         // The 120 s tick sees the deferred first contact still pending.
         assert_eq!(
@@ -416,21 +344,16 @@ mod tests {
             .is_some_and(|b| b > 0));
         // Worlds that never opted in keep the exact prior event stream.
         let (mut plain, _) = seeded_world();
-        let (_, _, _) = WorldSim::episode(
-            &mut plain,
-            SenderActor::new(one_message_mta()),
-            SimTime::ZERO,
-            Some(horizon),
-        );
+        WorldSim::episode(&mut plain, &mut one_message_mta(), SimTime::ZERO, Some(horizon));
         assert!(!plain.engine_stats.actor_events.contains_key("greylist.maintain"));
     }
 
     #[test]
     fn unsampled_worlds_run_the_exact_prior_event_stream() {
         let (mut world, _) = seeded_world();
-        let (_, _, _) = WorldSim::episode(
+        WorldSim::episode(
             &mut world,
-            SenderActor::new(one_message_mta()),
+            &mut one_message_mta(),
             SimTime::ZERO,
             Some(SimTime::from_secs(300)),
         );
@@ -438,8 +361,9 @@ mod tests {
         assert!(!world.engine_stats.actor_events.contains_key("obs.sample"));
     }
 
-    #[test]
-    fn crash_restart_fires_through_the_engine_and_recovers_per_durability() {
+    /// A greylisting server with snapshot-plus-WAL durability that crashes
+    /// at 120 s and restarts 60 s later.
+    fn crashing_durable_world() -> (MailWorld, Ipv4Addr, FaultPlan) {
         use spamward_greylist::{DurabilityMode, Greylist, GreylistConfig};
 
         let mut world = MailWorld::new(31);
@@ -453,7 +377,6 @@ mod tests {
                 .with_durability(DurabilityMode::SnapshotPlusWal),
         );
         world.dns.publish(Zone::single_mx("foo.net".parse().unwrap(), mx));
-        world = world.with_checkpointing(SimDuration::from_secs(60));
         let plan = FaultPlan::compile(
             &FaultProfile::crash_restart(
                 "mail.foo.net",
@@ -463,14 +386,49 @@ mod tests {
             7,
         );
         world.install_faults(&plan);
+        (world, mx, plan)
+    }
 
-        let (sender, _outcome, _end) = WorldSim::episode(
-            &mut world,
-            SenderActor::new(one_message_mta()),
-            SimTime::ZERO,
-            Some(SimTime::from_secs(900)),
-        );
-        let mta = sender.into_inner();
+    #[test]
+    fn two_driver_episode_engine_stats_are_pinned() {
+        use spamward_sim::{EngineStats, OutcomeTally};
+
+        let (world, _, _) = crashing_durable_world();
+        let mut world = world
+            .with_sampling(SimDuration::from_secs(60))
+            .with_store_maintenance(SimDuration::from_secs(120))
+            .with_checkpointing(SimDuration::from_secs(60));
+        let late = SimTime::from_secs(90);
+        let (mut early_mta, mut late_mta) = (one_message_mta(), one_message_mta_at(late));
+        let drivers = [(&mut early_mta, SimTime::ZERO), (&mut late_mta, late)];
+        let (outcome, end) =
+            WorldSim::episode_with(&mut world, drivers, Some(SimTime::from_secs(900)));
+        assert_eq!((outcome, end), (RunOutcome::Drained, SimTime::from_secs(900)));
+        let expect = EngineStats {
+            events: 44,
+            queue_high_water: 6,
+            actor_events: [
+                ("greylist.checkpoint", vec![15]),
+                ("greylist.maintain", vec![7]),
+                ("mta.send", vec![3, 2]),
+                ("net.fault", vec![2]),
+                ("obs.sample", vec![15]),
+            ]
+            .into_iter()
+            .map(|(name, counts)| (name.to_owned(), counts))
+            .collect(),
+            outcomes: OutcomeTally { drained: 1, ..OutcomeTally::default() },
+        };
+        assert_eq!(world.engine_stats, expect);
+    }
+
+    #[test]
+    fn crash_restart_fires_through_the_engine_and_recovers_per_durability() {
+        let (world, mx, plan) = crashing_durable_world();
+        let mut world = world.with_checkpointing(SimDuration::from_secs(60));
+
+        let mut mta = one_message_mta();
+        WorldSim::episode(&mut world, &mut mta, SimTime::ZERO, Some(SimTime::from_secs(900)));
         // t0: greylisted first contact. 60 s: checkpoint (1 entry).
         // 120 s: crash. 180 s: restart, checkpoint restored. 300 s: the
         // postfix retry passes the 300 s delay against the *recovered*
@@ -489,9 +447,9 @@ mod tests {
         assert!(world.engine_stats.actor_events.contains_key("net.fault"));
         // Worlds that never opted in keep the exact prior event stream.
         let (mut plain, _) = seeded_world();
-        let (_, _, _) = WorldSim::episode(
+        WorldSim::episode(
             &mut plain,
-            SenderActor::new(one_message_mta()),
+            &mut one_message_mta(),
             SimTime::ZERO,
             Some(SimTime::from_secs(300)),
         );

@@ -1,4 +1,4 @@
-//! Deterministic metrics and span instrumentation for the spamward stack.
+//! Deterministic metrics and telemetry for the spamward stack.
 //!
 //! The paper's conclusions are aggregate counters over protocol events —
 //! connections per MX, retries per schedule bucket, greylist defers vs.
@@ -6,19 +6,20 @@
 //! crate gives those counters a first-class, *deterministic* home:
 //!
 //! - **Zero ambient state.** There is no global registry, no thread-local,
-//!   no lazy static. Components own plain [`Counter`]/[`Gauge`]/
-//!   [`Histogram`]/[`SpanStats`] fields (O(1) unsynchronised increments on
-//!   hot paths) and export them into a caller-owned [`Registry`] at
-//!   collection time. Two worlds never share metric state, so parallel
-//!   `repro --jobs N` runs stay byte-identical to serial runs.
+//!   no lazy static. Components own plain integer and [`Histogram`] fields
+//!   (O(1) unsynchronised increments on hot paths) and export them into a
+//!   caller-owned [`Registry`] at collection time through
+//!   `Registry::record_{counter,gauge,histogram}`. Two worlds never share
+//!   metric state, so parallel `repro --jobs N` runs stay byte-identical to
+//!   serial runs.
 //! - **Deterministic snapshots.** [`Registry`] is backed by a `BTreeMap`
 //!   (the D3 lint rule), so its text/CSV/JSON renderings are a pure
 //!   function of the recorded values — no hash-iteration order, no
 //!   timestamps.
-//! - **Virtual time only.** [`Span`]s are timed against the injected
-//!   [`SimTime`](spamward_sim::SimTime)/[`Clock`](spamward_sim::Clock) substrate, never
-//!   `std::time::Instant` (the D1 lint rule), so span durations are part
-//!   of the reproducible output rather than noise.
+//! - **Virtual time only.** Every timestamp is a
+//!   [`SimTime`](spamward_sim::SimTime), never `std::time::Instant` (the D1
+//!   lint rule), so recorded times are part of the reproducible output
+//!   rather than noise.
 //! - **Time as data.** [`TimeSeries`] holds sampled counter/gauge points in
 //!   virtual time with an additive, order-insensitive merge (shard-width
 //!   invariant byte renderings), and [`Timeline`] lists
@@ -32,23 +33,20 @@
 //! `dns.query.mx`.
 //!
 //! ```
-//! use spamward_obs::{Registry, Span, SpanStats};
-//! use spamward_sim::{SimDuration, SimTime};
+//! use spamward_obs::{Histogram, Registry};
 //!
 //! // A component counts events in plain fields...
 //! let mut lookups: u64 = 0;
-//! let mut lookup_time = SpanStats::default();
-//! let t0 = SimTime::ZERO;
-//! let span = Span::enter(t0);
+//! let mut lookup_entries = Histogram::new(&[1, 10, 100]);
 //! lookups += 1;
-//! lookup_time.record(span.exit(t0 + SimDuration::from_micros(12)));
+//! lookup_entries.observe(12);
 //!
 //! // ...and a collector binds names once, at snapshot time.
 //! let mut reg = Registry::new();
 //! reg.record_counter("store.lookup.total", lookups);
-//! reg.record_span("store.lookup", &lookup_time);
+//! reg.record_histogram("store.lookup.entries", &lookup_entries);
 //! assert_eq!(reg.counter("store.lookup.total"), Some(1));
-//! assert!(reg.to_text().contains("store.lookup.total_us 12"));
+//! assert!(reg.to_text().contains("store.lookup.entries count=1 sum=12"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,13 +55,11 @@
 mod export;
 mod metric;
 mod registry;
-mod span;
 mod timeline;
 mod timeseries;
 
 pub use export::to_openmetrics;
-pub use metric::{Counter, Gauge, Histogram};
+pub use metric::Histogram;
 pub use registry::{MetricValue, Registry};
-pub use span::{Span, SpanStats};
 pub use timeline::{Timeline, TimelineEvent};
 pub use timeseries::TimeSeries;

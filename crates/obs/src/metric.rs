@@ -1,67 +1,10 @@
-//! The three primitive metric instruments: counter, gauge, histogram.
+//! The histogram instrument.
 //!
-//! All three are plain owned values — incrementing is a field update, not a
-//! map lookup, so instrumentation on hot paths (e.g. `smtp::wire` parsing)
-//! costs a handful of nanoseconds. Names are attached only when a snapshot
-//! is exported into a [`Registry`](crate::Registry).
-
-/// A monotonically increasing event count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A counter starting at zero.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// The current count.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A signed level that can go up and down (queue depth, store size).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Gauge(i64);
-
-impl Gauge {
-    /// A gauge starting at zero.
-    pub const fn new() -> Self {
-        Gauge(0)
-    }
-
-    /// Sets the level outright.
-    #[inline]
-    pub fn set(&mut self, v: i64) {
-        self.0 = v;
-    }
-
-    /// Adjusts the level by `delta` (may be negative).
-    #[inline]
-    pub fn adjust(&mut self, delta: i64) {
-        self.0 += delta;
-    }
-
-    /// The current level.
-    #[inline]
-    pub fn get(&self) -> i64 {
-        self.0
-    }
-}
+//! Counters and gauges need no type of their own: components count in
+//! plain integer fields. A [`Histogram`] is a plain owned value too —
+//! observing is a field update, not a map lookup, so instrumentation on hot
+//! paths costs a handful of nanoseconds. Names are attached only when a
+//! snapshot is exported into a [`Registry`](crate::Registry).
 
 /// A fixed-bucket histogram over `u64` observations.
 ///
@@ -149,19 +92,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_and_gauge_basics() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-
-        let mut g = Gauge::new();
-        g.set(7);
-        g.adjust(-3);
-        assert_eq!(g.get(), 4);
-    }
 
     #[test]
     fn histogram_buckets_inclusively() {

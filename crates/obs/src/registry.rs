@@ -7,7 +7,6 @@
 //! byte-stable function of the recorded values (the D3 rule).
 
 use crate::metric::Histogram;
-use crate::span::SpanStats;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -70,14 +69,6 @@ impl Registry {
                 self.metrics.insert(name.to_owned(), MetricValue::Histogram(hist.clone()));
             }
         }
-    }
-
-    /// Records accumulated span statistics as `<name>.count` /
-    /// `<name>.total_us` counters (the mean is derivable; the max does not
-    /// merge additively so it is not exported).
-    pub fn record_span(&mut self, name: &str, stats: &SpanStats) {
-        self.record_counter(&format!("{name}.count"), stats.count());
-        self.record_counter(&format!("{name}.total_us"), stats.total_us());
     }
 
     /// Folds every entry of `other` into this registry.
@@ -281,8 +272,6 @@ pub(crate) fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::SpanStats;
-    use spamward_sim::SimDuration;
 
     fn sample() -> Registry {
         let mut reg = Registry::new();
@@ -327,17 +316,6 @@ mod tests {
             other => panic!("expected histogram, got {other:?}"),
         }
         assert_eq!(a.len(), 3);
-    }
-
-    #[test]
-    fn span_export_uses_derived_counters() {
-        let mut stats = SpanStats::new();
-        stats.record(SimDuration::from_micros(7));
-        stats.record(SimDuration::from_micros(9));
-        let mut reg = Registry::new();
-        reg.record_span("smtp.wire.exchange", &stats);
-        assert_eq!(reg.counter("smtp.wire.exchange.count"), Some(2));
-        assert_eq!(reg.counter("smtp.wire.exchange.total_us"), Some(16));
     }
 
     #[test]

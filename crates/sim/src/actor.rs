@@ -1,20 +1,19 @@
-//! A lightweight process/timer layer over the event engine.
+//! The event engine: actors woken in virtual-time order.
 //!
 //! An [`Actor`] is a named process that owns its own retry/wake schedule:
 //! on every wake-up it acts on the shared state and returns a [`Wake`]
-//! telling the scheduler when to run it next. [`ActorSim`] turns a set of
-//! actors into self-rescheduling timer events on a [`Simulation`], so the
-//! engine's same-instant FIFO ordering applies unchanged — two actors due
-//! at one instant run in the order their wake-ups were scheduled, which
-//! makes an episode a pure function of its inputs.
+//! telling the scheduler when to run it next. [`ActorSim`] keeps one
+//! time-ordered queue of pending wake-ups; two wake-ups due at one instant
+//! run in the order they were queued, which makes an episode a pure
+//! function of its inputs.
 //!
 //! Alongside the run loop, [`EngineStats`] accumulates plain-data
 //! accounting (events executed, queue high-water, per-actor event counts,
 //! run outcomes) that higher layers export as metrics.
 
-use crate::event::{Ctx, RunOutcome, Simulation};
 use crate::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// What an actor wants the scheduler to do after a wake-up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,22 +63,23 @@ impl SampleClock {
         SampleClock { interval, horizon }
     }
 
-    /// The tick interval.
-    pub fn interval(&self) -> SimDuration {
-        self.interval
-    }
-
-    /// The last instant a tick may land on.
-    pub fn horizon(&self) -> SimTime {
-        self.horizon
-    }
-
     /// The instant of the tick after one at `now`, or `None` once the next
     /// tick would pass the horizon.
     pub fn next_after(&self, now: SimTime) -> Option<SimTime> {
         let next = now + self.interval;
         (next <= self.horizon).then_some(next)
     }
+}
+
+/// Why [`ActorSim::run`] returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunOutcome {
+    /// Every actor went idle: the wake-up queue drained completely.
+    Drained,
+    /// The configured horizon was reached with wake-ups still pending.
+    HorizonReached,
+    /// The configured event budget was exhausted (runaway protection).
+    BudgetExhausted,
 }
 
 /// Tally of [`RunOutcome`]s across engine episodes.
@@ -91,8 +91,6 @@ pub struct OutcomeTally {
     pub horizon_reached: u64,
     /// Episodes stopped by the event budget.
     pub budget_exhausted: u64,
-    /// Episodes stopped from inside an event.
-    pub stopped: u64,
 }
 
 impl OutcomeTally {
@@ -102,13 +100,12 @@ impl OutcomeTally {
             RunOutcome::Drained => self.drained += 1,
             RunOutcome::HorizonReached => self.horizon_reached += 1,
             RunOutcome::BudgetExhausted => self.budget_exhausted += 1,
-            RunOutcome::Stopped => self.stopped += 1,
         }
     }
 
     /// Total episodes recorded.
     pub fn total(&self) -> u64 {
-        self.drained + self.horizon_reached + self.budget_exhausted + self.stopped
+        self.drained + self.horizon_reached + self.budget_exhausted
     }
 
     /// Folds another tally into this one.
@@ -116,7 +113,6 @@ impl OutcomeTally {
         self.drained += other.drained;
         self.horizon_reached += other.horizon_reached;
         self.budget_exhausted += other.budget_exhausted;
-        self.stopped += other.stopped;
     }
 }
 
@@ -155,38 +151,14 @@ impl EngineStats {
     }
 }
 
-struct ActorWorld<S, A> {
-    state: S,
-    actors: Vec<A>,
-    counts: Vec<u64>,
-}
-
-/// Boxed because the closure type recurs into itself; `Box<dyn FnOnce>`
-/// still satisfies the engine's `impl FnOnce + 'static` bound.
-type WakeEvent<S, A> = Box<dyn FnOnce(&mut Ctx<'_, ActorWorld<S, A>>)>;
-
-/// The self-rescheduling timer event driving actor `id`.
-fn wake_event<S: 'static, A: Actor<S> + 'static>(id: usize) -> WakeEvent<S, A> {
-    Box::new(move |ctx| {
-        let now = ctx.now();
-        let wake = {
-            let world = &mut *ctx.state;
-            world.counts[id] += 1;
-            world.actors[id].wake(now, &mut world.state)
-        };
-        match wake {
-            Wake::At(at) => ctx.schedule_at(at.max(now), wake_event::<S, A>(id)),
-            Wake::In(delay) => ctx.schedule_in(delay, wake_event::<S, A>(id)),
-            Wake::Idle => {}
-        }
-    })
-}
-
-/// Runs a set of [`Actor`]s over shared state `S` on the event engine.
+/// Runs a set of [`Actor`]s over shared state `S`: the event engine.
 ///
-/// `add_actor` schedules the first wake-up; every wake-up's returned
-/// [`Wake`] schedules the next. One generic actor type per episode keeps
-/// dispatch static; heterogeneous casts can wrap an enum.
+/// `add_actor` queues the first wake-up; every wake-up's returned [`Wake`]
+/// queues the next. The queue holds `(due, seq, actor id)` triples, `seq`
+/// numbering the pushes, so same-instant wake-ups run FIFO. One generic
+/// actor type per episode keeps dispatch static; heterogeneous casts can
+/// wrap an enum. `S` may be a borrow (`&mut World`), so an episode can run
+/// over state its caller keeps.
 ///
 /// # Example
 ///
@@ -210,16 +182,34 @@ fn wake_event<S: 'static, A: Actor<S> + 'static>(id: usize) -> WakeEvent<S, A> {
 /// sim.run();
 /// assert_eq!(sim.state(), &vec![0, 10, 20]);
 /// ```
-pub struct ActorSim<S: 'static, A: Actor<S> + 'static> {
-    sim: Simulation<ActorWorld<S, A>>,
+pub struct ActorSim<S, A> {
+    state: S,
+    actors: Vec<A>,
+    counts: Vec<u64>,
+    queue: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    now: SimTime,
+    seq: u64,
+    processed: u64,
+    high_water: usize,
+    horizon: Option<SimTime>,
+    budget: Option<u64>,
     outcome: Option<RunOutcome>,
 }
 
-impl<S: 'static, A: Actor<S> + 'static> ActorSim<S, A> {
+impl<S, A: Actor<S>> ActorSim<S, A> {
     /// Creates an actor simulation at `t=0` over `state`.
     pub fn new(state: S) -> Self {
         ActorSim {
-            sim: Simulation::new(ActorWorld { state, actors: Vec::new(), counts: Vec::new() }),
+            state,
+            actors: Vec::new(),
+            counts: Vec::new(),
+            queue: BinaryHeap::new(),
+            now: SimTime::ZERO,
+            seq: 0,
+            processed: 0,
+            high_water: 0,
+            horizon: None,
+            budget: None,
             outcome: None,
         }
     }
@@ -227,70 +217,75 @@ impl<S: 'static, A: Actor<S> + 'static> ActorSim<S, A> {
     /// Stops the run once the clock would pass `horizon` (wake-ups exactly
     /// at the horizon still fire; later ones stay queued).
     pub fn with_horizon(mut self, horizon: SimTime) -> Self {
-        self.sim = self.sim.with_horizon(horizon);
+        self.horizon = Some(horizon);
         self
     }
 
     /// Caps the total number of processed events (runaway protection).
     pub fn with_event_budget(mut self, budget: u64) -> Self {
-        self.sim = self.sim.with_event_budget(budget);
+        self.budget = Some(budget);
         self
     }
 
     /// Registers `actor` and schedules its first wake-up at `first_wake`
     /// (clamped to the current clock). Returns the actor's id.
     pub fn add_actor(&mut self, actor: A, first_wake: SimTime) -> usize {
-        let id = {
-            let world = self.sim.state_mut();
-            world.actors.push(actor);
-            world.counts.push(0);
-            world.actors.len() - 1
-        };
-        let at = first_wake.max(self.sim.now());
-        self.sim.schedule_at(at, wake_event::<S, A>(id));
+        self.actors.push(actor);
+        self.counts.push(0);
+        let id = self.actors.len() - 1;
+        self.push(first_wake.max(self.now), id);
         id
+    }
+
+    fn push(&mut self, due: SimTime, id: usize) {
+        self.queue.push(Reverse((due, self.seq, id)));
+        self.seq += 1;
+        self.high_water = self.high_water.max(self.queue.len());
     }
 
     /// Runs wake-ups until every actor is idle, the horizon passes, or
     /// the event budget runs out.
     pub fn run(&mut self) -> RunOutcome {
-        let outcome = self.sim.run();
+        let outcome = loop {
+            if self.budget.is_some_and(|budget| self.processed >= budget) {
+                break RunOutcome::BudgetExhausted;
+            }
+            let Some(&Reverse((due, _, id))) = self.queue.peek() else {
+                break RunOutcome::Drained;
+            };
+            if let Some(horizon) = self.horizon.filter(|&horizon| due > horizon) {
+                self.now = horizon;
+                break RunOutcome::HorizonReached;
+            }
+            self.queue.pop();
+            self.now = due;
+            self.processed += 1;
+            self.counts[id] += 1;
+            match self.actors[id].wake(due, &mut self.state) {
+                Wake::At(at) => self.push(at.max(due), id),
+                Wake::In(delay) => self.push(due + delay, id),
+                Wake::Idle => {}
+            }
+        };
         self.outcome = Some(outcome);
         outcome
     }
 
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
-        self.sim.now()
+        self.now
     }
 
     /// Shared access to the wrapped state.
     pub fn state(&self) -> &S {
-        &self.sim.state().state
-    }
-
-    /// Exclusive access to the wrapped state.
-    pub fn state_mut(&mut self) -> &mut S {
-        &mut self.sim.state_mut().state
-    }
-
-    /// Shared access to actor `id` (as returned by
-    /// [`ActorSim::add_actor`]).
-    pub fn actor(&self, id: usize) -> &A {
-        &self.sim.state().actors[id]
-    }
-
-    /// Events executed so far.
-    pub fn processed(&self) -> u64 {
-        self.sim.processed()
+        &self.state
     }
 
     /// Accounting for this episode: events, queue high-water, per-actor
     /// event counts, and — after [`ActorSim::run`] — the outcome.
     pub fn stats(&self) -> EngineStats {
-        let world = self.sim.state();
         let mut actor_events: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-        for (actor, count) in world.actors.iter().zip(&world.counts) {
+        for (actor, count) in self.actors.iter().zip(&self.counts) {
             actor_events.entry(actor.name().to_owned()).or_default().push(*count);
         }
         let mut outcomes = OutcomeTally::default();
@@ -298,18 +293,11 @@ impl<S: 'static, A: Actor<S> + 'static> ActorSim<S, A> {
             outcomes.record(outcome);
         }
         EngineStats {
-            events: self.sim.processed(),
-            queue_high_water: self.sim.queue_high_water() as u64,
+            events: self.processed,
+            queue_high_water: self.high_water as u64,
             actor_events,
             outcomes,
         }
-    }
-
-    /// Consumes the simulation, returning the state and the actors in
-    /// registration order.
-    pub fn into_parts(self) -> (S, Vec<A>) {
-        let world = self.sim.into_state();
-        (world.state, world.actors)
     }
 }
 
@@ -347,9 +335,7 @@ mod tests {
             sim.add_actor(actor, SimTime::from_secs(id % 3));
         }
         assert_eq!(sim.run(), RunOutcome::Drained);
-        let stats = sim.stats();
-        let (log, _) = sim.into_parts();
-        (log, stats)
+        (sim.state().clone(), sim.stats())
     }
 
     #[test]
@@ -386,33 +372,40 @@ mod tests {
                 );
             }
             sim.run();
-            let (log, _) = sim.into_parts();
+            // Every wake-up was queued at once, and draining keeps the mark.
+            assert_eq!(sim.stats().queue_high_water, n, "seed {seed}: high-water");
             let expect: Vec<(u64, u64)> = (0..n).map(|id| (5, id)).collect();
-            assert_eq!(log, expect, "seed {seed}: same-instant FIFO violated");
+            assert_eq!(sim.state(), &expect, "seed {seed}: same-instant FIFO violated");
         }
     }
 
     #[test]
     fn wake_at_in_the_past_is_clamped_to_now() {
-        struct Backwards(bool);
-        impl Actor<Vec<u64>> for Backwards {
+        /// Logs `(time, id)`, returns its one queued `Wake`, then goes idle.
+        struct Again(u64, Option<Wake>);
+        impl Actor<Vec<(u64, u64)>> for Again {
             fn name(&self) -> &str {
-                "backwards"
+                "again"
             }
-            fn wake(&mut self, now: SimTime, log: &mut Vec<u64>) -> Wake {
-                log.push(now.as_secs());
-                if self.0 {
-                    return Wake::Idle;
-                }
-                self.0 = true;
-                // Asks for t=1 while the clock reads t=10.
-                Wake::At(SimTime::from_secs(1))
+            fn wake(&mut self, now: SimTime, log: &mut Vec<(u64, u64)>) -> Wake {
+                log.push((now.as_secs(), self.0));
+                self.1.take().unwrap_or(Wake::Idle)
             }
         }
-        let mut sim = ActorSim::new(Vec::new());
-        sim.add_actor(Backwards(false), SimTime::from_secs(10));
-        assert_eq!(sim.run(), RunOutcome::Drained);
-        assert_eq!(sim.state(), &vec![10, 10], "late timer fires immediately, not in the past");
+        // Asking for t=1 while the clock reads t=10, or for no delay at
+        // all, wakes the actor again at t=10, after the wake-up already
+        // queued for that instant.
+        for again in [Wake::At(SimTime::from_secs(1)), Wake::In(SimDuration::ZERO)] {
+            let mut sim = ActorSim::new(Vec::new());
+            sim.add_actor(Again(0, Some(again)), SimTime::from_secs(10));
+            sim.add_actor(Again(1, None), SimTime::from_secs(10));
+            assert_eq!(sim.run(), RunOutcome::Drained);
+            assert_eq!(
+                sim.state(),
+                &vec![(10, 0), (10, 1), (10, 0)],
+                "{again:?}: a late timer fires now, not in the past, behind the queue"
+            );
+        }
     }
 
     #[test]
@@ -426,6 +419,16 @@ mod tests {
         assert!(sim.now() == SimTime::from_secs(25));
         assert!(sim.state().iter().all(|&(t, _)| t <= 25));
         assert_eq!(sim.stats().outcomes.horizon_reached, 1);
+
+        // A wake-up due exactly at the horizon runs; a later one does not.
+        let mut sim = ActorSim::new(Vec::new()).with_horizon(SimTime::from_secs(10));
+        for id in 0..2 {
+            let actor = Jitter { id, rng: DetRng::seed(1).fork_idx("edge", id), remaining: 1 };
+            sim.add_actor(actor, SimTime::from_secs(10 + id));
+        }
+        assert_eq!(sim.run(), RunOutcome::HorizonReached);
+        assert_eq!(sim.state(), &vec![(10, 0)]);
+        assert_eq!(sim.now(), SimTime::from_secs(10));
     }
 
     #[test]

@@ -9,12 +9,10 @@
 //! The engine is intentionally small and fully deterministic:
 //!
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution virtual time.
-//! * [`Simulation`] — a priority-queue scheduler generic over the experiment
-//!   state `S`; events are `FnOnce(&mut Ctx<S>)` closures and ties are broken
-//!   FIFO by sequence number, so a run is a pure function of its inputs.
-//! * [`Actor`] / [`ActorSim`] — a process/timer layer on top: named actors
-//!   that schedule their own next wake-up ([`Wake`]), with [`EngineStats`]
-//!   accounting for the episodes they run.
+//! * [`Actor`] / [`ActorSim`] — the scheduler: named actors over shared
+//!   state `S` that each return their own next wake-up ([`Wake`]). Ties
+//!   are broken FIFO by push order, so a run is a pure function of its
+//!   inputs, and [`EngineStats`] accounts for the episodes they run.
 //! * [`DetRng`] — a seedable, fork-able xoshiro256++ random stream whose
 //!   output is stable across platforms and `rand` versions; experiments fork
 //!   one named substream per concern so adding a new consumer never perturbs
@@ -27,14 +25,24 @@
 //! # Example
 //!
 //! ```
-//! use spamward_sim::{Simulation, SimTime, SimDuration};
+//! use spamward_sim::{Actor, ActorSim, RunOutcome, SimDuration, SimTime, Wake};
 //!
-//! let mut sim = Simulation::new(0u32);
-//! sim.schedule_in(SimDuration::from_secs(5), |ctx| {
-//!     *ctx.state += 1;
-//!     ctx.schedule_in(SimDuration::from_secs(10), |ctx| *ctx.state += 10);
-//! });
-//! sim.run();
+//! /// Adds one, then ten a little later, then goes idle.
+//! struct Bump(u32);
+//! impl Actor<u32> for Bump {
+//!     fn name(&self) -> &str {
+//!         "bump"
+//!     }
+//!     fn wake(&mut self, _now: SimTime, total: &mut u32) -> Wake {
+//!         *total += self.0;
+//!         self.0 *= 10;
+//!         if self.0 > 10 { Wake::Idle } else { Wake::In(SimDuration::from_secs(10)) }
+//!     }
+//! }
+//!
+//! let mut sim = ActorSim::new(0u32);
+//! sim.add_actor(Bump(1), SimTime::from_secs(5));
+//! assert_eq!(sim.run(), RunOutcome::Drained);
 //! assert_eq!(sim.now(), SimTime::from_secs(15));
 //! assert_eq!(*sim.state(), 11);
 //! ```
@@ -43,14 +51,12 @@
 #![warn(missing_docs)]
 
 mod actor;
-mod event;
 mod rng;
 pub mod shard;
 mod time;
 pub mod wall;
 
-pub use actor::{Actor, ActorSim, EngineStats, OutcomeTally, SampleClock, Wake};
-pub use event::{Ctx, RunOutcome, Simulation};
+pub use actor::{Actor, ActorSim, EngineStats, OutcomeTally, RunOutcome, SampleClock, Wake};
 pub use rng::DetRng;
 pub use shard::ShardPlan;
 pub use time::{SimDuration, SimTime};

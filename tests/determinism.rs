@@ -147,7 +147,7 @@ fn repro_all_json_metrics_composition_is_byte_identical() {
     );
 }
 
-/// `Simulation<S>` is the only execution substrate: every world-driven
+/// `ActorSim`'s wake-up queue is the only execution substrate: every world-driven
 /// experiment must report engine activity through the `sim.engine.*`
 /// metrics (proving deliveries went through scheduled engine events, not a
 /// manual loop), and the engine-driven report bytes must be seed-stable.
@@ -158,7 +158,7 @@ fn world_driven_experiments_run_on_the_engine() {
         let exp = harness::find(id).expect("registered");
         let a = exp.run(&config).unwrap();
         let events = a.metrics().counter("sim.engine.events").unwrap_or(0);
-        assert!(events > 0, "{id}: no engine events recorded — not running on Simulation<S>?");
+        assert!(events > 0, "{id}: no engine events recorded — not running on ActorSim?");
         let b = exp.run(&config).unwrap();
         assert_eq!(a.to_json(), b.to_json(), "{id}: engine-driven bytes differ across runs");
     }
