@@ -8,9 +8,19 @@ use spamward_greylist::{Greylist, GreylistConfig};
 use spamward_scanner::{Population, PopulationSpec};
 use spamward_sim::{DetRng, SimTime};
 use spamward_smtp::{
-    exchange, AcceptAll, ClientSession, Dialect, Envelope, Message, ReversePath, ServerSession,
+    exchange, AcceptAll, ClientSession, Dialect, EmailAddress, Envelope, Message, PolicyDecision,
+    Reply, ReversePath, ServerPolicy, ServerSession, Transaction,
 };
 use std::net::Ipv4Addr;
+
+/// Defers every recipient, as a greylist does on first contact.
+struct GreylistEveryone;
+
+impl ServerPolicy for GreylistEveryone {
+    fn on_rcpt(&mut self, _: SimTime, _: &Transaction, _: &EmailAddress) -> PolicyDecision {
+        PolicyDecision::TempFail(Reply::greylisted(300))
+    }
+}
 
 fn bench_smtp_exchange(c: &mut Criterion) {
     let envelope = Envelope::builder()
@@ -37,6 +47,26 @@ fn bench_smtp_exchange(c: &mut Criterion) {
             |(mut client, mut server)| {
                 let mut policy = AcceptAll;
                 exchange(&mut client, &mut server, &mut policy, SimTime::ZERO)
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    // The first-contact session a greylisted sender has before every
+    // delivery: EHLO, MAIL, a 450 at RCPT, QUIT.
+    g.bench_function("greylisted_exchange_1kb_body", |b| {
+        b.iter_batched(
+            || {
+                (
+                    ClientSession::new(
+                        Dialect::compliant_mta("relay.example"),
+                        envelope.clone(),
+                        message.clone(),
+                    ),
+                    ServerSession::new("mx.foo.net", Ipv4Addr::new(203, 0, 113, 9)),
+                )
+            },
+            |(mut client, mut server)| {
+                exchange(&mut client, &mut server, &mut GreylistEveryone, SimTime::ZERO)
             },
             BatchSize::SmallInput,
         )

@@ -760,6 +760,33 @@ mod tests {
     }
 
     #[test]
+    fn fixed_policy_replies_render_pinned_bytes() {
+        let mut mta = ReceivingMta::new("mx.foo.net", Ipv4Addr::new(192, 0, 2, 1))
+            .with_greylist(Greylist::new(GreylistConfig::with_delay(SimDuration::from_secs(300))))
+            .with_pregreet_rejection();
+        mta.set_greylist_outage(vec![FaultWindow::new(SimTime::ZERO, SimTime::from_secs(100))]);
+        let client_ip = Ipv4Addr::new(203, 0, 113, 9);
+        let PolicyDecision::Reject(pregreet) = mta.on_pregreet(SimTime::ZERO, client_ip) else {
+            panic!("pregreet rejection is on");
+        };
+        assert_eq!(pregreet.to_wire(), "554 5.5.1 protocol error: talked too soon\r\n");
+        assert_eq!(pregreet.to_string(), "554 5.5.1 protocol error: talked too soon");
+        let tx = Transaction {
+            client_ip,
+            client_rdns: None,
+            helo: "relay.example".into(),
+            mail_from: Some(ReversePath::Address("sender@relay.example".parse().unwrap())),
+            recipients: Vec::new(),
+        };
+        let rcpt: EmailAddress = "u@foo.net".parse().unwrap();
+        let PolicyDecision::TempFail(degraded) = mta.on_rcpt(SimTime::ZERO, &tx, &rcpt) else {
+            panic!("a store outage fails closed by default");
+        };
+        assert_eq!(degraded.to_wire(), "450 4.3.5 greylist store unavailable, try again later\r\n");
+        assert_eq!(degraded.to_string(), "450 4.3.5 greylist store unavailable, try again later");
+    }
+
+    #[test]
     fn greylist_store_outage_fail_closed_defers_with_its_own_counter() {
         let mut mta = ReceivingMta::new("mx.foo.net", Ipv4Addr::new(192, 0, 2, 1))
             .with_greylist(Greylist::new(GreylistConfig::with_delay(SimDuration::from_secs(300))));

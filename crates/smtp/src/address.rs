@@ -1,12 +1,20 @@
 //! Email addresses and reverse paths.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// A validated `local-part@domain` address, canonicalized to a lowercase
 /// domain (the local part keeps its case per RFC 5321, but comparisons in
 /// the greylist normalize it).
+///
+/// The canonical `local@domain` text is held once, behind an [`Arc`], so
+/// a clone (into a command, an outcome, a server transaction or a mailbox
+/// entry) is a refcount bump. Comparison, ordering and hashing still go
+/// by `(local_part, domain)`, the pair the text is split into.
 ///
 /// # Example
 ///
@@ -18,10 +26,12 @@ use std::str::FromStr;
 /// assert_eq!(a.to_string(), "Alice@example.com");
 /// # Ok::<(), spamward_smtp::ParseAddressError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct EmailAddress {
-    local: String,
-    domain: String,
+    /// `local@domain`, the domain lowercased.
+    text: Arc<str>,
+    /// Byte offset of the `@` (neither part can contain one).
+    at: usize,
 }
 
 /// Error parsing an [`EmailAddress`].
@@ -77,22 +87,34 @@ impl EmailAddress {
         {
             return Err(ParseAddressError::BadDomain);
         }
-        Ok(EmailAddress { local: local.to_owned(), domain: domain.to_ascii_lowercase() })
+        let text: Arc<str> = if domain.bytes().any(|b| b.is_ascii_uppercase()) {
+            let mut text = String::with_capacity(s.len());
+            text.push_str(local);
+            text.push('@');
+            text.push_str(&domain.to_ascii_lowercase());
+            text.into()
+        } else {
+            // `s` is exactly `local@domain` here, already canonical.
+            s.into()
+        };
+        Ok(EmailAddress { text, at: local.len() })
     }
 
     /// The part before the `@`, original case preserved.
     pub fn local_part(&self) -> &str {
-        &self.local
+        // `at` indexes an ASCII `@`, so both slices fall on char boundaries.
+        &self.text[..self.at]
     }
 
     /// The lowercased domain after the `@`.
     pub fn domain(&self) -> &str {
-        &self.domain
+        &self.text[self.at + 1..]
     }
 
     /// The fully-lowercased form used as a greylist key.
     pub fn normalized(&self) -> String {
-        format!("{}@{}", self.local.to_ascii_lowercase(), self.domain)
+        // The domain is lowercase already and `@` has no case.
+        self.text.to_ascii_lowercase()
     }
 
     /// The address wrapped in angle brackets as it appears on the wire.
@@ -110,7 +132,45 @@ impl FromStr for EmailAddress {
 
 impl fmt::Display for EmailAddress {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}@{}", self.local, self.domain)
+        f.write_str(&self.text)
+    }
+}
+
+impl fmt::Debug for EmailAddress {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EmailAddress")
+            .field("local", &self.local_part())
+            .field("domain", &self.domain())
+            .finish()
+    }
+}
+
+impl PartialEq for EmailAddress {
+    fn eq(&self, other: &Self) -> bool {
+        // One `@` splits the text, so equal text is equal parts.
+        self.text == other.text
+    }
+}
+
+impl Eq for EmailAddress {}
+
+impl Ord for EmailAddress {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // By parts, not by text: `a@z` sorts before `a.b@c`.
+        (self.local_part(), self.domain()).cmp(&(other.local_part(), other.domain()))
+    }
+}
+
+impl PartialOrd for EmailAddress {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for EmailAddress {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.local_part().hash(state);
+        self.domain().hash(state);
     }
 }
 

@@ -135,8 +135,8 @@ impl fmt::Display for DeliveryOutcome {
 pub enum ClientAction {
     /// Send this command and wait for a reply.
     Send(Command),
-    /// Send the (dot-stuffed) message body and wait for a reply.
-    SendBody(String),
+    /// Send this message's wire form, dot-stuffed, and wait for a reply.
+    SendBody(Message),
     /// Close the connection; the attempt is finished.
     Close(DeliveryOutcome),
 }
@@ -322,7 +322,7 @@ impl ClientSession {
                     if self.dialect.uses_ehlo {
                         // Capability lines follow the greeting line.
                         self.server_caps = Capabilities::from_ehlo_lines(
-                            reply.lines().iter().skip(1).map(String::as_str),
+                            reply.lines().iter().skip(1).map(|line| &**line),
                         );
                     }
                     self.state = State::SentMail;
@@ -382,7 +382,7 @@ impl ClientSession {
                     return self.fail(FailStage::Data, reply);
                 }
                 self.state = State::SentBody;
-                ClientAction::SendBody(self.message.to_wire())
+                ClientAction::SendBody(self.message.clone())
             }
             State::SentBody => {
                 if !reply.is_positive() {

@@ -7,6 +7,7 @@
 //! point (an oversized MAIL FROM dies before any body is transferred).
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// The extension set a server advertises in its EHLO response.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -52,43 +53,45 @@ impl Capabilities {
         }
     }
 
-    /// The EHLO continuation lines (everything after the greeting line).
-    pub fn ehlo_lines(&self) -> Vec<String> {
+    /// The EHLO continuation lines (everything after the greeting line);
+    /// only `SIZE n` is formatted.
+    pub fn ehlo_lines(&self) -> Vec<Cow<'static, str>> {
         let mut lines = Vec::new();
         if self.pipelining {
-            lines.push("PIPELINING".to_owned());
+            lines.push("PIPELINING".into());
         }
         if let Some(limit) = self.size_limit {
-            lines.push(format!("SIZE {limit}"));
+            lines.push(format!("SIZE {limit}").into());
         }
         if self.eight_bit_mime {
-            lines.push("8BITMIME".to_owned());
+            lines.push("8BITMIME".into());
         }
         if self.starttls {
-            lines.push("STARTTLS".to_owned());
+            lines.push("STARTTLS".into());
         }
         if self.enhanced_status {
-            lines.push("ENHANCEDSTATUSCODES".to_owned());
+            lines.push("ENHANCEDSTATUSCODES".into());
         }
         lines
     }
 
     /// Parses capability lines back from an EHLO reply (the client side of
-    /// negotiation; also used by fingerprinting).
+    /// negotiation; also used by fingerprinting). Keywords match in any
+    /// case, and nothing is copied to compare them.
     pub fn from_ehlo_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> Self {
         let mut caps = Capabilities::none();
         for line in lines {
-            let upper = line.trim().to_ascii_uppercase();
-            if upper == "PIPELINING" {
+            let line = line.trim();
+            if line.eq_ignore_ascii_case("PIPELINING") {
                 caps.pipelining = true;
-            } else if upper == "8BITMIME" {
+            } else if line.eq_ignore_ascii_case("8BITMIME") {
                 caps.eight_bit_mime = true;
-            } else if upper == "STARTTLS" {
+            } else if line.eq_ignore_ascii_case("STARTTLS") {
                 caps.starttls = true;
-            } else if upper == "ENHANCEDSTATUSCODES" {
+            } else if line.eq_ignore_ascii_case("ENHANCEDSTATUSCODES") {
                 caps.enhanced_status = true;
-            } else if let Some(rest) = upper.strip_prefix("SIZE") {
-                caps.size_limit = rest.trim().parse().ok();
+            } else if line.get(..4).is_some_and(|keyword| keyword.eq_ignore_ascii_case("SIZE")) {
+                caps.size_limit = line.get(4..).and_then(|rest| rest.trim().parse().ok());
             }
         }
         caps
@@ -103,10 +106,11 @@ mod tests {
     fn default_advertises_postfix_like_set() {
         let caps = Capabilities::default();
         let lines = caps.ehlo_lines();
-        assert!(lines.contains(&"PIPELINING".to_owned()));
+        assert!(lines.contains(&"PIPELINING".into()));
         assert!(lines.iter().any(|l| l.starts_with("SIZE ")));
-        assert!(lines.contains(&"8BITMIME".to_owned()));
-        assert!(!lines.contains(&"STARTTLS".to_owned()));
+        assert!(lines.contains(&"8BITMIME".into()));
+        assert!(!lines.contains(&"STARTTLS".into()));
+        assert!(lines.iter().all(|l| matches!(l, Cow::Borrowed(_)) || l.starts_with("SIZE ")));
     }
 
     #[test]
@@ -124,7 +128,7 @@ mod tests {
             enhanced_status: true,
         };
         let lines = caps.ehlo_lines();
-        let parsed = Capabilities::from_ehlo_lines(lines.iter().map(String::as_str));
+        let parsed = Capabilities::from_ehlo_lines(lines.iter().map(|l| &**l));
         assert_eq!(parsed, caps);
     }
 
@@ -140,5 +144,23 @@ mod tests {
     fn malformed_size_ignored() {
         let caps = Capabilities::from_ehlo_lines(vec!["SIZE notanumber"]);
         assert_eq!(caps.size_limit, None);
+    }
+
+    #[test]
+    fn keywords_match_in_any_case_and_odd_lines_are_ignored() {
+        let caps = Capabilities::from_ehlo_lines(vec![
+            " 8bitMime ",
+            "StartTls",
+            "enhancedstatuscodes",
+            "sIzE",
+            "Siz\u{e9} 10",
+            "\u{e9}",
+        ]);
+        assert!(caps.eight_bit_mime && caps.starttls && caps.enhanced_status);
+        assert!(!caps.pipelining);
+        assert_eq!(caps.size_limit, None, "a bare SIZE keyword declares no limit");
+        let caps = Capabilities::from_ehlo_lines(vec!["size  2048 ", "PIPELINING-X"]);
+        assert_eq!(caps.size_limit, Some(2048));
+        assert!(!caps.pipelining);
     }
 }

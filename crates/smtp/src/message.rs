@@ -2,12 +2,20 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// An email message: ordered headers and a body.
 ///
 /// The greylisting experiments deliberately resend *identical* messages
 /// (the paper's one-spam-task control relies on comparing them), so
 /// messages implement `Eq`/`Hash` and expose a stable [`Message::digest`].
+///
+/// The headers and body sit behind one [`Arc`], so a clone (into a
+/// delivery attempt, a retry or a mailbox entry) is a refcount bump. The
+/// wire form is rendered on first use of [`Message::size`],
+/// [`Message::to_wire`] or [`Message::digest`] and kept, so every later
+/// attempt with a clone of the message reads it back instead.
 ///
 /// # Example
 ///
@@ -20,13 +28,24 @@ use std::fmt;
 ///     .build();
 /// assert_eq!(m.header("subject"), Some("Cheap pills"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Message {
+    inner: Arc<Content>,
+}
+
+/// What a [`Message`] shares between its clones.
+struct Content {
     headers: Vec<(String, String)>,
     body: String,
+    /// The wire form, rendered once on first use.
+    wire: OnceLock<String>,
 }
 
 impl Message {
+    fn new(headers: Vec<(String, String)>, body: String) -> Self {
+        Message { inner: Arc::new(Content { headers, body, wire: OnceLock::new() }) }
+    }
+
     /// Starts building a message.
     pub fn builder() -> MessageBuilder {
         MessageBuilder::default()
@@ -34,17 +53,17 @@ impl Message {
 
     /// The headers in order.
     pub fn headers(&self) -> &[(String, String)] {
-        &self.headers
+        &self.inner.headers
     }
 
     /// The first header with the given (case-insensitive) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
+        self.headers().iter().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
     }
 
     /// The message body.
     pub fn body(&self) -> &str {
-        &self.body
+        &self.inner.body
     }
 
     /// Byte size of the wire form (used for SIZE accounting).
@@ -64,18 +83,22 @@ impl Message {
         h
     }
 
-    /// Serializes header section, blank line and body with CRLF endings
-    /// (no dot-stuffing; see [`crate::dot_stuff`]).
-    pub fn to_wire(&self) -> String {
+    /// The header section, blank line and body with CRLF endings (no
+    /// dot-stuffing; see [`crate::dot_stuff`]), rendered on first use.
+    pub fn to_wire(&self) -> &str {
+        self.inner.wire.get_or_init(|| self.render())
+    }
+
+    fn render(&self) -> String {
         let mut out = String::new();
-        for (name, value) in &self.headers {
+        for (name, value) in self.headers() {
             out.push_str(name);
             out.push_str(": ");
             out.push_str(value);
             out.push_str("\r\n");
         }
         out.push_str("\r\n");
-        for line in self.body.split('\n') {
+        for line in self.body().split('\n') {
             out.push_str(line.trim_end_matches('\r'));
             out.push_str("\r\n");
         }
@@ -89,25 +112,49 @@ impl Message {
     /// colon.
     pub fn from_wire(s: &str) -> Option<Self> {
         let mut headers = Vec::new();
-        let mut lines = s.split("\r\n");
-        for line in lines.by_ref() {
+        let mut rest = s;
+        loop {
+            let (line, tail) = match rest.split_once("\r\n") {
+                Some((line, tail)) => (line, Some(tail)),
+                None => (rest, None),
+            };
             if line.is_empty() {
-                let body_lines: Vec<&str> = lines.collect();
-                let mut body = body_lines.join("\r\n");
-                // Trim the trailing CRLF the serializer adds.
-                if let Some(stripped) = body.strip_suffix("\r\n") {
-                    body = stripped.to_owned();
-                }
-                while body.ends_with("\r\n") {
-                    body.truncate(body.len() - 2);
-                }
-                let body = body.trim_end_matches("\r\n").replace("\r\n", "\n");
-                return Some(Message { headers, body });
+                // The body is everything after the blank line, without the
+                // trailing CRLFs the serializer adds, with LF line ends.
+                let body = tail.unwrap_or_default().trim_end_matches("\r\n");
+                return Some(Message::new(headers, body.replace("\r\n", "\n")));
             }
             let (name, value) = line.split_once(':')?;
             headers.push((name.trim().to_owned(), value.trim().to_owned()));
+            rest = tail?;
         }
-        None
+    }
+}
+
+impl PartialEq for Message {
+    /// Headers and body; whether the wire form was rendered yet does not
+    /// count.
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
+            || (self.headers() == other.headers() && self.body() == other.body())
+    }
+}
+
+impl Eq for Message {}
+
+impl Hash for Message {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.headers().hash(state);
+        self.body().hash(state);
+    }
+}
+
+impl fmt::Debug for Message {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Message")
+            .field("headers", &self.headers())
+            .field("body", &self.body())
+            .finish()
     }
 }
 
@@ -116,8 +163,8 @@ impl fmt::Display for Message {
         write!(
             f,
             "<message {} headers, {} body bytes, digest {:016x}>",
-            self.headers.len(),
-            self.body.len(),
+            self.headers().len(),
+            self.body().len(),
             self.digest()
         )
     }
@@ -145,7 +192,7 @@ impl MessageBuilder {
 
     /// Finishes the message.
     pub fn build(self) -> Message {
-        Message { headers: self.headers, body: self.body }
+        Message::new(self.headers, self.body)
     }
 }
 
@@ -177,7 +224,7 @@ mod tests {
         let wire = m.to_wire();
         assert!(wire.contains("Subject: hello\r\n"));
         assert!(wire.contains("\r\n\r\n"));
-        let parsed = Message::from_wire(&wire).unwrap();
+        let parsed = Message::from_wire(wire).unwrap();
         assert_eq!(parsed, m);
     }
 
@@ -198,7 +245,7 @@ mod tests {
     #[test]
     fn empty_body_roundtrip() {
         let m = Message::builder().header("Subject", "s").body("").build();
-        let parsed = Message::from_wire(&m.to_wire()).unwrap();
+        let parsed = Message::from_wire(m.to_wire()).unwrap();
         assert_eq!(parsed.body(), "");
     }
 
@@ -208,7 +255,7 @@ mod tests {
             // Header values must not contain ':' confusion — any printable
             // is fine for values; parser splits on first ':' of each line.
             let m = Message::builder().header("Subject", subject.trim()).body(&body).build();
-            let parsed = Message::from_wire(&m.to_wire()).unwrap();
+            let parsed = Message::from_wire(m.to_wire()).unwrap();
             prop_assert_eq!(parsed.body(), m.body());
         }
     }

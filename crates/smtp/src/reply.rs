@@ -1,7 +1,9 @@
 //! SMTP replies.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
+use std::hash::{Hash, Hasher};
 
 /// Named SMTP reply codes (RFC 5321 §4.2.3).
 ///
@@ -57,6 +59,11 @@ pub enum ReplyCategory {
 
 /// A server reply: a three-digit code and one or more text lines.
 ///
+/// Lines are `Cow<'static, str>`: the fixed replies (`250 OK`, the 5xx
+/// errors, every `Reply::single(code, "literal")`) borrow their text and
+/// allocate nothing, and only text that varies per session (a host name,
+/// a retry hint, `SIZE n`) is formatted.
+///
 /// # Example
 ///
 /// ```
@@ -66,10 +73,18 @@ pub enum ReplyCategory {
 /// assert!(r.is_transient());
 /// assert!(r.to_wire().starts_with("450 "));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Reply {
     code: u16,
-    lines: Vec<String>,
+    lines: Lines,
+}
+
+/// A reply's text lines: a single line is held inline, so a one-line reply
+/// with `'static` text is built without touching the heap.
+#[derive(Clone)]
+enum Lines {
+    One(Cow<'static, str>),
+    Many(Vec<Cow<'static, str>>),
 }
 
 impl Reply {
@@ -78,15 +93,21 @@ impl Reply {
     /// # Panics
     ///
     /// Panics if `code` is outside `200..=599` or `lines` is empty.
-    pub fn new(code: u16, lines: Vec<String>) -> Self {
+    pub fn new(code: u16, lines: Vec<Cow<'static, str>>) -> Self {
         assert!((200..=599).contains(&code), "SMTP reply code {code} out of range");
         assert!(!lines.is_empty(), "a reply needs at least one text line");
-        Reply { code, lines }
+        Reply { code, lines: Lines::Many(lines) }
     }
 
-    /// Creates a single-line reply.
-    pub fn single(code: u16, text: impl Into<String>) -> Self {
-        Reply::new(code, vec![text.into()])
+    /// Creates a single-line reply; a `&'static str` text is borrowed, not
+    /// copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `code` is outside `200..=599`.
+    pub fn single(code: u16, text: impl Into<Cow<'static, str>>) -> Self {
+        assert!((200..=599).contains(&code), "SMTP reply code {code} out of range");
+        Reply { code, lines: Lines::One(text.into()) }
     }
 
     // --- Standard replies used across the suite ---
@@ -168,8 +189,11 @@ impl Reply {
     }
 
     /// The text lines.
-    pub fn lines(&self) -> &[String] {
-        &self.lines
+    pub fn lines(&self) -> &[Cow<'static, str>] {
+        match &self.lines {
+            Lines::One(line) => std::slice::from_ref(line),
+            Lines::Many(lines) => lines,
+        }
     }
 
     /// The reply's class.
@@ -206,17 +230,24 @@ impl Reply {
     /// Serializes to wire form, `XYZ-text` continuation lines and a final
     /// `XYZ text` line, CRLF-terminated.
     pub fn to_wire(&self) -> String {
-        let mut out = String::new();
-        for (i, line) in self.lines.iter().enumerate() {
-            let sep = if i + 1 == self.lines.len() { ' ' } else { '-' };
-            out.push_str(&format!("{}{}{}\r\n", self.code, sep, line));
+        let lines = self.lines();
+        let mut out = String::with_capacity(lines.iter().map(|l| l.len() + 6).sum());
+        for (i, line) in lines.iter().enumerate() {
+            let sep = if i + 1 == lines.len() { ' ' } else { '-' };
+            // Writing to a `String` cannot fail.
+            let _ = write!(out, "{}{sep}{line}\r\n", self.code);
         }
         out
     }
 
     /// Parses a (possibly multi-line) wire-form reply.
     ///
-    /// Returns `None` on malformed input.
+    /// A line is a three-digit code, then `-` and text on a continuation
+    /// line, or an optional space and text on the final line (RFC 5321
+    /// §4.2: `Reply-code [ SP textstring ] CRLF`, so a bare `250` is a
+    /// final line with empty text).
+    ///
+    /// Returns `None` on malformed input, never panics.
     pub fn from_wire(s: &str) -> Option<Self> {
         let mut code: Option<u16> = None;
         let mut lines = Vec::new();
@@ -225,11 +256,7 @@ impl Reply {
             if terminated {
                 return None; // text after the final line
             }
-            if raw.len() < 4 {
-                return None;
-            }
-            let (head, text) = raw.split_at(4);
-            let c: u16 = head[..3].parse().ok()?;
+            let c: u16 = raw.get(..3)?.parse().ok()?;
             if !(200..=599).contains(&c) {
                 return None;
             }
@@ -238,23 +265,57 @@ impl Reply {
                 Some(prev) if prev != c => return None,
                 _ => {}
             }
-            match head.as_bytes()[3] {
-                b' ' => terminated = true,
-                b'-' => {}
-                _ => return None,
-            }
-            lines.push(text.to_owned());
+            // Bytes 0..3 are ASCII digits here, so byte 3 starts a char.
+            let text = match raw.as_bytes().get(3) {
+                None => {
+                    terminated = true;
+                    ""
+                }
+                Some(b' ') => {
+                    terminated = true;
+                    raw.get(4..)?
+                }
+                Some(b'-') => raw.get(4..)?,
+                Some(_) => return None,
+            };
+            lines.push(Cow::Owned(text.to_owned()));
         }
         if !terminated || lines.is_empty() {
             return None;
         }
-        Some(Reply { code: code?, lines })
+        Some(Reply::new(code?, lines))
+    }
+}
+
+impl PartialEq for Reply {
+    fn eq(&self, other: &Self) -> bool {
+        self.code == other.code && self.lines() == other.lines()
+    }
+}
+
+impl Eq for Reply {}
+
+impl Hash for Reply {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.code.hash(state);
+        self.lines().hash(state);
+    }
+}
+
+impl fmt::Debug for Reply {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Reply").field("code", &self.code).field("lines", &self.lines()).finish()
     }
 }
 
 impl fmt::Display for Reply {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {}", self.code, self.lines.join(" / "))
+        write!(f, "{}", self.code)?;
+        for (i, line) in self.lines().iter().enumerate() {
+            f.write_str(if i == 0 { " " } else { " / " })?;
+            f.write_str(line)?;
+        }
+        Ok(())
     }
 }
 
@@ -310,6 +371,41 @@ mod tests {
     }
 
     #[test]
+    fn from_wire_rejects_a_non_ascii_code_or_separator_without_panicking() {
+        // `é` straddles byte 4 and byte 3 respectively.
+        assert_eq!(Reply::from_wire("250é\r\n"), None);
+        assert_eq!(Reply::from_wire("25é\r\n"), None);
+        assert_eq!(Reply::from_wire("250-ok\r\n25é\r\n"), None);
+    }
+
+    #[test]
+    fn from_wire_accepts_a_bare_code_as_the_final_line() {
+        let r = Reply::from_wire("250\r\n").unwrap();
+        assert_eq!(r.code(), 250);
+        assert_eq!(r.lines(), [""]);
+        let r = Reply::from_wire("250-first\r\n250\r\n").unwrap();
+        assert_eq!(r.lines(), ["first", ""]);
+        assert_eq!(Reply::from_wire("250\r\n250 more\r\n"), None);
+    }
+
+    #[test]
+    fn fixed_replies_borrow_their_text() {
+        for r in [
+            Reply::ok(),
+            Reply::start_mail_input(),
+            Reply::no_such_user(),
+            Reply::unrecognized(),
+            Reply::bad_sequence(),
+            Reply::bad_syntax(),
+            Reply::cannot_verify(),
+            Reply::single(codes::OK, "2.0.0 OK: queued"),
+        ] {
+            assert!(matches!(r.lines, Lines::One(Cow::Borrowed(_))), "{r:?}");
+        }
+        assert!(matches!(Reply::banner("mx").lines, Lines::One(Cow::Owned(_))));
+    }
+
+    #[test]
     fn greylist_reply_carries_retry_hint() {
         let r = Reply::greylisted(300);
         assert!(r.lines()[0].contains("300s"));
@@ -318,9 +414,26 @@ mod tests {
     proptest! {
         #[test]
         fn prop_wire_roundtrip(code in 200u16..=599, n in 1usize..4) {
-            let lines: Vec<String> = (0..n).map(|i| format!("line {i}")).collect();
+            let lines = (0..n).map(|i| format!("line {i}").into()).collect();
             let r = Reply::new(code, lines);
             prop_assert_eq!(Reply::from_wire(&r.to_wire()).unwrap(), r);
+        }
+
+        /// Hostile input: arbitrary UTF-8 lines, multi-byte characters
+        /// included at every offset, parse or are refused, never panic.
+        #[test]
+        fn prop_from_wire_never_panics_on_utf8_lines(
+            lines in proptest::collection::vec("[2-5]{0,3}[0-9 é€😀-]{0,2}[ -~é€😀]{0,5}", 1..4),
+            crlf in proptest::bool::ANY,
+        ) {
+            let mut wire = lines.join("\r\n");
+            if crlf {
+                wire.push_str("\r\n");
+            }
+            if let Some(r) = Reply::from_wire(&wire) {
+                prop_assert!((200..=599).contains(&r.code()));
+                prop_assert_eq!(Reply::from_wire(&r.to_wire()), Some(r));
+            }
         }
     }
 }

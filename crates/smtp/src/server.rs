@@ -295,8 +295,10 @@ impl ServerSession {
                     None => {
                         self.state = SessionState::Ready;
                         if self.esmtp {
-                            let mut lines = vec![format!("{} Hello {}", self.hostname, domain)];
-                            lines.extend(self.capabilities.ehlo_lines());
+                            let capabilities = self.capabilities.ehlo_lines();
+                            let mut lines = Vec::with_capacity(1 + capabilities.len());
+                            lines.push(format!("{} Hello {}", self.hostname, domain).into());
+                            lines.extend(capabilities);
                             Reply::new(codes::OK, lines)
                         } else {
                             Reply::hello(&self.hostname, domain)

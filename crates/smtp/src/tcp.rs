@@ -28,6 +28,10 @@ fn write_reply(stream: &mut TcpStream, reply: &Reply) -> io::Result<()> {
 }
 
 /// Reads one (possibly multi-line) reply from the server side of `reader`.
+///
+/// Every line but a `XYZ-` continuation line ends the reply, so a final
+/// line that is only the code (`250`, which RFC 5321 §4.2 allows) ends it
+/// too, and a malformed line is refused at once instead of waiting for more.
 fn read_reply(reader: &mut impl BufRead) -> io::Result<Reply> {
     let mut wire = String::new();
     loop {
@@ -36,10 +40,10 @@ fn read_reply(reader: &mut impl BufRead) -> io::Result<Reply> {
         if n == 0 {
             return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed"));
         }
-        let done = line.len() >= 4 && line.as_bytes()[3] == b' ';
-        wire.push_str(line.trim_end_matches(['\r', '\n']));
+        let line = line.trim_end_matches(['\r', '\n']);
+        wire.push_str(line);
         wire.push_str("\r\n");
-        if done {
+        if line.as_bytes().get(3) != Some(&b'-') {
             break;
         }
     }
@@ -156,8 +160,8 @@ pub fn deliver_tcp(addr: SocketAddr, mut client: ClientSession) -> io::Result<De
                 stream.flush()?;
                 reply = read_reply(&mut reader)?;
             }
-            ClientAction::SendBody(body) => {
-                stream.write_all(dot_stuff(&body).as_bytes())?;
+            ClientAction::SendBody(message) => {
+                stream.write_all(dot_stuff(message.to_wire()).as_bytes())?;
                 stream.flush()?;
                 reply = read_reply(&mut reader)?;
             }
@@ -333,6 +337,74 @@ mod tests {
         let sessions = server.join().expect("server survives the bad client");
         assert_eq!(sessions.len(), 1, "only the clean session is returned");
         assert_eq!(sessions[0].accepted().len(), 1);
+    }
+
+    /// A scripted server that answers with bare reply codes, which RFC
+    /// 5321 §4.2 allows (`Reply-code [ SP textstring ] CRLF`), and returns
+    /// the commands it heard.
+    fn serve_bare_codes(listener: TcpListener) -> io::Result<Vec<String>> {
+        let (mut stream, _) = listener.accept()?;
+        // A client still waiting for the rest of a reply would hang the
+        // test; drop it instead, so its read fails.
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(10)))?;
+        let mut reader = BufReader::new(stream.try_clone()?);
+        stream.write_all(b"220\r\n")?;
+        let mut commands = Vec::new();
+        let mut in_body = false;
+        loop {
+            let mut line = String::new();
+            if reader.read_line(&mut line)? == 0 {
+                return Ok(commands);
+            }
+            let line = line.trim_end();
+            if in_body {
+                if line == "." {
+                    in_body = false;
+                    stream.write_all(b"250\r\n")?;
+                }
+                continue;
+            }
+            commands.push(line.to_owned());
+            let answer: &[u8] = match line {
+                "EHLO relay.example" => b"250-mx.bare.test\r\n250\r\n",
+                "DATA" => {
+                    in_body = true;
+                    b"354\r\n"
+                }
+                "QUIT" => b"221\r\n",
+                _ => b"250\r\n",
+            };
+            stream.write_all(answer)?;
+            if line == "QUIT" {
+                return Ok(commands);
+            }
+        }
+    }
+
+    #[test]
+    fn replies_that_are_only_a_code_end_the_reply() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().unwrap();
+        let server = thread::spawn(move || serve_bare_codes(listener));
+
+        let client = ClientSession::new(
+            Dialect::compliant_mta("relay.example"),
+            envelope("user@bare.test"),
+            message(),
+        );
+        let outcome = deliver_tcp(addr, client).expect("bare-code replies are complete replies");
+        assert!(outcome.is_delivered(), "{outcome:?}");
+        let commands = server.join().expect("server thread").expect("server io");
+        assert_eq!(
+            commands,
+            [
+                "EHLO relay.example",
+                "MAIL FROM:<alice@relay.example>",
+                "RCPT TO:<user@bare.test>",
+                "DATA",
+                "QUIT"
+            ]
+        );
     }
 
     #[test]

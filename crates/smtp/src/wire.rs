@@ -246,7 +246,8 @@ pub fn exchange(
     policy: &mut dyn ServerPolicy,
     now: SimTime,
 ) -> (DeliveryOutcome, Transcript) {
-    let mut transcript = Transcript::default();
+    // Room for a whole delivered session (about 14 steps) up front.
+    let mut transcript = Transcript { steps: Vec::with_capacity(16) };
     let mut reply = if client.dialect().waits_for_banner {
         server.open(now, policy)
     } else {
@@ -273,10 +274,10 @@ pub fn exchange(
                 };
                 transcript.steps.push(Step::Command(cmd));
             }
-            ClientAction::SendBody(body) => {
+            ClientAction::SendBody(message) => {
                 // Stuff once: the stuffed length is the transcript line,
                 // and unstuffing it gives the body the server receives.
-                let stuffed = dot_stuff(&body);
+                let stuffed = dot_stuff(message.to_wire());
                 transcript.steps.push(Step::Body(stuffed.len()));
                 // `dot_stuff` always appends the terminator `dot_unstuff`
                 // requires, so the default is never taken.
