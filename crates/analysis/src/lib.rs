@@ -14,9 +14,11 @@
 //! * [`json`] — canonical JSON primitives shared by all report serializers.
 //! * [`reduce`] — order-pinned f64 reduction ([`reduce::ordered_sum`]);
 //!   the only sanctioned way to fold floats in experiment code (lint `C2`).
-//! * [`log`] — the anonymized greylist-log analyzer that reconstructs
-//!   per-triplet delivery delays (the paper's university-deployment
-//!   methodology behind Fig. 5).
+//! * [`log`] — the anonymized greylist log: its record
+//!   ([`log::LogRecord`], which `spamward-mta`'s receiving server writes),
+//!   its one-line text form and one parser, and the analyzer that
+//!   reconstructs per-triplet delivery delays (the paper's
+//!   university-deployment methodology behind Fig. 5).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

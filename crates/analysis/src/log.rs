@@ -1,4 +1,5 @@
-//! Anonymized greylist-log analysis (the Fig. 5 methodology).
+//! The anonymized greylist log: its record, its text form, and the
+//! Fig. 5 analysis over it.
 //!
 //! The university dataset gives, per greylisted message, only the
 //! timestamps of its delivery attempts and an opaque identity. This module
@@ -9,10 +10,11 @@
 //! * per-message attempt counts and inter-attempt gaps;
 //! * the set of messages that were never delivered (sender gave up).
 //!
-//! The entry format is the one `spamward-mta` emits
-//! (`"<secs>.<micros> <event> key=<hex>"`); parsing is replicated here so
-//! a log written to disk can be analyzed with no dependency on the MTA
-//! crate.
+//! It also owns the log format. `spamward-mta`'s receiving server writes
+//! [`LogRecord`]s; a record's `Display` is the one-line text form
+//! (`"<secs>.<micros> <event> key=<hex>"`) and [`parse_log_line`] reads it
+//! back, so a log written to disk is analyzed with no dependency on the
+//! MTA crate.
 
 use crate::cdf::Cdf;
 use serde::{Deserialize, Serialize};
@@ -20,28 +22,48 @@ use spamward_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// One parsed log record.
+/// What happened to one RCPT (or one completed message).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum LogEvent {
+    /// The RCPT was deferred by greylisting.
+    Greylisted,
+    /// The RCPT passed greylisting after the delay.
+    PassedGreylist,
+    /// The RCPT was exempt (whitelist/auto-whitelist).
+    Whitelisted,
+    /// A complete message was accepted and stored.
+    Accepted,
+}
+
+impl fmt::Display for LogEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            LogEvent::Greylisted => "greylisted",
+            LogEvent::PassedGreylist => "passed",
+            LogEvent::Whitelisted => "whitelisted",
+            LogEvent::Accepted => "accepted",
+        })
+    }
+}
+
+/// One anonymized log record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LogRecord {
-    /// Event timestamp.
+    /// When the event happened.
     pub at: SimTime,
-    /// Event kind (the subset analysis needs).
-    pub kind: LogKind,
-    /// Opaque message/triplet identity.
+    /// What happened.
+    pub event: LogEvent,
+    /// Opaque hash of the greylist triplet — the only identity that
+    /// survives anonymization.
     pub key: u64,
 }
 
-/// The log event kinds the analyzer distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum LogKind {
-    /// The attempt was deferred (greylisted).
-    Deferred,
-    /// The attempt passed greylisting.
-    Passed,
-    /// The message was accepted and stored.
-    Accepted,
-    /// Any other event (whitelisted, unknown recipient, ...).
-    Other,
+impl fmt::Display for LogRecord {
+    /// The one-line text form, `"<secs>.<micros:06> <event> key=<hex:016>"`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let us = self.at.as_micros();
+        write!(f, "{}.{:06} {} key={:016x}", us / 1_000_000, us % 1_000_000, self.event, self.key)
+    }
 }
 
 /// Why one log line could not be parsed.
@@ -51,6 +73,8 @@ pub enum LogParseReason {
     MissingField(&'static str),
     /// The leading `<secs>.<micros>` timestamp is malformed.
     BadTimestamp,
+    /// The event word is not one [`LogEvent`] renders.
+    UnknownEvent,
     /// The trailing `key=<hex>` field is malformed.
     BadKey,
 }
@@ -60,13 +84,14 @@ impl fmt::Display for LogParseReason {
         match self {
             LogParseReason::MissingField(name) => write!(f, "missing {name} field"),
             LogParseReason::BadTimestamp => write!(f, "malformed <secs>.<micros> timestamp"),
+            LogParseReason::UnknownEvent => write!(f, "unknown event"),
             LogParseReason::BadKey => write!(f, "malformed key=<hex> field"),
         }
     }
 }
 
 /// A malformed log line: the typed rejection [`GreylistLogAnalysis::from_lines`]
-/// and [`parse_log_line_strict`] report instead of silently skipping.
+/// and [`parse_log_line`] report instead of silently skipping.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogParseError {
     /// 1-based line number within the parsed text; 0 when a line was parsed
@@ -86,14 +111,14 @@ impl fmt::Display for LogParseError {
 
 impl std::error::Error for LogParseError {}
 
-/// Parses one log line in the shared text format, reporting *why* a
-/// malformed line was rejected.
+/// Parses one line of the text form a [`LogRecord`] renders, reporting
+/// *why* a malformed line was rejected.
 ///
-/// Unknown event strings still parse as [`LogKind::Other`] — the format is
-/// extensible — but structural damage (missing fields, broken timestamp or
-/// key) is a typed error. The returned error carries `line_no: 0`; callers
-/// iterating a file fill in the position.
-pub fn parse_log_line_strict(line: &str) -> Result<LogRecord, LogParseError> {
+/// The timestamp must be ASCII digits, a point and exactly six digits of
+/// microseconds, and must fit in a `u64` of microseconds. The returned
+/// error carries `line_no: 0`; callers iterating a file fill in the
+/// position.
+pub fn parse_log_line(line: &str) -> Result<LogRecord, LogParseError> {
     let fail = |reason| LogParseError { line_no: 0, line: line.to_owned(), reason };
     let mut parts = line.split_whitespace();
     let ts = parts.next().ok_or_else(|| fail(LogParseReason::MissingField("timestamp")))?;
@@ -102,27 +127,31 @@ pub fn parse_log_line_strict(line: &str) -> Result<LogRecord, LogParseError> {
         .next()
         .and_then(|f| f.strip_prefix("key="))
         .ok_or_else(|| fail(LogParseReason::MissingField("key=")))?;
-    let (secs, micros) = ts.split_once('.').ok_or_else(|| fail(LogParseReason::BadTimestamp))?;
-    let at = match (secs.parse::<u64>(), micros.parse::<u64>()) {
-        (Ok(s), Ok(us)) => SimTime::from_micros(s * 1_000_000 + us),
-        _ => return Err(fail(LogParseReason::BadTimestamp)),
+    let at = parse_timestamp(ts).ok_or_else(|| fail(LogParseReason::BadTimestamp))?;
+    let event = match event {
+        "greylisted" => LogEvent::Greylisted,
+        "passed" => LogEvent::PassedGreylist,
+        "whitelisted" => LogEvent::Whitelisted,
+        "accepted" => LogEvent::Accepted,
+        _ => return Err(fail(LogParseReason::UnknownEvent)),
     };
     let key = u64::from_str_radix(key, 16).map_err(|_| fail(LogParseReason::BadKey))?;
-    let kind = match event {
-        "greylisted" => LogKind::Deferred,
-        "passed" => LogKind::Passed,
-        "accepted" => LogKind::Accepted,
-        _ => LogKind::Other,
-    };
-    Ok(LogRecord { at, kind, key })
+    Ok(LogRecord { at, event, key })
 }
 
-/// Parses one log line, mapping any malformed line to `None`.
-///
-/// Unknown event strings parse as [`LogKind::Other`]; use
-/// [`parse_log_line_strict`] to learn why a line was rejected.
-pub fn parse_log_line(line: &str) -> Option<LogRecord> {
-    parse_log_line_strict(line).ok()
+/// `<secs>.<micros>`, with no overflow and no short or long fraction.
+fn parse_timestamp(ts: &str) -> Option<SimTime> {
+    let (secs, micros) = ts.split_once('.')?;
+    if secs.is_empty() || micros.len() != 6 {
+        return None;
+    }
+    // With exactly six fraction digits, the digits read as one number are
+    // the instant in microseconds.
+    let us = secs.bytes().chain(micros.bytes()).try_fold(0u64, |us, b| {
+        let digit = b.checked_sub(b'0').filter(|d| *d < 10)?;
+        us.checked_mul(10)?.checked_add(u64::from(digit))
+    })?;
+    Some(SimTime::from_micros(us))
 }
 
 /// Per-message reconstruction from the anonymized log.
@@ -154,7 +183,7 @@ impl MessageTimeline {
 /// # Example
 ///
 /// ```
-/// use spamward_analysis::log::{GreylistLogAnalysis, parse_log_line};
+/// use spamward_analysis::log::GreylistLogAnalysis;
 ///
 /// let log = "\
 /// 100.000000 greylisted key=00000000000000aa
@@ -165,16 +194,16 @@ impl MessageTimeline {
 /// assert_eq!(analysis.delivered().count(), 1);
 /// let delays = analysis.delivery_delays();
 /// assert_eq!(delays[0].as_secs(), 400);
-/// # let _ = parse_log_line("1.0 accepted key=00");
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct GreylistLogAnalysis {
     timelines: BTreeMap<u64, MessageTimeline>,
-    malformed: usize,
 }
 
 impl GreylistLogAnalysis {
-    /// Builds the analysis from parsed records.
+    /// Builds the analysis from records, in log order. Every record opens
+    /// its key's timeline; deferred and passing attempts extend it and the
+    /// first acceptance closes it.
     pub fn from_records(records: impl IntoIterator<Item = LogRecord>) -> Self {
         let mut timelines: BTreeMap<u64, MessageTimeline> = BTreeMap::new();
         for r in records {
@@ -183,17 +212,17 @@ impl GreylistLogAnalysis {
                 attempts: Vec::new(),
                 accepted_at: None,
             });
-            match r.kind {
-                LogKind::Deferred | LogKind::Passed => tl.attempts.push(r.at),
-                LogKind::Accepted => {
+            match r.event {
+                LogEvent::Greylisted | LogEvent::PassedGreylist => tl.attempts.push(r.at),
+                LogEvent::Accepted => {
                     if tl.accepted_at.is_none() {
                         tl.accepted_at = Some(r.at);
                     }
                 }
-                LogKind::Other => {}
+                LogEvent::Whitelisted => {}
             }
         }
-        GreylistLogAnalysis { timelines, malformed: 0 }
+        GreylistLogAnalysis { timelines }
     }
 
     /// Builds the analysis from raw text lines, rejecting the first
@@ -205,40 +234,11 @@ impl GreylistLogAnalysis {
             if line.trim().is_empty() {
                 continue;
             }
-            match parse_log_line_strict(line) {
-                Ok(r) => records.push(r),
-                Err(mut e) => {
-                    e.line_no = idx + 1;
-                    return Err(e);
-                }
-            }
+            let record =
+                parse_log_line(line).map_err(|e| LogParseError { line_no: idx + 1, ..e })?;
+            records.push(record);
         }
         Ok(Self::from_records(records))
-    }
-
-    /// Builds the analysis from raw text lines, counting (and skipping)
-    /// malformed ones — for real-world logs where damage is expected.
-    pub fn from_lines_lossy<'a>(lines: impl IntoIterator<Item = &'a str>) -> Self {
-        let mut records = Vec::new();
-        let mut malformed = 0;
-        for line in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match parse_log_line(line) {
-                Some(r) => records.push(r),
-                None => malformed += 1,
-            }
-        }
-        let mut out = Self::from_records(records);
-        out.malformed = malformed;
-        out
-    }
-
-    /// Lines [`from_lines_lossy`](Self::from_lines_lossy) failed to parse
-    /// (always 0 for the strict constructors).
-    pub fn malformed(&self) -> usize {
-        self.malformed
     }
 
     /// Number of distinct message identities seen.
@@ -283,28 +283,44 @@ impl GreylistLogAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn rec(at_secs: u64, kind: LogKind, key: u64) -> LogRecord {
-        LogRecord { at: SimTime::from_secs(at_secs), kind, key }
+    fn rec(at_secs: u64, event: LogEvent, key: u64) -> LogRecord {
+        LogRecord { at: SimTime::from_secs(at_secs), event, key }
     }
 
     #[test]
-    fn parse_matches_mta_format() {
+    fn line_roundtrip() {
+        let r = LogRecord {
+            at: SimTime::from_micros(1_234_567_890),
+            event: LogEvent::Greylisted,
+            key: 0xdead_beef_cafe_f00d,
+        };
+        let line = r.to_string();
+        assert_eq!(line, "1234.567890 greylisted key=deadbeefcafef00d");
+        assert_eq!(parse_log_line(&line), Ok(r));
+    }
+
+    #[test]
+    fn parse_reads_every_event_word() {
         let r = parse_log_line("1234.567890 greylisted key=00000000000000ff").unwrap();
         assert_eq!(r.at, SimTime::from_micros(1_234_567_890));
-        assert_eq!(r.kind, LogKind::Deferred);
+        assert_eq!(r.event, LogEvent::Greylisted);
         assert_eq!(r.key, 0xff);
-        assert_eq!(parse_log_line("1.000000 whitelisted key=01").unwrap().kind, LogKind::Other);
-        assert_eq!(parse_log_line("garbage"), None);
+        let event = |l: &str| parse_log_line(l).unwrap().event;
+        assert_eq!(event("1.000000 passed key=01"), LogEvent::PassedGreylist);
+        assert_eq!(event("1.000000 whitelisted key=01"), LogEvent::Whitelisted);
+        assert_eq!(event("1.000000 accepted key=01"), LogEvent::Accepted);
+        assert!(parse_log_line("garbage").is_err());
     }
 
     #[test]
     fn reconstructs_delivery_delay() {
         let a = GreylistLogAnalysis::from_records(vec![
-            rec(100, LogKind::Deferred, 1),
-            rec(250, LogKind::Deferred, 1),
-            rec(500, LogKind::Passed, 1),
-            rec(500, LogKind::Accepted, 1),
+            rec(100, LogEvent::Greylisted, 1),
+            rec(250, LogEvent::Greylisted, 1),
+            rec(500, LogEvent::PassedGreylist, 1),
+            rec(500, LogEvent::Accepted, 1),
         ]);
         let tl = a.delivered().next().unwrap();
         assert_eq!(tl.attempts.len(), 3);
@@ -315,10 +331,10 @@ mod tests {
     #[test]
     fn distinguishes_abandoned() {
         let a = GreylistLogAnalysis::from_records(vec![
-            rec(100, LogKind::Deferred, 1),
-            rec(500, LogKind::Passed, 1),
-            rec(500, LogKind::Accepted, 1),
-            rec(200, LogKind::Deferred, 2), // never retried
+            rec(100, LogEvent::Greylisted, 1),
+            rec(500, LogEvent::PassedGreylist, 1),
+            rec(500, LogEvent::Accepted, 1),
+            rec(200, LogEvent::Greylisted, 2), // never retried
         ]);
         assert_eq!(a.len(), 2);
         assert_eq!(a.delivered().count(), 1);
@@ -329,23 +345,14 @@ mod tests {
     #[test]
     fn cdf_over_delays() {
         let a = GreylistLogAnalysis::from_records(vec![
-            rec(0, LogKind::Deferred, 1),
-            rec(300, LogKind::Accepted, 1),
-            rec(0, LogKind::Deferred, 2),
-            rec(600, LogKind::Accepted, 2),
+            rec(0, LogEvent::Greylisted, 1),
+            rec(300, LogEvent::Accepted, 1),
+            rec(0, LogEvent::Greylisted, 2),
+            rec(600, LogEvent::Accepted, 2),
         ]);
         let cdf = a.delay_cdf();
         assert_eq!(cdf.len(), 2);
         assert_eq!(cdf.fraction_at_or_below(300.0), 0.5);
-    }
-
-    #[test]
-    fn from_lines_lossy_counts_malformed() {
-        let text = "0.000000 greylisted key=01\nnot a line\n\n1.000000 accepted key=01\n";
-        let a = GreylistLogAnalysis::from_lines_lossy(text.lines());
-        assert_eq!(a.malformed(), 1);
-        assert_eq!(a.len(), 1);
-        assert!(!a.is_empty());
     }
 
     #[test]
@@ -357,30 +364,76 @@ mod tests {
         assert_eq!(err.reason, LogParseReason::MissingField("key="));
         assert!(err.to_string().contains("log line 3"));
 
-        let ok = GreylistLogAnalysis::from_lines("0.000000 greylisted key=01\n".lines())
+        let ok = GreylistLogAnalysis::from_lines("0.000000 greylisted key=01\n\n".lines())
             .expect("well-formed log parses");
-        assert_eq!(ok.malformed(), 0);
         assert_eq!(ok.len(), 1);
+        assert!(!ok.is_empty());
     }
 
     #[test]
-    fn strict_parse_reports_reasons() {
-        let reason = |l: &str| parse_log_line_strict(l).unwrap_err().reason;
+    fn parse_reports_reasons() {
+        let reason = |l: &str| parse_log_line(l).unwrap_err().reason;
         assert_eq!(reason(""), LogParseReason::MissingField("timestamp"));
         assert_eq!(reason("1.000000"), LogParseReason::MissingField("event"));
         assert_eq!(reason("1.000000 accepted"), LogParseReason::MissingField("key="));
         assert_eq!(reason("1.000000 accepted id=01"), LogParseReason::MissingField("key="));
         assert_eq!(reason("1 accepted key=01"), LogParseReason::BadTimestamp);
         assert_eq!(reason("x.000000 accepted key=01"), LogParseReason::BadTimestamp);
+        assert_eq!(reason("1.000000 unknown-rcpt key=01"), LogParseReason::UnknownEvent);
         assert_eq!(reason("1.000000 accepted key=zz"), LogParseReason::BadKey);
-        assert!(parse_log_line_strict("1.000000 accepted key=01").is_ok());
+        assert!(parse_log_line("1.000000 accepted key=01").is_ok());
+    }
+
+    #[test]
+    fn timestamps_are_exact_and_never_overflow() {
+        let reason = |l: &str| parse_log_line(l).unwrap_err().reason;
+        // Seconds that overflow a u64 of microseconds.
+        assert_eq!(
+            reason("18446744073709551615.000000 greylisted key=01"),
+            LogParseReason::BadTimestamp
+        );
+        assert_eq!(reason("18446744073709.551616 greylisted key=01"), LogParseReason::BadTimestamp);
+        // A fraction that is not exactly six digits of microseconds.
+        assert_eq!(reason("1.5 greylisted key=01"), LogParseReason::BadTimestamp);
+        assert_eq!(reason("1.1234567 greylisted key=01"), LogParseReason::BadTimestamp);
+        // Signs and empty parts are not digits.
+        assert_eq!(reason("+1.000000 greylisted key=01"), LogParseReason::BadTimestamp);
+        assert_eq!(reason("1.+00000 greylisted key=01"), LogParseReason::BadTimestamp);
+        assert_eq!(reason(".000000 greylisted key=01"), LogParseReason::BadTimestamp);
+        // The largest representable instant still parses.
+        let last = parse_log_line("18446744073709.551615 accepted key=01").unwrap();
+        assert_eq!(last.at, SimTime::from_micros(u64::MAX));
     }
 
     #[test]
     fn accepted_without_attempts_has_no_delay() {
         // Whitelisted mail is accepted with no greylist attempt records.
-        let a = GreylistLogAnalysis::from_records(vec![rec(50, LogKind::Accepted, 9)]);
+        let a = GreylistLogAnalysis::from_records(vec![rec(50, LogEvent::Accepted, 9)]);
         assert_eq!(a.delivered().count(), 1);
         assert!(a.delivery_delays().is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// No line, however damaged, panics the parser, and a line it
+        /// accepts renders back to a line that parses to the same record.
+        /// Each field is well-formed about half the time, so both outcomes
+        /// are common; 14-digit seconds often overflow the microseconds.
+        #[test]
+        fn prop_arbitrary_lines_never_panic(
+            secs in "([0-9]{1,14}|[0-9+]{0,22})",
+            micros in "([0-9]{6}|[0-9+]{0,8})",
+            event in "(greylisted|passed|whitelisted|accepted|[a-z-]{0,12})",
+            key in "([0-9a-f]{1,16}|[0-9a-fz+]{0,18})",
+            noise in "\\PC{0,40}",
+        ) {
+            let shaped = format!("{secs}.{micros} {event} key={key}");
+            for line in [shaped.as_str(), noise.as_str()] {
+                if let Ok(record) = parse_log_line(line) {
+                    prop_assert_eq!(parse_log_line(&record.to_string()), Ok(record));
+                }
+            }
+        }
     }
 }

@@ -20,7 +20,7 @@
 
 use crate::experiments::worlds::{self, VICTIM_MX_IP};
 use crate::harness::{Experiment, HarnessConfig, HarnessError, Report, Scale};
-use spamward_analysis::log::GreylistLogAnalysis;
+use spamward_analysis::log::{GreylistLogAnalysis, LogRecord};
 use spamward_analysis::reduce::ordered_sum;
 use spamward_analysis::{plot, Cdf, Series};
 use spamward_dns::DomainName;
@@ -225,16 +225,19 @@ fn build_message(
 struct ShardRun {
     events: u64,
     bounces: usize,
-    log_text: String,
+    log: Vec<LogRecord>,
     trace_lines: Vec<String>,
     metrics: Registry,
 }
 
-fn summarize(log_text: &str, bounces_generated: usize, messages: usize) -> DeploymentResult {
+fn summarize(
+    log: impl IntoIterator<Item = LogRecord>,
+    bounces_generated: usize,
+    messages: usize,
+) -> DeploymentResult {
     // Analyze the *server's* anonymized log, as the paper did. Keys are
     // triplet hashes, so concatenating the shard logs loses nothing.
-    let analysis =
-        GreylistLogAnalysis::from_lines(log_text.lines()).expect("MTA log lines are well-formed");
+    let analysis = GreylistLogAnalysis::from_records(log);
     let cdf = analysis.delay_cdf();
     let within_10min = if cdf.is_empty() { 0.0 } else { cdf.fraction_at_or_below(600.0) };
     let beyond_50min = if cdf.is_empty() { 0.0 } else { 1.0 - cdf.fraction_at_or_below(3_000.0) };
@@ -288,22 +291,21 @@ pub fn run_with_obs(
         ShardRun {
             events: world.engine_stats.events,
             bounces: senders.iter().map(|s| s.bounces().len()).sum(),
-            log_text: world.server(VICTIM_MX_IP).expect("deployment server").log_text(),
+            log: world.server(VICTIM_MX_IP).expect("deployment server").log().to_vec(),
             trace_lines: world.events.lines().collect(),
             metrics,
         }
     });
 
-    let mut log_text = String::new();
     let mut bounces = 0;
     for (shard, run) in shard_runs.iter().enumerate() {
         spamward_mta::metrics::collect_shard_events(shard as u32, run.events, reg);
         reg.merge(&run.metrics);
         trace_lines.extend_from_slice(&run.trace_lines);
-        log_text.push_str(&run.log_text);
         bounces += run.bounces;
     }
-    summarize(&log_text, bounces, config.messages)
+    let log = shard_runs.iter().flat_map(|run| run.log.iter().copied());
+    summarize(log, bounces, config.messages)
 }
 
 impl DeploymentResult {
@@ -395,6 +397,34 @@ mod tests {
 
     fn quick() -> DeploymentResult {
         run(&DeploymentConfig { messages: 400, ..Default::default() })
+    }
+
+    /// Every message of a 300-message replay drained through one unsharded
+    /// world.
+    fn replay_world(seed: u64) -> MailWorld {
+        let config = DeploymentConfig { seed, messages: 300, ..Default::default() };
+        let domain: DomainName = DEPLOYMENT_DOMAIN.parse().unwrap();
+        let providers = WebmailProvider::table_iii();
+        let mut world = build_world(&config);
+        for i in 0..config.messages {
+            let (arrival, mut sender) = build_message(&config, &providers, &domain, i);
+            sender.drain(arrival, &mut world);
+        }
+        world
+    }
+
+    #[test]
+    fn server_records_analyze_like_their_text() {
+        for seed in [1, 2] {
+            let world = replay_world(seed);
+            let server = world.server(VICTIM_MX_IP).unwrap();
+            let typed = GreylistLogAnalysis::from_records(server.log().iter().copied());
+            let text = GreylistLogAnalysis::from_lines(server.log_text().lines()).unwrap();
+            assert!(typed.len() > 200, "seed {seed}: {} timelines", typed.len());
+            assert_eq!(typed.len(), text.len(), "seed {seed}");
+            assert_eq!(typed.delivery_delays(), text.delivery_delays(), "seed {seed}");
+            assert_eq!(typed.abandonment_rate(), text.abandonment_rate(), "seed {seed}");
+        }
     }
 
     #[test]

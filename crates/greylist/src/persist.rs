@@ -14,10 +14,9 @@
 //! W <client_net_hex> <passes>
 //! ```
 //!
-//! v2 stores the compact [`crate::KeyAtom`] digests. v1 snapshots — which
-//! carried the normalized sender/recipient text — restore transparently:
-//! the text is digested on load, which reproduces the identical key
-//! because v1 always stored the already-normalized form.
+//! Sender and recipient are the compact [`crate::KeyAtom`] digests, so no
+//! address is stored. Restore reads this one version; any other header is
+//! rejected.
 //!
 //! Alongside the snapshot lives a write-ahead log ([`GreylistWal`]): an
 //! append-only record of store mutations since the last checkpoint.
@@ -52,7 +51,6 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-const HEADER_V1: &str = "spamward-greylist-v1";
 const HEADER: &str = "spamward-greylist-v2";
 const HEADER_WAL: &str = "spamward-greylist-wal-v1";
 
@@ -226,8 +224,8 @@ fn parse_wal_record(line: &str) -> Option<WalRecord> {
     let record = match tag {
         "C" => {
             let client_net = u32::from_str_radix(parts.next()?, 16).ok()?;
-            let sender = SnapshotVersion::V2.parse_atom(parts.next()?)?;
-            let recipient = SnapshotVersion::V2.parse_atom(parts.next()?)?;
+            let sender = parse_atom(parts.next()?)?;
+            let recipient = parse_atom(parts.next()?)?;
             let awl_net = u32::from_str_radix(parts.next()?, 16).ok()?;
             WalRecord::Touch { now, key: TripletKey { client_net, sender, recipient }, awl_net }
         }
@@ -241,27 +239,12 @@ fn parse_wal_record(line: &str) -> Option<WalRecord> {
     Some(record)
 }
 
-/// How a snapshot encodes sender/recipient fields.
-#[derive(Clone, Copy, PartialEq)]
-enum SnapshotVersion {
-    /// Normalized address text.
-    V1,
-    /// [`KeyAtom`] digests in fixed hex.
-    V2,
-}
-
-impl SnapshotVersion {
-    fn parse_atom(self, raw: &str) -> Option<KeyAtom> {
-        if raw == NULL_SENDER {
-            return Some(KeyAtom::EMPTY);
-        }
-        match self {
-            // v1 stored the already-normalized text; digesting it yields
-            // the same atom `TripletKey::new` would have produced.
-            SnapshotVersion::V1 => Some(KeyAtom::of(raw)),
-            SnapshotVersion::V2 => u64::from_str_radix(raw, 16).ok().map(KeyAtom::from_raw),
-        }
+/// A sender or recipient field: a [`KeyAtom`] digest in hex, or `<>`.
+fn parse_atom(raw: &str) -> Option<KeyAtom> {
+    if raw == NULL_SENDER {
+        return Some(KeyAtom::EMPTY);
     }
+    u64::from_str_radix(raw, 16).ok().map(KeyAtom::from_raw)
 }
 
 impl Greylist {
@@ -307,11 +290,9 @@ impl Greylist {
     /// Returns [`SnapshotError`] on a bad header or malformed record.
     pub fn restore(&mut self, text: &str) -> Result<(), SnapshotError> {
         let mut lines = text.lines().enumerate();
-        let version = match lines.next() {
-            Some((_, line)) if line.trim() == HEADER => SnapshotVersion::V2,
-            Some((_, line)) if line.trim() == HEADER_V1 => SnapshotVersion::V1,
-            _ => return Err(SnapshotError::BadHeader),
-        };
+        if !matches!(lines.next(), Some((_, line)) if line.trim() == HEADER) {
+            return Err(SnapshotError::BadHeader);
+        }
         for (idx, line) in lines {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -324,10 +305,8 @@ impl Greylist {
                 "T" => {
                     let client_net = u32::from_str_radix(parts.next().ok_or_else(bad)?, 16)
                         .map_err(|_| bad())?;
-                    let sender =
-                        version.parse_atom(parts.next().ok_or_else(bad)?).ok_or_else(bad)?;
-                    let recipient =
-                        version.parse_atom(parts.next().ok_or_else(bad)?).ok_or_else(bad)?;
+                    let sender = parse_atom(parts.next().ok_or_else(bad)?).ok_or_else(bad)?;
+                    let recipient = parse_atom(parts.next().ok_or_else(bad)?).ok_or_else(bad)?;
                     let first: u64 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
                     let last: u64 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
                     let attempts: u32 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
@@ -488,33 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshots_restore_transparently() {
-        // A hand-written v1 snapshot with literal (normalized) addresses,
-        // as the pre-v2 format emitted them.
-        let v1 = "spamward-greylist-v1\n\
-                  T 0a000000 a@b.cc u@foo.net 0 400000000 2 A\n\
-                  T 0a000100 <> u@foo.net 600000000 600000000 1 P\n\
-                  W 0a000000 1\n";
-        let mut g = Greylist::new(
-            GreylistConfig::with_delay(SimDuration::from_secs(300)).without_auto_whitelist(),
-        );
-        g.restore(v1).unwrap();
-        assert_eq!(g.store().len(), 2);
-        let rcpt = "u@foo.net".parse().unwrap();
-        // The passed triplet matches a live check: the digested v1 text
-        // lines up with the key `TripletKey::new` computes today.
-        let d =
-            g.check(SimTime::from_secs(700), Ipv4Addr::new(10, 0, 0, 1), &sender("a@b.cc"), &rcpt);
-        assert_eq!(d, Decision::Pass(PassReason::TripletKnown));
-        // And so does the pending null-sender one (clock preserved).
-        let d =
-            g.check(SimTime::from_secs(901), Ipv4Addr::new(10, 0, 1, 1), &ReversePath::Null, &rcpt);
-        assert!(d.is_pass(), "v1 pending triplet lost its identity or clock: {d:?}");
-        // Re-snapshotting upgrades the header.
-        assert!(g.snapshot().starts_with("spamward-greylist-v2\n"));
-    }
-
-    #[test]
     fn snapshot_restores_across_backends() {
         use crate::backend::{RemoteStore, StoreBackend};
         let original = populated();
@@ -585,20 +537,25 @@ mod tests {
         assert_eq!(g.restore(""), Err(SnapshotError::BadHeader));
         assert_eq!(g.restore("wrong-header\n"), Err(SnapshotError::BadHeader));
         assert_eq!(
-            g.restore("spamward-greylist-v1\nT nothexa a@b.cc u@foo.net 0 0 1 P\n"),
+            g.restore("spamward-greylist-v2\nT nothexa 0b 0c 0 0 1 P\n"),
             Err(SnapshotError::BadRecord(2))
         );
         assert_eq!(
-            g.restore("spamward-greylist-v1\nT 0a000000 a@b.cc u@foo.net 5 1 1 P\n"),
+            g.restore("spamward-greylist-v2\nT 0a000000 0b notanatom 0 0 1 P\n"),
+            Err(SnapshotError::BadRecord(2)),
+            "an address where a digest belongs must be rejected"
+        );
+        assert_eq!(
+            g.restore("spamward-greylist-v2\nT 0a000000 0b 0c 5 1 1 P\n"),
             Err(SnapshotError::BadRecord(2)),
             "last_seen before first_seen must be rejected"
         );
         assert_eq!(
-            g.restore("spamward-greylist-v1\nX unknown record\n"),
+            g.restore("spamward-greylist-v2\nX unknown record\n"),
             Err(SnapshotError::BadRecord(2))
         );
         // Comments and blank lines are fine.
-        assert_eq!(g.restore("spamward-greylist-v1\n# comment\n\n"), Ok(()));
+        assert_eq!(g.restore("spamward-greylist-v2\n# comment\n\n"), Ok(()));
     }
 
     #[test]
@@ -606,9 +563,13 @@ mod tests {
         let mut g = Greylist::new(GreylistConfig::default());
         // A future snapshot version must fail loudly, even when its
         // records would happen to parse under today's grammar.
-        let v3 = "spamward-greylist-v3\nT 0a000000 <> u@foo.net 0 0 1 P\n";
+        let v3 = "spamward-greylist-v3\nT 0a000000 <> 0c 0 0 1 P\n";
         assert_eq!(g.restore(v3), Err(SnapshotError::BadHeader));
         assert_eq!(g.store().len(), 0, "a rejected snapshot must restore nothing");
+        // So is the retired v1 format, which stored address text.
+        let v1 = "spamward-greylist-v1\nT 0a000000 a@b.cc u@foo.net 0 0 1 P\n";
+        assert_eq!(g.restore(v1), Err(SnapshotError::BadHeader));
+        assert_eq!(g.store().len(), 0);
         // Snapshot and WAL headers are not interchangeable.
         assert_eq!(g.restore("spamward-greylist-wal-v1\n"), Err(SnapshotError::BadHeader));
         assert_eq!(g.replay_wal("spamward-greylist-v2\n"), Err(SnapshotError::BadHeader));

@@ -6,7 +6,9 @@
 //!   lab: a Postfix-like filter chain (recipient validation first, then
 //!   whitelists, then Postgrey-style greylisting) wired into the
 //!   [`spamward_smtp::ServerPolicy`] hooks, with a mailbox and an
-//!   anonymized log in the format the university dataset provides.
+//!   anonymized log in the format the university dataset provides: one
+//!   [`spamward_analysis::log::LogRecord`] per greylist verdict and per
+//!   accepted recipient, keyed by a salted triplet digest.
 //! * **Sending** — [`SendingMta`] is a queue-and-retry engine
 //!   parameterized by an [`MtaProfile`]: the Table IV retransmission
 //!   schedules of sendmail, exim, postfix, qmail, courier and exchange,
@@ -37,7 +39,6 @@ mod world;
 pub mod worldsim;
 
 pub use events::{AtExchanger, EventLog, WorldEvent};
-pub use log::{LogEvent, MtaLogEntry};
 pub use receive::{
     CrashStats, CrashTransition, DegradationMode, ReceiveStats, ReceivingMta, RecipientPolicy,
     StoredMessage,

@@ -1,7 +1,8 @@
 //! The receiving MTA: filter chain, mailbox and log.
 
-use crate::log::{anonymize, LogEvent, MtaLogEntry};
+use crate::log::anonymize;
 use serde::{Deserialize, Serialize};
+use spamward_analysis::log::{LogEvent, LogRecord};
 use spamward_greylist::{Decision, DurabilityMode, Greylist, PassReason, TripletKey};
 use spamward_net::FaultWindow;
 use spamward_sim::SimTime;
@@ -11,6 +12,7 @@ use spamward_smtp::{
     ServerPolicy, Transaction,
 };
 use std::collections::HashSet;
+use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
 /// Which RCPT addresses the server considers deliverable.
@@ -183,7 +185,7 @@ pub struct ReceivingMta {
     entries_at_crash: u64,
     crash_stats: CrashStats,
     mailbox: Vec<StoredMessage>,
-    log: Vec<MtaLogEntry>,
+    log: Vec<LogRecord>,
     stats: ReceiveStats,
     smtp_metrics: SessionMetrics,
     log_salt: u64,
@@ -458,16 +460,16 @@ impl ReceivingMta {
     }
 
     /// The anonymized event log.
-    pub fn log(&self) -> &[MtaLogEntry] {
+    pub fn log(&self) -> &[LogRecord] {
         &self.log
     }
 
-    /// Renders the full anonymized log as text (one entry per line).
+    /// Renders the full anonymized log as text (one record per line).
     pub fn log_text(&self) -> String {
         let mut out = String::new();
-        for e in &self.log {
-            out.push_str(&e.to_line());
-            out.push('\n');
+        for record in &self.log {
+            // Writing to a `String` never fails.
+            let _ = writeln!(out, "{record}");
         }
         out
     }
@@ -508,8 +510,7 @@ impl ReceivingMta {
     }
 
     fn log_event(&mut self, at: SimTime, event: LogEvent, key: &TripletKey) {
-        let triplet_hash = anonymize(self.log_salt, key);
-        self.log.push(MtaLogEntry { at, event, triplet_hash });
+        self.log.push(LogRecord { at, event, key: anonymize(self.log_salt, key) });
     }
 
     /// Answers a RCPT while the greylist store is unreachable — either an
@@ -627,6 +628,7 @@ impl ServerPolicy for ReceivingMta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spamward_analysis::log::parse_log_line;
     use spamward_greylist::GreylistConfig;
     use spamward_sim::SimDuration;
     use spamward_smtp::{exchange, ClientSession, Dialect, ServerSession};
@@ -719,13 +721,18 @@ mod tests {
         assert_eq!(log[0].event, LogEvent::Greylisted);
         assert_eq!(log[1].event, LogEvent::PassedGreylist);
         assert_eq!(log[2].event, LogEvent::Accepted);
-        assert_eq!(log[0].triplet_hash, log[1].triplet_hash);
-        assert_eq!(log[0].triplet_hash, log[2].triplet_hash);
+        assert_eq!(log[0].key, log[1].key);
+        assert_eq!(log[0].key, log[2].key);
         // Text form parses back.
         let text = mta.log_text();
-        for line in text.lines() {
-            assert!(MtaLogEntry::parse_line(line).is_some(), "unparseable line {line:?}");
-        }
+        let parsed: Result<Vec<_>, _> = text.lines().map(parse_log_line).collect();
+        assert_eq!(parsed.as_deref(), Ok(log));
+        assert_eq!(
+            text,
+            "0.000000 greylisted key=e8db77b1bc57eeed\n\
+             400.000000 passed key=e8db77b1bc57eeed\n\
+             400.000000 accepted key=e8db77b1bc57eeed\n"
+        );
     }
 
     #[test]
@@ -737,6 +744,11 @@ mod tests {
         let out = run_attempt(&mut mta, "postmaster@foo.net", SimTime::ZERO);
         assert!(out.is_delivered());
         assert_eq!(mta.log()[0].event, LogEvent::Whitelisted);
+        assert_eq!(
+            mta.log_text(),
+            "0.000000 whitelisted key=cb1e75c0df338461\n\
+             0.000000 accepted key=cb1e75c0df338461\n"
+        );
     }
 
     #[test]

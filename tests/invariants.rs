@@ -83,7 +83,7 @@ proptest! {
         let accepted_in_log = server
             .log()
             .iter()
-            .filter(|e| matches!(e.event, spamward::mta::LogEvent::Accepted))
+            .filter(|e| matches!(e.event, spamward::analysis::log::LogEvent::Accepted))
             .count();
         prop_assert_eq!(server.mailbox().len(), accepted_in_log);
         prop_assert_eq!(server.mailbox().len(), n_msgs);

@@ -1,93 +1,68 @@
-//! Round-trip properties of the anonymized MTA log format.
+//! Round-trip properties of the anonymized log format.
 //!
-//! `spamward-mta` renders entries (`mta::log::MtaLogEntry::to_line`) and
-//! `spamward-analysis` re-parses them independently (`analysis::log`), so
-//! the two crates can drift apart silently. These properties pin the wire
-//! format across every [`LogEvent`] variant and both parsers.
+//! `spamward-analysis` owns the format: a [`LogRecord`]'s `Display` renders
+//! the line a receiving MTA's `log_text()` writes, and [`parse_log_line`]
+//! reads it back. These properties pin the wire format across every
+//! [`LogEvent`] variant.
 
 use proptest::prelude::*;
-use spamward::analysis::log::{parse_log_line_strict, GreylistLogAnalysis, LogKind};
-use spamward::mta::{LogEvent, MtaLogEntry};
+use spamward::analysis::log::{parse_log_line, GreylistLogAnalysis, LogEvent, LogRecord};
 use spamward::sim::SimTime;
 
-const ALL_EVENTS: [LogEvent; 5] = [
-    LogEvent::Greylisted,
-    LogEvent::PassedGreylist,
-    LogEvent::Whitelisted,
-    LogEvent::UnknownRecipient,
-    LogEvent::Accepted,
-];
-
-/// The kind the analysis crate should assign to each MTA event.
-fn expected_kind(event: LogEvent) -> LogKind {
-    match event {
-        LogEvent::Greylisted => LogKind::Deferred,
-        LogEvent::PassedGreylist => LogKind::Passed,
-        LogEvent::Accepted => LogKind::Accepted,
-        LogEvent::Whitelisted | LogEvent::UnknownRecipient => LogKind::Other,
-    }
-}
+const ALL_EVENTS: [LogEvent; 4] =
+    [LogEvent::Greylisted, LogEvent::PassedGreylist, LogEvent::Whitelisted, LogEvent::Accepted];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// render → mta parse is the identity, and render → analysis parse
-    /// preserves timestamp, key and the event-kind mapping, for every
-    /// variant and arbitrary timestamps/keys.
+    /// render → parse is the identity, for every variant and arbitrary
+    /// timestamps/keys.
     #[test]
-    fn prop_log_line_roundtrips_through_both_parsers(
+    fn prop_log_line_roundtrips(
         micros in 0u64..=u64::MAX / 2,
         hash in any::<u64>(),
-        event_idx in 0usize..5,
+        event_idx in 0usize..4,
     ) {
-        let entry = MtaLogEntry {
+        let record = LogRecord {
             at: SimTime::from_micros(micros),
             event: ALL_EVENTS[event_idx],
-            triplet_hash: hash,
+            key: hash,
         };
-        let line = entry.to_line();
-
-        // The MTA's own parser is the exact inverse of its renderer.
-        prop_assert_eq!(MtaLogEntry::parse_line(&line).as_ref(), Some(&entry));
-
-        // The independent analysis parser agrees on every field.
-        let rec = parse_log_line_strict(&line)
-            .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        prop_assert_eq!(rec.at, entry.at);
-        prop_assert_eq!(rec.key, entry.triplet_hash);
-        prop_assert_eq!(rec.kind, expected_kind(entry.event));
+        let line = record.to_string();
+        let parsed = parse_log_line(&line).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert_eq!(parsed, record);
     }
 
-    /// Damaging any single field of a rendered line makes the strict
-    /// analysis parser reject it with a typed error (never a silent skip).
+    /// Damaging any single field of a rendered line makes the parser reject
+    /// it with a typed error (never a silent skip).
     #[test]
     fn prop_damaged_lines_are_rejected_typed(
         micros in 0u64..=u64::MAX / 2,
         hash in any::<u64>(),
-        event_idx in 0usize..5,
+        event_idx in 0usize..4,
     ) {
-        let entry = MtaLogEntry {
+        let record = LogRecord {
             at: SimTime::from_micros(micros),
             event: ALL_EVENTS[event_idx],
-            triplet_hash: hash,
+            key: hash,
         };
-        let line = entry.to_line();
+        let line = record.to_string();
         let mut fields: Vec<&str> = line.split(' ').collect();
         prop_assert_eq!(fields.len(), 3);
 
         // Break the timestamp.
         let ts = fields[0].replace('.', "x");
         fields[0] = &ts;
-        prop_assert!(parse_log_line_strict(&fields.join(" ")).is_err());
+        prop_assert!(parse_log_line(&fields.join(" ")).is_err());
         fields[0] = &line[..line.find(' ').unwrap()];
 
         // Break the key.
         let damaged = line.replace("key=", "key=zz");
-        prop_assert!(parse_log_line_strict(&damaged).is_err());
+        prop_assert!(parse_log_line(&damaged).is_err());
 
         // Drop the key field entirely.
         let truncated = fields[..2].join(" ");
-        prop_assert!(parse_log_line_strict(&truncated).is_err());
+        prop_assert!(parse_log_line(&truncated).is_err());
         prop_assert!(GreylistLogAnalysis::from_lines(truncated.lines()).is_err());
     }
 }
@@ -100,8 +75,7 @@ fn full_event_log_feeds_analyzer() {
         .iter()
         .enumerate()
         .map(|(i, &event)| {
-            MtaLogEntry { at: SimTime::from_secs(100 * (i as u64 + 1)), event, triplet_hash: 1 }
-                .to_line()
+            LogRecord { at: SimTime::from_secs(100 * (i as u64 + 1)), event, key: 1 }.to_string()
         })
         .collect();
     let text = lines.join("\n");
@@ -109,6 +83,6 @@ fn full_event_log_feeds_analyzer() {
     assert_eq!(analysis.len(), 1);
     let delivered: Vec<_> = analysis.delivered().collect();
     assert_eq!(delivered.len(), 1);
-    // Greylisted (t=100) then accepted (t=500): a 400 s delivery delay.
-    assert_eq!(delivered[0].delivery_delay().map(|d| d.as_secs()), Some(400));
+    // Greylisted (t=100) then accepted (t=400): a 300 s delivery delay.
+    assert_eq!(delivered[0].delivery_delay().map(|d| d.as_secs()), Some(300));
 }

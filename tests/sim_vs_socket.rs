@@ -9,9 +9,10 @@
 //! outcomes, the per-session protocol counters, the anonymized server log
 //! and the mailbox must come out equal.
 
+use spamward::analysis::log::LogRecord;
 use spamward::botnet::MalwareFamily;
 use spamward::greylist::{Greylist, GreylistConfig};
-use spamward::mta::{MtaLogEntry, ReceivingMta, RecipientPolicy, StoredMessage};
+use spamward::mta::{ReceivingMta, RecipientPolicy, StoredMessage};
 use spamward::sim::{ManualClock, SimDuration, SimTime};
 use spamward::smtp::metrics::SessionMetrics;
 use spamward::smtp::tcp::{deliver_tcp, serve_count};
@@ -33,7 +34,7 @@ const INSTANTS: [SimTime; 2] =
 struct Run {
     outcomes: Vec<DeliveryOutcome>,
     sessions: Vec<SessionMetrics>,
-    log: Vec<MtaLogEntry>,
+    log: Vec<LogRecord>,
     mailbox: Vec<StoredMessage>,
 }
 
