@@ -15,8 +15,8 @@
 //!   `FaultSpec::GreylistStoreDown` applies per backend for free.
 //!
 //! `StoreBackend`'s own methods are the whole store API. Both variants run
-//! the one `touch_store` state machine, so they return the same [`Touch`]
-//! sequence by construction.
+//! the one [`TripletStore::touch`] state machine, so they return the same
+//! [`Touch`] sequence by construction.
 
 use crate::store::{EntryState, TripletEntry, TripletStore};
 use crate::triplet::TripletKey;
@@ -61,53 +61,6 @@ pub enum Touch {
     Matured,
     /// The entry had already passed before.
     Known,
-}
-
-/// Touches `key` in a plain [`TripletStore`].
-///
-/// This is the *only* implementation of the pending/passed state machine —
-/// both backends and WAL replay route here — and it performs exactly the
-/// operation sequence the pre-refactor decision engine did (contains,
-/// `get_live_mut`, `insert_pending`, attempt/last-seen bumps, state flip),
-/// so the default backend stays byte-identical.
-pub(crate) fn touch_store(
-    store: &mut TripletStore,
-    key: TripletKey,
-    now: SimTime,
-    delay: SimDuration,
-) -> Touch {
-    let existed = store.contains(&key);
-    match store.get_live_mut(&key, now) {
-        None => {
-            // Either genuinely unseen, or a stale entry that
-            // `get_live_mut` just removed — both restart the clock.
-            let entry = store.insert_pending(key, now);
-            entry.attempts += 1;
-            entry.last_seen = now;
-            debug_assert_eq!(entry.first_seen, now);
-            Touch::New { restarted: existed }
-        }
-        Some(entry) => {
-            entry.attempts += 1;
-            entry.last_seen = now;
-            match entry.state {
-                EntryState::Passed => Touch::Known,
-                EntryState::Pending => {
-                    // Sessions carry per-connection latency offsets, so
-                    // two logically-concurrent checks can arrive with
-                    // slightly out-of-order clocks; saturate to zero.
-                    let waited =
-                        now.checked_elapsed_since(entry.first_seen).unwrap_or(SimDuration::ZERO);
-                    if waited >= delay {
-                        entry.state = EntryState::Passed;
-                        Touch::Matured
-                    } else {
-                        Touch::Early { remaining: delay - waited }
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// A network greylist store (qdgrey, redis) with virtual-time lookup
@@ -210,7 +163,7 @@ impl StoreBackend {
         now: SimTime,
         delay: SimDuration,
     ) -> Result<Touch, StoreUnavailable> {
-        Ok(touch_store(self.lookup(now)?, key, now, delay))
+        Ok(self.lookup(now)?.touch(key, now, delay))
     }
 
     /// Removes every expired entry; returns how many were dropped.
@@ -474,7 +427,7 @@ mod tests {
             let script = [(1u8, 0u64), (1, 100), (2, 150), (1, 301), (1, 400)];
             for &(k, at) in &script {
                 let a = live.touch(key(k), t(at), delay).unwrap();
-                let b = touch_store(direct.triplets_mut(), key(k), t(at), delay);
+                let b = direct.triplets_mut().touch(key(k), t(at), delay);
                 assert_eq!(a, b, "{name}: direct path diverged");
             }
             assert_eq!(entries(&live), entries(&direct));
@@ -483,7 +436,7 @@ mod tests {
         // (replay) path still applies — and pays no lookup accounting.
         let mut b = remote_down(0, 1_000_000);
         assert_eq!(b.touch(key(1), t(10), delay), Err(StoreUnavailable));
-        let touched = touch_store(b.triplets_mut(), key(1), t(10), delay);
+        let touched = b.triplets_mut().touch(key(1), t(10), delay);
         assert_eq!(touched, Touch::New { restarted: false });
         assert_eq!(b.purge_expired(t(500_000)), Err(StoreUnavailable));
         assert_eq!(b.triplets_mut().purge_expired(t(500_000)), 1);

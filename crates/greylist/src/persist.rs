@@ -18,8 +18,9 @@
 //! address is stored. Restore reads this one version; any other header is
 //! rejected.
 //!
-//! Alongside the snapshot lives a write-ahead log ([`GreylistWal`]): an
-//! append-only record of store mutations since the last checkpoint.
+//! Alongside the snapshot lives a write-ahead log ([`GreylistWal`]): the
+//! store mutations since the last checkpoint, held as typed records so a
+//! check formats nothing, and rendered as text only when read.
 //! Snapshot-restore plus WAL-replay ([`Greylist::replay_wal`])
 //! reconstructs the pre-crash engine exactly — the `SnapshotPlusWal`
 //! durability mode of [`DurabilityMode`].
@@ -29,7 +30,9 @@ use crate::store::{EntryState, TripletEntry};
 use crate::triplet::{KeyAtom, TripletKey};
 use serde::{Deserialize, Serialize};
 use spamward_sim::SimTime;
-use std::fmt;
+use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
+use std::sync::OnceLock;
 
 /// Error restoring a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,6 +59,10 @@ const HEADER_WAL: &str = "spamward-greylist-wal-v1";
 
 /// The empty-sender placeholder (the null reverse path `<>`).
 const NULL_SENDER: &str = "<>";
+
+/// Bytes reserved per rendered line; the longest line, a `T` line with
+/// 20-digit clocks and a 10-digit attempt count, is 100 bytes.
+const LINE_CAPACITY: usize = 100;
 
 /// How greylist state survives a crash–restart of the hosting MTA.
 ///
@@ -108,7 +115,10 @@ impl DurabilityMode {
 /// An append-only write-ahead log of store mutations since the last
 /// checkpoint.
 ///
-/// Format (one record per line, whitespace-separated):
+/// The log holds typed records, so appending one formats nothing.
+/// [`GreylistWal::text`] renders the edge format on its first read after
+/// an append and keeps the text until the next one (one record per line,
+/// whitespace-separated):
 ///
 /// ```text
 /// spamward-greylist-wal-v1
@@ -119,74 +129,70 @@ impl DurabilityMode {
 /// `C` is one store touch (plus the auto-whitelist network a maturing
 /// pass credits — recorded explicitly because the key policy may mask the
 /// key's client part differently), `M` one maintenance sweep. Replaying
-/// the records over a restored checkpoint re-runs the same state machine
-/// the live engine ran, so `SnapshotPlusWal` recovery is exact. A
-/// truncated *final* record — the torn write a crash mid-append leaves —
-/// is skipped deterministically and counted; corruption anywhere else is
-/// a [`SnapshotError::BadRecord`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// the text over a restored checkpoint ([`Greylist::replay_wal`]) re-runs
+/// the same state machine the live engine ran, so `SnapshotPlusWal`
+/// recovery is exact. A truncated *final* record — the torn write a crash
+/// mid-append leaves — is skipped deterministically and counted;
+/// corruption anywhere else is a [`SnapshotError::BadRecord`].
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct GreylistWal {
-    buf: String,
-    records: u64,
-}
-
-impl Default for GreylistWal {
-    fn default() -> Self {
-        GreylistWal::new()
-    }
+    records: Vec<WalRecord>,
+    /// The text form, rendered on the first read after an append.
+    #[serde(skip)]
+    text: OnceLock<String>,
 }
 
 impl GreylistWal {
     /// An empty log (header only).
     pub fn new() -> Self {
-        GreylistWal { buf: format!("{HEADER_WAL}\n"), records: 0 }
+        GreylistWal::default()
     }
 
-    /// The log text, replayable via [`Greylist::replay_wal`].
+    /// The log text, replayable via [`Greylist::replay_wal`]; rendered on
+    /// the first read after an append.
     pub fn text(&self) -> &str {
-        &self.buf
+        self.text.get_or_init(|| {
+            let mut out = String::with_capacity((1 + self.records.len()) * LINE_CAPACITY);
+            out.push_str(HEADER_WAL);
+            out.push('\n');
+            for record in &self.records {
+                // Writing to a `String` never fails.
+                let _ = match *record {
+                    WalRecord::Touch { now, key, awl_net } => writeln!(
+                        out,
+                        "C {} {:08x} {} {} {awl_net:08x}",
+                        now.as_micros(),
+                        key.client_net,
+                        sender_field(&key.sender),
+                        key.recipient,
+                    ),
+                    WalRecord::Maintain { now } => writeln!(out, "M {}", now.as_micros()),
+                };
+            }
+            out
+        })
     }
 
     /// Records appended since the last [`GreylistWal::clear`].
     pub fn records(&self) -> u64 {
-        self.records
+        self.records.len() as u64
     }
 
     /// Whether the log holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records == 0
+        self.records.is_empty()
     }
 
-    /// Resident bytes of log text (growth between checkpoints).
-    pub fn approx_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Truncates back to the header (after a checkpoint).
+    /// Drops every record (after a checkpoint).
     pub fn clear(&mut self) {
-        self.buf.truncate(HEADER_WAL.len() + 1);
-        self.records = 0;
+        self.records.clear();
+        self.text.take();
     }
 
-    /// Appends one store touch.
-    pub(crate) fn append_touch(&mut self, now: SimTime, key: &TripletKey, awl_net: u32) {
-        let sender =
-            if key.sender.is_empty() { NULL_SENDER.to_owned() } else { key.sender.to_string() };
-        self.buf.push_str(&format!(
-            "C {} {:08x} {} {} {:08x}\n",
-            now.as_micros(),
-            key.client_net,
-            sender,
-            key.recipient,
-            awl_net,
-        ));
-        self.records += 1;
-    }
-
-    /// Appends one maintenance sweep.
-    pub(crate) fn append_maintain(&mut self, now: SimTime) {
-        self.buf.push_str(&format!("M {}\n", now.as_micros()));
-        self.records += 1;
+    /// Appends one record.
+    pub(crate) fn append(&mut self, record: WalRecord) {
+        self.records.push(record);
+        self.text.take();
     }
 }
 
@@ -199,8 +205,9 @@ pub struct WalReplay {
     pub torn_skipped: u64,
 }
 
-/// One parsed WAL record.
-enum WalRecord {
+/// One WAL record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) enum WalRecord {
     /// A store touch.
     Touch {
         /// Virtual time of the original check.
@@ -239,6 +246,53 @@ fn parse_wal_record(line: &str) -> Option<WalRecord> {
     Some(record)
 }
 
+/// One parsed snapshot record.
+enum SnapshotRecord {
+    /// A `T` line: one store entry.
+    Triplet(TripletKey, TripletEntry),
+    /// A `W` line: one auto-whitelist counter.
+    Awl(u32, u32),
+}
+
+fn parse_snapshot_record(line: &str) -> Option<SnapshotRecord> {
+    let mut parts = line.split_whitespace();
+    match parts.next()? {
+        "T" => {
+            let client_net = u32::from_str_radix(parts.next()?, 16).ok()?;
+            let sender = parse_atom(parts.next()?)?;
+            let recipient = parse_atom(parts.next()?)?;
+            let first: u64 = parts.next()?.parse().ok()?;
+            let last: u64 = parts.next()?.parse().ok()?;
+            let attempts: u32 = parts.next()?.parse().ok()?;
+            let state = match parts.next()? {
+                "P" => EntryState::Pending,
+                "A" => EntryState::Passed,
+                _ => return None,
+            };
+            if last < first {
+                return None;
+            }
+            let entry = TripletEntry {
+                first_seen: SimTime::from_micros(first),
+                last_seen: SimTime::from_micros(last),
+                attempts,
+                state,
+            };
+            Some(SnapshotRecord::Triplet(TripletKey { client_net, sender, recipient }, entry))
+        }
+        "W" => {
+            let net = u32::from_str_radix(parts.next()?, 16).ok()?;
+            Some(SnapshotRecord::Awl(net, parts.next()?.parse().ok()?))
+        }
+        _ => None,
+    }
+}
+
+/// Whether a trimmed line is blank or a comment (neither is a record).
+fn skipped(line: &str) -> bool {
+    line.is_empty() || line.starts_with('#')
+}
+
 /// A sender or recipient field: a [`KeyAtom`] digest in hex, or `<>`.
 fn parse_atom(raw: &str) -> Option<KeyAtom> {
     if raw == NULL_SENDER {
@@ -247,37 +301,46 @@ fn parse_atom(raw: &str) -> Option<KeyAtom> {
     u64::from_str_radix(raw, 16).ok().map(KeyAtom::from_raw)
 }
 
+/// A sender field: `<>` for the null sender, else the digest.
+fn sender_field(atom: &KeyAtom) -> &dyn fmt::Display {
+    if atom.is_empty() {
+        &NULL_SENDER
+    } else {
+        atom
+    }
+}
+
 impl Greylist {
     /// Serializes the engine state (triplets + auto-whitelist counters) to
     /// the versioned text format. Configuration is *not* included — it
     /// lives in the server's config file, not its state database.
     pub fn snapshot(&self) -> String {
-        let mut out = String::from(HEADER);
+        let store = self.store();
+        let awl = self.awl_counts();
+        let mut out = String::with_capacity((1 + store.len() + awl.len()) * LINE_CAPACITY);
+        out.push_str(HEADER);
         out.push('\n');
         // `iter()` is already a key-sorted, backend-independent view, so
-        // snapshots diff cleanly whatever the backend.
-        for (key, entry) in self.store().iter() {
-            let sender =
-                if key.sender.is_empty() { NULL_SENDER.to_owned() } else { key.sender.to_string() };
+        // snapshots diff cleanly whatever the backend. Writing to a
+        // `String` never fails.
+        for (key, entry) in store.iter() {
             let state = match entry.state {
                 EntryState::Pending => 'P',
                 EntryState::Passed => 'A',
             };
-            out.push_str(&format!(
-                "T {:08x} {} {} {} {} {} {}\n",
+            let _ = writeln!(
+                out,
+                "T {:08x} {} {} {} {} {} {state}",
                 key.client_net,
-                sender,
+                sender_field(&key.sender),
                 key.recipient,
                 entry.first_seen.as_micros(),
                 entry.last_seen.as_micros(),
                 entry.attempts,
-                state,
-            ));
+            );
         }
-        let mut awl: Vec<(u32, u32)> = self.awl_counts_snapshot();
-        awl.sort_unstable();
         for (net, passes) in awl {
-            out.push_str(&format!("W {net:08x} {passes}\n"));
+            let _ = writeln!(out, "W {net:08x} {passes}");
         }
         out
     }
@@ -287,59 +350,37 @@ impl Greylist {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError`] on a bad header or malformed record.
+    /// Returns [`SnapshotError`] on a bad header or malformed record, and
+    /// then leaves the engine as it was.
     pub fn restore(&mut self, text: &str) -> Result<(), SnapshotError> {
         let mut lines = text.lines().enumerate();
         if !matches!(lines.next(), Some((_, line)) if line.trim() == HEADER) {
             return Err(SnapshotError::BadHeader);
         }
+        // Records are staged and installed only once every line parsed, so
+        // a failed restore changes nothing. Each entry lives only in the
+        // staging map until it moves into the store.
+        let (mut triplets, mut awl_counts) = (BTreeMap::new(), BTreeMap::new());
         for (idx, line) in lines {
             let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
+            if skipped(line) {
                 continue;
             }
-            let mut parts = line.split_whitespace();
-            let tag = parts.next().ok_or(SnapshotError::BadRecord(idx + 1))?;
-            let bad = || SnapshotError::BadRecord(idx + 1);
-            match tag {
-                "T" => {
-                    let client_net = u32::from_str_radix(parts.next().ok_or_else(bad)?, 16)
-                        .map_err(|_| bad())?;
-                    let sender = parse_atom(parts.next().ok_or_else(bad)?).ok_or_else(bad)?;
-                    let recipient = parse_atom(parts.next().ok_or_else(bad)?).ok_or_else(bad)?;
-                    let first: u64 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-                    let last: u64 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-                    let attempts: u32 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-                    let state = match parts.next().ok_or_else(bad)? {
-                        "P" => EntryState::Pending,
-                        "A" => EntryState::Passed,
-                        _ => return Err(bad()),
-                    };
-                    if last < first {
-                        return Err(bad());
-                    }
-                    let key = TripletKey { client_net, sender, recipient };
-                    let entry = TripletEntry {
-                        first_seen: SimTime::from_micros(first),
-                        last_seen: SimTime::from_micros(last),
-                        attempts,
-                        state,
-                    };
-                    self.insert_restored(key, entry);
+            match parse_snapshot_record(line) {
+                Some(SnapshotRecord::Triplet(key, entry)) => {
+                    triplets.insert(key, entry);
                 }
-                "W" => {
-                    let net = u32::from_str_radix(parts.next().ok_or_else(bad)?, 16)
-                        .map_err(|_| bad())?;
-                    let passes: u32 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-                    self.set_awl_count(net, passes);
+                Some(SnapshotRecord::Awl(net, passes)) => {
+                    awl_counts.insert(net, passes);
                 }
-                _ => return Err(bad()),
+                None => return Err(SnapshotError::BadRecord(idx + 1)),
             }
         }
+        self.install(triplets, awl_counts);
         Ok(())
     }
 
-    /// Replays a [`GreylistWal`] over the current state (normally a
+    /// Replays [`GreylistWal::text`] over the current state (normally a
     /// just-restored checkpoint), re-running every logged mutation.
     ///
     /// A truncated final record is skipped deterministically and counted
@@ -350,34 +391,27 @@ impl Greylist {
     ///
     /// [`SnapshotError::BadHeader`] on a missing or unknown header;
     /// [`SnapshotError::BadRecord`] on a malformed record anywhere but the
-    /// final line.
+    /// final line. The records before it stay applied.
     pub fn replay_wal(&mut self, text: &str) -> Result<WalReplay, SnapshotError> {
         let mut lines = text.lines().enumerate();
         match lines.next() {
             Some((_, line)) if line.trim() == HEADER_WAL => {}
             _ => return Err(SnapshotError::BadHeader),
         }
-        let rest: Vec<(usize, &str)> = lines.collect();
-        let last_record = rest.iter().rposition(|&(_, l)| {
-            let l = l.trim();
-            !l.is_empty() && !l.starts_with('#')
-        });
         let mut outcome = WalReplay::default();
-        for (pos, &(idx, raw)) in rest.iter().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
+        while let Some((idx, line)) = lines.next() {
+            let line = line.trim();
+            if skipped(line) {
                 continue;
             }
             match parse_wal_record(line) {
-                Some(WalRecord::Touch { now, key, awl_net }) => {
-                    self.apply_wal_touch(now, key, awl_net);
+                Some(record) => {
+                    self.apply_wal(&record);
                     outcome.applied += 1;
                 }
-                Some(WalRecord::Maintain { now }) => {
-                    self.apply_wal_maintain(now);
-                    outcome.applied += 1;
+                None if lines.clone().all(|(_, rest)| skipped(rest.trim())) => {
+                    outcome.torn_skipped += 1;
                 }
-                None if Some(pos) == last_record => outcome.torn_skipped += 1,
                 None => return Err(SnapshotError::BadRecord(idx + 1)),
             }
         }
@@ -736,10 +770,17 @@ mod tests {
         assert_eq!(g.replay_wal(&junk), Err(SnapshotError::BadRecord(6)));
     }
 
+    /// A check appends one fixed-size record; the log's memory is 40
+    /// bytes per record, whatever the text would take.
+    #[test]
+    fn a_wal_record_is_forty_bytes() {
+        assert_eq!(std::mem::size_of::<WalRecord>(), 40);
+    }
+
     #[test]
     fn wal_clear_truncates_to_header() {
         let mut live = populated_wal();
-        assert!(live.wal().unwrap().approx_bytes() > 25);
+        assert!(!live.wal().unwrap().is_empty());
         live.clear_wal();
         let wal = live.wal().unwrap();
         assert!(wal.is_empty());
@@ -832,10 +873,11 @@ mod tests {
                 }
             }
             // Crash: RAM gone; recover from checkpoint + WAL; resume.
-            let wal_text = crashed.wal().unwrap().text().to_owned();
+            let wal = crashed.wal().unwrap().clone();
             crashed.reset();
             crashed.restore(&checkpoint).unwrap();
-            crashed.replay_wal(&wal_text).unwrap();
+            let outcome = crashed.replay_wal(wal.text()).unwrap();
+            proptest::prop_assert_eq!(outcome, WalReplay { applied: wal.records(), torn_skipped: 0 });
             for op in &script[crash_at..] {
                 apply(&mut crashed, op);
             }
@@ -848,5 +890,184 @@ mod tests {
             proptest::prop_assert_eq!(uncrashed.snapshot(), crashed.snapshot());
             proptest::prop_assert_eq!(uncrashed.stats(), crashed.stats());
         }
+    }
+
+    /// A scripted history: a matured triplet (retried from a neighbour in
+    /// the /24), a pending one, a null-sender one that matures after a
+    /// sweep, and the two auto-whitelist credits the maturing passes earn.
+    fn scripted() -> Greylist {
+        let mut cfg = GreylistConfig::with_delay(SimDuration::from_secs(300));
+        cfg.auto_whitelist_after = Some(2);
+        let mut g = Greylist::new(cfg).with_wal();
+        let rcpt = "u@foo.net".parse().unwrap();
+        g.check(SimTime::ZERO, Ipv4Addr::new(10, 0, 0, 1), &sender("a@b.cc"), &rcpt);
+        g.check(SimTime::from_secs(400), Ipv4Addr::new(10, 0, 0, 9), &sender("a@b.cc"), &rcpt);
+        g.check(SimTime::from_secs(500), Ipv4Addr::new(10, 0, 1, 1), &sender("c@d.ee"), &rcpt);
+        g.check(SimTime::from_secs(600), Ipv4Addr::new(10, 0, 2, 1), &ReversePath::Null, &rcpt);
+        g.maintain(SimTime::from_secs(700));
+        g.check(SimTime::from_secs(900), Ipv4Addr::new(10, 0, 2, 1), &ReversePath::Null, &rcpt);
+        g
+    }
+
+    #[test]
+    fn scripted_history_renders_exact_bytes() {
+        let g = scripted();
+        assert_eq!(
+            g.snapshot(),
+            "spamward-greylist-v2\n\
+             T 0a000000 4060f2df549dd662 b506c58bb7252a55 0 400000000 2 A\n\
+             T 0a000100 e5829daa7c2a25f6 b506c58bb7252a55 500000000 500000000 1 P\n\
+             T 0a000200 <> b506c58bb7252a55 600000000 900000000 2 A\n\
+             W 0a000000 1\n\
+             W 0a000200 1\n"
+        );
+        assert_eq!(
+            g.wal().unwrap().text(),
+            "spamward-greylist-wal-v1\n\
+             C 0 0a000000 4060f2df549dd662 b506c58bb7252a55 0a000000\n\
+             C 400000000 0a000000 4060f2df549dd662 b506c58bb7252a55 0a000000\n\
+             C 500000000 0a000100 e5829daa7c2a25f6 b506c58bb7252a55 0a000100\n\
+             C 600000000 0a000200 <> b506c58bb7252a55 0a000200\n\
+             M 700000000\n\
+             C 900000000 0a000200 <> b506c58bb7252a55 0a000200\n"
+        );
+    }
+
+    /// The `format!` snapshot renderer the direct writer replaced, kept as
+    /// its oracle.
+    fn oracle_snapshot(g: &Greylist) -> String {
+        let mut out = String::from(HEADER);
+        out.push('\n');
+        for (key, entry) in g.store().iter() {
+            let sender =
+                if key.sender.is_empty() { NULL_SENDER.to_owned() } else { key.sender.to_string() };
+            let state = match entry.state {
+                EntryState::Pending => 'P',
+                EntryState::Passed => 'A',
+            };
+            out.push_str(&format!(
+                "T {:08x} {} {} {} {} {} {}\n",
+                key.client_net,
+                sender,
+                key.recipient,
+                entry.first_seen.as_micros(),
+                entry.last_seen.as_micros(),
+                entry.attempts,
+                state,
+            ));
+        }
+        let mut awl: Vec<(u32, u32)> = g.awl_counts().collect();
+        awl.sort_unstable();
+        for (net, passes) in awl {
+            out.push_str(&format!("W {net:08x} {passes}\n"));
+        }
+        out
+    }
+
+    /// One record the oracle WAL holds: a touch `(now, key, awl_net)` or a
+    /// sweep (`None`).
+    type OracleRecord = (SimTime, Option<(TripletKey, u32)>);
+
+    /// The `format!` WAL renderer the typed log replaced, kept as its
+    /// oracle.
+    fn oracle_wal(records: &[OracleRecord]) -> String {
+        let mut out = format!("{HEADER_WAL}\n");
+        for &(now, touch) in records {
+            match touch {
+                Some((key, awl_net)) => {
+                    let sender = if key.sender.is_empty() {
+                        NULL_SENDER.to_owned()
+                    } else {
+                        key.sender.to_string()
+                    };
+                    out.push_str(&format!(
+                        "C {} {:08x} {} {} {:08x}\n",
+                        now.as_micros(),
+                        key.client_net,
+                        sender,
+                        key.recipient,
+                        awl_net,
+                    ));
+                }
+                None => out.push_str(&format!("M {}\n", now.as_micros())),
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// The snapshot writer and the WAL renderer give the oracles'
+        /// bytes after any history: every key policy, null and
+        /// VERP-tagged senders, auto-whitelist passes (never logged),
+        /// sweeps, checkpoints truncating the log, and reads of the log
+        /// text between appends.
+        #[test]
+        fn prop_renderers_match_the_format_oracles(
+            ops in proptest::collection::vec((0u8..12, 0u64..400_000, 0u8..8, 0u8..3), 1..40),
+            policy in 0u8..3,
+        ) {
+            use crate::keying::KeyPolicy;
+            let mut cfg = GreylistConfig::with_delay(SimDuration::from_secs(300));
+            cfg.auto_whitelist_after = Some(2);
+            cfg.key_policy = match policy {
+                0 => None,
+                1 => Some(KeyPolicy::SenderRecipient),
+                _ => Some(KeyPolicy::ClientNet { netmask: 16 }),
+            };
+            let mut g = Greylist::new(cfg).with_wal();
+            let mut logged: Vec<OracleRecord> = Vec::new();
+            let rcpt: spamward_smtp::EmailAddress = "u@foo.net".parse().unwrap();
+            let mut times: Vec<u64> = ops.iter().map(|&(_, t, _, _)| t).collect();
+            times.sort_unstable();
+            for (&(host, _, action, who), t) in ops.iter().zip(times) {
+                let now = SimTime::from_secs(t);
+                match action {
+                    0 => {
+                        g.maintain(now);
+                        logged.push((now, None));
+                    }
+                    1 => {
+                        proptest::prop_assert_eq!(g.snapshot(), oracle_snapshot(&g));
+                        g.clear_wal();
+                        logged.clear();
+                    }
+                    2 => {
+                        proptest::prop_assert_eq!(g.wal().unwrap().text(), oracle_wal(&logged));
+                    }
+                    _ => {
+                        let ip = Ipv4Addr::new(10, host % 3, host, 1);
+                        let from = match who {
+                            0 => ReversePath::Null,
+                            1 => sender("a@b.cc"),
+                            _ => sender("Bob+tag@Example.com"),
+                        };
+                        let d = g.check(now, ip, &from, &rcpt);
+                        if d != Decision::Pass(PassReason::AutoWhitelisted) {
+                            let awl_net = u32::from(ip) & 0xffff_ff00;
+                            logged.push((now, Some((g.key_for(ip, &from, &rcpt), awl_net))));
+                        }
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(g.snapshot(), oracle_snapshot(&g));
+            proptest::prop_assert_eq!(g.wal().unwrap().text(), oracle_wal(&logged));
+            proptest::prop_assert_eq!(g.wal().unwrap().records(), logged.len() as u64);
+        }
+    }
+
+    /// A restore that fails part-way changes nothing: the records before
+    /// the bad line are not applied.
+    #[test]
+    fn failed_restore_leaves_the_engine_untouched() {
+        let mut g = populated();
+        let before = g.snapshot();
+        let bad = "spamward-greylist-v2\n\
+                   T 0b000000 <> 0c 0 0 1 P\n\
+                   W 0b000000 7\n\
+                   W 0a000000 9\n\
+                   T 0b000000 <> 0c 5 1 1 P\n";
+        assert_eq!(g.restore(bad), Err(SnapshotError::BadRecord(5)));
+        assert_eq!(g.snapshot(), before, "a failed restore must leave the engine as it was");
+        assert_eq!(g.store().len(), 3);
     }
 }

@@ -1,8 +1,8 @@
 //! The greylisting decision engine.
 
-use crate::backend::{touch_store, StoreBackend, StoreUnavailable, Touch};
+use crate::backend::{StoreBackend, StoreUnavailable, Touch};
 use crate::keying::KeyPolicy;
-use crate::persist::GreylistWal;
+use crate::persist::{GreylistWal, WalRecord};
 use crate::stats::GreylistStats;
 use crate::store::{TripletEntry, TripletStore};
 use crate::triplet::TripletKey;
@@ -207,7 +207,7 @@ impl Greylist {
             return 0;
         };
         if let Some(wal) = &mut self.wal {
-            wal.append_maintain(now);
+            wal.append(WalRecord::Maintain { now });
         }
         dropped
     }
@@ -231,8 +231,8 @@ impl Greylist {
         self.wal.as_ref()
     }
 
-    /// Truncates the WAL back to its header — called right after a
-    /// checkpoint, whose snapshot now covers everything the log held.
+    /// Empties the WAL — called right after a checkpoint, which now covers
+    /// everything the log held.
     pub fn clear_wal(&mut self) {
         if let Some(wal) = &mut self.wal {
             wal.clear();
@@ -265,36 +265,39 @@ impl Greylist {
         }
     }
 
-    /// The auto-whitelist counters as `(client_net, passes)` pairs (for
-    /// snapshots).
-    pub(crate) fn awl_counts_snapshot(&self) -> Vec<(u32, u32)> {
-        self.awl_counts.iter().map(|(&n, &c)| (n, c)).collect()
+    /// The auto-whitelist counters as `(client_net, passes)` pairs, in
+    /// network order (for checkpoints).
+    pub(crate) fn awl_counts(&self) -> impl ExactSizeIterator<Item = (u32, u32)> + '_ {
+        self.awl_counts.iter().map(|(&n, &c)| (n, c))
     }
 
-    /// Sets one auto-whitelist counter (snapshot restore).
-    pub(crate) fn set_awl_count(&mut self, net: u32, passes: u32) {
-        self.awl_counts.insert(net, passes);
+    /// Installs restored state (checkpoint restore): each entry and each
+    /// counter replaces a held one with the same key.
+    pub(crate) fn install(
+        &mut self,
+        triplets: BTreeMap<TripletKey, TripletEntry>,
+        mut awl_counts: BTreeMap<u32, u32>,
+    ) {
+        self.store.triplets_mut().restore(triplets);
+        self.awl_counts.append(&mut awl_counts);
     }
 
-    /// Inserts a triplet entry verbatim (snapshot restore).
-    pub(crate) fn insert_restored(&mut self, key: TripletKey, entry: TripletEntry) {
-        self.store.triplets_mut().insert_raw(key, entry);
-    }
-
-    /// Re-applies one logged touch (WAL replay). Runs the same state
-    /// machine the live check did — including the auto-whitelist bump on
-    /// maturing — but reaches the store directly, past remote outage
-    /// windows and lookup accounting, and never re-logs.
-    pub(crate) fn apply_wal_touch(&mut self, now: SimTime, key: TripletKey, awl_net: u32) {
-        let delay = self.config.delay;
-        if matches!(touch_store(self.store.triplets_mut(), key, now, delay), Touch::Matured) {
-            *self.awl_counts.entry(awl_net).or_insert(0) += 1;
+    /// Re-applies one logged record (WAL replay). A touch runs the same
+    /// state machine the live check did — including the auto-whitelist
+    /// bump on maturing — but reaches the store directly, past remote
+    /// outage windows and lookup accounting, and never re-logs.
+    pub(crate) fn apply_wal(&mut self, record: &WalRecord) {
+        match *record {
+            WalRecord::Touch { now, key, awl_net } => {
+                let delay = self.config.delay;
+                if self.store.triplets_mut().touch(key, now, delay) == Touch::Matured {
+                    *self.awl_counts.entry(awl_net).or_insert(0) += 1;
+                }
+            }
+            WalRecord::Maintain { now } => {
+                self.store.triplets_mut().purge_expired(now);
+            }
         }
-    }
-
-    /// Re-applies one logged maintenance sweep (WAL replay).
-    pub(crate) fn apply_wal_maintain(&mut self, now: SimTime) {
-        self.store.triplets_mut().purge_expired(now);
     }
 
     fn client_net(&self, ip: Ipv4Addr) -> u32 {
@@ -382,7 +385,7 @@ impl Greylist {
         // nothing, so there is nothing to replay. Whitelist passes above
         // never reach the store and are likewise absent from the log.
         if let Some(wal) = &mut self.wal {
-            wal.append_touch(now, &key, net);
+            wal.append(WalRecord::Touch { now, key, awl_net: net });
         }
         match touch {
             Touch::New { restarted } => {

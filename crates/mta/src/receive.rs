@@ -386,12 +386,11 @@ impl ReceivingMta {
             if self.durability.restores_checkpoint() {
                 if let Some(cp) = self.last_checkpoint.as_deref() {
                     // A checkpoint that no longer parses is as good as no
-                    // checkpoint: drop the partial restore and come back
-                    // empty (the loss lands in `entries_lost`).
-                    if gl.restore(cp).is_err() {
-                        gl.reset();
+                    // checkpoint: a failed restore leaves the store empty,
+                    // as the crash left it (the loss lands in `entries_lost`).
+                    if gl.restore(cp).is_ok() {
+                        restored = gl.store().len() as u64;
                     }
-                    restored = gl.store().len() as u64;
                 }
             }
             if self.durability.keeps_wal() {
