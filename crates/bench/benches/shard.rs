@@ -1,12 +1,12 @@
 //! Benchmarks of the sharded execution path: scan throughput at several
-//! executor widths and the streaming population against the materialized
-//! one. Baseline numbers are recorded in `crates/bench/BENCH_shard.json`;
+//! executor widths and the streaming population's record synthesis.
+//! Baseline numbers are recorded in `crates/bench/BENCH_shard.json`;
 //! re-run with `cargo bench -p spamward-bench --bench shard` after
 //! touching `crates/sim/src/shard.rs` or the scanner's streaming path.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // not protocol-path code
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use spamward_scanner::{scan_shard, Population, PopulationSpec, PopulationStream};
+use spamward_scanner::{scan_shard, PopulationSpec, PopulationStream};
 use spamward_sim::shard::run_sharded;
 use spamward_sim::ShardPlan;
 
@@ -39,9 +39,8 @@ fn bench_sharded_scan(c: &mut Criterion) {
     g.finish();
 }
 
-/// Population build cost: streaming interned generation (pack every
-/// domain, no world) vs materializing the whole Population (hosts, zones,
-/// DNS authority, network).
+/// Population build cost: streaming generation of every domain's compact
+/// record, with no world built.
 fn bench_population_build(c: &mut Criterion) {
     let mut g = c.benchmark_group("shard");
     g.sample_size(10);
@@ -55,9 +54,6 @@ fn bench_population_build(c: &mut Criterion) {
             }
             acc
         })
-    });
-    g.bench_function("population_materialized_2k", |b| {
-        b.iter(|| Population::generate(&PopulationSpec::fig2(DOMAINS), SEED).domains.len())
     });
     g.finish();
 }

@@ -3,9 +3,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // not protocol-path code
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use spamward_dns::{Authority, Resolver, Zone};
+use spamward_dns::{Authority, NameTable, Resolver, Zone};
 use spamward_greylist::{Greylist, GreylistConfig};
-use spamward_scanner::{Population, PopulationSpec};
+use spamward_scanner::{PopulationSpec, PopulationStream};
 use spamward_sim::{DetRng, SimTime};
 use spamward_smtp::{
     exchange, AcceptAll, ClientSession, Dialect, EmailAddress, Envelope, Message, PolicyDecision,
@@ -130,8 +130,15 @@ fn bench_population_synthesis(c: &mut Criterion) {
     let mut g = c.benchmark_group("scanner");
     g.sample_size(10);
     g.throughput(Throughput::Elements(5_000));
+    // Every domain's packed record, expanded into its hosts and zone.
     g.bench_function("generate_5k_domain_population", |b| {
-        b.iter(|| Population::generate(&PopulationSpec::fig2(5_000), 1))
+        let stream = PopulationStream::new(PopulationSpec::fig2(5_000), 1);
+        b.iter(|| {
+            let mut names = NameTable::new(0);
+            (0..stream.len() as u64)
+                .map(|i| stream.expand(&stream.packed(i), &mut names).hosts.len())
+                .sum::<usize>()
+        })
     });
     g.finish();
 }

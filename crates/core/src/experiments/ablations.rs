@@ -23,11 +23,8 @@ use spamward_analysis::Table;
 use spamward_botnet::{BotSample, Campaign, MalwareFamily};
 use spamward_greylist::{Greylist, GreylistConfig, TripletStore};
 use spamward_mta::{MtaProfile, OutboundStatus, SendingMta};
-use spamward_scanner::{
-    resolve_missing, BannerGrab, DnsAnyScan, NolistingDetector, Population, PopulationSpec,
-    ScanRound,
-};
-use spamward_sim::{DetRng, SimDuration, SimTime};
+use spamward_scanner::{scan_shard, PopulationSpec, PopulationStream};
+use spamward_sim::{DetRng, ShardPlan, SimDuration, SimTime};
 use spamward_smtp::{Message, ReversePath};
 use std::net::Ipv4Addr;
 
@@ -204,30 +201,24 @@ pub struct ScanRoundsPoint {
 }
 
 /// Measures nolisting-detection error against the number of cross-checked
-/// scan rounds, on a deliberately flaky population.
+/// scan rounds, on a deliberately flaky population: one streamed scan over
+/// `max_rounds` epochs, one row per round prefix.
 pub fn scan_rounds_ablation(seed: u64, domains: usize, max_rounds: usize) -> Vec<ScanRoundsPoint> {
+    if max_rounds == 0 {
+        return Vec::new();
+    }
     let mut spec = PopulationSpec::fig2(domains);
     spec.flaky_hosts = 0.2;
-    let mut pop = Population::generate(&spec, seed);
-    let names: Vec<_> = pop.domains.iter().map(|d| d.name.clone()).collect();
-
-    let mut all_rounds = Vec::new();
-    for epoch in 0..max_rounds as u64 {
-        let mut dns_scan = DnsAnyScan::collect(&mut pop.dns, &names);
-        resolve_missing(&mut dns_scan, &pop.dns, 4);
-        let banner = BannerGrab::collect(&pop.network, epoch);
-        all_rounds.push(ScanRound { dns: dns_scan, banner });
-    }
-
-    (1..=max_rounds)
-        .map(|n| {
-            let (_, verdicts) = NolistingDetector::run(&all_rounds[..n], &names);
-            let acc = NolistingDetector::score(&pop, &verdicts);
-            ScanRoundsPoint {
-                rounds: n,
-                false_positives: acc.false_positives,
-                false_negatives: acc.false_negatives,
-            }
+    let stream = PopulationStream::new(spec, seed);
+    let epochs: Vec<u64> = (0..max_rounds as u64).collect();
+    let scan = scan_shard(&stream, &ShardPlan::new(seed, 1), 0, &epochs, &[]);
+    scan.accuracy
+        .iter()
+        .enumerate()
+        .map(|(n, acc)| ScanRoundsPoint {
+            rounds: n + 1,
+            false_positives: acc.false_positives,
+            false_negatives: acc.false_negatives,
         })
         .collect()
 }

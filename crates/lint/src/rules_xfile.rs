@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 
 /// Modules sanctioned to use concurrency primitives: the deterministic
 /// shard executor, which every parallel path (the multi-seed `runner`
-/// pool, dataset resolution, `repro --shards`) routes through. World code
+/// pool, the `policy_backend` grid, `repro --shards`) routes through. World code
 /// stays single-threaded; parallelism happens across whole deterministic
 /// shards whose outputs merge byte-stably.
 const C1_SANCTIONED: &[&str] = &["crates/sim/src/shard.rs"];

@@ -1,9 +1,9 @@
-//! The two zmap-style datasets and the missing-entry re-resolver.
+//! The two zmap-style datasets: DNS-ANY MX records and the SMTP banner
+//! grab.
 
 use serde::{Deserialize, Serialize};
 use spamward_dns::{Authority, DomainName, Rcode, RecordData, RecordType};
 use spamward_net::{Network, SMTP_PORT};
-use spamward_sim::shard::run_partitioned;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
@@ -30,12 +30,13 @@ pub struct DnsAnyScan {
 
 impl DnsAnyScan {
     /// Collects the dataset by querying every domain in `domains` against
-    /// the authority.
+    /// the authority for its MX records.
     ///
-    /// To mirror the real dump's imperfection, glue (the exchanger's A
-    /// record) is looked up here but a future [`resolve_missing`] pass is
-    /// still required for domains whose glue the authority doesn't return
-    /// (lame zones yield no entry at all; dangling MXs yield `ip: None`).
+    /// Like the real dump, the dataset carries no glue: every entry comes
+    /// back with `ip: None`, and the caller resolves the exchangers' A
+    /// records afterwards (the paper's "parallel scanner to resolve the
+    /// missing entries"). Lame zones yield no entry at all; a dangling MX
+    /// stays `ip: None` after that pass.
     pub fn collect<'a>(
         dns: &mut Authority,
         domains: impl IntoIterator<Item = &'a DomainName>,
@@ -81,105 +82,6 @@ impl DnsAnyScan {
     pub fn missing_count(&self) -> usize {
         self.mx.values().flatten().filter(|e| e.ip.is_none()).count()
     }
-
-    /// Serializes the dataset to a stable line format, one domain per
-    /// line: `<domain> <pref>:<exchange>[=<ip>] ...` — the suite's
-    /// equivalent of a scans.io dump, so scan artifacts can be stored and
-    /// re-analyzed.
-    pub fn to_text(&self) -> String {
-        let mut domains: Vec<&DomainName> = self.mx.keys().collect();
-        domains.sort();
-        let mut out = String::from("spamward-dnsscan-v1\n");
-        for domain in domains {
-            out.push_str(domain.as_str());
-            for e in &self.mx[domain] {
-                match e.ip {
-                    Some(ip) => out.push_str(&format!(" {}:{}={ip}", e.preference, e.exchange)),
-                    None => out.push_str(&format!(" {}:{}", e.preference, e.exchange)),
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses [`DnsAnyScan::to_text`] output. Returns `None` on a bad
-    /// header or malformed record.
-    pub fn from_text(text: &str) -> Option<DnsAnyScan> {
-        let mut lines = text.lines();
-        if lines.next()?.trim() != "spamward-dnsscan-v1" {
-            return None;
-        }
-        let mut mx = BTreeMap::new();
-        for line in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let domain: DomainName = parts.next()?.parse().ok()?;
-            let mut entries = Vec::new();
-            for field in parts {
-                let (pref, rest) = field.split_once(':')?;
-                let preference: u16 = pref.parse().ok()?;
-                let (exchange, ip) = match rest.split_once('=') {
-                    Some((x, ip)) => (x, Some(ip.parse().ok()?)),
-                    None => (rest, None),
-                };
-                entries.push(MxRecordEntry { preference, exchange: exchange.parse().ok()?, ip });
-            }
-            if entries.is_empty() {
-                return None;
-            }
-            mx.insert(domain, entries);
-        }
-        Some(DnsAnyScan { mx })
-    }
-}
-
-/// Resolves the dataset's missing MX addresses in parallel — the paper's
-/// "we implemented a parallel scanner to resolve the missing entries".
-///
-/// Fans the unresolved exchanger names out to the shard executor's
-/// ordered worker pool ([`run_partitioned`], `workers` wide) querying the
-/// authority read-only, then patches the dataset in place. Returns how
-/// many entries were resolved.
-///
-/// # Panics
-///
-/// Panics if `workers == 0`.
-pub fn resolve_missing(scan: &mut DnsAnyScan, dns: &Authority, workers: usize) -> usize {
-    let names: Vec<DomainName> = {
-        let mut set: BTreeSet<DomainName> = BTreeSet::new();
-        for e in scan.mx.values().flatten().filter(|e| e.ip.is_none()) {
-            set.insert(e.exchange.clone());
-        }
-        set.into_iter().collect()
-    };
-    if names.is_empty() {
-        assert!(workers > 0, "need at least one worker");
-        return 0;
-    }
-
-    let results = run_partitioned(names, workers, |name| {
-        let out = dns.query_ro(&name, RecordType::A);
-        let ip = out.answers.iter().find_map(|r| match r.data {
-            RecordData::A(ip) => Some(ip),
-            _ => None,
-        });
-        (name, ip)
-    });
-    let resolved: BTreeMap<DomainName, Option<Ipv4Addr>> = results.into_iter().collect();
-    let mut patched = 0;
-    for e in scan.mx.values_mut().flatten() {
-        if e.ip.is_none() {
-            if let Some(Some(ip)) = resolved.get(&e.exchange) {
-                e.ip = Some(*ip);
-                patched += 1;
-            }
-        }
-    }
-    patched
 }
 
 /// The IPv4 SMTP banner-grab dataset: every address that answered a SYN
@@ -219,52 +121,22 @@ impl BannerGrab {
     pub fn is_empty(&self) -> bool {
         self.listening.is_empty()
     }
-
-    /// Serializes to a stable line format: header with the epoch, then one
-    /// listening address per line (sorted).
-    pub fn to_text(&self) -> String {
-        let mut ips: Vec<Ipv4Addr> = self.listening.iter().copied().collect();
-        ips.sort();
-        let mut out = format!("spamward-banner-v1 epoch={}\n", self.epoch);
-        for ip in ips {
-            out.push_str(&ip.to_string());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses [`BannerGrab::to_text`] output.
-    pub fn from_text(text: &str) -> Option<BannerGrab> {
-        let mut lines = text.lines();
-        let header = lines.next()?.trim();
-        let epoch: u64 = header.strip_prefix("spamward-banner-v1 epoch=")?.parse().ok()?;
-        let mut listening = BTreeSet::new();
-        for line in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            listening.insert(line.parse().ok()?);
-        }
-        Some(BannerGrab { epoch, listening })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::population::{Population, PopulationSpec};
+    use crate::population::{DomainTruth, PopulationSpec, PopulationStream};
+    use crate::shard_scan::oracle::Oracle;
 
-    fn small_pop() -> Population {
-        Population::generate(&PopulationSpec::fig2(800), 21)
+    fn small_world() -> Oracle {
+        Oracle::build(&PopulationStream::new(PopulationSpec::fig2(800), 21))
     }
 
     #[test]
     fn dns_scan_covers_resolvable_domains() {
-        let pop = small_pop();
-        let mut dns = pop.dns;
-        let names: Vec<_> = pop.domains.iter().map(|d| d.name.clone()).collect();
-        let scan = DnsAnyScan::collect(&mut dns, &names);
+        let mut world = small_world();
+        let scan = DnsAnyScan::collect(&mut world.dns, world.domains.iter().map(|d| &d.name));
         // Lame zones are absent; everything else with MX records present.
         assert!(scan.len() > 700);
         assert!(!scan.is_empty());
@@ -273,24 +145,24 @@ mod tests {
     }
 
     #[test]
-    fn parallel_resolver_patches_glue() {
-        let pop = small_pop();
-        let mut dns = pop.dns;
-        let names: Vec<_> = pop.domains.iter().map(|d| d.name.clone()).collect();
-        let mut scan = DnsAnyScan::collect(&mut dns, &names);
-        let before_missing = scan.missing_count();
-        let patched = resolve_missing(&mut scan, &dns, 4);
+    fn glue_patch_leaves_only_dangling_mxs_unresolved() {
+        let mut world = small_world();
+        let (rounds, patched) = world.rounds(&[0]);
+        let scan = &rounds[0].dns;
         assert!(patched > 0);
-        assert_eq!(scan.missing_count(), before_missing - patched);
+        assert_eq!(
+            scan.missing_count() as u64,
+            scan.mx.values().flatten().count() as u64 - patched
+        );
         // What remains missing is exactly the dangling-MX misconfigured
         // domains.
         for (domain, entries) in &scan.mx {
             for e in entries.iter().filter(|e| e.ip.is_none()) {
                 let truth =
-                    pop.domains.iter().find(|d| &d.name == domain).map(|d| d.truth).unwrap();
+                    world.domains.iter().find(|d| &d.name == domain).map(|d| d.truth).unwrap();
                 assert_eq!(
                     truth,
-                    crate::population::DomainTruth::Misconfigured,
+                    DomainTruth::Misconfigured,
                     "{domain}: {e:?} unresolved but not misconfigured"
                 );
             }
@@ -298,31 +170,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_resolver_matches_single_worker() {
-        let pop = small_pop();
-        let mut dns = pop.dns;
-        let names: Vec<_> = pop.domains.iter().map(|d| d.name.clone()).collect();
-        let mut scan_a = DnsAnyScan::collect(&mut dns, &names);
-        let mut scan_b = scan_a.clone();
-        resolve_missing(&mut scan_a, &dns, 1);
-        resolve_missing(&mut scan_b, &dns, 8);
-        let as_sorted = |s: &DnsAnyScan| {
-            let mut v: Vec<_> = s.mx.iter().map(|(k, e)| (k.clone(), e.clone())).collect();
-            v.sort_by(|a, b| a.0.cmp(&b.0));
-            v
-        };
-        assert_eq!(as_sorted(&scan_a), as_sorted(&scan_b));
-    }
-
-    #[test]
     fn banner_grab_sees_open_ports_only() {
-        let pop = small_pop();
-        let grab = BannerGrab::collect(&pop.network, 0);
+        let world = small_world();
+        let grab = BannerGrab::collect(&world.network, 0);
         assert!(!grab.is_empty());
         // Every nolisting primary must be absent (port closed).
-        for d in pop.domains.iter().filter(|d| d.truth == crate::population::DomainTruth::Nolisting)
-        {
-            let primary = pop
+        for d in world.domains.iter().filter(|d| d.truth == DomainTruth::Nolisting) {
+            let primary = world
                 .network
                 .iter()
                 .find(|h| h.name() == format!("smtp.{}", d.name))
@@ -332,54 +186,12 @@ mod tests {
     }
 
     #[test]
-    fn dns_scan_text_roundtrip() {
-        let pop = small_pop();
-        let mut dns = pop.dns;
-        let names: Vec<_> = pop.domains.iter().map(|d| d.name.clone()).collect();
-        let mut scan = DnsAnyScan::collect(&mut dns, &names);
-        resolve_missing(&mut scan, &dns, 2);
-        let text = scan.to_text();
-        assert!(text.starts_with("spamward-dnsscan-v1\n"));
-        let parsed = DnsAnyScan::from_text(&text).unwrap();
-        assert_eq!(parsed.len(), scan.len());
-        assert_eq!(parsed.missing_count(), scan.missing_count());
-        // Identical content, both resolved and dangling entries.
-        for (domain, entries) in &scan.mx {
-            assert_eq!(parsed.mx.get(domain), Some(entries), "{domain}");
-        }
-        // A second serialization is byte-identical (stable ordering).
-        assert_eq!(parsed.to_text(), text);
-    }
-
-    #[test]
-    fn banner_grab_text_roundtrip() {
-        let pop = small_pop();
-        let grab = BannerGrab::collect(&pop.network, 3);
-        let text = grab.to_text();
-        let parsed = BannerGrab::from_text(&text).unwrap();
-        assert_eq!(parsed.epoch, 3);
-        assert_eq!(parsed.len(), grab.len());
-        assert_eq!(parsed.to_text(), text);
-    }
-
-    #[test]
-    fn dataset_parsers_reject_garbage() {
-        assert!(DnsAnyScan::from_text("").is_none());
-        assert!(DnsAnyScan::from_text("wrong\nfoo.net 10:mx.foo.net\n").is_none());
-        assert!(DnsAnyScan::from_text("spamward-dnsscan-v1\nfoo.net notafield\n").is_none());
-        assert!(DnsAnyScan::from_text("spamward-dnsscan-v1\nfoo.net\n").is_none());
-        assert!(BannerGrab::from_text("nope").is_none());
-        assert!(BannerGrab::from_text("spamward-banner-v1 epoch=x\n").is_none());
-        assert!(BannerGrab::from_text("spamward-banner-v1 epoch=1\nnot-an-ip\n").is_none());
-    }
-
-    #[test]
     fn banner_grab_epochs_differ_for_flaky_hosts() {
         let mut spec = PopulationSpec::fig2(2_000);
         spec.flaky_hosts = 0.5;
-        let pop = Population::generate(&spec, 4);
-        let a = BannerGrab::collect(&pop.network, 0);
-        let b = BannerGrab::collect(&pop.network, 1);
+        let world = Oracle::build(&PopulationStream::new(spec, 4));
+        let a = BannerGrab::collect(&world.network, 0);
+        let b = BannerGrab::collect(&world.network, 1);
         assert_ne!(a.len(), b.len(), "flaky hosts should change between epochs");
     }
 }

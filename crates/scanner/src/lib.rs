@@ -6,22 +6,21 @@
 //! the substitution rule this crate rebuilds the *pipeline* against a
 //! synthetic internet with known ground truth:
 //!
-//! * [`PopulationSpec`]/[`Population`] — generate domains with the Fig. 2
+//! * [`PopulationSpec`]/[`PopulationStream`] — domains with the Fig. 2
 //!   topology mix (one MX 47.73%, multi-MX 45.97%, DNS misconfiguration
-//!   5.78%, nolisting 0.52%), configurable host flakiness, and a Zipf-ish
-//!   popularity ranking for the Alexa cross-check.
-//! * [`DnsAnyScan`] — the DNS dataset, including MX records whose A
-//!   records are missing (the entries the paper re-resolved with a
-//!   parallel scanner — [`resolve_missing`] reproduces that step on the
-//!   shard executor's ordered worker pool).
+//!   5.78%, nolisting 0.52%), configurable host flakiness, and a popularity
+//!   ranking for the Alexa cross-check, any one of which is synthesized
+//!   from its index in O(1).
+//! * [`DnsAnyScan`] — the DNS dataset: MX records without glue, whose A
+//!   records the scan then resolves (the paper's "missing entries").
 //! * [`BannerGrab`] — the SYN-scan dataset of listening port-25 hosts.
 //! * [`NolistingDetector`] — the three-step classification plus the
-//!   two-scans-months-apart cross-check, emitting [`Fig2Stats`] and (a
-//!   luxury the paper didn't have) accuracy against ground truth.
-//! * [`PopulationStream`]/[`scan_shard`] — the internet-scale path: the
-//!   population as a streaming generator (any domain synthesized from its
-//!   index in O(1)) and the whole pipeline run shard-by-shard over it in
-//!   O(1) memory, merging byte-stably ([`ShardScanStats`]).
+//!   two-scans-months-apart cross-check, yielding [`Fig2Stats`] and (a
+//!   luxury the paper didn't have) [`DetectorAccuracy`] against ground
+//!   truth.
+//! * [`scan_shard`] — the whole pipeline run shard-by-shard over the
+//!   stream in O(1) memory, merging byte-stably ([`ShardScanStats`]),
+//!   with confusion counts for every prefix of the scan rounds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,10 +31,10 @@ mod pipeline;
 mod population;
 mod shard_scan;
 
-pub use dataset::{resolve_missing, BannerGrab, DnsAnyScan, MxRecordEntry};
+pub use dataset::{BannerGrab, DnsAnyScan, MxRecordEntry};
 pub use pipeline::{DetectorAccuracy, DomainClass, Fig2Stats, NolistingDetector, ScanRound};
 pub use population::{
-    DomainRecord, DomainTruth, HostSpec, PackedDomain, Population, PopulationSpec,
-    PopulationStream, StreamedDomain,
+    DomainRecord, DomainTruth, HostSpec, PackedDomain, PopulationSpec, PopulationStream,
+    StreamedDomain,
 };
 pub use shard_scan::{scan_shard, ScanRoundStats, ShardScanStats};

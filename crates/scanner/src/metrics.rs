@@ -1,11 +1,11 @@
 //! Metric names and collectors for the scanner crate.
 //!
 //! All `scanner.*` registry names live here (the O1 lint rule). The
-//! detection pipeline's stages — DNS dataset, banner grab, classifier —
-//! already accumulate their own aggregate state; collection reads those
-//! structures, so scan loops pay nothing.
+//! streamed scan already accumulates its aggregate state in
+//! [`ShardScanStats`]; collection reads that structure, so scan loops pay
+//! nothing.
 
-use crate::pipeline::{DetectorAccuracy, DomainClass, Fig2Stats, ScanRound};
+use crate::pipeline::{DetectorAccuracy, DomainClass, Fig2Stats};
 use crate::shard_scan::ShardScanStats;
 use spamward_obs::Registry;
 
@@ -40,16 +40,6 @@ pub const ACCURACY_FP: &str = "scanner.accuracy.false_positives";
 /// Detector false negatives against ground truth.
 pub const ACCURACY_FN: &str = "scanner.accuracy.false_negatives";
 
-/// Exports the raw-dataset stage: per-round DNS and banner-grab sizes.
-pub fn collect_rounds(rounds: &[ScanRound], reg: &mut Registry) {
-    reg.record_counter(ROUNDS, rounds.len() as u64);
-    for round in rounds {
-        reg.record_counter(DNS_DOMAINS, round.dns.len() as u64);
-        reg.record_counter(DNS_MISSING_A, round.dns.missing_count() as u64);
-        reg.record_counter(BANNER_LISTENING, round.banner.len() as u64);
-    }
-}
-
 /// Exports the classifier stage: Fig. 2 class counts.
 pub fn collect_fig2(stats: &Fig2Stats, reg: &mut Registry) {
     reg.record_counter(CLASSIFIED, stats.total as u64);
@@ -71,9 +61,9 @@ pub fn collect_accuracy(acc: &DetectorAccuracy, reg: &mut Registry) {
     reg.record_counter(ACCURACY_FN, acc.false_negatives as u64);
 }
 
-/// Exports a (merged) shard-scan run: the same names the materialized
-/// pipeline's stage collectors record, read from the streaming
-/// accumulators instead.
+/// Exports a (merged) shard-scan run: per-round dataset sizes, the Fig. 2
+/// class counts, and the confusion cells of the full cross-check (the
+/// last round prefix).
 pub fn collect_shard_scan(stats: &ShardScanStats, reg: &mut Registry) {
     reg.record_counter(ROUNDS, stats.rounds.len() as u64);
     for round in &stats.rounds {
@@ -82,7 +72,9 @@ pub fn collect_shard_scan(stats: &ShardScanStats, reg: &mut Registry) {
         reg.record_counter(BANNER_LISTENING, round.banner_listening);
     }
     collect_fig2(&stats.fig2(), reg);
-    collect_accuracy(&stats.accuracy, reg);
+    if let Some(acc) = stats.accuracy.last() {
+        collect_accuracy(acc, reg);
+    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,8 @@
 //! The three-step nolisting detector and the Fig. 2 classification.
 
 use crate::dataset::{BannerGrab, DnsAnyScan};
-use crate::population::{DomainTruth, Population};
 use serde::{Deserialize, Serialize};
 use spamward_dns::DomainName;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// The detector's verdict for one domain (the four Fig. 2 slices).
@@ -62,7 +60,7 @@ impl Fig2Stats {
 
 /// Detection quality against ground truth (the synthetic population's
 /// advantage over the real study).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct DetectorAccuracy {
     /// Nolisting domains correctly flagged.
     pub true_positives: usize,
@@ -73,6 +71,17 @@ pub struct DetectorAccuracy {
 }
 
 impl DetectorAccuracy {
+    /// Scores one domain: whether the detector `flagged` it and whether
+    /// it `actual`ly uses nolisting.
+    pub(crate) fn record(&mut self, flagged: bool, actual: bool) {
+        match (flagged, actual) {
+            (true, true) => self.true_positives += 1,
+            (true, false) => self.false_positives += 1,
+            (false, true) => self.false_negatives += 1,
+            (false, false) => {}
+        }
+    }
+
     /// TP / (TP + FP); 1.0 when nothing was flagged.
     pub fn precision(&self) -> f64 {
         let flagged = self.true_positives + self.false_positives;
@@ -171,81 +180,20 @@ impl NolistingDetector {
         }
         DomainClass::MultiMxNoNolisting
     }
-
-    /// Classifies every domain and aggregates Fig. 2.
-    pub fn run<'a>(
-        rounds: &[ScanRound],
-        domains: impl IntoIterator<Item = &'a DomainName>,
-    ) -> (Fig2Stats, BTreeMap<DomainName, DomainClass>) {
-        let mut per_domain = BTreeMap::new();
-        let mut counts: BTreeMap<DomainClass, usize> = BTreeMap::new();
-        for d in domains {
-            let class = Self::classify(rounds, d);
-            *counts.entry(class).or_insert(0) += 1;
-            per_domain.insert(d.clone(), class);
-        }
-        let total = per_domain.len();
-        let ordered = [
-            DomainClass::OneMx,
-            DomainClass::MultiMxNoNolisting,
-            DomainClass::Nolisting,
-            DomainClass::DnsMisconfigured,
-        ]
-        .iter()
-        .map(|&c| (c, counts.get(&c).copied().unwrap_or(0)))
-        .collect();
-        (Fig2Stats { total, counts: ordered }, per_domain)
-    }
-
-    /// Scores a classification against the population's ground truth.
-    pub fn score(
-        population: &Population,
-        verdicts: &BTreeMap<DomainName, DomainClass>,
-    ) -> DetectorAccuracy {
-        let mut acc =
-            DetectorAccuracy { true_positives: 0, false_positives: 0, false_negatives: 0 };
-        for d in &population.domains {
-            let flagged = verdicts.get(&d.name) == Some(&DomainClass::Nolisting);
-            let actual = d.truth == DomainTruth::Nolisting;
-            match (flagged, actual) {
-                (true, true) => acc.true_positives += 1,
-                (true, false) => acc.false_positives += 1,
-                (false, true) => acc.false_negatives += 1,
-                (false, false) => {}
-            }
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::resolve_missing;
-    use crate::population::PopulationSpec;
-
-    fn build_rounds(
-        spec: &PopulationSpec,
-        seed: u64,
-        epochs: &[u64],
-    ) -> (Population, Vec<ScanRound>) {
-        let mut pop = Population::generate(spec, seed);
-        let names: Vec<_> = pop.domains.iter().map(|d| d.name.clone()).collect();
-        let mut rounds = Vec::new();
-        for &epoch in epochs {
-            let mut dns_scan = DnsAnyScan::collect(&mut pop.dns, &names);
-            resolve_missing(&mut dns_scan, &pop.dns, 4);
-            let banner = BannerGrab::collect(&pop.network, epoch);
-            rounds.push(ScanRound { dns: dns_scan, banner });
-        }
-        (pop, rounds)
-    }
+    use crate::population::{DomainTruth, PopulationSpec, PopulationStream};
+    use crate::shard_scan::{oracle::Oracle, scan_shard};
+    use spamward_sim::ShardPlan;
 
     #[test]
     fn fig2_shape_recovered() {
-        let (pop, rounds) = build_rounds(&PopulationSpec::fig2(4_000), 13, &[0, 1]);
-        let names: Vec<_> = pop.domains.iter().map(|d| d.name.clone()).collect();
-        let (stats, verdicts) = NolistingDetector::run(&rounds, &names);
+        let stream = PopulationStream::new(PopulationSpec::fig2(4_000), 13);
+        let scan = scan_shard(&stream, &ShardPlan::new(13, 1), 0, &[0, 1], &[]);
+        let stats = scan.fig2();
         assert_eq!(stats.total, 4_000);
         assert!((stats.pct(DomainClass::OneMx) - 47.73).abs() < 3.0);
         assert!((stats.pct(DomainClass::MultiMxNoNolisting) - 45.97).abs() < 3.0);
@@ -253,7 +201,7 @@ mod tests {
         let nolisting_pct = stats.pct(DomainClass::Nolisting);
         assert!(nolisting_pct > 0.0 && nolisting_pct < 2.0, "got {nolisting_pct}");
 
-        let acc = NolistingDetector::score(&pop, &verdicts);
+        let acc = scan.accuracy[1];
         // A nolisting domain whose flaky *secondary* happens to be down in
         // a scan epoch is undetectable by construction, so recall is high
         // but not guaranteed perfect.
@@ -265,13 +213,9 @@ mod tests {
     fn double_scan_beats_single_scan_on_precision() {
         let mut spec = PopulationSpec::fig2(6_000);
         spec.flaky_hosts = 0.20; // plenty of flapping primaries
-        let (pop, rounds) = build_rounds(&spec, 17, &[0, 1]);
-        let names: Vec<_> = pop.domains.iter().map(|d| d.name.clone()).collect();
-
-        let (_, single) = NolistingDetector::run(&rounds[..1], &names);
-        let (_, double) = NolistingDetector::run(&rounds, &names);
-        let acc_single = NolistingDetector::score(&pop, &single);
-        let acc_double = NolistingDetector::score(&pop, &double);
+        let stream = PopulationStream::new(spec, 17);
+        let scan = scan_shard(&stream, &ShardPlan::new(17, 1), 0, &[0, 1], &[]);
+        let (acc_single, acc_double) = (scan.accuracy[0], scan.accuracy[1]);
         assert!(
             acc_double.false_positives < acc_single.false_positives,
             "double scan FP {} !< single scan FP {}",
@@ -284,11 +228,10 @@ mod tests {
 
     #[test]
     fn misconfigured_and_one_mx_classes() {
-        let (pop, rounds) = build_rounds(&PopulationSpec::fig2(1_500), 23, &[0, 1]);
-        let names: Vec<_> = pop.domains.iter().map(|d| d.name.clone()).collect();
-        let (_, verdicts) = NolistingDetector::run(&rounds, &names);
-        for d in &pop.domains {
-            let v = verdicts[&d.name];
+        let mut world = Oracle::build(&PopulationStream::new(PopulationSpec::fig2(1_500), 23));
+        let (rounds, _) = world.rounds(&[0, 1]);
+        for d in &world.domains {
+            let v = NolistingDetector::classify(&rounds, &d.name);
             match d.truth {
                 DomainTruth::Misconfigured => {
                     assert_eq!(v, DomainClass::DnsMisconfigured, "{}", d.name)

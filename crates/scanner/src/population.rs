@@ -1,7 +1,6 @@
 //! Synthetic internet population with ground truth.
 //!
-//! The population exists in two forms. [`PopulationStream`] is the
-//! source of truth: a *streaming* generator that can synthesize any
+//! [`PopulationStream`] is a *streaming* generator that can synthesize any
 //! domain's complete record — ground truth, popularity rank, host
 //! addresses, availability, DNS zone — directly from its index, in O(1)
 //! time and memory, with no state threaded through earlier domains. Every
@@ -9,13 +8,12 @@
 //! derived quantity (host seeds, addresses, ranks) is a pure function of
 //! the index, so two parties streaming different subsets of the same
 //! population agree on every record — the property shard-parallel scans
-//! rely on. [`Population`] is the materialized form for laptop-scale
-//! experiments: the same stream collected into vectors, a [`Network`],
-//! an [`Authority`], and a [`NameTable`] interning every domain name.
+//! rely on. The population is never materialized: the scan expands one
+//! domain at a time into its own corner of the internet.
 
 use serde::{Deserialize, Serialize};
-use spamward_dns::{Authority, DomainName, NameTable, Zone};
-use spamward_net::{indexed_ip, Availability, Network, PortState, SMTP_PORT};
+use spamward_dns::{DomainName, NameTable, Zone};
+use spamward_net::{indexed_ip, Availability, PortState};
 use spamward_sim::DetRng;
 use std::net::Ipv4Addr;
 
@@ -30,16 +28,6 @@ pub enum DomainTruth {
     Nolisting,
     /// DNS misconfiguration — no resolvable mail server (5.78%).
     Misconfigured,
-}
-
-impl DomainTruth {
-    /// All four classes in Fig. 2 order.
-    pub const ALL: [DomainTruth; 4] = [
-        DomainTruth::SingleMx,
-        DomainTruth::MultiMx,
-        DomainTruth::Nolisting,
-        DomainTruth::Misconfigured,
-    ];
 }
 
 /// One generated domain.
@@ -357,93 +345,23 @@ impl PopulationStream {
         let record = DomainRecord { name, truth: packed.truth, alexa_rank: packed.alexa_rank };
         StreamedDomain { record, hosts, zone }
     }
-
-    /// Streams every packed record in index order.
-    pub fn iter(&self) -> impl Iterator<Item = PackedDomain> + '_ {
-        (0..self.spec.domains as u64).map(|i| self.packed(i))
-    }
-}
-
-/// The generated internet: domains with ground truth, plus the network and
-/// DNS they live in.
-#[derive(Debug)]
-pub struct Population {
-    /// The generated domains, in generation order.
-    pub domains: Vec<DomainRecord>,
-    /// The simulated network hosting every mail server.
-    pub network: Network,
-    /// The DNS publishing every zone.
-    pub dns: Authority,
-    /// The symbol table interning every domain name.
-    pub names: NameTable,
-}
-
-impl Population {
-    /// Generates a population per `spec`, deterministically from `seed` —
-    /// [`PopulationStream`] materialized in index order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec's fractions don't sum to 1.
-    pub fn generate(spec: &PopulationSpec, seed: u64) -> Population {
-        let stream = PopulationStream::new(spec.clone(), seed);
-        // The table tag only guards against mixing ids across tables;
-        // the seed's low bits make unrelated populations distinct.
-        #[allow(clippy::cast_possible_truncation)]
-        let mut names = NameTable::new(seed as u32);
-        let mut network = Network::new(seed);
-        let mut dns = Authority::new();
-        let mut domains = Vec::with_capacity(stream.len());
-        for packed in stream.iter() {
-            let expanded = stream.expand(&packed, &mut names);
-            for h in &expanded.hosts {
-                network
-                    .host(&h.name)
-                    .ip(h.ip)
-                    .port(SMTP_PORT, h.smtp)
-                    .availability(h.availability.clone())
-                    .build();
-            }
-            dns.publish(expanded.zone);
-            domains.push(expanded.record);
-        }
-        Population { domains, network, dns, names }
-    }
-
-    /// Number of domains.
-    pub fn len(&self) -> usize {
-        self.domains.len()
-    }
-
-    /// Whether the population is empty (never true for generated ones).
-    pub fn is_empty(&self) -> bool {
-        self.domains.is_empty()
-    }
-
-    /// Counts domains per ground-truth class.
-    pub fn truth_counts(&self) -> [(DomainTruth, usize); 4] {
-        DomainTruth::ALL.map(|t| (t, self.domains.iter().filter(|d| d.truth == t).count()))
-    }
-
-    /// Ground-truth nolisting domains within the `k` most popular.
-    pub fn nolisting_in_top_k(&self, k: u32) -> usize {
-        self.domains
-            .iter()
-            .filter(|d| d.truth == DomainTruth::Nolisting && d.alexa_rank <= k)
-            .count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard_scan::oracle::Oracle;
+
+    fn packed_all(stream: &PopulationStream) -> Vec<PackedDomain> {
+        (0..stream.len() as u64).map(|i| stream.packed(i)).collect()
+    }
 
     #[test]
     fn mix_approximates_fig2() {
-        let pop = Population::generate(&PopulationSpec::fig2(20_000), 1);
-        let counts = pop.truth_counts();
+        let stream = PopulationStream::new(PopulationSpec::fig2(20_000), 1);
+        let domains = packed_all(&stream);
         let frac = |t: DomainTruth| {
-            counts.iter().find(|(c, _)| *c == t).unwrap().1 as f64 / pop.len() as f64
+            domains.iter().filter(|d| d.truth == t).count() as f64 / domains.len() as f64
         };
         assert!((frac(DomainTruth::SingleMx) - 0.4773).abs() < 0.02);
         assert!((frac(DomainTruth::MultiMx) - 0.4597).abs() < 0.02);
@@ -454,11 +372,11 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a = Population::generate(&PopulationSpec::fig2(500), 7);
-        let b = Population::generate(&PopulationSpec::fig2(500), 7);
-        assert_eq!(a.domains, b.domains);
-        let c = Population::generate(&PopulationSpec::fig2(500), 8);
-        assert_ne!(a.domains, c.domains);
+        let a = packed_all(&PopulationStream::new(PopulationSpec::fig2(500), 7));
+        let b = packed_all(&PopulationStream::new(PopulationSpec::fig2(500), 7));
+        assert_eq!(a, b);
+        let c = packed_all(&PopulationStream::new(PopulationSpec::fig2(500), 8));
+        assert_ne!(a, c);
     }
 
     #[test]
@@ -466,7 +384,7 @@ mod tests {
         // The record at index i must not depend on which other indices were
         // generated, or in what order — the property sharded scans rely on.
         let stream = PopulationStream::new(PopulationSpec::fig2(400), 11);
-        let forward: Vec<PackedDomain> = stream.iter().collect();
+        let forward = packed_all(&stream);
         let mut backward: Vec<PackedDomain> = (0..400u64).rev().map(|i| stream.packed(i)).collect();
         backward.reverse();
         assert_eq!(forward, backward);
@@ -477,47 +395,27 @@ mod tests {
     }
 
     #[test]
-    fn expansion_matches_the_materialized_population() {
-        let spec = PopulationSpec::fig2(600);
-        let pop = Population::generate(&spec, 19);
-        let stream = PopulationStream::new(spec, 19);
-        let mut names = NameTable::new(7);
-        for (i, record) in pop.domains.iter().enumerate() {
-            let expanded = stream.expand(&stream.packed(i as u64), &mut names);
-            assert_eq!(&expanded.record, record);
-            for h in &expanded.hosts {
-                let host = pop
-                    .network
-                    .iter()
-                    .find(|n| n.name() == h.name)
-                    .unwrap_or_else(|| panic!("{} missing from materialized network", h.name));
-                assert_eq!(host.primary_ip(), h.ip);
-                assert_eq!(host.port(SMTP_PORT), h.smtp);
-            }
-        }
-    }
-
-    #[test]
     fn nolisting_domains_have_dead_primary_live_secondary() {
-        let pop = Population::generate(&PopulationSpec::fig2(2_000), 3);
-        let nolisting: Vec<_> =
-            pop.domains.iter().filter(|d| d.truth == DomainTruth::Nolisting).collect();
+        let stream = PopulationStream::new(PopulationSpec::fig2(2_000), 3);
+        let mut names = NameTable::new(0);
+        let nolisting: Vec<_> = packed_all(&stream)
+            .iter()
+            .filter(|d| d.truth == DomainTruth::Nolisting)
+            .map(|d| stream.expand(d, &mut names))
+            .collect();
         assert!(!nolisting.is_empty());
         for d in nolisting {
-            let primary_name = format!("smtp.{}", d.name);
-            let host = pop
-                .network
-                .iter()
-                .find(|h| h.name() == primary_name)
-                .expect("nolisting primary host exists");
-            assert_eq!(host.port(SMTP_PORT), PortState::Closed);
+            let [primary, secondary] = &d.hosts[..] else { panic!("{}: two hosts", d.record.name) };
+            assert_eq!(primary.name, format!("smtp.{}", d.record.name));
+            assert_eq!(primary.smtp, PortState::Closed);
+            assert_eq!(secondary.smtp, PortState::Open);
         }
     }
 
     #[test]
     fn ranks_are_a_permutation() {
-        let pop = Population::generate(&PopulationSpec::fig2(1_000), 5);
-        let mut ranks: Vec<u32> = pop.domains.iter().map(|d| d.alexa_rank).collect();
+        let stream = PopulationStream::new(PopulationSpec::fig2(1_000), 5);
+        let mut ranks: Vec<u32> = packed_all(&stream).iter().map(|d| d.alexa_rank).collect();
         ranks.sort_unstable();
         assert_eq!(ranks, (1..=1_000).collect::<Vec<u32>>());
     }
@@ -527,16 +425,20 @@ mod tests {
     fn bad_fractions_rejected() {
         let mut spec = PopulationSpec::fig2(10);
         spec.single_mx = 0.9;
-        let _ = Population::generate(&spec, 1);
+        let _ = PopulationStream::new(spec, 1);
     }
 
     #[test]
     fn misconfigured_domains_resolve_to_nothing() {
-        let pop = Population::generate(&PopulationSpec::fig2(2_000), 9);
-        let mut dns = pop.dns;
+        let world = Oracle::build(&PopulationStream::new(PopulationSpec::fig2(2_000), 9));
+        let mut dns = world.dns;
         let mut resolver = spamward_dns::Resolver::new();
-        let misconf: Vec<_> =
-            pop.domains.iter().filter(|d| d.truth == DomainTruth::Misconfigured).take(20).collect();
+        let misconf: Vec<_> = world
+            .domains
+            .iter()
+            .filter(|d| d.truth == DomainTruth::Misconfigured)
+            .take(20)
+            .collect();
         assert!(!misconf.is_empty());
         for d in misconf {
             let result = resolver.resolve_mx(&mut dns, &d.name, spamward_sim::SimTime::ZERO);

@@ -1,21 +1,23 @@
-//! Shard-parallel streaming execution of the Fig. 2 scan pipeline.
+//! The Fig. 2 scan pipeline, streamed and shard-parallel.
 //!
-//! The materialized pipeline builds one global [`Network`]/[`Authority`]
-//! and joins whole-internet datasets; fine at laptop scale, impossible at
-//! the paper's 135 M domains. [`scan_shard`] instead walks the
-//! [`PopulationStream`] and, for each domain its shard owns, synthesizes
-//! the domain's *corner* of the internet — its zone and mail hosts — runs
-//! the exact same collect → glue-patch → banner-grab → classify pipeline
-//! against that corner, and folds the outcome into O(1)-size
-//! [`ShardScanStats`]. Nothing survives a domain but its aggregate
-//! contribution, so memory stays flat no matter the population size.
+//! A whole-internet world — one global [`Network`]/[`Authority`] joined
+//! against whole-internet datasets — is fine at laptop scale and
+//! impossible at the paper's 135 M domains. [`scan_shard`] instead walks
+//! the [`PopulationStream`] and, for each domain its shard owns,
+//! synthesizes the domain's *corner* of the internet — its zone and mail
+//! hosts — runs the collect → glue-patch → banner-grab → classify pipeline
+//! against that corner, and folds the outcome into [`ShardScanStats`],
+//! whose size depends only on the number of rounds. Nothing survives a
+//! domain but its aggregate contribution, so memory stays flat no matter
+//! the population size.
 //!
 //! Per-domain emulation is *exact*, not approximate: MX entries, glue
 //! resolution and SYN probes depend only on the domain's own zone and
 //! hosts (addresses are unique per domain, host availability seeds derive
 //! from host names), so a domain's classification in its mini-world equals
-//! its classification in the materialized world — a property the tests
-//! pin. Shard outputs merge by field-wise addition in shard order.
+//! its classification in a whole-internet world — a property the tests pin
+//! against a test-only whole-world oracle. Shard outputs merge by
+//! field-wise addition in shard order.
 
 use crate::dataset::{BannerGrab, DnsAnyScan};
 use crate::metrics::{SAMPLE_SCAN_EVENTS, SAMPLE_SCAN_NOLISTING};
@@ -63,8 +65,10 @@ pub struct ShardScanStats {
     /// Detected-nolisting count per *single* round, for the between-scan
     /// drift number.
     pub per_epoch_nolisting: Vec<u64>,
-    /// Confusion-matrix cells against ground truth.
-    pub accuracy: DetectorAccuracy,
+    /// Confusion-matrix cells against ground truth, one per round prefix:
+    /// entry `n-1` cross-checks rounds `1..=n`, so the last entry scores
+    /// the whole scan.
+    pub accuracy: Vec<DetectorAccuracy>,
     /// Detected-nolisting counts within the top-k popular domains.
     pub top_k: Vec<(u32, u64)>,
     /// Scan progress over virtual time: events and detections per
@@ -92,11 +96,7 @@ impl ShardScanStats {
             glue_resolved: 0,
             class_counts: [0; 4],
             per_epoch_nolisting: vec![0; epochs],
-            accuracy: DetectorAccuracy {
-                true_positives: 0,
-                false_positives: 0,
-                false_negatives: 0,
-            },
+            accuracy: vec![DetectorAccuracy::default(); epochs],
             top_k: ks.iter().map(|&k| (k, 0)).collect(),
             samples: TimeSeries::new(),
         }
@@ -129,9 +129,11 @@ impl ShardScanStats {
         for (mine, theirs) in self.per_epoch_nolisting.iter_mut().zip(&other.per_epoch_nolisting) {
             *mine += theirs;
         }
-        self.accuracy.true_positives += other.accuracy.true_positives;
-        self.accuracy.false_positives += other.accuracy.false_positives;
-        self.accuracy.false_negatives += other.accuracy.false_negatives;
+        for (mine, theirs) in self.accuracy.iter_mut().zip(&other.accuracy) {
+            mine.true_positives += theirs.true_positives;
+            mine.false_positives += theirs.false_positives;
+            mine.false_negatives += theirs.false_negatives;
+        }
         for ((_, mine), (_, theirs)) in self.top_k.iter_mut().zip(&other.top_k) {
             *mine += theirs;
         }
@@ -167,6 +169,10 @@ fn a_record(dns: &Authority, name: &spamward_dns::DomainName) -> Option<std::net
 ///
 /// `epochs` are the banner-grab rounds (the paper's two scans) and `ks`
 /// the popularity cutoffs for the Alexa cross-check.
+///
+/// # Panics
+///
+/// Panics if `epochs` is empty.
 #[must_use]
 pub fn scan_shard(
     stream: &PopulationStream,
@@ -175,6 +181,7 @@ pub fn scan_shard(
     epochs: &[u64],
     ks: &[u32],
 ) -> ShardScanStats {
+    assert!(!epochs.is_empty(), "need at least one scan round");
     let mut stats = ShardScanStats::empty(epochs.len(), ks);
     for i in 0..stream.len() as u64 {
         if !plan.owns(shard, &stream.name_of(i)) {
@@ -221,22 +228,22 @@ pub fn scan_shard(
             rounds.push(ScanRound { dns: scan, banner });
         }
 
+        // Per round: its single-round verdict, then the cross-check of
+        // every round so far (for the first round, the same verdict).
+        let actual = packed.truth == DomainTruth::Nolisting;
+        let mut class = DomainClass::DnsMisconfigured;
         for (ei, round) in rounds.iter().enumerate() {
             let single = NolistingDetector::classify(std::slice::from_ref(round), &domain);
             if single == DomainClass::Nolisting {
                 stats.per_epoch_nolisting[ei] += 1;
             }
+            class =
+                if ei == 0 { single } else { NolistingDetector::classify(&rounds[..=ei], &domain) };
+            stats.accuracy[ei].record(class == DomainClass::Nolisting, actual);
         }
-        let class = NolistingDetector::classify(&rounds, &domain);
+        // `class` now cross-checks every round.
         stats.class_counts[class_slot(class)] += 1;
         let flagged = class == DomainClass::Nolisting;
-        let actual = packed.truth == DomainTruth::Nolisting;
-        match (flagged, actual) {
-            (true, true) => stats.accuracy.true_positives += 1,
-            (true, false) => stats.accuracy.false_positives += 1,
-            (false, true) => stats.accuracy.false_negatives += 1,
-            (false, false) => {}
-        }
         if flagged {
             for (k, count) in &mut stats.top_k {
                 if packed.alexa_rank <= *k {
@@ -254,54 +261,163 @@ pub fn scan_shard(
 }
 
 #[cfg(test)]
+pub(crate) mod oracle {
+    //! The whole-internet reference the streamed scan is pinned against:
+    //! every domain of a stream expanded into one [`Authority`] and one
+    //! [`Network`], scanned with whole-world datasets, glue patched in one
+    //! serial pass.
+
+    use super::a_record;
+    use crate::dataset::{BannerGrab, DnsAnyScan};
+    use crate::pipeline::ScanRound;
+    use crate::population::{DomainRecord, PopulationStream};
+    use spamward_dns::{Authority, NameTable};
+    use spamward_net::{Network, SMTP_PORT};
+
+    /// A whole population installed in one world.
+    pub(crate) struct Oracle {
+        /// Every domain, in stream order.
+        pub(crate) domains: Vec<DomainRecord>,
+        /// Every domain's mail hosts.
+        pub(crate) network: Network,
+        /// Every domain's zone.
+        pub(crate) dns: Authority,
+    }
+
+    impl Oracle {
+        /// Expands every domain of `stream` into one world seeded like
+        /// the stream.
+        pub(crate) fn build(stream: &PopulationStream) -> Oracle {
+            let mut names = NameTable::new(0);
+            let mut network = Network::new(stream.seed());
+            let mut dns = Authority::new();
+            let mut domains = Vec::with_capacity(stream.len());
+            for i in 0..stream.len() as u64 {
+                let expanded = stream.expand(&stream.packed(i), &mut names);
+                for h in &expanded.hosts {
+                    network
+                        .host(&h.name)
+                        .ip(h.ip)
+                        .port(SMTP_PORT, h.smtp)
+                        .availability(h.availability.clone())
+                        .build();
+                }
+                dns.publish(expanded.zone);
+                domains.push(expanded.record);
+            }
+            Oracle { domains, network, dns }
+        }
+
+        /// One whole-world scan round per epoch, and how many MX entries
+        /// the glue pass patched over all of them.
+        pub(crate) fn rounds(&mut self, epochs: &[u64]) -> (Vec<ScanRound>, u64) {
+            let mut rounds = Vec::with_capacity(epochs.len());
+            let mut patched = 0;
+            for &epoch in epochs {
+                let mut dns =
+                    DnsAnyScan::collect(&mut self.dns, self.domains.iter().map(|d| &d.name));
+                for e in dns.mx.values_mut().flatten().filter(|e| e.ip.is_none()) {
+                    e.ip = a_record(&self.dns, &e.exchange);
+                    patched += u64::from(e.ip.is_some());
+                }
+                rounds.push(ScanRound { dns, banner: BannerGrab::collect(&self.network, epoch) });
+            }
+            (rounds, patched)
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
+    use super::oracle::Oracle;
     use super::*;
-    use crate::dataset::resolve_missing;
-    use crate::population::{Population, PopulationSpec};
+    use crate::population::PopulationSpec;
     use spamward_sim::shard::run_sharded;
 
     const EPOCHS: [u64; 2] = [0, 1];
     const KS: [u32; 3] = [15, 500, 1000];
 
-    fn merged(domains: usize, seed: u64, shards: u32) -> ShardScanStats {
-        let stream = PopulationStream::new(PopulationSpec::fig2(domains), seed);
-        let plan = ShardPlan::new(seed, shards);
-        let per_shard = run_sharded(&plan, 4, |s| scan_shard(&stream, &plan, s, &EPOCHS, &KS));
-        let mut total = ShardScanStats::empty(EPOCHS.len(), &KS);
+    fn merged_scan(stream: &PopulationStream, shards: u32, epochs: &[u64]) -> ShardScanStats {
+        let plan = ShardPlan::new(stream.seed(), shards);
+        let per_shard = run_sharded(&plan, 4, |s| scan_shard(stream, &plan, s, epochs, &KS));
+        let mut total = ShardScanStats::empty(epochs.len(), &KS);
         for s in &per_shard {
             total.merge(s);
         }
         total
     }
 
-    #[test]
-    fn sharded_scan_matches_the_materialized_pipeline() {
-        let (domains, seed) = (1_500, 13);
-        let total = merged(domains, seed, 8);
+    fn merged(domains: usize, seed: u64, shards: u32) -> ShardScanStats {
+        merged_scan(&PopulationStream::new(PopulationSpec::fig2(domains), seed), shards, &EPOCHS)
+    }
 
-        // The materialized reference: one global world, global datasets.
-        let mut pop = Population::generate(&PopulationSpec::fig2(domains), seed);
-        let names: Vec<_> = pop.domains.iter().map(|d| d.name.clone()).collect();
-        let mut rounds = Vec::new();
-        let mut glue = 0u64;
-        for &epoch in &EPOCHS {
-            let mut scan = DnsAnyScan::collect(&mut pop.dns, &names);
-            glue += resolve_missing(&mut scan, &pop.dns, 4) as u64;
-            let banner = BannerGrab::collect(&pop.network, epoch);
-            rounds.push(ScanRound { dns: scan, banner });
+    /// Scans `stream` `shards` wide and checks every aggregate against
+    /// the whole-world oracle.
+    fn assert_matches_oracle(stream: &PopulationStream, shards: u32, epochs: &[u64]) {
+        let total = merged_scan(stream, shards, epochs);
+        let mut world = Oracle::build(stream);
+        let (rounds, glue) = world.rounds(epochs);
+        let classify = |n: usize| -> Vec<DomainClass> {
+            world
+                .domains
+                .iter()
+                .map(|d| NolistingDetector::classify(&rounds[..n], &d.name))
+                .collect()
+        };
+
+        assert_eq!(total.domains as usize, world.domains.len());
+        let classes = classify(rounds.len());
+        let mut class_counts = [0; 4];
+        for &class in &classes {
+            class_counts[class_slot(class)] += 1;
         }
-        let (stats, verdicts) = NolistingDetector::run(&rounds, &names);
-        let accuracy = NolistingDetector::score(&pop, &verdicts);
-
-        assert_eq!(total.domains as usize, domains);
-        assert_eq!(total.fig2(), stats, "per-domain emulation must classify identically");
-        assert_eq!(total.accuracy, accuracy);
+        assert_eq!(
+            total.class_counts, class_counts,
+            "per-domain emulation must classify identically"
+        );
+        for n in 1..=rounds.len() {
+            let mut accuracy = DetectorAccuracy::default();
+            for (d, class) in world.domains.iter().zip(classify(n)) {
+                accuracy.record(class == DomainClass::Nolisting, d.truth == DomainTruth::Nolisting);
+            }
+            assert_eq!(total.accuracy[n - 1], accuracy, "cross-checking {n} rounds");
+        }
+        for &(k, count) in &total.top_k {
+            let flagged = world
+                .domains
+                .iter()
+                .zip(&classes)
+                .filter(|(d, class)| **class == DomainClass::Nolisting && d.alexa_rank <= k);
+            assert_eq!(count, flagged.count() as u64, "top-{k}");
+        }
         assert_eq!(total.glue_resolved, glue);
         for (ei, round) in rounds.iter().enumerate() {
+            let single = world.domains.iter().filter(|d| {
+                NolistingDetector::classify(std::slice::from_ref(round), &d.name)
+                    == DomainClass::Nolisting
+            });
+            assert_eq!(total.per_epoch_nolisting[ei], single.count() as u64);
             assert_eq!(total.rounds[ei].dns_domains as usize, round.dns.len());
             assert_eq!(total.rounds[ei].dns_missing_a as usize, round.dns.missing_count());
             assert_eq!(total.rounds[ei].banner_listening as usize, round.banner.len());
         }
+    }
+
+    #[test]
+    fn sharded_scan_matches_the_whole_world_oracle() {
+        // The fig2 survey's population, eight shards wide...
+        assert_matches_oracle(&PopulationStream::new(PopulationSpec::fig2(1_500), 13), 8, &EPOCHS);
+        // ...and ablation 4's: flaky hosts, three rounds, one shard.
+        let mut flaky = PopulationSpec::fig2(1_500);
+        flaky.flaky_hosts = 0.2;
+        assert_matches_oracle(&PopulationStream::new(flaky, 2015), 1, &[0, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one scan round")]
+    fn scan_needs_a_round() {
+        let stream = PopulationStream::new(PopulationSpec::fig2(10), 1);
+        let _ = scan_shard(&stream, &ShardPlan::new(1, 1), 0, &[], &KS);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! [`run_partitioned`] is the underlying executor: a generic "run `f` over
 //! every item on a bounded crossbeam pool, return outputs in input order"
 //! primitive that also serves `spamward_core::runner::run_seeds` (parallel
-//! seeds are just shards of a sweep) and the scanner's MX re-resolver.
+//! seeds are just shards of a sweep) and the `policy_backend` grid.
 
 use crate::DetRng;
 use crossbeam::channel;

@@ -1,10 +1,10 @@
 //! The Fig. 2 adoption survey, end to end.
 //!
-//! Generates a synthetic internet with the paper's topology mix, runs the
-//! zmap-style DNS + banner scans twice, re-resolves missing MX glue with a
-//! parallel worker pool, applies the three-step nolisting detector with
-//! the double-scan cross-check, and prints the resulting pie — plus the
-//! detector's accuracy, which the paper could never know.
+//! Streams a synthetic internet with the paper's topology mix, runs the
+//! zmap-style DNS + banner scans twice, resolves the MX glue the DNS dump
+//! lacks, applies the three-step nolisting detector with the double-scan
+//! cross-check, and prints the resulting pie — plus the detector's
+//! accuracy, which the paper could never know.
 //!
 //! ```sh
 //! cargo run --release --example nolisting_survey [domains]

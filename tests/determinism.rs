@@ -5,7 +5,7 @@
 //! that property at the highest level, across crate boundaries.
 
 use spamward::core::experiments::{
-    costs, deployment, efficacy, future_threats, kelihos, nolisting_adoption, webmail,
+    ablations, costs, deployment, efficacy, future_threats, kelihos, nolisting_adoption, webmail,
 };
 use spamward::core::harness::{self, HarnessConfig, Scale};
 use spamward::core::run_seeds;
@@ -48,6 +48,32 @@ fn adoption_survey_is_deterministic_and_seed_sensitive() {
         (c.stats.counts.clone(), c.top_k.clone()),
         "seed change had no observable effect"
     );
+}
+
+/// Ablation 4's exact `(false positives, false negatives)` per number of
+/// cross-checked scan rounds, pinned across seeds, population sizes and
+/// round counts so any change to the scan pipeline that moves a single
+/// verdict shows here.
+#[test]
+fn scan_rounds_ablation_rows_are_pinned() {
+    let rows = |seed: u64, domains: usize, rounds: usize| -> Vec<(usize, usize)> {
+        let points = ablations::scan_rounds_ablation(seed, domains, rounds);
+        for (n, p) in points.iter().enumerate() {
+            assert_eq!(p.rounds, n + 1, "rows are ordered by rounds cross-checked");
+        }
+        points.iter().map(|p| (p.false_positives, p.false_negatives)).collect()
+    };
+    assert_eq!(rows(2015, 4_000, 3), [(99, 1), (27, 2), (9, 3)]);
+    assert_eq!(rows(1, 4_000, 3), [(99, 2), (25, 2), (8, 2)]);
+    assert_eq!(rows(7, 4_000, 3), [(109, 2), (31, 2), (14, 2)]);
+    assert_eq!(rows(424_242, 4_000, 3), [(99, 0), (30, 2), (13, 2)]);
+    // The Quick-scale population.
+    assert_eq!(rows(2015, 2_000, 3), [(63, 0), (16, 0), (7, 1)]);
+    // More rounds extend the same prefix.
+    assert_eq!(rows(2015, 4_000, 5), [(99, 1), (27, 2), (9, 3), (0, 4), (0, 4)]);
+    // No rounds, no rows.
+    assert!(rows(2015, 4_000, 0).is_empty());
+    assert!(rows(3, 100, 0).is_empty());
 }
 
 #[test]
