@@ -127,16 +127,16 @@ impl Authority {
         self.queries_served
     }
 
-    /// Finds the most-specific zone enclosing `name`.
+    /// Finds the most-specific zone enclosing `name`, looking each
+    /// ancestor up by its text so the walk allocates nothing.
     fn enclosing_zone(&self, name: &DomainName) -> Option<&Zone> {
-        let mut cursor = Some(name.clone());
-        while let Some(n) = cursor {
-            if let Some(z) = self.zones.get(&n) {
+        let mut suffix = name.as_str();
+        loop {
+            if let Some(z) = self.zones.get(suffix) {
                 return Some(z);
             }
-            cursor = n.parent();
+            suffix = suffix.split_once('.')?.1;
         }
-        None
     }
 
     /// Answers a typed query.
@@ -150,8 +150,8 @@ impl Authority {
     }
 
     /// Like [`Authority::query`] but without the served-queries counter,
-    /// usable from shared references — the entry point for parallel
-    /// scanners that fan queries out across threads.
+    /// so it answers through a shared reference (the scan's glue pass
+    /// resolves exchangers with it).
     pub fn query_ro(&self, name: &DomainName, rtype: RecordType) -> QueryOutcome {
         let Some(zone) = self.enclosing_zone(name) else {
             return QueryOutcome::nxdomain();
@@ -162,7 +162,7 @@ impl Authority {
         if !zone.has_name(name) {
             return QueryOutcome::nxdomain();
         }
-        let answers = zone.lookup(name, rtype).into_iter().cloned().collect();
+        let answers = zone.lookup(name, rtype).cloned().collect();
         QueryOutcome { rcode: Rcode::NoError, answers }
     }
 }

@@ -3,14 +3,22 @@
 //! [`DomainName`] stores its canonical text behind an [`Arc<str>`], so
 //! cloning a name — which `dns` resolution and `net` host lookups do on
 //! every hot path — bumps a reference count instead of copying a `String`.
-//! A name can additionally be *interned* into a [`NameTable`], which
-//! assigns it a `u32` id; two names interned in the same table compare by
-//! id (one integer compare) instead of by bytes. Uninterned names and
-//! names from different tables fall back to text comparison, so every
-//! comparison trait remains a pure function of the canonical text — the
-//! id is only ever a fast path, never a different answer.
+//! Equality, ordering and hashing are pure functions of the canonical
+//! text: two copies that share one text allocation (clones, or copies
+//! interned in one [`NameTable`]) compare equal by one pointer compare,
+//! and any other pair compares bytes. Because the text alone decides,
+//! a `HashMap` or `BTreeMap` keyed by names can be searched with a plain
+//! `&str` through `Borrow<str>`.
+//!
+//! A name can additionally be *interned* into a [`NameTable`], which keeps
+//! one text allocation per distinct name and stamps each interned copy
+//! with a `u32` [`NameId`] that [`NameTable::get`] resolves back to the
+//! name. The id never takes part in a comparison: table tags are chosen
+//! by the caller, so two tables may share one, and their ids then name
+//! different texts.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -18,11 +26,17 @@ use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 use std::sync::Arc;
 
+/// The longest name, in bytes, that [`DomainName::parse`] accepts.
+const MAX_NAME_LEN: usize = 253;
+/// The longest label, in bytes.
+const MAX_LABEL_LEN: usize = 63;
+
 /// The id a [`NameTable`] assigns to an interned [`DomainName`].
 ///
-/// Ids are only comparable within the table that issued them, so the id
-/// carries its table's tag; [`DomainName`] equality uses the id fast path
-/// only when both tags match.
+/// An id is a handle into the table that issued it, so it carries its
+/// table's tag and [`NameTable::get`] answers only ids with its own tag.
+/// Tags are caller-chosen and need not be unique, so ids never take part
+/// in [`DomainName`] comparisons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NameId {
     table: u32,
@@ -60,16 +74,13 @@ pub struct DomainName {
     id: Option<NameId>,
 }
 
-// Equality, ordering and hashing are all defined by the canonical text;
-// the interned id is a fast path that agrees with the text because a
-// NameTable is a bijection between its ids and its texts.
+// Equality, ordering and hashing are all defined by the canonical text
+// alone, which is what makes `Borrow<str>` sound. Copies sharing one text
+// allocation take the pointer fast path.
 
 impl PartialEq for DomainName {
     fn eq(&self, other: &Self) -> bool {
-        match (self.id, other.id) {
-            (Some(a), Some(b)) if a.table() == b.table() => a.index() == b.index(),
-            _ => Arc::ptr_eq(&self.text, &other.text) || self.text == other.text,
-        }
+        Arc::ptr_eq(&self.text, &other.text) || self.text == other.text
     }
 }
 
@@ -83,8 +94,7 @@ impl PartialOrd for DomainName {
 
 impl Ord for DomainName {
     fn cmp(&self, other: &Self) -> Ordering {
-        if self == other {
-            // Covers the id and pointer fast paths without re-deriving them.
+        if Arc::ptr_eq(&self.text, &other.text) {
             return Ordering::Equal;
         }
         self.text.cmp(&other.text)
@@ -93,9 +103,14 @@ impl Ord for DomainName {
 
 impl Hash for DomainName {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        // Must agree with Eq across interned and uninterned copies of the
-        // same name, so only the text participates.
+        // Hashes exactly as the text does, as `Borrow<str>` requires.
         self.text.hash(state);
+    }
+}
+
+impl Borrow<str> for DomainName {
+    fn borrow(&self) -> &str {
+        &self.text
     }
 }
 
@@ -125,6 +140,30 @@ impl fmt::Display for ParseNameError {
 
 impl std::error::Error for ParseNameError {}
 
+/// Checks the dot-separated labels of `text` left to right, judging each
+/// as it reads once lowercased, and reports whether `text` holds an ASCII
+/// uppercase letter (so that only then does the caller lowercase it).
+fn check_labels(text: &str) -> Result<bool, ParseNameError> {
+    let mut upper = false;
+    for label in text.split('.') {
+        if label.is_empty()
+            || label.len() > MAX_LABEL_LEN
+            || label.starts_with('-')
+            || label.ends_with('-')
+        {
+            return Err(ParseNameError::BadLabel(label.to_ascii_lowercase()));
+        }
+        for c in label.chars() {
+            match c {
+                'a'..='z' | '0'..='9' | '-' | '_' => {}
+                'A'..='Z' => upper = true,
+                _ => return Err(ParseNameError::BadChar(c)),
+            }
+        }
+    }
+    Ok(upper)
+}
+
 impl DomainName {
     /// Parses and canonicalizes a name.
     ///
@@ -138,24 +177,15 @@ impl DomainName {
         if trimmed.is_empty() {
             return Err(ParseNameError::Empty);
         }
-        if trimmed.len() > 253 {
+        if trimmed.len() > MAX_NAME_LEN {
             return Err(ParseNameError::TooLong);
         }
-        let lower = trimmed.to_ascii_lowercase();
-        for label in lower.split('.') {
-            if label.is_empty() || label.len() > 63 {
-                return Err(ParseNameError::BadLabel(label.to_owned()));
-            }
-            if label.starts_with('-') || label.ends_with('-') {
-                return Err(ParseNameError::BadLabel(label.to_owned()));
-            }
-            for c in label.chars() {
-                if !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-' || c == '_') {
-                    return Err(ParseNameError::BadChar(c));
-                }
-            }
-        }
-        Ok(DomainName { text: Arc::from(lower), id: None })
+        let text = if check_labels(trimmed)? {
+            Arc::from(trimmed.to_ascii_lowercase())
+        } else {
+            Arc::from(trimmed)
+        };
+        Ok(DomainName { text, id: None })
     }
 
     /// The canonical textual form.
@@ -191,9 +221,23 @@ impl DomainName {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseNameError`] if the resulting name is invalid.
+    /// Returns [`ParseNameError`] if the resulting name is invalid — the
+    /// error [`DomainName::parse`] gives for `"{label}.{self}"`.
     pub fn prefixed(&self, label: &str) -> Result<DomainName, ParseNameError> {
-        DomainName::parse(&format!("{label}.{}", self.text))
+        // `self` is canonical, so only the new label needs checking.
+        let len = label.len() + 1 + self.text.len();
+        if len > MAX_NAME_LEN {
+            return Err(ParseNameError::TooLong);
+        }
+        let upper = check_labels(label)?;
+        let mut text = String::with_capacity(len);
+        text.push_str(label);
+        if upper {
+            text.make_ascii_lowercase();
+        }
+        text.push('.');
+        text.push_str(&self.text);
+        Ok(DomainName { text: Arc::from(text), id: None })
     }
 }
 
@@ -219,11 +263,11 @@ impl AsRef<str> for DomainName {
 /// A `u32` symbol table for [`DomainName`]s.
 ///
 /// Interning deduplicates the backing text (one `Arc<str>` per distinct
-/// name, shared by every interned copy) and stamps each name with a
-/// [`NameId`], which turns comparisons between two names from the same
-/// table into integer compares. Tables are identified by a caller-chosen
-/// `tag`; id fast paths only apply when both names carry the same tag, so
-/// mixing tables is safe (just slower).
+/// name, shared by every interned copy, so two interned copies of a name
+/// compare equal by pointer) and stamps each name with a [`NameId`] that
+/// [`NameTable::get`] resolves back to the name. Tables are identified by
+/// a caller-chosen `tag`, which need not be unique: comparisons never
+/// consult ids, so names from any mix of tables compare by their text.
 ///
 /// # Example
 ///
@@ -423,6 +467,114 @@ mod tests {
     }
 
     #[test]
+    fn tables_sharing_a_tag_compare_names_by_text() {
+        use std::collections::BTreeSet;
+        // Two tables with one tag issue the same ids for different names.
+        let a = NameTable::new(3).intern("a.net").unwrap();
+        let b = NameTable::new(3).intern("b.net").unwrap();
+        assert_eq!(a.id(), b.id());
+        assert_ne!(a, b);
+        assert_eq!(a.cmp(&b), Ordering::Less);
+        assert_eq!(BTreeSet::from([a.clone(), b]).len(), 2);
+        // ...and different ids for one name.
+        let mut other = NameTable::new(3);
+        other.intern("z.net").unwrap();
+        let a2 = other.intern("a.net").unwrap();
+        assert_ne!(a.id(), a2.id());
+        assert_eq!(a, a2);
+        assert_eq!(a.cmp(&a2), Ordering::Equal);
+    }
+
+    #[test]
+    fn maps_keyed_by_names_answer_str_lookups() {
+        use std::collections::HashMap;
+        let mut table = NameTable::new(0);
+        let mut map = HashMap::new();
+        map.insert(table.intern("foo.net").unwrap(), 1);
+        map.insert(DomainName::parse("bar.net").unwrap(), 2);
+        assert_eq!(map.get("foo.net"), Some(&1));
+        assert_eq!(map.get("bar.net"), Some(&2));
+        assert_eq!(map.get("FOO.net"), None, "lookups take canonical text");
+    }
+
+    /// A reference parser in two plain passes (lowercase a copy, then
+    /// check it label by label): the oracle `parse` and `prefixed` are
+    /// pinned to, errors and their payloads included.
+    fn oracle_parse(s: &str) -> Result<String, ParseNameError> {
+        let trimmed = s.strip_suffix('.').unwrap_or(s);
+        if trimmed.is_empty() {
+            return Err(ParseNameError::Empty);
+        }
+        if trimmed.len() > 253 {
+            return Err(ParseNameError::TooLong);
+        }
+        let lower = trimmed.to_ascii_lowercase();
+        for label in lower.split('.') {
+            if label.is_empty() || label.len() > 63 {
+                return Err(ParseNameError::BadLabel(label.to_owned()));
+            }
+            if label.starts_with('-') || label.ends_with('-') {
+                return Err(ParseNameError::BadLabel(label.to_owned()));
+            }
+            for c in label.chars() {
+                if !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-' || c == '_') {
+                    return Err(ParseNameError::BadChar(c));
+                }
+            }
+        }
+        Ok(lower)
+    }
+
+    fn parsed(s: &str) -> Result<String, ParseNameError> {
+        DomainName::parse(s).map(|d| d.as_str().to_owned())
+    }
+
+    fn prefixed_text(base: &DomainName, label: &str) -> Result<String, ParseNameError> {
+        base.prefixed(label).map(|d| d.as_str().to_owned())
+    }
+
+    /// An `n`-byte label of mixed-case letters, digits and `_`.
+    fn sized_label(n: usize) -> String {
+        "aB3_".chars().cycle().take(n).collect()
+    }
+
+    #[test]
+    fn parse_and_prefixed_agree_with_the_oracle_at_the_limits() {
+        let base = DomainName::parse("foo.net").unwrap();
+        for n in [0, 1, 62, 63, 64, 65] {
+            let label = sized_label(n);
+            assert_eq!(parsed(&label), oracle_parse(&label), "{n}-byte label");
+            let name = format!("{label}.example.");
+            assert_eq!(parsed(&name), oracle_parse(&name), "{n}-byte first label");
+            assert_eq!(
+                prefixed_text(&base, &label),
+                oracle_parse(&format!("{label}.foo.net")),
+                "{n}-byte prefix"
+            );
+        }
+        // Names of 252..=255 bytes, with and without a trailing dot.
+        for n in 252..=255 {
+            let name = format!("{}.{}", vec![sized_label(63); 3].join("."), sized_label(n - 192));
+            assert_eq!(name.len(), n);
+            for s in [name.clone(), format!("{name}.")] {
+                assert_eq!(parsed(&s), oracle_parse(&s), "{n}-byte name");
+            }
+        }
+        // Prefixes that make the joined name 252..=255 bytes.
+        let long = DomainName::parse(&vec![sized_label(63); 3].join(".")).unwrap();
+        for n in 60..=63 {
+            let label = sized_label(n);
+            assert_eq!(
+                prefixed_text(&long, &label),
+                oracle_parse(&format!("{label}.{long}")),
+                "{n}-byte prefix of a 191-byte name"
+            );
+        }
+        assert_eq!(prefixed_text(&long, "-"), Err(ParseNameError::BadLabel("-".into())));
+        assert_eq!(prefixed_text(&long, &"-".repeat(62)), Err(ParseNameError::TooLong));
+    }
+
+    #[test]
     fn interned_ordering_matches_text_ordering() {
         let mut table = NameTable::new(3);
         // Intern in an order that disagrees with lexicographic order.
@@ -432,6 +584,43 @@ mod tests {
         let mut v = vec![z.clone(), a.clone(), m.clone()];
         v.sort();
         assert_eq!(v, vec![a, m, z], "sort order is the text order, never the id order");
+    }
+
+    /// Labels with every edge the parser judges: mixed case, digits, `_`,
+    /// hyphens at either end, spaces, non-ASCII letters, and empty labels
+    /// (from doubled or trailing dots).
+    const EDGY_NAME: &str = "[a-zA-Z0-9_é -]{0,6}(\\.[a-zA-Z0-9_ü-]{0,6}){0,4}\\.?";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn prop_parse_matches_the_oracle(s in EDGY_NAME) {
+            prop_assert_eq!(parsed(&s), oracle_parse(&s));
+        }
+
+        #[test]
+        fn prop_parse_matches_the_oracle_near_the_length_limits(
+            (head, tail, label, dot) in (58usize..=68, 52usize..=68, EDGY_NAME, any::<bool>())
+        ) {
+            // Labels around 63 bytes in names around 253 bytes.
+            let (head, tail) = (sized_label(head), sized_label(tail));
+            let middle = vec![sized_label(63); 2].join(".");
+            let s = format!("{head}.{middle}.{tail}{label}{}", if dot { "." } else { "" });
+            prop_assert_eq!(parsed(&s), oracle_parse(&s));
+        }
+
+        #[test]
+        fn prop_prefixed_matches_the_oracle(
+            (base, label, pad) in ("[a-zA-Z0-9]{1,6}(\\.[a-zA-Z0-9]{1,6}){0,3}", EDGY_NAME, 0usize..=250)
+        ) {
+            // A valid base of any length up to the limit.
+            let base = format!("{}{base}", "x.".repeat(pad / 2));
+            if let Ok(base) = DomainName::parse(&base) {
+                let joined = format!("{label}.{base}");
+                prop_assert_eq!(prefixed_text(&base, &label), oracle_parse(&joined));
+            }
+        }
     }
 
     proptest! {

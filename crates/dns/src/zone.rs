@@ -50,9 +50,13 @@ impl Zone {
         self.records.iter().filter(move |r| r.record_type() == rtype)
     }
 
-    /// Records answering `(name, rtype)` exactly.
-    pub fn lookup(&self, name: &DomainName, rtype: RecordType) -> Vec<&ResourceRecord> {
-        self.records.iter().filter(|r| r.record_type() == rtype && &r.name == name).collect()
+    /// Records answering `(name, rtype)` exactly, in zone order.
+    pub fn lookup<'a>(
+        &'a self,
+        name: &'a DomainName,
+        rtype: RecordType,
+    ) -> impl Iterator<Item = &'a ResourceRecord> {
+        self.records.iter().filter(move |r| r.record_type() == rtype && r.name == *name)
     }
 
     /// Whether any record exists at `name` (for NXDOMAIN vs NODATA).
@@ -190,8 +194,9 @@ mod tests {
     #[test]
     fn builder_adds_glue() {
         let z = Zone::builder(name("foo.net")).mx(0, "smtp", ip(1)).build();
-        assert_eq!(z.lookup(&name("foo.net"), RecordType::Mx).len(), 1);
-        let a = z.lookup(&name("smtp.foo.net"), RecordType::A);
+        assert_eq!(z.lookup(&name("foo.net"), RecordType::Mx).count(), 1);
+        let smtp = name("smtp.foo.net");
+        let a: Vec<_> = z.lookup(&smtp, RecordType::A).collect();
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].data, RecordData::A(ip(1)));
     }
@@ -218,15 +223,15 @@ mod tests {
         );
         // Both exchangers have proper A records — the primary *resolves*,
         // it just doesn't accept SMTP (that's the network's job to model).
-        assert_eq!(z.lookup(&name("smtp.foo.net"), RecordType::A).len(), 1);
-        assert_eq!(z.lookup(&name("smtp1.foo.net"), RecordType::A).len(), 1);
+        assert_eq!(z.lookup(&name("smtp.foo.net"), RecordType::A).count(), 1);
+        assert_eq!(z.lookup(&name("smtp1.foo.net"), RecordType::A).count(), 1);
     }
 
     #[test]
     fn no_mx_zone_has_apex_a_only() {
         let z = Zone::no_mx(name("bar.org"), ip(3));
         assert_eq!(z.records_of(RecordType::Mx).count(), 0);
-        assert_eq!(z.lookup(&name("bar.org"), RecordType::A).len(), 1);
+        assert_eq!(z.lookup(&name("bar.org"), RecordType::A).count(), 1);
     }
 
     #[test]
@@ -241,7 +246,7 @@ mod tests {
     fn has_name_distinguishes_nodata_from_nxdomain() {
         let z = Zone::builder(name("foo.net")).mx(0, "smtp", ip(1)).build();
         assert!(z.has_name(&name("smtp.foo.net")));
-        assert!(z.lookup(&name("smtp.foo.net"), RecordType::Mx).is_empty());
+        assert_eq!(z.lookup(&name("smtp.foo.net"), RecordType::Mx).count(), 0);
         assert!(!z.has_name(&name("other.foo.net")));
     }
 

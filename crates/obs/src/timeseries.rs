@@ -34,10 +34,15 @@ impl TimeSeries {
     ///
     /// Addition at the same key is what makes [`merge`](TimeSeries::merge)
     /// commutative and associative: shards sampling the same virtual
-    /// instant fold into one total regardless of merge order.
+    /// instant fold into one total regardless of merge order. The series
+    /// name is copied only on its first point.
     pub fn record_point(&mut self, series: &str, at: SimTime, value: i64) {
-        let entry = self.points.entry(series.to_owned()).or_default().entry(at).or_insert(0);
-        *entry += value;
+        match self.points.get_mut(series) {
+            Some(points) => *points.entry(at).or_insert(0) += value,
+            None => {
+                self.points.insert(series.to_owned(), BTreeMap::from([(at, value)]));
+            }
+        }
     }
 
     /// Folds every point of `other` into this series.
@@ -129,6 +134,26 @@ mod tests {
         assert_eq!(ts.get("obs.sample.test", t(120)), Some(1));
         assert_eq!(ts.series_len(), 1);
         assert_eq!(ts.len(), 2);
+    }
+
+    #[test]
+    fn repeated_series_record_the_same_points_as_a_fresh_entry_per_call() {
+        // The oracle inserts every point through an owned series name.
+        let mut oracle: BTreeMap<String, BTreeMap<SimTime, i64>> = BTreeMap::new();
+        let mut ts = TimeSeries::new();
+        let names = ["obs.sample.b", "obs.sample.a", "obs.sample.b"];
+        for step in 0..60u64 {
+            let (series, at, value) =
+                (names[step as usize % 3], t(step / 7 * 60), step as i64 - 20);
+            *oracle.entry(series.to_owned()).or_default().entry(at).or_insert(0) += value;
+            ts.record_point(series, at, value);
+        }
+        let expected: Vec<(&str, SimTime, i64)> = oracle
+            .iter()
+            .flat_map(|(name, points)| points.iter().map(move |(at, v)| (name.as_str(), *at, *v)))
+            .collect();
+        assert_eq!(ts.iter().collect::<Vec<_>>(), expected);
+        assert_eq!(ts.series_len(), 2);
     }
 
     #[test]

@@ -130,20 +130,18 @@ impl NolistingDetector {
         let Some(entries) = round.dns.mx.get(domain) else {
             return RoundVerdict::Misconfigured;
         };
-        let resolved: Vec<_> =
-            entries.iter().filter_map(|e| e.ip.map(|ip| (e.preference, ip))).collect();
-        if resolved.is_empty() {
+        // Entries are preference-sorted at collection time.
+        let mut resolved = entries.iter().filter_map(|e| e.ip).peekable();
+        let Some(primary) = resolved.next() else {
             return RoundVerdict::Misconfigured;
-        }
-        if resolved.len() == 1 {
+        };
+        if resolved.peek().is_none() {
             return RoundVerdict::OneMx;
         }
-        // Entries are preference-sorted at collection time.
-        let primary_listening = round.banner.is_listening(resolved[0].1);
-        if primary_listening {
+        if round.banner.is_listening(primary) {
             return RoundVerdict::PrimaryUp;
         }
-        if resolved[1..].iter().any(|&(_, ip)| round.banner.is_listening(ip)) {
+        if resolved.any(|ip| round.banner.is_listening(ip)) {
             RoundVerdict::Candidate
         } else {
             RoundVerdict::AllDown
@@ -157,25 +155,32 @@ impl NolistingDetector {
     /// Panics if `rounds` is empty.
     pub fn classify(rounds: &[ScanRound], domain: &DomainName) -> DomainClass {
         assert!(!rounds.is_empty(), "need at least one scan round");
-        let verdicts: Vec<RoundVerdict> =
-            rounds.iter().map(|r| Self::round_verdict(r, domain)).collect();
+        let (mut all_misconfigured, mut any_one_mx, mut any_primary_up, mut all_candidates) =
+            (true, false, false, true);
+        for round in rounds {
+            let verdict = Self::round_verdict(round, domain);
+            all_misconfigured &= verdict == RoundVerdict::Misconfigured;
+            any_one_mx |= verdict == RoundVerdict::OneMx;
+            any_primary_up |= verdict == RoundVerdict::PrimaryUp;
+            all_candidates &= verdict == RoundVerdict::Candidate;
+        }
         // Misconfiguration and single-MX are structural; take them from
         // the first round that produced MX data at all.
-        if verdicts.iter().all(|v| *v == RoundVerdict::Misconfigured) {
+        if all_misconfigured {
             return DomainClass::DnsMisconfigured;
         }
-        if verdicts.contains(&RoundVerdict::OneMx) {
+        if any_one_mx {
             return DomainClass::OneMx;
         }
         // "If one domain had the primary email server operational in at
         // least one of the two datasets, we concluded that it was not
         // using nolisting."
-        if verdicts.contains(&RoundVerdict::PrimaryUp) {
+        if any_primary_up {
             return DomainClass::MultiMxNoNolisting;
         }
         // "If the primary was not responding in both cases but the
         // secondary did, we assumed the domain was protected by nolisting."
-        if verdicts.iter().all(|v| *v == RoundVerdict::Candidate) {
+        if all_candidates {
             return DomainClass::Nolisting;
         }
         DomainClass::MultiMxNoNolisting
@@ -240,6 +245,62 @@ mod tests {
                 _ => {}
             }
         }
+    }
+
+    /// A reference classifier that collects every round's verdict and
+    /// resolved addresses into vectors: the oracle `classify` is pinned to.
+    fn oracle_classify(rounds: &[ScanRound], domain: &DomainName) -> DomainClass {
+        let verdict = |round: &ScanRound| {
+            let Some(entries) = round.dns.mx.get(domain) else {
+                return RoundVerdict::Misconfigured;
+            };
+            let resolved: Vec<_> = entries.iter().filter_map(|e| e.ip).collect();
+            match resolved[..] {
+                [] => RoundVerdict::Misconfigured,
+                [_] => RoundVerdict::OneMx,
+                [primary, ..] if round.banner.is_listening(primary) => RoundVerdict::PrimaryUp,
+                [_, ref rest @ ..] if rest.iter().any(|&ip| round.banner.is_listening(ip)) => {
+                    RoundVerdict::Candidate
+                }
+                _ => RoundVerdict::AllDown,
+            }
+        };
+        let verdicts: Vec<RoundVerdict> = rounds.iter().map(verdict).collect();
+        if verdicts.iter().all(|v| *v == RoundVerdict::Misconfigured) {
+            DomainClass::DnsMisconfigured
+        } else if verdicts.contains(&RoundVerdict::OneMx) {
+            DomainClass::OneMx
+        } else if verdicts.contains(&RoundVerdict::PrimaryUp) {
+            DomainClass::MultiMxNoNolisting
+        } else if verdicts.iter().all(|v| *v == RoundVerdict::Candidate) {
+            DomainClass::Nolisting
+        } else {
+            DomainClass::MultiMxNoNolisting
+        }
+    }
+
+    #[test]
+    fn classify_matches_the_oracle_over_flaky_rounds() {
+        let mut spec = PopulationSpec::fig2(3_000);
+        spec.flaky_hosts = 0.5;
+        let mut world = Oracle::build(&PopulationStream::new(spec, 31));
+        let (rounds, _) = world.rounds(&[0, 1, 2]);
+        let mut classes = std::collections::BTreeSet::new();
+        for d in &world.domains {
+            for n in 1..=rounds.len() {
+                let class = NolistingDetector::classify(&rounds[..n], &d.name);
+                assert_eq!(class, oracle_classify(&rounds[..n], &d.name), "{} over {n}", d.name);
+                classes.insert(class);
+            }
+            for round in &rounds {
+                let single = std::slice::from_ref(round);
+                assert_eq!(
+                    NolistingDetector::classify(single, &d.name),
+                    oracle_classify(single, &d.name)
+                );
+            }
+        }
+        assert_eq!(classes.len(), 4, "the world exercises every class");
     }
 
     #[test]

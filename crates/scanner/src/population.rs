@@ -203,19 +203,34 @@ impl PopulationStream {
         self.seed
     }
 
-    /// The generation spec.
-    pub fn spec(&self) -> &PopulationSpec {
-        &self.spec
+    /// Domain `i`'s name text, `d{i}.example`, written into `buf` (room
+    /// for the 20 digits of any `u64`) without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn name_into<'b>(&self, i: u64, buf: &'b mut [u8; 32]) -> &'b str {
+        assert!(i < self.spec.domains as u64, "domain index {i} out of range");
+        const SUFFIX: &[u8] = b".example";
+        let digits = i.checked_ilog10().map_or(1, |log| log as usize + 1);
+        buf[0] = b'd';
+        let mut rest = i;
+        for at in (1..=digits).rev() {
+            buf[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        let len = 1 + digits + SUFFIX.len();
+        buf[1 + digits..len].copy_from_slice(SUFFIX);
+        std::str::from_utf8(&buf[..len]).expect("ASCII digits and letters")
     }
 
-    /// Domain `i`'s name text.
+    /// Domain `i`'s name text, as an owned `String`.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn name_of(&self, i: u64) -> String {
-        assert!(i < self.spec.domains as u64, "domain index {i} out of range");
-        format!("d{i}.example")
+        self.name_into(i, &mut [0; 32]).to_owned()
     }
 
     /// Domain `i`'s popularity rank.
@@ -277,7 +292,7 @@ impl PopulationStream {
     /// Panics if the packed record's index is out of range.
     pub fn expand(&self, packed: &PackedDomain, names: &mut NameTable) -> StreamedDomain {
         let i = packed.index;
-        let name = names.intern(&self.name_of(i)).expect("generated name is valid");
+        let name = names.intern(self.name_into(i, &mut [0; 32])).expect("generated name is valid");
         let ip = |slot: u64| indexed_ip(HOST_IP_BASE, 2 * i + slot);
         let avail = |on: bool| {
             if on {
@@ -351,6 +366,7 @@ impl PopulationStream {
 mod tests {
     use super::*;
     use crate::shard_scan::oracle::Oracle;
+    use spamward_sim::ShardPlan;
 
     fn packed_all(stream: &PopulationStream) -> Vec<PackedDomain> {
         (0..stream.len() as u64).map(|i| stream.packed(i)).collect()
@@ -410,6 +426,42 @@ mod tests {
             assert_eq!(primary.smtp, PortState::Closed);
             assert_eq!(secondary.smtp, PortState::Open);
         }
+    }
+
+    #[test]
+    fn name_into_writes_the_formatted_name_at_every_digit_count() {
+        // A stream this long is never materialized; only its names are read.
+        let stream = PopulationStream::new(PopulationSpec::fig2(usize::MAX), 1);
+        let plan = ShardPlan::new(1, 8);
+        let last = stream.len() as u64 - 1;
+        let mut indices = vec![0, last];
+        for digits in 1..20 {
+            let power = 10u64.pow(digits);
+            indices.extend([power - 1, power]);
+        }
+        let mut buf = [0; 32];
+        for i in indices {
+            let formatted = format!("d{i}.example");
+            let text = stream.name_into(i, &mut buf);
+            assert_eq!(text, formatted);
+            assert_eq!(stream.name_of(i), formatted);
+            for shard in 0..plan.shards() {
+                assert_eq!(plan.owns(shard, text), plan.owns(shard, &formatted), "d{i} in {shard}");
+            }
+        }
+    }
+
+    #[test]
+    fn names_from_separate_tables_stay_distinct() {
+        // The scan gives every domain a fresh table, so every name carries
+        // the same id; they must still compare by their text.
+        let stream = PopulationStream::new(PopulationSpec::fig2(20), 1);
+        let expand = |i| stream.expand(&stream.packed(i), &mut NameTable::new(0)).record.name;
+        let (d5, d13) = (expand(5), expand(13));
+        assert_eq!(d5.id(), d13.id());
+        assert_ne!(d5, d13);
+        assert_eq!(std::collections::BTreeSet::from([d5.clone(), d13]).len(), 2);
+        assert_eq!(d5, expand(5));
     }
 
     #[test]

@@ -183,8 +183,9 @@ pub fn scan_shard(
 ) -> ShardScanStats {
     assert!(!epochs.is_empty(), "need at least one scan round");
     let mut stats = ShardScanStats::empty(epochs.len(), ks);
+    let mut name = [0; 32];
     for i in 0..stream.len() as u64 {
-        if !plan.owns(shard, &stream.name_of(i)) {
+        if !plan.owns(shard, stream.name_into(i, &mut name)) {
             continue;
         }
         let packed = stream.packed(i);
