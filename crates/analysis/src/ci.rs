@@ -46,21 +46,6 @@ impl ConfidenceInterval {
         let half_width = z * std_dev / (n as f64).sqrt();
         Some(ConfidenceInterval { n, mean, std_dev, half_width })
     }
-
-    /// The interval's lower edge.
-    pub fn low(&self) -> f64 {
-        self.mean - self.half_width
-    }
-
-    /// The interval's upper edge.
-    pub fn high(&self) -> f64 {
-        self.mean + self.half_width
-    }
-
-    /// Whether `value` falls inside the interval.
-    pub fn contains(&self, value: f64) -> bool {
-        value >= self.low() && value <= self.high()
-    }
 }
 
 impl fmt::Display for ConfidenceInterval {
@@ -82,9 +67,6 @@ mod tests {
         assert!((ci.std_dev - 2.5f64.sqrt()).abs() < 1e-12);
         let expected_hw = 1.96 * 2.5f64.sqrt() / 5f64.sqrt();
         assert!((ci.half_width - expected_hw).abs() < 1e-12);
-        assert!(ci.contains(3.0));
-        assert!(!ci.contains(10.0));
-        assert!(ci.low() < ci.mean && ci.mean < ci.high());
     }
 
     #[test]
@@ -92,7 +74,6 @@ mod tests {
         let ci = ConfidenceInterval::ci95(&[7.0; 10]).unwrap();
         assert_eq!(ci.std_dev, 0.0);
         assert_eq!(ci.half_width, 0.0);
-        assert!(ci.contains(7.0));
     }
 
     #[test]

@@ -100,11 +100,6 @@ impl Histogram {
         self.overflow
     }
 
-    /// Total samples, including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
     /// The `(lo, hi)` edges of bin `idx`.
     ///
     /// # Panics
@@ -153,7 +148,6 @@ mod tests {
         assert_eq!(h.count(0), 2);
         assert_eq!(h.count(1), 1);
         assert_eq!(h.count(4), 1);
-        assert_eq!(h.total(), 4);
         assert_eq!(h.bin_edges(0), (0.0, 2.0));
     }
 
@@ -163,7 +157,6 @@ mod tests {
         h.extend([-5.0, 10.0, 100.0, f64::NAN]);
         assert_eq!(h.underflow(), 2); // -5 and NaN
         assert_eq!(h.overflow(), 2);
-        assert_eq!(h.total(), 4);
     }
 
     #[test]

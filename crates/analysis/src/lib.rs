@@ -6,7 +6,6 @@
 //!
 //! * [`Cdf`] — empirical CDFs (Figs. 3 and 5 are delivery-delay CDFs).
 //! * [`Histogram`] — linear- or log-binned counts (Fig. 4's peaks).
-//! * [`Summary`] — five-number summaries for report prose.
 //! * [`Table`] — the typed table every `repro` subcommand prints, with
 //!   canonical CSV/JSON rendering for the experiment harness
 //!   ([`AsciiTable`] remains as an alias).
@@ -31,13 +30,11 @@ pub mod log;
 pub mod plot;
 pub mod reduce;
 mod series;
-mod stats;
 mod table;
 
 pub use cdf::Cdf;
 pub use hist::Histogram;
 pub use series::Series;
-pub use stats::Summary;
 pub use table::{AsciiTable, Table};
 
 use spamward_sim::SimDuration;

@@ -171,11 +171,6 @@ impl MessageTimeline {
         let first = *self.attempts.first()?;
         Some(self.accepted_at?.elapsed_since(first))
     }
-
-    /// Gaps between consecutive attempts (retry intervals of the sender).
-    pub fn retry_gaps(&self) -> Vec<SimDuration> {
-        self.attempts.windows(2).map(|w| w[1].elapsed_since(w[0])).collect()
-    }
 }
 
 /// The Fig. 5 analyzer: feeds on log records, produces delay CDFs.
@@ -325,7 +320,6 @@ mod tests {
         let tl = a.delivered().next().unwrap();
         assert_eq!(tl.attempts.len(), 3);
         assert_eq!(tl.delivery_delay(), Some(SimDuration::from_secs(400)));
-        assert_eq!(tl.retry_gaps(), vec![SimDuration::from_secs(150), SimDuration::from_secs(250)]);
     }
 
     #[test]

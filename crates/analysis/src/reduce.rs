@@ -22,14 +22,6 @@ pub fn ordered_sum(values: impl IntoIterator<Item = f64>) -> f64 {
     values.into_iter().fold(0.0, |acc, v| acc + v)
 }
 
-/// Mean of `values` via [`ordered_sum`]; `None` when empty.
-pub fn ordered_mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    Some(ordered_sum(values.iter().copied()) / values.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,11 +43,5 @@ mod tests {
         let b = [1.0, 1.0, 1e16, -1e16];
         assert_eq!(ordered_sum(a.iter().copied()), 0.0);
         assert_eq!(ordered_sum(b.iter().copied()), 2.0);
-    }
-
-    #[test]
-    fn mean_of_empty_is_none() {
-        assert_eq!(ordered_mean(&[]), None);
-        assert_eq!(ordered_mean(&[2.0, 4.0]), Some(3.0));
     }
 }

@@ -59,31 +59,6 @@ impl Series {
         );
         format!("{{\"name\":{},\"points\":{points}}}", json_string(&self.name))
     }
-
-    /// Parses the long-format CSV produced by [`Series::to_csv`].
-    ///
-    /// Returns `None` on a malformed header or row.
-    pub fn from_csv(csv: &str) -> Option<Vec<Series>> {
-        let mut lines = csv.lines();
-        if lines.next()? != "series,x,y" {
-            return None;
-        }
-        let mut out: Vec<Series> = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.splitn(3, ',');
-            let name = parts.next()?;
-            let x: f64 = parts.next()?.parse().ok()?;
-            let y: f64 = parts.next()?.parse().ok()?;
-            match out.last_mut() {
-                Some(s) if s.name == name => s.points.push((x, y)),
-                _ => out.push(Series::new(name, vec![(x, y)])),
-            }
-        }
-        Some(out)
-    }
 }
 
 #[cfg(test)]
@@ -91,19 +66,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn csv_roundtrip() {
+    fn csv_is_long_format() {
         let a = Series::new("a", vec![(1.0, 0.5), (2.0, 1.0)]);
         let b = Series::new("b", vec![(3.0, 0.25)]);
-        let csv = Series::to_csv(&[a.clone(), b.clone()]);
-        let parsed = Series::from_csv(&csv).unwrap();
-        assert_eq!(parsed, vec![a, b]);
-    }
-
-    #[test]
-    fn from_csv_rejects_bad_input() {
-        assert_eq!(Series::from_csv("wrong,header\n"), None);
-        assert_eq!(Series::from_csv("series,x,y\nname,notanumber,1\n"), None);
-        assert_eq!(Series::from_csv(""), None);
+        assert_eq!(Series::to_csv(&[a, b]), "series,x,y\na,1,0.5\na,2,1\nb,3,0.25\n");
     }
 
     #[test]
@@ -118,7 +84,6 @@ mod tests {
     fn empty_series_renders_header_only() {
         let csv = Series::to_csv(&[]);
         assert_eq!(csv, "series,x,y\n");
-        assert_eq!(Series::from_csv(&csv).unwrap(), vec![]);
         let s = Series::new("x", vec![]);
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);

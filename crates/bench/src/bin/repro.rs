@@ -57,9 +57,10 @@ fn usage_text() -> String {
          --shards N      run sharded experiments N shards at a time; their\n\
          \x20               partition is fixed, so output bytes are identical\n\
          \x20               for every N\n\
-         --budget N      cap each experiment at N engine events; an exhausted\n\
-         \x20               budget is a typed failure (exit 1), never a\n\
-         \x20               truncated report\n\
+         --budget N      cap every world a run drives at N engine events (a\n\
+         \x20               sharded run spends up to N per shard world); an\n\
+         \x20               exhausted budget is a typed failure (exit 1),\n\
+         \x20               never a truncated report\n\
          --metrics       append the full metric dump to text/CSV reports\n\
          \x20               (JSON always embeds the metrics section)\n\
          --trace PREFIXES  run with event tracing and print trace lines whose\n\

@@ -22,11 +22,6 @@ impl RetryBehavior {
             RetryBehavior::Scheduled(schedule) => schedule.nth_retry_delay(n, rng),
         }
     }
-
-    /// Whether this behaviour ever retries.
-    pub fn retries(&self) -> bool {
-        matches!(self, RetryBehavior::Scheduled(_))
-    }
 }
 
 /// A ladder of retry *windows*: retry `n` fires uniformly at random inside
@@ -70,11 +65,6 @@ impl BotRetrySchedule {
         ])
     }
 
-    /// Number of retries before the bot gives up.
-    pub fn max_retries(&self) -> u32 {
-        self.windows.len() as u32
-    }
-
     /// The delay of retry `n` (1-based), jittered within its window.
     ///
     /// # Panics
@@ -85,11 +75,6 @@ impl BotRetrySchedule {
         let (lo, hi) = *self.windows.get((n - 1) as usize)?;
         let span = (hi - lo).as_micros();
         Some(lo + SimDuration::from_micros(rng.below(span.max(1))))
-    }
-
-    /// The windows themselves (for plotting expected peaks).
-    pub fn windows(&self) -> &[(SimDuration, SimDuration)] {
-        &self.windows
     }
 }
 
@@ -102,7 +87,6 @@ mod tests {
     fn fire_and_forget_never_retries() {
         let mut rng = DetRng::seed(1);
         let b = RetryBehavior::FireAndForget;
-        assert!(!b.retries());
         assert_eq!(b.nth_retry_delay(1, &mut rng), None);
     }
 
@@ -121,7 +105,6 @@ mod tests {
     fn kelihos_three_peaks_then_gives_up() {
         let schedule = BotRetrySchedule::kelihos();
         let mut rng = DetRng::seed(9);
-        assert_eq!(schedule.max_retries(), 3);
         let d2 = schedule.nth_retry_delay(2, &mut rng).unwrap();
         assert!(d2 >= SimDuration::from_secs(4_500) && d2 < SimDuration::from_secs(5_500));
         let d3 = schedule.nth_retry_delay(3, &mut rng).unwrap();

@@ -134,12 +134,6 @@ impl MalwareFamily {
         }
     }
 
-    /// The family's share of *global* spam (botnet share × botnet fraction
-    /// of world spam).
-    pub fn global_spam_pct(self) -> f64 {
-        self.botnet_spam_pct() * BOTNET_FRACTION_OF_GLOBAL_SPAM
-    }
-
     /// Table I as data: one [`FamilyShare`] per family plus the totals the
     /// paper reports (93.02% of botnet spam, 70.69% of global spam).
     pub fn table_i() -> Vec<FamilyShare> {

@@ -17,7 +17,7 @@
 //!    costs benign mail.
 
 use crate::experiments::worlds::{self, VICTIM_DOMAIN, VICTIM_MX_IP};
-use crate::harness::{Experiment, HarnessConfig, HarnessError, Report, Scale};
+use crate::harness::{Experiment, HarnessConfig, HarnessError, Obs, Report, Scale};
 use spamward_analysis::reduce::ordered_sum;
 use spamward_analysis::Table;
 use spamward_botnet::{BotSample, Campaign, MalwareFamily};
@@ -481,7 +481,7 @@ impl Experiment for AblationsExperiment {
         "DESIGN.md sweeps"
     }
 
-    fn run(&self, config: &HarnessConfig) -> Result<Report, HarnessError> {
+    fn observe(&self, config: &HarnessConfig, obs: &mut Obs) -> Result<Report, HarnessError> {
         let module_config = match config.scale {
             Scale::Paper => AblationsConfig {
                 seed: config.seed_or(AblationsConfig::default().seed),
@@ -497,7 +497,7 @@ impl Experiment for AblationsExperiment {
         let result = run(&module_config);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        crate::metrics::collect_ablations(&result, report.metrics_mut());
+        crate::metrics::collect_ablations(&result, &mut obs.registry);
         for table in result.tables() {
             report.push_table(table);
         }

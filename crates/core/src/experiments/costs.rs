@@ -10,10 +10,9 @@
 //! wall-clock each configuration consumed per delivered message.
 
 use crate::experiments::worlds::{self, VICTIM_DOMAIN, VICTIM_MX_IP};
-use crate::harness::{Experiment, HarnessConfig, HarnessError, Report, Scale};
+use crate::harness::{Experiment, HarnessConfig, HarnessError, Obs, Report, Scale};
 use spamward_analysis::Table;
 use spamward_mta::{MailWorld, MtaProfile, SendingMta};
-use spamward_obs::Registry;
 use spamward_sim::{SimDuration, SimTime};
 use spamward_smtp::{Message, ReversePath};
 use std::fmt;
@@ -28,19 +27,11 @@ pub struct CostsConfig {
     pub messages: usize,
     /// Greylisting threshold for the protected configuration.
     pub threshold: SimDuration,
-    /// Engine event budget shared by every setup's world
-    /// (`None` = unbounded).
-    pub event_budget: Option<u64>,
 }
 
 impl Default for CostsConfig {
     fn default() -> Self {
-        CostsConfig {
-            seed: 606,
-            messages: 300,
-            threshold: SimDuration::from_secs(300),
-            event_budget: None,
-        }
+        CostsConfig { seed: 606, messages: 300, threshold: SimDuration::from_secs(300) }
     }
 }
 
@@ -82,18 +73,8 @@ impl CostsResult {
     }
 }
 
-fn run_setup(
-    config: &CostsConfig,
-    setup: &str,
-    mut world: MailWorld,
-    trace: bool,
-    reg: &mut Registry,
-    trace_lines: &mut Vec<String>,
-) -> CostRow {
-    world.event_budget = config.event_budget;
-    if trace {
-        world = world.with_tracing();
-    }
+fn run_setup(config: &CostsConfig, setup: &str, world: MailWorld, obs: &mut Obs) -> CostRow {
+    let mut world = obs.arm(world);
     let dns_before = world.dns.queries_served();
     let mut delivered = 0usize;
     let mut total_delay = SimDuration::ZERO;
@@ -117,10 +98,9 @@ fn run_setup(
             delivered += 1;
             total_delay += r.since_enqueue;
         }
-        spamward_mta::metrics::collect_sender(&sender, reg);
+        spamward_mta::metrics::collect_sender(&sender, &mut obs.registry);
     }
-    spamward_mta::metrics::collect_world(&world, reg);
-    trace_lines.extend(world.events.lines());
+    obs.collect(&world);
     let store_entries =
         world.server(VICTIM_MX_IP).and_then(|s| s.greylist()).map(|g| g.store().len()).unwrap_or(0);
     CostRow {
@@ -133,37 +113,17 @@ fn run_setup(
     }
 }
 
-/// Runs the three configurations.
-pub fn run(config: &CostsConfig) -> CostsResult {
-    run_with_obs(config, false, &mut Registry::new(), &mut Vec::new())
-}
-
-/// Runs the three configurations, aggregating protocol metrics from every
-/// setup's world into `reg` and (when `trace` is set) draining delivery
-/// traces into `trace_lines`.
-pub fn run_with_obs(
-    config: &CostsConfig,
-    trace: bool,
-    reg: &mut Registry,
-    trace_lines: &mut Vec<String>,
-) -> CostsResult {
+/// Runs the three configurations, folding every setup's senders and world
+/// into `obs`.
+pub fn run(config: &CostsConfig, obs: &mut Obs) -> CostsResult {
     let rows = vec![
-        run_setup(config, "unprotected", worlds::plain_world(config.seed), trace, reg, trace_lines),
-        run_setup(
-            config,
-            "nolisting",
-            worlds::nolisting_world(config.seed),
-            trace,
-            reg,
-            trace_lines,
-        ),
+        run_setup(config, "unprotected", worlds::plain_world(config.seed), obs),
+        run_setup(config, "nolisting", worlds::nolisting_world(config.seed), obs),
         run_setup(
             config,
             "greylisting",
             worlds::greylist_world(config.seed, config.threshold),
-            trace,
-            reg,
-            trace_lines,
+            obs,
         ),
     ];
     CostsResult { rows }
@@ -224,21 +184,18 @@ impl Experiment for CostsExperiment {
         "§VI validity"
     }
 
-    fn run(&self, config: &HarnessConfig) -> Result<Report, HarnessError> {
+    fn observe(&self, config: &HarnessConfig, obs: &mut Obs) -> Result<Report, HarnessError> {
         let module_config = CostsConfig {
             seed: config.seed_or(CostsConfig::default().seed),
             messages: match config.scale {
                 Scale::Paper => CostsConfig::default().messages,
                 Scale::Quick => 60,
             },
-            event_budget: config.event_budget,
             ..Default::default()
         };
+        let result = run(&module_config, obs);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        let (metrics, trace_lines) = report.obs_mut();
-        let result = run_with_obs(&module_config, config.trace, metrics, trace_lines);
-        crate::harness::ensure_completed(self.id(), report.metrics())?;
         report.push_table(result.table());
         for row in &result.rows {
             report.push_scalar(
@@ -255,7 +212,7 @@ mod tests {
     use super::*;
 
     fn quick() -> CostsResult {
-        run(&CostsConfig { messages: 80, ..Default::default() })
+        run(&CostsConfig { messages: 80, ..Default::default() }, &mut Obs::default())
     }
 
     #[test]

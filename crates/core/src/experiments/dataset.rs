@@ -1,6 +1,6 @@
 //! Table I — the malware dataset inventory.
 
-use crate::harness::{Experiment, HarnessConfig, HarnessError, Report};
+use crate::harness::{Experiment, HarnessConfig, HarnessError, Obs, Report};
 use spamward_analysis::Table;
 use spamward_botnet::{MalwareFamily, BOTNET_FRACTION_OF_GLOBAL_SPAM};
 use std::fmt;
@@ -83,10 +83,10 @@ impl Experiment for Table1Experiment {
         false
     }
 
-    fn run(&self, _config: &HarnessConfig) -> Result<Report, HarnessError> {
+    fn observe(&self, _config: &HarnessConfig, obs: &mut Obs) -> Result<Report, HarnessError> {
         let t = run();
+        crate::metrics::collect_table1(&t, &mut obs.registry);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact());
-        crate::metrics::collect_table1(&t, report.metrics_mut());
         report
             .push_table(t.table())
             .push_text(&format!(

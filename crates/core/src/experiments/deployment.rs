@@ -19,7 +19,7 @@
 //! shard order, and the partition never depends on the executor width.
 
 use crate::experiments::worlds::{self, VICTIM_MX_IP};
-use crate::harness::{Experiment, HarnessConfig, HarnessError, Report, Scale};
+use crate::harness::{Experiment, HarnessConfig, HarnessError, Obs, Report, Scale};
 use spamward_analysis::log::{GreylistLogAnalysis, LogRecord};
 use spamward_analysis::reduce::ordered_sum;
 use spamward_analysis::{plot, Cdf, Series};
@@ -92,9 +92,6 @@ pub struct DeploymentConfig {
     pub window: SimDuration,
     /// The sender mix.
     pub mix: SenderMix,
-    /// Engine event budget for each shard's replay world (`None` =
-    /// unbounded).
-    pub event_budget: Option<u64>,
     /// Shard-executor width: how many of the [`DEPLOYMENT_SHARDS`] run
     /// concurrently. Output bytes are identical for every value.
     pub workers: usize,
@@ -108,7 +105,6 @@ impl Default for DeploymentConfig {
             threshold: SimDuration::from_secs(300),
             window: SimDuration::from_days(120),
             mix: SenderMix::default(),
-            event_budget: None,
             workers: 4,
         }
     }
@@ -153,14 +149,12 @@ fn no_retry_profile() -> MtaProfile {
 }
 
 fn build_world(config: &DeploymentConfig) -> MailWorld {
-    let mut world = worlds::greylist_world_at(
+    worlds::greylist_world_at(
         config.seed,
         DEPLOYMENT_DOMAIN,
         "mail.cs-dept.example",
         Greylist::new(GreylistConfig::with_delay(config.threshold).without_auto_whitelist()),
-    );
-    world.event_budget = config.event_budget;
-    world
+    )
 }
 
 /// The nominal relay name of message `i` — what the shard partition
@@ -226,8 +220,7 @@ struct ShardRun {
     events: u64,
     bounces: usize,
     log: Vec<LogRecord>,
-    trace_lines: Vec<String>,
-    metrics: Registry,
+    obs: Obs,
 }
 
 fn summarize(
@@ -253,59 +246,61 @@ fn summarize(
 }
 
 /// Runs the deployment replay, draining each sender to completion in turn
-/// (senders are triplet-independent, so ordering is immaterial).
-pub fn run(config: &DeploymentConfig) -> DeploymentResult {
-    run_with_obs(config, false, &mut Registry::new(), &mut Vec::new())
-}
-
-/// The same replay, exporting per-sender, victim-world and per-shard
-/// metrics into `reg` and (when `trace` is set) draining delivery traces
-/// into `trace_lines`.
-pub fn run_with_obs(
-    config: &DeploymentConfig,
-    trace: bool,
-    reg: &mut Registry,
-    trace_lines: &mut Vec<String>,
-) -> DeploymentResult {
+/// (senders are triplet-independent, so ordering is immaterial), and folds
+/// per-sender, victim-world and per-shard metrics and the delivery traces
+/// into `obs` in shard order.
+pub fn run(config: &DeploymentConfig, obs: &mut Obs) -> DeploymentResult {
     let plan = ShardPlan::new(config.seed, DEPLOYMENT_SHARDS);
     let domain: DomainName = DEPLOYMENT_DOMAIN.parse().expect("valid deployment domain");
     let providers = WebmailProvider::table_iii();
     // Each message's shard, hashed once rather than once per shard pass.
     let owners: Vec<u32> = (0..config.messages).map(|i| plan.shard_of(&relay_name(i))).collect();
     let shard_runs = run_sharded(&plan, config.workers, |shard| {
-        let mut world = build_world(config);
-        if trace {
-            world = world.with_tracing();
-        }
+        let mut shard_obs = obs.fork();
+        let mut world = shard_obs.arm(build_world(config));
         let mut senders = Vec::new();
         for (i, _) in owners.iter().enumerate().filter(|&(_, &owner)| owner == shard) {
             let (arrival, mut sender) = build_message(config, &providers, &domain, i);
             sender.drain(arrival, &mut world);
             senders.push(sender);
         }
-        let mut metrics = Registry::new();
         for sender in &senders {
-            spamward_mta::metrics::collect_sender(sender, &mut metrics);
+            spamward_mta::metrics::collect_sender(sender, &mut shard_obs.registry);
         }
-        spamward_mta::metrics::collect_world(&world, &mut metrics);
+        shard_obs.collect(&world);
         ShardRun {
             events: world.engine_stats.events,
             bounces: senders.iter().map(|s| s.bounces().len()).sum(),
             log: world.server(VICTIM_MX_IP).expect("deployment server").log().to_vec(),
-            trace_lines: world.events.lines().collect(),
-            metrics,
+            obs: shard_obs,
         }
     });
 
     let mut bounces = 0;
-    for (shard, run) in shard_runs.iter().enumerate() {
-        spamward_mta::metrics::collect_shard_events(shard as u32, run.events, reg);
-        reg.merge(&run.metrics);
-        trace_lines.extend_from_slice(&run.trace_lines);
+    let mut logs = Vec::with_capacity(shard_runs.len());
+    for (shard, run) in shard_runs.into_iter().enumerate() {
+        spamward_mta::metrics::collect_shard_events(shard as u32, run.events, &mut obs.registry);
+        obs.absorb(run.obs);
         bounces += run.bounces;
+        logs.push(run.log);
     }
-    let log = shard_runs.iter().flat_map(|run| run.log.iter().copied());
-    summarize(log, bounces, config.messages)
+    summarize(logs.into_iter().flatten(), bounces, config.messages)
+}
+
+/// [`run`] for callers holding their own registry and trace lines: the
+/// registry moves into the run's context and back, so nothing is merged.
+pub fn run_with_obs(
+    config: &DeploymentConfig,
+    trace: bool,
+    reg: &mut Registry,
+    trace_lines: &mut Vec<String>,
+) -> DeploymentResult {
+    let mut obs = Obs::new(&HarnessConfig { trace, ..Default::default() });
+    obs.registry = std::mem::take(reg);
+    let result = run(config, &mut obs);
+    *reg = obs.registry;
+    trace_lines.extend(obs.trace_lines);
+    result
 }
 
 impl DeploymentResult {
@@ -334,16 +329,14 @@ impl fmt::Display for DeploymentResult {
 pub struct DeploymentExperiment;
 
 impl DeploymentExperiment {
-    /// The module config a harness config maps to (shared with
-    /// [`variance`](crate::experiments::variance)).
-    pub fn config(harness: &HarnessConfig) -> DeploymentConfig {
+    /// The module config a harness config maps to.
+    fn config(harness: &HarnessConfig) -> DeploymentConfig {
         DeploymentConfig {
             seed: harness.seed_or(DeploymentConfig::default().seed),
             messages: match harness.scale {
                 Scale::Paper => DeploymentConfig::default().messages,
                 Scale::Quick => 300,
             },
-            event_budget: harness.event_budget,
             workers: if harness.shards > 0 {
                 harness.shard_workers()
             } else {
@@ -367,13 +360,13 @@ impl Experiment for DeploymentExperiment {
         "Fig. 5"
     }
 
-    fn run(&self, config: &HarnessConfig) -> Result<Report, HarnessError> {
+    fn observe(&self, config: &HarnessConfig, obs: &mut Obs) -> Result<Report, HarnessError> {
         let module_config = Self::config(config);
+        let result = run(&module_config, obs);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        let (metrics, trace_lines) = report.obs_mut();
-        let result = run_with_obs(&module_config, config.trace, metrics, trace_lines);
-        crate::harness::ensure_completed(self.id(), report.metrics())?;
+        // A budget-cut replay may deliver nothing; its report is discarded.
+        let median = if result.cdf.is_empty() { f64::NAN } else { result.cdf.quantile(0.5) };
         report
             .push_text(&format!(
                 "benign delivery-delay CDF (x = seconds):\n{}",
@@ -381,7 +374,7 @@ impl Experiment for DeploymentExperiment {
             ))
             .push_scalar("messages replayed", result.messages as f64)
             .push_scalar("greylisted & delivered", result.cdf.len() as f64)
-            .push_scalar("median delay (s)", result.cdf.quantile(0.5))
+            .push_scalar("median delay (s)", median)
             .push_scalar("delivered <10 min (%)", result.within_10min * 100.0)
             .push_scalar("delivered >50 min (%)", result.beyond_50min * 100.0)
             .push_scalar("abandonment (%)", result.abandonment_rate * 100.0)
@@ -396,7 +389,7 @@ mod tests {
     use super::*;
 
     fn quick() -> DeploymentResult {
-        run(&DeploymentConfig { messages: 400, ..Default::default() })
+        run(&DeploymentConfig { messages: 400, ..Default::default() }, &mut Obs::default())
     }
 
     /// Every message of a 300-message replay drained through one unsharded
@@ -449,11 +442,10 @@ mod tests {
         // The surprising Fig. 5 observation: the *benign* CDF rises more
         // slowly than the malware CDF of Fig. 3.
         let benign = quick();
-        let kelihos =
-            crate::experiments::kelihos::run(&crate::experiments::kelihos::KelihosConfig {
-                recipients: 40,
-                ..Default::default()
-            });
+        let kelihos = crate::experiments::kelihos::run(
+            &crate::experiments::kelihos::KelihosConfig { recipients: 40, ..Default::default() },
+            &mut Obs::default(),
+        );
         let benign_median = benign.cdf.quantile(0.5);
         let kelihos_median = kelihos.default.cdf.quantile(0.5);
         assert!(
@@ -471,8 +463,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let cfg = DeploymentConfig { messages: 150, ..Default::default() };
-        let a = run(&cfg);
-        let b = run(&cfg);
+        let a = run(&cfg, &mut Obs::default());
+        let b = run(&cfg, &mut Obs::default());
         assert_eq!(a.cdf, b.cdf);
         assert_eq!(a.abandonment_rate, b.abandonment_rate);
     }

@@ -9,7 +9,7 @@
 //! the bot-vs-MTA heuristic, and reports the confusion matrix.
 
 use crate::experiments::worlds::VICTIM_DOMAIN;
-use crate::harness::{Experiment, HarnessConfig, HarnessError, Report};
+use crate::harness::{Experiment, HarnessConfig, HarnessError, Obs, Report};
 use spamward_analysis::Table;
 use spamward_botnet::MalwareFamily;
 use spamward_greylist::{Greylist, GreylistConfig};
@@ -178,10 +178,10 @@ impl Experiment for DialectsExperiment {
         false
     }
 
-    fn run(&self, _config: &HarnessConfig) -> Result<Report, HarnessError> {
+    fn observe(&self, _config: &HarnessConfig, obs: &mut Obs) -> Result<Report, HarnessError> {
         let result = run();
+        crate::metrics::collect_dialects(&result, &mut obs.registry);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact());
-        crate::metrics::collect_dialects(&result, report.metrics_mut());
         report
             .push_table(result.table())
             .push_scalar("sender models", result.observations.len() as f64)

@@ -13,11 +13,11 @@
 //! every executor width.
 
 use crate::experiments::worlds::{self, VICTIM_DOMAIN};
-use crate::harness::{Experiment, HarnessConfig, HarnessError, Report, Scale};
+use crate::harness::{Experiment, HarnessConfig, HarnessError, Obs, Report, Scale};
 use crate::metrics::SAMPLE_SHARD_PREFIX;
 use spamward_analysis::Table;
 use spamward_botnet::{BotSample, Campaign, MalwareFamily};
-use spamward_obs::{Registry, TimeSeries, Timeline};
+use spamward_mta::metrics::ENGINE_EVENTS;
 use spamward_sim::shard::run_sharded;
 use spamward_sim::{DetRng, ShardPlan, SimDuration, SimTime};
 use std::fmt;
@@ -39,15 +39,9 @@ pub struct EfficacyConfig {
     pub window: SimDuration,
     /// Greylisting threshold (paper default: 300 s).
     pub greylist_delay: SimDuration,
-    /// Engine event budget per run, shared by every per-sample world
-    /// (`None` = unbounded).
-    pub event_budget: Option<u64>,
     /// Shard-executor width: how many of the [`EFFICACY_SHARDS`] run
     /// concurrently. Output bytes are identical for every value.
     pub workers: usize,
-    /// Sample telemetry counters into a time-series at this virtual-time
-    /// interval (`None` = no sampler joins the per-sample episodes).
-    pub sample_interval: Option<SimDuration>,
 }
 
 impl Default for EfficacyConfig {
@@ -57,9 +51,7 @@ impl Default for EfficacyConfig {
             recipients: 20,
             window: SimDuration::from_mins(30),
             greylist_delay: SimDuration::from_secs(300),
-            event_budget: None,
             workers: 4,
-            sample_interval: None,
         }
     }
 }
@@ -90,17 +82,6 @@ impl EfficacyResult {
         self.rows.iter().find(|r| r.family.name() == family_name)
     }
 
-    /// Whether every sample of a family agrees with the first (the paper
-    /// found no intra-family variation).
-    pub fn family_consistent(&self, family: MalwareFamily) -> bool {
-        let mut rows = self.rows.iter().filter(|r| r.family == family);
-        let Some(first) = rows.next() else { return true };
-        rows.all(|r| {
-            r.nolisting_blocked == first.nolisting_blocked
-                && r.greylisting_blocked == first.greylisting_blocked
-        })
-    }
-
     /// Share of *botnet* spam blocked by a defense, weighting each family
     /// by its Table I share.
     pub fn botnet_spam_blocked_pct(&self, nolisting: bool) -> f64 {
@@ -116,85 +97,41 @@ impl EfficacyResult {
     }
 }
 
-/// Runs the Table II experiment.
-pub fn run(config: &EfficacyConfig) -> EfficacyResult {
-    run_with_obs(config, false, &mut Registry::new(), &mut Vec::new())
-}
-
-/// Runs the Table II experiment, aggregating protocol metrics from every
-/// per-sample world into `reg` and (when `trace` is set) draining the
-/// worlds' delivery traces into `trace_lines`.
-pub fn run_with_obs(
-    config: &EfficacyConfig,
-    trace: bool,
-    reg: &mut Registry,
-    trace_lines: &mut Vec<String>,
-) -> EfficacyResult {
-    run_with_telemetry(
-        config,
-        trace,
-        reg,
-        trace_lines,
-        &mut TimeSeries::new(),
-        &mut Timeline::new(),
-    )
-}
-
-/// [`run_with_obs`] plus virtual-time telemetry capture: sampled series
-/// merge into `samples` and (when `trace` is set) every world's lifecycle
-/// tracks, scoped `<defense>/<family>.s<n>`, into `timeline`, both in
-/// fixed shard order so the accumulated bytes are identical for every
-/// executor width. With both off the sinks stay untouched and the engine
-/// event stream matches a run without them.
-pub fn run_with_telemetry(
-    config: &EfficacyConfig,
-    trace: bool,
-    reg: &mut Registry,
-    trace_lines: &mut Vec<String>,
-    samples: &mut TimeSeries,
-    timeline: &mut Timeline,
-) -> EfficacyResult {
+/// Runs the Table II experiment into `obs`: every per-sample world's
+/// metrics, its delivery traces (in roster order) and, when `obs` traces,
+/// its lifecycle tracks scoped `<defense>/<family>.s<n>`. When `obs`
+/// samples, each world samples too, and each shard of the fixed partition
+/// adds its event total at the horizon. The bytes are identical for every
+/// executor width.
+pub fn run(config: &EfficacyConfig, obs: &mut Obs) -> EfficacyResult {
     let roster = BotSample::table_i_roster(Ipv4Addr::new(203, 0, 113, 1));
     let horizon = SimTime::ZERO + config.window;
     let plan = ShardPlan::new(config.seed, EFFICACY_SHARDS);
 
-    // Each shard runs the roster samples it owns, in roster order, into
-    // its own registry; rows and traces come back tagged with the roster
-    // index so the merged output keeps the serial order exactly.
+    // Each shard runs the roster samples it owns, in roster order, each
+    // into its own context tagged with the roster index, so the merged
+    // output keeps the serial order exactly.
     let shard_runs = run_sharded(&plan, config.workers, |shard| {
-        let mut metrics = Registry::new();
-        let mut shard_samples = TimeSeries::new();
-        let mut shard_timeline = Timeline::new();
-        let mut outputs: Vec<(usize, EfficacyRow, Vec<String>)> = Vec::new();
+        let mut outputs: Vec<(usize, EfficacyRow, Obs)> = Vec::new();
         for (idx, sample) in roster.iter().enumerate() {
             let key = format!("{}.sample{}", sample.family().name(), sample.sample_idx());
             if !plan.owns(shard, &key) {
                 continue;
             }
-            let (row, traces) = run_sample(
-                config,
-                sample,
-                horizon,
-                trace,
-                &mut metrics,
-                &mut shard_samples,
-                &mut shard_timeline,
-            );
-            outputs.push((idx, row, traces));
+            let mut sample_obs = obs.fork();
+            let row = run_sample(config, sample, horizon, &mut sample_obs);
+            outputs.push((idx, row, sample_obs));
         }
-        (outputs, metrics, shard_samples, shard_timeline)
+        outputs
     });
 
-    let mut tagged: Vec<&(usize, EfficacyRow, Vec<String>)> = Vec::new();
-    for (shard, (outputs, metrics, shard_samples, shard_timeline)) in shard_runs.iter().enumerate()
-    {
-        let events = metrics.counter(spamward_mta::metrics::ENGINE_EVENTS).unwrap_or(0);
-        spamward_mta::metrics::collect_shard_events(shard as u32, events, reg);
-        reg.merge(metrics);
-        samples.merge(shard_samples);
-        timeline.merge(shard_timeline);
-        if config.sample_interval.is_some() {
-            samples.record_point(
+    let mut tagged = Vec::new();
+    for (shard, outputs) in shard_runs.into_iter().enumerate() {
+        let events: u64 =
+            outputs.iter().map(|(_, _, o)| o.registry.counter(ENGINE_EVENTS).unwrap_or(0)).sum();
+        spamward_mta::metrics::collect_shard_events(shard as u32, events, &mut obs.registry);
+        if obs.sample_interval().is_some() {
+            obs.timeseries.record_point(
                 &format!("{SAMPLE_SHARD_PREFIX}{shard}.events"),
                 horizon,
                 i64::try_from(events).unwrap_or(i64::MAX),
@@ -205,63 +142,52 @@ pub fn run_with_telemetry(
     tagged.sort_by_key(|(idx, _, _)| *idx);
 
     let mut rows = Vec::new();
-    for (_, row, traces) in tagged {
-        rows.push(row.clone());
-        trace_lines.extend_from_slice(traces);
+    for (_, row, sample_obs) in tagged {
+        rows.push(row);
+        obs.absorb(sample_obs);
     }
     EfficacyResult { rows }
 }
 
-/// Runs one roster sample against both defenses, folding the two worlds'
-/// metrics into `metrics` (and their telemetry into `samples` /
-/// `timeline`) and returning the Table II row plus any traces.
+/// Runs one roster sample against both defenses, folding the two worlds
+/// into `obs` and returning the Table II row.
 fn run_sample(
     config: &EfficacyConfig,
     sample: &BotSample,
     horizon: SimTime,
-    trace: bool,
-    metrics: &mut Registry,
-    samples: &mut TimeSeries,
-    timeline: &mut Timeline,
-) -> (EfficacyRow, Vec<String>) {
+    obs: &mut Obs,
+) -> EfficacyRow {
     let mut campaign_rng = DetRng::seed(config.seed)
         .fork(sample.family().name())
         .fork_idx("c", u64::from(sample.sample_idx()));
     let campaign = Campaign::synthetic(VICTIM_DOMAIN, config.recipients, &mut campaign_rng);
-    let mut traces = Vec::new();
     // (a) the nolisting victim, then (b) the greylisting one.
     let [nolisting_blocked, greylisting_blocked] = [
         ("nolisting", worlds::nolisting_world(config.seed)),
         ("greylist", worlds::greylist_world(config.seed, config.greylist_delay)),
     ]
-    .map(|(defense, mut world)| {
-        world.event_budget = config.event_budget;
-        if let Some(interval) = config.sample_interval {
+    .map(|(defense, world)| {
+        let mut world = obs.arm(world);
+        if let Some(interval) = obs.sample_interval() {
             world = world.with_sampling(interval);
-        }
-        if trace {
-            world = world.with_tracing();
         }
         let mut bot = sample.clone();
         let report = bot.run_campaign(&mut world, &campaign, SimTime::ZERO, horizon);
-        spamward_mta::metrics::collect_world(&world, metrics);
-        spamward_botnet::metrics::collect_run(sample.family(), &report, metrics);
-        samples.merge(&world.samples);
-        if trace {
-            traces.extend(world.events.lines());
+        obs.collect(&world);
+        spamward_botnet::metrics::collect_run(sample.family(), &report, &mut obs.registry);
+        if obs.trace() {
             let scope = format!("{defense}/{}.s{}", sample.family().name(), sample.sample_idx());
-            timeline.merge(&world.events.timeline(&scope));
+            obs.timeline.merge(&world.events.timeline(&scope));
         }
         !report.any_delivered()
     });
 
-    let row = EfficacyRow {
+    EfficacyRow {
         family: sample.family(),
         sample_idx: sample.sample_idx(),
         nolisting_blocked,
         greylisting_blocked,
-    };
-    (row, traces)
+    }
 }
 
 impl EfficacyResult {
@@ -311,13 +237,11 @@ impl EfficacyExperiment {
                 Scale::Paper => EfficacyConfig::default().recipients,
                 Scale::Quick => 5,
             },
-            event_budget: harness.event_budget,
             workers: if harness.shards > 0 {
                 harness.shard_workers()
             } else {
                 EfficacyConfig::default().workers
             },
-            sample_interval: harness.sample_interval,
             ..Default::default()
         }
     }
@@ -336,24 +260,11 @@ impl Experiment for EfficacyExperiment {
         "Table II"
     }
 
-    fn run(&self, config: &HarnessConfig) -> Result<Report, HarnessError> {
+    fn observe(&self, config: &HarnessConfig, obs: &mut Obs) -> Result<Report, HarnessError> {
         let module_config = Self::config(config);
+        let result = run(&module_config, obs);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        let mut samples = TimeSeries::new();
-        let mut timeline = Timeline::new();
-        let (metrics, trace_lines) = report.obs_mut();
-        let result = run_with_telemetry(
-            &module_config,
-            config.trace,
-            metrics,
-            trace_lines,
-            &mut samples,
-            &mut timeline,
-        );
-        crate::harness::ensure_completed(self.id(), report.metrics())?;
-        *report.timeseries_mut() = samples;
-        *report.timeline_mut() = timeline;
         report
             .push_table(result.table())
             .push_scalar(
@@ -387,7 +298,7 @@ mod tests {
     use super::*;
 
     fn quick() -> EfficacyResult {
-        run(&EfficacyConfig { recipients: 5, ..Default::default() })
+        run(&EfficacyConfig { recipients: 5, ..Default::default() }, &mut Obs::default())
     }
 
     #[test]
@@ -407,14 +318,6 @@ mod tests {
                 "{} sample{}: greylisting",
                 row.family, row.sample_idx
             );
-        }
-    }
-
-    #[test]
-    fn families_are_internally_consistent() {
-        let r = quick();
-        for family in MalwareFamily::ALL {
-            assert!(r.family_consistent(family), "{family} samples disagree");
         }
     }
 

@@ -7,12 +7,11 @@
 //! and reports which combinations still hold.
 
 use crate::experiments::worlds::{self, VICTIM_DOMAIN};
-use crate::harness::{Experiment, HarnessConfig, HarnessError, Report, Scale};
+use crate::harness::{Experiment, HarnessConfig, HarnessError, Obs, Report, Scale};
 use spamward_analysis::Table;
 use spamward_botnet::{AdaptiveBot, Campaign};
 use spamward_greylist::{Greylist, GreylistConfig};
 use spamward_mta::MailWorld;
-use spamward_obs::Registry;
 use spamward_sim::{DetRng, SimDuration, SimTime};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -26,19 +25,11 @@ pub struct FutureThreatsConfig {
     pub recipients: usize,
     /// Observation horizon.
     pub horizon: SimDuration,
-    /// Engine event budget shared by every per-cell world
-    /// (`None` = unbounded).
-    pub event_budget: Option<u64>,
 }
 
 impl Default for FutureThreatsConfig {
     fn default() -> Self {
-        FutureThreatsConfig {
-            seed: 2030,
-            recipients: 10,
-            horizon: SimDuration::from_secs(200_000),
-            event_budget: None,
-        }
+        FutureThreatsConfig { seed: 2030, recipients: 10, horizon: SimDuration::from_secs(200_000) }
     }
 }
 
@@ -126,28 +117,13 @@ fn bots() -> Vec<AdaptiveBot> {
     ]
 }
 
-/// Runs the full (bot × defense) matrix.
-pub fn run(config: &FutureThreatsConfig) -> FutureThreatsResult {
-    run_with_obs(config, false, &mut Registry::new(), &mut Vec::new())
-}
-
-/// Runs the full (bot × defense) matrix, aggregating per-world protocol
-/// metrics into `reg` and (when `trace` is set) draining delivery traces
-/// into `trace_lines`.
-pub fn run_with_obs(
-    config: &FutureThreatsConfig,
-    trace: bool,
-    reg: &mut Registry,
-    trace_lines: &mut Vec<String>,
-) -> FutureThreatsResult {
+/// Runs the full (bot × defense) matrix, folding every cell's world into
+/// `obs`.
+pub fn run(config: &FutureThreatsConfig, obs: &mut Obs) -> FutureThreatsResult {
     let mut cells = Vec::new();
     for template in bots() {
         for defense in DefenseSetup::ALL {
-            let mut world = build_world(config.seed, defense);
-            world.event_budget = config.event_budget;
-            if trace {
-                world = world.with_tracing();
-            }
+            let mut world = obs.arm(build_world(config.seed, defense));
             let mut rng = DetRng::seed(config.seed).fork("future");
             let campaign = Campaign::synthetic(VICTIM_DOMAIN, config.recipients, &mut rng);
             let mut bot = template.clone();
@@ -157,8 +133,7 @@ pub fn run_with_obs(
                 SimTime::ZERO,
                 SimTime::ZERO + config.horizon,
             );
-            spamward_mta::metrics::collect_world(&world, reg);
-            trace_lines.extend(world.events.lines());
+            obs.collect(&world);
             cells.push(ThreatCell {
                 bot: template.name.clone(),
                 defense,
@@ -227,21 +202,18 @@ impl Experiment for FutureThreatsExperiment {
         "§VI outlook"
     }
 
-    fn run(&self, config: &HarnessConfig) -> Result<Report, HarnessError> {
+    fn observe(&self, config: &HarnessConfig, obs: &mut Obs) -> Result<Report, HarnessError> {
         let module_config = FutureThreatsConfig {
             seed: config.seed_or(FutureThreatsConfig::default().seed),
             recipients: match config.scale {
                 Scale::Paper => FutureThreatsConfig::default().recipients,
                 Scale::Quick => 4,
             },
-            event_budget: config.event_budget,
             ..Default::default()
         };
+        let result = run(&module_config, obs);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        let (metrics, trace_lines) = report.obs_mut();
-        let result = run_with_obs(&module_config, config.trace, metrics, trace_lines);
-        crate::harness::ensure_completed(self.id(), report.metrics())?;
         report.push_table(result.table()).push_text(READING_NOTE);
         for cell in &result.cells {
             report.push_scalar(
@@ -258,7 +230,7 @@ mod tests {
     use super::*;
 
     fn result() -> FutureThreatsResult {
-        run(&FutureThreatsConfig { recipients: 4, ..Default::default() })
+        run(&FutureThreatsConfig { recipients: 4, ..Default::default() }, &mut Obs::default())
     }
 
     #[test]

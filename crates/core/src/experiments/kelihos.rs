@@ -8,10 +8,9 @@
 //! happen past the threshold, in the 80–90 ks band.
 
 use crate::experiments::worlds::{self, VICTIM_DOMAIN, VICTIM_MX_IP};
-use crate::harness::{Experiment, HarnessConfig, HarnessError, Report, Scale};
+use crate::harness::{Experiment, HarnessConfig, HarnessError, Obs, Report, Scale};
 use spamward_analysis::{plot, Cdf, Histogram, Series};
 use spamward_botnet::{BotSample, Campaign, MalwareFamily};
-use spamward_obs::Registry;
 use spamward_sim::{DetRng, SimDuration, SimTime};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -25,19 +24,11 @@ pub struct KelihosConfig {
     pub recipients: usize,
     /// Observation horizon (Fig. 4 needs ≥ 90 000 s).
     pub horizon: SimDuration,
-    /// Engine event budget shared by every per-threshold world
-    /// (`None` = unbounded).
-    pub event_budget: Option<u64>,
 }
 
 impl Default for KelihosConfig {
     fn default() -> Self {
-        KelihosConfig {
-            seed: 1337,
-            recipients: 200,
-            horizon: SimDuration::from_secs(100_000),
-            event_budget: None,
-        }
+        KelihosConfig { seed: 1337, recipients: 200, horizon: SimDuration::from_secs(100_000) }
     }
 }
 
@@ -63,6 +54,30 @@ pub struct ThresholdRun {
     pub attempts: Vec<ScatterPoint>,
 }
 
+impl ThresholdRun {
+    /// Median delivery delay in seconds; NaN when nothing was delivered,
+    /// as in a run the event budget cut short.
+    fn median_delay(&self) -> f64 {
+        if self.cdf.is_empty() {
+            f64::NAN
+        } else {
+            self.cdf.quantile(0.5)
+        }
+    }
+
+    /// The run's Fig. 3 line: threshold, delivery rate, median and minimum
+    /// delay (NaN delays when nothing was delivered).
+    fn summary_line(&self) -> String {
+        let min = if self.cdf.is_empty() { f64::NAN } else { self.cdf.min() };
+        format!(
+            "threshold {:>6}: delivered {:.0}%, median delay {:.0} s, min {min:.0} s",
+            self.threshold.to_string(),
+            self.delivery_rate * 100.0,
+            self.median_delay(),
+        )
+    }
+}
+
 /// The combined Fig. 3 + Fig. 4 result.
 #[derive(Debug, Clone)]
 pub struct KelihosResult {
@@ -80,26 +95,15 @@ pub struct KelihosResult {
     pub single_task_confirmed: bool,
 }
 
-fn run_threshold(
-    config: &KelihosConfig,
-    threshold: SimDuration,
-    trace: bool,
-    reg: &mut Registry,
-    trace_lines: &mut Vec<String>,
-) -> ThresholdRun {
-    let mut world = worlds::greylist_world(config.seed, threshold);
-    world.event_budget = config.event_budget;
-    if trace {
-        world = world.with_tracing();
-    }
+fn run_threshold(config: &KelihosConfig, threshold: SimDuration, obs: &mut Obs) -> ThresholdRun {
+    let mut world = obs.arm(worlds::greylist_world(config.seed, threshold));
     let mut bot = BotSample::new(MalwareFamily::Kelihos, 0, Ipv4Addr::new(203, 0, 113, 99));
     let mut rng = DetRng::seed(config.seed).fork("kelihos-campaign");
     let campaign = Campaign::synthetic(VICTIM_DOMAIN, config.recipients, &mut rng);
     let report =
         bot.run_campaign(&mut world, &campaign, SimTime::ZERO, SimTime::ZERO + config.horizon);
-    spamward_mta::metrics::collect_world(&world, reg);
-    spamward_botnet::metrics::collect_run(MalwareFamily::Kelihos, &report, reg);
-    trace_lines.extend(world.events.lines());
+    obs.collect(&world);
+    spamward_botnet::metrics::collect_run(MalwareFamily::Kelihos, &report, &mut obs.registry);
 
     let delays: Vec<SimDuration> =
         report.attempts.iter().filter(|a| a.delivered).map(|a| a.since_first).collect();
@@ -116,31 +120,22 @@ fn run_threshold(
     }
 }
 
-/// Runs all three thresholds plus the one-spam-task control.
-pub fn run(config: &KelihosConfig) -> KelihosResult {
-    run_with_obs(config, false, &mut Registry::new(), &mut Vec::new())
-}
-
-/// Runs all three thresholds, aggregating per-world protocol metrics into
-/// `reg` and (when `trace` is set) draining delivery traces into
-/// `trace_lines`.
-pub fn run_with_obs(
-    config: &KelihosConfig,
-    trace: bool,
-    reg: &mut Registry,
-    trace_lines: &mut Vec<String>,
-) -> KelihosResult {
-    let fast = run_threshold(config, SimDuration::from_secs(5), trace, reg, trace_lines);
-    let default = run_threshold(config, SimDuration::from_secs(300), trace, reg, trace_lines);
-    let extreme = run_threshold(config, SimDuration::from_secs(21_600), trace, reg, trace_lines);
+/// Runs all three thresholds plus the one-spam-task control, folding the
+/// three threshold worlds into `obs`.
+pub fn run(config: &KelihosConfig, obs: &mut Obs) -> KelihosResult {
+    let fast = run_threshold(config, SimDuration::from_secs(5), obs);
+    let default = run_threshold(config, SimDuration::from_secs(300), obs);
+    let extreme = run_threshold(config, SimDuration::from_secs(21_600), obs);
     let fig3_ks_distance = fast.cdf.ks_distance(&default.cdf);
 
     // One-spam-task control: re-run the extreme threshold with an
     // unprotected postmaster recipient added; all postmaster copies must
-    // be the same message as the campaign's.
+    // be the same message as the campaign's. Armed like the measured
+    // worlds so the budget caps it, but never collected: it checks the
+    // setup and measures nothing.
     let single_task_confirmed = {
-        let mut world = worlds::greylist_world(config.seed, SimDuration::from_secs(21_600));
-        world.event_budget = config.event_budget;
+        let mut world =
+            obs.arm(worlds::greylist_world(config.seed, SimDuration::from_secs(21_600)));
         let mut bot = BotSample::new(MalwareFamily::Kelihos, 0, Ipv4Addr::new(203, 0, 113, 99));
         let mut rng = DetRng::seed(config.seed).fork("kelihos-campaign");
         let mut campaign = Campaign::synthetic(VICTIM_DOMAIN, 10, &mut rng);
@@ -202,14 +197,7 @@ impl fmt::Display for KelihosResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "== Figure 3: Kelihos delivery-delay CDFs ==")?;
         for run in [&self.fast, &self.default] {
-            writeln!(
-                f,
-                "threshold {:>6}: delivered {:.0}%, median delay {:.0} s, min {:.0} s",
-                run.threshold.to_string(),
-                run.delivery_rate * 100.0,
-                run.cdf.quantile(0.5),
-                run.cdf.min(),
-            )?;
+            writeln!(f, "{}", run.summary_line())?;
         }
         writeln!(
             f,
@@ -242,7 +230,6 @@ fn kelihos_config(harness: &HarnessConfig) -> KelihosConfig {
             Scale::Paper => KelihosConfig::default().recipients,
             Scale::Quick => 40,
         },
-        event_budget: harness.event_budget,
         ..Default::default()
     }
 }
@@ -263,22 +250,15 @@ impl Experiment for Fig3Experiment {
         "Fig. 3"
     }
 
-    fn run(&self, config: &HarnessConfig) -> Result<Report, HarnessError> {
+    fn observe(&self, config: &HarnessConfig, obs: &mut Obs) -> Result<Report, HarnessError> {
         let module_config = kelihos_config(config);
+        let result = run(&module_config, obs);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        let (metrics, trace_lines) = report.obs_mut();
-        let result = run_with_obs(&module_config, config.trace, metrics, trace_lines);
-        crate::harness::ensure_completed(self.id(), report.metrics())?;
         let mut lines = String::new();
         for r in [&result.fast, &result.default] {
-            lines.push_str(&format!(
-                "threshold {:>6}: delivered {:.0}%, median delay {:.0} s, min {:.0} s\n",
-                r.threshold.to_string(),
-                r.delivery_rate * 100.0,
-                r.cdf.quantile(0.5),
-                r.cdf.min(),
-            ));
+            lines.push_str(&r.summary_line());
+            lines.push('\n');
         }
         report
             .push_text(&lines)
@@ -288,8 +268,8 @@ impl Experiment for Fig3Experiment {
             ))
             .push_scalar("5 s delivery rate (%)", result.fast.delivery_rate * 100.0)
             .push_scalar("300 s delivery rate (%)", result.default.delivery_rate * 100.0)
-            .push_scalar("5 s median delay (s)", result.fast.cdf.quantile(0.5))
-            .push_scalar("300 s median delay (s)", result.default.cdf.quantile(0.5))
+            .push_scalar("5 s median delay (s)", result.fast.median_delay())
+            .push_scalar("300 s median delay (s)", result.default.median_delay())
             .push_scalar("KS distance", result.fig3_ks_distance);
         for series in result.fig3_series() {
             report.push_series(series);
@@ -314,13 +294,11 @@ impl Experiment for Fig4Experiment {
         "Fig. 4"
     }
 
-    fn run(&self, config: &HarnessConfig) -> Result<Report, HarnessError> {
+    fn observe(&self, config: &HarnessConfig, obs: &mut Obs) -> Result<Report, HarnessError> {
         let module_config = kelihos_config(config);
+        let result = run(&module_config, obs);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        let (metrics, trace_lines) = report.obs_mut();
-        let result = run_with_obs(&module_config, config.trace, metrics, trace_lines);
-        crate::harness::ensure_completed(self.id(), report.metrics())?;
         let failed = result.extreme.attempts.iter().filter(|p| !p.delivered).count();
         let delivered = result.extreme.attempts.iter().filter(|p| p.delivered).count();
         let mut peaks = String::new();
@@ -358,7 +336,7 @@ mod tests {
     use super::*;
 
     fn quick() -> KelihosResult {
-        run(&KelihosConfig { recipients: 60, ..Default::default() })
+        run(&KelihosConfig { recipients: 60, ..Default::default() }, &mut Obs::default())
     }
 
     #[test]

@@ -9,12 +9,11 @@
 //! traffic ends up bypassing greylisting through the AWL.
 
 use crate::experiments::worlds::{self, VICTIM_DOMAIN, VICTIM_MX_IP};
-use crate::harness::{Experiment, HarnessConfig, HarnessError, Report, Scale};
+use crate::harness::{Experiment, HarnessConfig, HarnessError, Obs, Report, Scale};
 use spamward_analysis::Table;
 use spamward_botnet::{BotSample, Campaign, MalwareFamily};
 use spamward_greylist::{Greylist, GreylistConfig};
 use spamward_mta::{MtaProfile, SendingMta};
-use spamward_obs::Registry;
 use spamward_sim::{DetRng, SimDuration, SimTime};
 use spamward_smtp::{Message, ReversePath};
 use std::fmt;
@@ -34,8 +33,6 @@ pub struct LongTermConfig {
     pub benign_per_month: usize,
     /// Distinct benign relays in the pool.
     pub benign_relays: usize,
-    /// Engine event budget for the victim world (`None` = unbounded).
-    pub event_budget: Option<u64>,
 }
 
 impl Default for LongTermConfig {
@@ -47,7 +44,6 @@ impl Default for LongTermConfig {
             spam_campaigns_per_month: 30,
             benign_per_month: 120,
             benign_relays: 12,
-            event_budget: None,
         }
     }
 }
@@ -86,27 +82,12 @@ impl LongTermResult {
     }
 }
 
-/// Runs the long-term workload.
-pub fn run(config: &LongTermConfig) -> LongTermResult {
-    run_with_obs(config, false, &mut Registry::new(), &mut Vec::new())
-}
-
-/// Runs the long-term workload, exporting the victim world's end-of-run
-/// protocol metrics into `reg` and (when `trace` is set) draining delivery
-/// traces into `trace_lines`.
-pub fn run_with_obs(
-    config: &LongTermConfig,
-    trace: bool,
-    reg: &mut Registry,
-    trace_lines: &mut Vec<String>,
-) -> LongTermResult {
+/// Runs the long-term workload, folding the victim world into `obs` at
+/// the end of the run.
+pub fn run(config: &LongTermConfig, obs: &mut Obs) -> LongTermResult {
     // AWL on (Postgrey default of 5) — the knob under study.
-    let mut world =
-        worlds::custom_greylist_world(config.seed, Greylist::new(GreylistConfig::default()));
-    world.event_budget = config.event_budget;
-    if trace {
-        world = world.with_tracing();
-    }
+    let mut world = obs
+        .arm(worlds::custom_greylist_world(config.seed, Greylist::new(GreylistConfig::default())));
 
     let mut rng = DetRng::seed(config.seed).fork("longterm");
     let month = SimDuration::from_days(30);
@@ -182,8 +163,7 @@ pub fn run_with_obs(
             store_size,
         });
     }
-    spamward_mta::metrics::collect_world(&world, reg);
-    trace_lines.extend(world.events.lines());
+    obs.collect(&world);
     LongTermResult { months }
 }
 
@@ -238,26 +218,22 @@ impl Experiment for LongTermExperiment {
         "§VII (Sochor)"
     }
 
-    fn run(&self, config: &HarnessConfig) -> Result<Report, HarnessError> {
+    fn observe(&self, config: &HarnessConfig, obs: &mut Obs) -> Result<Report, HarnessError> {
         let module_config = match config.scale {
             Scale::Paper => LongTermConfig {
                 seed: config.seed_or(LongTermConfig::default().seed),
-                event_budget: config.event_budget,
                 ..Default::default()
             },
             Scale::Quick => LongTermConfig {
                 seed: config.seed_or(LongTermConfig::default().seed),
                 spam_campaigns_per_month: 15,
                 benign_per_month: 60,
-                event_budget: config.event_budget,
                 ..Default::default()
             },
         };
+        let result = run(&module_config, obs);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        let (metrics, trace_lines) = report.obs_mut();
-        let result = run_with_obs(&module_config, config.trace, metrics, trace_lines);
-        crate::harness::ensure_completed(self.id(), report.metrics())?;
         report
             .push_table(result.table())
             .push_scalar("max block-rate swing (pp)", result.max_block_rate_swing() * 100.0);
@@ -270,11 +246,12 @@ mod tests {
     use super::*;
 
     fn quick() -> LongTermResult {
-        run(&LongTermConfig {
+        let config = LongTermConfig {
             spam_campaigns_per_month: 15,
             benign_per_month: 60,
             ..Default::default()
-        })
+        };
+        run(&config, &mut Obs::default())
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Table IV — default retransmission schedules of popular MTAs.
 
-use crate::harness::{Experiment, HarnessConfig, HarnessError, Report};
+use crate::harness::{Experiment, HarnessConfig, HarnessError, Obs, Report};
 use spamward_analysis::Table;
 use spamward_mta::MtaProfile;
 use spamward_sim::SimDuration;
@@ -105,10 +105,10 @@ impl Experiment for SchedulesExperiment {
         false
     }
 
-    fn run(&self, _config: &HarnessConfig) -> Result<Report, HarnessError> {
+    fn observe(&self, _config: &HarnessConfig, obs: &mut Obs) -> Result<Report, HarnessError> {
         let result = run();
+        crate::metrics::collect_schedules(&result, &mut obs.registry);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact());
-        crate::metrics::collect_schedules(&result, report.metrics_mut());
         report
             .push_table(result.table())
             .push_scalar("MTAs", result.rows.len() as f64)

@@ -16,10 +16,10 @@
 //! stays O(1) in the population size, which is what lets a 10 M-domain
 //! scan run on a laptop.
 
-use crate::harness::{Experiment, HarnessConfig, HarnessError, Report, Scale};
+use crate::harness::{Experiment, HarnessConfig, HarnessError, Obs, Report, Scale};
 use crate::metrics::SAMPLE_SHARD_PREFIX;
 use spamward_analysis::Table;
-use spamward_obs::{Registry, TimeSeries};
+use spamward_obs::Registry;
 use spamward_scanner::{
     scan_shard, DetectorAccuracy, DomainClass, Fig2Stats, PopulationSpec, PopulationStream,
     ShardScanStats,
@@ -81,40 +81,18 @@ pub struct AdoptionResult {
     pub between_scan_change: f64,
 }
 
-/// Runs the Fig. 2 survey.
+/// Runs the Fig. 2 survey, exporting scan-pipeline, classification and
+/// per-shard metrics into `obs`. When `obs` samples, the streaming
+/// scanner's per-bucket series merge into its time-series
+/// (order-insensitive, so the bytes match for every executor width), and
+/// each shard of the fixed partition adds its event total at the scan's
+/// virtual end. The survey drives no mail world, so it has no trace lines.
 ///
 /// # Panics
 ///
 /// Panics if fewer than two scan epochs are configured (the cross-check
 /// needs at least two).
-pub fn run(config: &AdoptionConfig) -> AdoptionResult {
-    run_with_obs(config, &mut Registry::new())
-}
-
-/// Runs the Fig. 2 survey, exporting scan-pipeline, classification and
-/// per-shard metrics into `reg`. (The survey has no mail world, so there
-/// is no trace stream to drain.)
-///
-/// # Panics
-///
-/// Panics if fewer than two scan epochs are configured.
-pub fn run_with_obs(config: &AdoptionConfig, reg: &mut Registry) -> AdoptionResult {
-    run_with_telemetry(config, reg, &mut TimeSeries::new())
-}
-
-/// [`run_with_obs`] plus the scan's virtual-time series: the streaming
-/// scanner's per-bucket samples merge into `samples` (order-insensitive,
-/// so the bytes match for every executor width), and each shard of the
-/// fixed partition appends its event total at the scan's virtual end.
-///
-/// # Panics
-///
-/// Panics if fewer than two scan epochs are configured.
-pub fn run_with_telemetry(
-    config: &AdoptionConfig,
-    reg: &mut Registry,
-    samples: &mut TimeSeries,
-) -> AdoptionResult {
+pub fn run(config: &AdoptionConfig, obs: &mut Obs) -> AdoptionResult {
     assert!(config.epochs.len() >= 2, "the cross-check needs at least two scans");
     let mut spec = config.spec.clone();
     spec.domains = config.domains;
@@ -129,18 +107,23 @@ pub fn run_with_telemetry(
     // streams one domain per virtual second, so its virtual end is the
     // population size in seconds.
     let scan_end = SimTime::from_secs(config.domains as u64);
+    let sampling = obs.sample_interval().is_some();
     let mut total = ShardScanStats::empty(config.epochs.len(), &ks);
     for (shard, stats) in per_shard.iter().enumerate() {
-        spamward_mta::metrics::collect_shard_events(shard as u32, stats.events, reg);
-        samples.record_point(
-            &format!("{SAMPLE_SHARD_PREFIX}{shard}.events"),
-            scan_end,
-            i64::try_from(stats.events).unwrap_or(i64::MAX),
-        );
+        spamward_mta::metrics::collect_shard_events(shard as u32, stats.events, &mut obs.registry);
+        if sampling {
+            obs.timeseries.record_point(
+                &format!("{SAMPLE_SHARD_PREFIX}{shard}.events"),
+                scan_end,
+                i64::try_from(stats.events).unwrap_or(i64::MAX),
+            );
+        }
         total.merge(stats);
     }
-    samples.merge(&total.samples);
-    spamward_scanner::metrics::collect_shard_scan(&total, reg);
+    if sampling {
+        obs.timeseries.merge(&total.samples);
+    }
+    spamward_scanner::metrics::collect_shard_scan(&total, &mut obs.registry);
 
     let between_scan_change = if total.per_epoch_nolisting[0] == 0 {
         0.0
@@ -156,6 +139,16 @@ pub fn run_with_telemetry(
         glue_resolved: total.glue_resolved as usize,
         between_scan_change,
     }
+}
+
+/// [`run`] for callers holding their own registry: it moves into the
+/// run's context and back, so nothing is merged.
+pub fn run_with_obs(config: &AdoptionConfig, reg: &mut Registry) -> AdoptionResult {
+    let mut obs = Obs::default();
+    obs.registry = std::mem::take(reg);
+    let result = run(config, &mut obs);
+    *reg = obs.registry;
+    result
 }
 
 impl AdoptionResult {
@@ -200,9 +193,8 @@ impl fmt::Display for AdoptionResult {
 pub struct AdoptionExperiment;
 
 impl AdoptionExperiment {
-    /// The module config a harness config maps to (shared with
-    /// [`variance`](crate::experiments::variance)).
-    pub fn config(harness: &HarnessConfig) -> AdoptionConfig {
+    /// The module config a harness config maps to.
+    fn config(harness: &HarnessConfig) -> AdoptionConfig {
         let domains = match harness.scale {
             Scale::Paper => AdoptionConfig::default().domains,
             Scale::Quick => 4_000,
@@ -233,18 +225,11 @@ impl Experiment for AdoptionExperiment {
         "Fig. 2"
     }
 
-    fn run(&self, config: &HarnessConfig) -> Result<Report, HarnessError> {
+    fn observe(&self, config: &HarnessConfig, obs: &mut Obs) -> Result<Report, HarnessError> {
         let module_config = Self::config(config);
+        let result = run(&module_config, obs);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        let result = if config.sample_interval.is_some() {
-            let mut samples = TimeSeries::new();
-            let r = run_with_telemetry(&module_config, report.metrics_mut(), &mut samples);
-            *report.timeseries_mut() = samples;
-            r
-        } else {
-            run_with_obs(&module_config, report.metrics_mut())
-        };
         report
             .push_table(result.table())
             .push_scalar("nolisting share (%)", result.stats.pct(DomainClass::Nolisting))
@@ -275,7 +260,7 @@ mod tests {
 
     #[test]
     fn reproduces_fig2_shares() {
-        let r = run(&small_config());
+        let r = run(&small_config(), &mut Obs::default());
         assert!((r.stats.pct(DomainClass::OneMx) - 47.73).abs() < 3.0);
         assert!((r.stats.pct(DomainClass::MultiMxNoNolisting) - 45.97).abs() < 3.0);
         assert!((r.stats.pct(DomainClass::DnsMisconfigured) - 5.78).abs() < 2.0);
@@ -285,7 +270,7 @@ mod tests {
 
     #[test]
     fn glue_pass_does_work_and_detector_is_accurate() {
-        let r = run(&small_config());
+        let r = run(&small_config(), &mut Obs::default());
         assert!(r.glue_resolved > 0, "the glue pass must have work");
         assert!(r.accuracy.precision() > 0.5);
         assert!(r.accuracy.recall() > 0.8);
@@ -295,13 +280,13 @@ mod tests {
     fn between_scan_drift_is_small() {
         // The paper reports 0.01% change between the two scans; with mild
         // flakiness ours stays within a few percent.
-        let r = run(&small_config());
+        let r = run(&small_config(), &mut Obs::default());
         assert!(r.between_scan_change < 0.25, "drift {}", r.between_scan_change);
     }
 
     #[test]
     fn top_k_counts_are_monotone() {
-        let r = run(&small_config());
+        let r = run(&small_config(), &mut Obs::default());
         assert_eq!(r.top_k.len(), 3);
         assert!(r.top_k[0].1 <= r.top_k[1].1);
         assert!(r.top_k[1].1 <= r.top_k[2].1);
@@ -309,7 +294,7 @@ mod tests {
 
     #[test]
     fn renders() {
-        let out = run(&small_config()).to_string();
+        let out = run(&small_config(), &mut Obs::default()).to_string();
         assert!(out.contains("using nolisting"));
         assert!(out.contains("precision"));
         assert!(out.contains("top-15"));
@@ -320,6 +305,6 @@ mod tests {
     fn one_epoch_rejected() {
         let mut c = small_config();
         c.epochs = vec![0];
-        let _ = run(&c);
+        let _ = run(&c, &mut Obs::default());
     }
 }

@@ -20,12 +20,11 @@
 //! same-/24 number, `full_triplet` pays it in full.
 
 use crate::experiments::worlds::{self, VICTIM_DOMAIN, VICTIM_MX_IP};
-use crate::harness::{Experiment, HarnessConfig, HarnessError, Report, Scale};
+use crate::harness::{Experiment, HarnessConfig, HarnessError, Obs, Report, Scale};
 use spamward_analysis::{fmt_min_sec, Table};
 use spamward_greylist::{Greylist, GreylistConfig, KeyPolicy, RemoteStore, StoreBackend};
 use spamward_mta::{DegradationMode, OutboundStatus, SendingMta, WorldSim};
 use spamward_net::{FaultPlan, FaultProfile};
-use spamward_obs::Registry;
 use spamward_sim::shard::run_partitioned;
 use spamward_sim::{DetRng, SimDuration, SimTime};
 use spamward_webmail::WebmailProvider;
@@ -110,8 +109,6 @@ pub struct PolicyBackendConfig {
     /// are independent worlds merged in grid order, so output bytes are
     /// identical for every value.
     pub workers: usize,
-    /// Engine event budget shared by every cell world (`None` = unbounded).
-    pub event_budget: Option<u64>,
 }
 
 impl Default for PolicyBackendConfig {
@@ -122,7 +119,6 @@ impl Default for PolicyBackendConfig {
             horizon: SimTime::ZERO + SimDuration::from_hours(24),
             maintenance_interval: SimDuration::from_mins(30),
             workers: 1,
-            event_budget: None,
         }
     }
 }
@@ -229,20 +225,14 @@ pub fn providers() -> Vec<WebmailProvider> {
     vec![WebmailProvider::qq(), WebmailProvider::mail_ru()]
 }
 
-/// Everything one cell run produces; merged into the report in grid order.
-struct CellOutput {
-    cell: PolicyBackendCell,
-    metrics: Registry,
-    trace_lines: Vec<String>,
-}
-
+/// Runs one grid cell into `obs`.
 fn run_cell(
     config: &PolicyBackendConfig,
     policy: KeyPolicy,
     backend: BackendKind,
     layout: PoolLayout,
-    trace: bool,
-) -> CellOutput {
+    obs: &mut Obs,
+) -> PolicyBackendCell {
     let mut cell_rng = DetRng::seed(config.seed)
         .fork("policy_backend")
         .fork(policy.slug())
@@ -253,17 +243,13 @@ fn run_cell(
     let gl_config =
         GreylistConfig::with_delay(config.delay).without_auto_whitelist().with_key_policy(policy);
     let greylist = Greylist::new(gl_config).with_backend(backend.build());
-    let mut world =
+    let mut world = obs.arm(
         worlds::degraded_greylist_world(world_seed, greylist, DegradationMode::FailClosed)
-            .with_store_maintenance(config.maintenance_interval);
-    world.event_budget = config.event_budget;
-    if trace {
-        world = world.with_tracing();
-    }
+            .with_store_maintenance(config.maintenance_interval),
+    );
     let plan = FaultPlan::compile(&FaultProfile::store_degraded(), world_seed);
     world.install_faults(&plan);
 
-    let mut metrics = Registry::new();
     let mut attempts = 0u64;
     let mut delivered = 0u64;
     let mut worst_delay = SimDuration::ZERO;
@@ -292,7 +278,7 @@ fn run_cell(
         // The horizon bounds the world's maintenance sweep; the installed
         // outage's edges fire in the same episode.
         WorldSim::episode(&mut world, &mut sender, SimTime::ZERO, Some(config.horizon));
-        spamward_mta::metrics::collect_sender(&sender, &mut metrics);
+        spamward_mta::metrics::collect_sender(&sender, &mut obs.registry);
         let records = sender.records();
         attempts += records.len() as u64;
         if sender.queue()[0].status == OutboundStatus::Delivered {
@@ -302,50 +288,35 @@ fn run_cell(
             }
         }
     }
-    spamward_mta::metrics::collect_world(&world, &mut metrics);
+    obs.collect(&world);
     let server = world.server(VICTIM_MX_IP).expect("victim server");
     let stats = server.stats();
     let gl = server.greylist().expect("greylisted victim");
-    spamward_greylist::metrics::collect_backend(gl, &mut metrics);
+    spamward_greylist::metrics::collect_backend(gl, &mut obs.registry);
     let (remote_ops, remote_unavailable) = match gl.store().as_remote() {
         Some(r) => (r.ops(), r.unavailable()),
         None => (0, 0),
     };
 
-    CellOutput {
-        cell: PolicyBackendCell {
-            policy: policy.slug(),
-            backend: backend.label(),
-            pool: layout.label(),
-            attempts,
-            deferred: stats.rcpt_greylisted,
-            degraded: stats.greylist_failed_closed,
-            delivered,
-            worst_delay,
-            store_keys: gl.store().len() as u64,
-            store_bytes: gl.store().approx_bytes() as u64,
-            remote_ops,
-            remote_unavailable,
-        },
-        trace_lines: world.events.lines().collect(),
-        metrics,
+    PolicyBackendCell {
+        policy: policy.slug(),
+        backend: backend.label(),
+        pool: layout.label(),
+        attempts,
+        deferred: stats.rcpt_greylisted,
+        degraded: stats.greylist_failed_closed,
+        delivered,
+        worst_delay,
+        store_keys: gl.store().len() as u64,
+        store_bytes: gl.store().approx_bytes() as u64,
+        remote_ops,
+        remote_unavailable,
     }
 }
 
-/// Runs the sweep without observability.
-pub fn run(config: &PolicyBackendConfig) -> PolicyBackendResult {
-    run_with_obs(config, false, &mut Registry::new(), &mut Vec::new())
-}
-
-/// Runs the sweep, folding every cell's metrics into `reg` (grid order,
-/// independent of [`PolicyBackendConfig::workers`]) and (when `trace` is
-/// set) draining delivery traces into `trace_lines`.
-pub fn run_with_obs(
-    config: &PolicyBackendConfig,
-    trace: bool,
-    reg: &mut Registry,
-    trace_lines: &mut Vec<String>,
-) -> PolicyBackendResult {
+/// Runs the sweep, folding every cell's senders and world into `obs` in
+/// grid order, independent of [`PolicyBackendConfig::workers`].
+pub fn run(config: &PolicyBackendConfig, obs: &mut Obs) -> PolicyBackendResult {
     let mut grid = Vec::new();
     for policy in POLICIES {
         for backend in BackendKind::ALL {
@@ -357,13 +328,14 @@ pub fn run_with_obs(
     // Each cell is an independent world; the executor width only picks how
     // many run at once, and outputs merge in grid order either way.
     let outputs = run_partitioned(grid, config.workers.max(1), |(policy, backend, layout)| {
-        run_cell(config, policy, backend, layout, trace)
+        let mut cell_obs = obs.fork();
+        let cell = run_cell(config, policy, backend, layout, &mut cell_obs);
+        (cell, cell_obs)
     });
     let mut cells = Vec::new();
-    for out in outputs {
-        reg.merge(&out.metrics);
-        trace_lines.extend(out.trace_lines);
-        cells.push(out.cell);
+    for (cell, cell_obs) in outputs {
+        obs.absorb(cell_obs);
+        cells.push(cell);
     }
     PolicyBackendResult { cells }
 }
@@ -373,7 +345,7 @@ pub struct PolicyBackendExperiment;
 
 impl PolicyBackendExperiment {
     /// The module config a harness config maps to.
-    pub fn config(harness: &HarnessConfig) -> PolicyBackendConfig {
+    fn config(harness: &HarnessConfig) -> PolicyBackendConfig {
         let defaults = PolicyBackendConfig::default();
         let (delay, horizon) = match harness.scale {
             Scale::Paper => (defaults.delay, defaults.horizon),
@@ -388,7 +360,6 @@ impl PolicyBackendExperiment {
             delay,
             horizon,
             workers: harness.shard_workers(),
-            event_budget: harness.event_budget,
             ..defaults
         }
     }
@@ -407,13 +378,11 @@ impl Experiment for PolicyBackendExperiment {
         "Table III extension"
     }
 
-    fn run(&self, config: &HarnessConfig) -> Result<Report, HarnessError> {
+    fn observe(&self, config: &HarnessConfig, obs: &mut Obs) -> Result<Report, HarnessError> {
         let module_config = Self::config(config);
+        let result = run(&module_config, obs);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        let (metrics, trace_lines) = report.obs_mut();
-        let result = run_with_obs(&module_config, config.trace, metrics, trace_lines);
-        crate::harness::ensure_completed(self.id(), report.metrics())?;
         report
             .push_table(result.table())
             .push_scalar("cells", result.cells.len() as f64)
@@ -453,7 +422,7 @@ mod tests {
 
     #[test]
     fn grid_covers_every_policy_backend_and_layout() {
-        let r = run(&quick());
+        let r = run(&quick(), &mut Obs::default());
         assert_eq!(r.cells.len(), POLICIES.len() * BackendKind::ALL.len() * PoolLayout::ALL.len());
         for policy in POLICIES {
             for backend in BackendKind::ALL {
@@ -474,7 +443,7 @@ mod tests {
     fn decisions_are_backend_independent_within_each_policy_and_layout() {
         // The store contract, observed at experiment level: backends may
         // differ in store shape and remote traffic, never in decisions.
-        let r = run(&quick());
+        let r = run(&quick(), &mut Obs::default());
         for policy in POLICIES {
             for layout in PoolLayout::ALL {
                 let probe = |b: BackendKind| {
@@ -497,7 +466,7 @@ mod tests {
         // Table III's lesson, quantified per policy: keying without the
         // client makes the spread pool behave like the same-/24 pool,
         // while the full triplet pays extra attempts for every rotation.
-        let r = run(&quick());
+        let r = run(&quick(), &mut Obs::default());
         let attempts =
             |policy: &str, pool: &str| r.cell(policy, "in_memory", pool).unwrap().attempts;
         assert_eq!(
@@ -514,7 +483,7 @@ mod tests {
 
     #[test]
     fn store_outage_degrades_and_remote_cells_account_refusals() {
-        let r = run(&quick());
+        let r = run(&quick(), &mut Obs::default());
         for c in &r.cells {
             assert!(
                 c.degraded > 0,
@@ -538,7 +507,7 @@ mod tests {
 
     #[test]
     fn client_net_tracks_networks_not_envelopes() {
-        let r = run(&quick());
+        let r = run(&quick(), &mut Obs::default());
         // Pooled: one /24 per provider → two keys; spread: one per address.
         let pooled = r.cell("client_net", "in_memory", PoolLayout::Pooled.label()).unwrap();
         assert_eq!(pooled.store_keys, 2);
@@ -551,10 +520,10 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_and_worker_invariant() {
-        let serial = run(&quick());
-        let wide = run(&PolicyBackendConfig { workers: 4, ..quick() });
+        let serial = run(&quick(), &mut Obs::default());
+        let wide = run(&PolicyBackendConfig { workers: 4, ..quick() }, &mut Obs::default());
         assert_eq!(serial, wide, "executor width must not change results");
-        let again = run(&quick());
+        let again = run(&quick(), &mut Obs::default());
         assert_eq!(serial, again);
     }
 

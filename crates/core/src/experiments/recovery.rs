@@ -26,7 +26,7 @@
 //!   delay window and is re-admitted anyway.
 
 use crate::experiments::worlds::{VICTIM_DOMAIN, VICTIM_MX_IP};
-use crate::harness::{Experiment, HarnessConfig, HarnessError, Report, Scale};
+use crate::harness::{Experiment, HarnessConfig, HarnessError, Obs, Report, Scale};
 use spamward_analysis::Table;
 use spamward_dns::{DomainName, Zone};
 use spamward_greylist::{DurabilityMode, Greylist, GreylistConfig};
@@ -34,7 +34,6 @@ use spamward_mta::{
     MailWorld, MtaProfile, OutboundStatus, ReceivingMta, RetryPolicy, SendingMta, WorldSim,
 };
 use spamward_net::{FaultPlan, FaultProfile};
-use spamward_obs::Registry;
 use spamward_sim::{DetRng, SimDuration, SimTime};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -101,13 +100,11 @@ pub struct RecoveryConfig {
     /// Ham senders whose first contact lands *after* the last checkpoint
     /// tick, so only a WAL remembers them.
     pub late_joiners: usize,
-    /// Engine event budget shared by every cell world (`None` = unbounded).
-    pub event_budget: Option<u64>,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
-        RecoveryConfig { seed: 42, regulars: 4, late_joiners: 2, event_budget: None }
+        RecoveryConfig { seed: 42, regulars: 4, late_joiners: 2 }
     }
 }
 
@@ -175,12 +172,6 @@ impl RecoveryResult {
     pub fn extra_ham_delay_s(&self, cell: &RecoveryCell) -> u64 {
         let base = self.baseline(cell.timing).map(|b| b.ham_delay_s).unwrap_or(0);
         cell.ham_delay_s.saturating_sub(base)
-    }
-
-    /// Ham attempts a crash cell paid beyond its timing's baseline.
-    pub fn extra_ham_attempts(&self, cell: &RecoveryCell) -> u64 {
-        let base = self.baseline(cell.timing).map(|b| b.ham_attempts).unwrap_or(0);
-        cell.ham_attempts.saturating_sub(base)
     }
 
     /// The sweep as a typed [`Table`].
@@ -329,9 +320,7 @@ fn run_cell(
     config: &RecoveryConfig,
     spec: &CellSpec,
     seeds: &CellSeeds,
-    trace: bool,
-    reg: &mut Registry,
-    trace_lines: &mut Vec<String>,
+    obs: &mut Obs,
 ) -> RecoveryCell {
     let crash_min = spec.timing.crash_min();
     let crash_at = at_min(crash_min);
@@ -355,10 +344,7 @@ fn run_cell(
     if let Some(interval) = spec.interval {
         world = world.with_checkpointing(interval);
     }
-    world.event_budget = config.event_budget;
-    if trace {
-        world = world.with_tracing();
-    }
+    world = obs.arm(world);
     world.install_faults(&plan);
 
     // Regulars: triplets (and the relay's auto-whitelist standing) mature
@@ -442,11 +428,10 @@ fn run_cell(
     });
     WorldSim::episode_with(&mut world, cast, Some(at_min(HORIZON_MINS)));
 
-    spamward_mta::metrics::collect_world(&world, reg);
-    spamward_mta::metrics::collect_sender(&regulars, reg);
-    spamward_mta::metrics::collect_sender(&edge, reg);
-    spamward_mta::metrics::collect_sender(&bot, reg);
-    trace_lines.extend(world.events.lines());
+    obs.collect(&world);
+    for sender in [&regulars, &edge, &bot] {
+        spamward_mta::metrics::collect_sender(sender, &mut obs.registry);
+    }
 
     let server = world.server(VICTIM_MX_IP).expect("victim server installed");
     let crash_stats = server.crash_stats();
@@ -473,19 +458,8 @@ fn run_cell(
     }
 }
 
-/// Runs the sweep without observability.
-pub fn run(config: &RecoveryConfig) -> RecoveryResult {
-    run_with_obs(config, false, &mut Registry::new(), &mut Vec::new())
-}
-
-/// Runs the sweep, folding every cell's world/sender metrics into `reg`
-/// and (when `trace` is set) draining delivery traces into `trace_lines`.
-pub fn run_with_obs(
-    config: &RecoveryConfig,
-    trace: bool,
-    reg: &mut Registry,
-    trace_lines: &mut Vec<String>,
-) -> RecoveryResult {
+/// Runs the sweep, folding every cell's world and senders into `obs`.
+pub fn run(config: &RecoveryConfig, obs: &mut Obs) -> RecoveryResult {
     let mut cells = Vec::new();
     for timing in CrashTiming::ALL {
         let seeds = CellSeeds::for_timing(config.seed, timing);
@@ -493,9 +467,7 @@ pub fn run_with_obs(
             config,
             &CellSpec { durability: None, interval: None, interval_mins: 0, timing },
             &seeds,
-            trace,
-            reg,
-            trace_lines,
+            obs,
         ));
         for &interval_mins in &CHECKPOINT_INTERVALS_MINS {
             for durability in DurabilityMode::all() {
@@ -508,9 +480,7 @@ pub fn run_with_obs(
                         timing,
                     },
                     &seeds,
-                    trace,
-                    reg,
-                    trace_lines,
+                    obs,
                 ));
             }
         }
@@ -523,7 +493,7 @@ pub struct RecoveryExperiment;
 
 impl RecoveryExperiment {
     /// The module config a harness config maps to.
-    pub fn config(harness: &HarnessConfig) -> RecoveryConfig {
+    fn config(harness: &HarnessConfig) -> RecoveryConfig {
         RecoveryConfig {
             seed: harness.seed_or(RecoveryConfig::default().seed),
             regulars: match harness.scale {
@@ -534,7 +504,6 @@ impl RecoveryExperiment {
                 Scale::Paper => RecoveryConfig::default().late_joiners,
                 Scale::Quick => 1,
             },
-            event_budget: harness.event_budget,
         }
     }
 }
@@ -552,13 +521,11 @@ impl Experiment for RecoveryExperiment {
         "DESIGN.md durability model"
     }
 
-    fn run(&self, config: &HarnessConfig) -> Result<Report, HarnessError> {
+    fn observe(&self, config: &HarnessConfig, obs: &mut Obs) -> Result<Report, HarnessError> {
         let module_config = Self::config(config);
+        let result = run(&module_config, obs);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        let (metrics, trace_lines) = report.obs_mut();
-        let result = run_with_obs(&module_config, config.trace, metrics, trace_lines);
-        crate::harness::ensure_completed(self.id(), report.metrics())?;
         let extra = |mode: &str| -> f64 {
             result
                 .cells
@@ -594,7 +561,7 @@ mod tests {
     use spamward_mta::metrics as mta_metrics;
 
     fn full() -> RecoveryResult {
-        run(&RecoveryConfig::default())
+        run(&RecoveryConfig::default(), &mut Obs::default())
     }
 
     #[test]
@@ -774,8 +741,9 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic() {
-        let a = run(&RecoveryConfig { regulars: 2, late_joiners: 1, ..Default::default() });
-        let b = run(&RecoveryConfig { regulars: 2, late_joiners: 1, ..Default::default() });
+        let config = RecoveryConfig { regulars: 2, late_joiners: 1, ..Default::default() };
+        let a = run(&config, &mut Obs::default());
+        let b = run(&config, &mut Obs::default());
         assert_eq!(a, b);
     }
 }

@@ -10,7 +10,7 @@
 //! at what cost in attempts and degraded greylist decisions.
 
 use crate::experiments::worlds::{self, VICTIM_DOMAIN, VICTIM_MX_IP};
-use crate::harness::{Experiment, HarnessConfig, HarnessError, Report, Scale};
+use crate::harness::{Experiment, HarnessConfig, HarnessError, Obs, Report, Scale};
 use spamward_analysis::Table;
 use spamward_dns::{DomainName, Zone};
 use spamward_greylist::{Greylist, GreylistConfig};
@@ -18,7 +18,6 @@ use spamward_mta::{
     DegradationMode, MailWorld, MtaProfile, OutboundStatus, ReceivingMta, RetryPolicy, SendingMta,
 };
 use spamward_net::{FaultPlan, FaultProfile, FaultWindow};
-use spamward_obs::Registry;
 use spamward_sim::{DetRng, SimDuration, SimTime};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -65,13 +64,11 @@ pub struct ResilienceConfig {
     /// Legitimate messages submitted per cell (staggered across the fault
     /// windows).
     pub messages: usize,
-    /// Engine event budget shared by every cell world (`None` = unbounded).
-    pub event_budget: Option<u64>,
 }
 
 impl Default for ResilienceConfig {
     fn default() -> Self {
-        ResilienceConfig { seed: 42, messages: 8, event_budget: None }
+        ResilienceConfig { seed: 42, messages: 8 }
     }
 }
 
@@ -208,19 +205,8 @@ fn build_world(defense: Defense, seed: u64) -> MailWorld {
     }
 }
 
-/// Runs the sweep without observability.
-pub fn run(config: &ResilienceConfig) -> ResilienceResult {
-    run_with_obs(config, false, &mut Registry::new(), &mut Vec::new())
-}
-
-/// Runs the sweep, folding every cell's world/sender metrics into `reg`
-/// and (when `trace` is set) draining delivery traces into `trace_lines`.
-pub fn run_with_obs(
-    config: &ResilienceConfig,
-    trace: bool,
-    reg: &mut Registry,
-    trace_lines: &mut Vec<String>,
-) -> ResilienceResult {
+/// Runs the sweep, folding every cell's world and sender into `obs`.
+pub fn run(config: &ResilienceConfig, obs: &mut Obs) -> ResilienceResult {
     let mut cells = Vec::new();
     for profile in FaultProfile::catalog() {
         for (d_idx, &defense) in Defense::ALL.iter().enumerate() {
@@ -231,11 +217,7 @@ pub fn run_with_obs(
             let cell_seed = cell_rng.next_u64();
             let plan = FaultPlan::compile(&profile, cell_seed);
 
-            let mut world = build_world(defense, cell_seed);
-            world.event_budget = config.event_budget;
-            if trace {
-                world = world.with_tracing();
-            }
+            let mut world = obs.arm(build_world(defense, cell_seed));
             // Servers are installed; now wire the plan into network,
             // resolver, SMTP layer and greylist stores.
             world.install_faults(&plan);
@@ -267,9 +249,8 @@ pub fn run_with_obs(
             // event stream.
             sender.drain(SimTime::ZERO, &mut world);
 
-            spamward_mta::metrics::collect_world(&world, reg);
-            spamward_mta::metrics::collect_sender(&sender, reg);
-            trace_lines.extend(world.events.lines());
+            obs.collect(&world);
+            spamward_mta::metrics::collect_sender(&sender, &mut obs.registry);
 
             let server_stats = world.server(VICTIM_MX_IP).map(|s| s.stats()).unwrap_or_default();
             cells.push(ResilienceCell {
@@ -302,14 +283,13 @@ pub struct ResilienceExperiment;
 
 impl ResilienceExperiment {
     /// The module config a harness config maps to.
-    pub fn config(harness: &HarnessConfig) -> ResilienceConfig {
+    fn config(harness: &HarnessConfig) -> ResilienceConfig {
         ResilienceConfig {
             seed: harness.seed_or(ResilienceConfig::default().seed),
             messages: match harness.scale {
                 Scale::Paper => ResilienceConfig::default().messages,
                 Scale::Quick => 3,
             },
-            event_budget: harness.event_budget,
         }
     }
 }
@@ -327,13 +307,11 @@ impl Experiment for ResilienceExperiment {
         "DESIGN.md fault model"
     }
 
-    fn run(&self, config: &HarnessConfig) -> Result<Report, HarnessError> {
+    fn observe(&self, config: &HarnessConfig, obs: &mut Obs) -> Result<Report, HarnessError> {
         let module_config = Self::config(config);
+        let result = run(&module_config, obs);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        let (metrics, trace_lines) = report.obs_mut();
-        let result = run_with_obs(&module_config, config.trace, metrics, trace_lines);
-        crate::harness::ensure_completed(self.id(), report.metrics())?;
         let expected = (module_config.messages * result.cells.len()) as f64;
         report
             .push_table(result.table())
@@ -363,7 +341,7 @@ mod tests {
     use spamward_net::metrics as net_metrics;
 
     fn quick() -> ResilienceResult {
-        run(&ResilienceConfig { messages: 3, ..Default::default() })
+        run(&ResilienceConfig { messages: 3, ..Default::default() }, &mut Obs::default())
     }
 
     #[test]

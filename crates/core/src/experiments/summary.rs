@@ -6,11 +6,10 @@
 //! scalars, so this module stays decoupled from the matrix internals.
 
 use crate::experiments::efficacy::EfficacyExperiment;
-use crate::harness::{self, Experiment, HarnessConfig, HarnessError, Report};
+use crate::harness::{self, Experiment, HarnessConfig, HarnessError, Obs, Report};
 use spamward_analysis::reduce::ordered_sum;
 use spamward_analysis::Table;
 use spamward_botnet::{MalwareFamily, BOTNET_FRACTION_OF_GLOBAL_SPAM};
-use spamward_obs::Registry;
 use std::fmt;
 
 /// The §VI aggregate.
@@ -30,24 +29,14 @@ pub struct SummaryResult {
 }
 
 /// Computes the summary from a fresh Table II run, obtained through the
-/// registry. Propagates the inner run's harness error (e.g. an exhausted
-/// event budget).
-pub fn run(config: &HarnessConfig) -> Result<SummaryResult, HarnessError> {
-    run_with_obs(config, &mut Registry::new(), &mut Vec::new())
-}
-
-/// Computes the summary, folding the inner Table II run's metric registry
-/// into `reg` and its trace lines (non-empty only when `config.trace` is
-/// set) into `trace_lines`.
-pub fn run_with_obs(
-    config: &HarnessConfig,
-    reg: &mut Registry,
-    trace_lines: &mut Vec<String>,
-) -> Result<SummaryResult, HarnessError> {
+/// registry, folding that run's metrics and trace lines (non-empty only
+/// when `config.trace` is set) into `obs`. Propagates the inner run's
+/// harness error (e.g. an exhausted event budget), which names table2.
+pub fn run(config: &HarnessConfig, obs: &mut Obs) -> Result<SummaryResult, HarnessError> {
     let table2 = harness::find("table2").expect("table2 is registered");
     let report = table2.run(config)?;
-    reg.merge(report.metrics());
-    trace_lines.extend(report.trace_lines().iter().cloned());
+    obs.registry.merge(report.metrics());
+    obs.trace_lines.extend_from_slice(report.trace_lines());
     let blocks = |defense: &str, family: MalwareFamily| {
         report.scalar(&format!("{defense} blocks {}", family.name())) == Some(1.0)
     };
@@ -123,12 +112,11 @@ impl Experiment for SummaryExperiment {
         "§VI headline"
     }
 
-    fn run(&self, config: &HarnessConfig) -> Result<Report, HarnessError> {
+    fn observe(&self, config: &HarnessConfig, obs: &mut Obs) -> Result<Report, HarnessError> {
+        let result = run(config, obs)?;
+        crate::metrics::collect_summary(&result, &mut obs.registry);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(EfficacyExperiment::config(config).seed);
-        let (metrics, trace_lines) = report.obs_mut();
-        let result = run_with_obs(config, metrics, trace_lines)?;
-        crate::metrics::collect_summary(&result, report.metrics_mut());
         report
             .push_table(result.table())
             .push_scalar("nolisting alone (% of botnet spam)", result.nolisting_botnet_pct)
@@ -145,7 +133,7 @@ mod tests {
     use crate::harness::Scale;
 
     fn quick() -> SummaryResult {
-        run(&HarnessConfig { scale: Scale::Quick, ..Default::default() })
+        run(&HarnessConfig { scale: Scale::Quick, ..Default::default() }, &mut Obs::default())
             .expect("quick summary completes")
     }
 

@@ -9,7 +9,7 @@
 //! harness registry: each seed becomes a [`HarnessConfig`] and the tracked
 //! quantities are read back from the sibling reports' scalars.
 
-use crate::harness::{self, Experiment, HarnessConfig, HarnessError, Report, Scale};
+use crate::harness::{self, Experiment, HarnessConfig, HarnessError, Obs, Report, Scale};
 use crate::runner::run_seeds;
 use spamward_analysis::ci::ConfidenceInterval;
 use spamward_analysis::Table;
@@ -148,7 +148,7 @@ pub struct VarianceExperiment;
 
 impl VarianceExperiment {
     /// The module config a harness config maps to.
-    pub fn config(harness: &HarnessConfig) -> VarianceConfig {
+    fn config(harness: &HarnessConfig) -> VarianceConfig {
         let base = harness.seed_or(100);
         let span = match harness.scale {
             Scale::Paper => 12,
@@ -171,12 +171,11 @@ impl Experiment for VarianceExperiment {
         "DESIGN.md variance"
     }
 
-    fn run(&self, config: &HarnessConfig) -> Result<Report, HarnessError> {
-        let module_config = Self::config(config);
-        let result = run(&module_config);
+    fn observe(&self, config: &HarnessConfig, obs: &mut Obs) -> Result<Report, HarnessError> {
+        let result = run(&Self::config(config));
+        crate::metrics::collect_variance(&result, &mut obs.registry);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(config.seed_or(100));
-        crate::metrics::collect_variance(&result, report.metrics_mut());
         report.push_table(result.table());
         for row in &result.rows {
             report.push_scalar(&format!("mean: {}", row.quantity), row.ci.mean);

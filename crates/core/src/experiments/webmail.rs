@@ -5,10 +5,9 @@
 //! distinct source addresses, and whether the message eventually arrived.
 
 use crate::experiments::worlds::{self, VICTIM_DOMAIN, VICTIM_MX_IP};
-use crate::harness::{Experiment, HarnessConfig, HarnessError, Report};
+use crate::harness::{Experiment, HarnessConfig, HarnessError, Obs, Report};
 use spamward_analysis::{fmt_min_sec, Table};
 use spamward_mta::OutboundStatus;
-use spamward_obs::Registry;
 use spamward_sim::{SimDuration, SimTime};
 use spamward_smtp::{EmailAddress, Message, ReversePath};
 use spamward_webmail::WebmailProvider;
@@ -26,19 +25,11 @@ pub struct WebmailConfig {
     /// Spread each provider's pool across /24s instead of within one
     /// (ablation; the paper-consistent default is one subnet).
     pub spread_subnets: bool,
-    /// Engine event budget shared by every per-provider world
-    /// (`None` = unbounded).
-    pub event_budget: Option<u64>,
 }
 
 impl Default for WebmailConfig {
     fn default() -> Self {
-        WebmailConfig {
-            seed: 360,
-            threshold: SimDuration::from_hours(6),
-            spread_subnets: false,
-            event_budget: None,
-        }
+        WebmailConfig { seed: 360, threshold: SimDuration::from_hours(6), spread_subnets: false }
     }
 }
 
@@ -73,29 +64,14 @@ pub struct WebmailResult {
     pub threshold: SimDuration,
 }
 
-/// Runs the Table III experiment.
-pub fn run(config: &WebmailConfig) -> WebmailResult {
-    run_with_obs(config, false, &mut Registry::new(), &mut Vec::new())
-}
-
-/// Runs the Table III experiment, exporting per-provider retry metrics and
-/// per-world protocol metrics into `reg` and (when `trace` is set) draining
-/// delivery traces into `trace_lines`.
-pub fn run_with_obs(
-    config: &WebmailConfig,
-    trace: bool,
-    reg: &mut Registry,
-    trace_lines: &mut Vec<String>,
-) -> WebmailResult {
+/// Runs the Table III experiment, folding per-provider retry metrics and
+/// every per-provider world into `obs`.
+pub fn run(config: &WebmailConfig, obs: &mut Obs) -> WebmailResult {
     let mut rows = Vec::new();
     for (idx, provider) in WebmailProvider::table_iii().into_iter().enumerate() {
         // Fresh victim per provider so triplet state never leaks across
         // rows.
-        let mut world = worlds::greylist_world(config.seed, config.threshold);
-        world.event_budget = config.event_budget;
-        if trace {
-            world = world.with_tracing();
-        }
+        let mut world = obs.arm(worlds::greylist_world(config.seed, config.threshold));
         let pool_base = Ipv4Addr::new(198, 18, idx as u8, 1);
         let mut sender = if config.spread_subnets {
             provider.build_sender_spread(pool_base, config.seed)
@@ -119,9 +95,8 @@ pub fn run_with_obs(
             SimTime::ZERO,
         );
         sender.drain(SimTime::ZERO, &mut world);
-        spamward_webmail::metrics::collect_provider(&provider, &sender, reg);
-        spamward_mta::metrics::collect_world(&world, reg);
-        trace_lines.extend(world.events.lines());
+        spamward_webmail::metrics::collect_provider(&provider, &sender, &mut obs.registry);
+        obs.collect(&world);
 
         let records = sender.records();
         let used_ips: HashSet<Ipv4Addr> = records.iter().map(|r| r.source_ip).collect();
@@ -204,18 +179,15 @@ impl Experiment for WebmailExperiment {
         "Table III"
     }
 
-    fn run(&self, config: &HarnessConfig) -> Result<Report, HarnessError> {
+    fn observe(&self, config: &HarnessConfig, obs: &mut Obs) -> Result<Report, HarnessError> {
         // Ten providers, one message each: already quick at paper scale.
         let module_config = WebmailConfig {
             seed: config.seed_or(WebmailConfig::default().seed),
-            event_budget: config.event_budget,
             ..Default::default()
         };
+        let result = run(&module_config, obs);
         let mut report = Report::new(self.id(), self.title(), self.paper_artifact())
             .with_seed(module_config.seed);
-        let (metrics, trace_lines) = report.obs_mut();
-        let result = run_with_obs(&module_config, config.trace, metrics, trace_lines);
-        crate::harness::ensure_completed(self.id(), report.metrics())?;
         report
             .push_table(result.table())
             .push_scalar("providers", result.rows.len() as f64)
@@ -229,7 +201,7 @@ mod tests {
     use super::*;
 
     fn result() -> WebmailResult {
-        run(&WebmailConfig::default())
+        run(&WebmailConfig::default(), &mut Obs::default())
     }
 
     #[test]
@@ -296,8 +268,9 @@ mod tests {
 
     #[test]
     fn subnet_spread_ablation_slows_multi_ip_providers() {
-        let base = run(&WebmailConfig::default());
-        let spread = run(&WebmailConfig { spread_subnets: true, ..Default::default() });
+        let base = result();
+        let spread =
+            run(&WebmailConfig { spread_subnets: true, ..Default::default() }, &mut Obs::default());
         let attempts = |r: &WebmailResult, name: &str| {
             r.rows.iter().find(|x| x.provider == name).unwrap().attempts
         };

@@ -24,6 +24,7 @@
 
 use spamward_analysis::json::{json_array, json_f64, json_string};
 use spamward_analysis::{Series, Table};
+use spamward_mta::MailWorld;
 use spamward_obs::{Registry, TimeSeries, Timeline};
 use spamward_sim::SimDuration;
 
@@ -62,30 +63,37 @@ pub struct HarnessConfig {
     /// Run size.
     pub scale: Scale,
     /// Capture delivery traces (`repro --trace` / `--timeline`):
-    /// experiments that drive a [`spamward_mta::MailWorld`] enable its
-    /// event record and render it into the report's trace lines
-    /// ([`Report::obs_mut`]), and table2 into its [`Report::timeline`] as
-    /// well. Traces are diagnostics — they never enter the canonical
-    /// text/CSV/JSON bytes (`repro --trace` routes the lines to stderr).
+    /// experiments that drive a [`MailWorld`] enable its event record and
+    /// render it into the report's trace lines, and table2 into its
+    /// [`Report::timeline`] as well. Traces are diagnostics — they never
+    /// enter the canonical text/CSV/JSON bytes (`repro --trace` routes the
+    /// lines to stderr).
     pub trace: bool,
-    /// Optional cap on discrete-event engine events per driven world.
-    /// `None` (the default) means unbounded. World-driving experiments
-    /// thread this into every [`spamward_mta::MailWorld`] they build and
-    /// fail with [`HarnessError::BudgetExhausted`] if any episode was cut
-    /// short; catalogue and meta experiments that drive no world ignore it.
+    /// Optional cap on discrete-event engine events *per world*: every
+    /// world an experiment arms through its [`Obs`] stops once it has run
+    /// this many, so a sharded run executes up to the cap once per shard
+    /// world. `None` (the default) means unbounded. A run any of whose
+    /// episodes was cut short fails with [`HarnessError::BudgetExhausted`].
+    /// Runs that arm no world ignore it: the catalogues (table1, table4,
+    /// dialects), the fig2 scan, ablations (whose six studies build their
+    /// own worlds without it) and variance (whose per-seed fig2 and fig5
+    /// runs drop it).
     pub event_budget: Option<u64>,
     /// Worker threads for the shard executor of sharded experiments
     /// (`repro --shards`). The *partition* of a sharded experiment is
     /// fixed per experiment, so this only selects how many shards run
-    /// concurrently — output bytes are identical for every value. `0`
-    /// (the `Default`) means 1, via [`HarnessConfig::shard_workers`];
-    /// experiments without a sharded path ignore it.
+    /// concurrently — output bytes are identical for every value. The
+    /// `Default` of 0 means "the experiment's own width": fig2, table2
+    /// and fig5 then run 4 shards at a time, policy_backend 1
+    /// ([`HarnessConfig::shard_workers`]); experiments without a sharded
+    /// path ignore it.
     pub shards: usize,
     /// Snapshot counters/gauges into [`Report::timeseries`] every this
     /// much virtual time (`repro --timeseries`; `None` = no sampler timer
-    /// joins any episode). Like `trace`, it is diagnostics: it never
-    /// enters the canonical text/CSV/JSON bytes, and the default-off
-    /// state leaves the engine event stream untouched.
+    /// joins any episode). Only table2's worlds and the fig2 scan record
+    /// samples. Like `trace`, it is diagnostics: it never enters the
+    /// canonical text/CSV/JSON bytes, and the default-off state leaves
+    /// the engine event stream untouched.
     pub sample_interval: Option<SimDuration>,
 }
 
@@ -95,8 +103,9 @@ impl HarnessConfig {
         self.seed.unwrap_or(default)
     }
 
-    /// The effective shard-executor width: [`HarnessConfig::shards`],
-    /// with the unset `Default` of 0 meaning serial execution.
+    /// [`HarnessConfig::shards`] with the unset 0 read as 1 (serial).
+    /// policy_backend uses this width as is; fig2, table2 and fig5 call it
+    /// only when `shards` is set and otherwise keep their configs' 4.
     pub fn shard_workers(&self) -> usize {
         self.shards.max(1)
     }
@@ -138,10 +147,10 @@ impl std::error::Error for HarnessError {}
 /// Asserts that a run's engine episodes all completed (drained or
 /// horizon-reached): returns
 /// [`HarnessError::BudgetExhausted`] if the collected metrics show any
-/// episode was cut off by the event budget. Experiments call this on their
-/// report's registry after `collect_world`, turning silent truncation into
-/// a typed harness error.
-pub fn ensure_completed(id: &str, metrics: &Registry) -> Result<(), HarnessError> {
+/// episode was cut off by the event budget. [`Experiment::run`] calls this
+/// on every run's registry, turning silent truncation into a typed
+/// harness error.
+fn ensure_completed(id: &str, metrics: &Registry) -> Result<(), HarnessError> {
     let cut = metrics.counter("sim.engine.outcome.budget_exhausted").unwrap_or(0);
     if cut > 0 {
         return Err(HarnessError::BudgetExhausted {
@@ -151,6 +160,98 @@ pub fn ensure_completed(id: &str, metrics: &Registry) -> Result<(), HarnessError
         });
     }
     Ok(())
+}
+
+/// The observation context of one experiment run: the switches a run
+/// reads and the sinks it fills.
+///
+/// The switches — [`HarnessConfig::trace`],
+/// [`HarnessConfig::sample_interval`] and [`HarnessConfig::event_budget`]
+/// — are copied once from the harness config; the sinks are the metric
+/// registry and the three diagnostics a [`Report`] carries.
+/// [`Experiment::run`] builds one per run and moves its sinks into the
+/// report. A caller outside the registry passes `Obs::default()`
+/// (tracing, sampling and the budget off) to a module's `run` and reads
+/// the filled sinks afterwards.
+#[derive(Debug, Default)]
+pub struct Obs {
+    trace: bool,
+    sample_interval: Option<SimDuration>,
+    event_budget: Option<u64>,
+    /// The run's metrics: the canonical JSON's `metrics` section and the
+    /// `repro --metrics` dump.
+    pub registry: Registry,
+    /// Rendered trace lines, in event order. This sink and the two below
+    /// are diagnostics, never part of the canonical renderings (`repro
+    /// --trace` prints the lines to stderr).
+    pub trace_lines: Vec<String>,
+    /// Sampled virtual-time series (`repro --timeseries`).
+    pub timeseries: TimeSeries,
+    /// Message-lifecycle tracks (`repro --timeline`).
+    pub timeline: Timeline,
+}
+
+impl Obs {
+    /// A context with `config`'s switches and empty sinks.
+    pub(crate) fn new(config: &HarnessConfig) -> Self {
+        Obs {
+            trace: config.trace,
+            sample_interval: config.sample_interval,
+            event_budget: config.event_budget,
+            ..Obs::default()
+        }
+    }
+
+    /// Whether worlds record their events.
+    pub(crate) fn trace(&self) -> bool {
+        self.trace
+    }
+
+    /// The telemetry sampling interval, if sampling is on.
+    pub(crate) fn sample_interval(&self) -> Option<SimDuration> {
+        self.sample_interval
+    }
+
+    /// A context with these switches and empty sinks, for one shard or
+    /// cell of a partitioned run; `absorb` folds it back.
+    pub(crate) fn fork(&self) -> Obs {
+        Obs {
+            trace: self.trace,
+            sample_interval: self.sample_interval,
+            event_budget: self.event_budget,
+            ..Obs::default()
+        }
+    }
+
+    /// Folds a forked context's sinks into this one. Trace lines append in
+    /// call order, so callers absorb in a fixed order; metrics and series
+    /// add up, and timeline exports sort their events, so those bytes do
+    /// not depend on the order.
+    pub(crate) fn absorb(&mut self, child: Obs) {
+        self.registry.merge(&child.registry);
+        self.trace_lines.extend(child.trace_lines);
+        self.timeseries.merge(&child.timeseries);
+        self.timeline.merge(&child.timeline);
+    }
+
+    /// Arms a freshly built world: the event budget caps its engine
+    /// events, and its event record is on when tracing is.
+    pub(crate) fn arm(&self, mut world: MailWorld) -> MailWorld {
+        world.event_budget = self.event_budget;
+        if self.trace {
+            world = world.with_tracing();
+        }
+        world
+    }
+
+    /// Folds a finished world into the sinks: its metrics, its trace lines
+    /// and its sampled series (empty unless the world was built
+    /// [`MailWorld::with_sampling`]).
+    pub(crate) fn collect(&mut self, world: &MailWorld) {
+        spamward_mta::metrics::collect_world(world, &mut self.registry);
+        self.trace_lines.extend(world.events.lines());
+        self.timeseries.merge(&world.samples);
+    }
 }
 
 /// A named headline number a report exposes for machine consumption
@@ -238,18 +339,13 @@ impl Report {
         self
     }
 
-    /// Write access to the report's metric registry; experiments call the
-    /// per-crate `metrics::collect*` functions against this.
-    pub fn metrics_mut(&mut self) -> &mut Registry {
-        &mut self.metrics
-    }
-
-    /// Write access to the registry and the trace lines together, for an
-    /// experiment's `run_with_obs` to fill in one pass. Trace lines are
-    /// diagnostics, excluded from the canonical text/CSV/JSON bytes
-    /// (`repro --trace` prints them to stderr).
-    pub fn obs_mut(&mut self) -> (&mut Registry, &mut Vec<String>) {
-        (&mut self.metrics, &mut self.trace_lines)
+    /// Moves a finished run's sinks into the report.
+    fn attach(mut self, obs: Obs) -> Self {
+        self.metrics = obs.registry;
+        self.trace_lines = obs.trace_lines;
+        self.timeseries = obs.timeseries;
+        self.timeline = obs.timeline;
+        self
     }
 
     /// The metric snapshot the run produced.
@@ -269,22 +365,12 @@ impl Report {
         &self.timeseries
     }
 
-    /// Write access for experiments attaching their sampled series.
-    pub fn timeseries_mut(&mut self) -> &mut TimeSeries {
-        &mut self.timeseries
-    }
-
     /// The message-lifecycle timeline (empty unless
     /// [`HarnessConfig::trace`] was set and the experiment renders one).
     /// Diagnostics like trace lines: excluded from every canonical
     /// rendering.
     pub fn timeline(&self) -> &Timeline {
         &self.timeline
-    }
-
-    /// Write access for experiments attaching their recorded timeline.
-    pub fn timeline_mut(&mut self) -> &mut Timeline {
-        &mut self.timeline
     }
 
     /// The experiment id this report came from.
@@ -295,16 +381,6 @@ impl Report {
     /// The seed recorded for the run, if any.
     pub fn seed(&self) -> Option<u64> {
         self.seed
-    }
-
-    /// The report's tables.
-    pub fn tables(&self) -> &[Table] {
-        &self.tables
-    }
-
-    /// The report's figure series.
-    pub fn series(&self) -> &[Series] {
-        &self.series
     }
 
     /// The report's headline scalars.
@@ -455,10 +531,21 @@ pub trait Experiment: Sync {
     fn seedable(&self) -> bool {
         true
     }
+    /// Runs the experiment against `obs` and returns its report. The
+    /// harness keeps the report only if every engine episode completed, so
+    /// building it must not panic on the partial results of a run the
+    /// event budget cut short.
+    fn observe(&self, config: &HarnessConfig, obs: &mut Obs) -> Result<Report, HarnessError>;
+
     /// Runs the experiment and returns its typed report, or a typed error
-    /// when the run could not complete (e.g. the
-    /// [`HarnessConfig::event_budget`] truncated an engine episode).
-    fn run(&self, config: &HarnessConfig) -> Result<Report, HarnessError>;
+    /// when the run could not complete (the
+    /// [`HarnessConfig::event_budget`] cut an engine episode short).
+    fn run(&self, config: &HarnessConfig) -> Result<Report, HarnessError> {
+        let mut obs = Obs::new(config);
+        let report = self.observe(config, &mut obs)?;
+        ensure_completed(self.id(), &obs.registry)?;
+        Ok(report.attach(obs))
+    }
 }
 
 /// Every experiment, in the order `repro all` runs and prints them.
@@ -549,8 +636,17 @@ mod tests {
             .push_series(Series::new("curve", vec![(0.0, 0.5)]))
             .push_scalar("rate (%)", 56.69)
             .push_text("a plot\n");
-        r.metrics_mut().record_counter("demo.events", 3);
-        r.obs_mut().1.push("0.000000 [demo] hello".to_owned());
+        let mut obs = Obs::default();
+        obs.registry.record_counter("demo.events", 3);
+        obs.trace_lines.push("0.000000 [demo] hello".to_owned());
+        obs.timeseries.record_point("obs.sample.demo", spamward_sim::SimTime::from_secs(60), 4);
+        obs.timeline.record_event(
+            "timeline.emit",
+            spamward_sim::SimTime::ZERO,
+            "demo-msg",
+            String::new(),
+        );
+        let r = r.attach(obs);
 
         let text = r.to_text();
         assert!(text.starts_with("[demo] Demo experiment (Fig. 0) [seed 7]\n"));
@@ -587,13 +683,6 @@ mod tests {
 
         // Telemetry carriage is diagnostics too: attachable, readable,
         // absent from every canonical rendering.
-        r.timeseries_mut().record_point("obs.sample.demo", spamward_sim::SimTime::from_secs(60), 4);
-        r.timeline_mut().record_event(
-            "timeline.emit",
-            spamward_sim::SimTime::ZERO,
-            "demo-msg",
-            String::new(),
-        );
         assert_eq!(
             r.timeseries().get("obs.sample.demo", spamward_sim::SimTime::from_secs(60)),
             Some(4)

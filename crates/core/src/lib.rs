@@ -2,9 +2,12 @@
 //! Greylisting and Nolisting in Fighting Spam"* (DSN 2016), re-runnable.
 //!
 //! Each paper artifact has one module under [`experiments`], exposing a
-//! `Config` (seeded, with the paper's parameters as defaults), a `run`
+//! `Config` (seeded, with the paper's parameters as defaults), one `run`
 //! function, and a `Result` type that renders the corresponding table or
-//! figure:
+//! figure. The modules that drive mail worlds (and the Fig. 2 scan and the
+//! §VI summary) take an [`harness::Obs`] beside their config: the
+//! observation context whose switches arm each world (event budget,
+//! tracing) and whose sinks collect its metrics and diagnostics:
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -30,7 +33,10 @@
 //!
 //! All of the above are registered in the [`harness`] — an [`harness::Experiment`]
 //! trait plus static registry — which is how the `repro` CLI, the criterion
-//! benches and the meta-experiments reach them uniformly:
+//! benches and the meta-experiments reach them uniformly. A registry run
+//! builds the context from its [`harness::HarnessConfig`], turns an
+//! exhausted event budget into a typed error and moves the context's sinks
+//! into the [`harness::Report`]:
 //!
 //! ```
 //! use spamward_core::harness::{registry, HarnessConfig, Scale};
@@ -42,10 +48,13 @@
 //!
 //! ```
 //! use spamward_core::experiments::efficacy;
+//! use spamward_core::harness::Obs;
 //!
-//! let result = efficacy::run(&efficacy::EfficacyConfig::default());
+//! let mut obs = Obs::default(); // no tracing, sampling or budget
+//! let result = efficacy::run(&efficacy::EfficacyConfig::default(), &mut obs);
 //! // Nolisting stops Kelihos; greylisting stops everything else.
 //! assert!(result.family_row("Kelihos").unwrap().nolisting_blocked);
+//! assert!(obs.registry.counter("greylist.deferred.total").unwrap() > 0);
 //! ```
 
 #![forbid(unsafe_code)]

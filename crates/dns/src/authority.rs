@@ -96,21 +96,6 @@ impl Authority {
         self.reverse.get(&ip).cloned()
     }
 
-    /// Removes a zone, returning it if present.
-    pub fn withdraw(&mut self, origin: &DomainName) -> Option<Zone> {
-        self.zones.remove(origin)
-    }
-
-    /// The zone with the given origin.
-    pub fn zone(&self, origin: &DomainName) -> Option<&Zone> {
-        self.zones.get(origin)
-    }
-
-    /// Mutable access to a zone (e.g. to flip it lame mid-experiment).
-    pub fn zone_mut(&mut self, origin: &DomainName) -> Option<&mut Zone> {
-        self.zones.get_mut(origin)
-    }
-
     /// Number of published zones.
     pub fn len(&self) -> usize {
         self.zones.len()
@@ -225,15 +210,13 @@ mod tests {
     }
 
     #[test]
-    fn publish_replaces_and_withdraw_removes() {
+    fn publish_replaces_a_zone() {
         let mut a = authority_with_foo();
         assert_eq!(a.len(), 1);
         a.publish(Zone::single_mx(name("foo.net"), Ipv4Addr::new(8, 8, 8, 8)));
         let out = a.query(&name("foo.net"), RecordType::Mx);
         assert_eq!(out.answers.len(), 1, "republish must replace the zone");
-        assert!(a.withdraw(&name("foo.net")).is_some());
-        assert!(a.is_empty());
-        assert_eq!(a.query(&name("foo.net"), RecordType::Mx).rcode, Rcode::NxDomain);
+        assert_eq!(a.len(), 1);
     }
 
     #[test]

@@ -65,7 +65,7 @@ impl NameId {
 /// use spamward_dns::DomainName;
 /// let d: DomainName = "SMTP.Foo.NET.".parse()?;
 /// assert_eq!(d.as_str(), "smtp.foo.net");
-/// assert_eq!(d.parent().unwrap().as_str(), "foo.net");
+/// assert_eq!(d.prefixed("mx")?.as_str(), "mx.smtp.foo.net");
 /// # Ok::<(), spamward_dns::ParseNameError>(())
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -197,24 +197,6 @@ impl DomainName {
     #[must_use]
     pub fn id(&self) -> Option<NameId> {
         self.id
-    }
-
-    /// The labels, most-specific first.
-    pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.text.split('.')
-    }
-
-    /// The name with the leftmost label removed, or `None` at a TLD.
-    pub fn parent(&self) -> Option<DomainName> {
-        self.text.split_once('.').map(|(_, rest)| DomainName { text: Arc::from(rest), id: None })
-    }
-
-    /// Whether `self` equals `other` or is a subdomain of it.
-    pub fn is_subdomain_of(&self, other: &DomainName) -> bool {
-        self == other
-            || (self.text.len() > other.text.len()
-                && self.text.ends_with(&*other.text)
-                && self.text.as_bytes()[self.text.len() - other.text.len() - 1] == b'.')
     }
 
     /// Prefixes a label, e.g. `"smtp"` + `foo.net` → `smtp.foo.net`.
@@ -384,36 +366,10 @@ mod tests {
     }
 
     #[test]
-    fn parent_chain() {
-        let d = DomainName::parse("a.b.c").unwrap();
-        let p = d.parent().unwrap();
-        assert_eq!(p.as_str(), "b.c");
-        assert_eq!(p.parent().unwrap().as_str(), "c");
-        assert_eq!(p.parent().unwrap().parent(), None);
-    }
-
-    #[test]
-    fn subdomain_relation() {
-        let base = DomainName::parse("foo.net").unwrap();
-        let sub = DomainName::parse("smtp.foo.net").unwrap();
-        let other = DomainName::parse("notfoo.net").unwrap();
-        assert!(sub.is_subdomain_of(&base));
-        assert!(base.is_subdomain_of(&base));
-        assert!(!base.is_subdomain_of(&sub));
-        assert!(!other.is_subdomain_of(&base), "suffix match must respect label boundary");
-    }
-
-    #[test]
     fn prefixed_builds_child() {
         let base = DomainName::parse("foo.net").unwrap();
         assert_eq!(base.prefixed("smtp").unwrap().as_str(), "smtp.foo.net");
         assert!(base.prefixed("bad label").is_err());
-    }
-
-    #[test]
-    fn labels_iterate_left_to_right() {
-        let d = DomainName::parse("a.b.c").unwrap();
-        assert_eq!(d.labels().collect::<Vec<_>>(), vec!["a", "b", "c"]);
     }
 
     #[test]

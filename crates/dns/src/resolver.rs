@@ -151,11 +151,6 @@ impl Resolver {
         }
     }
 
-    /// Drops all cached entries.
-    pub fn flush(&mut self) {
-        self.cache.clear();
-    }
-
     fn query_cached(
         &mut self,
         authority: &mut Authority,
@@ -476,17 +471,5 @@ mod tests {
         let misses = r.stats().misses;
         let _ = r.resolve_mx(&mut dns, &name("ghost.example"), t0 + SimDuration::from_secs(30));
         assert_eq!(r.stats().misses, misses, "negative answer must be cached");
-    }
-
-    #[test]
-    fn flush_clears_cache() {
-        let mut dns = Authority::new();
-        dns.publish(Zone::single_mx(name("foo.net"), ip(1)));
-        let mut r = Resolver::new();
-        r.resolve_mx(&mut dns, &name("foo.net"), SimTime::ZERO).unwrap();
-        r.flush();
-        let misses = r.stats().misses;
-        r.resolve_mx(&mut dns, &name("foo.net"), SimTime::ZERO).unwrap();
-        assert!(r.stats().misses > misses);
     }
 }

@@ -18,7 +18,7 @@ use std::net::Ipv4Addr;
 ///     .mx(0, "smtp", Ipv4Addr::new(192, 0, 2, 10))
 ///     .mx(15, "smtp1", Ipv4Addr::new(192, 0, 2, 11))
 ///     .build();
-/// assert_eq!(zone.records_of(RecordType::Mx).count(), 2);
+/// assert_eq!(zone.lookup(zone.origin(), RecordType::Mx).count(), 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -38,16 +38,6 @@ impl Zone {
     /// The zone origin (the domain itself).
     pub fn origin(&self) -> &DomainName {
         &self.origin
-    }
-
-    /// All records in the zone.
-    pub fn records(&self) -> &[ResourceRecord] {
-        &self.records
-    }
-
-    /// Records of a given type, at any owner name in the zone.
-    pub fn records_of(&self, rtype: RecordType) -> impl Iterator<Item = &ResourceRecord> {
-        self.records.iter().filter(move |r| r.record_type() == rtype)
     }
 
     /// Records answering `(name, rtype)` exactly, in zone order.
@@ -205,7 +195,7 @@ mod tests {
     fn nolisting_zone_shape() {
         let z = Zone::nolisting(name("foo.net"), ip(1), ip(2));
         let mut mxs: Vec<(u16, String)> = z
-            .records_of(RecordType::Mx)
+            .lookup(z.origin(), RecordType::Mx)
             .filter_map(|r| match &r.data {
                 RecordData::Mx { preference, exchange } => {
                     Some((*preference, exchange.to_string()))
@@ -230,16 +220,15 @@ mod tests {
     #[test]
     fn no_mx_zone_has_apex_a_only() {
         let z = Zone::no_mx(name("bar.org"), ip(3));
-        assert_eq!(z.records_of(RecordType::Mx).count(), 0);
+        assert_eq!(z.lookup(z.origin(), RecordType::Mx).count(), 0);
         assert_eq!(z.lookup(&name("bar.org"), RecordType::A).count(), 1);
     }
 
     #[test]
     fn dangling_mx_has_no_glue() {
         let z = Zone::dangling_mx(name("baz.io"));
-        assert_eq!(z.records_of(RecordType::Mx).count(), 1);
-        assert_eq!(z.records_of(RecordType::A).count(), 0);
-        assert!(!z.has_name(&name("mail.baz.io")));
+        assert_eq!(z.lookup(z.origin(), RecordType::Mx).count(), 1);
+        assert!(!z.has_name(&name("mail.baz.io")), "the exchanger has no glue");
     }
 
     #[test]

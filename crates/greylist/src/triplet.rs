@@ -68,12 +68,6 @@ impl KeyAtom {
         *self == Self::EMPTY
     }
 
-    /// The raw digest value (snapshot encoding).
-    #[must_use]
-    pub fn raw(&self) -> u64 {
-        self.0
-    }
-
     /// Rebuilds an atom from its raw digest (snapshot decoding).
     #[must_use]
     pub fn from_raw(raw: u64) -> Self {
@@ -266,7 +260,6 @@ mod tests {
         let a = KeyAtom::of("bob@example.com");
         assert_eq!(a, KeyAtom::of("bob@example.com"));
         assert_ne!(a, KeyAtom::of("rob@example.com"));
-        assert_eq!(KeyAtom::from_raw(a.raw()), a);
         assert_eq!(KeyAtom::of(""), KeyAtom::EMPTY);
     }
 

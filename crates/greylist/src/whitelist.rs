@@ -30,7 +30,6 @@ pub struct Whitelist {
     cidrs: Vec<(u32, u8)>,
     domain_suffixes: Vec<String>,
     local_parts: Vec<String>,
-    exact_recipients: Vec<String>,
 }
 
 impl Whitelist {
@@ -41,10 +40,7 @@ impl Whitelist {
 
     /// Whether nothing is whitelisted.
     pub fn is_empty(&self) -> bool {
-        self.cidrs.is_empty()
-            && self.domain_suffixes.is_empty()
-            && self.local_parts.is_empty()
-            && self.exact_recipients.is_empty()
+        self.cidrs.is_empty() && self.domain_suffixes.is_empty() && self.local_parts.is_empty()
     }
 
     /// Exempts an address block.
@@ -73,12 +69,6 @@ impl Whitelist {
         self
     }
 
-    /// Exempts one exact recipient address.
-    pub fn add_recipient(&mut self, address: &str) -> &mut Self {
-        self.exact_recipients.push(address.to_ascii_lowercase());
-        self
-    }
-
     /// Whether a connecting client (address + optional rDNS name) is
     /// exempt.
     pub fn matches_client(&self, ip: Ipv4Addr, rdns: Option<&str>) -> bool {
@@ -103,9 +93,6 @@ impl Whitelist {
     /// Whether a (normalized `local@domain`) recipient is exempt.
     pub fn matches_recipient(&self, normalized: &str) -> bool {
         let normalized = normalized.to_ascii_lowercase();
-        if self.exact_recipients.contains(&normalized) {
-            return true;
-        }
         match normalized.split_once('@') {
             Some((local, _)) => self.local_parts.iter().any(|l| *l == local),
             None => false,
@@ -143,13 +130,11 @@ mod tests {
     }
 
     #[test]
-    fn recipient_local_part_and_exact() {
+    fn recipient_local_part() {
         let mut wl = Whitelist::new();
         wl.add_local_part("postmaster");
-        wl.add_recipient("ops@foo.net");
         assert!(wl.matches_recipient("postmaster@anywhere.example"));
         assert!(wl.matches_recipient("POSTMASTER@FOO.NET"));
-        assert!(wl.matches_recipient("ops@foo.net"));
         assert!(!wl.matches_recipient("alice@foo.net"));
         assert!(!wl.matches_recipient("not-an-address"));
     }

@@ -270,11 +270,6 @@ impl ReceivingMta {
         self
     }
 
-    /// The configured durability mode.
-    pub fn durability(&self) -> DurabilityMode {
-        self.durability
-    }
-
     /// Installs the windows during which this server is crashed
     /// ([`crate::MailWorld::install_faults`] calls this with the plan's
     /// [`spamward_net::FaultPlan::crash_windows_for`] windows for this
@@ -500,12 +495,6 @@ impl ReceivingMta {
     /// Mutable access to the greylist engine (e.g. to run maintenance).
     pub fn greylist_mut(&mut self) -> Option<&mut Greylist> {
         self.greylist.as_mut()
-    }
-
-    /// Drops stored messages (keeps stats/logs) — long experiments call
-    /// this to bound memory.
-    pub fn drain_mailbox(&mut self) -> Vec<StoredMessage> {
-        std::mem::take(&mut self.mailbox)
     }
 
     fn log_event(&mut self, at: SimTime, event: LogEvent, key: &TripletKey) {
@@ -884,16 +873,6 @@ mod tests {
         let mta = ReceivingMta::new("mx.foo.net", Ipv4Addr::new(192, 0, 2, 1))
             .with_greylist(Greylist::new(GreylistConfig::default()));
         assert!(!mta.has_greylist_outage());
-    }
-
-    #[test]
-    fn drain_mailbox_keeps_stats() {
-        let mut mta = ReceivingMta::new("mx.foo.net", Ipv4Addr::new(192, 0, 2, 1));
-        run_attempt(&mut mta, "u@foo.net", SimTime::ZERO);
-        let drained = mta.drain_mailbox();
-        assert_eq!(drained.len(), 1);
-        assert_eq!(mta.mailbox().len(), 0);
-        assert_eq!(mta.stats().messages_accepted, 1);
     }
 
     /// A greylisting server with the given durability and one crash window

@@ -228,11 +228,6 @@ impl MtaProfile {
             Self::exchange(),
         ]
     }
-
-    /// The last retry that still happens within the queue lifetime.
-    pub fn final_retry_at(&self) -> Option<SimDuration> {
-        self.schedule.retries_within(self.max_queue_time).last().copied()
-    }
 }
 
 #[cfg(test)]
@@ -322,7 +317,7 @@ mod tests {
     #[test]
     fn final_retry_within_queue_life() {
         for p in MtaProfile::table_iv() {
-            let last = p.final_retry_at().unwrap();
+            let last = *p.schedule.retries_within(p.max_queue_time).last().unwrap();
             assert!(last <= p.max_queue_time, "{}: {last} beyond queue life", p.name);
             // Every Table IV MTA retries well past a 6-hour greylist.
             assert!(last > SimDuration::from_hours(6), "{}: gives up too early", p.name);

@@ -261,12 +261,6 @@ impl SendingMta {
         self
     }
 
-    /// Overrides the SMTP dialect (defaults to a compliant MTA's).
-    pub fn with_dialect(mut self, dialect: Dialect) -> Self {
-        self.dialect = dialect;
-        self
-    }
-
     /// Reseeds the internal RNG (for deterministic experiments).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.rng = DetRng::seed(seed).fork("sending-mta");
@@ -325,12 +319,6 @@ impl SendingMta {
     /// whose sender was not the null path).
     pub fn bounces(&self) -> &[BounceReport] {
         &self.bounces
-    }
-
-    /// Removes and returns the pending bounce reports (so an experiment
-    /// can route them back through the mail system).
-    pub fn take_bounces(&mut self) -> Vec<BounceReport> {
-        std::mem::take(&mut self.bounces)
     }
 
     fn generate_bounce(&mut self, idx: usize, now: SimTime, reason: BounceReason) {
@@ -812,13 +800,12 @@ mod tests {
     }
 
     #[test]
-    fn delivered_messages_do_not_bounce_and_take_drains() {
+    fn delivered_messages_do_not_bounce() {
         let (mut w, _) = world_with_greylist(300);
         let mut s = sender(MtaProfile::postfix());
         submit_one(&mut s, SimTime::ZERO);
         s.drain(SimTime::ZERO, &mut w);
         assert!(s.bounces().is_empty());
-        assert!(s.take_bounces().is_empty());
     }
 
     #[test]

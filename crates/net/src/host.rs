@@ -16,13 +16,6 @@ impl fmt::Display for HostId {
     }
 }
 
-impl HostId {
-    /// The raw index value (stable within one `Network`).
-    pub fn index(self) -> u64 {
-        self.0
-    }
-}
-
 /// TCP state of a port as seen from the outside.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PortState {
@@ -93,7 +86,6 @@ impl Availability {
 /// A machine in the simulated internet.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Host {
-    pub(crate) id: HostId,
     pub(crate) name: String,
     pub(crate) ips: Vec<Ipv4Addr>,
     pub(crate) ports: BTreeMap<u16, PortState>,
@@ -102,11 +94,6 @@ pub struct Host {
 }
 
 impl Host {
-    /// The host's identifier.
-    pub fn id(&self) -> HostId {
-        self.id
-    }
-
     /// The host's mnemonic name (e.g. `"smtp1.foo.net"`).
     pub fn name(&self) -> &str {
         &self.name
@@ -142,16 +129,6 @@ impl Host {
     pub fn is_up_at(&self, epoch: u64, now: SimTime) -> bool {
         self.availability.is_up_at(self.seed, epoch, now)
     }
-
-    /// Reconfigures a port at runtime (e.g. an admin opening port 25).
-    pub fn set_port(&mut self, port: u16, state: PortState) {
-        self.ports.insert(port, state);
-    }
-
-    /// Reconfigures availability at runtime.
-    pub fn set_availability(&mut self, availability: Availability) {
-        self.availability = availability;
-    }
 }
 
 /// Builder for [`Host`]s; obtained from [`Network::host`](crate::Network::host).
@@ -183,12 +160,6 @@ impl HostBuilder<'_> {
     /// Adds an address the host answers on.
     pub fn ip(mut self, ip: Ipv4Addr) -> Self {
         self.ips.push(ip);
-        self
-    }
-
-    /// Adds several addresses (e.g. a webmail provider's outbound pool).
-    pub fn ips(mut self, ips: impl IntoIterator<Item = Ipv4Addr>) -> Self {
-        self.ips.extend(ips);
         self
     }
 

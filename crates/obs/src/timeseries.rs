@@ -60,11 +60,6 @@ impl TimeSeries {
         self.points.get(series).and_then(|points| points.get(&at)).copied()
     }
 
-    /// Number of distinct named series.
-    pub fn series_len(&self) -> usize {
-        self.points.len()
-    }
-
     /// Total number of points across all series.
     pub fn len(&self) -> usize {
         self.points.values().map(BTreeMap::len).sum()
@@ -132,7 +127,6 @@ mod tests {
         ts.record_point("obs.sample.test", t(120), 1);
         assert_eq!(ts.get("obs.sample.test", t(60)), Some(7));
         assert_eq!(ts.get("obs.sample.test", t(120)), Some(1));
-        assert_eq!(ts.series_len(), 1);
         assert_eq!(ts.len(), 2);
     }
 
@@ -153,7 +147,6 @@ mod tests {
             .flat_map(|(name, points)| points.iter().map(move |(at, v)| (name.as_str(), *at, *v)))
             .collect();
         assert_eq!(ts.iter().collect::<Vec<_>>(), expected);
-        assert_eq!(ts.series_len(), 2);
     }
 
     #[test]

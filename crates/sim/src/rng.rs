@@ -128,16 +128,6 @@ impl DetRng {
         ((u128::from(self.next()) * u128::from(n)) >> 64) as u64
     }
 
-    /// Draws a uniform value in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(lo < hi, "range_f64: empty range {lo}..{hi}");
-        lo + self.unit_f64() * (hi - lo)
-    }
-
     /// Picks a uniformly random element of `items`.
     ///
     /// # Panics
@@ -159,19 +149,6 @@ impl DetRng {
     /// The next 64 uniform bits.
     pub fn next_u64(&mut self) -> u64 {
         self.next()
-    }
-
-    /// The next 32 uniform bits (the high half of one 64-bit draw).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    /// Fills `dest` with uniform bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let v = self.next().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
     }
 }
 
@@ -265,14 +242,6 @@ mod tests {
         assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle left input unchanged");
     }
 
-    #[test]
-    fn fill_bytes_fills_odd_lengths() {
-        let mut r = DetRng::seed(2);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
-    }
-
     proptest! {
         #[test]
         fn prop_below_in_range(seed in any::<u64>(), n in 1u64..10_000) {
@@ -280,13 +249,6 @@ mod tests {
             for _ in 0..32 {
                 prop_assert!(r.below(n) < n);
             }
-        }
-
-        #[test]
-        fn prop_range_f64_in_range(seed in any::<u64>(), lo in -1e6f64..0.0, hi in 1.0f64..1e6) {
-            let mut r = DetRng::seed(seed);
-            let v = r.range_f64(lo, hi);
-            prop_assert!(v >= lo && v < hi);
         }
 
         #[test]

@@ -14,10 +14,9 @@
 //! 1. *Partition* — [`ShardPlan::shard_of`] is a pure function of the
 //!    entity name and the plan width, so every entity lands in exactly one
 //!    shard and the assignment never depends on thread scheduling.
-//! 2. *Run* — each shard derives its own [`DetRng`] via
-//!    [`ShardPlan::rng`] (an indexed fork of the plan seed) and simulates
-//!    an independent world; no state is shared across shards while they
-//!    run.
+//! 2. *Run* — each shard simulates an independent world whose draws fork
+//!    from the plan seed per entity, never per worker; no state is shared
+//!    across shards while they run.
 //! 3. *Merge* — [`run_sharded`] returns shard outputs indexed by shard id,
 //!    so the caller folds them in the one canonical order regardless of
 //!    which worker finished first.
@@ -27,11 +26,7 @@
 //! primitive that also serves `spamward_core::runner::run_seeds` (parallel
 //! seeds are just shards of a sweep) and the `policy_backend` grid.
 
-use crate::DetRng;
 use crossbeam::channel;
-
-/// Label under which each shard forks its RNG from the plan seed.
-const SHARD_FORK_LABEL: &str = "shard";
 
 /// Stable 64-bit FNV-1a over a name — the partition hash.
 ///
@@ -92,17 +87,6 @@ impl ShardPlan {
     #[must_use]
     pub fn owns(&self, shard: u32, name: &str) -> bool {
         self.shard_of(name) == shard
-    }
-
-    /// The RNG root for one shard: an indexed fork of the plan seed.
-    ///
-    /// Shards fork further per concern (exactly like experiments fork per
-    /// concern off their seed), so adding a consumer inside one shard
-    /// never perturbs another shard's draws.
-    #[must_use]
-    pub fn rng(&self, shard: u32) -> DetRng {
-        assert!(shard < self.shards, "shard index out of range");
-        DetRng::seed(self.seed).fork_idx(SHARD_FORK_LABEL, u64::from(shard))
     }
 }
 
@@ -199,18 +183,6 @@ mod tests {
             let name = format!("host{i}.net");
             assert_eq!(a.shard_of(&name), b.shard_of(&name));
         }
-    }
-
-    #[test]
-    fn shard_rngs_are_distinct_but_reproducible() {
-        let plan = ShardPlan::new(7, 4);
-        let firsts: Vec<u64> = (0..4).map(|s| plan.rng(s).next_u64()).collect();
-        for (i, a) in firsts.iter().enumerate() {
-            for b in &firsts[i + 1..] {
-                assert_ne!(a, b, "shard RNG streams must not collide");
-            }
-        }
-        assert_eq!(plan.rng(2).next_u64(), firsts[2]);
     }
 
     #[test]

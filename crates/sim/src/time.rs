@@ -106,24 +106,6 @@ impl SimDuration {
             None => None,
         }
     }
-
-    /// The smaller of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
 }
 
 impl Add for SimDuration {
@@ -240,11 +222,6 @@ impl SimTime {
         self.0 / 1_000_000
     }
 
-    /// Fractional seconds since the simulation start.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// The duration elapsed since `earlier`.
     ///
     /// # Panics
@@ -334,8 +311,6 @@ mod tests {
         assert_eq!(b.saturating_sub(a), SimDuration::ZERO);
         assert_eq!(a.checked_sub(b), Some(SimDuration::from_secs(60)));
         assert_eq!(b.checked_sub(a), None);
-        assert_eq!(a.min(b), b);
-        assert_eq!(a.max(b), a);
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl ManualClock {
         Self::default()
     }
 
-    /// A clock stopped at `start`.
-    pub fn at(start: SimTime) -> Self {
-        ManualClock { now: Cell::new(start) }
-    }
-
     /// Moves the clock to `now` (monotonicity is the caller's business).
     pub fn set(&self, now: SimTime) {
         self.now.set(now);
@@ -98,7 +93,5 @@ mod tests {
         assert_eq!(clock.now(), SimTime::ZERO);
         clock.set(SimTime::from_secs(42));
         assert_eq!(clock.now(), SimTime::from_secs(42));
-        let later = ManualClock::at(SimTime::from_secs(7));
-        assert_eq!(later.now(), SimTime::from_secs(7));
     }
 }

@@ -225,11 +225,6 @@ impl ClientSession {
         &self.dialect
     }
 
-    /// The extensions the server advertised (empty until EHLO succeeds).
-    pub fn server_capabilities(&self) -> &Capabilities {
-        &self.server_caps
-    }
-
     fn mail_command(&self) -> Command {
         // Declare SIZE when the server advertised the extension (RFC 1870
         // behaviour of full MTAs; bots use HELO and never negotiate).

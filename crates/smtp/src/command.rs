@@ -112,23 +112,6 @@ impl Command {
         }
     }
 
-    /// The canonical verb of this command (used by fingerprints and logs).
-    pub fn verb(&self) -> &'static str {
-        match self {
-            Command::Helo { .. } => "HELO",
-            Command::Ehlo { .. } => "EHLO",
-            Command::MailFrom { .. } => "MAIL",
-            Command::RcptTo { .. } => "RCPT",
-            Command::Data => "DATA",
-            Command::Rset => "RSET",
-            Command::Noop => "NOOP",
-            Command::Quit => "QUIT",
-            Command::Vrfy { .. } => "VRFY",
-            Command::StartTls => "STARTTLS",
-            Command::Unknown { .. } => "UNKNOWN",
-        }
-    }
-
     /// Serializes to one CRLF-terminated wire line.
     pub fn to_wire(&self) -> String {
         match self {
@@ -263,13 +246,6 @@ mod tests {
             assert!(wire.ends_with("\r\n"));
             assert_eq!(Command::parse(&wire), c, "roundtrip failed for {wire:?}");
         }
-    }
-
-    #[test]
-    fn verbs() {
-        assert_eq!(Command::Data.verb(), "DATA");
-        assert_eq!(Command::parse("garbage").verb(), "UNKNOWN");
-        assert_eq!(Command::parse("MAIL FROM:<>").verb(), "MAIL");
     }
 
     proptest! {

@@ -118,15 +118,6 @@ pub struct DialectFingerprint {
 }
 
 impl DialectFingerprint {
-    /// Hamming distance between two fingerprints (0–5).
-    pub fn distance(self, other: DialectFingerprint) -> u32 {
-        u32::from(self.greets_with_ehlo != other.greets_with_ehlo)
-            + u32::from(self.helo_is_literal != other.helo_is_literal)
-            + u32::from(self.quits_politely != other.quits_politely)
-            + u32::from(self.retries_remaining_rcpts != other.retries_remaining_rcpts)
-            + u32::from(self.early_talker != other.early_talker)
-    }
-
     /// Whether this looks like full MTA software rather than a bot routine
     /// (heuristic: EHLO + polite QUIT + waits its turn).
     pub fn looks_like_mta(self) -> bool {
@@ -146,8 +137,6 @@ mod tests {
         assert!(mta.uses_ehlo && !bot.uses_ehlo);
         assert!(mta.fingerprint().looks_like_mta());
         assert!(!bot.fingerprint().looks_like_mta());
-        assert_eq!(mta.fingerprint().distance(bot.fingerprint()), 5);
-        assert_eq!(mta.fingerprint().distance(mta.fingerprint()), 0);
     }
 
     #[test]

@@ -102,12 +102,6 @@ impl EnvelopeBuilder {
         self
     }
 
-    /// Sets the null reverse path `<>`.
-    pub fn null_sender(mut self) -> Self {
-        self.mail_from = Some(ReversePath::Null);
-        self
-    }
-
     /// Appends a recipient (at least one required).
     pub fn rcpt(mut self, address: EmailAddress) -> Self {
         self.recipients.push(address);
@@ -197,7 +191,7 @@ mod tests {
     fn null_sender_bounce_envelope() {
         let env = Envelope::builder()
             .client_ip(Ipv4Addr::LOCALHOST)
-            .null_sender()
+            .mail_from(ReversePath::Null)
             .rcpt(addr("x@y.zz"))
             .build();
         assert_eq!(env.mail_from(), &ReversePath::Null);

@@ -201,11 +201,6 @@ impl ServerSession {
         self
     }
 
-    /// The extension set this server advertises on EHLO.
-    pub fn capabilities(&self) -> &Capabilities {
-        &self.capabilities
-    }
-
     /// The session's current state.
     pub fn state(&self) -> SessionState {
         self.state
@@ -446,25 +441,6 @@ impl ServerSession {
                 Reply::single(codes::OK, "2.0.0 OK: queued")
             }
         }
-    }
-}
-
-impl Envelope {
-    /// Rebuilds an envelope from a finished server transaction (used by
-    /// tests and log tooling).
-    pub fn from_transaction(tx: &Transaction) -> Option<Envelope> {
-        let mail_from = tx.mail_from.clone()?;
-        if tx.recipients.is_empty() {
-            return None;
-        }
-        Some(
-            Envelope::builder()
-                .client_ip(tx.client_ip)
-                .helo(&tx.helo)
-                .mail_from(mail_from)
-                .rcpts(tx.recipients.iter().cloned())
-                .build(),
-        )
     }
 }
 
@@ -750,20 +726,5 @@ mod tests {
                 proptest::prop_assert!(Reply::from_wire(&r.to_wire()).is_some());
             }
         }
-    }
-
-    #[test]
-    fn transaction_to_envelope_helper() {
-        let tx = Transaction {
-            client_ip: client_ip(),
-            client_rdns: None,
-            helo: "h".into(),
-            mail_from: Some(ReversePath::Null),
-            recipients: vec!["x@foo.net".parse().unwrap()],
-        };
-        let env = Envelope::from_transaction(&tx).unwrap();
-        assert_eq!(env.mail_from(), &ReversePath::Null);
-        let incomplete = Transaction::new(client_ip());
-        assert!(Envelope::from_transaction(&incomplete).is_none());
     }
 }

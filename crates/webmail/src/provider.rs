@@ -304,13 +304,6 @@ impl WebmailProvider {
             })
             .with_seed(seed)
     }
-
-    /// The retry delays within the paper's 6-hour observation window
-    /// (renders the table's DELAYS column; delivery can add one attempt
-    /// past the window edge, as gmail's 434:46 shows).
-    pub fn delays_within_window(&self) -> Vec<SimDuration> {
-        self.schedule.retries_within(SimDuration::from_mins(440))
-    }
 }
 
 #[cfg(test)]
@@ -480,7 +473,7 @@ mod tests {
     #[test]
     fn ladders_strictly_increase() {
         for p in WebmailProvider::table_iii() {
-            let retries = p.delays_within_window();
+            let retries = p.schedule.retries_within(SimDuration::from_mins(440));
             for w in retries.windows(2) {
                 assert!(w[1] > w[0], "{}: ladder not increasing", p.name);
             }

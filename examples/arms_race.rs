@@ -9,10 +9,12 @@
 //! ```
 
 use spamward::core::experiments::{dialects, future_threats};
+use spamward::core::harness::Obs;
 
 fn main() {
     println!("running the hypothetical-adaptation matrix...\n");
-    let threats = future_threats::run(&future_threats::FutureThreatsConfig::default());
+    let config = future_threats::FutureThreatsConfig::default();
+    let threats = future_threats::run(&config, &mut Obs::default());
     print!("{threats}");
 
     println!("\nAnd if protocol-level defenses die, what's left? Behavioural fingerprints:");

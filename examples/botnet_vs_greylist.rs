@@ -10,13 +10,14 @@
 
 use spamward::analysis::Series;
 use spamward::core::experiments::kelihos::{run, KelihosConfig};
+use spamward::core::harness::Obs;
 
 fn main() {
     let config = KelihosConfig { recipients: 100, ..Default::default() };
     println!("running Kelihos against greylisting thresholds of 5 s, 300 s and 21600 s...");
     println!("(virtual horizon {} — instantaneous in simulated time)\n", { config.horizon });
 
-    let result = run(&config);
+    let result = run(&config, &mut Obs::default());
     print!("{result}");
 
     println!("\nFig. 3 CDF points (CSV):");

@@ -10,12 +10,13 @@
 //! ```
 
 use spamward::core::experiments::deployment::{run, DeploymentConfig};
+use spamward::core::harness::Obs;
 
 fn main() {
     let messages: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(2_000);
 
     println!("replaying {messages} benign messages through a 300 s greylist...\n");
-    let result = run(&DeploymentConfig { messages, ..Default::default() });
+    let result = run(&DeploymentConfig { messages, ..Default::default() }, &mut Obs::default());
     print!("{result}");
 
     println!("\nbenign delivery-delay CDF (x = seconds since first attempt):");

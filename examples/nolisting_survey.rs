@@ -11,13 +11,14 @@
 //! ```
 
 use spamward::core::experiments::nolisting_adoption::{run, AdoptionConfig};
+use spamward::core::harness::Obs;
 
 fn main() {
     let domains: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(30_000);
 
     println!("surveying a synthetic internet of {domains} domains (two scans, cross-checked)...\n");
     let config = AdoptionConfig { domains, ..Default::default() };
-    let result = run(&config);
+    let result = run(&config, &mut Obs::default());
     print!("{result}");
 
     println!("\npaper's Fig. 2 for comparison: one MX 47.73%, no nolisting 45.97%,");

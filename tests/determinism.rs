@@ -7,21 +7,21 @@
 use spamward::core::experiments::{
     ablations, costs, deployment, efficacy, future_threats, kelihos, nolisting_adoption, webmail,
 };
-use spamward::core::harness::{self, HarnessConfig, Scale};
+use spamward::core::harness::{self, HarnessConfig, Obs, Scale};
 use spamward::core::run_seeds;
 use spamward::scanner::DomainClass;
 
 #[test]
 fn efficacy_is_deterministic() {
     let cfg = efficacy::EfficacyConfig { recipients: 4, ..Default::default() };
-    assert_eq!(efficacy::run(&cfg), efficacy::run(&cfg));
+    assert_eq!(efficacy::run(&cfg, &mut Obs::default()), efficacy::run(&cfg, &mut Obs::default()));
 }
 
 #[test]
 fn kelihos_runs_are_deterministic() {
     let cfg = kelihos::KelihosConfig { recipients: 30, ..Default::default() };
-    let a = kelihos::run(&cfg);
-    let b = kelihos::run(&cfg);
+    let a = kelihos::run(&cfg, &mut Obs::default());
+    let b = kelihos::run(&cfg, &mut Obs::default());
     assert_eq!(a.fast.cdf, b.fast.cdf);
     assert_eq!(a.extreme.attempts.len(), b.extreme.attempts.len());
     assert_eq!(a.fig3_ks_distance, b.fig3_ks_distance);
@@ -34,13 +34,13 @@ fn kelihos_runs_are_deterministic() {
 #[test]
 fn adoption_survey_is_deterministic_and_seed_sensitive() {
     let cfg = nolisting_adoption::AdoptionConfig { domains: 2_000, ..Default::default() };
-    let a = nolisting_adoption::run(&cfg);
-    let b = nolisting_adoption::run(&cfg);
+    let a = nolisting_adoption::run(&cfg, &mut Obs::default());
+    let b = nolisting_adoption::run(&cfg, &mut Obs::default());
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.top_k, b.top_k);
 
     let other_seed = nolisting_adoption::AdoptionConfig { seed: 999, ..cfg };
-    let c = nolisting_adoption::run(&other_seed);
+    let c = nolisting_adoption::run(&other_seed, &mut Obs::default());
     // Different seed → different population → (almost surely) different
     // counts somewhere.
     assert_ne!(
@@ -79,14 +79,14 @@ fn scan_rounds_ablation_rows_are_pinned() {
 #[test]
 fn webmail_table_is_deterministic() {
     let cfg = webmail::WebmailConfig::default();
-    assert_eq!(webmail::run(&cfg), webmail::run(&cfg));
+    assert_eq!(webmail::run(&cfg, &mut Obs::default()), webmail::run(&cfg, &mut Obs::default()));
 }
 
 #[test]
 fn deployment_replay_is_deterministic() {
     let cfg = deployment::DeploymentConfig { messages: 120, ..Default::default() };
-    let a = deployment::run(&cfg);
-    let b = deployment::run(&cfg);
+    let a = deployment::run(&cfg, &mut Obs::default());
+    let b = deployment::run(&cfg, &mut Obs::default());
     assert_eq!(a.cdf, b.cdf);
     assert_eq!(a.within_10min, b.within_10min);
 }
@@ -94,9 +94,12 @@ fn deployment_replay_is_deterministic() {
 #[test]
 fn extension_experiments_are_deterministic() {
     let ft = future_threats::FutureThreatsConfig { recipients: 3, ..Default::default() };
-    assert_eq!(future_threats::run(&ft), future_threats::run(&ft));
+    assert_eq!(
+        future_threats::run(&ft, &mut Obs::default()),
+        future_threats::run(&ft, &mut Obs::default())
+    );
     let cc = costs::CostsConfig { messages: 40, ..Default::default() };
-    assert_eq!(costs::run(&cc), costs::run(&cc));
+    assert_eq!(costs::run(&cc, &mut Obs::default()), costs::run(&cc, &mut Obs::default()));
 }
 
 #[test]
@@ -106,11 +109,11 @@ fn parallel_seed_runner_is_order_independent() {
     let seeds: Vec<u64> = (0..6).collect();
     let serial = run_seeds(&seeds, 1, |seed| {
         let cfg = nolisting_adoption::AdoptionConfig { domains: 800, seed, ..Default::default() };
-        nolisting_adoption::run(&cfg).stats.pct(DomainClass::Nolisting)
+        nolisting_adoption::run(&cfg, &mut Obs::default()).stats.pct(DomainClass::Nolisting)
     });
     let parallel = run_seeds(&seeds, 4, |seed| {
         let cfg = nolisting_adoption::AdoptionConfig { domains: 800, seed, ..Default::default() };
-        nolisting_adoption::run(&cfg).stats.pct(DomainClass::Nolisting)
+        nolisting_adoption::run(&cfg, &mut Obs::default()).stats.pct(DomainClass::Nolisting)
     });
     assert_eq!(serial, parallel);
 }

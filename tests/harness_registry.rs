@@ -94,3 +94,52 @@ fn list_text_covers_every_registry_row() {
         assert!(listing.contains(exp.title()), "--list missing title {}", exp.title());
     }
 }
+
+/// The registry ids whose runs take `HarnessConfig::event_budget`, with the
+/// exact error one engine event per world produces at `Scale::Quick`:
+/// `(id, id the error names, episodes cut, events executed)`. summary
+/// replays table2 through the registry, so its error names table2.
+const BUDGETED: [(&str, &str, u64, u64); 12] = [
+    ("table2", "table2", 110, 22),
+    ("fig3", "fig3", 120, 3),
+    ("fig4", "fig4", 120, 3),
+    ("fig5", "fig5", 300, 8),
+    ("table3", "table3", 10, 10),
+    ("summary", "table2", 110, 22),
+    ("future", "future", 48, 12),
+    ("costs", "costs", 180, 3),
+    ("longterm", "longterm", 420, 1),
+    ("resilience", "resilience", 20, 20),
+    ("policy_backend", "policy_backend", 24, 12),
+    ("recovery", "recovery", 14, 14),
+];
+
+#[test]
+fn event_budget_cuts_every_world_driving_run_with_a_typed_error() {
+    let config = harness::HarnessConfig {
+        scale: harness::Scale::Quick,
+        event_budget: Some(1),
+        ..Default::default()
+    };
+    for (id, named, episodes_cut, events) in BUDGETED {
+        let exp = harness::find(id).expect("registered id");
+        assert_eq!(
+            exp.run(&config).err(),
+            Some(harness::HarnessError::BudgetExhausted {
+                id: named.to_owned(),
+                episodes_cut,
+                events
+            }),
+            "{id}"
+        );
+    }
+    // Every other id drives no budgeted world: the catalogues, the scan,
+    // ablations (whose studies build their own worlds) and variance
+    // (whose per-seed runs carry no budget).
+    let unbudgeted: Vec<&str> = harness::registry()
+        .iter()
+        .map(|e| e.id())
+        .filter(|id| BUDGETED.iter().all(|(b, ..)| b != id))
+        .collect();
+    assert_eq!(unbudgeted, ["table1", "fig2", "table4", "ablations", "dialects", "variance"]);
+}

@@ -179,8 +179,9 @@ fn every_registered_report_has_metrics() {
 fn efficacy_metrics_consistent_with_table() {
     use spamward::core::experiments::efficacy;
     let config = efficacy::EfficacyConfig { recipients: 4, ..Default::default() };
-    let mut reg = spamward::obs::Registry::new();
-    let result = efficacy::run_with_obs(&config, false, &mut reg, &mut Vec::new());
+    let mut obs = spamward::core::harness::Obs::default();
+    let result = efficacy::run(&config, &mut obs);
+    let reg = obs.registry;
 
     let c = |name: &str| reg.counter(name).unwrap_or(0);
     // Every sample's first contact with the greylisted victim is deferred.
@@ -212,8 +213,9 @@ fn efficacy_metrics_consistent_with_table() {
 fn costs_metrics_consistent_with_table() {
     use spamward::core::experiments::costs;
     let config = costs::CostsConfig { messages: 60, ..Default::default() };
-    let mut reg = spamward::obs::Registry::new();
-    let result = costs::run_with_obs(&config, false, &mut reg, &mut Vec::new());
+    let mut obs = spamward::core::harness::Obs::default();
+    let result = costs::run(&config, &mut obs);
+    let reg = obs.registry;
 
     let c = |name: &str| reg.counter(name).unwrap_or(0);
     let delivered_total: usize = result.rows.iter().map(|r| r.delivered).sum();

@@ -8,7 +8,7 @@ use spamward::core::experiments::{
     ablations, dataset, deployment, efficacy, kelihos, mta_schedules, nolisting_adoption, summary,
     webmail,
 };
-use spamward::core::harness::{HarnessConfig, Scale};
+use spamward::core::harness::{HarnessConfig, Obs, Scale};
 use spamward::scanner::DomainClass;
 use spamward::sim::SimDuration;
 
@@ -22,10 +22,10 @@ fn table_i_dataset_inventory() {
 
 #[test]
 fn figure_2_adoption_survey() {
-    let r = nolisting_adoption::run(&nolisting_adoption::AdoptionConfig {
-        domains: 8_000,
-        ..Default::default()
-    });
+    let r = nolisting_adoption::run(
+        &nolisting_adoption::AdoptionConfig { domains: 8_000, ..Default::default() },
+        &mut Obs::default(),
+    );
     // The four slices of the pie, within tolerance of the paper's values.
     assert!((r.stats.pct(DomainClass::OneMx) - 47.73).abs() < 2.5);
     assert!((r.stats.pct(DomainClass::MultiMxNoNolisting) - 45.97).abs() < 2.5);
@@ -39,7 +39,10 @@ fn figure_2_adoption_survey() {
 
 #[test]
 fn table_ii_efficacy_matrix() {
-    let r = efficacy::run(&efficacy::EfficacyConfig { recipients: 5, ..Default::default() });
+    let r = efficacy::run(
+        &efficacy::EfficacyConfig { recipients: 5, ..Default::default() },
+        &mut Obs::default(),
+    );
     // Kelihos: nolisting ✓, greylisting ✗; everyone else the reverse.
     for row in &r.rows {
         let kelihos = row.family.name() == "Kelihos";
@@ -50,7 +53,10 @@ fn table_ii_efficacy_matrix() {
 
 #[test]
 fn figure_3_threshold_insensitivity() {
-    let r = kelihos::run(&kelihos::KelihosConfig { recipients: 50, ..Default::default() });
+    let r = kelihos::run(
+        &kelihos::KelihosConfig { recipients: 50, ..Default::default() },
+        &mut Obs::default(),
+    );
     // Both thresholds: everything delivered on the first retry, ≥300 s.
     assert_eq!(r.fast.delivery_rate, 1.0);
     assert_eq!(r.default.delivery_rate, 1.0);
@@ -60,7 +66,10 @@ fn figure_3_threshold_insensitivity() {
 
 #[test]
 fn figure_4_peaks_and_late_delivery() {
-    let r = kelihos::run(&kelihos::KelihosConfig { recipients: 50, ..Default::default() });
+    let r = kelihos::run(
+        &kelihos::KelihosConfig { recipients: 50, ..Default::default() },
+        &mut Obs::default(),
+    );
     assert_eq!(r.extreme.delivery_rate, 1.0);
     // Deliveries strictly above the 21 600 s threshold (red dots).
     for p in r.extreme.attempts.iter().filter(|p| p.delivered) {
@@ -76,7 +85,10 @@ fn figure_4_peaks_and_late_delivery() {
 
 #[test]
 fn figure_5_benign_mail_pays() {
-    let r = deployment::run(&deployment::DeploymentConfig { messages: 600, ..Default::default() });
+    let r = deployment::run(
+        &deployment::DeploymentConfig { messages: 600, ..Default::default() },
+        &mut Obs::default(),
+    );
     // "only half of the messages get delivered in less than 10 minutes".
     assert!((0.3..=0.8).contains(&r.within_10min), "{}", r.within_10min);
     // "some messages are delivered with over 50 minutes of delay".
@@ -87,9 +99,14 @@ fn figure_5_benign_mail_pays() {
 
 #[test]
 fn figure_5_cdf_rises_slower_than_figure_3() {
-    let benign =
-        deployment::run(&deployment::DeploymentConfig { messages: 400, ..Default::default() });
-    let bots = kelihos::run(&kelihos::KelihosConfig { recipients: 40, ..Default::default() });
+    let benign = deployment::run(
+        &deployment::DeploymentConfig { messages: 400, ..Default::default() },
+        &mut Obs::default(),
+    );
+    let bots = kelihos::run(
+        &kelihos::KelihosConfig { recipients: 40, ..Default::default() },
+        &mut Obs::default(),
+    );
     // The paper's "surprising, and quite negative, result": at 600 s the
     // malware curve is essentially done while the benign one is ~half way.
     let benign_at_600 = benign.cdf.fraction_at_or_below(600.0);
@@ -102,7 +119,7 @@ fn figure_5_cdf_rises_slower_than_figure_3() {
 
 #[test]
 fn table_iii_webmail_behaviour() {
-    let r = webmail::run(&webmail::WebmailConfig::default());
+    let r = webmail::run(&webmail::WebmailConfig::default(), &mut Obs::default());
     // Deliver column matches the paper for all ten providers.
     assert_eq!(r.verdict_matches(), 10);
     // aol loses mail; hotmail hammers; gmail is efficient.
@@ -130,8 +147,11 @@ fn table_iv_schedules() {
 #[test]
 fn section_vi_headline() {
     // The summary consumes Table II through the harness registry.
-    let s = summary::run(&HarnessConfig { scale: Scale::Quick, ..Default::default() })
-        .expect("unbudgeted summary completes");
+    let s = summary::run(
+        &HarnessConfig { scale: Scale::Quick, ..Default::default() },
+        &mut Obs::default(),
+    )
+    .expect("unbudgeted summary completes");
     assert!(s.either_global_pct > 70.0, "\"over 70% of the world spam is prevented\"");
     assert!(s.greylisting_botnet_pct > s.nolisting_botnet_pct);
 }
