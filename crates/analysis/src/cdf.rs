@@ -1,6 +1,5 @@
 //! Empirical cumulative distribution functions.
 
-use serde::{Deserialize, Serialize};
 use spamward_sim::SimDuration;
 
 /// An empirical CDF over `f64` samples.
@@ -13,7 +12,7 @@ use spamward_sim::SimDuration;
 /// assert_eq!(cdf.fraction_at_or_below(2.0), 0.5);
 /// assert_eq!(cdf.quantile(0.5), 2.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }

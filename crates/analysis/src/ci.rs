@@ -5,11 +5,10 @@
 //! and this module summarizes the spread so EXPERIMENTS.md can state
 //! mean ± CI instead of one number.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Mean with a normal-approximation confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Number of runs.
     pub n: usize,

@@ -1,7 +1,5 @@
 //! Binned histograms.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-range histogram with equal-width (or log-width) bins.
 ///
 /// # Example
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.count(0), 1);
 /// assert_eq!(h.count(1), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

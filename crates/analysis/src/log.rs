@@ -17,13 +17,12 @@
 //! MTA crate.
 
 use crate::cdf::Cdf;
-use serde::{Deserialize, Serialize};
 use spamward_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// What happened to one RCPT (or one completed message).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LogEvent {
     /// The RCPT was deferred by greylisting.
     Greylisted,
@@ -47,7 +46,7 @@ impl fmt::Display for LogEvent {
 }
 
 /// One anonymized log record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogRecord {
     /// When the event happened.
     pub at: SimTime,
@@ -155,7 +154,7 @@ fn parse_timestamp(ts: &str) -> Option<SimTime> {
 }
 
 /// Per-message reconstruction from the anonymized log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MessageTimeline {
     /// The opaque identity.
     pub key: u64,

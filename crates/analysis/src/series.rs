@@ -1,7 +1,5 @@
 //! Named `(x, y)` series with CSV export.
 
-use serde::{Deserialize, Serialize};
-
 /// A named series of `(x, y)` points — one curve of a figure.
 ///
 /// # Example
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// let csv = Series::to_csv(&[s]);
 /// assert!(csv.starts_with("series,x,y\n"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Curve label.
     pub name: String,

@@ -29,8 +29,8 @@
 //! empty is an error (exit 1), not an empty file.
 
 use spamward_core::harness::{self, HarnessConfig, Scale};
-use spamward_core::run_seeds;
 use spamward_obs::MetricValue;
+use spamward_sim::shard::run_partitioned;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Format {
@@ -338,11 +338,8 @@ fn main() {
     };
 
     if artifact == "all" {
-        let indices: Vec<u64> = (0..harness::registry().len() as u64).collect();
-        let runs =
-            run_seeds(&indices, jobs.unwrap_or(1), |i| run_one(harness::registry()[i as usize]));
-        let (bodies, traces): (Vec<String>, Vec<Vec<String>>) =
-            check(runs.into_iter().map(|r| r.output).collect()).into_iter().unzip();
+        let runs = run_partitioned(harness::registry().to_vec(), jobs.unwrap_or(1), run_one);
+        let (bodies, traces): (Vec<String>, Vec<Vec<String>>) = check(runs).into_iter().unzip();
         print!("{}", join_reports(&bodies, format));
         for line in traces.iter().flatten() {
             eprintln!("{line}");

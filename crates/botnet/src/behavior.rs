@@ -1,10 +1,9 @@
 //! Bot retry behaviour against greylisting deferrals.
 
-use serde::{Deserialize, Serialize};
 use spamward_sim::{DetRng, SimDuration};
 
 /// A bot's reaction to a 4xx deferral.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RetryBehavior {
     /// Fire and forget: never retry; move on to the next victim. The
     /// assumption greylisting exploits.
@@ -31,7 +30,7 @@ impl RetryBehavior {
 /// retransmissions cluster in *peaks* — 300–600 s, around 5 000 s, and
 /// 80 000–90 000 s — rather than at sharp instants, because each bot
 /// instance jitters independently.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BotRetrySchedule {
     windows: Vec<(SimDuration, SimDuration)>,
 }

@@ -1,7 +1,6 @@
 //! The four families of Table I and their published spam shares.
 
 use crate::behavior::{BotRetrySchedule, RetryBehavior};
-use serde::{Deserialize, Serialize};
 use spamward_mta::MxStrategy;
 use spamward_smtp::{Dialect, HeloStyle};
 use std::fmt;
@@ -11,7 +10,7 @@ use std::fmt;
 pub const BOTNET_FRACTION_OF_GLOBAL_SPAM: f64 = 0.76;
 
 /// The malware families of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MalwareFamily {
     /// Cutwail — 46.90% of botnet spam; skips straight to the lowest-
     /// priority MX; never retries a greylisted message.
@@ -32,7 +31,7 @@ impl fmt::Display for MalwareFamily {
 }
 
 /// One row of Table I.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FamilyShare {
     /// The family.
     pub family: MalwareFamily,

@@ -15,7 +15,6 @@ use spamward_analysis::Table;
 use spamward_mta::{MailWorld, MtaProfile, SendingMta};
 use spamward_sim::{SimDuration, SimTime};
 use spamward_smtp::{Message, ReversePath};
-use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Configuration of the cost accounting run.
@@ -162,12 +161,6 @@ impl CostsResult {
     }
 }
 
-impl fmt::Display for CostsResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.table())
-    }
-}
-
 /// Registry entry for the §VI cost accounting.
 pub struct CostsExperiment;
 
@@ -263,13 +256,5 @@ mod tests {
             nl.total_delay
         );
         assert_eq!(nl.store_entries, 0);
-    }
-
-    #[test]
-    fn renders() {
-        let out = quick().to_string();
-        assert!(out.contains("cost accounting"));
-        assert!(out.contains("unprotected"));
-        assert!(out.contains("Conn/delivery"));
     }
 }

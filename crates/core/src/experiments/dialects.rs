@@ -18,7 +18,6 @@ use spamward_smtp::{
     exchange, ClientSession, Dialect, DialectFingerprint, Envelope, Message, ReversePath,
     ServerSession,
 };
-use std::fmt;
 use std::net::Ipv4Addr;
 
 /// One observed sender class.
@@ -149,13 +148,6 @@ impl DialectsResult {
     }
 }
 
-impl fmt::Display for DialectsResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.table())?;
-        writeln!(f, "classification accuracy: {:.0}%", self.accuracy() * 100.0)
-    }
-}
-
 /// Registry entry for the dialect-fingerprinting loop. The transcripts are
 /// deterministic functions of the sender models, so the run ignores seed
 /// and scale.
@@ -222,13 +214,5 @@ mod tests {
         assert!(!kelihos.fingerprint.retries_remaining_rcpts);
         let cutwail = r.observations.iter().find(|o| o.sender == "cutwail").unwrap();
         assert!(cutwail.fingerprint.helo_is_literal);
-    }
-
-    #[test]
-    fn renders() {
-        let out = run().to_string();
-        assert!(out.contains("Dialect fingerprinting"));
-        assert!(out.contains("accuracy"));
-        assert!(out.contains("cutwail"));
     }
 }

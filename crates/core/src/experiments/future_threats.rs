@@ -179,13 +179,6 @@ impl FutureThreatsResult {
     }
 }
 
-impl fmt::Display for FutureThreatsResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.table())?;
-        writeln!(f, "{READING_NOTE}")
-    }
-}
-
 /// Registry entry for the §VI adaptation matrix.
 pub struct FutureThreatsExperiment;
 
@@ -264,13 +257,5 @@ mod tests {
         // The stack uses /24 keying, and the bot walks MXs: it wins there
         // too.
         assert_eq!(r.rate("subnet-botnet", DefenseSetup::Stack), Some(1.0));
-    }
-
-    #[test]
-    fn renders_matrix() {
-        let out = result().to_string();
-        assert!(out.contains("full-compliance"));
-        assert!(out.contains("subnet-botnet"));
-        assert!(out.contains("obsolete"));
     }
 }

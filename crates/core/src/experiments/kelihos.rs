@@ -12,7 +12,6 @@ use crate::harness::{Experiment, HarnessConfig, HarnessError, Obs, Report, Scale
 use spamward_analysis::{plot, Cdf, Histogram, Series};
 use spamward_botnet::{BotSample, Campaign, MalwareFamily};
 use spamward_sim::{DetRng, SimDuration, SimTime};
-use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Configuration for the Kelihos threshold experiments.
@@ -193,34 +192,6 @@ impl KelihosResult {
     }
 }
 
-impl fmt::Display for KelihosResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "== Figure 3: Kelihos delivery-delay CDFs ==")?;
-        for run in [&self.fast, &self.default] {
-            writeln!(f, "{}", run.summary_line())?;
-        }
-        writeln!(
-            f,
-            "KS distance between curves: {:.3} (curves nearly coincide)",
-            self.fig3_ks_distance
-        )?;
-        writeln!(f)?;
-        writeln!(f, "== Figure 4: retransmissions at a 21600 s threshold ==")?;
-        writeln!(
-            f,
-            "attempts {} (failed {}, delivered {}), delivery rate {:.0}%",
-            self.extreme.attempts.len(),
-            self.extreme.attempts.iter().filter(|p| !p.delivered).count(),
-            self.extreme.attempts.iter().filter(|p| p.delivered).count(),
-            self.extreme.delivery_rate * 100.0
-        )?;
-        for (lo, hi) in self.fig4_peaks() {
-            writeln!(f, "  retry peak in [{lo:.0} s, {hi:.0} s]")?;
-        }
-        writeln!(f, "one-spam-task control held: {}", self.single_task_confirmed)
-    }
-}
-
 /// The module config a harness config maps to (one Kelihos run feeds both
 /// the Fig. 3 and Fig. 4 registry entries).
 fn kelihos_config(harness: &HarnessConfig) -> KelihosConfig {
@@ -390,13 +361,5 @@ mod tests {
         assert!(!fig4[1].is_empty(), "delivered series must have points");
         let csv = Series::to_csv(&fig3);
         assert!(csv.contains("greylist-300s"));
-    }
-
-    #[test]
-    fn renders() {
-        let out = quick().to_string();
-        assert!(out.contains("Figure 3"));
-        assert!(out.contains("Figure 4"));
-        assert!(out.contains("retry peak"));
     }
 }

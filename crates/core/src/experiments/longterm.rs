@@ -16,7 +16,6 @@ use spamward_greylist::{Greylist, GreylistConfig};
 use spamward_mta::{MtaProfile, SendingMta};
 use spamward_sim::{DetRng, SimDuration, SimTime};
 use spamward_smtp::{Message, ReversePath};
-use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Configuration of the long-term run.
@@ -191,17 +190,6 @@ impl LongTermResult {
     }
 }
 
-impl fmt::Display for LongTermResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.table())?;
-        writeln!(
-            f,
-            "max month-to-month block-rate swing: {:.1} pp (Sochor: \"remained constant\")",
-            self.max_block_rate_swing() * 100.0
-        )
-    }
-}
-
 /// Registry entry for the long-term stability run.
 pub struct LongTermExperiment;
 
@@ -306,12 +294,5 @@ mod tests {
             month1.store_size,
             last.store_size
         );
-    }
-
-    #[test]
-    fn renders() {
-        let out = quick().to_string();
-        assert!(out.contains("Long-term stability"));
-        assert!(out.contains("Sochor"));
     }
 }

@@ -4,7 +4,6 @@ use crate::harness::{Experiment, HarnessConfig, HarnessError, Obs, Report};
 use spamward_analysis::Table;
 use spamward_mta::MtaProfile;
 use spamward_sim::SimDuration;
-use std::fmt;
 
 /// One Table IV row.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,12 +74,6 @@ impl SchedulesResult {
             t.row(vec![r.mta.clone(), shown.join(", "), fmt_mins(r.max_queue_days)]);
         }
         t
-    }
-}
-
-impl fmt::Display for SchedulesResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.table())
     }
 }
 
@@ -168,13 +161,5 @@ mod tests {
         let below = r.below_rfc_queue_time();
         assert_eq!(below.len(), 1);
         assert_eq!(below[0].mta, "exchange");
-    }
-
-    #[test]
-    fn renders() {
-        let out = run().to_string();
-        assert!(out.contains("Table IV"));
-        assert!(out.contains("sendmail"));
-        assert!(out.contains("6.7") || out.contains("6.6"), "qmail fractional minutes:\n{out}");
     }
 }

@@ -28,7 +28,6 @@ use spamward_net::{FaultPlan, FaultProfile};
 use spamward_sim::shard::run_partitioned;
 use spamward_sim::{DetRng, SimDuration, SimTime};
 use spamward_webmail::WebmailProvider;
-use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Virtual round-trip time to the remote store (qdgrey/redis-style).
@@ -209,12 +208,6 @@ impl PolicyBackendResult {
             ]);
         }
         t
-    }
-}
-
-impl fmt::Display for PolicyBackendResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.table())
     }
 }
 

@@ -35,7 +35,6 @@ use spamward_mta::{
 };
 use spamward_net::{FaultPlan, FaultProfile};
 use spamward_sim::{DetRng, SimDuration, SimTime};
-use std::fmt;
 use std::net::Ipv4Addr;
 
 /// The victim hostname the crash fault targets (must match the installed
@@ -212,21 +211,6 @@ impl RecoveryResult {
             ]);
         }
         t
-    }
-}
-
-impl fmt::Display for RecoveryResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.table())?;
-        let lost: u64 = self.cells.iter().map(|c| c.entries_lost).sum();
-        let readmitted: u64 = self.cells.iter().map(|c| c.spam_readmitted).sum();
-        writeln!(
-            f,
-            "{} cells; {} greylist entries lost, {} spam re-admitted through re-pending windows",
-            self.cells.len(),
-            lost,
-            readmitted
-        )
     }
 }
 

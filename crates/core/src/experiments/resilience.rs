@@ -19,7 +19,6 @@ use spamward_mta::{
 };
 use spamward_net::{FaultPlan, FaultProfile, FaultWindow};
 use spamward_sim::{DetRng, SimDuration, SimTime};
-use std::fmt;
 use std::net::Ipv4Addr;
 
 /// The defense configurations swept against every fault profile.
@@ -150,19 +149,6 @@ impl ResilienceResult {
             ]);
         }
         t
-    }
-}
-
-impl fmt::Display for ResilienceResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.table())?;
-        writeln!(
-            f,
-            "delivered {} / expired {} across {} cells",
-            self.total_delivered(),
-            self.total_expired(),
-            self.cells.len()
-        )
     }
 }
 

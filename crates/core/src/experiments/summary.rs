@@ -10,7 +10,6 @@ use crate::harness::{self, Experiment, HarnessConfig, HarnessError, Obs, Report}
 use spamward_analysis::reduce::ordered_sum;
 use spamward_analysis::Table;
 use spamward_botnet::{MalwareFamily, BOTNET_FRACTION_OF_GLOBAL_SPAM};
-use std::fmt;
 
 /// The §VI aggregate.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,24 +74,6 @@ impl SummaryResult {
             t.row(vec![name.clone(), format!("{pct:.2}%"), mark(nl), mark(gl)]);
         }
         t
-    }
-}
-
-impl fmt::Display for SummaryResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.table())?;
-        writeln!(f, "nolisting alone blocks:   {:.2}% of botnet spam", self.nolisting_botnet_pct)?;
-        writeln!(
-            f,
-            "greylisting alone blocks: {:.2}% of botnet spam",
-            self.greylisting_botnet_pct
-        )?;
-        writeln!(f, "either defense blocks:    {:.2}% of botnet spam", self.either_botnet_pct)?;
-        writeln!(
-            f,
-            "                        = {:.2}% of ALL worldwide spam (paper: \"over 70%\")",
-            self.either_global_pct
-        )
     }
 }
 
@@ -161,12 +142,5 @@ mod tests {
         for (name, _, nl, gl) in &s.rows {
             assert!(nl | gl, "{name} escapes both defenses");
         }
-    }
-
-    #[test]
-    fn renders() {
-        let out = quick().to_string();
-        assert!(out.contains("worldwide spam"));
-        assert!(out.contains("Kelihos"));
     }
 }

@@ -10,10 +10,9 @@
 //! quantities are read back from the sibling reports' scalars.
 
 use crate::harness::{self, Experiment, HarnessConfig, HarnessError, Obs, Report, Scale};
-use crate::runner::run_seeds;
 use spamward_analysis::ci::ConfidenceInterval;
 use spamward_analysis::Table;
-use std::fmt;
+use spamward_sim::shard::run_partitioned;
 
 /// Configuration of the variance sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,7 +63,7 @@ pub fn run(config: &VarianceConfig) -> VarianceResult {
         |seed: u64| HarnessConfig { seed: Some(seed), scale: Scale::Quick, ..Default::default() };
 
     let fig2 = harness::find("fig2").expect("fig2 is registered");
-    let fig2_runs = run_seeds(&config.seeds, config.workers, move |seed| {
+    let fig2_runs = run_partitioned(config.seeds.clone(), config.workers, move |seed| {
         let r = fig2.run(&per_seed(seed)).expect("unbudgeted fig2 run completes");
         (
             r.scalar("nolisting share (%)").expect("fig2 reports the nolisting share"),
@@ -73,7 +72,7 @@ pub fn run(config: &VarianceConfig) -> VarianceResult {
         )
     });
     let fig5 = harness::find("fig5").expect("fig5 is registered");
-    let fig5_runs = run_seeds(&config.seeds, config.workers, move |seed| {
+    let fig5_runs = run_partitioned(config.seeds.clone(), config.workers, move |seed| {
         let r = fig5.run(&per_seed(seed)).expect("unbudgeted fig5 run completes");
         (
             r.scalar("delivered <10 min (%)").expect("fig5 reports the <10 min share"),
@@ -81,39 +80,32 @@ pub fn run(config: &VarianceConfig) -> VarianceResult {
         )
     });
 
-    let collect = |f: &dyn Fn(usize) -> f64, n: usize| -> Vec<f64> { (0..n).map(f).collect() };
-    let n2 = fig2_runs.len();
-    let n5 = fig5_runs.len();
+    let ci = |values: Vec<f64>| ConfidenceInterval::ci95(&values).expect("enough seeds");
     let rows = vec![
         VarianceRow {
             quantity: "fig2 nolisting share (%)".into(),
             paper_value: 0.52,
-            ci: ConfidenceInterval::ci95(&collect(&|i| fig2_runs[i].output.0, n2))
-                .expect("enough seeds"),
+            ci: ci(fig2_runs.iter().map(|r| r.0).collect()),
         },
         VarianceRow {
             quantity: "fig2 one-MX share (%)".into(),
             paper_value: 47.73,
-            ci: ConfidenceInterval::ci95(&collect(&|i| fig2_runs[i].output.1, n2))
-                .expect("enough seeds"),
+            ci: ci(fig2_runs.iter().map(|r| r.1).collect()),
         },
         VarianceRow {
             quantity: "fig2 detector precision".into(),
             paper_value: f64::NAN, // the paper could not measure this
-            ci: ConfidenceInterval::ci95(&collect(&|i| fig2_runs[i].output.2, n2))
-                .expect("enough seeds"),
+            ci: ci(fig2_runs.iter().map(|r| r.2).collect()),
         },
         VarianceRow {
             quantity: "fig5 delivered <10min (%)".into(),
             paper_value: 50.0,
-            ci: ConfidenceInterval::ci95(&collect(&|i| fig5_runs[i].output.0, n5))
-                .expect("enough seeds"),
+            ci: ci(fig5_runs.iter().map(|r| r.0).collect()),
         },
         VarianceRow {
             quantity: "fig5 abandonment (%)".into(),
             paper_value: f64::NAN,
-            ci: ConfidenceInterval::ci95(&collect(&|i| fig5_runs[i].output.1, n5))
-                .expect("enough seeds"),
+            ci: ci(fig5_runs.iter().map(|r| r.1).collect()),
         },
     ];
     VarianceResult { rows }
@@ -136,12 +128,6 @@ impl VarianceResult {
     }
 }
 
-impl fmt::Display for VarianceResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.table())
-    }
-}
-
 /// Registry entry for the seed-variance sweep. The harness seed shifts the
 /// base of the seed window; the scale knob sets how many seeds it spans.
 pub struct VarianceExperiment;
@@ -154,7 +140,9 @@ impl VarianceExperiment {
             Scale::Paper => 12,
             Scale::Quick => 6,
         };
-        VarianceConfig { seeds: (base..base + span).collect(), workers: 4 }
+        // The window wraps past u64::MAX rather than overflowing into an
+        // empty seed list.
+        VarianceConfig { seeds: (0..span).map(|i| base.wrapping_add(i)).collect(), workers: 4 }
     }
 }
 
@@ -224,10 +212,12 @@ mod tests {
     }
 
     #[test]
-    fn renders() {
-        let out = quick().to_string();
-        assert!(out.contains("Seed variance"));
-        assert!(out.contains("±"));
-        assert!(out.contains("n/a"));
+    fn seed_window_wraps_at_the_top_seed() {
+        for (scale, span) in [(Scale::Paper, 12), (Scale::Quick, 6)] {
+            let harness = HarnessConfig { seed: Some(u64::MAX), scale, ..Default::default() };
+            let seeds = VarianceExperiment::config(&harness).seeds;
+            let expected: Vec<u64> = std::iter::once(u64::MAX).chain(0..span - 1).collect();
+            assert_eq!(seeds, expected, "{scale:?}");
+        }
     }
 }

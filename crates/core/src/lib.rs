@@ -3,9 +3,11 @@
 //!
 //! Each paper artifact has one module under [`experiments`], exposing a
 //! `Config` (seeded, with the paper's parameters as defaults), one `run`
-//! function, and a `Result` type that renders the corresponding table or
-//! figure. The modules that drive mail worlds (and the Fig. 2 scan and the
-//! §VI summary) take an [`harness::Obs`] beside their config: the
+//! function, and a typed `Result` holding what the run measured. The
+//! module's registry entry renders that result into a [`harness::Report`],
+//! the one rendering that `repro` prints and the golden snapshots pin.
+//! The modules that drive mail worlds (and the Fig. 2 scan and the §VI
+//! summary) take an [`harness::Obs`] beside their config: the
 //! observation context whose switches arm each world (event budget,
 //! tracing) and whose sinks collect its metrics and diagnostics:
 //!
@@ -63,6 +65,3 @@
 pub mod experiments;
 pub mod harness;
 pub mod metrics;
-mod runner;
-
-pub use runner::{run_seeds, SeedRun};

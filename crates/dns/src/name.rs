@@ -17,7 +17,6 @@
 //! by the caller, so two tables may share one, and their ids then name
 //! different texts.
 
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -68,7 +67,7 @@ impl NameId {
 /// assert_eq!(d.prefixed("mx")?.as_str(), "mx.smtp.foo.net");
 /// # Ok::<(), spamward_dns::ParseNameError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DomainName {
     text: Arc<str>,
     id: Option<NameId>,

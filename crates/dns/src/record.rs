@@ -1,13 +1,12 @@
 //! Resource records.
 
 use crate::name::DomainName;
-use serde::{Deserialize, Serialize};
 use spamward_sim::SimDuration;
 use std::fmt;
 use std::net::Ipv4Addr;
 
 /// The record types the suite queries for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecordType {
     /// IPv4 address record.
     A,
@@ -38,7 +37,7 @@ impl fmt::Display for RecordType {
 }
 
 /// The payload of a resource record.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RecordData {
     /// An IPv4 address.
     A(Ipv4Addr),
@@ -89,7 +88,7 @@ impl fmt::Display for RecordData {
 }
 
 /// A complete resource record: owner name, TTL and payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResourceRecord {
     /// The owner name the record answers for.
     pub name: DomainName,

@@ -3,7 +3,6 @@
 
 use crate::name::DomainName;
 use crate::record::{RecordData, RecordType, ResourceRecord};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// The record set a domain publishes.
@@ -21,7 +20,7 @@ use std::net::Ipv4Addr;
 /// assert_eq!(zone.lookup(zone.origin(), RecordType::Mx).count(), 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Zone {
     origin: DomainName,
     records: Vec<ResourceRecord>,

@@ -20,7 +20,6 @@
 
 use crate::store::{EntryState, TripletEntry, TripletStore};
 use crate::triplet::TripletKey;
-use serde::{Deserialize, Serialize};
 use spamward_sim::{SimDuration, SimTime};
 use std::fmt;
 
@@ -45,7 +44,7 @@ impl std::error::Error for StoreUnavailable {}
 /// This is the unit of the store contract — both backends produce the
 /// same `Touch` sequence for the same `(key, now, delay)` sequence, which
 /// is what keeps decisions backend-independent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Touch {
     /// No live entry existed; a fresh pending entry now tracks the key.
     New {
@@ -71,11 +70,10 @@ pub enum Touch {
 /// identical to the in-process backend. Each answered lookup adds one
 /// round trip to the `greylist.backend.latency_us` counter; inside an
 /// outage window a lookup fails with [`StoreUnavailable`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RemoteStore {
     inner: TripletStore,
     rtt: SimDuration,
-    #[serde(default)]
     outages: Vec<(SimTime, SimTime)>,
     ops: u64,
     unavailable: u64,
@@ -133,9 +131,9 @@ impl RemoteStore {
 /// The store behind a `Greylist` engine; its inherent methods are the
 /// whole store API.
 ///
-/// An enum (rather than a generic parameter) so `Greylist` stays a plain
-/// serde-snapshottable value.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// An enum (rather than a generic parameter) so `Greylist` stays one
+/// concrete type whatever store it runs on.
+#[derive(Debug, Clone)]
 pub enum StoreBackend {
     /// In-process BTree store (the paper's configuration; the default).
     InMemory(TripletStore),

@@ -10,7 +10,6 @@
 //! makes the choice an experiment axis.
 
 use crate::triplet::{mask_client, KeyAtom, TripletKey};
-use serde::{Deserialize, Serialize};
 use spamward_smtp::{EmailAddress, ReversePath};
 use std::net::Ipv4Addr;
 
@@ -19,7 +18,7 @@ use std::net::Ipv4Addr;
 /// Every policy produces a `TripletKey`; fields a policy ignores are
 /// canonicalized (network `0`, [`KeyAtom::EMPTY`]) so stores need no
 /// per-policy key type and snapshots stay uniform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeyPolicy {
     /// Postgrey: `(client & netmask, sender, recipient)`. The paper's
     /// deployed configuration (netmask 24).

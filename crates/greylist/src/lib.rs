@@ -21,8 +21,9 @@
 //!
 //! The core API is one call: [`Greylist::check`] returns
 //! [`Decision::Pass`] or [`Decision::Greylisted`] and updates the triplet
-//! store. The store is plain data (serde-serializable) so experiments can
-//! snapshot and diff it.
+//! store. [`Greylist::snapshot`] renders the store as a text checkpoint
+//! that [`Greylist::restore`] reads back, so experiments can snapshot and
+//! diff it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

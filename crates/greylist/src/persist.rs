@@ -28,7 +28,6 @@
 use crate::policy::Greylist;
 use crate::store::{EntryState, TripletEntry};
 use crate::triplet::{KeyAtom, TripletKey};
-use serde::{Deserialize, Serialize};
 use spamward_sim::SimTime;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -69,7 +68,7 @@ const LINE_CAPACITY: usize = 100;
 /// The paper's §VI cost argument says greylisting taxes every *new*
 /// correspondent; what a restart forgets, it re-taxes. This knob is the
 /// `recovery` experiment's principal axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DurabilityMode {
     /// Nothing persists: a restart re-greylists the world.
     Volatile,
@@ -134,11 +133,10 @@ impl DurabilityMode {
 /// recovery is exact. A truncated *final* record — the torn write a crash
 /// mid-append leaves — is skipped deterministically and counted;
 /// corruption anywhere else is a [`SnapshotError::BadRecord`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GreylistWal {
     records: Vec<WalRecord>,
     /// The text form, rendered on the first read after an append.
-    #[serde(skip)]
     text: OnceLock<String>,
 }
 
@@ -206,7 +204,7 @@ pub struct WalReplay {
 }
 
 /// One WAL record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WalRecord {
     /// A store touch.
     Touch {

@@ -7,14 +7,13 @@ use crate::stats::GreylistStats;
 use crate::store::{TripletEntry, TripletStore};
 use crate::triplet::TripletKey;
 use crate::whitelist::Whitelist;
-use serde::{Deserialize, Serialize};
 use spamward_sim::{SimDuration, SimTime};
 use spamward_smtp::{EmailAddress, ReversePath};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Why a check passed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PassReason {
     /// The client matched the static client whitelist.
     ClientWhitelisted,
@@ -49,7 +48,7 @@ impl Decision {
 }
 
 /// Configuration mirroring Postgrey's command-line knobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GreylistConfig {
     /// How long an unknown triplet must wait before a retry passes
     /// (`--delay`, default 300 s — the paper's default threshold).
@@ -68,7 +67,6 @@ pub struct GreylistConfig {
     /// How envelopes collapse into store keys. `None` (the default) means
     /// Postgrey full-triplet keying under [`GreylistConfig::netmask`] —
     /// exactly the pre-policy behaviour.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub key_policy: Option<KeyPolicy>,
 }
 
@@ -133,7 +131,7 @@ impl GreylistConfig {
 /// assert!(gl.check(t1, ip, &from, &rcpt).is_pass());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Greylist {
     config: GreylistConfig,
     store: StoreBackend,
@@ -142,7 +140,6 @@ pub struct Greylist {
     awl_counts: BTreeMap<u32, u32>,
     /// Write-ahead log of store mutations since the last checkpoint
     /// (`SnapshotPlusWal` durability); `None` means no WAL is kept.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     wal: Option<GreylistWal>,
 }
 

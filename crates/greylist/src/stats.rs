@@ -1,10 +1,9 @@
 //! Greylist decision counters.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Running counters over every [`check`](crate::Greylist::check) call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GreylistStats {
     /// New triplets greylisted on first contact.
     pub greylisted_new: u64,

@@ -2,12 +2,11 @@
 
 use crate::backend::Touch;
 use crate::triplet::TripletKey;
-use serde::{Deserialize, Serialize};
 use spamward_sim::{SimDuration, SimTime};
 use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Lifecycle state of a triplet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EntryState {
     /// First seen; retries before the delay elapse keep it here.
     Pending,
@@ -16,7 +15,7 @@ pub enum EntryState {
 }
 
 /// One tracked triplet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TripletEntry {
     /// When the triplet was first seen (the greylist clock starts here).
     pub first_seen: SimTime,
@@ -65,14 +64,14 @@ impl TripletEntry {
     }
 }
 
-/// The in-memory (serde-snapshottable) triplet database.
+/// The in-memory triplet database.
 ///
 /// Expiry is lazy — [`TripletStore::touch`] restarts a stale entry as if
 /// it were absent — plus an explicit [`TripletStore::purge_expired`] sweep
 /// that a deployment would run periodically. An optional capacity bound
 /// evicts the least-recently-seen entries, the ablation knob for the "disk
 /// space and computation resources" cost the paper's §VI mentions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TripletStore {
     entries: BTreeMap<TripletKey, TripletEntry>,
     /// Maximum live entries; `None` = unbounded.

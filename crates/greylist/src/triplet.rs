@@ -1,6 +1,5 @@
 //! The greylisting triplet key.
 
-use serde::{Deserialize, Serialize};
 use spamward_smtp::{EmailAddress, ReversePath};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -17,9 +16,7 @@ use std::net::Ipv4Addr;
 ///
 /// The digest is one-way: snapshots and logs carry the hex digest, never
 /// the address (the same property the anonymized MTA log relies on).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct KeyAtom(u64);
 
 impl KeyAtom {
@@ -113,7 +110,7 @@ impl fmt::Display for KeyAtom {
 /// assert_eq!(a, b);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TripletKey {
     /// The masked client network (host bits zeroed).
     pub client_net: u32,

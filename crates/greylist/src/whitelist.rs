@@ -1,6 +1,5 @@
 //! Client and recipient whitelists.
 
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Patterns exempting clients or recipients from greylisting.
@@ -25,7 +24,7 @@ use std::net::Ipv4Addr;
 /// assert!(wl.matches_recipient("postmaster@foo.net"));
 /// assert!(!wl.matches_recipient("alice@foo.net"));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Whitelist {
     cidrs: Vec<(u32, u8)>,
     domain_suffixes: Vec<String>,

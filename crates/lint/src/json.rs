@@ -1,7 +1,7 @@
 //! Machine-readable report rendering for `--json`.
 //!
-//! The schema is deliberately tiny and hand-rendered (the offline build has
-//! no serde), frozen by `crates/lint/tests/lint_cli.rs`:
+//! The schema is deliberately tiny and hand-rendered (the workspace has no
+//! serialization crate), frozen by `crates/lint/tests/lint_cli.rs`:
 //!
 //! ```json
 //! {

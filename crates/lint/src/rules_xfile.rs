@@ -20,10 +20,10 @@ use crate::rules::{self, Diagnostic};
 use std::collections::BTreeMap;
 
 /// Modules sanctioned to use concurrency primitives: the deterministic
-/// shard executor, which every parallel path (the multi-seed `runner`
-/// pool, the `policy_backend` grid, `repro --shards`) routes through. World code
-/// stays single-threaded; parallelism happens across whole deterministic
-/// shards whose outputs merge byte-stably.
+/// shard executor, which every parallel path (the `variance` seed sweep,
+/// `repro all --jobs`, the `policy_backend` grid, `repro --shards`) routes
+/// through. World code stays single-threaded; parallelism happens across
+/// whole deterministic shards whose outputs merge byte-stably.
 const C1_SANCTIONED: &[&str] = &["crates/sim/src/shard.rs"];
 
 /// Concurrency primitives C1 looks for. Token-matched against masked

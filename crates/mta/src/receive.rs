@@ -1,7 +1,6 @@
 //! The receiving MTA: filter chain, mailbox and log.
 
 use crate::log::anonymize;
-use serde::{Deserialize, Serialize};
 use spamward_analysis::log::{LogEvent, LogRecord};
 use spamward_greylist::{Decision, DurabilityMode, Greylist, PassReason, TripletKey};
 use spamward_net::FaultWindow;
@@ -21,7 +20,7 @@ use std::net::Ipv4Addr;
 /// to refuse messages for non-existing recipients *before* applying
 /// greylisting" — the ordering is load-bearing, and
 /// [`ReceivingMta`] enforces it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecipientPolicy {
     /// Accept any recipient (catch-all / open lab server).
     AcceptAll,
@@ -43,7 +42,7 @@ impl RecipientPolicy {
 }
 
 /// Counters over everything the server saw.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReceiveStats {
     /// Completed transactions (messages stored).
     pub messages_accepted: u64,
@@ -66,7 +65,7 @@ pub struct ReceiveStats {
 /// Counters over the crash–restart lifecycle and greylist recovery
 /// (exported as `mta.crash.*` / `greylist.recovery.*` once a crash
 /// schedule is installed).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CrashStats {
     /// Crash instants that fired (the server process died).
     pub crashes: u64,
@@ -120,7 +119,7 @@ pub enum CrashTransition {
 /// greylist would have deferred; fail-closed preserves the filter guarantee
 /// but delays *all* mail, benign included. Both outcomes are counted
 /// separately (`greylist.degraded.*`) so experiments can price them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DegradationMode {
     /// Accept recipients unchecked while the store is down.
     FailOpen,

@@ -6,13 +6,12 @@
 //! Those schedules are reproduced here as executable values; the Table IV
 //! bench renders them back out of this module.
 
-use serde::{Deserialize, Serialize};
 use spamward_sim::SimDuration;
 use std::fmt;
 
 /// A retry schedule expressed as *cumulative* attempt times: the `n`-th
 /// retry (1-based) happens `nth_retry_at(n)` after the message was queued.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RetrySchedule {
     /// Retries at `first`, `first + step`, `first + 2*step`, ...
     /// (sendmail's and exchange's regular ladders).
@@ -108,7 +107,7 @@ impl RetrySchedule {
 }
 
 /// A named MTA: its retry schedule plus its queue lifetime.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MtaProfile {
     /// Software name as in Table IV.
     pub name: String,

@@ -24,7 +24,6 @@
 //! per-crate `metrics.rs` modules) by decree of lint rule `F1`: experiments
 //! pick named profiles instead of sprinkling magic numbers.
 
-use serde::{Deserialize, Serialize};
 use spamward_sim::{DetRng, SimDuration, SimTime};
 use std::net::Ipv4Addr;
 
@@ -32,7 +31,7 @@ use std::net::Ipv4Addr;
 pub const TARPIT_HOLD: SimDuration = SimDuration::from_secs(30);
 
 /// A half-open window of virtual time: `[from, until)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultWindow {
     /// First instant the fault is active.
     pub from: SimTime,
@@ -53,7 +52,7 @@ impl FaultWindow {
 }
 
 /// How a faulted server kills an SMTP session mid-stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SmtpAbortKind {
     /// The connection drops after the client sends `DATA` — the dialogue
     /// ran to the end but nothing was stored, and the client never
@@ -69,7 +68,7 @@ pub enum SmtpAbortKind {
 
 /// One declarative fault. Windows are virtual-time intervals; probabilities
 /// apply per delivery attempt inside the window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultSpec {
     /// A named host is unreachable for the window (its SYNs vanish).
     HostOutage {

@@ -1,13 +1,12 @@
 //! Hosts: named machines owning IPs, ports, and an availability model.
 
-use serde::{Deserialize, Serialize};
 use spamward_sim::{DetRng, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Opaque identifier of a host within a [`Network`](crate::Network).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HostId(pub(crate) u64);
 
 impl fmt::Display for HostId {
@@ -17,7 +16,7 @@ impl fmt::Display for HostId {
 }
 
 /// TCP state of a port as seen from the outside.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PortState {
     /// A listener answers: SYN → SYN-ACK.
     Open,
@@ -31,7 +30,7 @@ pub enum PortState {
 }
 
 /// Whether a host is reachable at all, possibly varying per scan epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Availability {
     /// Always reachable.
     Up,
@@ -84,7 +83,7 @@ impl Availability {
 }
 
 /// A machine in the simulated internet.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Host {
     pub(crate) name: String,
     pub(crate) ips: Vec<Ipv4Addr>,

@@ -1,6 +1,5 @@
 //! Connection latency models.
 
-use serde::{Deserialize, Serialize};
 use spamward_sim::{DetRng, SimDuration};
 
 /// How long a successful TCP handshake (and each subsequent round trip)
@@ -9,7 +8,7 @@ use spamward_sim::{DetRng, SimDuration};
 /// The paper's delay measurements are at second granularity, so latency
 /// mostly matters for realism of sub-second detail and for the `Filtered`
 /// port timeout; the default is a modest WAN profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LatencyModel {
     /// Zero latency — useful in unit tests.
     Zero,

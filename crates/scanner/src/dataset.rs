@@ -1,7 +1,6 @@
 //! The two zmap-style datasets: DNS-ANY MX records and the SMTP banner
 //! grab.
 
-use serde::{Deserialize, Serialize};
 use spamward_dns::{Authority, DomainName, Rcode, RecordData, RecordType};
 use spamward_net::{Network, SMTP_PORT};
 use std::collections::{BTreeMap, BTreeSet};
@@ -10,7 +9,7 @@ use std::net::Ipv4Addr;
 /// One MX record as the DNS-ANY dataset carries it: the exchanger name,
 /// its preference, and — when the original scan captured glue — its
 /// address. Entries with `ip: None` are the paper's "missing entries".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MxRecordEntry {
     /// MX preference.
     pub preference: u16,
@@ -22,7 +21,7 @@ pub struct MxRecordEntry {
 
 /// The DNS Records (ANY) dataset restricted to A and MX records, as the
 /// paper used it.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DnsAnyScan {
     /// Per-domain MX entries (absent key = no MX data at all).
     pub mx: BTreeMap<DomainName, Vec<MxRecordEntry>>,
@@ -86,7 +85,7 @@ impl DnsAnyScan {
 
 /// The IPv4 SMTP banner-grab dataset: every address that answered a SYN
 /// on port 25 during one scan epoch.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BannerGrab {
     /// The scan epoch this grab ran in.
     pub epoch: u64,

@@ -1,12 +1,11 @@
 //! The three-step nolisting detector and the Fig. 2 classification.
 
 use crate::dataset::{BannerGrab, DnsAnyScan};
-use serde::{Deserialize, Serialize};
 use spamward_dns::DomainName;
 use std::fmt;
 
 /// The detector's verdict for one domain (the four Fig. 2 slices).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DomainClass {
     /// Exactly one (resolvable) MX.
     OneMx,
@@ -42,7 +41,7 @@ pub struct ScanRound {
 }
 
 /// Fig. 2's aggregate: per-class counts and percentages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig2Stats {
     /// Total domains classified.
     pub total: usize,
@@ -60,7 +59,7 @@ impl Fig2Stats {
 
 /// Detection quality against ground truth (the synthetic population's
 /// advantage over the real study).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DetectorAccuracy {
     /// Nolisting domains correctly flagged.
     pub true_positives: usize,

@@ -11,14 +11,13 @@
 //! rely on. The population is never materialized: the scan expands one
 //! domain at a time into its own corner of the internet.
 
-use serde::{Deserialize, Serialize};
 use spamward_dns::{DomainName, NameTable, Zone};
 use spamward_net::{indexed_ip, Availability, PortState};
 use spamward_sim::DetRng;
 use std::net::Ipv4Addr;
 
 /// Ground-truth mail configuration of a generated domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DomainTruth {
     /// Exactly one MX record (47.73% in Fig. 2).
     SingleMx,
@@ -31,7 +30,7 @@ pub enum DomainTruth {
 }
 
 /// One generated domain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainRecord {
     /// The domain name.
     pub name: DomainName,
@@ -42,7 +41,7 @@ pub struct DomainRecord {
 }
 
 /// Parameters of population synthesis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PopulationSpec {
     /// Number of domains to generate.
     pub domains: usize,
@@ -91,7 +90,7 @@ const HOST_IP_BASE: Ipv4Addr = Ipv4Addr::new(11, 0, 0, 1);
 /// The compact per-domain record: everything random about a domain, packed
 /// into sixteen bytes. Names, addresses and zones are derivable from the
 /// index; [`PopulationStream::expand`] does so on demand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackedDomain {
     /// Generation index (also determines names and addresses).
     pub index: u64,

@@ -18,9 +18,10 @@
 //!   one named substream per concern so adding a new consumer never perturbs
 //!   existing draws.
 //! * [`shard`] — a fixed, stable-hash partition of one seeded world into
-//!   independent shards ([`ShardPlan`]) plus the ordered worker-pool
-//!   executor ([`shard::run_partitioned`] / [`shard::run_sharded`]) that
-//!   makes `--shards N` byte-identical to a serial run.
+//!   independent shards ([`ShardPlan`]) plus the order-preserving executor
+//!   over scoped std threads ([`shard::run_partitioned`] /
+//!   [`shard::run_sharded`]), the workspace's one fan-out, which makes
+//!   `--shards N` and `--jobs N` byte-identical to a serial run.
 //!
 //! # Example
 //!

@@ -22,11 +22,14 @@
 //!    which worker finished first.
 //!
 //! [`run_partitioned`] is the underlying executor: a generic "run `f` over
-//! every item on a bounded crossbeam pool, return outputs in input order"
-//! primitive that also serves `spamward_core::runner::run_seeds` (parallel
-//! seeds are just shards of a sweep) and the `policy_backend` grid.
+//! every item on a bounded pool of scoped std threads, return outputs in
+//! input order" primitive that also serves the variance seed sweep and
+//! `repro all --jobs` (parallel seeds and registry entries are just shards
+//! of a sweep) and the `policy_backend` grid.
 
-use crossbeam::channel;
+use std::panic;
+use std::sync::{Mutex, PoisonError};
+use std::thread;
 
 /// Stable 64-bit FNV-1a over a name — the partition hash.
 ///
@@ -93,16 +96,16 @@ impl ShardPlan {
 /// Runs `f` over every item on a pool of `workers` threads and returns
 /// the outputs **in input order**, independent of scheduling.
 ///
-/// Items are tagged with their index before they enter the job channel
-/// and outputs are slotted back by that index, so the result is
-/// byte-for-byte the same as a serial `items.map(f)` no matter how the
-/// workers interleave. `f` must be pure per item for that equivalence to
-/// mean anything — which is exactly the contract shard and seed runs
-/// satisfy.
+/// Workers pull index-tagged items from one shared queue and outputs are
+/// slotted back by that index, so the result is byte-for-byte the same as
+/// a serial `items.map(f)` no matter how the workers interleave. `f` must
+/// be pure per item for that equivalence to mean anything — which is
+/// exactly the contract shard and seed runs satisfy.
 ///
 /// # Panics
 ///
-/// Panics if `workers == 0` or a worker panics.
+/// Panics if `workers == 0` or a worker panics (with that worker's
+/// payload).
 pub fn run_partitioned<I, T, F>(items: Vec<I>, workers: usize, f: F) -> Vec<T>
 where
     I: Send,
@@ -111,33 +114,29 @@ where
 {
     assert!(workers > 0, "need at least one worker");
     let n = items.len();
-    let (job_tx, job_rx) = channel::unbounded::<(usize, I)>();
-    let (res_tx, res_rx) = channel::unbounded::<(usize, T)>();
-    for job in items.into_iter().enumerate() {
-        job_tx.send(job).expect("queue jobs");
-    }
-    drop(job_tx);
-
-    crossbeam::scope(|scope| {
-        for _ in 0..workers.min(n.max(1)) {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let f = &f;
-            scope.spawn(move |_| {
-                while let Ok((idx, item)) = job_rx.recv() {
-                    let output = f(item);
-                    res_tx.send((idx, output)).expect("report result");
-                }
-            });
+    let jobs = Mutex::new(items.into_iter().enumerate());
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            // The guard drops at the end of this statement, so `f` runs
+            // with the queue unlocked. Taking one item never leaves the
+            // queue half-updated, so even a poisoned guard is sound.
+            let job = jobs.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((idx, item)) = job else { return done };
+            done.push((idx, f(item)));
         }
-        drop(res_tx);
-    })
-    .expect("partition workers never panic");
+    };
 
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for (idx, output) in res_rx.iter() {
-        slots[idx] = Some(output);
-    }
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.min(n.max(1))).map(|_| scope.spawn(worker)).collect();
+        for handle in handles {
+            let done = handle.join().unwrap_or_else(|payload| panic::resume_unwind(payload));
+            for (idx, output) in done {
+                slots[idx] = Some(output);
+            }
+        }
+    });
     slots.into_iter().map(|s| s.expect("every job reports exactly once")).collect()
 }
 
@@ -210,6 +209,17 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_panics() {
         let _ = run_partitioned(vec![1u64], 0, |x| x);
+    }
+
+    // No `expected` message: which payload reaches the caller is the
+    // executor's choice.
+    #[test]
+    #[should_panic]
+    fn a_panicking_worker_propagates() {
+        let _ = run_partitioned((0..8u64).collect(), 2, |x| {
+            assert!(x != 5, "item 5 fails");
+            x
+        });
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! ~584 000 years of virtual time — far beyond the four-month deployment
 //! experiment.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -20,9 +19,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!(d.as_secs(), 300);
 /// assert_eq!(format!("{d}"), "5m00s");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {
@@ -193,9 +190,7 @@ impl fmt::Display for SimDuration {
 /// let t = SimTime::ZERO + SimDuration::from_hours(6);
 /// assert_eq!(t.elapsed_since(SimTime::ZERO), SimDuration::from_secs(21_600));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

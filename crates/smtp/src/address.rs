@@ -1,6 +1,5 @@
 //! Email addresses and reverse paths.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -26,7 +25,7 @@ use std::sync::Arc;
 /// assert_eq!(a.to_string(), "Alice@example.com");
 /// # Ok::<(), spamward_smtp::ParseAddressError>(())
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct EmailAddress {
     /// `local@domain`, the domain lowercased.
     text: Arc<str>,
@@ -176,7 +175,7 @@ impl Hash for EmailAddress {
 
 /// The `MAIL FROM` argument: either the null path `<>` (bounces) or a real
 /// address.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ReversePath {
     /// The null reverse path `<>` used for delivery status notifications.
     Null,

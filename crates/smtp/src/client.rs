@@ -7,11 +7,10 @@ use crate::envelope::Envelope;
 use crate::extensions::Capabilities;
 use crate::message::Message;
 use crate::reply::Reply;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The protocol stage at which a delivery attempt failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FailStage {
     /// The TCP connection itself (refused / timed out) — filled in by the
     /// transport layer, not this state machine.
@@ -43,7 +42,7 @@ impl fmt::Display for FailStage {
 }
 
 /// The result of one complete delivery attempt.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeliveryOutcome {
     /// The message body was accepted for at least one recipient.
     Delivered {

@@ -1,13 +1,12 @@
 //! SMTP commands.
 
 use crate::address::{EmailAddress, ReversePath};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A client command as defined by RFC 5321 §4.1 (the subset mail delivery
 /// exercises), plus an `Unknown` catch-all so sloppy bot dialects can be
 /// represented and fingerprinted rather than rejected at parse time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
     /// `HELO <domain>` — old-style greeting.
     Helo {

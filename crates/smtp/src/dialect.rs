@@ -8,11 +8,10 @@
 //! captures those session-level choices; retry behaviour (the axis
 //! greylisting tests) lives one layer up, in the sending MTA / bot models.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What a client presents as its HELO/EHLO argument.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum HeloStyle {
     /// Its own (claimed) fully-qualified domain name.
     OwnFqdn(String),
@@ -23,7 +22,7 @@ pub enum HeloStyle {
 }
 
 /// Session-level protocol personality of a sending client.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Dialect {
     /// Human-readable name ("postfix", "cutwail", ...).
     pub name: String,
@@ -103,7 +102,7 @@ impl fmt::Display for Dialect {
 }
 
 /// A coarse behavioural fingerprint, comparable across observed sessions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DialectFingerprint {
     /// Opens with EHLO rather than HELO.
     pub greets_with_ehlo: bool,

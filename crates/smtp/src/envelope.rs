@@ -1,7 +1,6 @@
 //! The SMTP envelope: what the transaction (not the message body) says.
 
 use crate::address::{EmailAddress, ReversePath};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -26,7 +25,7 @@ use std::net::Ipv4Addr;
 /// assert_eq!(env.recipients().len(), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope {
     client_ip: Ipv4Addr,
     helo: String,

@@ -6,11 +6,10 @@
 //! extension gives the receiving MTA its first pre-acceptance rejection
 //! point (an oversized MAIL FROM dies before any body is transferred).
 
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// The extension set a server advertises in its EHLO response.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Capabilities {
     /// Maximum accepted message size in bytes; advertised as `SIZE n` and
     /// enforced against both the `MAIL FROM ... SIZE=` declaration and the

@@ -1,6 +1,5 @@
 //! RFC 5322 messages (the minimal subset the experiments move).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
@@ -28,7 +27,7 @@ use std::sync::{Arc, OnceLock};
 ///     .build();
 /// assert_eq!(m.header("subject"), Some("Cheap pills"));
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Message {
     inner: Arc<Content>,
 }

@@ -1,6 +1,5 @@
 //! SMTP replies.
 
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
@@ -73,7 +72,7 @@ pub enum ReplyCategory {
 /// assert!(r.is_transient());
 /// assert!(r.to_wire().starts_with("450 "));
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Reply {
     code: u16,
     lines: Lines,

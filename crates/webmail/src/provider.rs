@@ -1,6 +1,5 @@
 //! The ten providers and their observed retry ladders.
 
-use serde::{Deserialize, Serialize};
 use spamward_mta::{IpSelection, MtaProfile, RetrySchedule, SendingMta};
 use spamward_net::IpPool;
 use spamward_sim::SimDuration;
@@ -11,7 +10,7 @@ use std::net::Ipv4Addr;
 pub const GREYLIST_EXPERIMENT_THRESHOLD: SimDuration = SimDuration::from_mins(360);
 
 /// One webmail provider's outbound behaviour, as measured in Table III.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WebmailProvider {
     /// Provider domain as listed ("gmail.com", ...).
     pub name: String,

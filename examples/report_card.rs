@@ -4,17 +4,17 @@
 //! Walks the `spamward_core::harness` registry at `Quick` scale — the same
 //! code path as the paper-scale `repro all`, just smaller populations — and
 //! prints each experiment's identity plus its named headline numbers. A
-//! ten-second sanity pass over the whole reproduction.
+//! ten-second sanity pass over the whole reproduction. For another seed,
+//! `repro all --seed N --json` carries every scalar.
 //!
 //! ```sh
-//! cargo run --release --example report_card [seed]
+//! cargo run --release --example report_card
 //! ```
 
 use spamward::core::harness::{fmt_scalar, registry, HarnessConfig, Scale};
 
 fn main() {
-    let seed: Option<u64> = std::env::args().nth(1).and_then(|s| s.parse().ok());
-    let config = HarnessConfig { seed, scale: Scale::Quick, ..Default::default() };
+    let config = HarnessConfig { scale: Scale::Quick, ..Default::default() };
 
     for exp in registry() {
         let report = exp.run(&config).expect("unbudgeted run completes");

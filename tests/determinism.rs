@@ -8,8 +8,8 @@ use spamward::core::experiments::{
     ablations, costs, deployment, efficacy, future_threats, kelihos, nolisting_adoption, webmail,
 };
 use spamward::core::harness::{self, HarnessConfig, Obs, Scale};
-use spamward::core::run_seeds;
 use spamward::scanner::DomainClass;
+use spamward::sim::shard::run_partitioned;
 
 #[test]
 fn efficacy_is_deterministic() {
@@ -104,17 +104,14 @@ fn extension_experiments_are_deterministic() {
 
 #[test]
 fn parallel_seed_runner_is_order_independent() {
-    // Running the same experiment under the crossbeam fan-out must give
-    // the same per-seed results as serial execution.
-    let seeds: Vec<u64> = (0..6).collect();
-    let serial = run_seeds(&seeds, 1, |seed| {
+    // Running the same experiment under the shard executor's fan-out must
+    // give the same per-seed results as serial execution.
+    let nolisting_pct = |seed: u64| {
         let cfg = nolisting_adoption::AdoptionConfig { domains: 800, seed, ..Default::default() };
         nolisting_adoption::run(&cfg, &mut Obs::default()).stats.pct(DomainClass::Nolisting)
-    });
-    let parallel = run_seeds(&seeds, 4, |seed| {
-        let cfg = nolisting_adoption::AdoptionConfig { domains: 800, seed, ..Default::default() };
-        nolisting_adoption::run(&cfg, &mut Obs::default()).stats.pct(DomainClass::Nolisting)
-    });
+    };
+    let serial = run_partitioned((0..6).collect(), 1, nolisting_pct);
+    let parallel = run_partitioned((0..6).collect(), 4, nolisting_pct);
     assert_eq!(serial, parallel);
 }
 
@@ -139,10 +136,9 @@ fn every_registered_report_is_byte_stable() {
 #[test]
 fn parallel_registry_run_matches_serial_bytes() {
     let config = HarnessConfig { seed: None, scale: Scale::Quick, ..Default::default() };
-    let indices: Vec<u64> = (0..harness::registry().len() as u64).collect();
-    let render = |i: u64| harness::registry()[i as usize].run(&config).unwrap().to_json();
-    let serial = run_seeds(&indices, 1, render);
-    let parallel = run_seeds(&indices, 4, render);
+    let render = |exp: &dyn harness::Experiment| exp.run(&config).unwrap().to_json();
+    let serial = run_partitioned(harness::registry().to_vec(), 1, render);
+    let parallel = run_partitioned(harness::registry().to_vec(), 4, render);
     assert_eq!(serial, parallel, "worker count changed the rendered bytes");
 }
 
@@ -155,11 +151,9 @@ fn parallel_registry_run_matches_serial_bytes() {
 fn repro_all_json_metrics_composition_is_byte_identical() {
     let config = HarnessConfig { seed: Some(42), scale: Scale::Quick, ..Default::default() };
     let compose = |jobs: usize| -> String {
-        let indices: Vec<u64> = (0..harness::registry().len() as u64).collect();
-        let runs = run_seeds(&indices, jobs, |i| {
-            harness::registry()[i as usize].run(&config).unwrap().to_json()
+        let bodies = run_partitioned(harness::registry().to_vec(), jobs, |exp| {
+            exp.run(&config).unwrap().to_json()
         });
-        let bodies: Vec<String> = runs.into_iter().map(|r| r.output).collect();
         format!("[{}]\n", bodies.join(","))
     };
     let first = compose(1);
@@ -195,14 +189,14 @@ fn world_driven_experiments_run_on_the_engine() {
 
 /// A compiled fault plan is part of the reproducibility contract: the
 /// same (profile, seed) must yield identical window timelines whether
-/// plans are compiled serially or across the crossbeam pool — this is
-/// what lets serial and `--jobs N` runs see the same fault sequence.
+/// plans are compiled serially or across the shard executor's workers —
+/// this is what lets serial and `--jobs N` runs see the same fault
+/// sequence.
 #[test]
 fn fault_plans_compile_identically_serial_and_parallel() {
     use spamward::net::{FaultPlan, FaultProfile};
-    let seeds: Vec<u64> = (0..6).collect();
     let compile_all = |jobs: usize| {
-        run_seeds(&seeds, jobs, |seed| {
+        run_partitioned((0..6).collect(), jobs, |seed| {
             FaultProfile::catalog()
                 .iter()
                 .map(|p| format!("{:?}", FaultPlan::compile(p, seed)))
@@ -213,7 +207,7 @@ fn fault_plans_compile_identically_serial_and_parallel() {
     let parallel = compile_all(4);
     assert_eq!(serial, parallel, "worker count changed a compiled fault plan");
     // And the plans are seed-sensitive: the chaos is seeded, not fixed.
-    assert_ne!(serial[0].output, serial[1].output, "seed change had no effect on any plan");
+    assert_ne!(serial[0], serial[1], "seed change had no effect on any plan");
 }
 
 /// The resilience sweep drives every fault profile — including
@@ -226,9 +220,9 @@ fn resilience_sweep_survives_all_faults_at_any_seed() {
     for seed in [1, 2, 3] {
         let config = HarnessConfig { seed: Some(seed), scale: Scale::Quick, ..Default::default() };
         let render = |_: u64| exp.run(&config).unwrap().to_json();
-        let serial = run_seeds(&[0], 1, render);
-        let parallel = run_seeds(&[0, 1], 4, |_| exp.run(&config).unwrap().to_json());
-        assert_eq!(serial[0].output, parallel[0].output, "seed {seed}: parallel bytes differ");
+        let serial = run_partitioned(vec![0], 1, render);
+        let parallel = run_partitioned(vec![0, 1], 4, render);
+        assert_eq!(serial[0], parallel[0], "seed {seed}: parallel bytes differ");
         let report = exp.run(&config).unwrap();
         for counter in
             ["net.fault.link_dropped", "mta.breaker.trips", "greylist.degraded.fail_open"]

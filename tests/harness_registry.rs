@@ -1,7 +1,8 @@
 //! Registry completeness: every experiment module is registered exactly
 //! once, ids are unique, and the CLI listing covers every row. (Registry ↔
 //! DESIGN.md index sync is enforced by lint rule `R1`, which resolves each
-//! registry entry to the id its `impl Experiment` returns.)
+//! registry entry to the id its `impl Experiment` returns.) Also DESIGN.md's
+//! dependency policy, read off the root manifest and `stubs/`.
 
 use spamward::core::harness;
 use std::collections::BTreeMap;
@@ -142,4 +143,39 @@ fn event_budget_cuts_every_world_driving_run_with_a_typed_error() {
         .filter(|id| BUDGETED.iter().all(|(b, ..)| b != id))
         .collect();
     assert_eq!(unbudgeted, ["table1", "fig2", "table4", "ablations", "dialects", "variance"]);
+}
+
+/// DESIGN.md's dependency policy as a check: std is the only runtime
+/// dependency, and the only external crates are the offline `criterion`
+/// and `proptest` stand-ins under `stubs/`, which benches and tests use.
+#[test]
+fn external_dependencies_are_only_the_criterion_and_proptest_stubs() {
+    let manifest = fs::read_to_string(repo_path("Cargo.toml")).expect("root manifest");
+    let section = manifest
+        .split("[workspace.dependencies]")
+        .nth(1)
+        .expect("a [workspace.dependencies] table")
+        .lines()
+        .take_while(|line| !line.starts_with('['));
+    let mut external: BTreeMap<String, String> = BTreeMap::new();
+    for line in section.map(str::trim).filter(|l| !l.is_empty() && !l.starts_with('#')) {
+        let (name, spec) = line.split_once('=').expect("a `name = spec` entry");
+        let name = name.trim();
+        if !name.starts_with("spamward-") {
+            external.insert(name.to_owned(), spec.trim().to_owned());
+        }
+    }
+    assert_eq!(external.keys().collect::<Vec<_>>(), ["criterion", "proptest"]);
+    for (name, spec) in &external {
+        assert_eq!(spec, &format!("{{ path = \"stubs/{name}\" }}"), "{name}");
+    }
+
+    let mut stubs: Vec<String> = fs::read_dir(repo_path("stubs"))
+        .expect("stubs dir")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|path| path.is_dir())
+        .map(|path| path.file_name().expect("file name").to_string_lossy().into_owned())
+        .collect();
+    stubs.sort();
+    assert_eq!(stubs, ["criterion", "proptest"]);
 }
