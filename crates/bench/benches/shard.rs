@@ -6,8 +6,8 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // not protocol-path code
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use spamward_scanner::{scan_shard, PopulationSpec, PopulationStream};
-use spamward_sim::shard::run_sharded;
+use spamward_scanner::{scan_block, PopulationSpec, PopulationStream};
+use spamward_sim::shard::run_partitioned;
 use spamward_sim::ShardPlan;
 
 const DOMAINS: usize = 2_000;
@@ -15,17 +15,20 @@ const SEED: u64 = 13;
 const EPOCHS: [u64; 2] = [0, 1];
 const KS: [u32; 3] = [15, 500, 1000];
 
-/// One full sharded fig2 scan; returns the total scan events executed.
+/// One full fig2 scan, eight contiguous blocks over the fixed 8-shard
+/// partition as the survey cuts it; returns the total scan events
+/// executed.
 fn sharded_scan(workers: usize) -> u64 {
     let stream = PopulationStream::new(PopulationSpec::fig2(DOMAINS), SEED);
     let plan = ShardPlan::new(SEED, 8);
-    let per_shard = run_sharded(&plan, workers, |s| scan_shard(&stream, &plan, s, &EPOCHS, &KS));
-    per_shard.iter().map(|s| s.events).sum()
+    let blocks = run_partitioned(stream.blocks(8), workers, |block| {
+        scan_block(&stream, &plan, block, &EPOCHS, &KS)
+    });
+    blocks.iter().flat_map(|b| &b.shards).map(|s| s.events).sum()
 }
 
-/// Scan throughput over the fixed 8-shard partition at 1/2/4 workers —
-/// the events/s figure the shard executor buys, with identical output
-/// bytes at every width.
+/// Scan throughput over the eight blocks at 1/2/4 workers — the events/s
+/// figure the executor buys, with identical output bytes at every width.
 fn bench_sharded_scan(c: &mut Criterion) {
     let events = sharded_scan(1);
     let mut g = c.benchmark_group("shard");

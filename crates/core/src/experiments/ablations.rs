@@ -23,7 +23,7 @@ use spamward_analysis::Table;
 use spamward_botnet::{BotSample, Campaign, MalwareFamily};
 use spamward_greylist::{Greylist, GreylistConfig, TripletStore};
 use spamward_mta::{MtaProfile, OutboundStatus, SendingMta};
-use spamward_scanner::{scan_shard, PopulationSpec, PopulationStream};
+use spamward_scanner::{scan_block, PopulationSpec, PopulationStream};
 use spamward_sim::{DetRng, ShardPlan, SimDuration, SimTime};
 use spamward_smtp::{Message, ReversePath};
 use std::net::Ipv4Addr;
@@ -211,7 +211,8 @@ pub fn scan_rounds_ablation(seed: u64, domains: usize, max_rounds: usize) -> Vec
     spec.flaky_hosts = 0.2;
     let stream = PopulationStream::new(spec, seed);
     let epochs: Vec<u64> = (0..max_rounds as u64).collect();
-    let scan = scan_shard(&stream, &ShardPlan::new(seed, 1), 0, &epochs, &[]);
+    let all = 0..stream.len() as u64;
+    let scan = scan_block(&stream, &ShardPlan::new(seed, 1), all, &epochs, &[]).total();
     scan.accuracy
         .iter()
         .enumerate()

@@ -7,30 +7,35 @@
 //! ground truth (see `spamward-scanner`), which additionally yields the
 //! detector's precision/recall.
 //!
-//! The survey runs sharded: the population is a streaming generator
-//! ([`PopulationStream`]) partitioned into [`ADOPTION_SHARDS`] fixed
-//! shards by stable hash; each shard scans its domains in their own
-//! mini-worlds and the per-shard [`ShardScanStats`] merge field-wise.
-//! The partition is independent of the executor width, so
-//! `repro fig2 --shards N` is byte-identical for every `N` — and memory
-//! stays O(1) in the population size, which is what lets a 10 M-domain
-//! scan run on a laptop.
+//! The survey streams its population ([`PopulationStream`]) in
+//! [`ADOPTION_BLOCKS`] contiguous blocks of stream indices, scanned on the
+//! shard executor and folded in block order ([`BlockScan::merge`]). Each
+//! domain is named and hashed once and adds its outcome to the one of
+//! [`ADOPTION_SHARDS`] fixed shards its name hashes to, so every per-shard
+//! number is a sum that depends on neither the block split nor the
+//! executor width: `repro fig2 --shards N` is byte-identical for every
+//! `N` — and memory stays O(1) in the population size, which is what lets
+//! a 10 M-domain scan run on a laptop.
 
 use crate::harness::{Experiment, HarnessConfig, HarnessError, Obs, Report, Scale};
 use crate::metrics::SAMPLE_SHARD_PREFIX;
 use spamward_analysis::Table;
 use spamward_obs::Registry;
 use spamward_scanner::{
-    scan_shard, DetectorAccuracy, DomainClass, Fig2Stats, PopulationSpec, PopulationStream,
-    ShardScanStats,
+    scan_block, BlockScan, DetectorAccuracy, DomainClass, Fig2Stats, PopulationSpec,
+    PopulationStream,
 };
-use spamward_sim::shard::run_sharded;
+use spamward_sim::shard::run_partitioned;
 use spamward_sim::{ShardPlan, SimTime};
 
 /// Fixed shard count of the survey's partition. Domains are assigned to
-/// shards by stable hash of their name, never by worker id, so
-/// [`AdoptionConfig::workers`] only picks how many shards run at once.
+/// shards by stable hash of their name, never by block or worker, and each
+/// shard reports its own event total (`sim.engine.shard.<i>.events`).
 pub const ADOPTION_SHARDS: u32 = 8;
+
+/// Fixed count of the contiguous blocks the survey's stream is cut into;
+/// [`AdoptionConfig::workers`] only picks how many run at once.
+pub const ADOPTION_BLOCKS: u64 = 8;
 
 /// Configuration of the adoption survey.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,7 +47,7 @@ pub struct AdoptionConfig {
     pub seed: u64,
     /// Scan epochs (paper: two scans, 2015-02-28 and 2015-04-25).
     pub epochs: Vec<u64>,
-    /// Shard-executor width: how many of the [`ADOPTION_SHARDS`] run
+    /// Shard-executor width: how many of the [`ADOPTION_BLOCKS`] run
     /// concurrently. Output bytes are identical for every value.
     pub workers: usize,
     /// Population knobs (class mix, host flakiness).
@@ -75,8 +80,9 @@ pub struct AdoptionResult {
     /// MX entries whose glue the scan resolved after the DNS dump (the
     /// paper's "missing entries"), summed over the scan rounds.
     pub glue_resolved: usize,
-    /// Change in detected-nolisting count between consecutive epochs, as a
-    /// fraction (paper: 0.01%).
+    /// Change in detected-nolisting count from the first scan to the
+    /// second, as a fraction of the first (paper: 0.01%). Later epochs
+    /// take no part.
     pub between_scan_change: f64,
 }
 
@@ -98,17 +104,21 @@ pub fn run(config: &AdoptionConfig, obs: &mut Obs) -> AdoptionResult {
     let stream = PopulationStream::new(spec, config.seed);
     let plan = ShardPlan::new(config.seed, ADOPTION_SHARDS);
     let ks = [15u32, 500, 1000];
-    let per_shard =
-        run_sharded(&plan, config.workers, |s| scan_shard(&stream, &plan, s, &config.epochs, &ks));
+    let blocks = run_partitioned(stream.blocks(ADOPTION_BLOCKS), config.workers, |block| {
+        scan_block(&stream, &plan, block, &config.epochs, &ks)
+    });
+    let mut scan = BlockScan::empty(ADOPTION_SHARDS, config.epochs.len(), &ks);
+    for block in &blocks {
+        scan.merge(block);
+    }
 
-    // Merge in shard order; every shard of the fixed partition records its
-    // event count, so the metric set never depends on `workers`. The scan
-    // streams one domain per virtual second, so its virtual end is the
-    // population size in seconds.
+    // Every shard of the fixed partition records its event count, so the
+    // metric set never depends on `workers`. The scan streams one domain
+    // per virtual second, so its virtual end is the population size in
+    // seconds.
     let scan_end = SimTime::from_secs(config.domains as u64);
     let sampling = obs.sample_interval().is_some();
-    let mut total = ShardScanStats::empty(config.epochs.len(), &ks);
-    for (shard, stats) in per_shard.iter().enumerate() {
+    for (shard, stats) in scan.shards.iter().enumerate() {
         spamward_mta::metrics::collect_shard_events(shard as u32, stats.events, &mut obs.registry);
         if sampling {
             obs.timeseries.record_point(
@@ -117,11 +127,11 @@ pub fn run(config: &AdoptionConfig, obs: &mut Obs) -> AdoptionResult {
                 i64::try_from(stats.events).unwrap_or(i64::MAX),
             );
         }
-        total.merge(stats);
     }
     if sampling {
-        obs.timeseries.merge(&total.samples);
+        obs.timeseries.merge(&scan.samples);
     }
+    let total = scan.total();
     spamward_scanner::metrics::collect_shard_scan(&total, &mut obs.registry);
 
     let between_scan_change = if total.per_epoch_nolisting[0] == 0 {

@@ -37,16 +37,6 @@ pub struct QueryOutcome {
     pub answers: Vec<ResourceRecord>,
 }
 
-impl QueryOutcome {
-    fn nxdomain() -> Self {
-        QueryOutcome { rcode: Rcode::NxDomain, answers: Vec::new() }
-    }
-
-    fn servfail() -> Self {
-        QueryOutcome { rcode: Rcode::ServFail, answers: Vec::new() }
-    }
-}
-
 /// The set of all zones in the simulated internet, indexed by origin.
 ///
 /// Queries walk up the name's ancestor chain to find the enclosing zone, so
@@ -82,6 +72,14 @@ impl Authority {
     /// Publishes (or replaces) a zone.
     pub fn publish(&mut self, zone: Zone) {
         self.zones.insert(zone.origin().clone(), zone);
+    }
+
+    /// Withdraws every zone and PTR mapping, keeping the maps' capacity,
+    /// so an authority refilled per domain allocates no new tables. The
+    /// served-query counter keeps counting.
+    pub fn clear(&mut self) {
+        self.zones.clear();
+        self.reverse.clear();
     }
 
     /// Registers a reverse (PTR) mapping for an address. Real deployments
@@ -124,31 +122,52 @@ impl Authority {
         }
     }
 
-    /// Answers a typed query.
-    ///
-    /// Returns SERVFAIL for lame zones, NXDOMAIN when no enclosing zone
-    /// exists or the name is absent from its zone, and NOERROR (possibly
-    /// with no answers — NODATA) otherwise.
-    pub fn query(&mut self, name: &DomainName, rtype: RecordType) -> QueryOutcome {
+    /// Counts one served query, for callers that answer through
+    /// [`Authority::lookup`] ([`Authority::query`] counts its own).
+    pub fn count_query(&mut self) {
         self.queries_served += 1;
+    }
+
+    /// The one lookup behind every query: the records answering
+    /// `(name, rtype)`, borrowed from their zone in zone order, or the
+    /// error code. Counts nothing and copies nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`Rcode::ServFail`] for lame zones, and [`Rcode::NxDomain`] when no
+    /// enclosing zone exists or the name is absent from its zone. An
+    /// `Ok` with no records is NODATA.
+    pub fn lookup<'a>(
+        &'a self,
+        name: &'a DomainName,
+        rtype: RecordType,
+    ) -> Result<impl Iterator<Item = &'a ResourceRecord>, Rcode> {
+        let zone = self.enclosing_zone(name).ok_or(Rcode::NxDomain)?;
+        if zone.lame {
+            return Err(Rcode::ServFail);
+        }
+        if !zone.has_name(name) {
+            return Err(Rcode::NxDomain);
+        }
+        Ok(zone.lookup(name, rtype))
+    }
+
+    /// Answers a typed query, counting it: [`Authority::lookup`] with the
+    /// answers copied out.
+    pub fn query(&mut self, name: &DomainName, rtype: RecordType) -> QueryOutcome {
+        self.count_query();
         self.query_ro(name, rtype)
     }
 
     /// Like [`Authority::query`] but without the served-queries counter,
-    /// so it answers through a shared reference (the scan's glue pass
-    /// resolves exchangers with it).
+    /// so it answers through a shared reference.
     pub fn query_ro(&self, name: &DomainName, rtype: RecordType) -> QueryOutcome {
-        let Some(zone) = self.enclosing_zone(name) else {
-            return QueryOutcome::nxdomain();
-        };
-        if zone.lame {
-            return QueryOutcome::servfail();
+        match self.lookup(name, rtype) {
+            Ok(records) => {
+                QueryOutcome { rcode: Rcode::NoError, answers: records.cloned().collect() }
+            }
+            Err(rcode) => QueryOutcome { rcode, answers: Vec::new() },
         }
-        if !zone.has_name(name) {
-            return QueryOutcome::nxdomain();
-        }
-        let answers = zone.lookup(name, rtype).cloned().collect();
-        QueryOutcome { rcode: Rcode::NoError, answers }
     }
 }
 
@@ -226,6 +245,51 @@ mod tests {
         a.publish_ptr(ip, name("mail-a.google.com"));
         assert_eq!(a.resolve_ptr(ip), Some(name("mail-a.google.com")));
         assert_eq!(a.resolve_ptr(Ipv4Addr::new(1, 1, 1, 1)), None);
+    }
+
+    #[test]
+    fn lookup_borrows_what_query_copies() {
+        let mut a = authority_with_foo();
+        a.publish(Zone::builder(name("lame.org")).a(Ipv4Addr::new(9, 9, 9, 9)).lame().build());
+        let cases = [
+            ("foo.net", RecordType::Mx),
+            ("smtp.foo.net", RecordType::A),
+            ("smtp.foo.net", RecordType::Mx),
+            ("bar.net", RecordType::Mx),
+            ("nope.foo.net", RecordType::A),
+            ("lame.org", RecordType::A),
+        ];
+        for (owner, rtype) in cases {
+            let owner = name(owner);
+            let copied = a.query_ro(&owner, rtype);
+            match a.lookup(&owner, rtype) {
+                Ok(records) => {
+                    assert_eq!(copied.rcode, Rcode::NoError);
+                    assert_eq!(records.cloned().collect::<Vec<_>>(), copied.answers);
+                }
+                Err(rcode) => {
+                    assert_eq!(rcode, copied.rcode, "{owner} {rtype}");
+                    assert!(copied.answers.is_empty());
+                }
+            };
+        }
+        assert_eq!(a.queries_served(), 0, "lookup and query_ro count nothing");
+    }
+
+    #[test]
+    fn clear_withdraws_every_zone_and_ptr_but_keeps_counting() {
+        let mut a = authority_with_foo();
+        let ip = Ipv4Addr::new(1, 2, 3, 4);
+        a.publish_ptr(ip, name("smtp.foo.net"));
+        a.query(&name("foo.net"), RecordType::Mx);
+        a.clear();
+        assert!(a.is_empty());
+        assert_eq!(a.query(&name("foo.net"), RecordType::Mx).rcode, Rcode::NxDomain);
+        assert_eq!(a.resolve_ptr(ip), None);
+        assert_eq!(a.queries_served(), 3);
+        // A refilled authority answers like a fresh one.
+        a.publish(Zone::single_mx(name("foo.net"), Ipv4Addr::new(8, 8, 8, 8)));
+        assert_eq!(a.query(&name("foo.net"), RecordType::Mx).answers.len(), 1);
     }
 
     #[test]

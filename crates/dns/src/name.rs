@@ -211,13 +211,18 @@ impl DomainName {
             return Err(ParseNameError::TooLong);
         }
         let upper = check_labels(label)?;
-        let mut text = String::with_capacity(len);
-        text.push_str(label);
+        // Joined on the stack, so the name's one allocation is its `Arc`.
+        let mut buf = [0; MAX_NAME_LEN];
+        let (head, tail) = buf[..len].split_at_mut(label.len());
+        head.copy_from_slice(label.as_bytes());
         if upper {
-            text.make_ascii_lowercase();
+            head.make_ascii_lowercase();
         }
-        text.push('.');
-        text.push_str(&self.text);
+        tail[0] = b'.';
+        tail[1..].copy_from_slice(self.text.as_bytes());
+        // `check_labels` admits ASCII alone, so the joined bytes are UTF-8.
+        let text = std::str::from_utf8(&buf[..len])
+            .map_err(|_| ParseNameError::BadLabel(label.to_owned()))?;
         Ok(DomainName { text: Arc::from(text), id: None })
     }
 }

@@ -200,6 +200,15 @@ impl Network {
         }
     }
 
+    /// Removes every host and its addresses, keeping the host list's and
+    /// the address index's capacity, so a network refilled per domain
+    /// allocates no new tables. Counters, the latency stream and installed
+    /// faults are kept.
+    pub fn clear(&mut self) {
+        self.hosts.clear();
+        self.by_ip.clear();
+    }
+
     pub(crate) fn register(
         &mut self,
         name: String,
@@ -420,6 +429,24 @@ mod tests {
         assert_eq!(net.connect(a, SMTP_PORT, 0).unwrap().host, id);
         assert_eq!(net.connect(b, SMTP_PORT, 0).unwrap().host, id);
         assert_eq!(net.get(id).primary_ip(), a);
+    }
+
+    #[test]
+    fn clear_removes_every_host_and_frees_its_addresses() {
+        let (mut net, open, closed, filtered) = basic_net();
+        net.clear();
+        assert!(net.is_empty());
+        for addr in [open, closed, filtered] {
+            assert!(net.host_at(addr).is_none());
+            assert_eq!(net.probe(addr, SMTP_PORT, 0), ProbeResult::Timeout);
+        }
+        assert_eq!(net.probes_sent(), 3, "counters keep counting");
+        // An address a cleared host owned can be registered again, and
+        // ids restart from the first slot.
+        let id = net.host("again.example").ip(closed).smtp_open().build();
+        assert_eq!(net.get(id).name(), "again.example");
+        assert_eq!(id, HostId(0));
+        assert_eq!(net.probe(closed, SMTP_PORT, 0), ProbeResult::SynAck);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The two zmap-style datasets: DNS-ANY MX records and the SMTP banner
 //! grab.
 
-use spamward_dns::{Authority, DomainName, Rcode, RecordData, RecordType};
+use spamward_dns::{Authority, DomainName, RecordData, RecordType};
 use spamward_net::{Network, SMTP_PORT};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -32,23 +32,21 @@ impl DnsAnyScan {
     /// the authority for its MX records.
     ///
     /// Like the real dump, the dataset carries no glue: every entry comes
-    /// back with `ip: None`, and the caller resolves the exchangers' A
-    /// records afterwards (the paper's "parallel scanner to resolve the
-    /// missing entries"). Lame zones yield no entry at all; a dangling MX
-    /// stays `ip: None` after that pass.
+    /// back with `ip: None` until [`DnsAnyScan::resolve_glue`] looks the
+    /// exchangers' A records up. Lame zones yield no entry at all; a
+    /// dangling MX stays `ip: None` after that pass. Each domain counts as
+    /// one served query, and its answers are read in place.
     pub fn collect<'a>(
         dns: &mut Authority,
         domains: impl IntoIterator<Item = &'a DomainName>,
     ) -> DnsAnyScan {
         let mut mx = BTreeMap::new();
         for domain in domains {
-            let out = dns.query(domain, RecordType::Mx);
-            if out.rcode != Rcode::NoError {
+            dns.count_query();
+            let Ok(records) = dns.lookup(domain, RecordType::Mx) else {
                 continue;
-            }
-            let mut entries: Vec<MxRecordEntry> = out
-                .answers
-                .iter()
+            };
+            let mut entries: Vec<MxRecordEntry> = records
                 .filter_map(|r| match &r.data {
                     RecordData::Mx { preference, exchange } => Some(MxRecordEntry {
                         preference: *preference,
@@ -65,6 +63,25 @@ impl DnsAnyScan {
             mx.insert(domain.clone(), entries);
         }
         DnsAnyScan { mx }
+    }
+
+    /// The paper's "parallel scanner to resolve the missing entries":
+    /// looks up the A record of every exchanger still lacking an address,
+    /// reading the answers in place. Returns how many lookups it made and
+    /// how many entries they patched.
+    pub fn resolve_glue(&mut self, dns: &Authority) -> (u64, u64) {
+        let (mut lookups, mut patched) = (0, 0);
+        for e in self.mx.values_mut().flatten().filter(|e| e.ip.is_none()) {
+            lookups += 1;
+            e.ip = dns.lookup(&e.exchange, RecordType::A).ok().and_then(|mut records| {
+                records.find_map(|r| match r.data {
+                    RecordData::A(ip) => Some(ip),
+                    _ => None,
+                })
+            });
+            patched += u64::from(e.ip.is_some());
+        }
+        (lookups, patched)
     }
 
     /// Number of domains with MX data.

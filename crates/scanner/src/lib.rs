@@ -18,9 +18,12 @@
 //!   two-scans-months-apart cross-check, yielding [`Fig2Stats`] and (a
 //!   luxury the paper didn't have) [`DetectorAccuracy`] against ground
 //!   truth.
-//! * [`scan_shard`] — the whole pipeline run shard-by-shard over the
-//!   stream in O(1) memory, merging byte-stably ([`ShardScanStats`]),
-//!   with confusion counts for every prefix of the scan rounds.
+//! * [`scan_block`] — the whole pipeline run over a contiguous block of
+//!   the stream in O(1) memory, each domain in one reused corner of the
+//!   internet and named and hashed once, adding to the [`ShardScanStats`]
+//!   of the shard its name hashes to ([`BlockScan`]), with confusion
+//!   counts for every prefix of the scan rounds. Blocks merge byte-stably
+//!   whatever the split.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,4 +40,4 @@ pub use population::{
     DomainRecord, DomainTruth, HostSpec, PackedDomain, PopulationSpec, PopulationStream,
     StreamedDomain,
 };
-pub use shard_scan::{scan_shard, ScanRoundStats, ShardScanStats};
+pub use shard_scan::{scan_block, BlockScan, ScanRoundStats, ShardScanStats};

@@ -190,13 +190,13 @@ impl NolistingDetector {
 mod tests {
     use super::*;
     use crate::population::{DomainTruth, PopulationSpec, PopulationStream};
-    use crate::shard_scan::{oracle::Oracle, scan_shard};
+    use crate::shard_scan::{oracle::Oracle, scan_block};
     use spamward_sim::ShardPlan;
 
     #[test]
     fn fig2_shape_recovered() {
         let stream = PopulationStream::new(PopulationSpec::fig2(4_000), 13);
-        let scan = scan_shard(&stream, &ShardPlan::new(13, 1), 0, &[0, 1], &[]);
+        let scan = scan_block(&stream, &ShardPlan::new(13, 1), 0..4_000, &[0, 1], &[]).total();
         let stats = scan.fig2();
         assert_eq!(stats.total, 4_000);
         assert!((stats.pct(DomainClass::OneMx) - 47.73).abs() < 3.0);
@@ -218,7 +218,7 @@ mod tests {
         let mut spec = PopulationSpec::fig2(6_000);
         spec.flaky_hosts = 0.20; // plenty of flapping primaries
         let stream = PopulationStream::new(spec, 17);
-        let scan = scan_shard(&stream, &ShardPlan::new(17, 1), 0, &[0, 1], &[]);
+        let scan = scan_block(&stream, &ShardPlan::new(17, 1), 0..6_000, &[0, 1], &[]).total();
         let (acc_single, acc_double) = (scan.accuracy[0], scan.accuracy[1]);
         assert!(
             acc_double.false_positives < acc_single.false_positives,

@@ -15,6 +15,7 @@ use spamward_dns::{DomainName, NameTable, Zone};
 use spamward_net::{indexed_ip, Availability, PortState};
 use spamward_sim::DetRng;
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 /// Ground-truth mail configuration of a generated domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -200,6 +201,21 @@ impl PopulationStream {
     /// The generation seed.
     pub fn seed(&self) -> u64 {
         self.seed
+    }
+
+    /// Cuts the stream's indices into `count` contiguous blocks of
+    /// near-equal length, in stream order. A block is empty when `count`
+    /// exceeds the population.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count == 0`.
+    pub fn blocks(&self, count: u64) -> Vec<Range<u64>> {
+        assert!(count > 0, "need at least one block");
+        let len = u128::from(self.spec.domains as u64);
+        // Each edge is at most `len`, so it always fits back into a u64.
+        let edge = |b: u64| u64::try_from(len * u128::from(b) / u128::from(count)).unwrap_or(0);
+        (0..count).map(|b| edge(b)..edge(b + 1)).collect()
     }
 
     /// Domain `i`'s name text, `d{i}.example`, written into `buf` (room
@@ -461,6 +477,24 @@ mod tests {
         assert_ne!(d5, d13);
         assert_eq!(std::collections::BTreeSet::from([d5.clone(), d13]).len(), 2);
         assert_eq!(d5, expand(5));
+    }
+
+    #[test]
+    fn blocks_cut_the_stream_in_order() {
+        let stream = PopulationStream::new(PopulationSpec::fig2(1_003), 1);
+        let blocks = stream.blocks(8);
+        assert_eq!(blocks.len(), 8);
+        assert_eq!(blocks[0].start, 0);
+        assert_eq!(blocks[7].end, 1_003);
+        for pair in blocks.windows(2) {
+            assert_eq!(pair[0].end, pair[1].start, "contiguous");
+        }
+        assert!(blocks.iter().all(|b| (125..=126).contains(&(b.end - b.start))));
+        let tiny = PopulationStream::new(PopulationSpec::fig2(3), 1).blocks(8);
+        assert_eq!(tiny.iter().map(|b| b.end - b.start).sum::<u64>(), 3);
+        assert_eq!(tiny.iter().filter(|b| b.is_empty()).count(), 5);
+        let whole = PopulationStream::new(PopulationSpec::fig2(usize::MAX), 1).blocks(3);
+        assert_eq!(whole[2].end, usize::MAX as u64, "no overflow at the largest stream");
     }
 
     #[test]

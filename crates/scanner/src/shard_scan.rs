@@ -1,37 +1,41 @@
-//! The Fig. 2 scan pipeline, streamed and shard-parallel.
+//! The Fig. 2 scan pipeline, streamed in blocks.
 //!
 //! A whole-internet world — one global [`Network`]/[`Authority`] joined
 //! against whole-internet datasets — is fine at laptop scale and
-//! impossible at the paper's 135 M domains. [`scan_shard`] instead walks
-//! the [`PopulationStream`] and, for each domain its shard owns,
-//! synthesizes the domain's *corner* of the internet — its zone and mail
-//! hosts — runs the collect → glue-patch → banner-grab → classify pipeline
-//! against that corner, and folds the outcome into [`ShardScanStats`],
-//! whose size depends only on the number of rounds. Nothing survives a
-//! domain but its aggregate contribution, so memory stays flat no matter
-//! the population size.
+//! impossible at the paper's 135 M domains. [`scan_block`] instead walks
+//! one contiguous block of the [`PopulationStream`] and, for each domain,
+//! refills one reused *corner* of the internet with the domain's zone and
+//! mail hosts, runs the collect → glue-patch → banner-grab → classify
+//! pipeline against that corner, and adds the outcome to the
+//! [`ShardScanStats`] of the shard the domain's name hashes to, whose size
+//! depends only on the number of rounds. Each name is formatted and hashed
+//! once, and nothing survives a domain but its aggregate contribution, so
+//! memory stays flat no matter the population size.
 //!
 //! Per-domain emulation is *exact*, not approximate: MX entries, glue
 //! resolution and SYN probes depend only on the domain's own zone and
 //! hosts (addresses are unique per domain, host availability seeds derive
-//! from host names), so a domain's classification in its mini-world equals
-//! its classification in a whole-internet world — a property the tests pin
-//! against a test-only whole-world oracle. Shard outputs merge by
-//! field-wise addition in shard order.
+//! from host names), so a domain's classification in its corner equals its
+//! classification in a whole-internet world — a property the tests pin
+//! against a test-only whole-world oracle. The corner is cleared before
+//! each domain, so nothing of one domain reaches the next, and per-shard
+//! sums do not depend on how the stream is cut into blocks: blocks merge
+//! by field-wise addition in block order ([`BlockScan::merge`]).
 
 use crate::dataset::{BannerGrab, DnsAnyScan};
 use crate::metrics::{SAMPLE_SCAN_EVENTS, SAMPLE_SCAN_NOLISTING};
 use crate::pipeline::{DetectorAccuracy, DomainClass, Fig2Stats, NolistingDetector, ScanRound};
 use crate::population::{DomainTruth, PopulationStream};
-use spamward_dns::{Authority, NameTable, RecordData, RecordType};
+use spamward_dns::{Authority, NameTable};
 use spamward_net::{Network, SMTP_PORT};
 use spamward_obs::TimeSeries;
 use spamward_sim::{ShardPlan, SimTime};
+use std::ops::Range;
 
 /// Virtual scan rate backing the fig2 time series: the streaming scanner
 /// is modelled at one domain per virtual second, bucketed per minute.
 /// The bucket of a domain is a pure function of its global stream index,
-/// so per-shard series merge to identical bytes at any shard width.
+/// so per-block series merge to identical bytes at any block split.
 const SCAN_BUCKET_DOMAINS: u64 = 60;
 /// Seconds each bucket spans.
 const SCAN_BUCKET_SECS: u64 = 60;
@@ -71,9 +75,6 @@ pub struct ShardScanStats {
     pub accuracy: Vec<DetectorAccuracy>,
     /// Detected-nolisting counts within the top-k popular domains.
     pub top_k: Vec<(u32, u64)>,
-    /// Scan progress over virtual time: events and detections per
-    /// 60-second bucket of virtual time (`obs.sample.scan.*` series).
-    pub samples: TimeSeries,
 }
 
 fn class_slot(class: DomainClass) -> usize {
@@ -98,7 +99,6 @@ impl ShardScanStats {
             per_epoch_nolisting: vec![0; epochs],
             accuracy: vec![DetectorAccuracy::default(); epochs],
             top_k: ks.iter().map(|&k| (k, 0)).collect(),
-            samples: TimeSeries::new(),
         }
     }
 
@@ -110,9 +110,8 @@ impl ShardScanStats {
     /// top-k ranks.
     pub fn merge(&mut self, other: &ShardScanStats) {
         assert_eq!(self.rounds.len(), other.rounds.len(), "mismatched round counts");
-        assert_eq!(
-            self.top_k.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-            other.top_k.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
+        assert!(
+            self.top_k.iter().map(|(k, _)| k).eq(other.top_k.iter().map(|(k, _)| k)),
             "mismatched top-k ranks"
         );
         self.domains += other.domains;
@@ -137,7 +136,6 @@ impl ShardScanStats {
         for ((_, mine), (_, theirs)) in self.top_k.iter_mut().zip(&other.top_k) {
             *mine += theirs;
         }
-        self.samples.merge(&other.samples);
     }
 
     /// The Fig. 2 aggregate view of the class counts.
@@ -156,90 +154,123 @@ impl ShardScanStats {
     }
 }
 
-fn a_record(dns: &Authority, name: &spamward_dns::DomainName) -> Option<std::net::Ipv4Addr> {
-    dns.query_ro(name, RecordType::A).answers.iter().find_map(|r| match r.data {
-        RecordData::A(ip) => Some(ip),
-        _ => None,
-    })
+/// What [`scan_block`] yields: one accumulator per shard of the plan, and
+/// the block's scan-progress samples.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BlockScan {
+    /// Per-shard aggregates, indexed by shard id: every domain adds to
+    /// the shard [`ShardPlan::shard_of`] assigns its name.
+    pub shards: Vec<ShardScanStats>,
+    /// Scan progress over virtual time: events and detections per
+    /// 60-second bucket of virtual time (`obs.sample.scan.*` series).
+    pub samples: TimeSeries,
 }
 
-/// Runs the full scan pipeline over every domain `shard` owns under
-/// `plan`, streaming the population — memory use is independent of the
-/// population size.
-///
-/// `epochs` are the banner-grab rounds (the paper's two scans) and `ks`
-/// the popularity cutoffs for the Alexa cross-check.
-///
-/// # Panics
-///
-/// Panics if `epochs` is empty.
-#[must_use]
-pub fn scan_shard(
-    stream: &PopulationStream,
-    plan: &ShardPlan,
-    shard: u32,
-    epochs: &[u64],
-    ks: &[u32],
-) -> ShardScanStats {
-    assert!(!epochs.is_empty(), "need at least one scan round");
-    let mut stats = ShardScanStats::empty(epochs.len(), ks);
-    let mut name = [0; 32];
-    for i in 0..stream.len() as u64 {
-        if !plan.owns(shard, stream.name_into(i, &mut name)) {
-            continue;
+impl BlockScan {
+    /// An empty result over `shards` shards, `epochs` rounds and the
+    /// given top-k ranks.
+    #[must_use]
+    pub fn empty(shards: u32, epochs: usize, ks: &[u32]) -> BlockScan {
+        BlockScan {
+            shards: vec![ShardScanStats::empty(epochs, ks); shards as usize],
+            samples: TimeSeries::new(),
         }
-        let packed = stream.packed(i);
-        let mut names = NameTable::new(shard);
-        let expanded = stream.expand(&packed, &mut names);
-        let domain = expanded.record.name.clone();
-        stats.domains += 1;
-        let bucket = SimTime::from_secs(i / SCAN_BUCKET_DOMAINS * SCAN_BUCKET_SECS);
-        let events_before = stats.events;
+    }
 
-        // The domain's corner of the internet: its zone, its hosts.
-        let mut dns = Authority::new();
-        dns.publish(expanded.zone);
-        let mut net = Network::new(plan.seed());
-        for h in &expanded.hosts {
-            net.host(&h.name)
+    /// Folds another block in: shard by shard, and the samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two blocks were scanned over different shard counts,
+    /// epochs or top-k ranks.
+    pub fn merge(&mut self, other: &BlockScan) {
+        assert_eq!(self.shards.len(), other.shards.len(), "mismatched shard counts");
+        for (mine, theirs) in self.shards.iter_mut().zip(&other.shards) {
+            mine.merge(theirs);
+        }
+        self.samples.merge(&other.samples);
+    }
+
+    /// Every shard folded into one aggregate, in shard order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are no shards.
+    #[must_use]
+    pub fn total(&self) -> ShardScanStats {
+        let (first, rest) = self.shards.split_first().expect("a plan has at least one shard");
+        let mut total = first.clone();
+        for stats in rest {
+            total.merge(stats);
+        }
+        total
+    }
+}
+
+/// The corner of the internet one block scans its domains in: one
+/// authority, one network and one round buffer, cleared and refilled for
+/// every domain so their capacity carries over and their contents never
+/// do.
+struct Corner {
+    dns: Authority,
+    net: Network,
+    rounds: Vec<ScanRound>,
+}
+
+impl Corner {
+    /// Scans domain `i` across `epochs` and adds its outcome to `stats`.
+    /// Returns the scan work it took and whether the detector flagged it.
+    fn scan(
+        &mut self,
+        stream: &PopulationStream,
+        i: u64,
+        epochs: &[u64],
+        stats: &mut ShardScanStats,
+    ) -> (u64, bool) {
+        let packed = stream.packed(i);
+        let expanded = stream.expand(&packed, &mut NameTable::new(0));
+        let domain = expanded.record.name;
+        let syns = expanded.hosts.len() as u64; // one SYN per address
+        self.dns.clear();
+        self.dns.publish(expanded.zone);
+        self.net.clear();
+        for h in expanded.hosts {
+            self.net
+                .host(&h.name)
                 .ip(h.ip)
                 .port(SMTP_PORT, h.smtp)
-                .availability(h.availability.clone())
+                .availability(h.availability)
                 .build();
         }
 
-        let mut rounds = Vec::with_capacity(epochs.len());
-        for (ei, &epoch) in epochs.iter().enumerate() {
-            let mut scan = DnsAnyScan::collect(&mut dns, [&domain]);
-            stats.events += 1; // the MX query
-            for e in scan.mx.values_mut().flatten() {
-                if e.ip.is_none() {
-                    stats.events += 1; // the glue re-resolution query
-                    if let Some(ip) = a_record(&dns, &e.exchange) {
-                        e.ip = Some(ip);
-                        stats.glue_resolved += 1;
-                    }
-                }
-            }
-            let banner = BannerGrab::collect(&net, epoch);
-            stats.events += expanded.hosts.len() as u64; // one SYN per address
-            stats.rounds[ei].dns_domains += scan.len() as u64;
-            stats.rounds[ei].dns_missing_a += scan.missing_count() as u64;
-            stats.rounds[ei].banner_listening += banner.len() as u64;
-            rounds.push(ScanRound { dns: scan, banner });
+        self.rounds.clear();
+        let mut events = 0;
+        for (round, &epoch) in stats.rounds.iter_mut().zip(epochs) {
+            let mut dns = DnsAnyScan::collect(&mut self.dns, [&domain]);
+            let (glue_lookups, patched) = dns.resolve_glue(&self.dns);
+            let banner = BannerGrab::collect(&self.net, epoch);
+            events += 1 + glue_lookups + syns; // the MX query, glue, SYNs
+            stats.glue_resolved += patched;
+            round.dns_domains += dns.len() as u64;
+            round.dns_missing_a += dns.missing_count() as u64;
+            round.banner_listening += banner.len() as u64;
+            self.rounds.push(ScanRound { dns, banner });
         }
 
         // Per round: its single-round verdict, then the cross-check of
         // every round so far (for the first round, the same verdict).
         let actual = packed.truth == DomainTruth::Nolisting;
         let mut class = DomainClass::DnsMisconfigured;
-        for (ei, round) in rounds.iter().enumerate() {
+        for (ei, round) in self.rounds.iter().enumerate() {
             let single = NolistingDetector::classify(std::slice::from_ref(round), &domain);
             if single == DomainClass::Nolisting {
                 stats.per_epoch_nolisting[ei] += 1;
             }
-            class =
-                if ei == 0 { single } else { NolistingDetector::classify(&rounds[..=ei], &domain) };
+            class = if ei == 0 {
+                single
+            } else {
+                NolistingDetector::classify(&self.rounds[..=ei], &domain)
+            };
             stats.accuracy[ei].record(class == DomainClass::Nolisting, actual);
         }
         // `class` now cross-checks every round.
@@ -252,13 +283,80 @@ pub fn scan_shard(
                 }
             }
         }
-        let delta = i64::try_from(stats.events - events_before).unwrap_or(i64::MAX);
-        stats.samples.record_point(SAMPLE_SCAN_EVENTS, bucket, delta);
-        if flagged {
-            stats.samples.record_point(SAMPLE_SCAN_NOLISTING, bucket, 1);
+        stats.domains += 1;
+        stats.events += events;
+        (events, flagged)
+    }
+}
+
+/// One bucket of scan-progress samples being summed. Indices ascend
+/// within a block, so a bucket is whole once the next index leaves it.
+struct Bucket {
+    index: u64,
+    events: u64,
+    nolisting: u64,
+}
+
+impl Bucket {
+    fn record(&self, samples: &mut TimeSeries) {
+        let at = SimTime::from_secs(self.index * SCAN_BUCKET_SECS);
+        samples.record_point(
+            SAMPLE_SCAN_EVENTS,
+            at,
+            i64::try_from(self.events).unwrap_or(i64::MAX),
+        );
+        if self.nolisting > 0 {
+            let nolisting = i64::try_from(self.nolisting).unwrap_or(i64::MAX);
+            samples.record_point(SAMPLE_SCAN_NOLISTING, at, nolisting);
         }
     }
-    stats
+}
+
+/// Runs the full scan pipeline over the domains of `block`, a range of
+/// stream indices, streaming the population — memory use is independent
+/// of the population size. Each domain is named and hashed once and adds
+/// its outcome to the shard of `plan` that owns it.
+///
+/// `epochs` are the banner-grab rounds (the paper's two scans) and `ks`
+/// the popularity cutoffs for the Alexa cross-check. The result is a pure
+/// function of its arguments, and the per-shard sums of any split of the
+/// stream into blocks, merged with [`BlockScan::merge`], are equal.
+///
+/// # Panics
+///
+/// Panics if `epochs` is empty or `block` leaves the stream.
+#[must_use]
+pub fn scan_block(
+    stream: &PopulationStream,
+    plan: &ShardPlan,
+    block: Range<u64>,
+    epochs: &[u64],
+    ks: &[u32],
+) -> BlockScan {
+    assert!(!epochs.is_empty(), "need at least one scan round");
+    let mut scan = BlockScan::empty(plan.shards(), epochs.len(), ks);
+    let mut corner = Corner {
+        dns: Authority::new(),
+        net: Network::new(plan.seed()),
+        rounds: Vec::with_capacity(epochs.len()),
+    };
+    let mut bucket: Option<Bucket> = None;
+    let mut name = [0; 32];
+    for i in block {
+        let stats = &mut scan.shards[plan.shard_of(stream.name_into(i, &mut name)) as usize];
+        let (events, flagged) = corner.scan(stream, i, epochs, stats);
+        let index = i / SCAN_BUCKET_DOMAINS;
+        if let Some(full) = bucket.take_if(|b| b.index != index) {
+            full.record(&mut scan.samples);
+        }
+        let b = bucket.get_or_insert(Bucket { index, events: 0, nolisting: 0 });
+        b.events += events;
+        b.nolisting += u64::from(flagged);
+    }
+    if let Some(last) = bucket {
+        last.record(&mut scan.samples);
+    }
+    scan
 }
 
 #[cfg(test)]
@@ -268,7 +366,6 @@ pub(crate) mod oracle {
     //! [`Network`], scanned with whole-world datasets, glue patched in one
     //! serial pass.
 
-    use super::a_record;
     use crate::dataset::{BannerGrab, DnsAnyScan};
     use crate::pipeline::ScanRound;
     use crate::population::{DomainRecord, PopulationStream};
@@ -317,10 +414,7 @@ pub(crate) mod oracle {
             for &epoch in epochs {
                 let mut dns =
                     DnsAnyScan::collect(&mut self.dns, self.domains.iter().map(|d| &d.name));
-                for e in dns.mx.values_mut().flatten().filter(|e| e.ip.is_none()) {
-                    e.ip = a_record(&self.dns, &e.exchange);
-                    patched += u64::from(e.ip.is_some());
-                }
+                patched += dns.resolve_glue(&self.dns).1;
                 rounds.push(ScanRound { dns, banner: BannerGrab::collect(&self.network, epoch) });
             }
             (rounds, patched)
@@ -333,29 +427,40 @@ mod tests {
     use super::oracle::Oracle;
     use super::*;
     use crate::population::PopulationSpec;
-    use spamward_sim::shard::run_sharded;
+    use spamward_sim::shard::run_partitioned;
 
     const EPOCHS: [u64; 2] = [0, 1];
     const KS: [u32; 3] = [15, 500, 1000];
 
-    fn merged_scan(stream: &PopulationStream, shards: u32, epochs: &[u64]) -> ShardScanStats {
+    /// Scans `stream` under a `shards`-wide plan, `blocks` on four
+    /// workers, merged in block order.
+    fn scan_in(
+        stream: &PopulationStream,
+        shards: u32,
+        blocks: Vec<Range<u64>>,
+        epochs: &[u64],
+    ) -> BlockScan {
         let plan = ShardPlan::new(stream.seed(), shards);
-        let per_shard = run_sharded(&plan, 4, |s| scan_shard(stream, &plan, s, epochs, &KS));
-        let mut total = ShardScanStats::empty(epochs.len(), &KS);
-        for s in &per_shard {
-            total.merge(s);
+        let mut merged = BlockScan::empty(shards, epochs.len(), &KS);
+        for block in run_partitioned(blocks, 4, |b| scan_block(stream, &plan, b, epochs, &KS)) {
+            merged.merge(&block);
         }
-        total
+        merged
     }
 
-    fn merged(domains: usize, seed: u64, shards: u32) -> ShardScanStats {
+    /// The survey's split: eight contiguous blocks.
+    fn merged_scan(stream: &PopulationStream, shards: u32, epochs: &[u64]) -> BlockScan {
+        scan_in(stream, shards, stream.blocks(8), epochs)
+    }
+
+    fn merged(domains: usize, seed: u64, shards: u32) -> BlockScan {
         merged_scan(&PopulationStream::new(PopulationSpec::fig2(domains), seed), shards, &EPOCHS)
     }
 
     /// Scans `stream` `shards` wide and checks every aggregate against
     /// the whole-world oracle.
     fn assert_matches_oracle(stream: &PopulationStream, shards: u32, epochs: &[u64]) {
-        let total = merged_scan(stream, shards, epochs);
+        let total = merged_scan(stream, shards, epochs).total();
         let mut world = Oracle::build(stream);
         let (rounds, glue) = world.rounds(epochs);
         let classify = |n: usize| -> Vec<DomainClass> {
@@ -415,47 +520,75 @@ mod tests {
     }
 
     #[test]
+    fn the_reused_corner_leaks_nothing_and_the_block_split_changes_nothing() {
+        let mut spec = PopulationSpec::fig2(1_200);
+        spec.flaky_hosts = 0.5;
+        let stream = PopulationStream::new(spec, 77);
+        let epochs = [0, 1, 2];
+        let n = stream.len() as u64;
+        // One block reuses one corner for every domain; one-domain blocks
+        // give every domain a fresh corner; the uneven split cuts buckets.
+        let whole = scan_in(&stream, 8, stream.blocks(1), &epochs);
+        let fresh = scan_in(&stream, 8, (0..n).map(|i| i..i + 1).collect(), &epochs);
+        let uneven = scan_in(&stream, 8, vec![0..7, 7..1_000, 1_000..n], &epochs);
+        assert_eq!(whole, fresh, "a domain scanned after another must not see it");
+        assert_eq!(whole, uneven);
+
+        let plan = ShardPlan::new(stream.seed(), 8);
+        let mut owned = [0u64; 8];
+        for i in 0..n {
+            owned[plan.shard_of(&stream.name_of(i)) as usize] += 1;
+        }
+        let domains: Vec<u64> = whole.shards.iter().map(|s| s.domains).collect();
+        assert_eq!(domains, owned, "each shard classifies exactly the names it owns");
+        // The flaky hosts make the rounds disagree, so a leaked host or
+        // answer would have shown.
+        let total = whole.total();
+        assert_ne!(total.rounds[0].banner_listening, total.rounds[1].banner_listening);
+        assert!(total.class_counts.iter().all(|&c| c > 0), "{:?}", total.class_counts);
+    }
+
+    #[test]
     #[should_panic(expected = "at least one scan round")]
     fn scan_needs_a_round() {
         let stream = PopulationStream::new(PopulationSpec::fig2(10), 1);
-        let _ = scan_shard(&stream, &ShardPlan::new(1, 1), 0, &[], &KS);
+        let _ = scan_block(&stream, &ShardPlan::new(1, 1), 0..10, &[], &KS);
     }
 
     #[test]
     fn merge_is_independent_of_shard_count() {
-        let one = merged(900, 5, 1);
-        let four = merged(900, 5, 4);
-        let eight = merged(900, 5, 8);
-        assert_eq!(one, four);
-        assert_eq!(one, eight);
+        let (one, four, eight) = (merged(900, 5, 1), merged(900, 5, 4), merged(900, 5, 8));
+        assert_eq!(one.total(), four.total());
+        assert_eq!(one.total(), eight.total());
+        assert_eq!(one.samples, eight.samples);
     }
 
     #[test]
-    fn scan_samples_cover_every_bucket_at_any_shard_width() {
-        let one = merged(900, 5, 1);
-        let eight = merged(900, 5, 8);
-        assert_eq!(one.samples.to_csv(), eight.samples.to_csv(), "byte-stable across widths");
+    fn scan_samples_cover_every_bucket() {
+        let scan = merged(900, 5, 8);
         // 900 domains at one per virtual second = 15 one-minute buckets.
-        let event_buckets =
-            one.samples.iter().filter(|(series, _, _)| *series == SAMPLE_SCAN_EVENTS).count();
-        assert_eq!(event_buckets, 15);
+        let events = || scan.samples.iter().filter(|(series, _, _)| *series == SAMPLE_SCAN_EVENTS);
+        assert_eq!(events().count(), 15);
         // Every bucket did work: at least one MX query per domain.
-        assert!(one
+        assert!(events().all(|(_, _, v)| v >= 60));
+        let total: i64 = events().map(|(_, _, v)| v).sum();
+        assert_eq!(total, scan.total().events as i64);
+        let flagged: i64 = scan
             .samples
             .iter()
-            .filter(|(series, _, _)| *series == SAMPLE_SCAN_EVENTS)
-            .all(|(_, _, v)| v >= 60));
+            .filter(|(series, _, _)| *series == SAMPLE_SCAN_NOLISTING)
+            .map(|(_, _, v)| v)
+            .sum();
+        assert_eq!(flagged, scan.total().class_counts[class_slot(DomainClass::Nolisting)] as i64);
     }
 
     #[test]
     fn shards_partition_the_population() {
-        let stream = PopulationStream::new(PopulationSpec::fig2(700), 3);
-        let plan = ShardPlan::new(3, 8);
-        let per_shard = run_sharded(&plan, 2, |s| scan_shard(&stream, &plan, s, &EPOCHS, &KS));
-        let covered: u64 = per_shard.iter().map(|s| s.domains).sum();
+        let scan = merged(700, 3, 8);
+        let covered: u64 = scan.shards.iter().map(|s| s.domains).sum();
         assert_eq!(covered, 700, "every domain in exactly one shard");
         assert!(
-            per_shard.iter().filter(|s| s.domains > 0).count() >= 6,
+            scan.shards.iter().filter(|s| s.domains > 0).count() >= 6,
             "the hash should spread domains across shards"
         );
     }
@@ -466,5 +599,12 @@ mod tests {
         let mut a = ShardScanStats::empty(2, &KS);
         let b = ShardScanStats::empty(3, &KS);
         a.merge(&b);
+    }
+
+    #[test]
+    #[should_panic(expected = "mismatched shard counts")]
+    fn merging_blocks_of_different_plans_panics() {
+        let mut a = BlockScan::empty(8, 2, &KS);
+        a.merge(&BlockScan::empty(4, 2, &KS));
     }
 }

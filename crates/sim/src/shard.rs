@@ -25,7 +25,8 @@
 //! every item on a bounded pool of scoped std threads, return outputs in
 //! input order" primitive that also serves the variance seed sweep and
 //! `repro all --jobs` (parallel seeds and registry entries are just shards
-//! of a sweep) and the `policy_backend` grid.
+//! of a sweep), the `policy_backend` grid and the fig2 scan's contiguous
+//! blocks, whose per-shard sums do not depend on the block split.
 
 use std::panic;
 use std::sync::{Mutex, PoisonError};

@@ -22,17 +22,20 @@ fn sharded_experiments_are_shard_count_invariant() {
     for id in SHARDED_IDS {
         for seed in [None, Some(7), Some(2026)] {
             let serial = run(id, seed, 1);
-            let wide = run(id, seed, 4);
-            assert_eq!(
-                serial.to_json(),
-                wide.to_json(),
-                "{id} seed {seed:?}: JSON bytes must not depend on --shards"
-            );
-            assert_eq!(
-                serial.to_text_with_metrics(),
-                wide.to_text_with_metrics(),
-                "{id} seed {seed:?}: text+metrics bytes must not depend on --shards"
-            );
+            // 3 divides neither the 8 shards nor fig2's 8 blocks.
+            for width in [3, 4] {
+                let wide = run(id, seed, width);
+                assert_eq!(
+                    serial.to_json(),
+                    wide.to_json(),
+                    "{id} seed {seed:?}: JSON bytes must not depend on --shards {width}"
+                );
+                assert_eq!(
+                    serial.to_text_with_metrics(),
+                    wide.to_text_with_metrics(),
+                    "{id} seed {seed:?}: text+metrics bytes must not depend on --shards {width}"
+                );
+            }
         }
     }
 }
