@@ -42,7 +42,7 @@ impl Campaign {
             })
             .collect();
         let message = Message::builder()
-            .header("From", &sender.to_string())
+            .header("From", sender.to_string())
             .header("Subject", "Best prices on meds !!!")
             .header("X-Mailer", "totally-legit-mailer 1.0")
             .body(&format!(

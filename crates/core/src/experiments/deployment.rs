@@ -32,6 +32,7 @@ use spamward_sim::shard::run_sharded;
 use spamward_sim::{DetRng, ShardPlan, SimDuration, SimTime};
 use spamward_smtp::{EmailAddress, Message, ReversePath};
 use spamward_webmail::WebmailProvider;
+use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
 /// The deployment's domain.
@@ -156,10 +157,43 @@ fn build_world(config: &DeploymentConfig) -> MailWorld {
     )
 }
 
-/// The nominal relay name of message `i` — what the shard partition
-/// hashes, whatever sender class the message ends up drawing.
-fn relay_name(i: usize) -> String {
-    format!("relay{i}.example")
+/// Writes the nominal relay name of message `i` into `out` — what the
+/// shard partition hashes, whatever sender class the message ends up
+/// drawing.
+fn write_relay_name(out: &mut String, i: usize) {
+    out.clear();
+    // Room for any index, so a fresh buffer is one allocation.
+    out.reserve("relay.example".len() + 20);
+    // Writing to a `String` cannot fail.
+    let _ = write!(out, "relay{i}.example");
+}
+
+/// Recipients the replay addresses: message `i` goes to `staff{i % 50}`.
+const STAFF: usize = 50;
+
+/// What every message of one replay draws from, built once per run.
+struct Synthesis {
+    domain: DomainName,
+    providers: Vec<WebmailProvider>,
+    staff: Vec<EmailAddress>,
+    /// Summed sender-class weights.
+    total_weight: f64,
+}
+
+impl Synthesis {
+    fn new(config: &DeploymentConfig) -> Self {
+        let staff = (0..STAFF)
+            .map(|n| format!("staff{n}@{DEPLOYMENT_DOMAIN}").parse().expect("valid recipient"))
+            .collect();
+        let mta_weight: f64 = ordered_sum(config.mix.mtas.iter().map(|(_, w)| *w));
+        let mix = &config.mix;
+        Synthesis {
+            domain: DEPLOYMENT_DOMAIN.parse().expect("valid deployment domain"),
+            providers: WebmailProvider::table_iii(),
+            staff,
+            total_weight: mta_weight + mix.webmail + mix.hourly_script + mix.no_retry_script,
+        }
+    }
 }
 
 /// Builds message `i`'s pre-submitted sender, tagged with its arrival
@@ -168,48 +202,45 @@ fn relay_name(i: usize) -> String {
 /// synthesize exactly the messages it owns without generating the rest.
 fn build_message(
     config: &DeploymentConfig,
-    providers: &[WebmailProvider],
-    domain: &DomainName,
+    synthesis: &Synthesis,
     i: usize,
 ) -> (SimTime, SendingMta) {
     let mut rng = DetRng::seed(config.seed).fork_idx("deployment.msg", i as u64);
     let arrival =
         SimTime::ZERO + SimDuration::from_micros(rng.below(config.window.as_micros().max(1)));
     let source_ip = indexed_ip(SOURCE_IP_BASE, i as u64);
+    let mut relay = String::new();
+    write_relay_name(&mut relay, i);
     let sender_addr: EmailAddress =
-        format!("user{i}@{}", relay_name(i)).parse().expect("synthetic sender is valid");
-    let rcpt: EmailAddress =
-        format!("staff{}@{DEPLOYMENT_DOMAIN}", i % 50).parse().expect("valid recipient");
+        format!("user{i}@{relay}").parse().expect("synthetic sender is valid");
+    let rcpt = synthesis.staff[i % STAFF].clone();
     let message = Message::builder()
-        .header("Subject", &format!("message {i}"))
+        .header("Subject", format!("message {i}"))
         .body("benign mail body")
         .build();
 
-    let mta_weight: f64 = ordered_sum(config.mix.mtas.iter().map(|(_, w)| *w));
-    let total_weight =
-        mta_weight + config.mix.webmail + config.mix.hourly_script + config.mix.no_retry_script;
-
     // Draw the sender class.
-    let mut x = rng.unit_f64() * total_weight;
+    let mut x = rng.unit_f64() * synthesis.total_weight;
     let mut sender: SendingMta = 'pick: {
         for (profile, w) in &config.mix.mtas {
             if x < *w {
-                break 'pick SendingMta::new(&relay_name(i), vec![source_ip], profile.clone());
+                break 'pick SendingMta::new(&relay, vec![source_ip], profile.clone());
             }
             x -= w;
         }
         if x < config.mix.webmail {
-            let provider = rng.pick(providers).clone();
+            let provider = rng.pick(&synthesis.providers);
             break 'pick provider.build_sender(source_ip, config.seed ^ i as u64);
         }
         x -= config.mix.webmail;
         if x < config.mix.hourly_script {
-            break 'pick SendingMta::new(&relay_name(i), vec![source_ip], hourly_script_profile());
+            break 'pick SendingMta::new(&relay, vec![source_ip], hourly_script_profile());
         }
-        SendingMta::new(&relay_name(i), vec![source_ip], no_retry_profile())
+        SendingMta::new(&relay, vec![source_ip], no_retry_profile())
     };
 
-    sender.submit(domain.clone(), ReversePath::Address(sender_addr), vec![rcpt], message, arrival);
+    let domain = synthesis.domain.clone();
+    sender.submit(domain, ReversePath::Address(sender_addr), vec![rcpt], message, arrival);
     (arrival, sender)
 }
 
@@ -250,26 +281,32 @@ fn summarize(
 /// into `obs` in shard order.
 pub fn run(config: &DeploymentConfig, obs: &mut Obs) -> DeploymentResult {
     let plan = ShardPlan::new(config.seed, DEPLOYMENT_SHARDS);
-    let domain: DomainName = DEPLOYMENT_DOMAIN.parse().expect("valid deployment domain");
-    let providers = WebmailProvider::table_iii();
-    // Each message's shard, hashed once rather than once per shard pass.
-    let owners: Vec<u32> = (0..config.messages).map(|i| plan.shard_of(&relay_name(i))).collect();
+    let synthesis = Synthesis::new(config);
+    // Each message's shard, hashed once rather than once per shard pass,
+    // with every relay name written into one buffer.
+    let mut relay = String::new();
+    let owners: Vec<u32> = (0..config.messages)
+        .map(|i| {
+            write_relay_name(&mut relay, i);
+            plan.shard_of(&relay)
+        })
+        .collect();
     let shard_runs = run_sharded(&plan, config.workers, |shard| {
         let mut shard_obs = obs.fork();
         let mut world = shard_obs.arm(build_world(config));
-        let mut senders = Vec::new();
+        let mut bounces = 0;
         for (i, _) in owners.iter().enumerate().filter(|&(_, &owner)| owner == shard) {
-            let (arrival, mut sender) = build_message(config, &providers, &domain, i);
+            let (arrival, mut sender) = build_message(config, &synthesis, i);
             sender.drain(arrival, &mut world);
-            senders.push(sender);
-        }
-        for sender in &senders {
-            spamward_mta::metrics::collect_sender(sender, &mut shard_obs.registry);
+            // Nothing reads a drained sender but its metrics and bounce
+            // count, so both are taken now and the sender is dropped.
+            spamward_mta::metrics::collect_sender(&sender, &mut shard_obs.registry);
+            bounces += sender.bounces().len();
         }
         shard_obs.collect(&world);
         ShardRun {
             events: world.engine_stats.events,
-            bounces: senders.iter().map(|s| s.bounces().len()).sum(),
+            bounces,
             log: world.server(VICTIM_MX_IP).expect("deployment server").log().to_vec(),
             obs: shard_obs,
         }
@@ -380,11 +417,10 @@ mod tests {
     /// world.
     fn replay_world(seed: u64) -> MailWorld {
         let config = DeploymentConfig { seed, messages: 300, ..Default::default() };
-        let domain: DomainName = DEPLOYMENT_DOMAIN.parse().unwrap();
-        let providers = WebmailProvider::table_iii();
+        let synthesis = Synthesis::new(&config);
         let mut world = build_world(&config);
         for i in 0..config.messages {
-            let (arrival, mut sender) = build_message(&config, &providers, &domain, i);
+            let (arrival, mut sender) = build_message(&config, &synthesis, i);
             sender.drain(arrival, &mut world);
         }
         world

@@ -224,7 +224,7 @@ pub fn run(config: &ResilienceConfig, obs: &mut Obs) -> ResilienceResult {
                     ),
                     vec![format!("user{i}@{VICTIM_DOMAIN}").parse().expect("valid recipient")],
                     spamward_smtp::Message::builder()
-                        .header("Subject", &format!("resilience probe {i}"))
+                        .header("Subject", format!("resilience probe {i}"))
                         .body("legitimate mail under faults")
                         .build(),
                     at,

@@ -5,6 +5,7 @@ use crate::name::DomainName;
 use crate::record::{RecordData, RecordType};
 use spamward_net::faults::DnsFaults;
 use spamward_sim::{SimDuration, SimTime};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -151,47 +152,56 @@ impl Resolver {
         }
     }
 
+    /// Answers `name`/`rtype` from the cache, asking the authority on a
+    /// miss or an expired entry. The answers are borrowed from the cache
+    /// entry, so a hit copies nothing and a miss moves the authority's
+    /// answers into the cache.
     fn query_cached(
         &mut self,
         authority: &mut Authority,
         name: &DomainName,
         rtype: RecordType,
         now: SimTime,
-    ) -> (Rcode, Vec<crate::record::ResourceRecord>) {
+    ) -> (Rcode, &[crate::record::ResourceRecord]) {
         match rtype {
             RecordType::A => self.stats.a_queries += 1,
             RecordType::Mx => self.stats.mx_queries += 1,
             RecordType::Cname => self.stats.cname_queries += 1,
             _ => self.stats.other_queries += 1,
         }
-        let key = (name.clone(), rtype);
-        if let Some(entry) = self.cache.get(&key) {
-            if entry.expires > now {
+        let entry = match self.cache.entry((name.clone(), rtype)) {
+            Entry::Occupied(entry) if entry.get().expires > now => {
                 self.stats.hits += 1;
-                match entry.rcode {
-                    Rcode::NxDomain => self.stats.nxdomain += 1,
-                    Rcode::ServFail => self.stats.servfail += 1,
-                    Rcode::NoError => {}
-                }
-                return (entry.rcode, entry.answers.clone());
+                entry.into_mut()
             }
-        }
-        self.stats.misses += 1;
-        let out = authority.query(name, rtype);
-        match out.rcode {
+            stale_or_vacant => {
+                self.stats.misses += 1;
+                let out = authority.query(name, rtype);
+                let ttl = match out.rcode {
+                    Rcode::NoError => {
+                        out.answers.iter().map(|r| r.ttl).min().unwrap_or(self.negative_ttl)
+                    }
+                    _ => self.negative_ttl,
+                };
+                // The cache keeps the answers for their TTL: no spare room.
+                let mut answers = out.answers;
+                answers.shrink_to_fit();
+                let fresh = CacheEntry { expires: now + ttl, rcode: out.rcode, answers };
+                match stale_or_vacant {
+                    Entry::Occupied(mut entry) => {
+                        entry.insert(fresh);
+                        entry.into_mut()
+                    }
+                    Entry::Vacant(entry) => entry.insert(fresh),
+                }
+            }
+        };
+        match entry.rcode {
             Rcode::NxDomain => self.stats.nxdomain += 1,
             Rcode::ServFail => self.stats.servfail += 1,
             Rcode::NoError => {}
         }
-        let ttl = match out.rcode {
-            Rcode::NoError => out.answers.iter().map(|r| r.ttl).min().unwrap_or(self.negative_ttl),
-            _ => self.negative_ttl,
-        };
-        self.cache.insert(
-            key,
-            CacheEntry { expires: now + ttl, rcode: out.rcode, answers: out.answers.clone() },
-        );
-        (out.rcode, out.answers)
+        (entry.rcode, &entry.answers)
     }
 
     /// Resolves a single A record, following CNAME chains up to 8 deep
@@ -219,10 +229,11 @@ impl Resolver {
             if rcode != Rcode::NoError {
                 return None;
             }
-            match answers.iter().find_map(|r| match &r.data {
+            let target = answers.iter().find_map(|r| match &r.data {
                 RecordData::Cname(target) => Some(target.clone()),
                 _ => None,
-            }) {
+            });
+            match target {
                 Some(target) => cursor = target,
                 None => return None,
             }
@@ -264,15 +275,19 @@ impl Resolver {
             Rcode::NxDomain => return Err(ResolveError::NxDomain),
             Rcode::NoError => {}
         }
-        let mut mxs: Vec<(u16, DomainName)> = answers
+        // The hosts are listed before their addresses are resolved, so the
+        // one list is the result.
+        let mut hosts: Vec<MxHost> = answers
             .iter()
             .filter_map(|r| match &r.data {
-                RecordData::Mx { preference, exchange } => Some((*preference, exchange.clone())),
+                RecordData::Mx { preference, exchange } => {
+                    Some(MxHost { preference: *preference, name: exchange.clone(), ip: None })
+                }
                 _ => None,
             })
             .collect();
 
-        if mxs.is_empty() {
+        if hosts.is_empty() {
             // Implicit MX: an apex A record stands in as a preference-0
             // exchanger.
             self.stats.implicit_mx_fallbacks += 1;
@@ -282,14 +297,11 @@ impl Resolver {
             };
         }
 
-        mxs.sort_by_key(|a| a.0);
-        let hosts = mxs
-            .into_iter()
-            .map(|(preference, name)| {
-                let ip = self.resolve_a(authority, &name, now);
-                MxHost { preference, name, ip }
-            })
-            .collect();
+        // Stable, so ties keep zone order; addresses resolve in that order.
+        hosts.sort_by_key(|host| host.preference);
+        for host in &mut hosts {
+            host.ip = self.resolve_a(authority, &host.name, now);
+        }
         Ok(hosts)
     }
 }

@@ -41,7 +41,7 @@ mod whitelist;
 pub use backend::{RemoteStore, StoreBackend, StoreUnavailable, Touch};
 pub use keying::KeyPolicy;
 pub use persist::{DurabilityMode, GreylistWal, SnapshotError, WalReplay};
-pub use policy::{Decision, Greylist, GreylistConfig, PassReason};
+pub use policy::{Decision, Greylist, GreylistConfig, PassReason, Verdict};
 pub use stats::GreylistStats;
 pub use store::{EntryState, TripletEntry, TripletStore};
 pub use triplet::{KeyAtom, TripletKey};

@@ -47,6 +47,17 @@ impl Decision {
     }
 }
 
+/// A decision with the store key it was made under: the start of a
+/// verdict's provenance ([`Greylist::try_check_keyed`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Verdict {
+    /// What the check decided.
+    pub decision: Decision,
+    /// The key the triplet store was consulted under, or, for a
+    /// whitelist pass, the key the envelope collapses to.
+    pub key: TripletKey,
+}
+
 /// Configuration mirroring Postgrey's command-line knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GreylistConfig {
@@ -352,6 +363,43 @@ impl Greylist {
         sender: &ReversePath,
         recipient: &EmailAddress,
     ) -> Result<Decision, StoreUnavailable> {
+        self.decide(now, client_ip, client_rdns, sender, recipient, |_| {})
+    }
+
+    /// [`Greylist::try_check_with_rdns`] with the key the decision was made
+    /// under, so a caller that logs the verdict derives no key of its own.
+    /// A whitelist pass touches no store; its key is derived here.
+    ///
+    /// # Errors
+    ///
+    /// As [`Greylist::try_check_with_rdns`].
+    pub fn try_check_keyed(
+        &mut self,
+        now: SimTime,
+        client_ip: Ipv4Addr,
+        client_rdns: Option<&str>,
+        sender: &ReversePath,
+        recipient: &EmailAddress,
+    ) -> Result<Verdict, StoreUnavailable> {
+        let mut used = None;
+        let decision =
+            self.decide(now, client_ip, client_rdns, sender, recipient, |key| used = Some(key))?;
+        let key = used.unwrap_or_else(|| self.key_for(client_ip, sender, recipient));
+        Ok(Verdict { decision, key })
+    }
+
+    /// The decision path. `on_key` sees the store key when the triplet
+    /// store is consulted; [`Greylist::try_check_with_rdns`] passes a no-op
+    /// that compiles away, so a plain check pays nothing for it.
+    fn decide(
+        &mut self,
+        now: SimTime,
+        client_ip: Ipv4Addr,
+        client_rdns: Option<&str>,
+        sender: &ReversePath,
+        recipient: &EmailAddress,
+        mut on_key: impl FnMut(TripletKey),
+    ) -> Result<Decision, StoreUnavailable> {
         if self.config.whitelist_clients.matches_client(client_ip, client_rdns) {
             self.stats.passed_client_whitelist += 1;
             return Ok(Decision::Pass(PassReason::ClientWhitelisted));
@@ -376,6 +424,7 @@ impl Greylist {
         }
 
         let key = self.key_for(client_ip, sender, recipient);
+        on_key(key);
         let delay = self.config.delay;
         let touch = self.store.touch(key, now, delay)?;
         // Log only after the store answered: an unavailable backend mutated
@@ -502,6 +551,25 @@ mod tests {
         let d = g.check(t(0), ip(5), &from("a@b.cc"), &rcpt("u@foo.net"));
         assert_eq!(d, Decision::Pass(PassReason::ClientWhitelisted));
         assert_eq!(g.store().len(), 0, "whitelisted checks must not create triplets");
+    }
+
+    #[test]
+    fn keyed_checks_decide_as_check_and_hand_back_the_key_for_key() {
+        let mut cfg = GreylistConfig::with_delay(SimDuration::from_secs(300))
+            .with_key_policy(KeyPolicy::SenderRecipient);
+        cfg.whitelist_clients.add_cidr(ip(0), 28);
+        let (mut keyed, mut plain) = (Greylist::new(cfg.clone()), Greylist::new(cfg));
+        // Deferred, early, matured, known, then a whitelisted client.
+        for (at, client) in [(0, 20), (100, 20), (300, 20), (400, 20), (500, 5)] {
+            let (sender, recipient) = (from("a@b.cc"), rcpt("u@foo.net"));
+            let verdict =
+                keyed.try_check_keyed(t(at), ip(client), None, &sender, &recipient).unwrap();
+            let decision = plain.check(t(at), ip(client), &sender, &recipient);
+            assert_eq!(verdict.decision, decision, "t={at}");
+            assert_eq!(verdict.key, plain.key_for(ip(client), &sender, &recipient), "t={at}");
+        }
+        assert_eq!(keyed.stats(), plain.stats());
+        assert_eq!(keyed.store().len(), plain.store().len());
     }
 
     #[test]

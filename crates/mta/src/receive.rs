@@ -2,7 +2,7 @@
 
 use crate::log::anonymize;
 use spamward_analysis::log::{LogEvent, LogRecord};
-use spamward_greylist::{Decision, DurabilityMode, Greylist, PassReason, TripletKey};
+use spamward_greylist::{Decision, DurabilityMode, Greylist, PassReason, TripletKey, Verdict};
 use spamward_net::FaultWindow;
 use spamward_sim::SimTime;
 use spamward_smtp::metrics::SessionMetrics;
@@ -13,6 +13,7 @@ use spamward_smtp::{
 use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Which RCPT addresses the server considers deliverable.
 ///
@@ -162,7 +163,8 @@ pub struct StoredMessage {
 /// ```
 #[derive(Debug)]
 pub struct ReceivingMta {
-    hostname: String,
+    /// Shared with every session this server runs.
+    hostname: Arc<str>,
     ip: Ipv4Addr,
     recipients: RecipientPolicy,
     reject_pregreeters: bool,
@@ -200,7 +202,7 @@ impl ReceivingMta {
             salt = salt.rotate_left(7) ^ u64::from(b);
         }
         ReceivingMta {
-            hostname: hostname.to_owned(),
+            hostname: hostname.into(),
             ip,
             recipients: RecipientPolicy::AcceptAll,
             reject_pregreeters: false,
@@ -442,6 +444,11 @@ impl ReceivingMta {
         &self.hostname
     }
 
+    /// The server's hostname as shared text, for the sessions it runs.
+    pub(crate) fn shared_hostname(&self) -> Arc<str> {
+        Arc::clone(&self.hostname)
+    }
+
     /// The address the server listens on.
     pub fn ip(&self) -> Ipv4Addr {
         self.ip
@@ -559,17 +566,13 @@ impl ServerPolicy for ReceivingMta {
         // 2b. The decision engine touches the store backend; a remote
         // backend inside an outage window surfaces `StoreUnavailable`,
         // which lands in the same degradation path as an ambient outage.
-        let key = greylist.key_for(tx.client_ip, sender, rcpt);
-        let verdict = greylist.try_check_with_rdns(
-            now,
-            tx.client_ip,
-            tx.client_rdns.as_deref(),
-            sender,
-            rcpt,
-        );
+        // The verdict carries the key it was made under, and the log
+        // records that key.
+        let verdict =
+            greylist.try_check_keyed(now, tx.client_ip, tx.client_rdns.as_deref(), sender, rcpt);
         match verdict {
             Err(_) => self.degraded_rcpt(),
-            Ok(Decision::Pass(reason)) => {
+            Ok(Verdict { decision: Decision::Pass(reason), key }) => {
                 self.stats.rcpt_passed += 1;
                 let event = match reason {
                     PassReason::DelayElapsed => LogEvent::PassedGreylist,
@@ -579,7 +582,7 @@ impl ServerPolicy for ReceivingMta {
                 self.log_event(now, event, &key);
                 PolicyDecision::Accept
             }
-            Ok(Decision::Greylisted { retry_after }) => {
+            Ok(Verdict { decision: Decision::Greylisted { retry_after }, key }) => {
                 self.stats.rcpt_greylisted += 1;
                 self.log_event(now, LogEvent::Greylisted, &key);
                 PolicyDecision::TempFail(Reply::greylisted(retry_after.as_secs()))
@@ -593,15 +596,11 @@ impl ServerPolicy for ReceivingMta {
         // can be reconstructed from the anonymized log alone. Accept
         // entries use the engine's key policy so they join with the defer
         // entries; servers without a greylist log default full-triplet keys.
-        let keys: Vec<TripletKey> = env
-            .recipients()
-            .iter()
-            .map(|rcpt| match self.greylist.as_ref() {
+        for rcpt in env.recipients() {
+            let key = match self.greylist.as_ref() {
                 Some(g) => g.key_for(env.client_ip(), env.mail_from(), rcpt),
                 None => TripletKey::new(env.client_ip(), env.mail_from(), rcpt, 24),
-            })
-            .collect();
-        for key in keys {
+            };
             self.log_event(now, LogEvent::Accepted, &key);
         }
         self.mailbox.push(StoredMessage {

@@ -10,6 +10,7 @@ use spamward_smtp::{Dialect, EmailAddress, Envelope, Message, ReversePath};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Why a non-delivery report was generated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,7 +207,8 @@ pub struct AttemptRecord {
 /// ```
 #[derive(Debug)]
 pub struct SendingMta {
-    fqdn: String,
+    /// Shared with the dialect's greeting.
+    fqdn: Arc<str>,
     ip_pool: Vec<Ipv4Addr>,
     ip_selection: IpSelection,
     profile: MtaProfile,
@@ -234,9 +236,10 @@ impl SendingMta {
     /// Panics if `ip_pool` is empty.
     pub fn new(fqdn: &str, ip_pool: Vec<Ipv4Addr>, profile: MtaProfile) -> Self {
         assert!(!ip_pool.is_empty(), "sending MTA needs at least one source IP");
+        let fqdn: Arc<str> = fqdn.into();
         SendingMta {
-            fqdn: fqdn.to_owned(),
-            dialect: Dialect::compliant_mta(fqdn),
+            dialect: Dialect::compliant_mta(Arc::clone(&fqdn)),
+            fqdn,
             ip_pool,
             ip_selection: IpSelection::Fixed,
             profile,
@@ -329,8 +332,8 @@ impl SendingMta {
         };
         let rcpts: Vec<String> = item.recipients.iter().map(|r| r.to_string()).collect();
         let message = Message::builder()
-            .header("From", &format!("MAILER-DAEMON@{}", self.fqdn))
-            .header("To", &original_sender.to_string())
+            .header("From", format!("MAILER-DAEMON@{}", self.fqdn))
+            .header("To", original_sender.to_string())
             .header("Subject", "Undelivered Mail Returned to Sender")
             .header("Auto-Submitted", "auto-replied")
             .body(&format!(
@@ -404,7 +407,14 @@ impl SendingMta {
     /// Runs every attempt due at or before `now`; returns the attempt
     /// records produced in this call.
     pub fn run_due(&mut self, now: SimTime, world: &mut MailWorld) -> Vec<AttemptRecord> {
-        let mut produced = Vec::new();
+        let made = self.records.len();
+        self.attempt_due(now, world);
+        self.records[made..].to_vec()
+    }
+
+    /// Runs every attempt due at or before `now`, appending each one's
+    /// record to [`SendingMta::records`].
+    fn attempt_due(&mut self, now: SimTime, world: &mut MailWorld) {
         for idx in 0..self.queue.len() {
             if self.queue[idx].status != OutboundStatus::Queued
                 || self.queue[idx].next_attempt_at > now
@@ -473,7 +483,7 @@ impl SendingMta {
             }
 
             let item = &mut self.queue[idx];
-            produced.push(AttemptRecord {
+            self.records.push(AttemptRecord {
                 message_id: item.id,
                 attempt: attempt_no,
                 at: now,
@@ -529,8 +539,6 @@ impl SendingMta {
                 }
             }
         }
-        self.records.extend(produced.iter().cloned());
-        produced
     }
 
     /// Drives the queue to completion against `world` as one engine
@@ -555,7 +563,7 @@ impl Actor<MailWorld> for SendingMta {
     }
 
     fn wake(&mut self, now: SimTime, world: &mut MailWorld) -> Wake {
-        self.run_due(now, world);
+        self.attempt_due(now, world);
         // Breaker state lives in the sending MTA, out of the world
         // sampler's reach — so a sampling world gets trip *increments*
         // recorded here, at the virtual instant the wake-up tripped them.

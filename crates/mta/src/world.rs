@@ -15,6 +15,7 @@ use spamward_sim::{DetRng, EngineStats, SimDuration, SimTime};
 use spamward_smtp::{
     exchange, ClientSession, DeliveryOutcome, Dialect, Envelope, Message, ServerSession,
 };
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -36,20 +37,21 @@ pub enum MxStrategy {
 
 impl MxStrategy {
     /// Orders resolved MX hosts into the candidate list this strategy
-    /// would try.
-    pub fn candidates(self, mxs: &[MxHost], rng: &mut DetRng) -> Vec<MxHost> {
+    /// would try: a slice of `mxs` in place, or a shuffled copy for
+    /// [`MxStrategy::AllRandom`].
+    pub fn candidates<'a>(self, mxs: &'a [MxHost], rng: &mut DetRng) -> Cow<'a, [MxHost]> {
         if mxs.is_empty() {
-            return Vec::new();
+            return Cow::Borrowed(mxs);
         }
         // `resolve_mx` returns hosts sorted by ascending preference.
         match self {
-            MxStrategy::RfcCompliant => mxs.to_vec(),
-            MxStrategy::PrimaryOnly => vec![mxs[0].clone()],
-            MxStrategy::SecondaryOnly => vec![mxs[mxs.len() - 1].clone()],
+            MxStrategy::RfcCompliant => Cow::Borrowed(mxs),
+            MxStrategy::PrimaryOnly => Cow::Borrowed(&mxs[..1]),
+            MxStrategy::SecondaryOnly => Cow::Borrowed(&mxs[mxs.len() - 1..]),
             MxStrategy::AllRandom => {
                 let mut shuffled = mxs.to_vec();
                 rng.shuffle(&mut shuffled);
-                shuffled
+                Cow::Owned(shuffled)
             }
         }
     }
@@ -472,7 +474,7 @@ impl MailWorld {
         let mut trail = Vec::new();
         let mut time_spent = dns_extra;
 
-        for cand in candidates {
+        for cand in candidates.iter() {
             // Rank in the preference-sorted set, not in strategy order — a
             // secondary-only bot's single attempt still reports rank 1.
             let preference_rank = mxs.iter().position(|m| m.name == cand.name).unwrap_or_default();
@@ -584,7 +586,7 @@ impl MailWorld {
                     // This branch always returns, so the sessions take the
                     // envelope, message and rDNS name by move.
                     let mut session =
-                        ServerSession::new(server_mta.hostname(), envelope.client_ip())
+                        ServerSession::new(server_mta.shared_hostname(), envelope.client_ip())
                             .with_client_rdns(client_rdns);
                     let mut client = ClientSession::new(dialect.clone(), envelope, message);
                     let (outcome, transcript) =

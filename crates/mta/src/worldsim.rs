@@ -97,8 +97,11 @@ impl WorldSim {
         }
         let outcome = sim.run();
         let end = sim.now();
-        let stats = sim.stats();
-        world.engine_stats.merge(&stats);
+        // The engine borrows the world, so the world's accounting comes
+        // out of it for the fold and goes back in.
+        let mut stats = std::mem::take(&mut sim.state_mut().engine_stats);
+        sim.fold_stats_into(&mut stats);
+        sim.state_mut().engine_stats = stats;
         (outcome, end)
     }
 }

@@ -135,16 +135,6 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Folds another stats block into this one.
-    pub fn merge(&mut self, other: &EngineStats) {
-        self.events += other.events;
-        self.queue_high_water = self.queue_high_water.max(other.queue_high_water);
-        for (name, samples) in &other.actor_events {
-            self.actor_events.entry(name.clone()).or_default().extend(samples.iter().copied());
-        }
-        self.outcomes.merge(&other.outcomes);
-    }
-
     /// True when no episode has been recorded.
     pub fn is_empty(&self) -> bool {
         self.events == 0 && self.outcomes.total() == 0
@@ -281,22 +271,36 @@ impl<S, A: Actor<S>> ActorSim<S, A> {
         &self.state
     }
 
+    /// Mutable access to the wrapped state, between runs.
+    pub fn state_mut(&mut self) -> &mut S {
+        &mut self.state
+    }
+
     /// Accounting for this episode: events, queue high-water, per-actor
     /// event counts, and — after [`ActorSim::run`] — the outcome.
     pub fn stats(&self) -> EngineStats {
-        let mut actor_events: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-        for (actor, count) in self.actors.iter().zip(&self.counts) {
-            actor_events.entry(actor.name().to_owned()).or_default().push(*count);
+        let mut stats = EngineStats::default();
+        self.fold_stats_into(&mut stats);
+        stats
+    }
+
+    /// Folds this episode's accounting into `stats`, which may hold earlier
+    /// episodes': events add up, the queue high-water is the deeper one,
+    /// each actor's count joins its name's samples (a name is copied only
+    /// the first time `stats` sees it), and the outcome is tallied.
+    pub fn fold_stats_into(&self, stats: &mut EngineStats) {
+        stats.events += self.processed;
+        stats.queue_high_water = stats.queue_high_water.max(self.high_water as u64);
+        for (actor, &count) in self.actors.iter().zip(&self.counts) {
+            match stats.actor_events.get_mut(actor.name()) {
+                Some(samples) => samples.push(count),
+                None => {
+                    stats.actor_events.insert(actor.name().to_owned(), vec![count]);
+                }
+            }
         }
-        let mut outcomes = OutcomeTally::default();
         if let Some(outcome) = self.outcome {
-            outcomes.record(outcome);
-        }
-        EngineStats {
-            events: self.processed,
-            queue_high_water: self.high_water as u64,
-            actor_events,
-            outcomes,
+            stats.outcomes.record(outcome);
         }
     }
 }
@@ -328,13 +332,19 @@ mod tests {
         }
     }
 
-    fn jitter_trace(seed: u64) -> (Vec<(u64, u64)>, EngineStats) {
+    /// Eight jittered actors of 20 wake-ups each, run to completion.
+    fn jitter_sim(seed: u64) -> ActorSim<Vec<(u64, u64)>, Jitter> {
         let mut sim = ActorSim::new(Vec::new());
         for id in 0..8u64 {
             let actor = Jitter { id, rng: DetRng::seed(seed).fork_idx("actor", id), remaining: 20 };
             sim.add_actor(actor, SimTime::from_secs(id % 3));
         }
         assert_eq!(sim.run(), RunOutcome::Drained);
+        sim
+    }
+
+    fn jitter_trace(seed: u64) -> (Vec<(u64, u64)>, EngineStats) {
+        let sim = jitter_sim(seed);
         (sim.state().clone(), sim.stats())
     }
 
@@ -451,17 +461,21 @@ mod tests {
     }
 
     #[test]
-    fn stats_merge_accumulates_across_episodes() {
-        let (_, mut total) = jitter_trace(5);
-        let (_, second) = jitter_trace(6);
-        let events_before = total.events;
-        total.merge(&second);
-        assert_eq!(total.events, events_before + second.events);
-        assert_eq!(total.actor_events["jitter"].len(), 16);
+    fn stats_fold_accumulates_across_episodes() {
+        let (first, second) = (jitter_sim(5), jitter_sim(6));
+        let (a, b) = (first.stats(), second.stats());
+        let mut total = EngineStats::default();
+        assert!(total.is_empty());
+        first.fold_stats_into(&mut total);
+        assert_eq!(total, a);
+        second.fold_stats_into(&mut total);
+        assert_eq!(total.events, a.events + b.events);
+        let samples = [a.actor_events["jitter"].clone(), b.actor_events["jitter"].clone()].concat();
+        assert_eq!(total.actor_events["jitter"], samples);
+        assert_eq!(samples.len(), 16);
         assert_eq!(total.outcomes.drained, 2);
-        assert!(total.queue_high_water >= second.queue_high_water);
+        assert_eq!(total.queue_high_water, a.queue_high_water.max(b.queue_high_water));
         assert!(!total.is_empty());
-        assert!(EngineStats::default().is_empty());
     }
 
     #[test]

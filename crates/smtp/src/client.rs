@@ -314,10 +314,9 @@ impl ClientSession {
             State::SentEhlo => {
                 if reply.is_positive() {
                     if self.dialect.uses_ehlo {
-                        // Capability lines follow the greeting line.
-                        self.server_caps = Capabilities::from_ehlo_lines(
-                            reply.lines().iter().skip(1).map(|line| &**line),
-                        );
+                        // Read typed from a session's greeting, parsed from
+                        // the lines after the greeting line otherwise.
+                        self.server_caps = reply.capabilities();
                     }
                     self.state = State::SentMail;
                     return ClientAction::Send(self.mail_command());

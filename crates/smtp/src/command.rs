@@ -2,6 +2,7 @@
 
 use crate::address::{EmailAddress, ReversePath};
 use std::fmt;
+use std::sync::Arc;
 
 /// A client command as defined by RFC 5321 §4.1 (the subset mail delivery
 /// exercises), plus an `Unknown` catch-all so sloppy bot dialects can be
@@ -10,13 +11,14 @@ use std::fmt;
 pub enum Command {
     /// `HELO <domain>` — old-style greeting.
     Helo {
-        /// The name the client claims.
-        domain: String,
+        /// The name the client claims, shared with the dialect that sent
+        /// it and the server transaction that records it.
+        domain: Arc<str>,
     },
     /// `EHLO <domain>` — extended greeting.
     Ehlo {
-        /// The name the client claims.
-        domain: String,
+        /// The name the client claims, shared like [`Command::Helo`]'s.
+        domain: Arc<str>,
     },
     /// `MAIL FROM:<reverse-path> [SIZE=n]`.
     MailFrom {
@@ -61,19 +63,19 @@ impl Command {
     pub fn parse(line: &str) -> Command {
         let trimmed = line.trim_end_matches(['\r', '\n']);
         let upper = trimmed.to_ascii_uppercase();
-        let arg = |prefix: &str| trimmed[prefix.len()..].trim().to_owned();
+        let arg = |prefix: &str| trimmed[prefix.len()..].trim();
 
         if upper.starts_with("HELO ") {
-            return Command::Helo { domain: arg("HELO ") };
+            return Command::Helo { domain: arg("HELO ").into() };
         }
         if upper == "HELO" {
-            return Command::Helo { domain: String::new() };
+            return Command::Helo { domain: Arc::default() };
         }
         if upper.starts_with("EHLO ") {
-            return Command::Ehlo { domain: arg("EHLO ") };
+            return Command::Ehlo { domain: arg("EHLO ").into() };
         }
         if upper == "EHLO" {
-            return Command::Ehlo { domain: String::new() };
+            return Command::Ehlo { domain: Arc::default() };
         }
         if let Some(rest) = strip_prefix_ci(trimmed, "MAIL FROM:") {
             let rest = rest.trim();
@@ -106,7 +108,7 @@ impl Command {
             "NOOP" => Command::Noop,
             "QUIT" => Command::Quit,
             "STARTTLS" => Command::StartTls,
-            _ if upper.starts_with("VRFY ") => Command::Vrfy { target: arg("VRFY ") },
+            _ if upper.starts_with("VRFY ") => Command::Vrfy { target: arg("VRFY ").to_owned() },
             _ => Command::Unknown { raw: trimmed.to_owned() },
         }
     }
@@ -162,7 +164,7 @@ mod tests {
             Command::parse("ehlo relay.example"),
             Command::Ehlo { domain: "relay.example".into() }
         );
-        assert_eq!(Command::parse("HELO"), Command::Helo { domain: String::new() });
+        assert_eq!(Command::parse("HELO"), Command::Helo { domain: "".into() });
     }
 
     #[test]

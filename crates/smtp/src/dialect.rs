@@ -9,23 +9,27 @@
 //! greylisting tests) lives one layer up, in the sending MTA / bot models.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// What a client presents as its HELO/EHLO argument.
+///
+/// Names are shared text, so a clone of a dialect (one per delivery
+/// attempt) and the greeting it sends are refcount bumps.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum HeloStyle {
     /// Its own (claimed) fully-qualified domain name.
-    OwnFqdn(String),
+    OwnFqdn(Arc<str>),
     /// A bare address literal like `[203.0.113.9]` — common in bots.
     AddressLiteral,
     /// A hardcoded string shipped in the malware binary.
-    Fixed(String),
+    Fixed(Arc<str>),
 }
 
 /// Session-level protocol personality of a sending client.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Dialect {
     /// Human-readable name ("postfix", "cutwail", ...).
-    pub name: String,
+    pub name: Arc<str>,
     /// `true` → opens with EHLO, falling back to HELO on 5xx; `false` →
     /// HELO only (old or minimal implementations).
     pub uses_ehlo: bool,
@@ -48,12 +52,13 @@ pub struct Dialect {
 }
 
 impl Dialect {
-    /// The dialect of a well-behaved, RFC-compliant MTA.
-    pub fn compliant_mta(fqdn: &str) -> Self {
+    /// The dialect of a well-behaved, RFC-compliant MTA; an `Arc<str>`
+    /// name is shared, not copied.
+    pub fn compliant_mta(fqdn: impl Into<Arc<str>>) -> Self {
         Dialect {
             name: "compliant-mta".into(),
             uses_ehlo: true,
-            helo_style: HeloStyle::OwnFqdn(fqdn.to_owned()),
+            helo_style: HeloStyle::OwnFqdn(fqdn.into()),
             quits_on_failure: true,
             aborts_on_first_rcpt_error: false,
             resets_between_messages: true,
@@ -64,7 +69,7 @@ impl Dialect {
     /// A minimal fire-and-forget bot dialect.
     pub fn minimal_bot(name: &str) -> Self {
         Dialect {
-            name: name.to_owned(),
+            name: name.into(),
             uses_ehlo: false,
             helo_style: HeloStyle::AddressLiteral,
             quits_on_failure: false,
@@ -74,12 +79,12 @@ impl Dialect {
         }
     }
 
-    /// The greeting argument for a client at `ip`.
-    pub fn helo_argument(&self, ip: std::net::Ipv4Addr) -> String {
+    /// The greeting argument for a client at `ip`: the dialect's own
+    /// name shared, or an address literal built for `ip`.
+    pub fn helo_argument(&self, ip: std::net::Ipv4Addr) -> Arc<str> {
         match &self.helo_style {
-            HeloStyle::OwnFqdn(fqdn) => fqdn.clone(),
-            HeloStyle::AddressLiteral => format!("[{ip}]"),
-            HeloStyle::Fixed(s) => s.clone(),
+            HeloStyle::OwnFqdn(name) | HeloStyle::Fixed(name) => Arc::clone(name),
+            HeloStyle::AddressLiteral => format!("[{ip}]").into(),
         }
     }
 
@@ -141,12 +146,12 @@ mod tests {
     #[test]
     fn helo_argument_styles() {
         let ip = Ipv4Addr::new(203, 0, 113, 9);
-        assert_eq!(Dialect::compliant_mta("m.example").helo_argument(ip), "m.example");
-        assert_eq!(Dialect::minimal_bot("x").helo_argument(ip), "[203.0.113.9]");
+        assert_eq!(&*Dialect::compliant_mta("m.example").helo_argument(ip), "m.example");
+        assert_eq!(&*Dialect::minimal_bot("x").helo_argument(ip), "[203.0.113.9]");
         let fixed = Dialect {
             helo_style: HeloStyle::Fixed("localhost".into()),
             ..Dialect::minimal_bot("y")
         };
-        assert_eq!(fixed.helo_argument(ip), "localhost");
+        assert_eq!(&*fixed.helo_argument(ip), "localhost");
     }
 }

@@ -89,6 +89,10 @@ impl EnvelopeBuilder {
     }
 
     /// Sets the HELO argument (defaults to empty).
+    ///
+    /// The envelope owns a copy rather than sharing the greeting's text:
+    /// a stored envelope outlives its sender, and a shared name would keep
+    /// a reference-counted block alive per mailbox entry.
     pub fn helo(mut self, helo: &str) -> Self {
         self.helo = helo.to_owned();
         self
@@ -107,9 +111,14 @@ impl EnvelopeBuilder {
         self
     }
 
-    /// Appends several recipients.
+    /// Appends several recipients. The first call collects them, so a
+    /// `Vec` handed over keeps its buffer.
     pub fn rcpts(mut self, addresses: impl IntoIterator<Item = EmailAddress>) -> Self {
-        self.recipients.extend(addresses);
+        if self.recipients.is_empty() {
+            self.recipients = addresses.into_iter().collect();
+        } else {
+            self.recipients.extend(addresses);
+        }
         self
     }
 

@@ -6,10 +6,10 @@
 //! extension gives the receiving MTA its first pre-acceptance rejection
 //! point (an oversized MAIL FROM dies before any body is transferred).
 
-use std::borrow::Cow;
+use std::fmt;
 
 /// The extension set a server advertises in its EHLO response.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Capabilities {
     /// Maximum accepted message size in bytes; advertised as `SIZE n` and
     /// enforced against both the `MAIL FROM ... SIZE=` declaration and the
@@ -52,26 +52,18 @@ impl Capabilities {
         }
     }
 
-    /// The EHLO continuation lines (everything after the greeting line);
-    /// only `SIZE n` is formatted.
-    pub fn ehlo_lines(&self) -> Vec<Cow<'static, str>> {
-        let mut lines = Vec::new();
-        if self.pipelining {
-            lines.push("PIPELINING".into());
-        }
-        if let Some(limit) = self.size_limit {
-            lines.push(format!("SIZE {limit}").into());
-        }
-        if self.eight_bit_mime {
-            lines.push("8BITMIME".into());
-        }
-        if self.starttls {
-            lines.push("STARTTLS".into());
-        }
-        if self.enhanced_status {
-            lines.push("ENHANCEDSTATUSCODES".into());
-        }
-        lines
+    /// The advertised extensions in EHLO order, typed: the continuation
+    /// lines an EHLO reply renders after its greeting line.
+    pub(crate) fn keywords(&self) -> impl Iterator<Item = Keyword> {
+        [
+            self.pipelining.then_some(Keyword::Fixed("PIPELINING")),
+            self.size_limit.map(Keyword::Size),
+            self.eight_bit_mime.then_some(Keyword::Fixed("8BITMIME")),
+            self.starttls.then_some(Keyword::Fixed("STARTTLS")),
+            self.enhanced_status.then_some(Keyword::Fixed("ENHANCEDSTATUSCODES")),
+        ]
+        .into_iter()
+        .flatten()
     }
 
     /// Parses capability lines back from an EHLO reply (the client side of
@@ -97,24 +89,47 @@ impl Capabilities {
     }
 }
 
+/// One advertised extension: a fixed keyword, or `SIZE` with its limit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Keyword {
+    Fixed(&'static str),
+    Size(u64),
+}
+
+impl fmt::Display for Keyword {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Keyword::Fixed(keyword) => f.write_str(keyword),
+            Keyword::Size(limit) => write!(f, "SIZE {limit}"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The continuation lines an EHLO reply renders for `caps`.
+    fn ehlo_lines(caps: &Capabilities) -> Vec<String> {
+        caps.keywords().map(|keyword| keyword.to_string()).collect()
+    }
+
     #[test]
     fn default_advertises_postfix_like_set() {
         let caps = Capabilities::default();
-        let lines = caps.ehlo_lines();
-        assert!(lines.contains(&"PIPELINING".into()));
-        assert!(lines.iter().any(|l| l.starts_with("SIZE ")));
-        assert!(lines.contains(&"8BITMIME".into()));
-        assert!(!lines.contains(&"STARTTLS".into()));
-        assert!(lines.iter().all(|l| matches!(l, Cow::Borrowed(_)) || l.starts_with("SIZE ")));
+        assert_eq!(
+            ehlo_lines(&caps),
+            ["PIPELINING", "SIZE 10485760", "8BITMIME", "ENHANCEDSTATUSCODES"]
+        );
+        // Only SIZE carries a value; every other keyword is fixed text.
+        assert!(caps
+            .keywords()
+            .all(|k| matches!(k, Keyword::Fixed(_) | Keyword::Size(10_485_760))));
     }
 
     #[test]
     fn none_advertises_nothing() {
-        assert!(Capabilities::none().ehlo_lines().is_empty());
+        assert_eq!(Capabilities::none().keywords().count(), 0);
     }
 
     #[test]
@@ -126,8 +141,8 @@ mod tests {
             eight_bit_mime: false,
             enhanced_status: true,
         };
-        let lines = caps.ehlo_lines();
-        let parsed = Capabilities::from_ehlo_lines(lines.iter().map(|l| &**l));
+        let lines = ehlo_lines(&caps);
+        let parsed = Capabilities::from_ehlo_lines(lines.iter().map(String::as_str));
         assert_eq!(parsed, caps);
     }
 

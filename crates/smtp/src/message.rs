@@ -12,9 +12,10 @@ use std::sync::{Arc, OnceLock};
 ///
 /// The headers and body sit behind one [`Arc`], so a clone (into a
 /// delivery attempt, a retry or a mailbox entry) is a refcount bump. The
-/// wire form is rendered on first use of [`Message::size`],
-/// [`Message::to_wire`] or [`Message::digest`] and kept, so every later
-/// attempt with a clone of the message reads it back instead.
+/// wire form is rendered on first use of [`Message::to_wire`] or
+/// [`Message::digest`] and kept, so every later attempt with a clone of
+/// the message reads it back instead; [`Message::size`] counts it without
+/// rendering it.
 ///
 /// # Example
 ///
@@ -65,9 +66,46 @@ impl Message {
         &self.inner.body
     }
 
-    /// Byte size of the wire form (used for SIZE accounting).
+    /// Byte size of the wire form (used for SIZE accounting), counted
+    /// without rendering it.
     pub fn size(&self) -> usize {
-        self.to_wire().len()
+        if let Some(wire) = self.inner.wire.get() {
+            return wire.len();
+        }
+        let headers: usize =
+            self.headers().iter().map(|(name, value)| name.len() + value.len() + 4).sum();
+        let body: usize =
+            self.body().split('\n').map(|line| line.trim_end_matches('\r').len() + 2).sum();
+        headers + 2 + body
+    }
+
+    /// Whether the DATA round trip gives this message back: its wire form,
+    /// dot-stuffed, unstuffed and parsed with [`Message::from_wire`],
+    /// equals it. A byte scan that holds when no header name or value
+    /// carries a CR or LF, no name a `:`, neither has whitespace at either
+    /// end (the parser trims both), and the body carries no CR and does not
+    /// end in LF (the parser drops trailing line ends). It can refuse a
+    /// message that would round-trip, never the reverse.
+    pub fn wire_round_trips(&self) -> bool {
+        let plain = |text: &str| {
+            !text.bytes().any(|b| b == b'\r' || b == b'\n') && text.trim().len() == text.len()
+        };
+        let body = self.body();
+        self.headers()
+            .iter()
+            .all(|(name, value)| !name.contains(':') && plain(name) && plain(value))
+            && !body.contains('\r')
+            && !body.ends_with('\n')
+    }
+
+    /// Byte size of the dot-stuffed wire form ([`crate::dot_stuff`] of
+    /// [`Message::to_wire`]), counted without rendering either. Exact when
+    /// [`Message::wire_round_trips`] holds: every wire line is then one
+    /// header or one body line, and each that starts with `.` gains one.
+    pub(crate) fn stuffed_len(&self) -> usize {
+        let dotted_headers = self.headers().iter().filter(|(name, _)| name.starts_with('.'));
+        let dotted_lines = self.body().split('\n').filter(|line| line.starts_with('.'));
+        self.size() + dotted_headers.count() + dotted_lines.count() + ".\r\n".len()
     }
 
     /// A cheap stable digest for identity checks (FNV-1a over the wire
@@ -177,9 +215,9 @@ pub struct MessageBuilder {
 }
 
 impl MessageBuilder {
-    /// Appends a header.
-    pub fn header(mut self, name: &str, value: &str) -> Self {
-        self.headers.push((name.to_owned(), value.to_owned()));
+    /// Appends a header; an owned `String` value is moved in, not copied.
+    pub fn header(mut self, name: &str, value: impl Into<String>) -> Self {
+        self.headers.push((name.to_owned(), value.into()));
         self
     }
 
@@ -248,7 +286,72 @@ mod tests {
         assert_eq!(parsed.body(), "");
     }
 
+    /// The DATA round trip the simulator's handover stands in for:
+    /// render, dot-stuff, unstuff, parse.
+    fn data_round_trip(m: &Message) -> Option<Message> {
+        Message::from_wire(&crate::dot_unstuff(&crate::dot_stuff(m.to_wire()))?)
+    }
+
+    #[test]
+    fn round_trip_scan_admits_plain_messages_and_refuses_the_rest() {
+        let plain = [
+            Message::builder().header("Subject", "message 7").body("benign mail body").build(),
+            Message::builder().body("").build(),
+            Message::builder().header(".Dotted", "a: b").body(".leading\n..two\n\nend").build(),
+            Message::builder().header("", "").body("x").build(),
+        ];
+        for m in &plain {
+            assert!(m.wire_round_trips(), "{m:?}");
+            assert_eq!(data_round_trip(m).as_ref(), Some(m));
+        }
+        let refused = [
+            Message::builder().body("ends in a line feed\n").build(),
+            Message::builder().body("carriage\r\nreturn").build(),
+            Message::builder().header("Subject", "  padded").body("x").build(),
+            Message::builder().header("Subject", "trailing ").body("x").build(),
+            Message::builder().header(" Subject", "x").body("x").build(),
+            Message::builder().header("Sub:ject", "x").body("x").build(),
+            Message::builder().header("Subject", "two\nlines").body("x").build(),
+            Message::builder().header("Subject", "cr\rinside").body("x").build(),
+        ];
+        for m in &refused {
+            assert!(!m.wire_round_trips(), "{m:?}");
+        }
+        // The first four of these really come back changed.
+        for m in &refused[..4] {
+            assert_ne!(data_round_trip(m).as_ref(), Some(m));
+        }
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The handover's soundness: a message the scan admits comes back
+        /// from the DATA round trip unchanged, and the lengths counted
+        /// without rendering equal the rendered ones (the wire form's for
+        /// every message).
+        #[test]
+        fn prop_round_trip_scan_is_sound(
+            names in proptest::collection::vec("[A-Za-z.-]{0,5}|[ .:A-Za-z\r\n]{0,4}", 0..3),
+            values in proptest::collection::vec("[a-z0-9:@.]{0,8}|[ a-z:\r\n]{0,6}", 3),
+            lines in proptest::collection::vec("\\.{0,2}[a-z .:]{0,6}|[a-z\r]{0,3}", 0..4),
+            tail in "|\n|\r|\r\n",
+        ) {
+            let mut builder = Message::builder();
+            for (name, value) in names.iter().zip(&values) {
+                builder = builder.header(name, value.as_str());
+            }
+            let m = builder.body(&format!("{}{tail}", lines.join("\n"))).build();
+            let (size, stuffed) = (m.size(), m.stuffed_len());
+            prop_assert_eq!(size, m.to_wire().len());
+            if m.wire_round_trips() {
+                prop_assert_eq!(data_round_trip(&m), Some(m.clone()));
+                let wire = crate::dot_stuff(m.to_wire());
+                prop_assert_eq!(stuffed, wire.len());
+                prop_assert_eq!(size - 2, crate::dot_unstuff(&wire).unwrap().len());
+            }
+        }
+
         #[test]
         fn prop_roundtrip(subject in "[ -~]{0,30}", body in "[a-zA-Z0-9 ]{0,80}") {
             // Header values must not contain ':' confusion — any printable

@@ -1,8 +1,10 @@
 //! SMTP replies.
 
+use crate::extensions::{Capabilities, Keyword};
 use std::borrow::Cow;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Named SMTP reply codes (RFC 5321 §4.2.3).
 ///
@@ -58,10 +60,15 @@ pub enum ReplyCategory {
 
 /// A server reply: a three-digit code and one or more text lines.
 ///
-/// Lines are `Cow<'static, str>`: the fixed replies (`250 OK`, the 5xx
-/// errors, every `Reply::single(code, "literal")`) borrow their text and
-/// allocate nothing, and only text that varies per session (a host name,
-/// a retry hint, `SIZE n`) is formatted.
+/// Fixed text (`250 OK`, the 5xx errors, every
+/// `Reply::single(code, "literal")`) is a `&'static str` borrow. The
+/// replies a session builds per connection — the banner, the HELO and
+/// EHLO greetings, the 221 and 421 closing lines and the greylisting 450 —
+/// keep the parts they are made of instead: the shared host and peer names
+/// (refcount bumps), the typed [`Capabilities`] and the retry hint. Their
+/// text is rendered only when read ([`Reply::to_wire`], [`Reply::lines`],
+/// `Display`), so a session nobody reads formats nothing, and equality and
+/// hashing follow the rendered lines whatever the representation.
 ///
 /// # Example
 ///
@@ -75,15 +82,54 @@ pub enum ReplyCategory {
 #[derive(Clone)]
 pub struct Reply {
     code: u16,
-    lines: Lines,
+    text: Text,
 }
 
-/// A reply's text lines: a single line is held inline, so a one-line reply
-/// with `'static` text is built without touching the heap.
+/// What a reply's text is made of.
 #[derive(Clone)]
-enum Lines {
+enum Text {
+    /// A single line, held inline, so one line of `'static` text is
+    /// built without touching the heap.
     One(Cow<'static, str>),
+    /// Several lines (a parsed or hand-built multi-line reply).
     Many(Vec<Cow<'static, str>>),
+    /// `{host} {tail}`: the banner, the 221 and the 421.
+    Host(Arc<str>, &'static str),
+    /// `{host} Hello {peer}`, then one line per advertised extension (the
+    /// EHLO greeting), or with `, I am glad to meet you` and no extension
+    /// lines when `ehlo` is `None` (the HELO greeting).
+    Hello { host: Arc<str>, peer: Arc<str>, ehlo: Option<Capabilities> },
+    /// Postgrey's deferral with its retry hint in seconds.
+    Greylisted(u64),
+}
+
+/// One line of a reply, rendered by `Display` where it is read.
+enum Line<'a> {
+    Text(&'a str),
+    Host(&'a str, &'static str),
+    Hello { host: &'a str, peer: &'a str, courtesy: bool },
+    Keyword(Keyword),
+    Greylisted(u64),
+}
+
+impl fmt::Display for Line<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Line::Text(text) => f.write_str(text),
+            Line::Host(host, tail) => write!(f, "{host} {tail}"),
+            Line::Hello { host, peer, courtesy } => {
+                write!(f, "{host} Hello {peer}")?;
+                if *courtesy {
+                    f.write_str(", I am glad to meet you")?;
+                }
+                Ok(())
+            }
+            Line::Keyword(keyword) => keyword.fmt(f),
+            Line::Greylisted(secs) => {
+                write!(f, "4.2.0 Greylisted, see http://postgrey.schweikert.ch/ (retry in {secs}s)")
+            }
+        }
+    }
 }
 
 impl Reply {
@@ -95,7 +141,7 @@ impl Reply {
     pub fn new(code: u16, lines: Vec<Cow<'static, str>>) -> Self {
         assert!((200..=599).contains(&code), "SMTP reply code {code} out of range");
         assert!(!lines.is_empty(), "a reply needs at least one text line");
-        Reply { code, lines: Lines::Many(lines) }
+        Reply { code, text: Text::Many(lines) }
     }
 
     /// Creates a single-line reply; a `&'static str` text is borrowed, not
@@ -106,19 +152,32 @@ impl Reply {
     /// Panics if `code` is outside `200..=599`.
     pub fn single(code: u16, text: impl Into<Cow<'static, str>>) -> Self {
         assert!((200..=599).contains(&code), "SMTP reply code {code} out of range");
-        Reply { code, lines: Lines::One(text.into()) }
+        Reply { code, text: Text::One(text.into()) }
     }
 
     // --- Standard replies used across the suite ---
 
-    /// `220` service-ready banner.
-    pub fn banner(hostname: &str) -> Self {
-        Reply::single(220, format!("{hostname} ESMTP spamward"))
+    /// `220` service-ready banner. An `Arc<str>` host name is shared, not
+    /// copied, here and in every constructor below that names the host.
+    pub fn banner(hostname: impl Into<Arc<str>>) -> Self {
+        Reply { code: codes::SERVICE_READY, text: Text::Host(hostname.into(), "ESMTP spamward") }
     }
 
-    /// `250` greeting after HELO/EHLO.
-    pub fn hello(hostname: &str, peer: &str) -> Self {
-        Reply::single(250, format!("{hostname} Hello {peer}, I am glad to meet you"))
+    /// `250` greeting after HELO.
+    pub fn hello(hostname: impl Into<Arc<str>>, peer: impl Into<Arc<str>>) -> Self {
+        let (host, peer) = (hostname.into(), peer.into());
+        Reply { code: codes::OK, text: Text::Hello { host, peer, ehlo: None } }
+    }
+
+    /// `250` greeting after EHLO: the greeting line, then one line per
+    /// extension `capabilities` advertises.
+    pub fn ehlo(
+        hostname: impl Into<Arc<str>>,
+        peer: impl Into<Arc<str>>,
+        capabilities: Capabilities,
+    ) -> Self {
+        let (host, peer) = (hostname.into(), peer.into());
+        Reply { code: codes::OK, text: Text::Hello { host, peer, ehlo: Some(capabilities) } }
     }
 
     /// `250 OK`.
@@ -133,18 +192,16 @@ impl Reply {
 
     /// `450` greylisting rejection, in Postgrey's wording.
     pub fn greylisted(retry_after_secs: u64) -> Self {
-        Reply::single(
-            450,
-            format!("4.2.0 Greylisted, see http://postgrey.schweikert.ch/ (retry in {retry_after_secs}s)"),
-        )
+        Reply {
+            code: codes::MAILBOX_UNAVAILABLE_TRANSIENT,
+            text: Text::Greylisted(retry_after_secs),
+        }
     }
 
     /// `421` service-not-available (server shutting down the channel).
-    pub fn service_unavailable(hostname: &str) -> Self {
-        Reply::single(
-            421,
-            format!("{hostname} Service not available, closing transmission channel"),
-        )
+    pub fn service_unavailable(hostname: impl Into<Arc<str>>) -> Self {
+        let tail = "Service not available, closing transmission channel";
+        Reply { code: codes::SERVICE_NOT_AVAILABLE, text: Text::Host(hostname.into(), tail) }
     }
 
     /// `550` mailbox unavailable (unknown recipient).
@@ -158,8 +215,9 @@ impl Reply {
     }
 
     /// `221` closing reply to QUIT.
-    pub fn bye(hostname: &str) -> Self {
-        Reply::single(221, format!("{hostname} Service closing transmission channel"))
+    pub fn bye(hostname: impl Into<Arc<str>>) -> Self {
+        let tail = "Service closing transmission channel";
+        Reply { code: codes::CLOSING, text: Text::Host(hostname.into(), tail) }
     }
 
     /// `500` unrecognized command.
@@ -187,11 +245,61 @@ impl Reply {
         self.code
     }
 
-    /// The text lines.
-    pub fn lines(&self) -> &[Cow<'static, str>] {
-        match &self.lines {
-            Lines::One(line) => std::slice::from_ref(line),
-            Lines::Many(lines) => lines,
+    /// The text lines, rendered: fixed text is borrowed, and the lines a
+    /// reply keeps as parts are formatted here.
+    pub fn lines(&self) -> Vec<Cow<'_, str>> {
+        let mut lines = Vec::new();
+        let _ = self.for_each_line(|_, line| {
+            lines.push(match line {
+                Line::Text(text) => Cow::Borrowed(text),
+                Line::Keyword(Keyword::Fixed(keyword)) => Cow::Borrowed(keyword),
+                line => Cow::Owned(line.to_string()),
+            });
+            Ok(())
+        });
+        lines
+    }
+
+    /// Calls `f(is_last, line)` for each line in order, stopping at the
+    /// first error.
+    fn for_each_line<'a>(
+        &'a self,
+        mut f: impl FnMut(bool, Line<'a>) -> fmt::Result,
+    ) -> fmt::Result {
+        match &self.text {
+            Text::One(text) => f(true, Line::Text(text)),
+            Text::Many(lines) => {
+                for (i, text) in lines.iter().enumerate() {
+                    f(i + 1 == lines.len(), Line::Text(text))?;
+                }
+                Ok(())
+            }
+            Text::Host(host, tail) => f(true, Line::Host(host, tail)),
+            Text::Hello { host, peer, ehlo: None } => {
+                f(true, Line::Hello { host, peer, courtesy: true })
+            }
+            Text::Hello { host, peer, ehlo: Some(capabilities) } => {
+                let extensions = capabilities.keywords().count();
+                f(extensions == 0, Line::Hello { host, peer, courtesy: false })?;
+                for (i, keyword) in capabilities.keywords().enumerate() {
+                    f(i + 1 == extensions, Line::Keyword(keyword))?;
+                }
+                Ok(())
+            }
+            Text::Greylisted(secs) => f(true, Line::Greylisted(*secs)),
+        }
+    }
+
+    /// The extensions an EHLO reply advertises: the typed set a session's
+    /// greeting carries, or the keywords parsed from the lines after the
+    /// greeting line of any other reply.
+    pub fn capabilities(&self) -> Capabilities {
+        match &self.text {
+            Text::Hello { ehlo: Some(capabilities), .. } => *capabilities,
+            Text::Many(lines) => {
+                Capabilities::from_ehlo_lines(lines.iter().skip(1).map(|line| &**line))
+            }
+            _ => Capabilities::none(),
         }
     }
 
@@ -229,13 +337,18 @@ impl Reply {
     /// Serializes to wire form, `XYZ-text` continuation lines and a final
     /// `XYZ text` line, CRLF-terminated.
     pub fn to_wire(&self) -> String {
-        let lines = self.lines();
-        let mut out = String::with_capacity(lines.iter().map(|l| l.len() + 6).sum());
-        for (i, line) in lines.iter().enumerate() {
-            let sep = if i + 1 == lines.len() { ' ' } else { '-' };
-            // Writing to a `String` cannot fail.
-            let _ = write!(out, "{}{sep}{line}\r\n", self.code);
-        }
+        let write = |out: &mut dyn fmt::Write| {
+            self.for_each_line(|last, line| {
+                let sep = if last { ' ' } else { '-' };
+                write!(out, "{}{sep}{line}\r\n", self.code)
+            })
+        };
+        // Measured first, so the text lands in one exact allocation.
+        // Neither a count nor a `String` fails a write.
+        let mut len = ByteCount(0);
+        let _ = write(&mut len);
+        let mut out = String::with_capacity(len.0);
+        let _ = write(&mut out);
         out
     }
 
@@ -286,7 +399,19 @@ impl Reply {
     }
 }
 
+/// A writer that only counts the bytes written to it.
+struct ByteCount(usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
 impl PartialEq for Reply {
+    /// Code and rendered lines, so a reply built from parts equals the
+    /// same reply parsed back from its wire form.
     fn eq(&self, other: &Self) -> bool {
         self.code == other.code && self.lines() == other.lines()
     }
@@ -310,11 +435,12 @@ impl fmt::Debug for Reply {
 impl fmt::Display for Reply {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.code)?;
-        for (i, line) in self.lines().iter().enumerate() {
-            f.write_str(if i == 0 { " " } else { " / " })?;
-            f.write_str(line)?;
-        }
-        Ok(())
+        let mut first = true;
+        self.for_each_line(|_, line| {
+            f.write_str(if first { " " } else { " / " })?;
+            first = false;
+            write!(f, "{line}")
+        })
     }
 }
 
@@ -399,9 +525,26 @@ mod tests {
             Reply::cannot_verify(),
             Reply::single(codes::OK, "2.0.0 OK: queued"),
         ] {
-            assert!(matches!(r.lines, Lines::One(Cow::Borrowed(_))), "{r:?}");
+            assert!(matches!(r.text, Text::One(Cow::Borrowed(_))), "{r:?}");
+            assert!(r.lines().iter().all(|line| matches!(line, Cow::Borrowed(_))));
         }
-        assert!(matches!(Reply::banner("mx").lines, Lines::One(Cow::Owned(_))));
+        // The replies naming a host hold the caller's name by refcount and
+        // no rendered text; the greylisting reply holds only its hint.
+        let host: Arc<str> = "mx".into();
+        let peer: Arc<str> = "relay.example".into();
+        let built = [
+            Reply::banner(Arc::clone(&host)),
+            Reply::bye(Arc::clone(&host)),
+            Reply::service_unavailable(Arc::clone(&host)),
+            Reply::hello(Arc::clone(&host), Arc::clone(&peer)),
+            Reply::ehlo(Arc::clone(&host), Arc::clone(&peer), Capabilities::default()),
+        ];
+        assert_eq!(Arc::strong_count(&host), 1 + built.len());
+        assert_eq!(Arc::strong_count(&peer), 3);
+        for r in &built {
+            assert!(matches!(r.text, Text::Host(..) | Text::Hello { .. }), "{r:?}");
+        }
+        assert!(matches!(Reply::greylisted(300).text, Text::Greylisted(300)));
     }
 
     #[test]

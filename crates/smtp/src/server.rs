@@ -9,6 +9,7 @@ use crate::metrics::SessionMetrics;
 use crate::reply::{codes, Reply};
 use spamward_sim::SimTime;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Where a session currently is in the RFC 5321 command sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,8 +38,9 @@ pub struct Transaction {
     /// The client's reverse-DNS name, when the server looked one up at
     /// connect time (name-based whitelists key on this).
     pub client_rdns: Option<String>,
-    /// The greeting argument (empty until HELO/EHLO).
-    pub helo: String,
+    /// The greeting argument (empty until HELO/EHLO), shared with the
+    /// command that carried it.
+    pub helo: Arc<str>,
     /// The envelope sender, once MAIL was issued.
     pub mail_from: Option<ReversePath>,
     /// Recipients accepted so far.
@@ -50,7 +52,7 @@ impl Transaction {
         Transaction {
             client_ip,
             client_rdns: None,
-            helo: String::new(),
+            helo: Arc::default(),
             mail_from: None,
             recipients: Vec::new(),
         }
@@ -159,7 +161,8 @@ impl ServerPolicy for AcceptAll {}
 /// ```
 #[derive(Debug)]
 pub struct ServerSession {
-    hostname: String,
+    /// Shared with the owning server and every reply that names it.
+    hostname: Arc<str>,
     state: SessionState,
     tx: Transaction,
     capabilities: Capabilities,
@@ -175,10 +178,11 @@ pub struct ServerSession {
 }
 
 impl ServerSession {
-    /// Creates a session for a client connecting from `client_ip`.
-    pub fn new(hostname: &str, client_ip: Ipv4Addr) -> Self {
+    /// Creates a session for a client connecting from `client_ip`; an
+    /// `Arc<str>` host name is shared, not copied.
+    pub fn new(hostname: impl Into<Arc<str>>, client_ip: Ipv4Addr) -> Self {
         ServerSession {
-            hostname: hostname.to_owned(),
+            hostname: hostname.into(),
             state: SessionState::Connected,
             tx: Transaction::new(client_ip),
             capabilities: Capabilities::default(),
@@ -251,7 +255,7 @@ impl ServerSession {
             }
             None => {
                 self.state = SessionState::AwaitGreeting;
-                Reply::banner(&self.hostname)
+                Reply::banner(Arc::clone(&self.hostname))
             }
         };
         self.metrics.on_reply(&reply);
@@ -283,20 +287,17 @@ impl ServerSession {
         match cmd {
             Command::Helo { domain } | Command::Ehlo { domain } => {
                 self.esmtp = matches!(cmd, Command::Ehlo { .. });
-                self.tx.helo = domain.clone();
+                self.tx.helo = Arc::clone(domain);
                 self.tx.reset_mail();
                 match policy.on_helo(now, &self.tx).into_reply() {
                     Some(r) => r,
                     None => {
                         self.state = SessionState::Ready;
+                        let (host, peer) = (Arc::clone(&self.hostname), Arc::clone(domain));
                         if self.esmtp {
-                            let capabilities = self.capabilities.ehlo_lines();
-                            let mut lines = Vec::with_capacity(1 + capabilities.len());
-                            lines.push(format!("{} Hello {}", self.hostname, domain).into());
-                            lines.extend(capabilities);
-                            Reply::new(codes::OK, lines)
+                            Reply::ehlo(host, peer, self.capabilities)
                         } else {
-                            Reply::hello(&self.hostname, domain)
+                            Reply::hello(host, peer)
                         }
                     }
                 }
@@ -356,7 +357,7 @@ impl ServerSession {
             Command::Noop => Reply::ok(),
             Command::Quit => {
                 self.state = SessionState::Closed;
-                Reply::bye(&self.hostname)
+                Reply::bye(Arc::clone(&self.hostname))
             }
             Command::Vrfy { .. } => Reply::cannot_verify(),
             Command::StartTls => {
@@ -388,8 +389,42 @@ impl ServerSession {
         body_wire: &str,
         policy: &mut dyn ServerPolicy,
     ) -> Reply {
+        let parse = || {
+            Message::from_wire(body_wire).unwrap_or_else(|| {
+                // Bots sometimes send header-less junk; store it as a bare body.
+                Message::builder().body(body_wire).build()
+            })
+        };
+        self.finish_data(now, body_wire.len(), parse, policy)
+    }
+
+    /// Handles a body the simulator hands over as the client's own
+    /// message instead of its wire text: what [`handle_data_body`] does
+    /// with the unstuffed wire form when [`Message::wire_round_trips`]
+    /// holds, since parsing that text gives the message back. The
+    /// unstuffed text is the wire form without its final CRLF.
+    ///
+    /// [`handle_data_body`]: ServerSession::handle_data_body
+    pub(crate) fn handle_message(
+        &mut self,
+        now: SimTime,
+        message: Message,
+        policy: &mut dyn ServerPolicy,
+    ) -> Reply {
+        self.finish_data(now, message.size() - 2, || message, policy)
+    }
+
+    /// Ends the transaction with the body of `body_len` unstuffed bytes
+    /// that `message` yields, and counts the reply.
+    fn finish_data(
+        &mut self,
+        now: SimTime,
+        body_len: usize,
+        message: impl FnOnce() -> Message,
+        policy: &mut dyn ServerPolicy,
+    ) -> Reply {
         assert_eq!(self.state, SessionState::ReadingData, "no DATA in progress");
-        let reply = self.data_body_inner(now, body_wire, policy);
+        let reply = self.data_body_inner(now, body_len, message, policy);
         self.metrics.on_reply(&reply);
         reply
     }
@@ -397,11 +432,12 @@ impl ServerSession {
     fn data_body_inner(
         &mut self,
         now: SimTime,
-        body_wire: &str,
+        body_len: usize,
+        message: impl FnOnce() -> Message,
         policy: &mut dyn ServerPolicy,
     ) -> Reply {
         if let Some(limit) = self.capabilities.size_limit {
-            if body_wire.len() as u64 > limit {
+            if body_len as u64 > limit {
                 self.state = SessionState::Ready;
                 self.tx.reset_mail();
                 return Reply::single(
@@ -410,14 +446,11 @@ impl ServerSession {
                 );
             }
         }
-        let message = Message::from_wire(body_wire).unwrap_or_else(|| {
-            // Bots sometimes send header-less junk; store it as a bare body.
-            Message::builder().body(body_wire).build()
-        });
+        let message = message();
         let mut builder = Envelope::builder()
             .client_ip(self.tx.client_ip)
             .helo(&self.tx.helo)
-            .rcpts(self.tx.recipients.iter().cloned());
+            .rcpts(std::mem::take(&mut self.tx.recipients));
         if let Some(mail_from) = self.tx.mail_from.clone() {
             builder = builder.mail_from(mail_from);
         }

@@ -100,14 +100,16 @@ impl Step {
     }
 
     /// The step's wire text without its final CRLF (a multi-line reply
-    /// keeps its inner CRLFs).
+    /// keeps its inner CRLFs), trimmed in the string it was rendered to.
     fn line(&self) -> String {
-        match self {
-            Step::Pregreet => PREGREET_LINE.to_owned(),
-            Step::Command(cmd) => cmd.to_wire().trim_end().to_owned(),
-            Step::Body(len) => format!("<{len} bytes of data>"),
-            Step::Reply(reply) => reply.to_wire().trim_end().to_owned(),
-        }
+        let mut line = match self {
+            Step::Pregreet => return PREGREET_LINE.to_owned(),
+            Step::Command(cmd) => cmd.to_wire(),
+            Step::Body(len) => return format!("<{len} bytes of data>"),
+            Step::Reply(reply) => reply.to_wire(),
+        };
+        line.truncate(line.trim_end().len());
+        line
     }
 }
 
@@ -228,6 +230,14 @@ impl fmt::Display for Transcript {
 /// failures (refused/timed-out connections) never reach this function —
 /// model those with [`DeliveryOutcome::connect_failed`].
 ///
+/// The DATA body goes through the wire round trip — rendered, dot-stuffed,
+/// unstuffed and parsed by the server — unless
+/// [`Message::wire_round_trips`](crate::Message::wire_round_trips) proves
+/// the trip gives the same message back: then the server is handed the
+/// shared message, and the transcript's body line counts the stuffed
+/// length without rendering it. Outcome, counters, transcript and stored
+/// message are the same either way; `smtp::tcp` always makes the trip.
+///
 /// # Panics
 ///
 /// Panics if the conversation exceeds 10 000 exchanges (a state-machine
@@ -237,6 +247,18 @@ pub fn exchange(
     server: &mut ServerSession,
     policy: &mut dyn ServerPolicy,
     now: SimTime,
+) -> (DeliveryOutcome, Transcript) {
+    drive(client, server, policy, now, true)
+}
+
+/// [`exchange`], with the DATA handover on or off (`handover: false`
+/// sends every body through the wire round trip).
+fn drive(
+    client: &mut ClientSession,
+    server: &mut ServerSession,
+    policy: &mut dyn ServerPolicy,
+    now: SimTime,
+    handover: bool,
 ) -> (DeliveryOutcome, Transcript) {
     // Room for a whole delivered session (about 14 steps) up front.
     let mut transcript = Transcript { steps: Vec::with_capacity(16) };
@@ -265,6 +287,10 @@ pub fn exchange(
                     server.handle(now, &cmd, policy)
                 };
                 transcript.steps.push(Step::Command(cmd));
+            }
+            ClientAction::SendBody(message) if handover && message.wire_round_trips() => {
+                transcript.steps.push(Step::Body(message.stuffed_len()));
+                reply = server.handle_message(now, message, policy);
             }
             ClientAction::SendBody(message) => {
                 // Stuff once: the stuffed length is the transcript line,
@@ -433,6 +459,61 @@ mod tests {
                 pinned.split('\n').filter(|l| l.starts_with("C> ") || l.starts_with("S< "));
             assert_eq!(transcript.len(), arrowed.count());
             assert_eq!(transcript.entries().len(), transcript.len());
+        }
+    }
+
+    /// The DATA handover against the stuffed path it stands in for: for
+    /// messages that round-trip and messages that do not, for a client
+    /// that declares SIZE and one that does not, and for size limits on
+    /// both sides of each body, the two give the same outcome, session
+    /// counters, transcript bytes and stored messages.
+    #[test]
+    fn handover_gives_the_stuffed_paths_session() {
+        let messages = [
+            Message::builder().header("Subject", "message 7").body("benign mail body").build(),
+            Message::builder().header(".Dotted", "v").body(".lead\n..two\n\nend").build(),
+            Message::builder().body("").build(),
+            msg(),
+            // These two do not round-trip, so they take the stuffed path.
+            Message::builder().header("Subject", "trailing ").body("body ends\n").build(),
+            Message::builder().header(" X", "  padded").body("crlf\r\nline").build(),
+        ];
+        let round_trips: Vec<bool> = messages.iter().map(Message::wire_round_trips).collect();
+        assert_eq!(round_trips, [true, true, true, true, false, false]);
+        for message in &messages {
+            let limit = message.size() as u64 - 2;
+            for size_limit in [None, Some(limit), Some(limit - 1)] {
+                let caps = crate::Capabilities { size_limit, ..Default::default() };
+                for dialect in
+                    [Dialect::compliant_mta("relay.example"), Dialect::minimal_bot("bot")]
+                {
+                    let run = |handover: bool| {
+                        let mut client = ClientSession::new(
+                            dialect.clone(),
+                            env(&["u@foo.net"]),
+                            message.clone(),
+                        );
+                        let mut server =
+                            ServerSession::new("mx.foo.net", Ipv4Addr::new(203, 0, 113, 9))
+                                .with_capabilities(caps);
+                        let (outcome, transcript) = drive(
+                            &mut client,
+                            &mut server,
+                            &mut AcceptAll,
+                            SimTime::ZERO,
+                            handover,
+                        );
+                        (
+                            outcome,
+                            *server.metrics(),
+                            transcript.to_string(),
+                            server.accepted().to_vec(),
+                        )
+                    };
+                    let (handed, stuffed) = (run(true), run(false));
+                    assert_eq!(handed, stuffed, "{message:?} limit {size_limit:?} {dialect}");
+                }
+            }
         }
     }
 

@@ -1,7 +1,9 @@
 //! Byte-level pins of the SMTP values' observable forms.
 //!
 //! Every `Reply` constructor and the server's fixed replies are pinned to
-//! their exact wire bytes and `Display` text, and `EmailAddress` and
+//! their exact wire bytes and `Display` text, the replies a session builds
+//! from shared parts also to their `lines()` and to equality and hashing
+//! with the same reply parsed back from its wire form, and `EmailAddress` and
 //! `Message` are compared, property by property, with oracles that keep
 //! the plain two-`String` and `Vec`-of-`String` representations and their
 //! renderers. A change to how these values are stored must leave every
@@ -18,6 +20,7 @@ use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 fn pin(reply: &Reply, wire: &str, display: &str) {
     assert_eq!(reply.to_wire(), wire, "wire bytes of {reply:?}");
@@ -197,6 +200,91 @@ fn server_transaction_replies_render_pinned_bytes() {
         &handle(&mut s, "QUIT"),
         "221 mx.foo.net Service closing transmission channel\r\n",
         "221 mx.foo.net Service closing transmission channel",
+    );
+}
+
+/// Pins a reply built from parts through every reading: wire bytes,
+/// `Display`, `lines()`, and equality, hashing and capabilities against
+/// the same reply parsed back from those wire bytes.
+fn pin_parts(reply: &Reply, wire: &str, display: &str, lines: &[&str]) {
+    pin(reply, wire, display);
+    assert_eq!(reply.lines(), lines, "lines of {reply:?}");
+    let Some(parsed) = Reply::from_wire(&reply.to_wire()) else {
+        panic!("{reply:?} does not parse back from its wire form");
+    };
+    pin(&parsed, wire, display);
+    assert_eq!(parsed.lines(), lines);
+    assert_eq!(&parsed, reply);
+    assert_eq!(reply, &parsed);
+    assert_eq!(hash_of(&parsed), hash_of(reply), "hash of {reply:?}");
+    assert_eq!(parsed.capabilities(), reply.capabilities(), "capabilities of {reply:?}");
+}
+
+#[test]
+fn replies_built_from_shared_parts_render_pinned_bytes() {
+    const BANNER: &str = "mx.foo.net ESMTP spamward";
+    const HELLO: &str = "mx.foo.net Hello relay.example, I am glad to meet you";
+    const BYE: &str = "mx.foo.net Service closing transmission channel";
+    const GREYLISTED: &str = "4.2.0 Greylisted, see http://postgrey.schweikert.ch/ (retry in 300s)";
+    let host: Arc<str> = "mx.foo.net".into();
+    let peer: Arc<str> = "relay.example".into();
+
+    let mut s = session(Capabilities::default());
+    let banner = Reply::banner(Arc::clone(&host));
+    pin_parts(&banner, &format!("220 {BANNER}\r\n"), &format!("220 {BANNER}"), &[BANNER]);
+    pin_parts(&Reply::banner("mx.foo.net"), &banner.to_wire(), &banner.to_string(), &[BANNER]);
+
+    let hello = Reply::hello(Arc::clone(&host), Arc::clone(&peer));
+    pin_parts(&hello, &format!("250 {HELLO}\r\n"), &format!("250 {HELLO}"), &[HELLO]);
+    pin_parts(
+        &handle(&mut s, "HELO relay.example"),
+        &hello.to_wire(),
+        &hello.to_string(),
+        &[HELLO],
+    );
+
+    let ehlo_lines = [
+        "mx.foo.net Hello relay.example",
+        "PIPELINING",
+        "SIZE 10485760",
+        "8BITMIME",
+        "ENHANCEDSTATUSCODES",
+    ];
+    let ehlo_wire = "250-mx.foo.net Hello relay.example\r\n250-PIPELINING\r\n250-SIZE 10485760\r\n\
+                     250-8BITMIME\r\n250 ENHANCEDSTATUSCODES\r\n";
+    let ehlo_display = "250 mx.foo.net Hello relay.example / PIPELINING / SIZE 10485760 / \
+                        8BITMIME / ENHANCEDSTATUSCODES";
+    let ehlo = Reply::ehlo(Arc::clone(&host), Arc::clone(&peer), Capabilities::default());
+    pin_parts(&ehlo, ehlo_wire, ehlo_display, &ehlo_lines);
+    pin_parts(&handle(&mut s, "EHLO relay.example"), ehlo_wire, ehlo_display, &ehlo_lines);
+    assert_eq!(ehlo.capabilities(), Capabilities::default());
+
+    let bare = Reply::ehlo(Arc::clone(&host), Arc::clone(&peer), Capabilities::none());
+    let bare_line = "mx.foo.net Hello relay.example";
+    pin_parts(&bare, &format!("250 {bare_line}\r\n"), &format!("250 {bare_line}"), &[bare_line]);
+    let caps = Capabilities { size_limit: Some(1_000), starttls: true, ..Capabilities::default() };
+    pin_parts(
+        &Reply::ehlo(Arc::clone(&host), Arc::clone(&peer), caps),
+        "250-mx.foo.net Hello relay.example\r\n250-PIPELINING\r\n250-SIZE 1000\r\n\
+         250-8BITMIME\r\n250-STARTTLS\r\n250 ENHANCEDSTATUSCODES\r\n",
+        "250 mx.foo.net Hello relay.example / PIPELINING / SIZE 1000 / 8BITMIME / STARTTLS / \
+         ENHANCEDSTATUSCODES",
+        &[bare_line, "PIPELINING", "SIZE 1000", "8BITMIME", "STARTTLS", "ENHANCEDSTATUSCODES"],
+    );
+
+    let greylisted = Reply::greylisted(300);
+    let (grey_wire, grey_display) = (format!("450 {GREYLISTED}\r\n"), format!("450 {GREYLISTED}"));
+    pin_parts(&greylisted, &grey_wire, &grey_display, &[GREYLISTED]);
+
+    let bye = Reply::bye(Arc::clone(&host));
+    pin_parts(&bye, &format!("221 {BYE}\r\n"), &format!("221 {BYE}"), &[BYE]);
+    pin_parts(&handle(&mut s, "QUIT"), &bye.to_wire(), &bye.to_string(), &[BYE]);
+    let closing = "mx.foo.net Service not available, closing transmission channel";
+    pin_parts(
+        &Reply::service_unavailable(Arc::clone(&host)),
+        &format!("421 {closing}\r\n"),
+        &format!("421 {closing}"),
+        &[closing],
     );
 }
 

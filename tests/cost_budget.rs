@@ -7,9 +7,11 @@
 //! fails here. The gate measures every registry artifact at `shards: 1`,
 //! the Fig. 2 scan at two population sizes and the Fig. 5 replay at two
 //! message counts. The scan's allocations per domain must agree across
-//! its two sizes within 2 %, which turns "cost per domain is flat" into a
-//! check. Everything runs from one `#[test]`, so no other test's
-//! allocations mix in.
+//! its two sizes within 2 %, and the replay's marginal allocations per
+//! message between its two sizes must agree with its average at the
+//! larger within 2 %, which turns "cost per unit is flat" into checks.
+//! Everything runs from one `#[test]`, so no other test's allocations mix
+//! in.
 //!
 //! A value above its budget fails. A change that lowers a value lowers
 //! its budget in the same change, by regenerating the file:
@@ -314,16 +316,27 @@ fn allocations_and_peak_bytes_stay_within_budget() {
         .collect();
     assert!(over.is_empty(), "over budget:\n{}", over.join("\n"));
 
-    // Cost per domain does not grow with the population.
-    let per_domain = |domains: usize| {
-        let (_, cost) = costs.iter().find(|(n, _)| *n == format!("fig2_scan.{domains}")).unwrap();
-        cost.allocs as f64 / domains as f64
+    let allocs = |name: String| {
+        let (_, cost) = costs.iter().find(|(n, _)| *n == name).unwrap();
+        cost.allocs as f64
     };
+    // Cost per domain does not grow with the population.
+    let per_domain = |domains: usize| allocs(format!("fig2_scan.{domains}")) / domains as f64;
     let (small, large) = (per_domain(SCAN_SIZES[0]), per_domain(SCAN_SIZES[1]));
     assert!(
         (small - large).abs() <= 0.02 * large,
         "allocations per domain {small:.2} at {} vs {large:.2} at {}",
         SCAN_SIZES[0],
         SCAN_SIZES[1]
+    );
+    // Nor does cost per message grow with the replay: the messages between
+    // the two sizes cost what the average message of the larger one does.
+    let replay = |messages: usize| allocs(format!("fig5_replay.{messages}"));
+    let [small, large] = REPLAY_SIZES;
+    let marginal = (replay(large) - replay(small)) / (large - small) as f64;
+    let average = replay(large) / large as f64;
+    assert!(
+        (marginal - average).abs() <= 0.02 * average,
+        "allocations per message {marginal:.2} between {small} and {large} vs {average:.2} at {large}"
     );
 }

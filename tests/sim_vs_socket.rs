@@ -8,6 +8,11 @@
 //! client address 127.0.0.1 and the same virtual instants, so the delivery
 //! outcomes, the per-session protocol counters, the anonymized server log
 //! and the mailbox must come out equal.
+//!
+//! Each dialect sends two messages: one whose wire form round-trips, which
+//! the simulator hands to the server as the shared message, and one whose
+//! padded header and CRLF-bearing, LF-terminated body do not, which takes
+//! the simulator through the dot-stuffed wire text as the socket does.
 
 use spamward::analysis::log::LogRecord;
 use spamward::botnet::MalwareFamily;
@@ -53,26 +58,36 @@ fn address(text: &str) -> EmailAddress {
     text.parse().expect("test address")
 }
 
-fn client(dialect: &Dialect) -> ClientSession {
+/// The two messages: the first round-trips, the second does not.
+fn messages() -> [Message; 2] {
+    let round_trips = Message::builder()
+        .header("Subject", "one state machine")
+        .header("From", "sender@relay.example")
+        .body("first line\n.a line that starts with a dot\n..two dots\nlast line")
+        .build();
+    let falls_back = Message::builder()
+        .header("Subject", "  one state machine ")
+        .header("From", "sender@relay.example")
+        .body("first line\n.a line that starts with a dot\n..two dots\r\nlast line\n")
+        .build();
+    [round_trips, falls_back]
+}
+
+fn client(dialect: &Dialect, message: &Message) -> ClientSession {
     let envelope = Envelope::builder()
         .client_ip(Ipv4Addr::LOCALHOST)
         .mail_from(address("Sender@Relay.Example"))
         .rcpt(address("Bob@DIFF.test"))
         .build();
-    let message = Message::builder()
-        .header("Subject", "  one state machine ")
-        .header("From", "sender@relay.example")
-        .body("first line\n.a line that starts with a dot\n..two dots\r\nlast line\n")
-        .build();
-    ClientSession::new(dialect.clone(), envelope, message)
+    ClientSession::new(dialect.clone(), envelope, message.clone())
 }
 
-fn through_exchange(dialect: &Dialect) -> Run {
+fn through_exchange(dialect: &Dialect, message: &Message) -> Run {
     let mut mta = server();
     let (mut outcomes, mut sessions) = (Vec::new(), Vec::new());
     for now in INSTANTS {
         let mut session = ServerSession::new(HOST, Ipv4Addr::LOCALHOST);
-        let (outcome, _) = exchange(&mut client(dialect), &mut session, &mut mta, now);
+        let (outcome, _) = exchange(&mut client(dialect, message), &mut session, &mut mta, now);
         outcomes.push(outcome);
         sessions.push(*session.metrics());
     }
@@ -84,10 +99,12 @@ fn simulator_and_socket_give_the_same_session() {
     // Threads stay inside the test body (lint rule C1).
     use std::thread;
 
+    let [round_trips, falls_back] = messages();
+    assert!(round_trips.wire_round_trips() && !falls_back.wire_round_trips());
     let dialects = std::iter::once(Dialect::compliant_mta("relay.example"))
         .chain(MalwareFamily::ALL.iter().map(|family| family.dialect()));
-    for dialect in dialects {
-        let simulated = through_exchange(&dialect);
+    for (dialect, message) in dialects.flat_map(|d| [(d.clone(), &round_trips), (d, &falls_back)]) {
+        let simulated = through_exchange(&dialect, message);
 
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("local address");
@@ -105,12 +122,13 @@ fn simulator_and_socket_give_the_same_session() {
         });
         let outcomes: Vec<DeliveryOutcome> = INSTANTS
             .iter()
-            .map(|_| deliver_tcp(addr, client(&dialect)).expect("client io"))
+            .map(|_| deliver_tcp(addr, client(&dialect, message)).expect("client io"))
             .collect();
         let (mta, sessions) = server.join().expect("server thread");
         let socket =
             Run { outcomes, sessions, log: mta.log().to_vec(), mailbox: mta.mailbox().to_vec() };
-        assert_eq!(simulated, socket, "dialect {}", dialect.name);
+        let handed_over = message.wire_round_trips();
+        assert_eq!(simulated, socket, "dialect {}, handed over {handed_over}", dialect.name);
 
         // The pair exercises the greylist both ways: deferred, then passed
         // (one recipient, so a bot that gives up at its first deferred
