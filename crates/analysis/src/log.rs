@@ -18,7 +18,6 @@
 
 use crate::cdf::Cdf;
 use spamward_sim::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// What happened to one RCPT (or one completed message).
@@ -153,21 +152,61 @@ fn parse_timestamp(ts: &str) -> Option<SimTime> {
     Some(SimTime::from_micros(us))
 }
 
-/// Per-message reconstruction from the anonymized log.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Per-message reconstruction from the anonymized log: what Fig. 5 reads
+/// of one identity's records, kept compact (no list of attempts).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MessageTimeline {
     /// The opaque identity.
     pub key: u64,
-    /// Timestamps of every observed attempt, in order.
-    pub attempts: Vec<SimTime>,
-    /// When the message was finally accepted, if ever.
+    /// When the first deferred or passing attempt happened, taken in log
+    /// order (not the earliest instant).
+    pub first_attempt: Option<SimTime>,
+    /// Deferred and passing attempts observed.
+    pub attempts: u32,
+    /// When the message was first accepted, in log order, if ever.
     pub accepted_at: Option<SimTime>,
 }
 
 impl MessageTimeline {
+    /// The timeline of `record` alone.
+    fn of(record: &LogRecord) -> Self {
+        let mut timeline = MessageTimeline {
+            key: record.key,
+            first_attempt: None,
+            attempts: 0,
+            accepted_at: None,
+        };
+        timeline.record(record);
+        timeline
+    }
+
+    /// Folds in the next record of this identity, in log order: deferred
+    /// and passing attempts count (the first one opens the delay), the
+    /// first acceptance closes it.
+    fn record(&mut self, record: &LogRecord) {
+        match record.event {
+            LogEvent::Greylisted | LogEvent::PassedGreylist => {
+                self.first_attempt.get_or_insert(record.at);
+                self.attempts = self.attempts.saturating_add(1);
+            }
+            LogEvent::Accepted => {
+                self.accepted_at.get_or_insert(record.at);
+            }
+            LogEvent::Whitelisted => {}
+        }
+    }
+
+    /// Continues this timeline with `later`: the same identity's timeline
+    /// over records that follow this one's in log order.
+    fn extend(&mut self, later: &MessageTimeline) {
+        self.first_attempt = self.first_attempt.or(later.first_attempt);
+        self.attempts = self.attempts.saturating_add(later.attempts);
+        self.accepted_at = self.accepted_at.or(later.accepted_at);
+    }
+
     /// Delay from first attempt to acceptance (the Fig. 5 quantity).
     pub fn delivery_delay(&self) -> Option<SimDuration> {
-        let first = *self.attempts.first()?;
+        let first = self.first_attempt?;
         Some(self.accepted_at?.elapsed_since(first))
     }
 }
@@ -191,31 +230,38 @@ impl MessageTimeline {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct GreylistLogAnalysis {
-    timelines: BTreeMap<u64, MessageTimeline>,
+    /// One timeline per key, in key order.
+    timelines: Vec<MessageTimeline>,
 }
 
 impl GreylistLogAnalysis {
     /// Builds the analysis from records, in log order. Every record opens
     /// its key's timeline; deferred and passing attempts extend it and the
-    /// first acceptance closes it.
+    /// first acceptance closes it. The records are read once and never
+    /// stored: what is kept is one compact timeline per key.
     pub fn from_records(records: impl IntoIterator<Item = LogRecord>) -> Self {
-        let mut timelines: BTreeMap<u64, MessageTimeline> = BTreeMap::new();
-        for r in records {
-            let tl = timelines.entry(r.key).or_insert_with(|| MessageTimeline {
-                key: r.key,
-                attempts: Vec::new(),
-                accepted_at: None,
-            });
-            match r.event {
-                LogEvent::Greylisted | LogEvent::PassedGreylist => tl.attempts.push(r.at),
-                LogEvent::Accepted => {
-                    if tl.accepted_at.is_none() {
-                        tl.accepted_at = Some(r.at);
+        let mut timelines: Vec<MessageTimeline> = Vec::new();
+        for record in records {
+            match timelines.last_mut() {
+                // A sender's records mostly sit together in a log, so most
+                // records continue the last timeline.
+                Some(last) if last.key == record.key => last.record(&record),
+                _ => {
+                    if timelines.len() == timelines.capacity() {
+                        // Fold repeated keys before growing, so an
+                        // interleaved log keeps a few timelines per key,
+                        // not one per record; grow when that frees less
+                        // than half, so each fold is paid for by as many
+                        // records as it keeps.
+                        fold_keys(&mut timelines);
+                        timelines.reserve(timelines.len());
                     }
+                    timelines.push(MessageTimeline::of(&record));
                 }
-                LogEvent::Whitelisted => {}
             }
         }
+        fold_keys(&mut timelines);
+        timelines.shrink_to_fit();
         GreylistLogAnalysis { timelines }
     }
 
@@ -223,16 +269,19 @@ impl GreylistLogAnalysis {
     /// malformed line with a typed [`LogParseError`] (blank lines are
     /// allowed and skipped).
     pub fn from_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> Result<Self, LogParseError> {
-        let mut records = Vec::new();
-        for (idx, line) in lines.into_iter().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let record =
-                parse_log_line(line).map_err(|e| LogParseError { line_no: idx + 1, ..e })?;
-            records.push(record);
-        }
-        Ok(Self::from_records(records))
+        // Records stream into the analysis as they parse; the first bad
+        // line ends the stream and is reported.
+        let mut error = None;
+        let records =
+            lines.into_iter().enumerate().filter(|(_, line)| !line.trim().is_empty()).map_while(
+                |(idx, line)| {
+                    parse_log_line(line)
+                        .map_err(|e| error = Some(LogParseError { line_no: idx + 1, ..e }))
+                        .ok()
+                },
+            );
+        let analysis = Self::from_records(records);
+        error.map_or(Ok(analysis), Err)
     }
 
     /// Number of distinct message identities seen.
@@ -247,12 +296,12 @@ impl GreylistLogAnalysis {
 
     /// Timelines that ended in acceptance.
     pub fn delivered(&self) -> impl Iterator<Item = &MessageTimeline> {
-        self.timelines.values().filter(|t| t.accepted_at.is_some())
+        self.timelines.iter().filter(|t| t.accepted_at.is_some())
     }
 
     /// Timelines whose sender gave up (greylisted, never accepted).
     pub fn abandoned(&self) -> impl Iterator<Item = &MessageTimeline> {
-        self.timelines.values().filter(|t| t.accepted_at.is_none() && !t.attempts.is_empty())
+        self.timelines.iter().filter(|t| t.accepted_at.is_none() && t.attempts > 0)
     }
 
     /// Delivery delays of all delivered messages (unordered).
@@ -274,10 +323,54 @@ impl GreylistLogAnalysis {
     }
 }
 
+impl FromIterator<GreylistLogAnalysis> for GreylistLogAnalysis {
+    /// Joins the analyses of consecutive parts of one log, given in log
+    /// order: the result is [`GreylistLogAnalysis::from_records`] over the
+    /// parts' records concatenated. The parts' key-ordered timelines merge
+    /// into one list of exactly their length, and a key's timelines fold
+    /// in part order.
+    fn from_iter<I: IntoIterator<Item = GreylistLogAnalysis>>(parts: I) -> Self {
+        let parts: Vec<Vec<MessageTimeline>> = parts.into_iter().map(|p| p.timelines).collect();
+        let mut timelines: Vec<MessageTimeline> =
+            Vec::with_capacity(parts.iter().map(Vec::len).sum());
+        let mut next = vec![0; parts.len()];
+        // The smallest next key, the earliest part's on a tie.
+        let smallest = |next: &[usize]| {
+            (0..parts.len())
+                .filter(|&p| next[p] < parts[p].len())
+                .min_by_key(|&p| parts[p][next[p]].key)
+        };
+        while let Some(p) = smallest(&next) {
+            let timeline = parts[p][next[p]];
+            next[p] += 1;
+            match timelines.last_mut() {
+                Some(last) if last.key == timeline.key => last.extend(&timeline),
+                _ => timelines.push(timeline),
+            }
+        }
+        GreylistLogAnalysis { timelines }
+    }
+}
+
+/// Sorts `timelines` by key, keeping the order of equal keys, and folds
+/// each key's timelines into the first in that order: log order, when
+/// they were pushed as their records came.
+fn fold_keys(timelines: &mut Vec<MessageTimeline>) {
+    timelines.sort_by_key(|t| t.key);
+    timelines.dedup_by(|later, earlier| {
+        let same = later.key == earlier.key;
+        if same {
+            earlier.extend(later);
+        }
+        same
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn rec(at_secs: u64, event: LogEvent, key: u64) -> LogRecord {
         LogRecord { at: SimTime::from_secs(at_secs), event, key }
@@ -317,7 +410,8 @@ mod tests {
             rec(500, LogEvent::Accepted, 1),
         ]);
         let tl = a.delivered().next().unwrap();
-        assert_eq!(tl.attempts.len(), 3);
+        assert_eq!(tl.attempts, 3);
+        assert_eq!(tl.first_attempt, Some(SimTime::from_secs(100)));
         assert_eq!(tl.delivery_delay(), Some(SimDuration::from_secs(400)));
     }
 
@@ -406,8 +500,105 @@ mod tests {
         assert!(a.delivery_delays().is_empty());
     }
 
+    /// The analysis as it was built before timelines were compacted: a
+    /// `Vec` of every attempt instant per key, in log order, and the first
+    /// acceptance. The oracle for the compact fold.
+    fn reference(records: &[LogRecord]) -> BTreeMap<u64, (Vec<SimTime>, Option<SimTime>)> {
+        let mut timelines: BTreeMap<u64, (Vec<SimTime>, Option<SimTime>)> = BTreeMap::new();
+        for r in records {
+            let (attempts, accepted_at) = timelines.entry(r.key).or_default();
+            match r.event {
+                LogEvent::Greylisted | LogEvent::PassedGreylist => attempts.push(r.at),
+                LogEvent::Accepted => {
+                    if accepted_at.is_none() {
+                        *accepted_at = Some(r.at);
+                    }
+                }
+                LogEvent::Whitelisted => {}
+            }
+        }
+        timelines
+    }
+
+    /// Asserts that `analysis` reads like the reference over `records`.
+    fn assert_matches_reference(
+        analysis: &GreylistLogAnalysis,
+        records: &[LogRecord],
+    ) -> Result<(), TestCaseError> {
+        let reference = reference(records);
+        prop_assert_eq!(analysis.len(), reference.len());
+        let delivered: Vec<(u64, u32, Option<SimDuration>)> = reference
+            .iter()
+            .filter(|(_, (_, accepted_at))| accepted_at.is_some())
+            .map(|(&key, (attempts, accepted_at))| {
+                let delay = attempts.first().zip(*accepted_at).map(|(&f, a)| a.elapsed_since(f));
+                (key, attempts.len() as u32, delay)
+            })
+            .collect();
+        let got: Vec<_> =
+            analysis.delivered().map(|t| (t.key, t.attempts, t.delivery_delay())).collect();
+        prop_assert_eq!(got, delivered.clone());
+        let abandoned: Vec<u64> = reference
+            .iter()
+            .filter(|(_, (attempts, accepted_at))| accepted_at.is_none() && !attempts.is_empty())
+            .map(|(&key, _)| key)
+            .collect();
+        prop_assert_eq!(analysis.abandoned().map(|t| t.key).collect::<Vec<_>>(), abandoned.clone());
+        let delays: Vec<SimDuration> = delivered.iter().filter_map(|&(_, _, d)| d).collect();
+        prop_assert_eq!(analysis.delivery_delays(), delays);
+        let rate = if reference.is_empty() {
+            0.0
+        } else {
+            abandoned.len() as f64 / reference.len() as f64
+        };
+        prop_assert_eq!(analysis.abandonment_rate(), rate);
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The compact fold reads every log like the per-key attempt lists
+        /// did: keys interleave or repeat in runs, instants run out of
+        /// order, keys are accepted more than once, and key 5 is only ever
+        /// whitelisted. Accepts come after every attempt instant, since a
+        /// delay needs an acceptance no earlier than its first attempt. A
+        /// log cut anywhere into three parts, their analyses joined, reads
+        /// like the whole log.
+        #[test]
+        fn prop_compact_fold_matches_the_attempt_lists(
+            draws in proptest::collection::vec((0u64..8, 0usize..4, 0u64..10_000), 0..48),
+            split in 0usize..49,
+            second_split in 0usize..49,
+        ) {
+            let mut records = Vec::with_capacity(draws.len());
+            let mut key = 0;
+            for (pick, event, secs) in draws {
+                // Picks 6 and 7 repeat the previous key, making runs.
+                if pick < 6 {
+                    key = pick;
+                }
+                let event = match event {
+                    _ if key == 5 => LogEvent::Whitelisted,
+                    0 => LogEvent::Greylisted,
+                    1 => LogEvent::PassedGreylist,
+                    2 => LogEvent::Whitelisted,
+                    _ => LogEvent::Accepted,
+                };
+                let secs = if event == LogEvent::Accepted { 10_000 + secs } else { secs };
+                records.push(rec(secs, event, 0xfeed_0000 + key));
+            }
+            let analysis = GreylistLogAnalysis::from_records(records.iter().copied());
+            assert_matches_reference(&analysis, &records)?;
+
+            let (head, rest) = records.split_at(split.min(records.len()));
+            let (middle, tail) = rest.split_at(second_split.min(rest.len()));
+            let joined: GreylistLogAnalysis = [head, middle, tail]
+                .into_iter()
+                .map(|part| GreylistLogAnalysis::from_records(part.iter().copied()))
+                .collect();
+            assert_matches_reference(&joined, &records)?;
+        }
 
         /// No line, however damaged, panics the parser, and a line it
         /// accepts renders back to a line that parses to the same record.

@@ -1,10 +1,12 @@
 //! Micro-benchmarks of the substrates every experiment leans on: the SMTP
-//! engine, the greylist hot path, MX resolution, and population synthesis.
+//! engine, the greylist hot path, MX resolution, the anonymized log, and
+//! population synthesis.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // not protocol-path code
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use spamward_analysis::log::{GreylistLogAnalysis, LogEvent, LogRecord};
 use spamward_dns::{Authority, NameTable, Resolver, Zone};
-use spamward_greylist::{Greylist, GreylistConfig};
+use spamward_greylist::{Greylist, GreylistConfig, KeyAtom, TripletKey};
 use spamward_scanner::{PopulationSpec, PopulationStream};
 use spamward_sim::{DetRng, SimTime};
 use spamward_smtp::{
@@ -126,6 +128,50 @@ fn bench_dns_resolution(c: &mut Criterion) {
     g.finish();
 }
 
+/// A Fig. 5-shaped anonymized log of `messages` messages: each is
+/// greylisted on arrival, a quarter retry early and are greylisted again,
+/// and all but one in fifteen pass and are accepted after the delay. Each
+/// message's records sit together, as a sender drains its queue in turn.
+fn synthetic_log(messages: u64) -> Vec<LogRecord> {
+    let mut rng = DetRng::seed(5).fork("bench.log");
+    let mut log = Vec::new();
+    for _ in 0..messages {
+        let (key, arrival) = (rng.next_u64(), rng.below(10_000_000_000_000));
+        let at = |secs: u64| SimTime::from_micros(arrival + secs * 1_000_000);
+        log.push(LogRecord { at: at(0), event: LogEvent::Greylisted, key });
+        if rng.below(4) == 0 {
+            log.push(LogRecord { at: at(120), event: LogEvent::Greylisted, key });
+        }
+        if rng.below(15) != 0 {
+            let delivered = at(300 + rng.below(3_000));
+            log.push(LogRecord { at: delivered, event: LogEvent::PassedGreylist, key });
+            log.push(LogRecord { at: delivered, event: LogEvent::Accepted, key });
+        }
+    }
+    log
+}
+
+fn bench_anonymized_log(c: &mut Criterion) {
+    let mut g = c.benchmark_group("log");
+    g.throughput(Throughput::Elements(1));
+    // One log record's key: the triplet's display text, hashed.
+    g.bench_function("anonymize_log_key", |b| {
+        let key = TripletKey {
+            client_net: u32::from(Ipv4Addr::new(100, 64, 123, 0)),
+            sender: KeyAtom::of("user12345@relay12345.example"),
+            recipient: KeyAtom::of("staff7@cs-dept.example"),
+        };
+        b.iter(|| spamward_mta::log::anonymize(black_box(0x5eed), black_box(&key)))
+    });
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(20_000));
+    g.bench_function("from_records_20k_messages", |b| {
+        let log = synthetic_log(20_000);
+        b.iter(|| GreylistLogAnalysis::from_records(log.iter().copied()).len())
+    });
+    g.finish();
+}
+
 fn bench_population_synthesis(c: &mut Criterion) {
     let mut g = c.benchmark_group("scanner");
     g.sample_size(10);
@@ -158,6 +204,7 @@ criterion_group!(
     bench_smtp_exchange,
     bench_greylist_check,
     bench_dns_resolution,
+    bench_anonymized_log,
     bench_population_synthesis,
     bench_rng
 );

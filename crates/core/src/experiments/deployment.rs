@@ -20,11 +20,12 @@
 
 use crate::experiments::worlds::{self, VICTIM_MX_IP};
 use crate::harness::{Experiment, HarnessConfig, HarnessError, Obs, Report, Scale};
-use spamward_analysis::log::{GreylistLogAnalysis, LogRecord};
+use spamward_analysis::log::GreylistLogAnalysis;
 use spamward_analysis::reduce::ordered_sum;
 use spamward_analysis::{plot, Cdf, Series};
 use spamward_dns::DomainName;
 use spamward_greylist::{Greylist, GreylistConfig};
+use spamward_mta::metrics::SenderTotals;
 use spamward_mta::{MailWorld, MtaProfile, RetrySchedule, SendingMta};
 use spamward_net::indexed_ip;
 use spamward_obs::Registry;
@@ -143,7 +144,7 @@ fn hourly_script_profile() -> MtaProfile {
 fn no_retry_profile() -> MtaProfile {
     MtaProfile {
         name: "cron-script-oneshot".into(),
-        schedule: RetrySchedule::Explicit { times: vec![], tail_interval: None },
+        schedule: RetrySchedule::Explicit { times: [].into(), tail_interval: None },
         max_queue_time: SimDuration::from_days(1),
     }
 }
@@ -157,25 +158,31 @@ fn build_world(config: &DeploymentConfig) -> MailWorld {
     )
 }
 
-/// Writes the nominal relay name of message `i` into `out` — what the
-/// shard partition hashes, whatever sender class the message ends up
-/// drawing.
-fn write_relay_name(out: &mut String, i: usize) {
+/// Writes message `i`'s sender address, `user{i}@relay{i}.example`, into
+/// `out` and returns where its relay name starts. The relay name is the
+/// MTA senders' host name and what the shard partition hashes, whatever
+/// sender class the message ends up drawing.
+fn write_sender(out: &mut String, i: usize) -> usize {
     out.clear();
-    // Room for any index, so a fresh buffer is one allocation.
-    out.reserve("relay.example".len() + 20);
     // Writing to a `String` cannot fail.
+    let _ = write!(out, "user{i}@");
+    let relay = out.len();
     let _ = write!(out, "relay{i}.example");
+    relay
 }
 
 /// Recipients the replay addresses: message `i` goes to `staff{i % 50}`.
 const STAFF: usize = 50;
 
 /// What every message of one replay draws from, built once per run.
+/// Profiles share their names and ladders, so a sender clones one for
+/// nothing.
 struct Synthesis {
     domain: DomainName,
     providers: Vec<WebmailProvider>,
     staff: Vec<EmailAddress>,
+    hourly_script: MtaProfile,
+    no_retry_script: MtaProfile,
     /// Summed sender-class weights.
     total_weight: f64,
 }
@@ -191,28 +198,31 @@ impl Synthesis {
             domain: DEPLOYMENT_DOMAIN.parse().expect("valid deployment domain"),
             providers: WebmailProvider::table_iii(),
             staff,
+            hourly_script: hourly_script_profile(),
+            no_retry_script: no_retry_profile(),
             total_weight: mta_weight + mix.webmail + mix.hourly_script + mix.no_retry_script,
         }
     }
 }
 
 /// Builds message `i`'s pre-submitted sender, tagged with its arrival
-/// instant. A pure function of (config, i) — each message draws from its
-/// own RNG fork and takes its source address by index — so any shard can
-/// synthesize exactly the messages it owns without generating the rest.
+/// instant, writing its address through the caller's `text` buffer. A pure
+/// function of (config, i) — each message draws from its own RNG fork and
+/// takes its source address by index — so any shard can synthesize
+/// exactly the messages it owns without generating the rest.
 fn build_message(
     config: &DeploymentConfig,
     synthesis: &Synthesis,
     i: usize,
+    text: &mut String,
 ) -> (SimTime, SendingMta) {
     let mut rng = DetRng::seed(config.seed).fork_idx("deployment.msg", i as u64);
     let arrival =
         SimTime::ZERO + SimDuration::from_micros(rng.below(config.window.as_micros().max(1)));
     let source_ip = indexed_ip(SOURCE_IP_BASE, i as u64);
-    let mut relay = String::new();
-    write_relay_name(&mut relay, i);
-    let sender_addr: EmailAddress =
-        format!("user{i}@{relay}").parse().expect("synthetic sender is valid");
+    let relay = write_sender(text, i);
+    let sender_addr: EmailAddress = text.parse().expect("synthetic sender is valid");
+    let relay = &text[relay..];
     let rcpt = synthesis.staff[i % STAFF].clone();
     let message = Message::builder()
         .header("Subject", format!("message {i}"))
@@ -224,7 +234,7 @@ fn build_message(
     let mut sender: SendingMta = 'pick: {
         for (profile, w) in &config.mix.mtas {
             if x < *w {
-                break 'pick SendingMta::new(&relay, vec![source_ip], profile.clone());
+                break 'pick SendingMta::new(relay, vec![source_ip], profile.clone());
             }
             x -= w;
         }
@@ -233,10 +243,12 @@ fn build_message(
             break 'pick provider.build_sender(source_ip, config.seed ^ i as u64);
         }
         x -= config.mix.webmail;
-        if x < config.mix.hourly_script {
-            break 'pick SendingMta::new(&relay, vec![source_ip], hourly_script_profile());
-        }
-        SendingMta::new(&relay, vec![source_ip], no_retry_profile())
+        let script = if x < config.mix.hourly_script {
+            &synthesis.hourly_script
+        } else {
+            &synthesis.no_retry_script
+        };
+        SendingMta::new(relay, vec![source_ip], script.clone())
     };
 
     let domain = synthesis.domain.clone();
@@ -249,18 +261,15 @@ fn build_message(
 struct ShardRun {
     events: u64,
     bounces: usize,
-    log: Vec<LogRecord>,
+    analysis: GreylistLogAnalysis,
     obs: Obs,
 }
 
 fn summarize(
-    log: impl IntoIterator<Item = LogRecord>,
+    analysis: &GreylistLogAnalysis,
     bounces_generated: usize,
     messages: usize,
 ) -> DeploymentResult {
-    // Analyze the *server's* anonymized log, as the paper did. Keys are
-    // triplet hashes, so concatenating the shard logs loses nothing.
-    let analysis = GreylistLogAnalysis::from_records(log);
     let cdf = analysis.delay_cdf();
     let within_10min = if cdf.is_empty() { 0.0 } else { cdf.fraction_at_or_below(600.0) };
     let beyond_50min = if cdf.is_empty() { 0.0 } else { 1.0 - cdf.fraction_at_or_below(3_000.0) };
@@ -283,44 +292,53 @@ pub fn run(config: &DeploymentConfig, obs: &mut Obs) -> DeploymentResult {
     let plan = ShardPlan::new(config.seed, DEPLOYMENT_SHARDS);
     let synthesis = Synthesis::new(config);
     // Each message's shard, hashed once rather than once per shard pass,
-    // with every relay name written into one buffer.
-    let mut relay = String::new();
+    // with every address written into one buffer.
+    let mut text = String::new();
     let owners: Vec<u32> = (0..config.messages)
         .map(|i| {
-            write_relay_name(&mut relay, i);
-            plan.shard_of(&relay)
+            let relay = write_sender(&mut text, i);
+            plan.shard_of(&text[relay..])
         })
         .collect();
     let shard_runs = run_sharded(&plan, config.workers, |shard| {
         let mut shard_obs = obs.fork();
         let mut world = shard_obs.arm(build_world(config));
+        let mut senders = SenderTotals::default();
         let mut bounces = 0;
+        // Room for any index's address, so the buffer never grows.
+        let mut text = String::with_capacity(64);
         for (i, _) in owners.iter().enumerate().filter(|&(_, &owner)| owner == shard) {
-            let (arrival, mut sender) = build_message(config, &synthesis, i);
+            let (arrival, mut sender) = build_message(config, &synthesis, i, &mut text);
             sender.drain(arrival, &mut world);
             // Nothing reads a drained sender but its metrics and bounce
             // count, so both are taken now and the sender is dropped.
-            spamward_mta::metrics::collect_sender(&sender, &mut shard_obs.registry);
+            senders.add(&sender);
             bounces += sender.bounces().len();
         }
+        senders.export(&mut shard_obs.registry);
         shard_obs.collect(&world);
+        // Analyze the *server's* anonymized log, as the paper did, where
+        // it lies: nothing copies it.
+        let log = world.server(VICTIM_MX_IP).expect("deployment server").log();
         ShardRun {
             events: world.engine_stats.events,
             bounces,
-            log: world.server(VICTIM_MX_IP).expect("deployment server").log().to_vec(),
+            analysis: GreylistLogAnalysis::from_records(log.iter().copied()),
             obs: shard_obs,
         }
     });
 
     let mut bounces = 0;
-    let mut logs = Vec::with_capacity(shard_runs.len());
+    let mut analyses = Vec::with_capacity(shard_runs.len());
     for (shard, run) in shard_runs.into_iter().enumerate() {
         spamward_mta::metrics::collect_shard_events(shard as u32, run.events, &mut obs.registry);
         obs.absorb(run.obs);
         bounces += run.bounces;
-        logs.push(run.log);
+        analyses.push(run.analysis);
     }
-    summarize(logs.into_iter().flatten(), bounces, config.messages)
+    // Keys are triplet hashes, so the shard logs, joined in shard order,
+    // read as one log.
+    summarize(&analyses.into_iter().collect(), bounces, config.messages)
 }
 
 /// [`run`] for callers holding their own registry and trace lines: the
@@ -419,8 +437,9 @@ mod tests {
         let config = DeploymentConfig { seed, messages: 300, ..Default::default() };
         let synthesis = Synthesis::new(&config);
         let mut world = build_world(&config);
+        let mut text = String::new();
         for i in 0..config.messages {
-            let (arrival, mut sender) = build_message(&config, &synthesis, i);
+            let (arrival, mut sender) = build_message(&config, &synthesis, i, &mut text);
             sender.drain(arrival, &mut world);
         }
         world

@@ -31,7 +31,7 @@ pub fn run() -> SchedulesResult {
     let rows = MtaProfile::table_iv()
         .into_iter()
         .map(|p| ScheduleRow {
-            mta: p.name.clone(),
+            mta: p.name.to_string(),
             retransmission_mins: p
                 .schedule
                 .retries_within(horizon)

@@ -107,7 +107,7 @@ pub fn run(config: &WebmailConfig, obs: &mut Obs) -> WebmailResult {
         );
 
         rows.push(WebmailRow {
-            provider: provider.name.clone(),
+            provider: provider.name.to_string(),
             same_ip: used_ips.len() == 1,
             distinct_ips: used_ips.len(),
             attempts: records.len() as u32,
@@ -231,8 +231,10 @@ mod tests {
     fn same_ip_column_matches_paper() {
         let r = result();
         for row in &r.rows {
-            let provider =
-                WebmailProvider::table_iii().into_iter().find(|p| p.name == row.provider).unwrap();
+            let provider = WebmailProvider::table_iii()
+                .into_iter()
+                .find(|p| *p.name == *row.provider)
+                .unwrap();
             assert_eq!(row.same_ip, provider.same_ip(), "{}", row.provider);
             assert_eq!(row.distinct_ips.min(7), provider.distinct_ips.min(7), "{}", row.provider);
         }

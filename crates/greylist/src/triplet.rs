@@ -144,6 +144,48 @@ impl TripletKey {
     pub fn client_net_addr(&self) -> Ipv4Addr {
         Ipv4Addr::from(self.client_net)
     }
+
+    /// Length of the longest display text,
+    /// `(255.255.255.255, s:<16 hex digits>, r:<16 hex digits>)`.
+    pub const TEXT_MAX: usize = 57;
+
+    /// Writes the display text `(<client net>, s:<sender>, r:<recipient>)`
+    /// into `buf` and returns the bytes written: the network as a dotted
+    /// quad, each digest as 16 lowercase hex digits. `Display` prints
+    /// these bytes, and the anonymized MTA log hashes them with no
+    /// formatter in between.
+    pub fn write_text<'b>(&self, buf: &'b mut [u8; Self::TEXT_MAX]) -> &'b [u8] {
+        let mut len = 0;
+        let mut put = |bytes: &[u8]| {
+            buf[len..len + bytes.len()].copy_from_slice(bytes);
+            len += bytes.len();
+        };
+        put(b"(");
+        for (i, octet) in self.client_net.to_be_bytes().into_iter().enumerate() {
+            if i > 0 {
+                put(b".");
+            }
+            let digits = [octet / 100, octet / 10 % 10, octet % 10].map(|d| b'0' + d);
+            // No leading zeros: one, two or three digits.
+            put(&digits[usize::from(octet < 100) + usize::from(octet < 10)..]);
+        }
+        put(b", s:");
+        put(&hex16(self.sender.0));
+        put(b", r:");
+        put(&hex16(self.recipient.0));
+        put(b")");
+        &buf[..len]
+    }
+}
+
+/// `v` as 16 lowercase hex digits, most significant first.
+fn hex16(v: u64) -> [u8; 16] {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = [0; 16];
+    for (i, digit) in out.iter_mut().enumerate() {
+        *digit = DIGITS[((v >> (60 - 4 * i)) & 0xf) as usize];
+    }
+    out
 }
 
 /// Masks `client` to `netmask` leading bits.
@@ -174,7 +216,9 @@ pub(crate) fn normalize_sender(sender: &ReversePath) -> String {
 
 impl fmt::Display for TripletKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({}, s:{}, r:{})", self.client_net_addr(), self.sender, self.recipient)
+        let mut buf = [0; Self::TEXT_MAX];
+        // Digits, letters and punctuation only: always UTF-8.
+        f.write_str(std::str::from_utf8(self.write_text(&mut buf)).map_err(|_| fmt::Error)?)
     }
 }
 
@@ -261,6 +305,33 @@ mod tests {
     }
 
     proptest! {
+        /// The display text is the dotted quad std's `Ipv4Addr` prints and
+        /// std's `{:016x}` of each digest, at every octet width.
+        #[test]
+        fn prop_display_text_matches_std_formatters(
+            picks in proptest::collection::vec((0usize..7, any::<u8>()), 4),
+            sender in any::<u64>(),
+            recipient in any::<u64>(),
+        ) {
+            // Each octet is a width edge (one, two and three digits) or
+            // any value.
+            const EDGES: [u8; 6] = [0, 9, 10, 99, 100, 255];
+            let mut octets = [0u8; 4];
+            for (octet, &(pick, any)) in octets.iter_mut().zip(&picks) {
+                *octet = EDGES.get(pick).copied().unwrap_or(any);
+            }
+            let key = TripletKey {
+                client_net: u32::from_be_bytes(octets),
+                sender: KeyAtom::from_raw(sender),
+                recipient: KeyAtom::from_raw(recipient),
+            };
+            let expected =
+                format!("({}, s:{sender:016x}, r:{recipient:016x})", Ipv4Addr::from(octets));
+            prop_assert!(expected.len() <= TripletKey::TEXT_MAX);
+            prop_assert_eq!(key.write_text(&mut [0; TripletKey::TEXT_MAX]), expected.as_bytes());
+            prop_assert_eq!(key.to_string(), expected);
+        }
+
         #[test]
         fn prop_mask_idempotent(ip in any::<u32>(), mask in 0u8..=32) {
             let addr = Ipv4Addr::from(ip);

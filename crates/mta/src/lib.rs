@@ -30,7 +30,7 @@
 #![warn(missing_docs)]
 
 mod events;
-mod log;
+pub mod log;
 pub mod metrics;
 mod receive;
 mod schedule;

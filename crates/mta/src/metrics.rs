@@ -228,32 +228,92 @@ pub fn collect_receiver(mta: &ReceivingMta, reg: &mut Registry) {
 }
 
 /// Exports one sending MTA, deriving everything from its recorded
-/// attempt/bounce/queue state.
+/// attempt/bounce/queue state: the one-sender case of [`SenderTotals`].
 pub fn collect_sender(mta: &SendingMta, reg: &mut Registry) {
-    let records = mta.records();
-    let mut slots = Histogram::new(&RETRY_SLOT_BOUNDS);
-    let mut delays = Histogram::new(&DELIVERY_DELAY_BOUNDS_S);
-    let mut delivered: u64 = 0;
-    for r in records {
-        slots.observe(u64::from(r.attempt));
-        if r.delivered {
-            delivered += 1;
-            delays.observe(r.since_enqueue.as_micros() / 1_000_000);
+    let mut totals = SenderTotals::default();
+    totals.add(mta);
+    totals.export(reg);
+}
+
+/// The sender metrics of any number of sending MTAs, summed as each one is
+/// added and exported once: the registry [`SenderTotals::export`] leaves
+/// is the one a [`collect_sender`] call per added sender leaves. A replay
+/// that drops each sender after its drain folds it in here first, so the
+/// histograms are built once per total, not once per sender.
+#[derive(Debug, Clone)]
+pub struct SenderTotals {
+    senders: u64,
+    submitted: u64,
+    attempts: u64,
+    delivered: u64,
+    gave_up: u64,
+    queued: i64,
+    slots: Histogram,
+    delays: Histogram,
+    /// Breaker trips, skipped attempts and backoffs of the senders that
+    /// run a [`RetryPolicy`](crate::RetryPolicy); `None` until one is added.
+    breaker: Option<[u64; 3]>,
+}
+
+impl Default for SenderTotals {
+    /// Totals of no sender: exports nothing.
+    fn default() -> Self {
+        SenderTotals {
+            senders: 0,
+            submitted: 0,
+            attempts: 0,
+            delivered: 0,
+            gave_up: 0,
+            queued: 0,
+            slots: Histogram::new(&RETRY_SLOT_BOUNDS),
+            delays: Histogram::new(&DELIVERY_DELAY_BOUNDS_S),
+            breaker: None,
         }
     }
-    let queued = mta.queue().iter().filter(|q| matches!(q.status, OutboundStatus::Queued)).count();
-    reg.record_counter(SEND_SUBMITTED, mta.queue().len() as u64);
-    reg.record_counter(SEND_ATTEMPTS, records.len() as u64);
-    reg.record_counter(SEND_DELIVERED, delivered);
-    reg.record_counter(SEND_GAVE_UP, mta.bounces().len() as u64);
-    reg.record_gauge(SEND_QUEUE_DEPTH, queued as i64);
-    reg.record_histogram(SEND_RETRY_SCHEDULE_SLOT, &slots);
-    reg.record_histogram(SEND_DELIVERY_DELAY_S, &delays);
-    // Breaker accounting exists only for MTAs running a resilience policy.
-    if mta.retry_policy().is_some() {
-        reg.record_counter(BREAKER_TRIPS, mta.breaker_trips());
-        reg.record_counter(BREAKER_SKIPPED, mta.breaker_skipped());
-        reg.record_counter(BREAKER_BACKOFFS, mta.backoffs_applied());
+}
+
+impl SenderTotals {
+    /// Adds one sender's attempts, deliveries, bounces and queue.
+    pub fn add(&mut self, mta: &SendingMta) {
+        self.senders += 1;
+        for r in mta.records() {
+            self.slots.observe(u64::from(r.attempt));
+            if r.delivered {
+                self.delivered += 1;
+                self.delays.observe(r.since_enqueue.as_micros() / 1_000_000);
+            }
+        }
+        let queue = mta.queue();
+        self.submitted += queue.len() as u64;
+        self.queued += queue.iter().filter(|q| q.status == OutboundStatus::Queued).count() as i64;
+        self.attempts += mta.records().len() as u64;
+        self.gave_up += mta.bounces().len() as u64;
+        // Breaker accounting exists only for MTAs running a resilience policy.
+        if mta.retry_policy().is_some() {
+            let [trips, skipped, backoffs] = self.breaker.get_or_insert([0; 3]);
+            *trips += mta.breaker_trips();
+            *skipped += mta.breaker_skipped();
+            *backoffs += mta.backoffs_applied();
+        }
+    }
+
+    /// Records the totals into `reg`; nothing when no sender was added.
+    pub fn export(&self, reg: &mut Registry) {
+        if self.senders == 0 {
+            return;
+        }
+        reg.record_counter(SEND_SUBMITTED, self.submitted);
+        reg.record_counter(SEND_ATTEMPTS, self.attempts);
+        reg.record_counter(SEND_DELIVERED, self.delivered);
+        reg.record_counter(SEND_GAVE_UP, self.gave_up);
+        reg.record_gauge(SEND_QUEUE_DEPTH, self.queued);
+        reg.record_histogram(SEND_RETRY_SCHEDULE_SLOT, &self.slots);
+        reg.record_histogram(SEND_DELIVERY_DELAY_S, &self.delays);
+        if let Some([trips, skipped, backoffs]) = self.breaker {
+            reg.record_counter(BREAKER_TRIPS, trips);
+            reg.record_counter(BREAKER_SKIPPED, skipped);
+            reg.record_counter(BREAKER_BACKOFFS, backoffs);
+        }
     }
 }
 
@@ -328,6 +388,87 @@ mod tests {
         collect_shard_events(3, 0, &mut reg);
         assert_eq!(reg.counter("sim.engine.shard.0.events"), Some(12));
         assert_eq!(reg.counter("sim.engine.shard.3.events"), Some(0));
+    }
+
+    /// Drained senders of every kind the totals fold: delivered after a
+    /// greylist retry, given up with a bounce, and (with a retry policy)
+    /// tripping a breaker on an unreachable exchanger.
+    fn drained_senders() -> Vec<SendingMta> {
+        let victim_ip = Ipv4Addr::new(192, 0, 2, 10);
+        let mut world = MailWorld::new(11);
+        world.install_server(ReceivingMta::new("mx.victim.example", victim_ip).with_greylist(
+            Greylist::new(
+                GreylistConfig::with_delay(SimDuration::from_secs(300)).without_auto_whitelist(),
+            ),
+        ));
+        world.dns.publish(Zone::single_mx("victim.example".parse().unwrap(), victim_ip));
+        // An exchanger with no server behind it: every connect fails.
+        world.dns.publish(Zone::single_mx(
+            "dead.example".parse().unwrap(),
+            Ipv4Addr::new(192, 0, 2, 99),
+        ));
+        let one_shot = MtaProfile {
+            name: "one-shot".into(),
+            schedule: crate::RetrySchedule::Explicit { times: [].into(), tail_interval: None },
+            max_queue_time: SimDuration::from_days(1),
+        };
+        let plans = [
+            ("victim.example", MtaProfile::postfix(), false),
+            ("victim.example", one_shot, false),
+            ("dead.example", MtaProfile::exchange(), true),
+            ("victim.example", MtaProfile::qmail(), true),
+            ("dead.example", MtaProfile::sendmail(), false),
+        ];
+        plans
+            .into_iter()
+            .enumerate()
+            .map(|(i, (domain, profile, policy))| {
+                let ip = Ipv4Addr::new(198, 51, 100, i as u8 + 1);
+                let mut sender = SendingMta::new(&format!("relay{i}.example"), vec![ip], profile);
+                if policy {
+                    sender = sender.with_retry_policy(crate::RetryPolicy::resilient());
+                }
+                for n in 0..2 {
+                    sender.submit(
+                        domain.parse().unwrap(),
+                        ReversePath::Address(format!("a{n}@relay{i}.example").parse().unwrap()),
+                        vec![format!("u{n}@{domain}").parse().unwrap()],
+                        Message::builder().body("x").build(),
+                        SimTime::from_secs(60 * n),
+                    );
+                }
+                sender.drain(SimTime::ZERO, &mut world);
+                sender
+            })
+            .collect()
+    }
+
+    #[test]
+    fn folded_senders_export_what_one_collect_each_does() {
+        let senders = drained_senders();
+        assert!(senders.iter().any(|s| s.breaker_trips() > 0), "a breaker trips");
+        assert!(senders.iter().any(|s| !s.bounces().is_empty()), "a sender gives up");
+        let with_policy: Vec<&SendingMta> =
+            senders.iter().filter(|s| s.retry_policy().is_some()).collect();
+        let without: Vec<&SendingMta> =
+            senders.iter().filter(|s| s.retry_policy().is_none()).collect();
+        let all: Vec<&SendingMta> = senders.iter().collect();
+        for group in [&all[..], &with_policy[..], &without[..], &all[..1], &[][..]] {
+            let mut each = Registry::new();
+            let mut totals = SenderTotals::default();
+            for sender in group {
+                collect_sender(sender, &mut each);
+                totals.add(sender);
+            }
+            let mut folded = Registry::new();
+            totals.export(&mut folded);
+            assert_eq!(folded, each, "{} senders", group.len());
+            assert_eq!(folded.is_empty(), group.is_empty());
+            assert_eq!(
+                folded.counter(BREAKER_TRIPS).is_some(),
+                group.iter().any(|s| s.retry_policy().is_some())
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! bench renders them back out of this module.
 
 use spamward_sim::SimDuration;
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// A retry schedule expressed as *cumulative* attempt times: the `n`-th
 /// retry (1-based) happens `nth_retry_at(n)` after the message was queued.
@@ -30,8 +32,9 @@ pub enum RetrySchedule {
     /// adding `tail_interval` per further retry (postfix, courier, and all
     /// the webmail providers of Table III).
     Explicit {
-        /// The listed attempt times, strictly increasing.
-        times: Vec<SimDuration>,
+        /// The listed attempt times, strictly increasing. Shared, so a
+        /// cloned schedule copies no ladder.
+        times: Arc<[SimDuration]>,
         /// Interval appended after the ladder runs out; `None` means the
         /// sender simply stops retrying after the last listed attempt
         /// (aol's observed give-up behaviour).
@@ -40,8 +43,9 @@ pub enum RetrySchedule {
     /// A ladder followed by geometric growth of the last interval
     /// (exim: ×1.5 per retry, capped).
     Geometric {
-        /// The listed initial attempt times.
-        times: Vec<SimDuration>,
+        /// The listed initial attempt times, shared like
+        /// [`RetrySchedule::Explicit`]'s.
+        times: Arc<[SimDuration]>,
         /// Growth factor applied to the last interval.
         factor: f64,
         /// Interval cap.
@@ -106,11 +110,13 @@ impl RetrySchedule {
     }
 }
 
-/// A named MTA: its retry schedule plus its queue lifetime.
+/// A named MTA: its retry schedule plus its queue lifetime. A literal name
+/// is borrowed and a ladder is shared, so every sender built from one
+/// profile clones it without copying either.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MtaProfile {
     /// Software name as in Table IV.
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// The retry schedule.
     pub schedule: RetrySchedule,
     /// Messages older than this are bounced (Table IV "max queue time").
@@ -142,7 +148,7 @@ impl MtaProfile {
         MtaProfile {
             name: "exim".into(),
             schedule: RetrySchedule::Geometric {
-                times: vec![
+                times: [
                     mins(15),
                     mins(30),
                     mins(45),
@@ -155,7 +161,8 @@ impl MtaProfile {
                     mins(270),
                     mins(405),
                     SimDuration::from_secs(607 * 60 + 30), // 607.5 min
-                ],
+                ]
+                .into(),
                 factor: 1.5,
                 cap: SimDuration::from_hours(6),
             },
@@ -166,16 +173,15 @@ impl MtaProfile {
     /// postfix: 5-minute steps to 30 min, then 15-minute steps; 5-day
     /// queue life.
     pub fn postfix() -> Self {
-        let mut times: Vec<SimDuration> =
-            vec![mins(5), mins(10), mins(15), mins(20), mins(25), mins(30)];
-        let mut t = 45;
-        while t <= 600 {
-            times.push(mins(t));
-            t += 15;
-        }
+        // 5 to 30 minutes, then 45 minutes to 10 hours.
+        let fives = (1..=6).map(|k| mins(5 * k));
+        let fifteens = (3..=40).map(|k| mins(15 * k));
         MtaProfile {
             name: "postfix".into(),
-            schedule: RetrySchedule::Explicit { times, tail_interval: Some(mins(15)) },
+            schedule: RetrySchedule::Explicit {
+                times: fives.chain(fifteens).collect(),
+                tail_interval: Some(mins(15)),
+            },
             max_queue_time: SimDuration::from_days(5),
         }
     }
@@ -297,7 +303,8 @@ mod tests {
 
     #[test]
     fn explicit_without_tail_gives_up() {
-        let s = RetrySchedule::Explicit { times: vec![mins(5), mins(10)], tail_interval: None };
+        let s =
+            RetrySchedule::Explicit { times: vec![mins(5), mins(10)].into(), tail_interval: None };
         assert_eq!(s.nth_retry_at(2), Some(mins(10)));
         assert_eq!(s.nth_retry_at(3), None);
         assert_eq!(s.retries_within(SimDuration::from_hours(10)).len(), 2);

@@ -3,6 +3,7 @@
 use spamward_mta::{IpSelection, MtaProfile, RetrySchedule, SendingMta};
 use spamward_net::IpPool;
 use spamward_sim::SimDuration;
+use std::borrow::Cow;
 use std::net::Ipv4Addr;
 
 /// The greylisting threshold the paper used for the webmail experiment
@@ -12,8 +13,9 @@ pub const GREYLIST_EXPERIMENT_THRESHOLD: SimDuration = SimDuration::from_mins(36
 /// One webmail provider's outbound behaviour, as measured in Table III.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WebmailProvider {
-    /// Provider domain as listed ("gmail.com", ...).
-    pub name: String,
+    /// Provider domain as listed ("gmail.com", ...), lent to the profile
+    /// of every sender built from the provider.
+    pub name: Cow<'static, str>,
     /// Number of distinct source addresses observed. 1 ⇒ the table's
     /// "same IP" checkmark.
     pub distinct_ips: usize,
@@ -295,7 +297,7 @@ impl WebmailProvider {
             schedule: self.schedule.clone(),
             max_queue_time: SimDuration::from_days(14),
         };
-        SendingMta::new(&format!("mta.{}", self.name), ips, profile)
+        SendingMta::new(&["mta.", &*self.name].concat(), ips, profile)
             .with_ip_selection(if self.distinct_ips > 1 {
                 IpSelection::RoundRobin
             } else {
@@ -313,7 +315,7 @@ mod tests {
     fn ten_providers_in_order() {
         let all = WebmailProvider::table_iii();
         assert_eq!(all.len(), 10);
-        let names: Vec<&str> = all.iter().map(|p| p.name.as_str()).collect();
+        let names: Vec<&str> = all.iter().map(|p| &*p.name).collect();
         assert_eq!(
             names,
             vec![
@@ -402,6 +404,15 @@ mod tests {
         assert_eq!(sender.profile().name, "gmail.com");
         let spread = gmail.build_sender_spread(Ipv4Addr::new(64, 233, 160, 1), 1);
         assert_eq!(spread.profile().name, "gmail.com");
+    }
+
+    #[test]
+    fn senders_borrow_the_provider_name() {
+        for p in WebmailProvider::table_iii() {
+            let sender = p.build_sender(Ipv4Addr::new(64, 233, 160, 1), 1);
+            assert_eq!(sender.fqdn(), format!("mta.{}", p.name));
+            assert!(matches!(sender.profile().name, Cow::Borrowed(_)), "{}: name copied", p.name);
+        }
     }
 
     #[test]
