@@ -204,10 +204,11 @@ impl MessageTimeline {
         self.accepted_at = self.accepted_at.or(later.accepted_at);
     }
 
-    /// Delay from first attempt to acceptance (the Fig. 5 quantity).
+    /// Delay from first attempt to acceptance (the Fig. 5 quantity);
+    /// `None` without both, or when a log read from outside times the
+    /// acceptance before the first attempt.
     pub fn delivery_delay(&self) -> Option<SimDuration> {
-        let first = self.first_attempt?;
-        Some(self.accepted_at?.elapsed_since(first))
+        self.accepted_at?.checked_elapsed_since(self.first_attempt?)
     }
 }
 
@@ -500,6 +501,16 @@ mod tests {
         assert!(a.delivery_delays().is_empty());
     }
 
+    #[test]
+    fn acceptance_timed_before_the_first_attempt_has_no_delay() {
+        let log = "100.000000 greylisted key=01\n50.000000 accepted key=01";
+        let a = GreylistLogAnalysis::from_lines(log.lines()).expect("well-formed log");
+        assert_eq!(a.delivered().count(), 1);
+        assert_eq!(a.delivered().next().and_then(MessageTimeline::delivery_delay), None);
+        assert!(a.delivery_delays().is_empty());
+        assert!(a.delay_cdf().is_empty());
+    }
+
     /// The analysis as it was built before timelines were compacted: a
     /// `Vec` of every attempt instant per key, in log order, and the first
     /// acceptance. The oracle for the compact fold.
@@ -531,7 +542,10 @@ mod tests {
             .iter()
             .filter(|(_, (_, accepted_at))| accepted_at.is_some())
             .map(|(&key, (attempts, accepted_at))| {
-                let delay = attempts.first().zip(*accepted_at).map(|(&f, a)| a.elapsed_since(f));
+                let delay = attempts
+                    .first()
+                    .zip(*accepted_at)
+                    .and_then(|(&f, a)| a.checked_elapsed_since(f));
                 (key, attempts.len() as u32, delay)
             })
             .collect();
@@ -561,10 +575,9 @@ mod tests {
         /// The compact fold reads every log like the per-key attempt lists
         /// did: keys interleave or repeat in runs, instants run out of
         /// order, keys are accepted more than once, and key 5 is only ever
-        /// whitelisted. Accepts come after every attempt instant, since a
-        /// delay needs an acceptance no earlier than its first attempt. A
-        /// log cut anywhere into three parts, their analyses joined, reads
-        /// like the whole log.
+        /// whitelisted. An accept may be timed before its key's first
+        /// attempt, which yields no delay. A log cut anywhere into three
+        /// parts, their analyses joined, reads like the whole log.
         #[test]
         fn prop_compact_fold_matches_the_attempt_lists(
             draws in proptest::collection::vec((0u64..8, 0usize..4, 0u64..10_000), 0..48),
@@ -585,7 +598,6 @@ mod tests {
                     2 => LogEvent::Whitelisted,
                     _ => LogEvent::Accepted,
                 };
-                let secs = if event == LogEvent::Accepted { 10_000 + secs } else { secs };
                 records.push(rec(secs, event, 0xfeed_0000 + key));
             }
             let analysis = GreylistLogAnalysis::from_records(records.iter().copied());

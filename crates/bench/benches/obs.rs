@@ -61,7 +61,7 @@ fn bench_registry_primitives(c: &mut Criterion) {
         for i in 0..32u64 {
             // Distinct names without call-site literals: reuse the bench
             // counter name with an index suffix.
-            src.record_counter(&format!("{BENCH_COUNTER}.{i}"), i);
+            src.record_counter(format!("{BENCH_COUNTER}.{i}"), i);
         }
         b.iter_batched(Registry::new, |mut dst| dst.merge(&src), BatchSize::SmallInput);
     });
@@ -118,7 +118,7 @@ fn bench_telemetry(c: &mut Criterion) {
             h.observe(v * 97);
         }
         for i in 0..32u64 {
-            reg.record_counter(&format!("{BENCH_COUNTER}.{i}"), i);
+            reg.record_counter(format!("{BENCH_COUNTER}.{i}"), i);
         }
         reg.record_histogram(BENCH_HISTOGRAM, &h);
         b.iter(|| to_openmetrics(&reg));

@@ -43,12 +43,12 @@ pub fn family_slug(family: MalwareFamily) -> String {
 /// `botnet.failed.<family>`, and `botnet.mx_rank.<family>.rank<k>`.
 pub fn collect_run(family: MalwareFamily, report: &BotRunReport, reg: &mut Registry) {
     let slug = family_slug(family);
-    reg.record_counter(&format!("{PREFIX_ATTEMPTS}.{slug}"), report.attempts.len() as u64);
-    reg.record_counter(&format!("{PREFIX_DELIVERED}.{slug}"), report.delivered.len() as u64);
-    reg.record_counter(&format!("{PREFIX_FAILED}.{slug}"), report.failed.len() as u64);
+    reg.record_counter(format!("{PREFIX_ATTEMPTS}.{slug}"), report.attempts.len() as u64);
+    reg.record_counter(format!("{PREFIX_DELIVERED}.{slug}"), report.delivered.len() as u64);
+    reg.record_counter(format!("{PREFIX_FAILED}.{slug}"), report.failed.len() as u64);
     for (rank, count) in report.mx_rank_attempts.iter().enumerate() {
         if *count > 0 {
-            reg.record_counter(&format!("{PREFIX_MX_RANK}.{slug}.rank{rank}"), *count);
+            reg.record_counter(format!("{PREFIX_MX_RANK}.{slug}.rank{rank}"), *count);
         }
     }
 }

@@ -3,6 +3,7 @@
 use crate::name::DomainName;
 use crate::record::{RecordType, ResourceRecord};
 use crate::zone::Zone;
+use spamward_sim::WordHash;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -58,8 +59,8 @@ pub struct QueryOutcome {
 /// ```
 #[derive(Debug, Default)]
 pub struct Authority {
-    zones: HashMap<DomainName, Zone>,
-    reverse: HashMap<std::net::Ipv4Addr, DomainName>,
+    zones: HashMap<DomainName, Zone, WordHash>,
+    reverse: HashMap<std::net::Ipv4Addr, DomainName, WordHash>,
     queries_served: u64,
 }
 

@@ -4,7 +4,7 @@ use crate::authority::{Authority, Rcode};
 use crate::name::DomainName;
 use crate::record::{RecordData, RecordType};
 use spamward_net::faults::DnsFaults;
-use spamward_sim::{SimDuration, SimTime};
+use spamward_sim::{SimDuration, SimTime, WordHash};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
@@ -107,7 +107,7 @@ pub struct ResolverStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct Resolver {
-    cache: HashMap<(DomainName, RecordType), CacheEntry>,
+    cache: HashMap<(DomainName, RecordType), CacheEntry, WordHash>,
     stats: ResolverStats,
     faults: Option<DnsFaults>,
     /// Lifetime of cached negative answers.
@@ -118,7 +118,7 @@ impl Resolver {
     /// Creates a resolver with a 5-minute negative-cache TTL.
     pub fn new() -> Self {
         Resolver {
-            cache: HashMap::new(),
+            cache: HashMap::default(),
             stats: ResolverStats::default(),
             faults: None,
             negative_ttl: SimDuration::from_mins(5),

@@ -355,7 +355,7 @@ fn collect_engine(world: &MailWorld, reg: &mut Registry) {
         for &events in episodes {
             h.observe(events);
         }
-        reg.record_histogram(&format!("{ENGINE_EPISODE_EVENTS_PREFIX}{actor}"), &h);
+        reg.record_histogram(format!("{ENGINE_EPISODE_EVENTS_PREFIX}{actor}"), &h);
     }
     reg.record_counter(ENGINE_OUTCOME_DRAINED, stats.outcomes.drained);
     reg.record_counter(ENGINE_OUTCOME_HORIZON, stats.outcomes.horizon_reached);
@@ -368,7 +368,7 @@ fn collect_engine(world: &MailWorld, reg: &mut Registry) {
 /// [`ENGINE_SHARD_PREFIX`] name. Sharded experiments call this once per
 /// shard of their fixed partition, in shard order.
 pub fn collect_shard_events(shard: u32, events: u64, reg: &mut Registry) {
-    reg.record_counter(&format!("{ENGINE_SHARD_PREFIX}{shard}.events"), events);
+    reg.record_counter(format!("{ENGINE_SHARD_PREFIX}{shard}.events"), events);
 }
 
 #[cfg(test)]

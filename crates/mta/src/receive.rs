@@ -590,7 +590,7 @@ impl ServerPolicy for ReceivingMta {
         }
     }
 
-    fn on_accepted(&mut self, now: SimTime, env: &Envelope, msg: &Message) {
+    fn on_accepted(&mut self, now: SimTime, env: Envelope, msg: Message) {
         self.stats.messages_accepted += 1;
         // Log one accept entry per recipient so per-triplet delivery delays
         // can be reconstructed from the anonymized log alone. Accept
@@ -603,11 +603,7 @@ impl ServerPolicy for ReceivingMta {
             };
             self.log_event(now, LogEvent::Accepted, &key);
         }
-        self.mailbox.push(StoredMessage {
-            received_at: now,
-            envelope: env.clone(),
-            message: msg.clone(),
-        });
+        self.mailbox.push(StoredMessage { received_at: now, envelope: env, message: msg });
     }
 }
 

@@ -11,9 +11,9 @@ use spamward_dns::{Authority, DomainName, MxHost, ResolveError, Resolver};
 use spamward_net::faults::TARPIT_HOLD;
 use spamward_net::{ConnectError, FaultPlan, Network, SmtpAbortKind, SmtpFaults, SMTP_PORT};
 use spamward_obs::TimeSeries;
-use spamward_sim::{DetRng, EngineStats, SimDuration, SimTime};
+use spamward_sim::{DetRng, EngineBuffers, EngineStats, SimDuration, SimTime};
 use spamward_smtp::{
-    exchange, ClientSession, DeliveryOutcome, Dialect, Envelope, Message, ServerSession,
+    exchange_counted, ClientSession, DeliveryOutcome, Dialect, Envelope, Message, ServerSession,
 };
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -186,6 +186,9 @@ pub struct MailWorld {
     /// actor on every tick (empty unless [`MailWorld::with_sampling`]
     /// enabled sampling).
     pub samples: TimeSeries,
+    /// The engine's queue and counter storage, lent to each episode
+    /// ([`crate::worldsim::WorldSim`]) and kept between them.
+    pub(crate) engine_buffers: EngineBuffers,
     servers: BTreeMap<Ipv4Addr, ReceivingMta>,
     smtp_faults: Option<SmtpFaults>,
     fault_edges: Vec<SimTime>,
@@ -208,6 +211,7 @@ impl MailWorld {
             engine_stats: EngineStats::default(),
             event_budget: None,
             samples: TimeSeries::new(),
+            engine_buffers: EngineBuffers::default(),
             servers: BTreeMap::new(),
             smtp_faults: None,
             fault_edges: Vec::new(),
@@ -589,11 +593,11 @@ impl MailWorld {
                         ServerSession::new(server_mta.shared_hostname(), envelope.client_ip())
                             .with_client_rdns(client_rdns);
                     let mut client = ClientSession::new(dialect.clone(), envelope, message);
-                    let (outcome, transcript) =
-                        exchange(&mut client, &mut session, server_mta, now + conn.rtt);
+                    let (outcome, steps) =
+                        exchange_counted(&mut client, &mut session, server_mta, now + conn.rtt);
                     server_mta.absorb_smtp(session.metrics());
                     // Rough time accounting: one RTT per protocol exchange.
-                    time_spent += conn.rtt * (transcript.len() as u64);
+                    time_spent += conn.rtt * (steps as u64);
                     self.events.record(now, || WorldEvent::Session {
                         envelope: client.envelope().clone(),
                         mx: cand.name.clone(),

@@ -72,15 +72,18 @@ impl WorldSim {
     /// Each episode gets a fresh engine whose clock starts at zero: a
     /// clock kept across episodes would clamp a later episode's first
     /// wake-ups to the earlier episode's end (botnet chains restart at the
-    /// campaign start). Returns the episode outcome and the final virtual
-    /// clock.
+    /// campaign start). Only the engine's queue and counter storage carry
+    /// over: the world lends it to the engine and takes it back, emptied
+    /// at the start of the next episode. Returns the episode outcome and
+    /// the final virtual clock.
     pub fn episode_with<'d, D: Actor<MailWorld> + 'd>(
         world: &mut MailWorld,
         drivers: impl IntoIterator<Item = (&'d mut D, SimTime)>,
         horizon: Option<SimTime>,
     ) -> (RunOutcome, SimTime) {
         let remaining = world.event_budget.map(|t| t.saturating_sub(world.engine_stats.events));
-        let mut sim = ActorSim::new(&mut *world);
+        let buffers = std::mem::take(&mut world.engine_buffers);
+        let mut sim = ActorSim::with_buffers(&mut *world, buffers);
         if let Some(h) = horizon {
             sim = sim.with_horizon(h);
         }
@@ -102,6 +105,7 @@ impl WorldSim {
         let mut stats = std::mem::take(&mut sim.state_mut().engine_stats);
         sim.fold_stats_into(&mut stats);
         sim.state_mut().engine_stats = stats;
+        world.engine_buffers = sim.into_buffers();
         (outcome, end)
     }
 }
@@ -457,6 +461,63 @@ mod tests {
             Some(SimTime::from_secs(300)),
         );
         assert!(!plain.engine_stats.actor_events.contains_key("greylist.checkpoint"));
+    }
+
+    /// An actor that wakes `left` times, `every` apart, and touches
+    /// nothing.
+    struct Tick {
+        left: u32,
+        every: SimDuration,
+    }
+
+    impl Actor<MailWorld> for Tick {
+        fn name(&self) -> &str {
+            "tick"
+        }
+
+        fn wake(&mut self, _: SimTime, _: &mut MailWorld) -> Wake {
+            self.left -= 1;
+            if self.left == 0 {
+                Wake::Idle
+            } else {
+                Wake::In(self.every)
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Episodes on one world that lends its engine buffers from one
+        /// episode to the next account exactly as episodes on fresh
+        /// buffers do, including after episodes cut at their horizon or
+        /// by the world's event budget with wake-ups still queued.
+        #[test]
+        fn prop_reused_engine_buffers_match_fresh_ones(
+            episodes in proptest::collection::vec(
+                ((1u32..5, 1u32..8), 1u64..90, 0u64..200, 0u64..400),
+                1..8,
+            ),
+            budget in 0u64..160,
+        ) {
+            let run = |fresh: bool| {
+                let mut world = MailWorld::new(5);
+                world.event_budget = (budget > 0).then_some(budget);
+                let mut ends = Vec::new();
+                for &((tickers, wakes), every, first, horizon) in &episodes {
+                    if fresh {
+                        world.engine_buffers = spamward_sim::EngineBuffers::default();
+                    }
+                    let mut ticks: Vec<Tick> = (0..tickers)
+                        .map(|d| Tick { left: wakes + d, every: SimDuration::from_secs(every) })
+                        .collect();
+                    let first = SimTime::from_secs(first);
+                    let horizon = (horizon < 300).then(|| SimTime::from_secs(horizon));
+                    let cast = ticks.iter_mut().map(|tick| (tick, first));
+                    ends.push(WorldSim::episode_with(&mut world, cast, horizon));
+                }
+                (ends, world.engine_stats)
+            };
+            proptest::prop_assert_eq!(run(false), run(true));
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::faults::NetFaults;
 use crate::host::{Availability, Host, HostBuilder, HostId, PortState};
 use crate::latency::LatencyModel;
-use spamward_sim::{DetRng, SimDuration, SimTime};
+use spamward_sim::{DetRng, SimDuration, SimTime, WordHash};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -107,7 +107,7 @@ pub struct Connection {
 #[derive(Debug)]
 pub struct Network {
     hosts: Vec<Host>,
-    by_ip: HashMap<Ipv4Addr, HostId>,
+    by_ip: HashMap<Ipv4Addr, HostId, WordHash>,
     latency: LatencyModel,
     rng: DetRng,
     connects_attempted: u64,
@@ -126,7 +126,7 @@ impl Network {
     pub fn new(seed: u64) -> Self {
         Network {
             hosts: Vec::new(),
-            by_ip: HashMap::new(),
+            by_ip: HashMap::default(),
             latency: LatencyModel::default(),
             rng: DetRng::seed(seed).fork("net.latency"),
             connects_attempted: 0,

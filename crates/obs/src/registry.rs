@@ -7,6 +7,7 @@
 //! byte-stable function of the recorded values (the D3 rule).
 
 use crate::metric::Histogram;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -21,15 +22,33 @@ pub enum MetricValue {
     Histogram(Histogram),
 }
 
+impl MetricValue {
+    /// Folds `other` into this value as recording it under the same name
+    /// would: counters and gauges add, histograms merge, and a value of
+    /// another kind replaces this one.
+    fn fold(&mut self, other: &MetricValue) {
+        match (self, other) {
+            (MetricValue::Counter(v), MetricValue::Counter(o)) => *v += o,
+            (MetricValue::Gauge(v), MetricValue::Gauge(o)) => *v += o,
+            (MetricValue::Histogram(h), MetricValue::Histogram(o)) => h.merge(o),
+            (slot, other) => *slot = other.clone(),
+        }
+    }
+}
+
 /// A deterministic, name-ordered snapshot of metric values.
 ///
 /// Recording the same name twice *merges*: counters and histogram buckets
 /// add, gauges sum (so per-world levels aggregate across worlds). Merging
 /// two registries merges every entry, which is how experiment runs fold
 /// per-sample world snapshots into one report section.
+///
+/// A name given as a `&'static str` (every `metrics.rs` constant) is kept
+/// as that reference, so recording it copies nothing; a built name (a
+/// `String`) is kept as given.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
-    metrics: BTreeMap<String, MetricValue>,
+    metrics: BTreeMap<Cow<'static, str>, MetricValue>,
 }
 
 impl Registry {
@@ -39,45 +58,46 @@ impl Registry {
     }
 
     /// Records (or adds to) a counter.
-    pub fn record_counter(&mut self, name: &str, value: u64) {
-        match self.metrics.get_mut(name) {
-            Some(MetricValue::Counter(v)) => *v += value,
-            Some(other) => *other = MetricValue::Counter(value),
-            None => {
-                self.metrics.insert(name.to_owned(), MetricValue::Counter(value));
-            }
-        }
+    pub fn record_counter(&mut self, name: impl Into<Cow<'static, str>>, value: u64) {
+        self.record(name.into(), MetricValue::Counter(value));
     }
 
     /// Records (or sums into) a gauge level.
-    pub fn record_gauge(&mut self, name: &str, value: i64) {
-        match self.metrics.get_mut(name) {
-            Some(MetricValue::Gauge(v)) => *v += value,
-            Some(other) => *other = MetricValue::Gauge(value),
+    pub fn record_gauge(&mut self, name: impl Into<Cow<'static, str>>, value: i64) {
+        self.record(name.into(), MetricValue::Gauge(value));
+    }
+
+    fn record(&mut self, name: Cow<'static, str>, value: MetricValue) {
+        match self.metrics.get_mut(&*name) {
+            Some(slot) => slot.fold(&value),
             None => {
-                self.metrics.insert(name.to_owned(), MetricValue::Gauge(value));
+                self.metrics.insert(name, value);
             }
         }
     }
 
-    /// Records (or merges into) a histogram snapshot.
-    pub fn record_histogram(&mut self, name: &str, hist: &Histogram) {
-        match self.metrics.get_mut(name) {
+    /// Records (or merges into) a histogram snapshot; merging borrows the
+    /// snapshot, and only a new entry copies it.
+    pub fn record_histogram(&mut self, name: impl Into<Cow<'static, str>>, hist: &Histogram) {
+        let name = name.into();
+        match self.metrics.get_mut(&*name) {
             Some(MetricValue::Histogram(h)) => h.merge(hist),
             Some(other) => *other = MetricValue::Histogram(hist.clone()),
             None => {
-                self.metrics.insert(name.to_owned(), MetricValue::Histogram(hist.clone()));
+                self.metrics.insert(name, MetricValue::Histogram(hist.clone()));
             }
         }
     }
 
-    /// Folds every entry of `other` into this registry.
+    /// Folds every entry of `other` into this registry; a name new here
+    /// is shared if it was a constant there, and copied if it was built.
     pub fn merge(&mut self, other: &Registry) {
         for (name, value) in &other.metrics {
-            match value {
-                MetricValue::Counter(v) => self.record_counter(name, *v),
-                MetricValue::Gauge(v) => self.record_gauge(name, *v),
-                MetricValue::Histogram(h) => self.record_histogram(name, h),
+            match self.metrics.get_mut(&**name) {
+                Some(slot) => slot.fold(value),
+                None => {
+                    self.metrics.insert(name.clone(), value.clone());
+                }
             }
         }
     }
@@ -105,7 +125,7 @@ impl Registry {
 
     /// Iterates entries in canonical (name) order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &MetricValue)> {
-        self.metrics.iter().map(|(k, v)| (k.as_str(), v))
+        self.metrics.iter().map(|(k, v)| (&**k, v))
     }
 
     /// Number of recorded metrics.

@@ -26,12 +26,12 @@ fn registry_from(ops: &[(u8, u8, u16)]) -> Registry {
     let mut reg = Registry::new();
     for (kind, slot, value) in ops {
         match kind {
-            0 => reg.record_counter(&format!("prop.counter.{slot}"), u64::from(*value)),
-            1 => reg.record_gauge(&format!("prop.gauge.{slot}"), i64::from(*value) - 300),
+            0 => reg.record_counter(format!("prop.counter.{slot}"), u64::from(*value)),
+            1 => reg.record_gauge(format!("prop.gauge.{slot}"), i64::from(*value) - 300),
             _ => {
                 let mut h = Histogram::new(BOUNDS);
                 h.observe(u64::from(*value) * 7);
-                reg.record_histogram(&format!("prop.hist.{slot}"), &h);
+                reg.record_histogram(format!("prop.hist.{slot}"), &h);
             }
         }
     }

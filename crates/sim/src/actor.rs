@@ -141,6 +141,17 @@ impl EngineStats {
     }
 }
 
+/// The heap storage behind an [`ActorSim`]'s wake-up queue and per-actor
+/// event counters, kept between episodes: a caller that runs many
+/// episodes lends it to each ([`ActorSim::with_buffers`]) and takes it
+/// back ([`ActorSim::into_buffers`]), so a later episode allocates only
+/// when it outgrows them.
+#[derive(Debug, Default)]
+pub struct EngineBuffers {
+    queue: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    counts: Vec<u64>,
+}
+
 /// Runs a set of [`Actor`]s over shared state `S`: the event engine.
 ///
 /// `add_actor` queues the first wake-up; every wake-up's returned [`Wake`]
@@ -202,6 +213,22 @@ impl<S, A: Actor<S>> ActorSim<S, A> {
             budget: None,
             outcome: None,
         }
+    }
+
+    /// [`ActorSim::new`], queueing and counting in `buffers`' storage. The
+    /// buffers are emptied first, so wake-ups an earlier episode left
+    /// queued at its horizon or budget never reach this one.
+    pub fn with_buffers(state: S, buffers: EngineBuffers) -> Self {
+        let EngineBuffers { mut queue, mut counts } = buffers;
+        queue.clear();
+        counts.clear();
+        ActorSim { queue, counts, ..ActorSim::new(state) }
+    }
+
+    /// Ends the simulation and hands its queue and counter storage back
+    /// for the next [`ActorSim::with_buffers`].
+    pub fn into_buffers(self) -> EngineBuffers {
+        EngineBuffers { queue: self.queue, counts: self.counts }
     }
 
     /// Stops the run once the clock would pass `horizon` (wake-ups exactly

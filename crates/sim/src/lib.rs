@@ -17,6 +17,9 @@
 //!   output is stable across platforms and `rand` versions; experiments fork
 //!   one named substream per concern so adding a new consumer never perturbs
 //!   existing draws.
+//! * [`WordHash`] — the unseeded word-at-a-time hasher of the
+//!   simulation's lookup maps, which are never iterated and never filled
+//!   from socket input.
 //! * [`shard`] — a fixed, stable-hash partition of one seeded world into
 //!   independent shards ([`ShardPlan`]) plus the order-preserving executor
 //!   over scoped std threads ([`shard::run_partitioned`] /
@@ -52,12 +55,16 @@
 #![warn(missing_docs)]
 
 mod actor;
+mod hash;
 mod rng;
 pub mod shard;
 mod time;
 pub mod wall;
 
-pub use actor::{Actor, ActorSim, EngineStats, OutcomeTally, RunOutcome, SampleClock, Wake};
+pub use actor::{
+    Actor, ActorSim, EngineBuffers, EngineStats, OutcomeTally, RunOutcome, SampleClock, Wake,
+};
+pub use hash::{WordHash, WordHasher};
 pub use rng::DetRng;
 pub use shard::ShardPlan;
 pub use time::{SimDuration, SimTime};

@@ -9,7 +9,10 @@
 //! greylisting tests) lives one layer up, in the sending MTA / bot models.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
+
+/// The one name every [`Dialect::compliant_mta`] shares.
+static COMPLIANT_MTA: LazyLock<Arc<str>> = LazyLock::new(|| Arc::from("compliant-mta"));
 
 /// What a client presents as its HELO/EHLO argument.
 ///
@@ -53,10 +56,10 @@ pub struct Dialect {
 
 impl Dialect {
     /// The dialect of a well-behaved, RFC-compliant MTA; an `Arc<str>`
-    /// name is shared, not copied.
+    /// name is shared, not copied, and so is the dialect's own name.
     pub fn compliant_mta(fqdn: impl Into<Arc<str>>) -> Self {
         Dialect {
-            name: "compliant-mta".into(),
+            name: Arc::clone(&COMPLIANT_MTA),
             uses_ehlo: true,
             helo_style: HeloStyle::OwnFqdn(fqdn.into()),
             quits_on_failure: true,
@@ -141,6 +144,13 @@ mod tests {
         assert!(mta.uses_ehlo && !bot.uses_ehlo);
         assert!(mta.fingerprint().looks_like_mta());
         assert!(!bot.fingerprint().looks_like_mta());
+    }
+
+    #[test]
+    fn compliant_mtas_share_their_name() {
+        let (a, b) = (Dialect::compliant_mta("a.example"), Dialect::compliant_mta("b.example"));
+        assert_eq!(&*a.name, "compliant-mta");
+        assert!(Arc::ptr_eq(&a.name, &b.name));
     }
 
     #[test]

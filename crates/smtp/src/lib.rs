@@ -16,12 +16,15 @@
 //!   [`Dialect`] so both compliant MTAs and sloppy bot senders can be
 //!   expressed.
 //! * [`exchange`] — a lock-step driver running a client against a server,
-//!   producing a [`DeliveryOutcome`] and a [`Transcript`].
+//!   producing a [`DeliveryOutcome`] and a [`Transcript`];
+//!   [`exchange_counted`] runs the same lock-step loop and only counts
+//!   the steps.
 //!
 //! The engine is transport-agnostic: the simulation couples sessions
 //! directly. A [`Transcript`] keeps the commands and replies a session
 //! exchanged as typed values and renders their wire text only when read,
-//! so a caller that only counts exchanges formats nothing.
+//! so a caller that only counts exchanges formats nothing, and one that
+//! needs only the count keeps nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,4 +53,4 @@ pub use reply::{Reply, ReplyCategory};
 pub use server::{
     AcceptAll, PolicyDecision, ServerPolicy, ServerSession, SessionState, Transaction,
 };
-pub use wire::{dot_stuff, dot_unstuff, exchange, Transcript, TranscriptEntry};
+pub use wire::{dot_stuff, dot_unstuff, exchange, exchange_counted, Transcript, TranscriptEntry};

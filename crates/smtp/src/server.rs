@@ -129,8 +129,10 @@ pub trait ServerPolicy {
         PolicyDecision::Accept
     }
 
-    /// Notification that a message was accepted and queued for delivery.
-    fn on_accepted(&mut self, _now: SimTime, _env: &Envelope, _msg: &Message) {}
+    /// Notification that a message was accepted and queued for delivery;
+    /// the policy takes the envelope and the message (the session keeps
+    /// no copy).
+    fn on_accepted(&mut self, _now: SimTime, _env: Envelope, _msg: Message) {}
 }
 
 /// A no-op policy accepting everything (open relay — test use only).
@@ -138,6 +140,19 @@ pub trait ServerPolicy {
 pub struct AcceptAll;
 
 impl ServerPolicy for AcceptAll {}
+
+/// A test policy accepting everything and keeping what was accepted, in
+/// order.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct KeepAccepted(pub(crate) Vec<(Envelope, Message)>);
+
+#[cfg(test)]
+impl ServerPolicy for KeepAccepted {
+    fn on_accepted(&mut self, _: SimTime, env: Envelope, msg: Message) {
+        self.0.push((env, msg));
+    }
+}
 
 /// The receiving-side state machine for one TCP session.
 ///
@@ -168,9 +183,6 @@ pub struct ServerSession {
     capabilities: Capabilities,
     /// Whether the current greeting was EHLO (extensions negotiated).
     esmtp: bool,
-    /// Completed envelopes/messages this session (a session can carry
-    /// several transactions).
-    accepted: Vec<(Envelope, Message)>,
     /// Protocol counters for this session (commands, reply classes,
     /// dialect violations); absorbed by the owning MTA when the session
     /// ends.
@@ -187,7 +199,6 @@ impl ServerSession {
             tx: Transaction::new(client_ip),
             capabilities: Capabilities::default(),
             esmtp: false,
-            accepted: Vec::new(),
             metrics: SessionMetrics::default(),
         }
     }
@@ -213,11 +224,6 @@ impl ServerSession {
     /// Whether the session has ended.
     pub fn is_closed(&self) -> bool {
         self.state == SessionState::Closed
-    }
-
-    /// Envelopes and messages accepted during this session.
-    pub fn accepted(&self) -> &[(Envelope, Message)] {
-        &self.accepted
     }
 
     /// The session's protocol counters so far.
@@ -334,6 +340,9 @@ impl ServerSession {
                 match policy.on_rcpt(now, &self.tx, address).into_reply() {
                     Some(r) => r,
                     None => {
+                        // Grown one slot at a time, the list moves into the
+                        // accepted envelope at exact capacity.
+                        self.tx.recipients.reserve_exact(1);
                         self.tx.recipients.push(address.clone());
                         self.state = SessionState::RcptGiven;
                         Reply::ok()
@@ -469,8 +478,7 @@ impl ServerSession {
         match policy.on_message(now, &envelope, &message).into_reply() {
             Some(r) => r,
             None => {
-                policy.on_accepted(now, &envelope, &message);
-                self.accepted.push((envelope, message));
+                policy.on_accepted(now, envelope, message);
                 Reply::single(codes::OK, "2.0.0 OK: queued")
             }
         }
@@ -497,7 +505,7 @@ mod tests {
 
     #[test]
     fn happy_path_transaction() {
-        let mut p = AcceptAll;
+        let mut p = KeepAccepted::default();
         let mut s = session();
         assert_eq!(s.open(NOW, &mut p).code(), 220);
         assert_eq!(s.handle(NOW, &cmd("EHLO relay.example"), &mut p).code(), 250);
@@ -508,8 +516,8 @@ mod tests {
         assert_eq!(s.handle_data_body(NOW, body, &mut p).code(), 250);
         assert_eq!(s.handle(NOW, &cmd("QUIT"), &mut p).code(), 221);
         assert!(s.is_closed());
-        assert_eq!(s.accepted().len(), 1);
-        let (env, msg) = &s.accepted()[0];
+        assert_eq!(p.0.len(), 1);
+        let (env, msg) = &p.0[0];
         assert_eq!(env.client_ip(), client_ip());
         assert_eq!(env.helo(), "relay.example");
         assert_eq!(msg.header("subject"), Some("hi"));
@@ -592,16 +600,9 @@ mod tests {
         assert!(s.is_closed());
     }
 
-    struct CountAccepted(usize);
-    impl ServerPolicy for CountAccepted {
-        fn on_accepted(&mut self, _: SimTime, _: &Envelope, _: &Message) {
-            self.0 += 1;
-        }
-    }
-
     #[test]
     fn multiple_transactions_per_session() {
-        let mut p = CountAccepted(0);
+        let mut p = KeepAccepted::default();
         let mut s = session();
         s.open(NOW, &mut p);
         s.handle(NOW, &cmd("HELO x"), &mut p);
@@ -611,13 +612,12 @@ mod tests {
             s.handle(NOW, &cmd("DATA"), &mut p);
             s.handle_data_body(NOW, "Subject: s\r\n\r\nb\r\n", &mut p);
         }
-        assert_eq!(p.0, 3);
-        assert_eq!(s.accepted().len(), 3);
+        assert_eq!(p.0.len(), 3);
     }
 
     #[test]
     fn headerless_body_still_accepted() {
-        let mut p = AcceptAll;
+        let mut p = KeepAccepted::default();
         let mut s = session();
         s.open(NOW, &mut p);
         s.handle(NOW, &cmd("HELO x"), &mut p);
@@ -625,7 +625,7 @@ mod tests {
         s.handle(NOW, &cmd("RCPT TO:<x@foo.net>"), &mut p);
         s.handle(NOW, &cmd("DATA"), &mut p);
         assert_eq!(s.handle_data_body(NOW, "just junk no headers", &mut p).code(), 250);
-        assert_eq!(s.accepted()[0].1.body(), "just junk no headers");
+        assert_eq!(p.0[0].1.body(), "just junk no headers");
     }
 
     #[test]
@@ -672,7 +672,7 @@ mod tests {
 
     #[test]
     fn oversized_body_rejected_after_data() {
-        let mut p = AcceptAll;
+        let mut p = KeepAccepted::default();
         let mut s = session().with_capabilities(crate::extensions::Capabilities {
             size_limit: Some(64),
             ..Default::default()
@@ -685,7 +685,7 @@ mod tests {
         let big_body = format!("Subject: s\r\n\r\n{}\r\n", "x".repeat(200));
         let r = s.handle_data_body(NOW, &big_body, &mut p);
         assert_eq!(r.code(), 552);
-        assert!(s.accepted().is_empty());
+        assert!(p.0.is_empty());
         // The session recovers: a new small transaction succeeds.
         s.handle(NOW, &cmd("MAIL FROM:<a@b.cc>"), &mut p);
         s.handle(NOW, &cmd("RCPT TO:<x@foo.net>"), &mut p);

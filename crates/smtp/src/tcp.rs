@@ -53,8 +53,9 @@ fn read_reply(reader: &mut impl BufRead) -> io::Result<Reply> {
 
 /// Serves exactly one SMTP connection on `stream` with the given policy.
 ///
-/// Returns the finished [`ServerSession`] (mailbox of accepted messages
-/// included) when the client quits or disconnects.
+/// Returns the finished [`ServerSession`] when the client quits or
+/// disconnects; accepted mail went to `policy`'s
+/// [`ServerPolicy::on_accepted`].
 ///
 /// # Errors
 ///
@@ -177,8 +178,7 @@ mod tests {
     use crate::dialect::Dialect;
     use crate::envelope::Envelope;
     use crate::message::Message;
-    use crate::server::AcceptAll;
-    use crate::server::{PolicyDecision, Transaction};
+    use crate::server::{KeepAccepted, PolicyDecision, Transaction};
     use spamward_sim::SimTime;
     use std::net::Ipv4Addr;
     use std::thread;
@@ -204,9 +204,11 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().unwrap();
         let server = thread::spawn(move || {
-            let mut policy = AcceptAll;
+            let mut policy = KeepAccepted::default();
             let clock = WallClock::new();
-            serve_count(&listener, "mx.tcp.test", &mut policy, &clock, 1).expect("serve")
+            let sessions =
+                serve_count(&listener, "mx.tcp.test", &mut policy, &clock, 1).expect("serve");
+            (sessions, policy.0)
         });
 
         let client = ClientSession::new(
@@ -217,9 +219,8 @@ mod tests {
         let outcome = deliver_tcp(addr, client).expect("client io");
         assert!(outcome.is_delivered(), "{outcome:?}");
 
-        let sessions = server.join().expect("server thread");
+        let (sessions, accepted) = server.join().expect("server thread");
         assert_eq!(sessions.len(), 1);
-        let accepted = sessions[0].accepted();
         assert_eq!(accepted.len(), 1);
         assert_eq!(accepted[0].1.header("subject"), Some("over tcp"));
         // Dot-stuffing survived the real wire.
@@ -303,7 +304,8 @@ mod tests {
         let outcome = deliver_tcp(addr, client).expect("client io");
         assert!(!outcome.is_delivered());
         let sessions = server.join().expect("server must survive the rude client");
-        assert!(sessions[0].accepted().is_empty());
+        // No DATA ever started, so nothing was accepted.
+        assert_eq!(sessions[0].metrics().replies_3xx, 0);
     }
 
     #[test]
@@ -311,9 +313,11 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().unwrap();
         let server = thread::spawn(move || {
-            let mut policy = AcceptAll;
+            let mut policy = KeepAccepted::default();
             let clock = WallClock::new();
-            serve_count(&listener, "mx.tcp.test", &mut policy, &clock, 2).expect("serve")
+            let sessions =
+                serve_count(&listener, "mx.tcp.test", &mut policy, &clock, 2).expect("serve");
+            (sessions, policy.0)
         });
 
         // The first client's MAIL FROM is not UTF-8, so the server's line
@@ -334,9 +338,9 @@ mod tests {
         );
         let outcome = deliver_tcp(addr, client).expect("client io");
         assert!(outcome.is_delivered(), "{outcome:?}");
-        let sessions = server.join().expect("server survives the bad client");
+        let (sessions, accepted) = server.join().expect("server survives the bad client");
         assert_eq!(sessions.len(), 1, "only the clean session is returned");
-        assert_eq!(sessions[0].accepted().len(), 1);
+        assert_eq!(accepted.len(), 1);
     }
 
     /// A scripted server that answers with bare reply codes, which RFC

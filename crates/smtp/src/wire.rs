@@ -119,7 +119,8 @@ impl Step {
 /// typed values and renders wire text only when it is read
 /// ([`Transcript::entries`], the line iterators, [`Transcript::fingerprint`]
 /// and `Display`), so a caller that only counts steps
-/// ([`Transcript::len`]) pays no formatting.
+/// ([`Transcript::len`]) pays no formatting, and one that needs nothing
+/// but the count runs [`exchange_counted`] and keeps no steps at all.
 #[derive(Debug, Clone, Default)]
 pub struct Transcript {
     steps: Vec<Step>,
@@ -248,26 +249,62 @@ pub fn exchange(
     policy: &mut dyn ServerPolicy,
     now: SimTime,
 ) -> (DeliveryOutcome, Transcript) {
-    drive(client, server, policy, now, true)
+    // Room for a whole delivered session (about 14 steps) up front.
+    drive(client, server, policy, now, true, Transcript { steps: Vec::with_capacity(16) })
 }
 
-/// [`exchange`], with the DATA handover on or off (`handover: false`
-/// sends every body through the wire round trip).
-fn drive(
+/// [`exchange`] for a caller that needs only the conversation's length:
+/// the same session, with each step counted instead of recorded. The
+/// count is what [`Transcript::len`] of [`exchange`]'s transcript would
+/// read, and the outcome, the server's counters and the policy's hooks
+/// are the same.
+///
+/// # Panics
+///
+/// As [`exchange`].
+pub fn exchange_counted(
+    client: &mut ClientSession,
+    server: &mut ServerSession,
+    policy: &mut dyn ServerPolicy,
+    now: SimTime,
+) -> (DeliveryOutcome, usize) {
+    drive(client, server, policy, now, true, 0)
+}
+
+/// Where [`drive`] puts each step of the conversation.
+trait Steps {
+    fn push(&mut self, step: Step);
+}
+
+impl Steps for Transcript {
+    fn push(&mut self, step: Step) {
+        self.steps.push(step);
+    }
+}
+
+/// A step counter: the steps themselves are dropped.
+impl Steps for usize {
+    fn push(&mut self, _: Step) {
+        *self += 1;
+    }
+}
+
+/// [`exchange`] into any [`Steps`] sink, with the DATA handover on or off
+/// (`handover: false` sends every body through the wire round trip).
+fn drive<T: Steps>(
     client: &mut ClientSession,
     server: &mut ServerSession,
     policy: &mut dyn ServerPolicy,
     now: SimTime,
     handover: bool,
-) -> (DeliveryOutcome, Transcript) {
-    // Room for a whole delivered session (about 14 steps) up front.
-    let mut transcript = Transcript { steps: Vec::with_capacity(16) };
+    mut steps: T,
+) -> (DeliveryOutcome, T) {
     let mut reply = if client.dialect().waits_for_banner {
         server.open(now, policy)
     } else {
         // Early talker: the client's first bytes race the banner; the
         // server's pregreet hook gets to veto before anything else.
-        transcript.steps.push(Step::Pregreet);
+        steps.push(Step::Pregreet);
         server.open_pregreeted(now, policy)
     };
 
@@ -276,7 +313,7 @@ fn drive(
         // Every reply is recorded right after the client read it, and every
         // command right after the server answered it — the same
         // server/client alternation the wire carries.
-        transcript.steps.push(Step::Reply(reply));
+        steps.push(Step::Reply(reply));
         match action {
             ClientAction::Send(cmd) => {
                 reply = if server.is_closed() {
@@ -286,23 +323,23 @@ fn drive(
                 } else {
                     server.handle(now, &cmd, policy)
                 };
-                transcript.steps.push(Step::Command(cmd));
+                steps.push(Step::Command(cmd));
             }
             ClientAction::SendBody(message) if handover && message.wire_round_trips() => {
-                transcript.steps.push(Step::Body(message.stuffed_len()));
+                steps.push(Step::Body(message.stuffed_len()));
                 reply = server.handle_message(now, message, policy);
             }
             ClientAction::SendBody(message) => {
                 // Stuff once: the stuffed length is the transcript line,
                 // and unstuffing it gives the body the server receives.
                 let stuffed = dot_stuff(message.to_wire());
-                transcript.steps.push(Step::Body(stuffed.len()));
+                steps.push(Step::Body(stuffed.len()));
                 // `dot_stuff` always appends the terminator `dot_unstuff`
                 // requires, so the default is never taken.
                 let unstuffed = dot_unstuff(&stuffed).unwrap_or_default();
                 reply = server.handle_data_body(now, &unstuffed, policy);
             }
-            ClientAction::Close(outcome) => return (outcome, transcript),
+            ClientAction::Close(outcome) => return (outcome, steps),
         }
     }
     panic!("SMTP exchange did not terminate within 10000 steps");
@@ -316,7 +353,7 @@ mod tests {
     use crate::envelope::Envelope;
     use crate::message::Message;
     use crate::reply::Reply;
-    use crate::server::{AcceptAll, PolicyDecision, Transaction};
+    use crate::server::{AcceptAll, KeepAccepted, PolicyDecision, Transaction};
     use proptest::prelude::*;
     use std::net::Ipv4Addr;
 
@@ -361,12 +398,12 @@ mod tests {
         let mut client =
             ClientSession::new(Dialect::compliant_mta("relay.example"), env(&["u@foo.net"]), msg());
         let mut server = ServerSession::new("mx.foo.net", Ipv4Addr::new(203, 0, 113, 9));
-        let mut policy = AcceptAll;
+        let mut policy = KeepAccepted::default();
         let (outcome, transcript) = exchange(&mut client, &mut server, &mut policy, SimTime::ZERO);
         assert!(outcome.is_delivered());
-        assert_eq!(server.accepted().len(), 1);
+        assert_eq!(policy.0.len(), 1);
         // The dot-stuffed line must arrive un-stuffed.
-        assert_eq!(server.accepted()[0].1.body(), ".dotty\nplain");
+        assert_eq!(policy.0[0].1.body(), ".dotty\nplain");
         // Transcript captures both directions.
         assert!(transcript.client_lines().any(|l| l.starts_with("EHLO")));
         let rendered = transcript.to_string();
@@ -496,19 +533,16 @@ mod tests {
                         let mut server =
                             ServerSession::new("mx.foo.net", Ipv4Addr::new(203, 0, 113, 9))
                                 .with_capabilities(caps);
+                        let mut policy = KeepAccepted::default();
                         let (outcome, transcript) = drive(
                             &mut client,
                             &mut server,
-                            &mut AcceptAll,
+                            &mut policy,
                             SimTime::ZERO,
                             handover,
+                            Transcript::default(),
                         );
-                        (
-                            outcome,
-                            *server.metrics(),
-                            transcript.to_string(),
-                            server.accepted().to_vec(),
-                        )
+                        (outcome, *server.metrics(), transcript.to_string(), policy.0)
                     };
                     let (handed, stuffed) = (run(true), run(false));
                     assert_eq!(handed, stuffed, "{message:?} limit {size_limit:?} {dialect}");
@@ -532,6 +566,80 @@ mod tests {
         let mut policy = RejectBanner;
         let (outcome, _) = exchange(&mut client, &mut server, &mut policy, SimTime::ZERO);
         assert!(matches!(outcome, DeliveryOutcome::PermFailed { .. }));
+    }
+
+    struct RejectPregreet;
+    impl ServerPolicy for RejectPregreet {
+        fn on_pregreet(&mut self, _: SimTime, _: Ipv4Addr) -> PolicyDecision {
+            PolicyDecision::Reject(Reply::single(554, "5.5.1 talked too soon"))
+        }
+    }
+
+    /// Every dialect the session choices can make: each combination of
+    /// the five protocol switches with each greeting style, which takes in
+    /// the compliant MTA, the minimal bot and every malware family's
+    /// dialect.
+    fn dialect_grid() -> Vec<Dialect> {
+        let styles = [
+            crate::HeloStyle::OwnFqdn("relay.example".into()),
+            crate::HeloStyle::AddressLiteral,
+            crate::HeloStyle::Fixed("localhost".into()),
+        ];
+        let mut grid = Vec::new();
+        for bits in 0..32u32 {
+            for helo_style in &styles {
+                grid.push(Dialect {
+                    name: format!("grid-{bits}").into(),
+                    uses_ehlo: bits & 1 != 0,
+                    helo_style: helo_style.clone(),
+                    quits_on_failure: bits & 2 != 0,
+                    aborts_on_first_rcpt_error: bits & 4 != 0,
+                    resets_between_messages: bits & 8 != 0,
+                    waits_for_banner: bits & 16 != 0,
+                });
+            }
+        }
+        grid
+    }
+
+    /// The counted exchange against the recorded one, for every dialect:
+    /// delivered, greylisted at RCPT, rejected at the banner, vetoed for
+    /// talking early, and with the DATA handover off. The count is what
+    /// the transcript's length reads (the sender's time is charged per
+    /// step), and the outcome and the server's counters are the same.
+    #[test]
+    fn counted_exchange_matches_the_transcript() {
+        fn run<T: Steps>(
+            dialect: &Dialect,
+            policy: &mut dyn ServerPolicy,
+            handover: bool,
+            steps: T,
+        ) -> (DeliveryOutcome, T, crate::metrics::SessionMetrics) {
+            let mut client =
+                ClientSession::new(dialect.clone(), env(&["u@foo.net", "v@foo.net"]), msg());
+            let mut server = ServerSession::new("mx.foo.net", Ipv4Addr::new(203, 0, 113, 9));
+            let (outcome, steps) =
+                drive(&mut client, &mut server, policy, SimTime::ZERO, handover, steps);
+            (outcome, steps, *server.metrics())
+        }
+        for dialect in &dialect_grid() {
+            let cases: [(&str, &mut dyn ServerPolicy, bool); 5] = [
+                ("delivered", &mut AcceptAll, true),
+                ("greylisted", &mut GreylistFirstRcpt, true),
+                ("banner rejected", &mut RejectBanner, true),
+                ("pregreet veto", &mut RejectPregreet, true),
+                ("stuffed body", &mut AcceptAll, false),
+            ];
+            for (case, policy, handover) in cases {
+                let (outcome, count, metrics) = run(dialect, policy, handover, 0usize);
+                let (recorded, transcript, recorded_metrics) =
+                    run(dialect, policy, handover, Transcript::default());
+                let label = format!("{case}: {dialect:?}");
+                assert_eq!(count, transcript.len(), "{label}");
+                assert_eq!(outcome, recorded, "{label}");
+                assert_eq!(metrics, recorded_metrics, "{label}");
+            }
+        }
     }
 
     #[test]

@@ -42,10 +42,10 @@ pub fn collect_provider(provider: &WebmailProvider, sender: &SendingMta, reg: &m
     reg.record_counter(PROVIDERS, 1);
     reg.record_counter(ATTEMPTS, attempts);
     reg.record_counter(DELIVERED, delivered);
-    reg.record_counter(&format!("{PREFIX_PROVIDER}.{slug}.attempts"), attempts);
-    reg.record_counter(&format!("{PREFIX_PROVIDER}.{slug}.delivered"), delivered);
+    reg.record_counter(format!("{PREFIX_PROVIDER}.{slug}.attempts"), attempts);
+    reg.record_counter(format!("{PREFIX_PROVIDER}.{slug}.delivered"), delivered);
     reg.record_counter(
-        &format!("{PREFIX_PROVIDER}.{slug}.distinct_ips"),
+        format!("{PREFIX_PROVIDER}.{slug}.distinct_ips"),
         provider.distinct_ips as u64,
     );
 }
