@@ -189,8 +189,14 @@ struct Synthesis {
 
 impl Synthesis {
     fn new(config: &DeploymentConfig) -> Self {
+        let mut text = String::new();
         let staff = (0..STAFF)
-            .map(|n| format!("staff{n}@{DEPLOYMENT_DOMAIN}").parse().expect("valid recipient"))
+            .map(|n| {
+                text.clear();
+                // Writing to a `String` cannot fail.
+                let _ = write!(text, "staff{n}@{DEPLOYMENT_DOMAIN}");
+                text.parse().expect("valid recipient")
+            })
             .collect();
         let mta_weight: f64 = ordered_sum(config.mix.mtas.iter().map(|(_, w)| *w));
         let mix = &config.mix;

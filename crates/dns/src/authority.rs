@@ -95,6 +95,11 @@ impl Authority {
         self.reverse.get(&ip).cloned()
     }
 
+    /// The zone published at `origin`, if any.
+    pub fn zone(&self, origin: &str) -> Option<&Zone> {
+        self.zones.get(origin)
+    }
+
     /// Number of published zones.
     pub fn len(&self) -> usize {
         self.zones.len()
@@ -280,11 +285,16 @@ mod tests {
     #[test]
     fn clear_withdraws_every_zone_and_ptr_but_keeps_counting() {
         let mut a = authority_with_foo();
+        let foo =
+            Zone::nolisting(name("foo.net"), Ipv4Addr::new(1, 2, 3, 4), Ipv4Addr::new(1, 2, 3, 5));
+        assert_eq!(a.zone("foo.net"), Some(&foo));
+        assert_eq!(a.zone("smtp.foo.net"), None, "only origins name zones");
         let ip = Ipv4Addr::new(1, 2, 3, 4);
         a.publish_ptr(ip, name("smtp.foo.net"));
         a.query(&name("foo.net"), RecordType::Mx);
         a.clear();
         assert!(a.is_empty());
+        assert_eq!(a.zone("foo.net"), None);
         assert_eq!(a.query(&name("foo.net"), RecordType::Mx).rcode, Rcode::NxDomain);
         assert_eq!(a.resolve_ptr(ip), None);
         assert_eq!(a.queries_served(), 3);

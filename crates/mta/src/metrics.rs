@@ -297,8 +297,9 @@ impl SenderTotals {
         }
     }
 
-    /// Records the totals into `reg`; nothing when no sender was added.
-    pub fn export(&self, reg: &mut Registry) {
+    /// Records the totals into `reg`, handing it their histograms;
+    /// nothing when no sender was added.
+    pub fn export(self, reg: &mut Registry) {
         if self.senders == 0 {
             return;
         }
@@ -307,8 +308,8 @@ impl SenderTotals {
         reg.record_counter(SEND_DELIVERED, self.delivered);
         reg.record_counter(SEND_GAVE_UP, self.gave_up);
         reg.record_gauge(SEND_QUEUE_DEPTH, self.queued);
-        reg.record_histogram(SEND_RETRY_SCHEDULE_SLOT, &self.slots);
-        reg.record_histogram(SEND_DELIVERY_DELAY_S, &self.delays);
+        reg.record_histogram(SEND_RETRY_SCHEDULE_SLOT, self.slots);
+        reg.record_histogram(SEND_DELIVERY_DELAY_S, self.delays);
         if let Some([trips, skipped, backoffs]) = self.breaker {
             reg.record_counter(BREAKER_TRIPS, trips);
             reg.record_counter(BREAKER_SKIPPED, skipped);
@@ -355,7 +356,7 @@ fn collect_engine(world: &MailWorld, reg: &mut Registry) {
         for &events in episodes {
             h.observe(events);
         }
-        reg.record_histogram(format!("{ENGINE_EPISODE_EVENTS_PREFIX}{actor}"), &h);
+        reg.record_histogram(format!("{ENGINE_EPISODE_EVENTS_PREFIX}{actor}"), h);
     }
     reg.record_counter(ENGINE_OUTCOME_DRAINED, stats.outcomes.drained);
     reg.record_counter(ENGINE_OUTCOME_HORIZON, stats.outcomes.horizon_reached);

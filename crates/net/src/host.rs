@@ -1,7 +1,6 @@
 //! Hosts: named machines owning IPs, ports, and an availability model.
 
 use spamward_sim::{DetRng, SimTime};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -87,12 +86,35 @@ impl Availability {
 pub struct Host {
     pub(crate) name: String,
     pub(crate) ips: Vec<Ipv4Addr>,
-    pub(crate) ports: BTreeMap<u16, PortState>,
+    /// The ports set by the builder, each once; a host sets a handful, so
+    /// a linear search beats a map.
+    pub(crate) ports: Vec<(u16, PortState)>,
     pub(crate) availability: Availability,
     pub(crate) seed: u64,
 }
 
 impl Host {
+    /// A host with no name, address or port, up and unseeded.
+    pub(crate) fn empty() -> Host {
+        Host {
+            name: String::new(),
+            ips: Vec::new(),
+            ports: Vec::new(),
+            availability: Availability::Up,
+            seed: 0,
+        }
+    }
+
+    /// Renames the host to `name` and forgets its addresses, ports and
+    /// availability, keeping the buffers' capacity.
+    pub(crate) fn reset(&mut self, name: &str) {
+        self.name.clear();
+        self.name.push_str(name);
+        self.ips.clear();
+        self.ports.clear();
+        self.availability = Availability::Up;
+    }
+
     /// The host's mnemonic name (e.g. `"smtp1.foo.net"`).
     pub fn name(&self) -> &str {
         &self.name
@@ -115,7 +137,12 @@ impl Host {
 
     /// The state of `port`, defaulting to [`PortState::Closed`].
     pub fn port(&self, port: u16) -> PortState {
-        self.ports.get(&port).copied().unwrap_or(PortState::Closed)
+        self.ports.iter().find(|(p, _)| *p == port).map_or(PortState::Closed, |&(_, state)| state)
+    }
+
+    /// The host's availability model.
+    pub fn availability(&self) -> &Availability {
+        &self.availability
     }
 
     /// Whether the host is reachable in `epoch`.
@@ -149,22 +176,23 @@ impl Host {
 #[derive(Debug)]
 pub struct HostBuilder<'a> {
     pub(crate) network: &'a mut crate::Network,
-    pub(crate) name: String,
-    pub(crate) ips: Vec<Ipv4Addr>,
-    pub(crate) ports: BTreeMap<u16, PortState>,
-    pub(crate) availability: Availability,
+    pub(crate) host: Host,
 }
 
 impl HostBuilder<'_> {
     /// Adds an address the host answers on.
     pub fn ip(mut self, ip: Ipv4Addr) -> Self {
-        self.ips.push(ip);
+        self.host.ips.push(ip);
         self
     }
 
-    /// Sets a port's externally visible state.
+    /// Sets a port's externally visible state, replacing any state set
+    /// before.
     pub fn port(mut self, port: u16, state: PortState) -> Self {
-        self.ports.insert(port, state);
+        match self.host.ports.iter_mut().find(|(p, _)| *p == port) {
+            Some((_, slot)) => *slot = state,
+            None => self.host.ports.push((port, state)),
+        }
         self
     }
 
@@ -175,7 +203,7 @@ impl HostBuilder<'_> {
 
     /// Sets the availability model (defaults to [`Availability::Up`]).
     pub fn availability(mut self, availability: Availability) -> Self {
-        self.availability = availability;
+        self.host.availability = availability;
         self
     }
 
@@ -186,7 +214,7 @@ impl HostBuilder<'_> {
     /// Panics if no address was supplied or an address is already owned by
     /// another host.
     pub fn build(self) -> HostId {
-        self.network.register(self.name, self.ips, self.ports, self.availability)
+        self.network.register(self.host)
     }
 }
 

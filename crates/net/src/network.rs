@@ -1,10 +1,10 @@
 //! The network registry and its connection/probe semantics.
 
 use crate::faults::NetFaults;
-use crate::host::{Availability, Host, HostBuilder, HostId, PortState};
+use crate::host::{Host, HostBuilder, HostId, PortState};
 use crate::latency::LatencyModel;
 use spamward_sim::{DetRng, SimDuration, SimTime, WordHash};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -107,6 +107,9 @@ pub struct Connection {
 #[derive(Debug)]
 pub struct Network {
     hosts: Vec<Host>,
+    /// Hosts [`Network::clear`] removed, whose buffers the next
+    /// [`Network::host`] calls refill.
+    parked: Vec<Host>,
     by_ip: HashMap<Ipv4Addr, HostId, WordHash>,
     latency: LatencyModel,
     rng: DetRng,
@@ -126,6 +129,7 @@ impl Network {
     pub fn new(seed: u64) -> Self {
         Network {
             hosts: Vec::new(),
+            parked: Vec::new(),
             by_ip: HashMap::default(),
             latency: LatencyModel::default(),
             rng: DetRng::seed(seed).fork("net.latency"),
@@ -189,41 +193,34 @@ impl Network {
         self.faults.as_ref()
     }
 
-    /// Starts building a host named `name`.
+    /// Starts building a host named `name`. After [`Network::clear`] the
+    /// host refills a removed host's name, address and port buffers in
+    /// place; nothing else of that host carries over.
     pub fn host(&mut self, name: &str) -> HostBuilder<'_> {
-        HostBuilder {
-            network: self,
-            name: name.to_owned(),
-            ips: Vec::new(),
-            ports: BTreeMap::new(),
-            availability: Availability::Up,
-        }
+        let mut host = self.parked.pop().unwrap_or_else(Host::empty);
+        host.reset(name);
+        HostBuilder { network: self, host }
     }
 
     /// Removes every host and its addresses, keeping the host list's and
-    /// the address index's capacity, so a network refilled per domain
-    /// allocates no new tables. Counters, the latency stream and installed
-    /// faults are kept.
+    /// the address index's capacity and parking the removed hosts for
+    /// [`Network::host`] to refill, so a network refilled per domain
+    /// allocates nothing once warm. Counters, the latency stream and
+    /// installed faults are kept.
     pub fn clear(&mut self) {
-        self.hosts.clear();
+        self.parked.append(&mut self.hosts);
         self.by_ip.clear();
     }
 
-    pub(crate) fn register(
-        &mut self,
-        name: String,
-        ips: Vec<Ipv4Addr>,
-        ports: BTreeMap<u16, PortState>,
-        availability: Availability,
-    ) -> HostId {
-        assert!(!ips.is_empty(), "host {name:?} needs at least one IP");
+    pub(crate) fn register(&mut self, mut host: Host) -> HostId {
+        assert!(!host.ips.is_empty(), "host {:?} needs at least one IP", host.name);
         let id = HostId(self.hosts.len() as u64);
-        for &ip in &ips {
+        for &ip in &host.ips {
             let prev = self.by_ip.insert(ip, id);
             assert!(prev.is_none(), "IP {ip} already owned by {:?}", prev);
         }
-        let seed = host_seed(&name);
-        self.hosts.push(Host { name, ips, ports, availability, seed });
+        host.seed = host_seed(&host.name);
+        self.hosts.push(host);
         id
     }
 
@@ -296,11 +293,12 @@ impl Network {
     }
 
     /// [`Network::connect`] with a virtual instant: planned-downtime windows
-    /// ([`Availability::Windows`]) and installed faults (outages, link loss,
-    /// latency spikes) are evaluated at `now`. Fault decisions are pure
-    /// functions of `(plan seed, ip, now)`, so they cannot perturb the
-    /// latency RNG stream — a faulted and a fault-free run sample RTTs in
-    /// the same order.
+    /// ([`Availability::Windows`](crate::Availability::Windows)) and
+    /// installed faults (outages, link loss, latency spikes) are evaluated
+    /// at `now`. Fault decisions are pure functions of
+    /// `(plan seed, ip, now)`, so they cannot perturb the latency RNG
+    /// stream — a faulted and a fault-free run sample RTTs in the same
+    /// order.
     ///
     /// # Errors
     ///
@@ -353,7 +351,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SMTP_PORT;
+    use crate::{Availability, SMTP_PORT};
 
     fn ip(a: u8, b: u8, c: u8, d: u8) -> Ipv4Addr {
         Ipv4Addr::new(a, b, c, d)
@@ -447,6 +445,73 @@ mod tests {
         assert_eq!(net.get(id).name(), "again.example");
         assert_eq!(id, HostId(0));
         assert_eq!(net.probe(closed, SMTP_PORT, 0), ProbeResult::SynAck);
+    }
+
+    #[test]
+    fn a_host_rebuilt_after_clear_inherits_nothing_from_the_parked_host() {
+        use crate::FaultWindow;
+        let mut net = Network::new(1).with_latency(LatencyModel::Zero);
+        let (a, b, c) = (ip(192, 0, 2, 1), ip(192, 0, 2, 2), ip(192, 0, 2, 3));
+        let down = vec![FaultWindow::new(SimTime::ZERO, SimTime::from_secs(60))];
+        net.host("a-parked-host-with-a-long-name.example")
+            .ip(a)
+            .ip(b)
+            .smtp_open()
+            .port(80, PortState::Filtered)
+            .availability(Availability::Windows { down })
+            .build();
+        net.host("flat.example").ip(c).availability(Availability::Down).build();
+        net.clear();
+
+        // Both parked hosts come back, each as what its builder says only.
+        let first = net.host("x.example").ip(c).build();
+        let second = net.host("y.example").ip(a).smtp_open().build();
+        assert_eq!((first, second), (HostId(0), HostId(1)), "ids restart at the first slot");
+        for (id, name, addr, smtp) in
+            [(first, "x.example", c, PortState::Closed), (second, "y.example", a, PortState::Open)]
+        {
+            let host = net.get(id);
+            assert_eq!(host.name(), name);
+            assert_eq!(host.ips(), [addr]);
+            assert_eq!(host.port(SMTP_PORT), smtp);
+            assert_eq!(host.port(80), PortState::Closed);
+            assert_eq!(host.availability(), &Availability::Up);
+            assert!(host.is_up_at(0, SimTime::from_secs(30)));
+            assert_eq!(host.seed, host_seed(name), "the seed follows the new name");
+        }
+        assert!(net.host_at(b).is_none(), "the parked host's extra address is gone");
+        assert_eq!(net.probe(c, SMTP_PORT, 0), ProbeResult::Rst);
+        assert_eq!(net.probe(a, SMTP_PORT, 0), ProbeResult::SynAck);
+        assert_eq!(net.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "already owned")]
+    fn duplicate_ip_rejected_after_clear() {
+        let mut net = Network::new(1);
+        net.host("a").ip(ip(192, 0, 2, 1)).build();
+        net.host("b").ip(ip(192, 0, 2, 2)).build();
+        net.clear();
+        net.host("c").ip(ip(192, 0, 2, 2)).build();
+        net.host("d").ip(ip(192, 0, 2, 2)).build();
+    }
+
+    #[test]
+    fn setting_a_port_again_replaces_its_state() {
+        let mut net = Network::new(1);
+        let addr = ip(192, 0, 2, 1);
+        let id = net
+            .host("twice.example")
+            .ip(addr)
+            .port(SMTP_PORT, PortState::Filtered)
+            .port(587, PortState::Open)
+            .port(SMTP_PORT, PortState::Open)
+            .build();
+        let host = net.get(id);
+        assert_eq!(host.port(SMTP_PORT), PortState::Open);
+        assert_eq!(host.port(587), PortState::Open);
+        assert_eq!(host.ports.len(), 2, "one entry per port");
+        assert_eq!(net.probe(addr, SMTP_PORT, 0), ProbeResult::SynAck);
     }
 
     #[test]

@@ -81,7 +81,7 @@ mod tests {
         let mut h = Histogram::new(&[10, 100]);
         h.observe(5);
         h.observe(500);
-        reg.record_histogram("mta.retry.delay_s", &h);
+        reg.record_histogram("mta.retry.delay_s", h);
 
         assert_eq!(
             to_openmetrics(&reg),

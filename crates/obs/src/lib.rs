@@ -44,7 +44,7 @@
 //! // ...and a collector binds names once, at snapshot time.
 //! let mut reg = Registry::new();
 //! reg.record_counter("store.lookup.total", lookups);
-//! reg.record_histogram("store.lookup.entries", &lookup_entries);
+//! reg.record_histogram("store.lookup.entries", lookup_entries);
 //! assert_eq!(reg.counter("store.lookup.total"), Some(1));
 //! assert!(reg.to_text().contains("store.lookup.entries count=1 sum=12"));
 //! ```

@@ -76,15 +76,16 @@ impl Registry {
         }
     }
 
-    /// Records (or merges into) a histogram snapshot; merging borrows the
-    /// snapshot, and only a new entry copies it.
-    pub fn record_histogram(&mut self, name: impl Into<Cow<'static, str>>, hist: &Histogram) {
+    /// Records (or merges into) a histogram snapshot. The snapshot is
+    /// taken by value: a new entry keeps it as it is, so nothing is
+    /// copied, and merging folds it in and drops it.
+    pub fn record_histogram(&mut self, name: impl Into<Cow<'static, str>>, hist: Histogram) {
         let name = name.into();
         match self.metrics.get_mut(&*name) {
-            Some(MetricValue::Histogram(h)) => h.merge(hist),
-            Some(other) => *other = MetricValue::Histogram(hist.clone()),
+            Some(MetricValue::Histogram(h)) => h.merge(&hist),
+            Some(other) => *other = MetricValue::Histogram(hist),
             None => {
-                self.metrics.insert(name, MetricValue::Histogram(hist.clone()));
+                self.metrics.insert(name, MetricValue::Histogram(hist));
             }
         }
     }
@@ -300,7 +301,7 @@ mod tests {
         let mut h = Histogram::new(&[10, 100]);
         h.observe(5);
         h.observe(500);
-        reg.record_histogram("mta.retry.delay_s", &h);
+        reg.record_histogram("mta.retry.delay_s", h);
         reg
     }
 
@@ -311,7 +312,7 @@ mod tests {
         reg.record_gauge("greylist.store.size", -1);
         let mut h = Histogram::new(&[10, 100]);
         h.observe(50);
-        reg.record_histogram("mta.retry.delay_s", &h);
+        reg.record_histogram("mta.retry.delay_s", h);
 
         assert_eq!(reg.counter("smtp.command.total"), Some(20));
         assert_eq!(reg.gauge("greylist.store.size"), Some(2));
@@ -384,7 +385,7 @@ mod tests {
         h.observe(1_000);
         h.observe(2_000);
         let mut reg = Registry::new();
-        reg.record_histogram("mta.retry.delay_s", &h);
+        reg.record_histogram("mta.retry.delay_s", h);
         // p50 rank 5 → le10; p90 rank 9 → le+inf; p99 rank 10 → le+inf.
         assert_eq!(
             reg.to_text(),
@@ -394,7 +395,7 @@ mod tests {
         // An empty histogram has no quantiles to summarise.
         let empty = Histogram::new(&[10, 100]);
         let mut reg = Registry::new();
-        reg.record_histogram("mta.retry.delay_s", &empty);
+        reg.record_histogram("mta.retry.delay_s", empty);
         assert_eq!(reg.to_text(), "mta.retry.delay_s count=0 sum=0 le10=0 le100=0 le+inf=0\n");
     }
 

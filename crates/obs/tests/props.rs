@@ -31,7 +31,7 @@ fn registry_from(ops: &[(u8, u8, u16)]) -> Registry {
             _ => {
                 let mut h = Histogram::new(BOUNDS);
                 h.observe(u64::from(*value) * 7);
-                reg.record_histogram(format!("prop.hist.{slot}"), &h);
+                reg.record_histogram(format!("prop.hist.{slot}"), h);
             }
         }
     }

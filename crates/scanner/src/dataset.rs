@@ -3,7 +3,7 @@
 
 use spamward_dns::{Authority, DomainName, RecordData, RecordType};
 use spamward_net::{Network, SMTP_PORT};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// One MX record as the DNS-ANY dataset carries it: the exchanger name,
@@ -106,26 +106,39 @@ impl DnsAnyScan {
 pub struct BannerGrab {
     /// The scan epoch this grab ran in.
     pub epoch: u64,
-    listening: BTreeSet<Ipv4Addr>,
+    /// The listening addresses, ascending and each once.
+    listening: Vec<Ipv4Addr>,
 }
 
 impl BannerGrab {
     /// Probes every host address in the network once.
     pub fn collect(network: &Network, epoch: u64) -> BannerGrab {
-        let mut listening = BTreeSet::new();
+        let mut grab = BannerGrab::default();
+        grab.refill(network, epoch);
+        grab
+    }
+
+    /// Probes every host address in the network once, replacing what this
+    /// grab held and keeping its buffer, so a grab refilled per domain
+    /// allocates nothing once warm.
+    pub(crate) fn refill(&mut self, network: &Network, epoch: u64) {
+        self.epoch = epoch;
+        self.listening.clear();
         for host in network.iter() {
             for &ip in host.ips() {
                 if network.probe(ip, SMTP_PORT, epoch).is_listening() {
-                    listening.insert(ip);
+                    self.listening.push(ip);
                 }
             }
         }
-        BannerGrab { epoch, listening }
+        // A network gives each address one owner, so sorting alone leaves
+        // every address once.
+        self.listening.sort_unstable();
     }
 
     /// Whether `ip` answered the SYN scan.
     pub fn is_listening(&self, ip: Ipv4Addr) -> bool {
-        self.listening.contains(&ip)
+        self.listening.binary_search(&ip).is_ok()
     }
 
     /// Number of listening addresses.
@@ -199,6 +212,47 @@ mod tests {
                 .expect("primary host");
             assert!(!grab.is_listening(primary.primary_ip()), "{}: dead primary listed", d.name);
         }
+    }
+
+    #[test]
+    fn banner_grab_over_an_unsorted_multi_ip_network_answers_like_a_set() {
+        use spamward_net::{Availability, PortState};
+        use std::collections::BTreeSet;
+        let ip = |d: u8| Ipv4Addr::new(198, 51, 100, d);
+        let mut net = Network::new(1);
+        // Several addresses per host, registered out of order, among
+        // closed, filtered, down and flapping hosts.
+        net.host("c.example").ip(ip(200)).ip(ip(7)).ip(ip(90)).smtp_open().build();
+        net.host("b.example").ip(ip(3)).build();
+        net.host("f.example").ip(ip(4)).port(SMTP_PORT, PortState::Filtered).build();
+        net.host("a.example").ip(ip(150)).ip(ip(1)).smtp_open().build();
+        net.host("d.example").ip(ip(60)).smtp_open().availability(Availability::Down).build();
+        let flaky = Availability::Flaky { down_prob: 0.5 };
+        net.host("e.example").ip(ip(120)).ip(ip(2)).smtp_open().availability(flaky).build();
+        let mut sizes = BTreeSet::new();
+        for epoch in 0..8 {
+            let grab = BannerGrab::collect(&net, epoch);
+            let set: BTreeSet<Ipv4Addr> = net
+                .iter()
+                .flat_map(|h| h.ips().iter().copied())
+                .filter(|&a| net.probe(a, SMTP_PORT, epoch).is_listening())
+                .collect();
+            assert_eq!(grab.len(), set.len(), "epoch {epoch}");
+            for d in 0..=u8::MAX {
+                assert_eq!(grab.is_listening(ip(d)), set.contains(&ip(d)), "epoch {epoch}: .{d}");
+            }
+            sizes.insert(set.len());
+        }
+        assert_eq!(sizes.len(), 2, "the flapping host is up in some epochs and down in others");
+
+        // A refill replaces everything the grab held.
+        let mut grab = BannerGrab::collect(&net, 0);
+        net.clear();
+        net.host("z.example").ip(ip(9)).smtp_open().build();
+        grab.refill(&net, 3);
+        assert_eq!((grab.epoch, grab.len()), (3, 1));
+        assert!(grab.is_listening(ip(9)));
+        assert!(!grab.is_listening(ip(200)));
     }
 
     #[test]

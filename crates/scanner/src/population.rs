@@ -8,11 +8,18 @@
 //! derived quantity (host seeds, addresses, ranks) is a pure function of
 //! the index, so two parties streaming different subsets of the same
 //! population agree on every record — the property shard-parallel scans
-//! rely on. The population is never materialized: the scan expands one
+//! rely on. The population is never materialized: the scan installs one
 //! domain at a time into its own corner of the internet.
+//!
+//! A domain's mail topology — its exchangers' labels, preferences,
+//! address slots, port states and flakiness — is described once per truth
+//! class. [`PopulationStream::install`] builds a domain's corner straight
+//! from that description, and [`PopulationStream::expand`] reads the same
+//! description into an owned [`StreamedDomain`].
 
-use spamward_dns::{DomainName, NameTable, Zone};
-use spamward_net::{indexed_ip, Availability, PortState};
+use spamward_dns::zone::{NOLISTING_PRIMARY_PREF, NOLISTING_SECONDARY_PREF};
+use spamward_dns::{Authority, DomainName, NameTable, Zone};
+use spamward_net::{indexed_ip, Availability, Network, PortState, SMTP_PORT};
 use spamward_sim::DetRng;
 use std::net::Ipv4Addr;
 use std::ops::Range;
@@ -102,26 +109,100 @@ pub struct PackedDomain {
     flags: u8,
 }
 
+/// The domain's first mail host flaps between epochs.
 const FLAG_FLAKY_0: u8 = 1;
+/// The domain's second mail host flaps between epochs.
 const FLAG_FLAKY_1: u8 = 2;
+/// The misconfigured domain's MX dangles (without it, its zone is lame).
 const FLAG_DANGLING: u8 = 4;
 
 impl PackedDomain {
-    /// Whether the domain's first mail host flaps between epochs.
-    pub fn flaky_first(&self) -> bool {
-        self.flags & FLAG_FLAKY_0 != 0
-    }
-
-    /// Whether the domain's second mail host flaps between epochs.
-    pub fn flaky_second(&self) -> bool {
-        self.flags & FLAG_FLAKY_1 != 0
-    }
-
     /// For misconfigured domains: dangling MX (vs lame delegation).
     pub fn dangling(&self) -> bool {
         self.flags & FLAG_DANGLING != 0
     }
+
+    /// The domain's mail topology.
+    fn topology(&self) -> Topology {
+        match self.truth {
+            DomainTruth::SingleMx => Topology::Exchangers(SINGLE_MX),
+            DomainTruth::MultiMx => Topology::Exchangers(MULTI_MX),
+            DomainTruth::Nolisting => Topology::Exchangers(NOLISTING),
+            // Half dangling MX (target has no A record), half lame.
+            DomainTruth::Misconfigured if self.dangling() => {
+                Topology::Dangling { label: "mail", preference: 10 }
+            }
+            DomainTruth::Misconfigured => Topology::Lame,
+        }
+    }
 }
+
+/// One mail exchanger of a topology: an MX record with glue, and the mail
+/// host behind it.
+struct Exchanger {
+    /// Its label under the domain: `mx1` names `mx1.d7.example`.
+    label: &'static str,
+    /// Its MX preference.
+    preference: u16,
+    /// Its address slot: domain `i`'s exchanger takes the `2i + slot`-th
+    /// address of the population's host range.
+    slot: u64,
+    /// Its SMTP port state.
+    smtp: PortState,
+    /// The [`PackedDomain`] flag that makes it flap, or 0 if it never does.
+    flaky: u8,
+}
+
+/// A domain's mail topology, described once per truth class.
+enum Topology {
+    /// One MX record with glue per exchanger, each exchanger a mail host.
+    Exchangers(&'static [Exchanger]),
+    /// One MX record whose target has no A record, and no mail host.
+    Dangling {
+        /// The target's label under the domain.
+        label: &'static str,
+        /// The record's preference.
+        preference: u16,
+    },
+    /// A lame zone: no records, and every query answered SERVFAIL.
+    Lame,
+}
+
+/// [`DomainTruth::SingleMx`]: one exchanger.
+const SINGLE_MX: &[Exchanger] = &[Exchanger {
+    label: "mail",
+    preference: 10,
+    slot: 0,
+    smtp: PortState::Open,
+    flaky: FLAG_FLAKY_0,
+}];
+
+/// [`DomainTruth::MultiMx`]: two working exchangers.
+const MULTI_MX: &[Exchanger] = &[
+    Exchanger { label: "mx1", preference: 10, slot: 0, smtp: PortState::Open, flaky: FLAG_FLAKY_0 },
+    Exchanger { label: "mx2", preference: 20, slot: 1, smtp: PortState::Open, flaky: FLAG_FLAKY_1 },
+];
+
+/// [`DomainTruth::Nolisting`]: the dead primary is a real machine that
+/// never opens port 25 — reliably down for SMTP in *every* epoch, and a
+/// machine, not a coin flip, so it never flaps — and the live secondary
+/// may flap.
+const NOLISTING: &[Exchanger] = &[
+    Exchanger {
+        label: "smtp",
+        preference: NOLISTING_PRIMARY_PREF,
+        slot: 0,
+        smtp: PortState::Closed,
+        flaky: 0,
+    },
+    Exchanger {
+        label: "smtp1",
+        preference: NOLISTING_SECONDARY_PREF,
+        slot: 1,
+        smtp: PortState::Open,
+        flaky: FLAG_FLAKY_1,
+    },
+];
 
 /// One mail host of an expanded domain.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,6 +234,9 @@ pub struct StreamedDomain {
 pub struct PopulationStream {
     spec: PopulationSpec,
     seed: u64,
+    /// The seed's `population.domain` fork, which domain `i` indexes by
+    /// `i` for its draws.
+    domains: DetRng,
     // Popularity ranks come from the affine bijection
     // `i ↦ ((a·i + b) mod N) + 1` with `gcd(a, N) = 1`, so any index's
     // rank is O(1) and the ranks are still a permutation of `1..=N`.
@@ -185,7 +269,8 @@ impl PopulationStream {
             }
         }
         let rank_offset = rank_rng.next_u64() % n;
-        PopulationStream { spec, seed, rank_mult, rank_offset }
+        let domains = DetRng::seed(seed).fork("population.domain");
+        PopulationStream { spec, seed, domains, rank_mult, rank_offset }
     }
 
     /// The population size.
@@ -262,7 +347,7 @@ impl PopulationStream {
     /// Panics if `i` is out of range.
     pub fn packed(&self, i: u64) -> PackedDomain {
         assert!(i < self.spec.domains as u64, "domain index {i} out of range");
-        let mut rng = DetRng::seed(self.seed).fork_idx("population.domain", i);
+        let mut rng = self.domains.index(i);
         let truth = {
             let x = rng.unit_f64();
             if x < self.spec.single_mx {
@@ -299,6 +384,37 @@ impl PopulationStream {
         PackedDomain { index: i, truth, alexa_rank: self.rank_of(i), flags }
     }
 
+    /// Installs domain `packed`'s corner of the internet: publishes its
+    /// zone into `dns` and registers each of its mail hosts in `net` under
+    /// its exchanger's name. This is what [`PopulationStream::expand`]
+    /// describes, built from the same topology without the owned copy.
+    /// `name` is the domain's name text as [`PopulationStream::name_into`]
+    /// writes it; the returned name shares its text with the zone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not a valid domain name, or if `net` already
+    /// holds one of the domain's host addresses.
+    pub fn install(
+        &self,
+        packed: &PackedDomain,
+        name: &str,
+        dns: &mut Authority,
+        net: &mut Network,
+    ) -> DomainName {
+        debug_assert_eq!(name, self.name_into(packed.index, &mut [0; 32]), "domain name text");
+        let domain = DomainName::parse(name).expect("generated name is valid");
+        let zone = self.build(packed, domain.clone(), |exchange, ip, smtp, availability| {
+            net.host(exchange.as_str())
+                .ip(ip)
+                .port(SMTP_PORT, smtp)
+                .availability(availability)
+                .build();
+        });
+        dns.publish(zone);
+        domain
+    }
+
     /// Expands a packed record into hosts and a zone, interning the domain
     /// name through `names`.
     ///
@@ -306,74 +422,47 @@ impl PopulationStream {
     ///
     /// Panics if the packed record's index is out of range.
     pub fn expand(&self, packed: &PackedDomain, names: &mut NameTable) -> StreamedDomain {
-        let i = packed.index;
-        let name = names.intern(self.name_into(i, &mut [0; 32])).expect("generated name is valid");
-        let ip = |slot: u64| indexed_ip(HOST_IP_BASE, 2 * i + slot);
-        let avail = |on: bool| {
-            if on {
-                Availability::Flaky { down_prob: self.spec.flaky_down_prob }
-            } else {
-                Availability::Up
-            }
-        };
-        let (hosts, zone) = match packed.truth {
-            DomainTruth::SingleMx => (
-                vec![HostSpec {
-                    name: format!("mail.{name}"),
-                    ip: ip(0),
-                    smtp: PortState::Open,
-                    availability: avail(packed.flaky_first()),
-                }],
-                Zone::single_mx(name.clone(), ip(0)),
-            ),
-            DomainTruth::MultiMx => (
-                vec![
-                    HostSpec {
-                        name: format!("mx1.{name}"),
-                        ip: ip(0),
-                        smtp: PortState::Open,
-                        availability: avail(packed.flaky_first()),
-                    },
-                    HostSpec {
-                        name: format!("mx2.{name}"),
-                        ip: ip(1),
-                        smtp: PortState::Open,
-                        availability: avail(packed.flaky_second()),
-                    },
-                ],
-                Zone::builder(name.clone()).mx(10, "mx1", ip(0)).mx(20, "mx2", ip(1)).build(),
-            ),
-            DomainTruth::Nolisting => (
-                vec![
-                    // The dead primary is a real machine that never opens
-                    // port 25 — reliably down for SMTP in *every* epoch.
-                    HostSpec {
-                        name: format!("smtp.{name}"),
-                        ip: ip(0),
-                        smtp: PortState::Closed,
-                        availability: Availability::Up,
-                    },
-                    HostSpec {
-                        name: format!("smtp1.{name}"),
-                        ip: ip(1),
-                        smtp: PortState::Open,
-                        availability: avail(packed.flaky_second()),
-                    },
-                ],
-                Zone::nolisting(name.clone(), ip(0), ip(1)),
-            ),
-            DomainTruth::Misconfigured => {
-                // Half dangling MX (target has no A record), half lame.
-                let zone = if packed.dangling() {
-                    Zone::dangling_mx(name.clone())
-                } else {
-                    Zone::builder(name.clone()).lame().build()
-                };
-                (Vec::new(), zone)
-            }
-        };
+        let name = names
+            .intern(self.name_into(packed.index, &mut [0; 32]))
+            .expect("generated name is valid");
+        let mut hosts = Vec::new();
+        let zone = self.build(packed, name.clone(), |exchange, ip, smtp, availability| {
+            hosts.push(HostSpec { name: exchange.as_str().to_owned(), ip, smtp, availability });
+        });
         let record = DomainRecord { name, truth: packed.truth, alexa_rank: packed.alexa_rank };
         StreamedDomain { record, hosts, zone }
+    }
+
+    /// Builds domain `packed`'s zone at `origin` from its topology, and
+    /// hands each mail host to `host` as the zone names it: its
+    /// exchanger's name, address, SMTP port state and availability.
+    fn build(
+        &self,
+        packed: &PackedDomain,
+        origin: DomainName,
+        mut host: impl FnMut(&DomainName, Ipv4Addr, PortState, Availability),
+    ) -> Zone {
+        let mut zone = Zone::builder(origin.clone());
+        match packed.topology() {
+            Topology::Exchangers(exchangers) => {
+                for ex in exchangers {
+                    let exchange = origin.prefixed(ex.label).expect("valid MX label");
+                    let ip = indexed_ip(HOST_IP_BASE, 2 * packed.index + ex.slot);
+                    let availability = if packed.flags & ex.flaky != 0 {
+                        Availability::Flaky { down_prob: self.spec.flaky_down_prob }
+                    } else {
+                        Availability::Up
+                    };
+                    host(&exchange, ip, ex.smtp, availability);
+                    zone = zone.mx_to(ex.preference, exchange.clone()).a_at(exchange, ip);
+                }
+            }
+            Topology::Dangling { label, preference } => {
+                zone = zone.mx_to(preference, origin.prefixed(label).expect("valid MX label"));
+            }
+            Topology::Lame => zone = zone.lame(),
+        }
+        zone.build()
     }
 }
 
@@ -441,6 +530,58 @@ mod tests {
             assert_eq!(primary.smtp, PortState::Closed);
             assert_eq!(secondary.smtp, PortState::Open);
         }
+    }
+
+    #[test]
+    fn install_builds_the_corner_expand_describes() {
+        use spamward_net::Network;
+        let mut spec = PopulationSpec::fig2(3_000);
+        spec.flaky_hosts = 0.3;
+        let stream = PopulationStream::new(spec, 41);
+        // One authority and one network, cleared per domain as the scan's
+        // corner is, so parked hosts are refilled throughout.
+        let (mut dns, mut net) = (Authority::new(), Network::new(stream.seed()));
+        let mut text = [0; 32];
+        let (mut truths, mut dangling, mut lame, mut flaky) = ([false; 4], 0, 0, 0);
+        for i in 0..stream.len() as u64 {
+            let packed = stream.packed(i);
+            let expanded = stream.expand(&packed, &mut NameTable::new(0));
+            dns.clear();
+            net.clear();
+            let name = stream.install(&packed, stream.name_into(i, &mut text), &mut dns, &mut net);
+            assert_eq!(name, expanded.record.name);
+            assert_eq!(dns.len(), 1);
+            assert_eq!(dns.zone(name.as_str()), Some(&expanded.zone), "{name}");
+            assert_eq!(net.len(), expanded.hosts.len(), "{name}");
+            for (host, spec) in net.iter().zip(&expanded.hosts) {
+                assert_eq!(host.name(), spec.name);
+                assert_eq!(host.ips(), [spec.ip]);
+                assert_eq!(host.port(SMTP_PORT), spec.smtp);
+                assert_eq!(host.availability(), &spec.availability);
+            }
+
+            // Each truth class keeps the zone the dns crate's
+            // constructors build for it.
+            let origin = expanded.record.name.clone();
+            let ip = |slot: u64| indexed_ip(HOST_IP_BASE, 2 * i + slot);
+            let zone = match packed.truth {
+                DomainTruth::SingleMx => Zone::single_mx(origin, ip(0)),
+                DomainTruth::MultiMx => {
+                    Zone::builder(origin).mx(10, "mx1", ip(0)).mx(20, "mx2", ip(1)).build()
+                }
+                DomainTruth::Nolisting => Zone::nolisting(origin, ip(0), ip(1)),
+                DomainTruth::Misconfigured if packed.dangling() => Zone::dangling_mx(origin),
+                DomainTruth::Misconfigured => Zone::builder(origin).lame().build(),
+            };
+            assert_eq!(expanded.zone, zone, "{name}");
+            truths[packed.truth as usize] = true;
+            dangling +=
+                usize::from(packed.truth == DomainTruth::Misconfigured && packed.dangling());
+            lame += usize::from(expanded.zone.lame);
+            flaky += expanded.hosts.iter().filter(|h| h.availability != Availability::Up).count();
+        }
+        assert_eq!(truths, [true; 4], "every truth class");
+        assert!(dangling > 0 && lame > 0 && flaky > 0, "{dangling} {lame} {flaky}");
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! impossible at the paper's 135 M domains. [`scan_block`] instead walks
 //! one contiguous block of the [`PopulationStream`] and, for each domain,
 //! refills one reused *corner* of the internet with the domain's zone and
-//! mail hosts, runs the collect → glue-patch → banner-grab → classify
-//! pipeline against that corner, and adds the outcome to the
-//! [`ShardScanStats`] of the shard the domain's name hashes to, whose size
-//! depends only on the number of rounds. Each name is formatted and hashed
-//! once, and nothing survives a domain but its aggregate contribution, so
-//! memory stays flat no matter the population size.
+//! mail hosts ([`PopulationStream::install`]), runs the collect →
+//! glue-patch → banner-grab → classify pipeline against that corner, and
+//! adds the outcome to the [`ShardScanStats`] of the shard the domain's
+//! name hashes to, whose size depends only on the number of rounds. Each
+//! name is formatted and hashed once, the corner's hosts and banner grabs
+//! are refilled in place, and nothing survives a domain but its aggregate
+//! contribution, so memory stays flat no matter the population size.
 //!
 //! Per-domain emulation is *exact*, not approximate: MX entries, glue
 //! resolution and SYN probes depend only on the domain's own zone and
@@ -26,8 +27,8 @@ use crate::dataset::{BannerGrab, DnsAnyScan};
 use crate::metrics::{SAMPLE_SCAN_EVENTS, SAMPLE_SCAN_NOLISTING};
 use crate::pipeline::{DetectorAccuracy, DomainClass, Fig2Stats, NolistingDetector, ScanRound};
 use crate::population::{DomainTruth, PopulationStream};
-use spamward_dns::{Authority, NameTable};
-use spamward_net::{Network, SMTP_PORT};
+use spamward_dns::Authority;
+use spamward_net::Network;
 use spamward_obs::TimeSeries;
 use spamward_sim::{ShardPlan, SimTime};
 use std::ops::Range;
@@ -208,9 +209,9 @@ impl BlockScan {
 }
 
 /// The corner of the internet one block scans its domains in: one
-/// authority, one network and one round buffer, cleared and refilled for
-/// every domain so their capacity carries over and their contents never
-/// do.
+/// authority, one network and one scan round per epoch, cleared and
+/// refilled for every domain so their capacity carries over and their
+/// contents never do.
 struct Corner {
     dns: Authority,
     net: Network,
@@ -218,43 +219,44 @@ struct Corner {
 }
 
 impl Corner {
-    /// Scans domain `i` across `epochs` and adds its outcome to `stats`.
-    /// Returns the scan work it took and whether the detector flagged it.
+    /// An empty corner for a scan of `epochs` rounds, its network seeded
+    /// with `seed`.
+    fn new(seed: u64, epochs: usize) -> Corner {
+        let round = || ScanRound { dns: DnsAnyScan::default(), banner: BannerGrab::default() };
+        Corner {
+            dns: Authority::new(),
+            net: Network::new(seed),
+            rounds: std::iter::repeat_with(round).take(epochs).collect(),
+        }
+    }
+
+    /// Scans domain `i`, named `name`, across `epochs` (one per round of
+    /// the corner) and adds its outcome to `stats`. Returns the scan work
+    /// it took and whether the detector flagged it.
     fn scan(
         &mut self,
         stream: &PopulationStream,
         i: u64,
+        name: &str,
         epochs: &[u64],
         stats: &mut ShardScanStats,
     ) -> (u64, bool) {
         let packed = stream.packed(i);
-        let expanded = stream.expand(&packed, &mut NameTable::new(0));
-        let domain = expanded.record.name;
-        let syns = expanded.hosts.len() as u64; // one SYN per address
         self.dns.clear();
-        self.dns.publish(expanded.zone);
         self.net.clear();
-        for h in expanded.hosts {
-            self.net
-                .host(&h.name)
-                .ip(h.ip)
-                .port(SMTP_PORT, h.smtp)
-                .availability(h.availability)
-                .build();
-        }
+        let domain = stream.install(&packed, name, &mut self.dns, &mut self.net);
+        let syns = self.net.len() as u64; // one SYN per host, each on one address
 
-        self.rounds.clear();
         let mut events = 0;
-        for (round, &epoch) in stats.rounds.iter_mut().zip(epochs) {
-            let mut dns = DnsAnyScan::collect(&mut self.dns, [&domain]);
-            let (glue_lookups, patched) = dns.resolve_glue(&self.dns);
-            let banner = BannerGrab::collect(&self.net, epoch);
+        for ((round, totals), &epoch) in self.rounds.iter_mut().zip(&mut stats.rounds).zip(epochs) {
+            round.dns = DnsAnyScan::collect(&mut self.dns, [&domain]);
+            let (glue_lookups, patched) = round.dns.resolve_glue(&self.dns);
+            round.banner.refill(&self.net, epoch);
             events += 1 + glue_lookups + syns; // the MX query, glue, SYNs
             stats.glue_resolved += patched;
-            round.dns_domains += dns.len() as u64;
-            round.dns_missing_a += dns.missing_count() as u64;
-            round.banner_listening += banner.len() as u64;
-            self.rounds.push(ScanRound { dns, banner });
+            totals.dns_domains += round.dns.len() as u64;
+            totals.dns_missing_a += round.dns.missing_count() as u64;
+            totals.banner_listening += round.banner.len() as u64;
         }
 
         // Per round: its single-round verdict, then the cross-check of
@@ -335,16 +337,13 @@ pub fn scan_block(
 ) -> BlockScan {
     assert!(!epochs.is_empty(), "need at least one scan round");
     let mut scan = BlockScan::empty(plan.shards(), epochs.len(), ks);
-    let mut corner = Corner {
-        dns: Authority::new(),
-        net: Network::new(plan.seed()),
-        rounds: Vec::with_capacity(epochs.len()),
-    };
+    let mut corner = Corner::new(plan.seed(), epochs.len());
     let mut bucket: Option<Bucket> = None;
-    let mut name = [0; 32];
+    let mut text = [0; 32];
     for i in block {
-        let stats = &mut scan.shards[plan.shard_of(stream.name_into(i, &mut name)) as usize];
-        let (events, flagged) = corner.scan(stream, i, epochs, stats);
+        let name = stream.name_into(i, &mut text);
+        let stats = &mut scan.shards[plan.shard_of(name) as usize];
+        let (events, flagged) = corner.scan(stream, i, name, epochs, stats);
         let index = i / SCAN_BUCKET_DOMAINS;
         if let Some(full) = bucket.take_if(|b| b.index != index) {
             full.record(&mut scan.samples);

@@ -80,8 +80,19 @@ impl DetRng {
     /// Derives an independent substream identified by a numeric index.
     ///
     /// Convenient for per-entity streams (per-domain, per-bot, per-message).
+    /// Equal to `self.fork(label).index(idx)`.
     pub fn fork_idx(&self, label: &str, idx: u64) -> DetRng {
-        let mut child = self.fork(label);
+        self.fork(label).index(idx)
+    }
+
+    /// Derives the substream of numeric index `idx`: the second half of
+    /// [`DetRng::fork_idx`], so `fork_idx(label, idx)` equals
+    /// `fork(label).index(idx)`. A caller that derives many indices under
+    /// one label forks the label once and indexes that fork.
+    ///
+    /// Like forking, indexing does not advance `self`.
+    pub fn index(&self, idx: u64) -> DetRng {
+        let mut child = self.clone();
         let mut sm = idx ^ 0xA076_1D64_78BD_642F;
         for w in child.s.iter_mut() {
             *w ^= splitmix64(&mut sm);
@@ -181,6 +192,47 @@ mod tests {
         assert_ne!(root.fork("x"), root.fork("y"));
         assert_ne!(root.fork_idx("x", 0), root.fork_idx("x", 1));
         assert_eq!(root.fork_idx("x", 3), root.fork_idx("x", 3));
+    }
+
+    #[test]
+    fn fork_idx_is_a_fork_then_an_index_with_pinned_draws() {
+        // Pinned draws: a change to either half of `fork_idx` would move
+        // every per-domain, per-host and per-message stream in the suite.
+        let pins: [(u64, &str, u64, [u64; 3]); 4] = [
+            (
+                1,
+                "population.domain",
+                0,
+                [0x9b02_7005_a9da_f145, 0x9ba8_bdfa_b4fe_5fe1, 0x3254_45fb_1cec_01bd],
+            ),
+            (
+                1,
+                "population.domain",
+                299_999,
+                [0xb79c_50d8_a9f3_42ed, 0x2096_4080_b143_322c, 0x1b1e_e1af_cf52_dead],
+            ),
+            (
+                2015,
+                "availability",
+                7,
+                [0x8115_adaa_bd91_e0c1, 0xc1fc_c772_393d_8360, 0x5abc_5f94_e70a_c844],
+            ),
+            (
+                0,
+                "x",
+                u64::MAX,
+                [0x976e_3203_c945_a88a, 0x4f8e_da60_ef5f_ad02, 0x5b04_e431_571a_e9b8],
+            ),
+        ];
+        for (seed, label, idx, draws) in pins {
+            let root = DetRng::seed(seed);
+            let (mut joined, mut split) = (root.fork_idx(label, idx), root.fork(label).index(idx));
+            assert_eq!(joined, split, "{label} {idx}");
+            for want in draws {
+                assert_eq!(joined.next_u64(), want, "{label} {idx}");
+                assert_eq!(split.next_u64(), want, "{label} {idx}");
+            }
+        }
     }
 
     #[test]
