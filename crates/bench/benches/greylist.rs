@@ -1,13 +1,13 @@
-//! Benchmarks of the greylist decision engine across store backends:
-//! the defer/pass hot path against the in-memory and remote stores, and a
-//! purge sweep over an aged store. Baseline numbers are
+//! Benchmarks of the greylist decision engine on an in-process store and
+//! behind a remote hop: the defer/pass hot path, and a purge sweep over an
+//! aged store. Baseline numbers are
 //! recorded in `crates/bench/BENCH_greylist.json`; re-run with
 //! `cargo bench -p spamward-bench --bench greylist` after touching
 //! `crates/greylist/src/{store,backend,policy}.rs`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // not protocol-path code
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use spamward_greylist::{Greylist, GreylistConfig, RemoteStore, StoreBackend};
+use spamward_greylist::{Greylist, GreylistConfig, RemoteStore};
 use spamward_sim::{SimDuration, SimTime};
 use spamward_smtp::{EmailAddress, ReversePath};
 use std::net::Ipv4Addr;
@@ -15,15 +15,11 @@ use std::net::Ipv4Addr;
 const CLIENTS: u64 = 500;
 const DELAY: SimDuration = SimDuration::from_secs(300);
 
-fn backends() -> Vec<(&'static str, StoreBackend)> {
-    vec![
-        ("in_memory", StoreBackend::default()),
-        ("remote_2ms", StoreBackend::Remote(RemoteStore::new(SimDuration::from_millis(2)))),
-    ]
-}
-
-fn engine(backend: StoreBackend) -> Greylist {
-    Greylist::new(GreylistConfig::with_delay(DELAY).without_auto_whitelist()).with_backend(backend)
+/// A fresh engine per row: in-process, and behind a 2 ms remote hop.
+fn engines() -> Vec<(&'static str, Greylist)> {
+    let gl = Greylist::new(GreylistConfig::with_delay(DELAY).without_auto_whitelist());
+    let remote = gl.clone().with_remote(RemoteStore::new(SimDuration::from_millis(2)));
+    vec![("in_memory", gl), ("remote_2ms", remote)]
 }
 
 fn envelope(i: u64) -> (Ipv4Addr, ReversePath, EmailAddress) {
@@ -35,8 +31,7 @@ fn envelope(i: u64) -> (Ipv4Addr, ReversePath, EmailAddress) {
 
 /// One defer + one matured pass per client: the two store round-trips
 /// every successfully greylisted legitimate message costs.
-fn defer_then_pass(backend: StoreBackend) -> u64 {
-    let mut gl = engine(backend);
+fn defer_then_pass(mut gl: Greylist) -> u64 {
     let mut passed = 0u64;
     for i in 0..CLIENTS {
         let (ip, sender, rcpt) = envelope(i);
@@ -49,15 +44,15 @@ fn defer_then_pass(backend: StoreBackend) -> u64 {
     passed
 }
 
-/// The decision hot path per backend — identical decisions by the store
-/// contract, so the rows differ only in lookup cost.
+/// The decision hot path per store — one `TripletStore` either way, so
+/// the rows differ only in the hop's lookup accounting.
 fn bench_decision_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("greylist");
     g.throughput(Throughput::Elements(CLIENTS * 2));
-    for (name, backend) in backends() {
-        assert_eq!(defer_then_pass(backend.clone()), CLIENTS);
+    for (name, gl) in engines() {
+        assert_eq!(defer_then_pass(gl.clone()), CLIENTS);
         g.bench_function(&format!("defer_then_pass_500_{name}"), |b| {
-            b.iter(|| defer_then_pass(backend.clone()))
+            b.iter(|| defer_then_pass(gl.clone()))
         });
     }
     g.finish();
@@ -68,8 +63,7 @@ fn bench_decision_path(c: &mut Criterion) {
 fn bench_purge_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("greylist");
     g.throughput(Throughput::Elements(CLIENTS));
-    for (name, backend) in backends() {
-        let mut aged = engine(backend);
+    for (name, mut aged) in engines() {
         for i in 0..CLIENTS {
             let (ip, sender, rcpt) = envelope(i);
             let _ = aged.check(SimTime::ZERO, ip, &sender, &rcpt);

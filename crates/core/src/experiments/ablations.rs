@@ -24,7 +24,7 @@ use spamward_botnet::{BotSample, Campaign, MalwareFamily};
 use spamward_greylist::{Greylist, GreylistConfig, TripletStore};
 use spamward_mta::{MtaProfile, OutboundStatus, SendingMta};
 use spamward_scanner::{scan_block, PopulationSpec, PopulationStream};
-use spamward_sim::{DetRng, ShardPlan, SimDuration, SimTime};
+use spamward_sim::{Actor, DetRng, ShardPlan, SimDuration, SimTime};
 use spamward_smtp::{Message, ReversePath};
 use std::net::Ipv4Addr;
 
@@ -247,7 +247,9 @@ pub fn store_cap_ablation(seed: u64, capacity: usize, spam_triplets: usize) -> S
     let greylist = Greylist::new(cfg).with_store(TripletStore::new().with_capacity_bound(capacity));
     let mut world = worlds::custom_greylist_world(seed, greylist);
 
-    // Benign sender's first attempt creates its pending triplet at t=0.
+    // Benign sender's first attempt creates its pending triplet at t=0:
+    // one wake-up of the sender actor, as an engine episode's first event
+    // would run it.
     let mut sender = SendingMta::new(
         "relay.example",
         vec![Ipv4Addr::new(198, 51, 100, 50)],
@@ -260,7 +262,7 @@ pub fn store_cap_ablation(seed: u64, capacity: usize, spam_triplets: usize) -> S
         Message::builder().body("legit").build(),
         SimTime::ZERO,
     );
-    sender.run_due(SimTime::ZERO, &mut world);
+    sender.wake(SimTime::ZERO, &mut world);
 
     // Spam flood between t=0 and the benign retry at t=300 s: one-shot
     // bots, each with a unique triplet.

@@ -6,23 +6,24 @@
 //! `(sender, recipient)` so any pool member's retry matches, sites shard or
 //! outsource the triplet database — and the choice changes how much pain a
 //! multi-IP webmail pool suffers and what a store outage does. This sweep
-//! runs every [`KeyPolicy`] against both [`StoreBackend`] flavours — the
-//! in-process store and a remote one — under two provider pool layouts
-//! (all addresses in one /24 vs one /24 each), with a pure greylist-store
-//! outage ([`FaultProfile::store_degraded`]) and a periodic
-//! store-maintenance timer in every cell.
+//! runs every [`KeyPolicy`] against both store flavours — the in-process
+//! store and the same store behind a [`RemoteStore`] hop — under two
+//! provider pool layouts (all addresses in one /24 vs one /24 each), with
+//! a pure greylist-store outage ([`FaultProfile::store_degraded`]) and a
+//! periodic store-maintenance timer in every cell.
 //!
-//! The store contract says decisions are backend-independent, so within a
-//! (policy, layout) group the delivery trajectory must be identical across
-//! the two backends — they differ only in the remote-traffic columns. The
-//! *policy* axis is where Table III moves:
+//! Both flavours keep one `TripletStore` and refuse lookups inside the
+//! same outage windows, so within a (policy, layout) group the delivery
+//! trajectory must be identical across the two backends — they differ
+//! only in the remote-traffic columns. The *policy* axis is where
+//! Table III moves:
 //! `sender_recipient` collapses the spread-pool retry cost back to the
 //! same-/24 number, `full_triplet` pays it in full.
 
 use crate::experiments::worlds::{self, VICTIM_DOMAIN, VICTIM_MX_IP};
 use crate::harness::{Experiment, HarnessConfig, HarnessError, Obs, Report, Scale};
 use spamward_analysis::{fmt_min_sec, Table};
-use spamward_greylist::{Greylist, GreylistConfig, KeyPolicy, RemoteStore, StoreBackend};
+use spamward_greylist::{Greylist, GreylistConfig, KeyPolicy, RemoteStore};
 use spamward_mta::{DegradationMode, OutboundStatus, SendingMta, WorldSim};
 use spamward_net::{FaultPlan, FaultProfile};
 use spamward_sim::shard::run_partitioned;
@@ -61,11 +62,11 @@ impl BackendKind {
         }
     }
 
-    /// A fresh store of this flavour.
-    pub fn build(&self) -> StoreBackend {
+    /// `greylist` on a fresh store of this flavour.
+    pub fn build(&self, greylist: Greylist) -> Greylist {
         match self {
-            BackendKind::InMemory => StoreBackend::default(),
-            BackendKind::Remote => StoreBackend::Remote(RemoteStore::new(REMOTE_RTT)),
+            BackendKind::InMemory => greylist,
+            BackendKind::Remote => greylist.with_remote(RemoteStore::new(REMOTE_RTT)),
         }
     }
 }
@@ -235,7 +236,7 @@ fn run_cell(
 
     let gl_config =
         GreylistConfig::with_delay(config.delay).without_auto_whitelist().with_key_policy(policy);
-    let greylist = Greylist::new(gl_config).with_backend(backend.build());
+    let greylist = backend.build(Greylist::new(gl_config));
     let mut world = obs.arm(
         worlds::degraded_greylist_world(world_seed, greylist, DegradationMode::FailClosed)
             .with_store_maintenance(config.maintenance_interval),
@@ -286,7 +287,7 @@ fn run_cell(
     let stats = server.stats();
     let gl = server.greylist().expect("greylisted victim");
     spamward_greylist::metrics::collect_backend(gl, &mut obs.registry);
-    let (remote_ops, remote_unavailable) = match gl.store().as_remote() {
+    let (remote_ops, remote_unavailable) = match gl.remote() {
         Some(r) => (r.ops(), r.unavailable()),
         None => (0, 0),
     };

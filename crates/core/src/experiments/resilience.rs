@@ -12,10 +12,10 @@
 use crate::experiments::worlds::{self, VICTIM_DOMAIN, VICTIM_MX_IP};
 use crate::harness::{Experiment, HarnessConfig, HarnessError, Obs, Report, Scale};
 use spamward_analysis::Table;
-use spamward_dns::{DomainName, Zone};
+use spamward_dns::DomainName;
 use spamward_greylist::{Greylist, GreylistConfig};
 use spamward_mta::{
-    DegradationMode, MailWorld, MtaProfile, OutboundStatus, ReceivingMta, RetryPolicy, SendingMta,
+    DegradationMode, MailWorld, MtaProfile, OutboundStatus, RetryPolicy, SendingMta,
 };
 use spamward_net::{FaultPlan, FaultProfile, FaultWindow};
 use spamward_sim::{DetRng, SimDuration, SimTime};
@@ -176,14 +176,7 @@ fn build_world(defense: Defense, seed: u64) -> MailWorld {
             };
             let cfg =
                 GreylistConfig::with_delay(SimDuration::from_secs(300)).without_auto_whitelist();
-            let mut w = MailWorld::new(seed);
-            w.install_server(
-                ReceivingMta::new("mail.victim.example", VICTIM_MX_IP)
-                    .with_greylist(Greylist::new(cfg))
-                    .with_degradation(mode),
-            );
-            w.dns.publish(Zone::single_mx(victim_domain(), VICTIM_MX_IP));
-            w
+            worlds::degraded_greylist_world(seed, Greylist::new(cfg), mode)
         }
         Defense::NolistingPlannedDowntime => {
             worlds::planned_downtime_world(seed, maintenance_windows())

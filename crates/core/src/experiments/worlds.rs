@@ -77,7 +77,8 @@ pub fn greylist_world_at(seed: u64, domain: &str, host: &str, greylist: Greylist
 
 /// The standard greylist victim with an explicit store-outage degradation
 /// mode — [`custom_greylist_world`] plus the fail-open/fail-closed policy
-/// the `policy_backend` experiment exercises against store faults.
+/// the `resilience` and `policy_backend` experiments exercise against
+/// store faults.
 pub fn degraded_greylist_world(seed: u64, greylist: Greylist, mode: DegradationMode) -> MailWorld {
     let mut w = MailWorld::new(seed);
     w.install_server(

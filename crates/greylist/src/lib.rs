@@ -38,7 +38,7 @@ mod store;
 mod triplet;
 mod whitelist;
 
-pub use backend::{RemoteStore, StoreBackend, StoreUnavailable, Touch};
+pub use backend::{RemoteStore, StoreUnavailable, Touch};
 pub use keying::KeyPolicy;
 pub use persist::{DurabilityMode, GreylistWal, SnapshotError, WalReplay};
 pub use policy::{Decision, Greylist, GreylistConfig, PassReason, Verdict};

@@ -72,7 +72,7 @@ pub fn collect(gl: &Greylist, reg: &mut Registry) {
 pub fn collect_backend(gl: &Greylist, reg: &mut Registry) {
     let store = gl.store();
     reg.record_gauge(STORE_BYTES, store.approx_bytes() as i64);
-    let (ops, unavailable, latency_us) = match store.as_remote() {
+    let (ops, unavailable, latency_us) = match gl.remote() {
         Some(r) => (r.ops(), r.unavailable(), r.latency_us()),
         None => (0, 0, 0),
     };
@@ -119,11 +119,11 @@ mod tests {
 
     #[test]
     fn collect_backend_reports_bytes_and_remote_traffic() {
-        use crate::backend::{RemoteStore, StoreBackend};
+        use crate::backend::RemoteStore;
         let mut gl = Greylist::new(
             GreylistConfig::with_delay(SimDuration::from_secs(300)).without_auto_whitelist(),
         )
-        .with_backend(StoreBackend::Remote(RemoteStore::new(SimDuration::from_millis(2))));
+        .with_remote(RemoteStore::new(SimDuration::from_millis(2)));
         let sender = ReversePath::Null;
         let rcpt = "u@victim.example".parse().unwrap();
         let _ = gl.check(SimTime::ZERO, Ipv4Addr::new(10, 0, 0, 1), &sender, &rcpt);
@@ -140,9 +140,9 @@ mod tests {
 
     #[test]
     fn collect_backend_reports_an_empty_remote_store() {
-        use crate::backend::{RemoteStore, StoreBackend};
+        use crate::backend::RemoteStore;
         let gl = Greylist::new(GreylistConfig::default())
-            .with_backend(StoreBackend::Remote(RemoteStore::new(SimDuration::from_millis(2))));
+            .with_remote(RemoteStore::new(SimDuration::from_millis(2)));
         let mut reg = Registry::new();
         collect_backend(&gl, &mut reg);
         assert_eq!(reg.gauge(STORE_BYTES), Some(0));

@@ -318,9 +318,8 @@ impl Greylist {
         let mut out = String::with_capacity((1 + store.len() + awl.len()) * LINE_CAPACITY);
         out.push_str(HEADER);
         out.push('\n');
-        // `iter()` is already a key-sorted, backend-independent view, so
-        // snapshots diff cleanly whatever the backend. Writing to a
-        // `String` never fails.
+        // `iter()` is already key-sorted, so snapshots diff cleanly.
+        // Writing to a `String` never fails.
         for (key, entry) in store.iter() {
             let state = match entry.state {
                 EntryState::Pending => 'P',
@@ -499,17 +498,24 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restores_across_backends() {
-        use crate::backend::{RemoteStore, StoreBackend};
+    fn snapshot_restores_behind_a_remote_hop() {
+        use crate::backend::RemoteStore;
         let original = populated();
         let text = original.snapshot();
         let mut remote = Greylist::new(original.config().clone())
-            .with_backend(StoreBackend::Remote(RemoteStore::new(SimDuration::from_millis(2))));
+            .with_remote(RemoteStore::new(SimDuration::from_millis(2)));
         remote.restore(&text).unwrap();
         assert_eq!(remote.store().len(), original.store().len());
-        // The remote engine re-emits the identical bytes: the store's
-        // iter() view is backend-independent.
         assert_eq!(remote.snapshot(), text);
+        // Nor is a replay, even of records timed inside an outage window.
+        let mut logged = Greylist::new(original.config().clone()).with_wal();
+        let (ip, rcpt) = (Ipv4Addr::new(10, 9, 9, 1), "y@foo.net".parse().unwrap());
+        logged.check(SimTime::from_secs(5), ip, &sender("z@b.cc"), &rcpt);
+        remote.set_outages(vec![(SimTime::ZERO, SimTime::from_secs(10))]);
+        assert_eq!(remote.replay_wal(logged.wal().unwrap().text()).unwrap().applied, 1);
+        assert_eq!(remote.store().len(), original.store().len() + 1);
+        let hop = remote.remote().unwrap();
+        assert_eq!((hop.ops(), hop.unavailable()), (0, 0), "restore and replay are not lookups");
     }
 
     #[test]
@@ -695,18 +701,16 @@ mod tests {
         assert_eq!(probe(&mut recovered), probe(&mut live.clone()));
     }
 
-    /// A sweep the remote store refused dropped nothing, so the WAL must
-    /// not hold it: replay reaches the store directly, past the outage,
-    /// and would drop what the live store still holds.
+    /// A sweep the store refused dropped nothing, so the WAL must not hold
+    /// it: replay reaches the store directly, past the outage, and would
+    /// drop what the live store still holds.
     #[test]
-    fn refused_remote_sweep_is_not_logged() {
-        use crate::backend::{RemoteStore, StoreBackend};
+    fn refused_sweep_is_not_logged() {
         let day = SimDuration::from_days(1);
         let down_from = SimTime::ZERO + day * 3;
-        let mut remote = RemoteStore::new(SimDuration::from_millis(2));
-        remote.set_outages(vec![(down_from, down_from + day)]);
         let cfg = GreylistConfig::with_delay(SimDuration::from_secs(300)).without_auto_whitelist();
-        let mut live = Greylist::new(cfg).with_backend(StoreBackend::Remote(remote)).with_wal();
+        let mut live = Greylist::new(cfg).with_wal();
+        live.set_outages(vec![(down_from, down_from + day)]);
         let checkpoint = live.snapshot();
         let rcpt = "u@foo.net".parse().unwrap();
         let ip = Ipv4Addr::new(10, 0, 0, 1);
@@ -805,13 +809,13 @@ mod tests {
     }
 
     proptest::proptest! {
-        // A telling interleaving (remote store, outage, a sweep inside it
-        // dropping a stale entry, crash after it) is rare: run 512 cases.
+        // A telling interleaving (an outage, a sweep inside it that would
+        // drop a stale entry, crash after it) is rare: run 512 cases.
         #![proptest_config(proptest::ProptestConfig::with_cases(512))]
         /// The durability anchor: for arbitrary interaction histories,
         /// checkpoint instants and crash points, a `SnapshotPlusWal`
         /// recovery is decision-equivalent to an engine that never crashed
-        /// — across both store backends, with an optional remote outage
+        /// — with and without a remote hop, and with an optional outage
         /// window. Op times run past the 2-day pending lifetime, so sweeps
         /// drop entries.
         #[test]
@@ -824,19 +828,17 @@ mod tests {
             probe_ip in 0u8..8,
             probe_at in 400_000u64..600_000,
         ) {
-            use crate::backend::{RemoteStore, StoreBackend};
-            use crate::store::TripletStore;
+            use crate::backend::RemoteStore;
             let mut cfg = GreylistConfig::with_delay(SimDuration::from_secs(300));
             cfg.auto_whitelist_after = Some(2);
-            let backend = if remote {
-                let mut r = RemoteStore::new(SimDuration::from_millis(2));
-                if let (true, from, len) = outage {
-                    r.set_outages(vec![(SimTime::from_secs(from), SimTime::from_secs(from + len))]);
-                }
-                StoreBackend::Remote(r)
-            } else {
-                StoreBackend::InMemory(TripletStore::new())
-            };
+            let mut uncrashed = Greylist::new(cfg.clone()).with_wal();
+            if remote {
+                uncrashed = uncrashed.with_remote(RemoteStore::new(SimDuration::from_millis(2)));
+            }
+            if let (true, from, len) = outage {
+                uncrashed
+                    .set_outages(vec![(SimTime::from_secs(from), SimTime::from_secs(from + len))]);
+            }
             let rcpt: spamward_smtp::EmailAddress = "u@foo.net".parse().unwrap();
             let mut times: Vec<u64> = ops.iter().map(|&(_, t, _)| t).collect();
             times.sort_unstable();
@@ -848,7 +850,6 @@ mod tests {
             let crash_at = crash_sel % (script.len() + 1);
             let cp_at = cp_sel % (crash_at + 1);
 
-            let mut uncrashed = Greylist::new(cfg.clone()).with_backend(backend).with_wal();
             let mut crashed = uncrashed.clone();
             let apply = |g: &mut Greylist, &(ip_octet, t, maintain): &(u8, u64, bool)| {
                 let at = SimTime::from_secs(t);

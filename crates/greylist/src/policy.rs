@@ -1,6 +1,6 @@
 //! The greylisting decision engine.
 
-use crate::backend::{StoreBackend, StoreUnavailable, Touch};
+use crate::backend::{RemoteStore, StoreUnavailable, Touch};
 use crate::keying::KeyPolicy;
 use crate::persist::{GreylistWal, WalRecord};
 use crate::stats::GreylistStats;
@@ -145,7 +145,11 @@ impl GreylistConfig {
 #[derive(Debug, Clone, Default)]
 pub struct Greylist {
     config: GreylistConfig,
-    store: StoreBackend,
+    store: TripletStore,
+    /// The network hop in front of `store`, for a remote store.
+    remote: Option<RemoteStore>,
+    /// Half-open `[from, until)` spans in which the store refuses lookups.
+    outages: Vec<(SimTime, SimTime)>,
     stats: GreylistStats,
     /// Successful greylist passes per client network (for auto-whitelist).
     awl_counts: BTreeMap<u32, u32>,
@@ -155,28 +159,34 @@ pub struct Greylist {
 }
 
 impl Greylist {
-    /// Creates an engine with the given configuration (in-memory backend).
+    /// Creates an engine with the given configuration and an in-process
+    /// store.
     pub fn new(config: GreylistConfig) -> Self {
-        Greylist {
-            config,
-            store: StoreBackend::InMemory(TripletStore::new()),
-            stats: GreylistStats::default(),
-            awl_counts: BTreeMap::new(),
-            wal: None,
-        }
+        Greylist { config, ..Default::default() }
     }
 
-    /// Replaces the triplet store (e.g. one with a capacity bound),
-    /// keeping the in-memory backend.
+    /// Replaces the triplet store (e.g. one with a capacity bound).
     pub fn with_store(mut self, store: TripletStore) -> Self {
-        self.store = StoreBackend::InMemory(store);
+        self.store = store;
         self
     }
 
-    /// Selects a non-default store backend.
-    pub fn with_backend(mut self, backend: StoreBackend) -> Self {
-        self.store = backend;
+    /// Puts the store behind a network hop: every lookup is counted on
+    /// `remote`, and each answered one pays its round trip.
+    pub fn with_remote(mut self, remote: RemoteStore) -> Self {
+        self.remote = Some(remote);
         self
+    }
+
+    /// Installs outage windows: half-open `[from, until)` spans in which
+    /// the store refuses every check and sweep with [`StoreUnavailable`].
+    pub fn set_outages(&mut self, outages: Vec<(SimTime, SimTime)>) {
+        self.outages = outages;
+    }
+
+    /// The installed outage windows.
+    pub fn outages(&self) -> &[(SimTime, SimTime)] {
+        &self.outages
     }
 
     /// The active configuration.
@@ -184,9 +194,14 @@ impl Greylist {
         &self.config
     }
 
-    /// The store backend (for snapshots and assertions).
-    pub fn store(&self) -> &StoreBackend {
+    /// The triplet store (for snapshots and assertions).
+    pub fn store(&self) -> &TripletStore {
         &self.store
+    }
+
+    /// The remote store's hop, if the store is remote.
+    pub fn remote(&self) -> Option<&RemoteStore> {
+        self.remote.as_ref()
     }
 
     /// Decision counters so far.
@@ -207,13 +222,14 @@ impl Greylist {
 
     /// Runs periodic maintenance (expiry sweep); returns entries dropped.
     ///
-    /// A remote store inside an outage window refuses the sweep: nothing
-    /// is dropped and, as with a refused check, nothing is logged — replay
+    /// A store inside an outage window refuses the sweep: nothing is
+    /// dropped and, as with a refused check, nothing is logged — replay
     /// must not drop what the live store still holds.
     pub fn maintain(&mut self, now: SimTime) -> usize {
-        let Ok(dropped) = self.store.purge_expired(now) else {
+        let Ok(store) = self.lookup(now) else {
             return 0;
         };
+        let dropped = store.purge_expired(now);
         if let Some(wal) = &mut self.wal {
             wal.append(WalRecord::Maintain { now });
         }
@@ -249,27 +265,26 @@ impl Greylist {
 
     /// Drops all runtime state — triplets, auto-whitelist counters and any
     /// WAL tail — exactly as a crash losing RAM would. Configuration, the
-    /// store's shape (capacity, lifetimes, outage windows) and the
+    /// store's shape (capacity, lifetimes), the outage windows and the
     /// cumulative decision and lookup counters survive: the counters model
     /// what an external observer tallied, not what the server remembered.
     pub fn reset(&mut self) {
-        self.store.triplets_mut().clear();
+        self.store.clear();
         self.awl_counts.clear();
         self.clear_wal();
     }
 
-    /// Routes outage windows into a [`StoreBackend::Remote`] backend,
-    /// where they make lookups fail ([`StoreUnavailable`]). Returns `false`
-    /// (and installs nothing) when the active backend is not remote —
-    /// in-process stores have no network path to fault, so callers fall
-    /// back to MTA-level outage windows.
-    pub fn install_remote_faults(&mut self, outages: Vec<(SimTime, SimTime)>) -> bool {
-        match &mut self.store {
-            StoreBackend::Remote(r) => {
-                r.set_outages(outages);
-                true
-            }
-            _ => false,
+    /// One live lookup at `now`: refused inside an outage window, else the
+    /// store itself. A remote store's hop counts either outcome.
+    fn lookup(&mut self, now: SimTime) -> Result<&mut TripletStore, StoreUnavailable> {
+        let down = self.outages.iter().any(|&(from, until)| from <= now && now < until);
+        if let Some(remote) = &mut self.remote {
+            remote.carry(down);
+        }
+        if down {
+            Err(StoreUnavailable)
+        } else {
+            Ok(&mut self.store)
         }
     }
 
@@ -286,24 +301,24 @@ impl Greylist {
         triplets: BTreeMap<TripletKey, TripletEntry>,
         mut awl_counts: BTreeMap<u32, u32>,
     ) {
-        self.store.triplets_mut().restore(triplets);
+        self.store.restore(triplets);
         self.awl_counts.append(&mut awl_counts);
     }
 
     /// Re-applies one logged record (WAL replay). A touch runs the same
     /// state machine the live check did — including the auto-whitelist
-    /// bump on maturing — but reaches the store directly, past remote
-    /// outage windows and lookup accounting, and never re-logs.
+    /// bump on maturing — but reaches the store directly, past outage
+    /// windows and lookup accounting: local durable state is not subject
+    /// to network weather. Replay never re-logs.
     pub(crate) fn apply_wal(&mut self, record: &WalRecord) {
         match *record {
             WalRecord::Touch { now, key, awl_net } => {
-                let delay = self.config.delay;
-                if self.store.triplets_mut().touch(key, now, delay) == Touch::Matured {
+                if self.store.touch(key, now, self.config.delay) == Touch::Matured {
                     *self.awl_counts.entry(awl_net).or_insert(0) += 1;
                 }
             }
             WalRecord::Maintain { now } => {
-                self.store.triplets_mut().purge_expired(now);
+                self.store.purge_expired(now);
             }
         }
     }
@@ -317,7 +332,10 @@ impl Greylist {
     /// Checks one RCPT against the greylist, updating state.
     ///
     /// Order of evaluation mirrors Postgrey: client whitelist, recipient
-    /// whitelist, auto-whitelist, then the triplet state machine.
+    /// whitelist, auto-whitelist, then the triplet state machine. A store
+    /// that cannot answer ([`StoreUnavailable`]) is treated as a plain
+    /// deferral here; callers that distinguish degradation modes use
+    /// [`Greylist::try_check_keyed`].
     pub fn check(
         &mut self,
         now: SimTime,
@@ -325,54 +343,21 @@ impl Greylist {
         sender: &ReversePath,
         recipient: &EmailAddress,
     ) -> Decision {
-        self.check_with_rdns(now, client_ip, None, sender, recipient)
-    }
-
-    /// Like [`Greylist::check`] but with the client's reverse-DNS name, so
-    /// name-based whitelist entries can match.
-    ///
-    /// A backend that cannot answer ([`StoreUnavailable`]) is treated as a
-    /// plain deferral here; callers that distinguish degradation modes use
-    /// [`Greylist::try_check_with_rdns`].
-    pub fn check_with_rdns(
-        &mut self,
-        now: SimTime,
-        client_ip: Ipv4Addr,
-        client_rdns: Option<&str>,
-        sender: &ReversePath,
-        recipient: &EmailAddress,
-    ) -> Decision {
         let delay = self.config.delay;
-        self.try_check_with_rdns(now, client_ip, client_rdns, sender, recipient)
+        self.decide(now, client_ip, None, sender, recipient, |_| {})
             .unwrap_or(Decision::Greylisted { retry_after: delay })
     }
 
-    /// The full decision path, surfacing store unavailability to the
-    /// caller instead of folding it into a deferral.
+    /// The full decision path with the client's reverse-DNS name, so
+    /// name-based whitelist entries can match, and with the key the
+    /// decision was made under, so a caller that logs the verdict derives
+    /// no key of its own. A whitelist pass touches no store; its key is
+    /// derived here.
     ///
     /// # Errors
     ///
-    /// [`StoreUnavailable`] when the backend cannot answer (remote store
-    /// inside a fault window). Whitelist passes never touch the store and
-    /// therefore never fail.
-    pub fn try_check_with_rdns(
-        &mut self,
-        now: SimTime,
-        client_ip: Ipv4Addr,
-        client_rdns: Option<&str>,
-        sender: &ReversePath,
-        recipient: &EmailAddress,
-    ) -> Result<Decision, StoreUnavailable> {
-        self.decide(now, client_ip, client_rdns, sender, recipient, |_| {})
-    }
-
-    /// [`Greylist::try_check_with_rdns`] with the key the decision was made
-    /// under, so a caller that logs the verdict derives no key of its own.
-    /// A whitelist pass touches no store; its key is derived here.
-    ///
-    /// # Errors
-    ///
-    /// As [`Greylist::try_check_with_rdns`].
+    /// [`StoreUnavailable`] when the store is inside an outage window.
+    /// Whitelist passes never touch the store and therefore never fail.
     pub fn try_check_keyed(
         &mut self,
         now: SimTime,
@@ -389,8 +374,8 @@ impl Greylist {
     }
 
     /// The decision path. `on_key` sees the store key when the triplet
-    /// store is consulted; [`Greylist::try_check_with_rdns`] passes a no-op
-    /// that compiles away, so a plain check pays nothing for it.
+    /// store is consulted; [`Greylist::check`] passes a no-op that
+    /// compiles away, so a plain check pays nothing for it.
     fn decide(
         &mut self,
         now: SimTime,
@@ -426,8 +411,8 @@ impl Greylist {
         let key = self.key_for(client_ip, sender, recipient);
         on_key(key);
         let delay = self.config.delay;
-        let touch = self.store.touch(key, now, delay)?;
-        // Log only after the store answered: an unavailable backend mutated
+        let touch = self.lookup(now)?.touch(key, now, delay);
+        // Log only after the store answered: an unavailable store mutated
         // nothing, so there is nothing to replay. Whitelist passes above
         // never reach the store and are likewise absent from the log.
         if let Some(wal) = &mut self.wal {
@@ -645,13 +630,18 @@ mod tests {
         assert_eq!(entry.attempts, 5);
     }
 
+    const RTT: SimDuration = SimDuration::from_millis(2);
+
+    /// The same engine on an in-process store and behind a remote hop.
+    fn both_stores(delay_secs: u64) -> [(&'static str, Greylist); 2] {
+        [
+            ("in_process", gl(delay_secs)),
+            ("remote", gl(delay_secs).with_remote(RemoteStore::new(RTT))),
+        ]
+    }
+
     #[test]
-    fn decisions_are_backend_independent() {
-        use crate::backend::RemoteStore;
-        let backends = [
-            StoreBackend::InMemory(TripletStore::new()),
-            StoreBackend::Remote(RemoteStore::new(SimDuration::from_millis(2))),
-        ];
+    fn a_remote_hop_changes_no_decision() {
         let script = [
             (1u8, 0u64, "a@b.cc"),
             (1, 100, "a@b.cc"),
@@ -661,16 +651,78 @@ mod tests {
             (1, 600, "a@b.cc"),
         ];
         let mut runs: Vec<Vec<Decision>> = Vec::new();
-        for backend in backends {
-            let mut g = gl(300).with_backend(backend);
+        for (_, mut g) in both_stores(300) {
             runs.push(
                 script
                     .iter()
                     .map(|&(c, at, s)| g.check(t(at), ip(c), &from(s), &rcpt("u@foo.net")))
                     .collect(),
             );
+            if let Some(remote) = g.remote() {
+                assert_eq!((remote.ops(), remote.unavailable()), (6, 0));
+                assert_eq!(remote.latency_us(), 6 * RTT.as_micros());
+            }
         }
-        assert_eq!(runs[0], runs[1], "remote backend changed decisions");
+        assert_eq!(runs[0], runs[1], "the remote hop changed decisions");
+    }
+
+    /// Checks and sweeps are lookups alike, on every store: refused inside
+    /// an outage window (a refused sweep drops nothing), answered outside
+    /// one. Only a remote hop counts them, and only answered lookups pay
+    /// its round trip.
+    #[test]
+    fn outage_windows_refuse_checks_and_sweeps_on_every_store() {
+        let late = 30 * 86_400;
+        for (name, mut g) in both_stores(300) {
+            g.set_outages(vec![(t(100), t(200)), (t(late), t(late + 100))]);
+            let probe = |g: &mut Greylist, at| {
+                g.try_check_keyed(t(at), ip(1), None, &from("a@b.cc"), &rcpt("u@foo.net"))
+            };
+            assert!(probe(&mut g, 50).is_ok(), "{name}");
+            assert_eq!(probe(&mut g, 150), Err(StoreUnavailable), "{name}");
+            // Half-open window: the upper bound is back in service.
+            assert!(probe(&mut g, 200).is_ok(), "{name}");
+            assert_eq!(g.maintain(t(late)), 0, "{name}: the sweep is refused");
+            assert_eq!(g.store().len(), 1, "{name}: a refused sweep drops nothing");
+            assert_eq!(g.maintain(t(late + 100)), 1, "{name}");
+            assert_eq!(g.stats().total(), 2, "{name}: a refused check decides nothing");
+            match g.remote() {
+                Some(r) => {
+                    assert_eq!((r.ops(), r.unavailable()), (3, 2));
+                    assert_eq!(r.latency_us(), 3 * RTT.as_micros(), "latency = answered x rtt");
+                }
+                None => assert_eq!(name, "in_process"),
+            }
+        }
+    }
+
+    #[test]
+    fn whitelist_passes_go_through_an_outage() {
+        let mut cfg =
+            GreylistConfig::with_delay(SimDuration::from_secs(300)).without_auto_whitelist();
+        cfg.whitelist_recipients.add_local_part("postmaster");
+        let mut g = Greylist::new(cfg);
+        g.set_outages(vec![(t(0), t(1_000))]);
+        let d = g.check(t(10), ip(1), &from("a@b.cc"), &rcpt("postmaster@foo.net"));
+        assert_eq!(d, Decision::Pass(PassReason::RecipientWhitelisted));
+        let refused = g.try_check_keyed(t(10), ip(1), None, &from("a@b.cc"), &rcpt("u@foo.net"));
+        assert_eq!(refused, Err(StoreUnavailable));
+    }
+
+    #[test]
+    fn reset_keeps_outages_and_hop_counters() {
+        let mut g = gl(300).with_remote(RemoteStore::new(RTT));
+        g.set_outages(vec![(t(100), t(200))]);
+        g.check(t(0), ip(1), &from("a@b.cc"), &rcpt("u@foo.net"));
+        g.check(t(150), ip(1), &from("a@b.cc"), &rcpt("u@foo.net"));
+        g.reset();
+        assert!(g.store().is_empty(), "reset drops every entry");
+        assert_eq!(g.outages(), [(t(100), t(200))], "windows survive");
+        let r = g.remote().unwrap();
+        assert_eq!((r.ops(), r.unavailable()), (1, 1), "counters are cumulative");
+        // The cleared store works again from scratch.
+        assert!(!g.check(t(500), ip(1), &from("a@b.cc"), &rcpt("u@foo.net")).is_pass());
+        assert_eq!(g.store().len(), 1);
     }
 
     #[test]
@@ -704,14 +756,14 @@ mod tests {
 
     #[test]
     fn unavailable_store_folds_to_deferral_in_check() {
-        use crate::backend::RemoteStore;
-        let mut remote = RemoteStore::new(SimDuration::from_millis(2));
-        remote.set_outages(vec![(t(0), t(1_000))]);
-        let mut g = gl(300).with_backend(StoreBackend::Remote(remote));
-        let err = g.try_check_with_rdns(t(10), ip(1), None, &from("a@b.cc"), &rcpt("u@foo.net"));
-        assert!(err.is_err(), "outage must surface through try_check");
-        let d = g.check(t(10), ip(1), &from("a@b.cc"), &rcpt("u@foo.net"));
-        assert_eq!(d, Decision::Greylisted { retry_after: SimDuration::from_secs(300) });
-        assert_eq!(g.stats().total(), 0, "failed lookups are not greylist decisions");
+        for (name, mut g) in both_stores(300) {
+            g.set_outages(vec![(t(0), t(1_000))]);
+            let refused =
+                g.try_check_keyed(t(10), ip(1), None, &from("a@b.cc"), &rcpt("u@foo.net"));
+            assert_eq!(refused, Err(StoreUnavailable), "{name}");
+            let d = g.check(t(10), ip(1), &from("a@b.cc"), &rcpt("u@foo.net"));
+            assert_eq!(d, Decision::Greylisted { retry_after: SimDuration::from_secs(300) });
+            assert_eq!(g.stats().total(), 0, "{name}: failed lookups are not decisions");
+        }
     }
 }

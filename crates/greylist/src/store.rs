@@ -332,7 +332,9 @@ mod tests {
         s.touch(key(2), t(300), DELAY);
         assert_eq!(s.count_state(EntryState::Pending), 1);
         assert_eq!(s.count_state(EntryState::Passed), 1);
-        assert_eq!(s.iter().count(), 2);
+        let keys: Vec<TripletKey> = s.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys.len(), 2);
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "iter() must be key-sorted");
     }
 
     /// The four-lookup state machine `touch` replaced, kept as its oracle:

@@ -204,9 +204,9 @@ pub fn collect_receiver(mta: &ReceivingMta, reg: &mut Registry) {
     if let Some(gl) = mta.greylist() {
         spamward_greylist::metrics::collect(gl, reg);
     }
-    // Degradation counters only exist once an outage schedule is installed,
+    // Degradation counters only exist once the greylist has outage windows,
     // so fault-free runs keep their exact metric composition.
-    if mta.has_greylist_outage() {
+    if mta.greylist().is_some_and(|gl| !gl.outages().is_empty()) {
         reg.record_counter(GREYLIST_DEGRADED_FAIL_OPEN, stats.greylist_failed_open);
         reg.record_counter(GREYLIST_DEGRADED_FAIL_CLOSED, stats.greylist_failed_closed);
     }
@@ -540,5 +540,29 @@ mod tests {
         collect_world(&world, &mut reg);
         assert_eq!(reg.counter(ENGINE_EVENTS), None);
         assert_eq!(reg.counter(ENGINE_OUTCOME_DRAINED), None);
+    }
+
+    /// Degradation counters exist only on a server whose greylist has
+    /// outage windows: not on a fault-free one, nor on one without a
+    /// greylist under a store-outage plan.
+    #[test]
+    fn degradation_counters_follow_the_greylist_outage_windows() {
+        use spamward_net::{FaultPlan, FaultProfile};
+        let (greylisted, plain) = (Ipv4Addr::new(192, 0, 2, 10), Ipv4Addr::new(192, 0, 2, 11));
+        let mut world = MailWorld::new(3);
+        world.install_server(
+            ReceivingMta::new("mx.a.example", greylisted)
+                .with_greylist(Greylist::new(GreylistConfig::default())),
+        );
+        world.install_server(ReceivingMta::new("mx.b.example", plain));
+        let exported = |world: &MailWorld, ip| {
+            let mut reg = Registry::new();
+            collect_receiver(world.server(ip).unwrap(), &mut reg);
+            reg.counter(GREYLIST_DEGRADED_FAIL_CLOSED)
+        };
+        assert_eq!(exported(&world, greylisted), None);
+        world.install_faults(&FaultPlan::compile(&FaultProfile::store_degraded(), 3));
+        assert_eq!(exported(&world, greylisted), Some(0));
+        assert_eq!(exported(&world, plain), None);
     }
 }

@@ -112,8 +112,11 @@ pub enum CrashTransition {
     },
 }
 
-/// What a greylisting server does when its triplet store is unavailable
-/// (injected via [`spamward_net::FaultSpec::GreylistStoreDown`]).
+/// What a greylisting server does when its triplet store is unavailable:
+/// a check inside one of the store's outage windows
+/// ([`spamward_net::FaultSpec::GreylistStoreDown`], installed with
+/// [`Greylist::set_outages`]) comes back [`spamward_greylist::StoreUnavailable`],
+/// whether the store is in-process or remote.
 ///
 /// The trade-off is the classic one for any fail-stop dependency in the
 /// mail path: fail-open preserves delivery latency but admits the spam the
@@ -169,8 +172,6 @@ pub struct ReceivingMta {
     recipients: RecipientPolicy,
     reject_pregreeters: bool,
     greylist: Option<Greylist>,
-    greylist_outage: Vec<FaultWindow>,
-    remote_store_faulted: bool,
     degradation: DegradationMode,
     durability: DurabilityMode,
     /// Crash windows ([crash, restart) per window), sorted by time.
@@ -207,8 +208,6 @@ impl ReceivingMta {
             recipients: RecipientPolicy::AcceptAll,
             reject_pregreeters: false,
             greylist: None,
-            greylist_outage: Vec::new(),
-            remote_store_faulted: false,
             degradation: DegradationMode::default(),
             durability: DurabilityMode::default(),
             crash_windows: Vec::new(),
@@ -274,8 +273,8 @@ impl ReceivingMta {
     /// Installs the windows during which this server is crashed
     /// ([`crate::MailWorld::install_faults`] calls this with the plan's
     /// [`spamward_net::FaultPlan::crash_windows_for`] windows for this
-    /// hostname). Windows must be sorted by time and non-overlapping —
-    /// the compiled plan's order.
+    /// hostname). Windows must be sorted by time and non-overlapping, as
+    /// `crash_windows_for` returns them.
     pub fn install_crash_schedule(&mut self, windows: Vec<FaultWindow>) {
         self.crash_windows = windows;
         self.crash_cursor = 0;
@@ -410,35 +409,6 @@ impl ReceivingMta {
         CrashTransition::Restarted { restored, replayed, torn, lost }
     }
 
-    /// Installs the windows during which the greylist store is unavailable
-    /// ([`crate::MailWorld::install_faults`] calls this with the plan's
-    /// `greylist_down` windows).
-    pub fn set_greylist_outage(&mut self, windows: Vec<FaultWindow>) {
-        self.greylist_outage = windows;
-    }
-
-    /// Routes greylist-store fault windows to the right layer for the
-    /// active backend. A [`spamward_greylist::StoreBackend::Remote`]
-    /// backend takes them as its own outage windows (lookups fail with
-    /// `StoreUnavailable`, which flows through the same degradation path);
-    /// the in-process backend has no network hop to fault, so the windows
-    /// stay ambient MTA state.
-    pub fn install_greylist_faults(&mut self, windows: Vec<FaultWindow>) {
-        let outages: Vec<(SimTime, SimTime)> = windows.iter().map(|w| (w.from, w.until)).collect();
-        let routed = self.greylist.as_mut().is_some_and(|g| g.install_remote_faults(outages));
-        if routed {
-            self.remote_store_faulted = !windows.is_empty();
-        } else {
-            self.set_greylist_outage(windows);
-        }
-    }
-
-    /// Whether an outage schedule is installed (not necessarily active
-    /// right now). Gates the `greylist.degraded.*` metric exports.
-    pub fn has_greylist_outage(&self) -> bool {
-        !self.greylist_outage.is_empty() || self.remote_store_faulted
-    }
-
     /// The server's hostname.
     pub fn hostname(&self) -> &str {
         &self.hostname
@@ -507,9 +477,8 @@ impl ReceivingMta {
         self.log.push(LogRecord { at, event, key: anonymize(self.log_salt, key) });
     }
 
-    /// Answers a RCPT while the greylist store is unreachable — either an
-    /// ambient outage window (in-process backends) or a store lookup that
-    /// came back unavailable (remote backend). Fail-open admits the
+    /// Answers a RCPT whose greylist check the store refused (a lookup
+    /// inside one of its outage windows). Fail-open admits the
     /// recipient unchecked (no triplet is recorded — the store is
     /// unreachable); fail-closed defers like a greylist hit would, but
     /// with its own counter and reply, so the two 4xx populations stay
@@ -556,18 +525,11 @@ impl ServerPolicy for ReceivingMta {
             self.stats.rcpt_passed += 1;
             return PolicyDecision::Accept;
         };
-        // 2a. If the triplet store is down right now (ambient outage
-        // window — the in-process backends' fault model), the degradation
-        // policy answers instead of the greylist.
-        if self.greylist_outage.iter().any(|w| w.contains(now)) {
-            return self.degraded_rcpt();
-        }
         let sender = tx.mail_from.as_ref().unwrap_or(&ReversePath::Null);
-        // 2b. The decision engine touches the store backend; a remote
-        // backend inside an outage window surfaces `StoreUnavailable`,
-        // which lands in the same degradation path as an ambient outage.
-        // The verdict carries the key it was made under, and the log
-        // records that key.
+        // The decision engine touches the store; a store inside an outage
+        // window refuses with `StoreUnavailable`, and the degradation
+        // policy answers instead. The verdict carries the key it was made
+        // under, and the log records that key.
         let verdict =
             greylist.try_check_keyed(now, tx.client_ip, tx.client_rdns.as_deref(), sender, rcpt);
         match verdict {
@@ -758,7 +720,7 @@ mod tests {
         let mut mta = ReceivingMta::new("mx.foo.net", Ipv4Addr::new(192, 0, 2, 1))
             .with_greylist(Greylist::new(GreylistConfig::with_delay(SimDuration::from_secs(300))))
             .with_pregreet_rejection();
-        mta.set_greylist_outage(vec![FaultWindow::new(SimTime::ZERO, SimTime::from_secs(100))]);
+        mta.greylist_mut().unwrap().set_outages(vec![(SimTime::ZERO, SimTime::from_secs(100))]);
         let client_ip = Ipv4Addr::new(203, 0, 113, 9);
         let PolicyDecision::Reject(pregreet) = mta.on_pregreet(SimTime::ZERO, client_ip) else {
             panic!("pregreet rejection is on");
@@ -784,10 +746,9 @@ mod tests {
     fn greylist_store_outage_fail_closed_defers_with_its_own_counter() {
         let mut mta = ReceivingMta::new("mx.foo.net", Ipv4Addr::new(192, 0, 2, 1))
             .with_greylist(Greylist::new(GreylistConfig::with_delay(SimDuration::from_secs(300))));
-        mta.set_greylist_outage(vec![FaultWindow::new(
-            SimTime::from_secs(100),
-            SimTime::from_secs(200),
-        )]);
+        mta.greylist_mut()
+            .unwrap()
+            .set_outages(vec![(SimTime::from_secs(100), SimTime::from_secs(200))]);
         // During the outage: tempfail, but NOT counted as a greylist defer,
         // and no triplet is recorded (the store is unreachable).
         let out = run_attempt(&mut mta, "u@foo.net", SimTime::from_secs(150));
@@ -808,7 +769,7 @@ mod tests {
         let mut mta = ReceivingMta::new("mx.foo.net", Ipv4Addr::new(192, 0, 2, 1))
             .with_greylist(Greylist::new(GreylistConfig::with_delay(SimDuration::from_secs(300))))
             .with_degradation(DegradationMode::FailOpen);
-        mta.set_greylist_outage(vec![FaultWindow::new(SimTime::ZERO, SimTime::from_secs(100))]);
+        mta.greylist_mut().unwrap().set_outages(vec![(SimTime::ZERO, SimTime::from_secs(100))]);
         // A first-contact triplet that the greylist would have deferred
         // sails straight into the mailbox.
         let out = run_attempt(&mut mta, "u@foo.net", SimTime::from_secs(10));
@@ -823,19 +784,15 @@ mod tests {
     }
 
     #[test]
-    fn remote_backend_outage_routes_through_degradation() {
-        use spamward_greylist::{RemoteStore, StoreBackend};
-        let greylist = Greylist::new(GreylistConfig::with_delay(SimDuration::from_secs(300)))
-            .with_backend(StoreBackend::Remote(RemoteStore::new(SimDuration::from_millis(2))));
+    fn remote_store_outage_routes_through_degradation() {
+        use spamward_greylist::RemoteStore;
+        let mut greylist = Greylist::new(GreylistConfig::with_delay(SimDuration::from_secs(300)))
+            .with_remote(RemoteStore::new(SimDuration::from_millis(2)));
+        greylist.set_outages(vec![(SimTime::from_secs(100), SimTime::from_secs(200))]);
         let mut mta =
             ReceivingMta::new("mx.foo.net", Ipv4Addr::new(192, 0, 2, 1)).with_greylist(greylist);
-        mta.install_greylist_faults(vec![FaultWindow::new(
-            SimTime::from_secs(100),
-            SimTime::from_secs(200),
-        )]);
-        assert!(mta.has_greylist_outage(), "routed remote faults still gate degraded metrics");
-        // Inside the window the *store lookup* fails (protocol-level, not
-        // ambient state) and lands in the same fail-closed path.
+        // Inside the window the store lookup fails and lands in the same
+        // fail-closed path as an in-process store's.
         let out = run_attempt(&mut mta, "u@foo.net", SimTime::from_secs(150));
         assert!(out.is_retryable());
         assert_eq!(mta.stats().greylist_failed_closed, 1);
@@ -846,27 +803,8 @@ mod tests {
         assert!(out.is_retryable());
         assert_eq!(mta.stats().rcpt_greylisted, 1);
         assert_eq!(mta.greylist().unwrap().store().len(), 1);
-    }
-
-    #[test]
-    fn in_process_backend_faults_fall_back_to_ambient_windows() {
-        let mut mta = ReceivingMta::new("mx.foo.net", Ipv4Addr::new(192, 0, 2, 1))
-            .with_greylist(Greylist::new(GreylistConfig::with_delay(SimDuration::from_secs(300))));
-        mta.install_greylist_faults(vec![FaultWindow::new(
-            SimTime::from_secs(100),
-            SimTime::from_secs(200),
-        )]);
-        assert!(mta.has_greylist_outage());
-        let out = run_attempt(&mut mta, "u@foo.net", SimTime::from_secs(150));
-        assert!(out.is_retryable());
-        assert_eq!(mta.stats().greylist_failed_closed, 1, "ambient window must still fire");
-    }
-
-    #[test]
-    fn no_outage_schedule_means_no_degradation_path() {
-        let mta = ReceivingMta::new("mx.foo.net", Ipv4Addr::new(192, 0, 2, 1))
-            .with_greylist(Greylist::new(GreylistConfig::default()));
-        assert!(!mta.has_greylist_outage());
+        let remote = mta.greylist().unwrap().remote().unwrap();
+        assert_eq!((remote.ops(), remote.unavailable()), (1, 1));
     }
 
     /// A greylisting server with the given durability and one crash window
@@ -968,6 +906,29 @@ mod tests {
         );
         assert_eq!(mta.greylist().unwrap().store().len(), 3);
         assert_eq!(mta.crash_stats().entries_lost, 0);
+    }
+
+    /// Crash specs declared out of time order still fire in time order:
+    /// the earlier crash at 100 s, not after the one at 500 s.
+    #[test]
+    fn crash_specs_declared_out_of_order_fire_in_time_order() {
+        use spamward_net::{FaultPlan, FaultProfile, FaultSpec};
+        let crash = |at, downtime| FaultSpec::MtaCrashRestart {
+            host: "mx.foo.net".into(),
+            at: SimTime::from_secs(at),
+            downtime: SimDuration::from_secs(downtime),
+        };
+        let specs = vec![crash(500, 100), crash(100, 100)];
+        let plan = FaultPlan::compile(&FaultProfile { name: "two_crashes", specs }, 1);
+        let mut mta = crashy_mta(DurabilityMode::Volatile);
+        mta.install_crash_schedule(plan.crash_windows_for("mx.foo.net"));
+        run_attempt(&mut mta, "u@foo.net", SimTime::ZERO);
+        assert!(mta.is_crashed_at(SimTime::from_secs(150)));
+        let fired = mta.poll_crash(SimTime::from_secs(150));
+        assert_eq!(fired, vec![CrashTransition::Crashed { entries_in_memory: 1 }]);
+        assert_eq!(mta.greylist().unwrap().store().len(), 0, "the crash reset the store");
+        assert_eq!(mta.poll_crash(SimTime::from_secs(650)).len(), 3, "restart, crash, restart");
+        assert_eq!(mta.crash_stats().crashes, 2);
     }
 
     #[test]

@@ -175,9 +175,11 @@ pub struct AttemptRecord {
 
 /// A queue-and-retry sending MTA (or webmail outbound tier).
 ///
-/// Drive it from a simulation: [`SendingMta::submit`] enqueues,
-/// [`SendingMta::next_due`] tells the experiment when to wake up, and
-/// [`SendingMta::run_due`] executes every attempt that is due.
+/// [`SendingMta::submit`] enqueues; the engine runs the rest. The sender
+/// is an [`Actor`] whose every wake-up makes the attempts due and sleeps
+/// until [`SendingMta::next_due`], so [`SendingMta::drain`] (or any
+/// [`WorldSim`] episode) drives its retry schedule, and
+/// [`SendingMta::records`] keeps every attempt made.
 ///
 /// # Example
 ///
@@ -201,8 +203,8 @@ pub struct AttemptRecord {
 ///     Message::builder().body("hi").build(),
 ///     SimTime::ZERO,
 /// );
-/// let records = sender.run_due(SimTime::ZERO, &mut world);
-/// assert!(records[0].delivered);
+/// sender.drain(SimTime::ZERO, &mut world);
+/// assert!(sender.records()[0].delivered);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
@@ -402,14 +404,6 @@ impl SendingMta {
             }
             IpSelection::RandomPerAttempt => *self.rng.pick(&self.ip_pool),
         }
-    }
-
-    /// Runs every attempt due at or before `now`; returns the attempt
-    /// records produced in this call.
-    pub fn run_due(&mut self, now: SimTime, world: &mut MailWorld) -> Vec<AttemptRecord> {
-        let made = self.records.len();
-        self.attempt_due(now, world);
-        self.records[made..].to_vec()
     }
 
     /// Runs every attempt due at or before `now`, appending each one's
@@ -850,21 +844,21 @@ mod tests {
         };
         let mut s = sender(MtaProfile::postfix()).with_retry_policy(policy);
         submit_one(&mut s, SimTime::ZERO);
-        assert_eq!(s.run_due(SimTime::ZERO, &mut w).len(), 1);
+        s.attempt_due(SimTime::ZERO, &mut w);
+        assert_eq!(s.records().len(), 1);
         let t1 = s.next_due().unwrap();
-        s.run_due(t1, &mut w); // second consecutive connect failure
+        s.attempt_due(t1, &mut w); // second consecutive connect failure
         assert_eq!(s.breaker_trips(), 1);
 
         let t2 = s.next_due().unwrap();
-        let skipped = s.run_due(t2, &mut w);
-        assert!(skipped.is_empty(), "open breaker must hold the attempt");
+        s.attempt_due(t2, &mut w);
         assert_eq!(s.breaker_skipped(), 1);
-        assert_eq!(s.records().len(), 2, "a skip is not an attempt");
+        assert_eq!(s.records().len(), 2, "open breaker must hold the attempt: a skip is not one");
 
         let t3 = s.next_due().unwrap();
         assert_eq!(t3, t1 + SimDuration::from_hours(2), "skip reschedules to cooldown end");
-        let probe = s.run_due(t3, &mut w);
-        assert_eq!(probe.len(), 1, "half-open breaker lets one probe through");
+        s.attempt_due(t3, &mut w);
+        assert_eq!(s.records().len(), 3, "half-open breaker lets one probe through");
         assert_eq!(s.breaker_trips(), 1, "one probe failure does not instantly re-trip");
     }
 
@@ -880,12 +874,12 @@ mod tests {
         };
         let mut s = sender(MtaProfile::postfix()).with_retry_policy(policy);
         submit_one(&mut s, SimTime::ZERO);
-        s.run_due(SimTime::ZERO, &mut w);
+        s.attempt_due(SimTime::ZERO, &mut w);
         assert_eq!(s.backoffs_applied(), 1);
         assert_eq!(s.next_due(), Some(SimTime::ZERO + SimDuration::from_mins(30)));
         // Second failure doubles the floor relative to its own "now".
         let t1 = SimTime::ZERO + SimDuration::from_mins(30);
-        s.run_due(t1, &mut w);
+        s.attempt_due(t1, &mut w);
         assert_eq!(s.backoffs_applied(), 2);
         assert_eq!(s.next_due(), Some(t1 + SimDuration::from_hours(1)));
     }
@@ -903,7 +897,7 @@ mod tests {
             let mut w = dead_destination_world(27);
             let mut s = sender(MtaProfile::postfix()).with_retry_policy(policy).with_seed(9);
             submit_one(&mut s, SimTime::ZERO);
-            s.run_due(SimTime::ZERO, &mut w);
+            s.attempt_due(SimTime::ZERO, &mut w);
             s.next_due().unwrap()
         };
         let (a, b) = (run(), run());

@@ -227,7 +227,7 @@ impl MailWorld {
     /// network (outages, link loss, latency spikes), the resolver (SERVFAIL
     /// and slow-resolver windows), the SMTP exchange path (mid-session
     /// aborts) and every *already installed* receiving server (greylist
-    /// store outages) — install servers before faults.
+    /// store outages, crash windows) — install servers before faults.
     ///
     /// The world also keeps the plan's window edges: every later engine
     /// episode on it ([`crate::worldsim::WorldSim`]) fires them as
@@ -238,10 +238,11 @@ impl MailWorld {
         self.smtp_faults = Some(plan.smtp.clone());
         self.fault_edges = plan.boundaries();
         for server in self.servers.values_mut() {
-            // Per-backend routing: remote greylist stores take the windows
-            // as protocol-level faults; in-process stores keep the ambient
-            // outage-window model.
-            server.install_greylist_faults(plan.greylist_down.clone());
+            // A greylist's store refuses lookups inside these windows,
+            // in-process or remote alike.
+            if let Some(gl) = server.greylist_mut() {
+                gl.set_outages(plan.greylist_down.iter().map(|w| (w.from, w.until)).collect());
+            }
             // Crash windows are addressed by hostname — each server gets
             // only its own schedule.
             let windows = plan.crash_windows_for(server.hostname());

@@ -114,8 +114,10 @@ pub enum FaultSpec {
         /// When sessions are at risk.
         window: FaultWindow,
     },
-    /// The greylist triplet store is unavailable: the receiving MTA falls
-    /// back to its degradation policy (fail-open or fail-closed).
+    /// The greylist triplet store is unavailable: every receiving MTA's
+    /// greylist refuses store lookups inside the window, whether its store
+    /// is in-process or remote, and the MTA falls back to its degradation
+    /// policy (fail-open or fail-closed).
     GreylistStoreDown {
         /// When the store is down.
         window: FaultWindow,
@@ -220,8 +222,9 @@ impl FaultProfile {
 
     /// A pure store outage: only the greylist triplet store is down, for
     /// ten minutes early in the run. The `policy_backend` experiment uses
-    /// it to compare backend degradation (fail-open vs fail-closed, remote
-    /// protocol refusals vs ambient windows) without any network noise.
+    /// it to run the in-process and the remote store through the one
+    /// outage path (refused lookups, answered by the MTA's degradation
+    /// policy) without any network noise.
     /// Deliberately *not* in [`FaultProfile::catalog`]: the `resilience`
     /// sweep's byte-stable output is pinned to the original five profiles.
     pub fn store_degraded() -> Self {
@@ -548,9 +551,21 @@ impl FaultPlan {
             && self.crashes.is_empty()
     }
 
-    /// Crash windows scheduled for `host`, in declaration order.
+    /// Crash windows scheduled for `host`, sorted by crash instant, with
+    /// overlapping windows merged: a host that is down cannot crash again
+    /// before it restarts, so it stays down until the later restart.
     pub fn crash_windows_for(&self, host: &str) -> Vec<FaultWindow> {
-        self.crashes.iter().filter(|(h, _)| h == host).map(|&(_, w)| w).collect()
+        let mut windows: Vec<FaultWindow> =
+            self.crashes.iter().filter(|(h, _)| h == host).map(|&(_, w)| w).collect();
+        windows.sort_unstable_by_key(|w| w.from);
+        windows.dedup_by(|later, kept| {
+            let overlaps = later.from < kept.until;
+            if overlaps {
+                kept.until = kept.until.max(later.until);
+            }
+            overlaps
+        });
+        windows
     }
 }
 
@@ -689,6 +704,29 @@ mod tests {
         assert_eq!(plan.boundaries(), vec![mins(10), mins(15)]);
         // The resilience sweep's catalog stays pinned to its original five.
         assert!(FaultProfile::catalog().iter().all(|p| p.name != "crash_restart"));
+    }
+
+    #[test]
+    fn crash_windows_are_sorted_by_crash_and_merged_where_they_overlap() {
+        let host = "mail.victim.example";
+        let crash = |at, down| FaultSpec::MtaCrashRestart {
+            host: host.to_owned(),
+            at: mins(at),
+            downtime: SimDuration::from_mins(down),
+        };
+        let specs = vec![crash(50, 5), crash(10, 5), crash(35, 10), crash(30, 10), crash(15, 5)];
+        let plan = FaultPlan::compile(&FaultProfile { name: "crashes", specs }, 7);
+        assert_eq!(
+            plan.crash_windows_for(host),
+            // [10, 15) and [15, 20) only touch: the host restarts, then
+            // crashes again at the same instant.
+            vec![
+                window_mins(10, 15),
+                window_mins(15, 20),
+                window_mins(30, 45),
+                window_mins(50, 55)
+            ]
+        );
     }
 
     #[test]

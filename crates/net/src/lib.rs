@@ -14,7 +14,7 @@
 //!   MX from one that happened to be off during a scan, so hosts can be
 //!   deterministically up/down per *epoch* (scan round).
 //! * [`Network`] is the registry tying IPs to hosts and answering connection
-//!   attempts ([`Network::connect`]) and SYN probes ([`Network::probe`]),
+//!   attempts ([`Network::connect_at`]) and SYN probes ([`Network::probe`]),
 //!   with a pluggable [`LatencyModel`].
 //!
 //! Everything is deterministic given the seed material passed in.

@@ -46,6 +46,7 @@ pub fn collect(net: &Network, reg: &mut Registry) {
 mod tests {
     use super::*;
     use crate::{PortState, SMTP_PORT};
+    use spamward_sim::SimTime;
     use std::net::Ipv4Addr;
 
     #[test]
@@ -56,9 +57,11 @@ mod tests {
         net.host("a").ip(open).port(SMTP_PORT, PortState::Open).build();
         net.host("b").ip(closed).port(SMTP_PORT, PortState::Closed).build();
 
-        assert!(net.connect(open, SMTP_PORT, 0).is_ok());
-        assert!(net.connect(closed, SMTP_PORT, 0).is_err());
-        assert!(net.connect(Ipv4Addr::new(203, 0, 113, 9), SMTP_PORT, 0).is_err());
+        assert!(net.connect_at(open, SMTP_PORT, 0, SimTime::ZERO).is_ok());
+        assert!(net.connect_at(closed, SMTP_PORT, 0, SimTime::ZERO).is_err());
+        assert!(net
+            .connect_at(Ipv4Addr::new(203, 0, 113, 9), SMTP_PORT, 0, SimTime::ZERO)
+            .is_err());
 
         let mut reg = Registry::new();
         collect(&net, &mut reg);

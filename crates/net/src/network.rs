@@ -274,25 +274,8 @@ impl Network {
         }
     }
 
-    /// Attempts a full TCP connection to `ip:port` during `epoch`.
-    ///
-    /// # Errors
-    ///
-    /// * [`ConnectError::NoRoute`] — nothing owns `ip`.
-    /// * [`ConnectError::HostDown`] — owner unreachable this epoch.
-    /// * [`ConnectError::ConnectionRefused`] — port closed (RST).
-    /// * [`ConnectError::TimedOut`] — port filtered; the error carries the
-    ///   client's SYN timeout so callers can charge the wasted wait.
-    pub fn connect(
-        &mut self,
-        ip: Ipv4Addr,
-        port: u16,
-        epoch: u64,
-    ) -> Result<Connection, ConnectError> {
-        self.connect_at(ip, port, epoch, SimTime::ZERO)
-    }
-
-    /// [`Network::connect`] with a virtual instant: planned-downtime windows
+    /// Attempts a full TCP connection to `ip:port` during `epoch` at the
+    /// virtual instant `now`: planned-downtime windows
     /// ([`Availability::Windows`](crate::Availability::Windows)) and
     /// installed faults (outages, link loss, latency spikes) are evaluated
     /// at `now`. Fault decisions are pure functions of
@@ -302,9 +285,13 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// As [`Network::connect`]; fault-swallowed SYNs surface as
-    /// [`ConnectError::TimedOut`] (a lost SYN is indistinguishable from a
-    /// filtered port).
+    /// * [`ConnectError::NoRoute`] — nothing owns `ip`.
+    /// * [`ConnectError::HostDown`] — owner unreachable this epoch.
+    /// * [`ConnectError::ConnectionRefused`] — port closed (RST).
+    /// * [`ConnectError::TimedOut`] — port filtered, or a fault swallowed
+    ///   the SYN (a lost SYN is indistinguishable from a filtered port);
+    ///   the error carries the client's SYN timeout so callers can charge
+    ///   the wasted wait.
     pub fn connect_at(
         &mut self,
         ip: Ipv4Addr,
@@ -382,15 +369,21 @@ mod tests {
     #[test]
     fn connect_semantics() {
         let (mut net, open, closed, filtered) = basic_net();
-        assert!(net.connect(open, SMTP_PORT, 0).is_ok());
-        assert_eq!(net.connect(closed, SMTP_PORT, 0), Err(ConnectError::ConnectionRefused));
-        match net.connect(filtered, SMTP_PORT, 0) {
+        assert!(net.connect_at(open, SMTP_PORT, 0, SimTime::ZERO).is_ok());
+        assert_eq!(
+            net.connect_at(closed, SMTP_PORT, 0, SimTime::ZERO),
+            Err(ConnectError::ConnectionRefused)
+        );
+        match net.connect_at(filtered, SMTP_PORT, 0, SimTime::ZERO) {
             Err(ConnectError::TimedOut { waited }) => {
                 assert_eq!(waited, SimDuration::from_secs(30))
             }
             other => panic!("expected timeout, got {other:?}"),
         }
-        assert_eq!(net.connect(ip(10, 0, 0, 1), SMTP_PORT, 0), Err(ConnectError::NoRoute));
+        assert_eq!(
+            net.connect_at(ip(10, 0, 0, 1), SMTP_PORT, 0, SimTime::ZERO),
+            Err(ConnectError::NoRoute)
+        );
     }
 
     #[test]
@@ -398,7 +391,10 @@ mod tests {
         let mut net = Network::new(1).with_latency(LatencyModel::Zero);
         let addr = ip(192, 0, 2, 9);
         net.host("down.example").ip(addr).smtp_open().availability(Availability::Down).build();
-        assert!(matches!(net.connect(addr, SMTP_PORT, 0), Err(ConnectError::TimedOut { .. })));
+        assert!(matches!(
+            net.connect_at(addr, SMTP_PORT, 0, SimTime::ZERO),
+            Err(ConnectError::TimedOut { .. })
+        ));
         assert_eq!(net.probe(addr, SMTP_PORT, 0), ProbeResult::Timeout);
     }
 
@@ -424,8 +420,8 @@ mod tests {
         let a = ip(198, 51, 100, 1);
         let b = ip(198, 51, 100, 2);
         let id = net.host("pool.example").ip(a).ip(b).smtp_open().build();
-        assert_eq!(net.connect(a, SMTP_PORT, 0).unwrap().host, id);
-        assert_eq!(net.connect(b, SMTP_PORT, 0).unwrap().host, id);
+        assert_eq!(net.connect_at(a, SMTP_PORT, 0, SimTime::ZERO).unwrap().host, id);
+        assert_eq!(net.connect_at(b, SMTP_PORT, 0, SimTime::ZERO).unwrap().host, id);
         assert_eq!(net.get(id).primary_ip(), a);
     }
 
@@ -518,8 +514,8 @@ mod tests {
     fn traffic_counters_accumulate() {
         let (mut net, open, closed, _) = basic_net();
         assert_eq!(net.connects_attempted(), 0);
-        let _ = net.connect(open, SMTP_PORT, 0);
-        let _ = net.connect(closed, SMTP_PORT, 0);
+        let _ = net.connect_at(open, SMTP_PORT, 0, SimTime::ZERO);
+        let _ = net.connect_at(closed, SMTP_PORT, 0, SimTime::ZERO);
         assert_eq!(net.connects_attempted(), 2, "failed connects count too");
         let before = net.probes_sent();
         net.probe(open, SMTP_PORT, 0);
@@ -572,7 +568,7 @@ mod tests {
         ));
         assert!(net.connect_at(addr, SMTP_PORT, 0, SimTime::from_secs(200)).is_ok());
         // Epoch-only `connect` evaluates at t=0, outside the window.
-        assert!(net.connect(addr, SMTP_PORT, 0).is_ok());
+        assert!(net.connect_at(addr, SMTP_PORT, 0, SimTime::ZERO).is_ok());
     }
 
     #[test]
