@@ -213,13 +213,13 @@ pub fn scan_rounds_ablation(seed: u64, domains: usize, max_rounds: usize) -> Vec
     let epochs: Vec<u64> = (0..max_rounds as u64).collect();
     let all = 0..stream.len() as u64;
     let scan = scan_block(&stream, &ShardPlan::new(seed, 1), all, &epochs, &[]).total();
-    scan.accuracy
+    scan.rounds
         .iter()
         .enumerate()
-        .map(|(n, acc)| ScanRoundsPoint {
+        .map(|(n, round)| ScanRoundsPoint {
             rounds: n + 1,
-            false_positives: acc.false_positives,
-            false_negatives: acc.false_negatives,
+            false_positives: round.accuracy.false_positives,
+            false_negatives: round.accuracy.false_negatives,
         })
         .collect()
 }

@@ -134,16 +134,13 @@ pub fn run(config: &AdoptionConfig, obs: &mut Obs) -> AdoptionResult {
     let total = scan.total();
     spamward_scanner::metrics::collect_shard_scan(&total, &mut obs.registry);
 
-    let between_scan_change = if total.per_epoch_nolisting[0] == 0 {
-        0.0
-    } else {
-        (total.per_epoch_nolisting[1] as f64 - total.per_epoch_nolisting[0] as f64).abs()
-            / total.per_epoch_nolisting[0] as f64
-    };
+    let (first, second) = (total.rounds[0].nolisting, total.rounds[1].nolisting);
+    let between_scan_change =
+        if first == 0 { 0.0 } else { (second as f64 - first as f64).abs() / first as f64 };
 
     AdoptionResult {
         stats: total.fig2(),
-        accuracy: total.accuracy[total.accuracy.len() - 1],
+        accuracy: total.rounds[total.rounds.len() - 1].accuracy,
         top_k: total.top_k.iter().map(|&(k, n)| (k, n as usize)).collect(),
         glue_resolved: total.glue_resolved as usize,
         between_scan_change,

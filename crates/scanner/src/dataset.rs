@@ -42,25 +42,11 @@ impl DnsAnyScan {
     ) -> DnsAnyScan {
         let mut mx = BTreeMap::new();
         for domain in domains {
-            dns.count_query();
-            let Ok(records) = dns.lookup(domain, RecordType::Mx) else {
-                continue;
-            };
-            let mut entries: Vec<MxRecordEntry> = records
-                .filter_map(|r| match &r.data {
-                    RecordData::Mx { preference, exchange } => Some(MxRecordEntry {
-                        preference: *preference,
-                        exchange: exchange.clone(),
-                        ip: None,
-                    }),
-                    _ => None,
-                })
-                .collect();
-            if entries.is_empty() {
-                continue;
+            let mut entries = Vec::new();
+            collect_mx(dns, domain, &mut entries);
+            if !entries.is_empty() {
+                mx.insert(domain.clone(), entries);
             }
-            entries.sort_by_key(|a| a.preference);
-            mx.insert(domain.clone(), entries);
         }
         DnsAnyScan { mx }
     }
@@ -71,17 +57,17 @@ impl DnsAnyScan {
     /// how many entries they patched.
     pub fn resolve_glue(&mut self, dns: &Authority) -> (u64, u64) {
         let (mut lookups, mut patched) = (0, 0);
-        for e in self.mx.values_mut().flatten().filter(|e| e.ip.is_none()) {
-            lookups += 1;
-            e.ip = dns.lookup(&e.exchange, RecordType::A).ok().and_then(|mut records| {
-                records.find_map(|r| match r.data {
-                    RecordData::A(ip) => Some(ip),
-                    _ => None,
-                })
-            });
-            patched += u64::from(e.ip.is_some());
+        for entries in self.mx.values_mut() {
+            let (l, p) = patch_glue(dns, entries);
+            lookups += l;
+            patched += p;
         }
         (lookups, patched)
+    }
+
+    /// One domain's entries: empty when the dataset has no MX data for it.
+    pub(crate) fn entries(&self, domain: &DomainName) -> &[MxRecordEntry] {
+        self.mx.get(domain).map_or(&[], Vec::as_slice)
     }
 
     /// Number of domains with MX data.
@@ -96,8 +82,54 @@ impl DnsAnyScan {
 
     /// Entries still lacking an address.
     pub fn missing_count(&self) -> usize {
-        self.mx.values().flatten().filter(|e| e.ip.is_none()).count()
+        self.mx.values().map(|entries| missing(entries)).sum()
     }
+}
+
+/// One domain's row of the DNS-ANY dataset: counts one served query and
+/// refills `entries` with the domain's MX records, preference-sorted and
+/// without glue. A lame zone, an absent name or a zone without MX records
+/// leaves `entries` empty, as the dataset leaves such a domain out.
+pub(crate) fn collect_mx(
+    dns: &mut Authority,
+    domain: &DomainName,
+    entries: &mut Vec<MxRecordEntry>,
+) {
+    entries.clear();
+    dns.count_query();
+    let Ok(records) = dns.lookup(domain, RecordType::Mx) else {
+        return;
+    };
+    entries.extend(records.filter_map(|r| match &r.data {
+        RecordData::Mx { preference, exchange } => {
+            Some(MxRecordEntry { preference: *preference, exchange: exchange.clone(), ip: None })
+        }
+        _ => None,
+    }));
+    entries.sort_by_key(|e| e.preference);
+}
+
+/// One domain's glue pass: looks up the A record of every entry still
+/// lacking an address, reading the answers in place. Returns how many
+/// lookups it made and how many entries they patched.
+pub(crate) fn patch_glue(dns: &Authority, entries: &mut [MxRecordEntry]) -> (u64, u64) {
+    let (mut lookups, mut patched) = (0, 0);
+    for e in entries.iter_mut().filter(|e| e.ip.is_none()) {
+        lookups += 1;
+        e.ip = dns.lookup(&e.exchange, RecordType::A).ok().and_then(|mut records| {
+            records.find_map(|r| match r.data {
+                RecordData::A(ip) => Some(ip),
+                _ => None,
+            })
+        });
+        patched += u64::from(e.ip.is_some());
+    }
+    (lookups, patched)
+}
+
+/// How many of `entries` still lack an address.
+pub(crate) fn missing(entries: &[MxRecordEntry]) -> usize {
+    entries.iter().filter(|e| e.ip.is_none()).count()
 }
 
 /// The IPv4 SMTP banner-grab dataset: every address that answered a SYN
@@ -176,7 +208,7 @@ mod tests {
     #[test]
     fn glue_patch_leaves_only_dangling_mxs_unresolved() {
         let mut world = small_world();
-        let (rounds, patched) = world.rounds(&[0]);
+        let (rounds, patched, _) = world.rounds(&[0]);
         let scan = &rounds[0].dns;
         assert!(patched > 0);
         assert_eq!(

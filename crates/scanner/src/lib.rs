@@ -20,10 +20,16 @@
 //!   truth.
 //! * [`scan_block`] — the whole pipeline run over a contiguous block of
 //!   the stream in O(1) memory, each domain in one reused corner of the
-//!   internet and named and hashed once, adding to the [`ShardScanStats`]
-//!   of the shard its name hashes to ([`BlockScan`]), with confusion
-//!   counts for every prefix of the scan rounds. Blocks merge byte-stably
-//!   whatever the split.
+//!   internet and named and hashed once, its MX entries collected and
+//!   glue-patched once for every round (no DNS input depends on the
+//!   epoch), adding to the [`ShardScanStats`] of the shard its name hashes
+//!   to ([`BlockScan`]), with confusion counts for every prefix of the scan
+//!   rounds. Blocks merge byte-stably whatever the split.
+//!
+//! The scan calls the same per-domain collect, glue-patch and round-verdict
+//! functions that [`DnsAnyScan::collect`], [`DnsAnyScan::resolve_glue`] and
+//! [`NolistingDetector::classify`] run over whole datasets; those stay for
+//! callers holding whole-world datasets, and as the tests' oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -72,8 +72,8 @@ pub fn collect_shard_scan(stats: &ShardScanStats, reg: &mut Registry) {
         reg.record_counter(BANNER_LISTENING, round.banner_listening);
     }
     collect_fig2(&stats.fig2(), reg);
-    if let Some(acc) = stats.accuracy.last() {
-        collect_accuracy(acc, reg);
+    if let Some(last) = stats.rounds.last() {
+        collect_accuracy(&last.accuracy, reg);
     }
 }
 

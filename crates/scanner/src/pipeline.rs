@@ -1,6 +1,6 @@
 //! The three-step nolisting detector and the Fig. 2 classification.
 
-use crate::dataset::{BannerGrab, DnsAnyScan};
+use crate::dataset::{BannerGrab, DnsAnyScan, MxRecordEntry};
 use spamward_dns::DomainName;
 use std::fmt;
 
@@ -59,7 +59,7 @@ impl Fig2Stats {
 
 /// Detection quality against ground truth (the synthetic population's
 /// advantage over the real study).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DetectorAccuracy {
     /// Nolisting domains correctly flagged.
     pub true_positives: usize,
@@ -112,8 +112,9 @@ impl DetectorAccuracy {
 #[derive(Debug, Default)]
 pub struct NolistingDetector;
 
+/// One domain's verdict within one scan round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RoundVerdict {
+pub(crate) enum RoundVerdict {
     OneMx,
     PrimaryUp,
     Candidate,
@@ -123,12 +124,67 @@ enum RoundVerdict {
     AllDown,
 }
 
+/// One domain's N-scan cross-check, folded a round at a time:
+/// [`CrossCheck::class`] is the domain's class over the rounds folded in
+/// so far, so the checks of every prefix of the rounds cost one fold.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CrossCheck {
+    all_misconfigured: bool,
+    any_one_mx: bool,
+    any_primary_up: bool,
+    all_candidates: bool,
+}
+
+impl CrossCheck {
+    /// The cross-check of no rounds yet.
+    pub(crate) const NONE: CrossCheck = CrossCheck {
+        all_misconfigured: true,
+        any_one_mx: false,
+        any_primary_up: false,
+        all_candidates: true,
+    };
+
+    /// This cross-check with one more round's verdict folded in.
+    #[must_use]
+    pub(crate) fn with(self, verdict: RoundVerdict) -> CrossCheck {
+        CrossCheck {
+            all_misconfigured: self.all_misconfigured && verdict == RoundVerdict::Misconfigured,
+            any_one_mx: self.any_one_mx || verdict == RoundVerdict::OneMx,
+            any_primary_up: self.any_primary_up || verdict == RoundVerdict::PrimaryUp,
+            all_candidates: self.all_candidates && verdict == RoundVerdict::Candidate,
+        }
+    }
+
+    /// The class over the rounds folded in so far.
+    pub(crate) fn class(self) -> DomainClass {
+        // Misconfiguration and single-MX are structural; take them from
+        // the first round that produced MX data at all.
+        if self.all_misconfigured {
+            return DomainClass::DnsMisconfigured;
+        }
+        if self.any_one_mx {
+            return DomainClass::OneMx;
+        }
+        // "If one domain had the primary email server operational in at
+        // least one of the two datasets, we concluded that it was not
+        // using nolisting."
+        if self.any_primary_up {
+            return DomainClass::MultiMxNoNolisting;
+        }
+        // "If the primary was not responding in both cases but the
+        // secondary did, we assumed the domain was protected by nolisting."
+        if self.all_candidates {
+            return DomainClass::Nolisting;
+        }
+        DomainClass::MultiMxNoNolisting
+    }
+}
+
 impl NolistingDetector {
-    /// Classifies one domain within one round.
-    fn round_verdict(round: &ScanRound, domain: &DomainName) -> RoundVerdict {
-        let Some(entries) = round.dns.mx.get(domain) else {
-            return RoundVerdict::Misconfigured;
-        };
+    /// Classifies one domain within one round, from its glue-patched MX
+    /// entries (empty when the round has no MX data for it) and the
+    /// round's banner grab.
+    pub(crate) fn round_verdict(entries: &[MxRecordEntry], banner: &BannerGrab) -> RoundVerdict {
         // Entries are preference-sorted at collection time.
         let mut resolved = entries.iter().filter_map(|e| e.ip).peekable();
         let Some(primary) = resolved.next() else {
@@ -137,10 +193,10 @@ impl NolistingDetector {
         if resolved.peek().is_none() {
             return RoundVerdict::OneMx;
         }
-        if round.banner.is_listening(primary) {
+        if banner.is_listening(primary) {
             return RoundVerdict::PrimaryUp;
         }
-        if resolved.any(|ip| round.banner.is_listening(ip)) {
+        if resolved.any(|ip| banner.is_listening(ip)) {
             RoundVerdict::Candidate
         } else {
             RoundVerdict::AllDown
@@ -154,35 +210,8 @@ impl NolistingDetector {
     /// Panics if `rounds` is empty.
     pub fn classify(rounds: &[ScanRound], domain: &DomainName) -> DomainClass {
         assert!(!rounds.is_empty(), "need at least one scan round");
-        let (mut all_misconfigured, mut any_one_mx, mut any_primary_up, mut all_candidates) =
-            (true, false, false, true);
-        for round in rounds {
-            let verdict = Self::round_verdict(round, domain);
-            all_misconfigured &= verdict == RoundVerdict::Misconfigured;
-            any_one_mx |= verdict == RoundVerdict::OneMx;
-            any_primary_up |= verdict == RoundVerdict::PrimaryUp;
-            all_candidates &= verdict == RoundVerdict::Candidate;
-        }
-        // Misconfiguration and single-MX are structural; take them from
-        // the first round that produced MX data at all.
-        if all_misconfigured {
-            return DomainClass::DnsMisconfigured;
-        }
-        if any_one_mx {
-            return DomainClass::OneMx;
-        }
-        // "If one domain had the primary email server operational in at
-        // least one of the two datasets, we concluded that it was not
-        // using nolisting."
-        if any_primary_up {
-            return DomainClass::MultiMxNoNolisting;
-        }
-        // "If the primary was not responding in both cases but the
-        // secondary did, we assumed the domain was protected by nolisting."
-        if all_candidates {
-            return DomainClass::Nolisting;
-        }
-        DomainClass::MultiMxNoNolisting
+        let verdicts = rounds.iter().map(|r| Self::round_verdict(r.dns.entries(domain), &r.banner));
+        verdicts.fold(CrossCheck::NONE, CrossCheck::with).class()
     }
 }
 
@@ -205,7 +234,7 @@ mod tests {
         let nolisting_pct = stats.pct(DomainClass::Nolisting);
         assert!(nolisting_pct > 0.0 && nolisting_pct < 2.0, "got {nolisting_pct}");
 
-        let acc = scan.accuracy[1];
+        let acc = scan.rounds[1].accuracy;
         // A nolisting domain whose flaky *secondary* happens to be down in
         // a scan epoch is undetectable by construction, so recall is high
         // but not guaranteed perfect.
@@ -219,7 +248,7 @@ mod tests {
         spec.flaky_hosts = 0.20; // plenty of flapping primaries
         let stream = PopulationStream::new(spec, 17);
         let scan = scan_block(&stream, &ShardPlan::new(17, 1), 0..6_000, &[0, 1], &[]).total();
-        let (acc_single, acc_double) = (scan.accuracy[0], scan.accuracy[1]);
+        let (acc_single, acc_double) = (scan.rounds[0].accuracy, scan.rounds[1].accuracy);
         assert!(
             acc_double.false_positives < acc_single.false_positives,
             "double scan FP {} !< single scan FP {}",
@@ -233,7 +262,7 @@ mod tests {
     #[test]
     fn misconfigured_and_one_mx_classes() {
         let mut world = Oracle::build(&PopulationStream::new(PopulationSpec::fig2(1_500), 23));
-        let (rounds, _) = world.rounds(&[0, 1]);
+        let (rounds, _, _) = world.rounds(&[0, 1]);
         for d in &world.domains {
             let v = NolistingDetector::classify(&rounds, &d.name);
             match d.truth {
@@ -283,7 +312,7 @@ mod tests {
         let mut spec = PopulationSpec::fig2(3_000);
         spec.flaky_hosts = 0.5;
         let mut world = Oracle::build(&PopulationStream::new(spec, 31));
-        let (rounds, _) = world.rounds(&[0, 1, 2]);
+        let (rounds, _, _) = world.rounds(&[0, 1, 2]);
         let mut classes = std::collections::BTreeSet::new();
         for d in &world.domains {
             for n in 1..=rounds.len() {

@@ -9,9 +9,19 @@
 //! glue-patch → banner-grab → classify pipeline against that corner, and
 //! adds the outcome to the [`ShardScanStats`] of the shard the domain's
 //! name hashes to, whose size depends only on the number of rounds. Each
-//! name is formatted and hashed once, the corner's hosts and banner grabs
-//! are refilled in place, and nothing survives a domain but its aggregate
-//! contribution, so memory stays flat no matter the population size.
+//! name is formatted and hashed once, the corner's hosts, MX entries and
+//! banner grab are refilled in place, and nothing survives a domain but
+//! its aggregate contribution, so memory stays flat no matter the
+//! population size.
+//!
+//! The corner collects a domain's MX entries and patches their glue once
+//! for every round, then refills the banner grab and folds the verdict
+//! per round. That is exact because only host availability depends on the
+//! epoch: the population models no DNS churn between scans, and nothing
+//! touches the corner's zone between rounds, so every round's DNS dataset
+//! is the same. Each round still counts its own MX query, glue lookups and
+//! SYNs. A population that changed zones between epochs would have to
+//! collect per round again.
 //!
 //! Per-domain emulation is *exact*, not approximate: MX entries, glue
 //! resolution and SYN probes depend only on the domain's own zone and
@@ -23,9 +33,9 @@
 //! sums do not depend on how the stream is cut into blocks: blocks merge
 //! by field-wise addition in block order ([`BlockScan::merge`]).
 
-use crate::dataset::{BannerGrab, DnsAnyScan};
+use crate::dataset::{collect_mx, missing, patch_glue, BannerGrab, MxRecordEntry};
 use crate::metrics::{SAMPLE_SCAN_EVENTS, SAMPLE_SCAN_NOLISTING};
-use crate::pipeline::{DetectorAccuracy, DomainClass, Fig2Stats, NolistingDetector, ScanRound};
+use crate::pipeline::{CrossCheck, DetectorAccuracy, DomainClass, Fig2Stats, NolistingDetector};
 use crate::population::{DomainTruth, PopulationStream};
 use spamward_dns::Authority;
 use spamward_net::Network;
@@ -41,8 +51,9 @@ const SCAN_BUCKET_DOMAINS: u64 = 60;
 /// Seconds each bucket spans.
 const SCAN_BUCKET_SECS: u64 = 60;
 
-/// One scan round's aggregate sizes (the inputs of
-/// [`crate::metrics::collect_shard_scan`]).
+/// One scan round's aggregates: its dataset sizes (the inputs of
+/// [`crate::metrics::collect_shard_scan`]), its own nolisting count and
+/// the score of the cross-check up to it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanRoundStats {
     /// Domains with MX data this round.
@@ -51,6 +62,13 @@ pub struct ScanRoundStats {
     pub dns_missing_a: u64,
     /// Addresses found listening on port 25.
     pub banner_listening: u64,
+    /// Domains this round alone flags as nolisting, for the between-scan
+    /// drift number.
+    pub nolisting: u64,
+    /// Confusion-matrix cells against ground truth of the cross-check of
+    /// every round up to and including this one: the last round's cells
+    /// score the whole scan.
+    pub accuracy: DetectorAccuracy,
 }
 
 /// One shard's (or, after merging, the whole scan's) aggregate results.
@@ -60,20 +78,13 @@ pub struct ShardScanStats {
     pub domains: u64,
     /// Scan work performed: DNS queries plus SYN probes.
     pub events: u64,
-    /// Per-round dataset sizes, indexed by epoch position.
+    /// Per-round aggregates, indexed by epoch position.
     pub rounds: Vec<ScanRoundStats>,
     /// MX entries whose glue the re-resolution pass patched.
     pub glue_resolved: u64,
     /// Class counts in Fig. 2 order (one-MX, no-nolisting, nolisting,
     /// misconfigured).
     pub class_counts: [u64; 4],
-    /// Detected-nolisting count per *single* round, for the between-scan
-    /// drift number.
-    pub per_epoch_nolisting: Vec<u64>,
-    /// Confusion-matrix cells against ground truth, one per round prefix:
-    /// entry `n-1` cross-checks rounds `1..=n`, so the last entry scores
-    /// the whole scan.
-    pub accuracy: Vec<DetectorAccuracy>,
     /// Detected-nolisting counts within the top-k popular domains.
     pub top_k: Vec<(u32, u64)>,
 }
@@ -97,8 +108,6 @@ impl ShardScanStats {
             rounds: vec![ScanRoundStats::default(); epochs],
             glue_resolved: 0,
             class_counts: [0; 4],
-            per_epoch_nolisting: vec![0; epochs],
-            accuracy: vec![DetectorAccuracy::default(); epochs],
             top_k: ks.iter().map(|&k| (k, 0)).collect(),
         }
     }
@@ -121,18 +130,14 @@ impl ShardScanStats {
             mine.dns_domains += theirs.dns_domains;
             mine.dns_missing_a += theirs.dns_missing_a;
             mine.banner_listening += theirs.banner_listening;
+            mine.nolisting += theirs.nolisting;
+            mine.accuracy.true_positives += theirs.accuracy.true_positives;
+            mine.accuracy.false_positives += theirs.accuracy.false_positives;
+            mine.accuracy.false_negatives += theirs.accuracy.false_negatives;
         }
         self.glue_resolved += other.glue_resolved;
         for (mine, theirs) in self.class_counts.iter_mut().zip(&other.class_counts) {
             *mine += theirs;
-        }
-        for (mine, theirs) in self.per_epoch_nolisting.iter_mut().zip(&other.per_epoch_nolisting) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self.accuracy.iter_mut().zip(&other.accuracy) {
-            mine.true_positives += theirs.true_positives;
-            mine.false_positives += theirs.false_positives;
-            mine.false_negatives += theirs.false_negatives;
         }
         for ((_, mine), (_, theirs)) in self.top_k.iter_mut().zip(&other.top_k) {
             *mine += theirs;
@@ -209,30 +214,30 @@ impl BlockScan {
 }
 
 /// The corner of the internet one block scans its domains in: one
-/// authority, one network and one scan round per epoch, cleared and
-/// refilled for every domain so their capacity carries over and their
-/// contents never do.
+/// authority, one network, one domain's MX entries and one banner grab,
+/// cleared and refilled for every domain so their capacity carries over
+/// and their contents never do.
 struct Corner {
     dns: Authority,
     net: Network,
-    rounds: Vec<ScanRound>,
+    mx: Vec<MxRecordEntry>,
+    banner: BannerGrab,
 }
 
 impl Corner {
-    /// An empty corner for a scan of `epochs` rounds, its network seeded
-    /// with `seed`.
-    fn new(seed: u64, epochs: usize) -> Corner {
-        let round = || ScanRound { dns: DnsAnyScan::default(), banner: BannerGrab::default() };
+    /// An empty corner, its network seeded with `seed`.
+    fn new(seed: u64) -> Corner {
         Corner {
             dns: Authority::new(),
             net: Network::new(seed),
-            rounds: std::iter::repeat_with(round).take(epochs).collect(),
+            mx: Vec::new(),
+            banner: BannerGrab::default(),
         }
     }
 
-    /// Scans domain `i`, named `name`, across `epochs` (one per round of
-    /// the corner) and adds its outcome to `stats`. Returns the scan work
-    /// it took and whether the detector flagged it.
+    /// Scans domain `i`, named `name`, once per epoch of `epochs` and adds
+    /// its outcome to `stats`. Returns the scan work it took and whether
+    /// the detector flagged it.
     fn scan(
         &mut self,
         stream: &PopulationStream,
@@ -245,37 +250,35 @@ impl Corner {
         self.dns.clear();
         self.net.clear();
         let domain = stream.install(&packed, name, &mut self.dns, &mut self.net);
-        let syns = self.net.len() as u64; // one SYN per host, each on one address
 
-        let mut events = 0;
-        for ((round, totals), &epoch) in self.rounds.iter_mut().zip(&mut stats.rounds).zip(epochs) {
-            round.dns = DnsAnyScan::collect(&mut self.dns, [&domain]);
-            let (glue_lookups, patched) = round.dns.resolve_glue(&self.dns);
-            round.banner.refill(&self.net, epoch);
-            events += 1 + glue_lookups + syns; // the MX query, glue, SYNs
-            stats.glue_resolved += patched;
-            totals.dns_domains += round.dns.len() as u64;
-            totals.dns_missing_a += round.dns.missing_count() as u64;
-            totals.banner_listening += round.banner.len() as u64;
-        }
+        // No DNS input depends on the epoch (see the module docs), so the
+        // DNS dataset is collected and glue-patched once for every round.
+        // Each round still counts its own MX query, glue lookups and SYNs
+        // (one per host, each on one address).
+        collect_mx(&mut self.dns, &domain, &mut self.mx);
+        let (glue_lookups, patched) = patch_glue(&self.dns, &mut self.mx);
+        let (dns_domains, missing_a) = (u64::from(!self.mx.is_empty()), missing(&self.mx) as u64);
+        let rounds = epochs.len() as u64;
+        let events = rounds * (1 + glue_lookups + self.net.len() as u64);
+        stats.glue_resolved += rounds * patched;
 
         // Per round: its single-round verdict, then the cross-check of
-        // every round so far (for the first round, the same verdict).
+        // every round so far.
         let actual = packed.truth == DomainTruth::Nolisting;
-        let mut class = DomainClass::DnsMisconfigured;
-        for (ei, round) in self.rounds.iter().enumerate() {
-            let single = NolistingDetector::classify(std::slice::from_ref(round), &domain);
-            if single == DomainClass::Nolisting {
-                stats.per_epoch_nolisting[ei] += 1;
-            }
-            class = if ei == 0 {
-                single
-            } else {
-                NolistingDetector::classify(&self.rounds[..=ei], &domain)
-            };
-            stats.accuracy[ei].record(class == DomainClass::Nolisting, actual);
+        let mut check = CrossCheck::NONE;
+        for (totals, &epoch) in stats.rounds.iter_mut().zip(epochs) {
+            self.banner.refill(&self.net, epoch);
+            let verdict = NolistingDetector::round_verdict(&self.mx, &self.banner);
+            check = check.with(verdict);
+            totals.dns_domains += dns_domains;
+            totals.dns_missing_a += missing_a;
+            totals.banner_listening += self.banner.len() as u64;
+            let single = CrossCheck::NONE.with(verdict).class();
+            totals.nolisting += u64::from(single == DomainClass::Nolisting);
+            totals.accuracy.record(check.class() == DomainClass::Nolisting, actual);
         }
-        // `class` now cross-checks every round.
+        // `check` now cross-checks every round.
+        let class = check.class();
         stats.class_counts[class_slot(class)] += 1;
         let flagged = class == DomainClass::Nolisting;
         if flagged {
@@ -337,7 +340,7 @@ pub fn scan_block(
 ) -> BlockScan {
     assert!(!epochs.is_empty(), "need at least one scan round");
     let mut scan = BlockScan::empty(plan.shards(), epochs.len(), ks);
-    let mut corner = Corner::new(plan.seed(), epochs.len());
+    let mut corner = Corner::new(plan.seed());
     let mut bucket: Option<Bucket> = None;
     let mut text = [0; 32];
     for i in block {
@@ -405,18 +408,23 @@ pub(crate) mod oracle {
             Oracle { domains, network, dns }
         }
 
-        /// One whole-world scan round per epoch, and how many MX entries
-        /// the glue pass patched over all of them.
-        pub(crate) fn rounds(&mut self, epochs: &[u64]) -> (Vec<ScanRound>, u64) {
+        /// One whole-world scan round per epoch, how many MX entries the
+        /// glue pass patched over all of them, and the scan work they did:
+        /// in every round one MX query per domain, one A lookup per entry
+        /// that lacked glue and one SYN per host address.
+        pub(crate) fn rounds(&mut self, epochs: &[u64]) -> (Vec<ScanRound>, u64, u64) {
             let mut rounds = Vec::with_capacity(epochs.len());
-            let mut patched = 0;
+            let (mut patched, mut events) = (0, 0);
+            let syns: usize = self.network.iter().map(|h| h.ips().len()).sum();
             for &epoch in epochs {
                 let mut dns =
                     DnsAnyScan::collect(&mut self.dns, self.domains.iter().map(|d| &d.name));
-                patched += dns.resolve_glue(&self.dns).1;
+                let (lookups, round_patched) = dns.resolve_glue(&self.dns);
+                patched += round_patched;
+                events += (self.domains.len() + syns) as u64 + lookups;
                 rounds.push(ScanRound { dns, banner: BannerGrab::collect(&self.network, epoch) });
             }
-            (rounds, patched)
+            (rounds, patched, events)
         }
     }
 }
@@ -461,7 +469,7 @@ mod tests {
     fn assert_matches_oracle(stream: &PopulationStream, shards: u32, epochs: &[u64]) {
         let total = merged_scan(stream, shards, epochs).total();
         let mut world = Oracle::build(stream);
-        let (rounds, glue) = world.rounds(epochs);
+        let (rounds, glue, events) = world.rounds(epochs);
         let classify = |n: usize| -> Vec<DomainClass> {
             world
                 .domains
@@ -485,7 +493,7 @@ mod tests {
             for (d, class) in world.domains.iter().zip(classify(n)) {
                 accuracy.record(class == DomainClass::Nolisting, d.truth == DomainTruth::Nolisting);
             }
-            assert_eq!(total.accuracy[n - 1], accuracy, "cross-checking {n} rounds");
+            assert_eq!(total.rounds[n - 1].accuracy, accuracy, "cross-checking {n} rounds");
         }
         for &(k, count) in &total.top_k {
             let flagged = world
@@ -496,12 +504,13 @@ mod tests {
             assert_eq!(count, flagged.count() as u64, "top-{k}");
         }
         assert_eq!(total.glue_resolved, glue);
+        assert_eq!(total.events, events, "every round models its own DNS work and SYNs");
         for (ei, round) in rounds.iter().enumerate() {
             let single = world.domains.iter().filter(|d| {
                 NolistingDetector::classify(std::slice::from_ref(round), &d.name)
                     == DomainClass::Nolisting
             });
-            assert_eq!(total.per_epoch_nolisting[ei], single.count() as u64);
+            assert_eq!(total.rounds[ei].nolisting, single.count() as u64);
             assert_eq!(total.rounds[ei].dns_domains as usize, round.dns.len());
             assert_eq!(total.rounds[ei].dns_missing_a as usize, round.dns.missing_count());
             assert_eq!(total.rounds[ei].banner_listening as usize, round.banner.len());

@@ -185,6 +185,38 @@ fn measure<T>(f: impl FnOnce() -> T) -> Cost {
     Cost { allocs, peak_bytes: Some(peak) }
 }
 
+/// How far apart the flatness checks let the allocations per unit at the
+/// two sizes of a run be, as a share of the average at the larger size.
+const FLATNESS: f64 = 0.02;
+
+/// A run's allocations at two sizes, read as a fixed cost plus a marginal
+/// cost per unit, to say how far off a failed flatness check is.
+struct Flatness {
+    /// Allocations per unit between the two sizes.
+    marginal: f64,
+    /// The fixed allocations the two sizes imply.
+    fixed: f64,
+    /// The larger size.
+    large: f64,
+}
+
+impl Flatness {
+    fn new([small, large]: [usize; 2], allocs: impl Fn(usize) -> f64) -> Flatness {
+        let marginal = (allocs(large) - allocs(small)) / (large - small) as f64;
+        Flatness { marginal, fixed: allocs(large) - marginal * large as f64, large: large as f64 }
+    }
+
+    /// The fixed cost, and the fixed costs at which a check passes that
+    /// holds when |fixed| × `weight` is within [`FLATNESS`] of the average
+    /// allocations per unit at the larger size.
+    fn explain(&self, weight: f64) -> String {
+        let slack = FLATNESS / self.large;
+        let lowest = -FLATNESS * self.marginal / (weight + slack);
+        let highest = FLATNESS * self.marginal / (weight - slack);
+        format!("{:.0} fixed; passes at {lowest:.0} to {highest:.0} fixed", self.fixed)
+    }
+}
+
 /// Fig. 2 scan sizes, in domains.
 const SCAN_SIZES: [usize; 2] = [4_000, 20_000];
 /// Fig. 5 replay sizes, in messages.
@@ -320,23 +352,32 @@ fn allocations_and_peak_bytes_stay_within_budget() {
         let (_, cost) = costs.iter().find(|(n, _)| *n == name).unwrap();
         cost.allocs as f64
     };
-    // Cost per domain does not grow with the population.
-    let per_domain = |domains: usize| allocs(format!("fig2_scan.{domains}")) / domains as f64;
+    // Cost per domain does not grow with the population: per domain, the
+    // two sizes differ by |fixed| × (1/small - 1/large).
+    let scan = |domains: usize| allocs(format!("fig2_scan.{domains}"));
+    let per_domain = |domains: usize| scan(domains) / domains as f64;
     let (small, large) = (per_domain(SCAN_SIZES[0]), per_domain(SCAN_SIZES[1]));
+    let flat = Flatness::new(SCAN_SIZES, scan);
+    let weight = 1.0 / SCAN_SIZES[0] as f64 - 1.0 / SCAN_SIZES[1] as f64;
     assert!(
-        (small - large).abs() <= 0.02 * large,
-        "allocations per domain {small:.2} at {} vs {large:.2} at {}",
+        (small - large).abs() <= FLATNESS * large,
+        "allocations per domain {small:.2} at {} vs {large:.2} at {}: {:.3} per domain between \
+         the sizes and {}",
         SCAN_SIZES[0],
-        SCAN_SIZES[1]
+        SCAN_SIZES[1],
+        flat.marginal,
+        flat.explain(weight)
     );
     // Nor does cost per message grow with the replay: the messages between
-    // the two sizes cost what the average message of the larger one does.
+    // the two sizes cost what the average message of the larger one does,
+    // which differs from them by |fixed| / large.
     let replay = |messages: usize| allocs(format!("fig5_replay.{messages}"));
     let [small, large] = REPLAY_SIZES;
     let marginal = (replay(large) - replay(small)) / (large - small) as f64;
     let average = replay(large) / large as f64;
     assert!(
-        (marginal - average).abs() <= 0.02 * average,
-        "allocations per message {marginal:.2} between {small} and {large} vs {average:.2} at {large}"
+        (marginal - average).abs() <= FLATNESS * average,
+        "allocations per message {marginal:.2} between {small} and {large} vs {average:.2} at {large}: {}",
+        Flatness::new(REPLAY_SIZES, replay).explain(1.0 / large as f64)
     );
 }
